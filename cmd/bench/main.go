@@ -19,8 +19,8 @@
 // The per-engine numbers are steady-state query costs (engines are
 // warmed before timing); mc_failure_prob isolates the MC reduction
 // that dominates every MC query; table3_sweep times the whole
-// design×method fan-out end to end, including engine construction and
-// the shared PCA cache. Speedups are relative to the serial path on
+// design×method fan-out end to end, including engine construction.
+// Speedups are relative to the serial path on
 // the same host, so they reflect the core count the run actually had
 // (see go_max_procs in the report).
 package main
@@ -42,7 +42,6 @@ import (
 	"obdrel"
 	"obdrel/internal/fault"
 	"obdrel/internal/floorplan"
-	"obdrel/internal/grid"
 	"obdrel/internal/obs"
 	"obdrel/internal/par"
 	"obdrel/internal/thermal"
@@ -75,7 +74,11 @@ type Report struct {
 	GridN       int            `json:"grid_n"`
 	Designs     []DesignReport `json:"designs"`
 	Table3Sweep SerialParallel `json:"table3_sweep"`
-	PCACache    CacheReport    `json:"pca_cache"`
+	// LegacyPCACache is the counter section of the removed process-wide
+	// PCA cache. Committed reports still carry it, so -validate accepts
+	// it; new reports never emit it (the pca stage key deduplicates
+	// eigendecompositions now).
+	LegacyPCACache json.RawMessage `json:"pca_cache,omitempty"`
 	// v2 (stage-graph) sections, present when -stages is on.
 	MaxVDDReuse *MaxVDDReport `json:"maxvdd_reuse,omitempty"`
 	Stages      []StageReport `json:"stages,omitempty"`
@@ -236,13 +239,6 @@ type SerialParallel struct {
 	Speedup    float64 `json:"speedup"`
 }
 
-// CacheReport snapshots the shared PCA cache after the sweep.
-type CacheReport struct {
-	Computes int64 `json:"computes"`
-	Hits     int64 `json:"hits"`
-	Entries  int   `json:"entries"`
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
@@ -399,11 +395,6 @@ func run(designs []*obdrel.Design, mcSamples, gridN int, seed int64, workers int
 		rep.Designs = append(rep.Designs, benchDesign(d, mcSamples, gridN, seed, workers, quick))
 	}
 	rep.Table3Sweep = benchSweep(designs, mcSamples, gridN, seed, workers)
-	rep.PCACache = CacheReport{
-		Computes: grid.SharedPCACache.Computes(),
-		Hits:     grid.SharedPCACache.Hits(),
-		Entries:  grid.SharedPCACache.Len(),
-	}
 	if stages {
 		rep.Schema = SchemaV2
 		mv, st := benchMaxVDD(designs[0], mcSamples, gridN, seed, workers)

@@ -197,8 +197,8 @@ func table3Row(d *obdrel.Design, mcSamples, gridN int, seed int64, workers int) 
 }
 
 // table4 reproduces Table IV: st_fast accuracy vs MC for three
-// correlation distances. All design×ρ cells fan out together; the
-// shared PCA cache collapses the eigendecompositions to one per ρ.
+// correlation distances. All design×ρ cells fan out together; the pca
+// stage cache collapses the eigendecompositions to one per ρ.
 func table4(designs []*obdrel.Design, mcSamples, gridN int, seed int64, workers int) {
 	rhos := []float64{0.25, 0.5, 0.75}
 	fmt.Printf("Table IV — st_fast lifetime error (%%) vs MC for correlation distances\n")

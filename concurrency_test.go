@@ -98,10 +98,9 @@ func TestWorkersEquivalence(t *testing.T) {
 		cfg := fastConfig()
 		cfg.MCSamples = 200
 		cfg.Workers = workers
-		// Isolate runs from the shared PCA and stage caches — this test
-		// must rebuild every substrate stage per worker count, or the
+		// Isolate runs from the shared stage cache — this test must
+		// rebuild every substrate stage per worker count, or the
 		// serial/parallel comparison compares one build with itself.
-		cfg.DisablePCACache = true
 		cfg.DisableStageCache = true
 		an, err := obdrel.NewAnalyzer(obdrel.C1(), cfg)
 		if err != nil {

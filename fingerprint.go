@@ -26,8 +26,8 @@ import (
 //   - nil Tech/Power/Thermal and a zero PCAKeepFraction resolve to
 //     their defaults before hashing, so an explicit DefaultConfig and
 //     a zero-value-with-defaults config collide (as they should);
-//   - performance-only knobs (Workers, DisablePCACache,
-//     DisableStageCache, TableDir) are excluded — they select
+//   - performance-only knobs (Workers, DisableStageCache, TableDir)
+//     are excluded — they select
 //     execution strategy, not the model. Workers ≥ 2 and 0 are
 //     bit-identical by construction; Workers:1 differs only within the
 //     documented serial/parallel tolerance, which caching layers
@@ -178,7 +178,8 @@ func (c *Config) segCovariance(dieW, dieH float64) string {
 // segPCA is the eigendecomposition stage input. It deliberately
 // excludes FracIndependent (σ_ε never enters the correlated-component
 // covariance) and the wafer pattern (a deterministic mean shift), so
-// sweeps over those share one PCA — mirroring grid.PCACache's key.
+// sweeps over those share one PCA: this key is what deduplicates
+// eigendecompositions across a Table IV/V sweep.
 func (c *Config) segPCA(dieW, dieH float64) string {
 	tech := c.resolvedTech()
 	qtLevels, qtDecay := c.resolvedQuadTree()

@@ -479,18 +479,31 @@ func TestLifetimeAtValidation(t *testing.T) {
 		t.Error("inverted bracket should error")
 	}
 	// A bracket that misses the crossing must still succeed via
-	// automatic growth.
-	aMin, _ := fx.chip.AlphaRange()
-	got, err := LifetimeAt(e, PPMTarget(10), aMin*1e-30, aMin*1e-29)
-	if err != nil {
-		t.Fatalf("bracket growth failed: %v", err)
-	}
+	// automatic growth, on either side, and agree with bisection over
+	// the same grown bracket.
+	aMin, aMax := fx.chip.AlphaRange()
 	want, err := LifetimePPM(e, fx.chip, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approx(got, want, 1e-6) {
-		t.Errorf("grown bracket %v vs direct %v", got, want)
+	for _, br := range [][2]float64{{aMin * 1e-30, aMin * 1e-29}, {aMax * 1e3, aMax * 1e4}} {
+		got, err := LifetimeAt(e, PPMTarget(10), br[0], br[1])
+		if err != nil {
+			t.Fatalf("bracket growth from %v failed: %v", br, err)
+		}
+		if !approx(got, want, 1e-6) {
+			t.Errorf("grown bracket %v: %v vs direct %v", br, got, want)
+		}
+		ref, err := bisectLifetime(e, PPMTarget(10), br[0], br[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(math.Log(got / ref)); d > 2e-10 {
+			t.Errorf("grown bracket %v: |log t − log t_bisect| = %.3g", br, d)
+		}
+		if eb, er := targetRelErr(t, e, got, PPMTarget(10)), targetRelErr(t, e, ref, PPMTarget(10)); eb > math.Max(er, targetErrFloor) {
+			t.Errorf("grown bracket %v: target error %.3g, bisection's %.3g", br, eb, er)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func GValue(l, b, u, v float64) float64 {
 // one block's (u, v) integration domain. The weights depend only on
 // the BLOD marginals, not on (t, α, b), so they are computed once per
 // block and reused across every integrand evaluation — this is what
-// makes lifetime bisection and hybrid-table construction cheap.
+// makes lifetime solves and hybrid-table construction cheap.
 type blockWeights struct {
 	us, vs []float64 // midpoints
 	w      []float64 // f_u(u)·f_v(v)·du·dv, row-major [iu*len(vs)+iv]

@@ -210,19 +210,46 @@ func (e *MonteCarlo) FailureProb(t float64) (float64, error) {
 	return acc / float64(len(e.hists)), nil
 }
 
+// failureTimeObjective is log S(t) − log target over x = log t for one
+// sample chip's histograms: the conditional survival exp(−S(t)) equals
+// the draw's uniform variate where it crosses zero. Like the lifetime
+// objective it is near-linear in x, and an S that underflows to zero
+// maps to −Inf. ls is per-worker scratch.
+type failureTimeObjective struct {
+	e         *MonteCarlo
+	hist      []float32
+	ls        []float64
+	logTarget float64
+}
+
+func (o failureTimeObjective) Eval(logT float64) float64 {
+	c := o.e.chip
+	tt := math.Exp(logT)
+	ext := 0.0
+	for j := range o.ls {
+		o.ls[j] = logT - math.Log(c.Params[j].Alpha)
+		ext += c.extrinsicHazard(j, tt)
+	}
+	s := o.e.exponent(o.hist, o.ls, ext)
+	if s <= 0 {
+		return math.Inf(-1)
+	}
+	return math.Log(s) - o.logTarget
+}
+
 // SampleFailureTimes draws count chip failure times (the Fig. 10
 // lifetime histogram): for each draw a sample chip's conditional
-// survival exp(-S(t)) is inverted at a uniform variate by bisection on
-// log t. Draws cycle through the sampled chips, so count may exceed
-// the process-sample count; each draw still uses fresh breakdown
-// randomness.
+// survival exp(-S(t)) is inverted at a uniform variate by a bracketed
+// Brent search on log t (within 1e-9). Draws cycle through the sampled
+// chips, so count may exceed the process-sample count; each draw still
+// uses fresh breakdown randomness.
 func (e *MonteCarlo) SampleFailureTimes(count int, seed int64) ([]float64, error) {
 	if count <= 0 {
 		return nil, errors.New("core: SampleFailureTimes requires count > 0")
 	}
 	// The uniform variates are drawn serially up front (preserving the
-	// legacy rng consumption order exactly); the per-draw bisections —
-	// the expensive part, ~200 exponent evaluations each — are then
+	// legacy rng consumption order exactly); the per-draw inversions —
+	// the expensive part, a dozen-odd exponent evaluations each — are then
 	// independent and fan out over e.Workers. Every draw is inverted
 	// from its own variate, so the output is bit-identical for every
 	// worker count, including the serial path.
@@ -243,26 +270,19 @@ func (e *MonteCarlo) SampleFailureTimes(count int, seed int64) ([]float64, error
 		firstErr error
 	)
 	par.ForChunks(e.Workers, count, 16, func(kLo, kHi int) {
-		ls := make([]float64, n)
+		g := failureTimeObjective{e: e, ls: make([]float64, n)}
 		for k := kLo; k < kHi; k++ {
-			h := e.hists[k%len(e.hists)]
-			target := -math.Log(us[k]) // solve S(t) = target
-			f := func(logT float64) float64 {
-				tt := math.Exp(logT)
-				ext := 0.0
-				for j := 0; j < n; j++ {
-					ls[j] = logT - math.Log(e.chip.Params[j].Alpha)
-					ext += e.chip.extrinsicHazard(j, tt)
-				}
-				return e.exponent(h, ls, ext) - target
-			}
+			g.hist = e.hists[k%len(e.hists)]
+			g.logTarget = math.Log(-math.Log(us[k])) // solve S(t) = −log u
 			lo := math.Log(aMin) - 40*math.Ln10
 			hi := math.Log(aMax) + 4*math.Ln10
 			// S is monotone increasing in t; expand upward if needed.
-			for f(hi) < 0 {
+			fhi := g.Eval(hi)
+			for fhi < 0 {
 				hi += 2 * math.Ln10
+				fhi = g.Eval(hi)
 			}
-			logT, err := mathx.Bisect(f, lo, hi, 1e-9, 200)
+			logT, err := mathx.Brent(g, lo, hi, g.Eval(lo), fhi, 1e-9, 200)
 			if err != nil {
 				// Record one failure; out is discarded by the caller.
 				errMu.Lock()

@@ -175,6 +175,27 @@ func TestPCAReconstructsCovariance(t *testing.T) {
 	}
 }
 
+// TestComputePCAWorkersBitIdentical: the parallel covariance assembly
+// and eigensolve return exactly the serial decomposition, so a PCA
+// artifact does not depend on who built it.
+func TestComputePCAWorkersBitIdentical(t *testing.T) {
+	m := testModel(t, 5, 5, 0.4)
+	parallel, err := m.ComputePCAWorkers(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := m.ComputePCA(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parallel.K != serial.K {
+		t.Fatalf("K: parallel %d vs serial %d", parallel.K, serial.K)
+	}
+	if d := parallel.Loadings.MaxAbsDiff(serial.Loadings); d != 0 {
+		t.Fatalf("loadings differ by %v — parallel covariance assembly is not bit-deterministic", d)
+	}
+}
+
 func TestPCATruncation(t *testing.T) {
 	m := testModel(t, 6, 6, 0.5)
 	full, err := m.ComputePCA(1)

@@ -1,7 +1,8 @@
 // Package mathx supplies the special functions the reliability
 // analysis needs beyond the standard math package: the standard
 // normal PDF/CDF/quantile and the regularized incomplete gamma
-// functions that back the chi-square distribution.
+// functions that back the chi-square distribution, plus the bracketed
+// root finders the lifetime solves use.
 //
 // Everything here is implemented from scratch on top of math.Erf,
 // math.Lgamma and friends; no third-party numerics are used.
@@ -222,6 +223,133 @@ func Bisect(f func(float64) float64, lo, hi, tol float64, maxIter int) (float64,
 	}
 	return lo + (hi-lo)/2, nil
 }
+
+// Evaluator is a scalar function of one variable. Brent takes it as a
+// type parameter, so a small struct evaluator is called without the
+// heap allocation a capturing closure would cost on every solve.
+type Evaluator interface {
+	Eval(x float64) float64
+}
+
+// ErrNaN reports that a root finder's function returned NaN inside
+// the bracket.
+var ErrNaN = errors.New("mathx: function returned NaN during root search")
+
+// Brent finds a root of f in the bracket [a, b] whose end values
+// fa = f(a) and fb = f(b) the caller has already evaluated (opposite
+// signs, or one of them zero). Each step is an inverse-quadratic or
+// secant step, safeguarded by a bisection step whenever the
+// interpolant leaves the bracket, converges too slowly, or meets an
+// infinite function value; on smooth near-linear f it needs far fewer
+// evaluations than bisection.
+//
+// The search stops once the bracket is narrower than tol, the bracket
+// can no longer be split in floating point, f is exactly zero, or
+// maxIter evaluations elapse. It returns a point inside that final
+// bracket (see secantFinish), so within tol of the root. A NaN from f
+// is reported as ErrNaN.
+func Brent[E Evaluator](f E, a, b, fa, fb, tol float64, maxIter int) (float64, error) {
+	if math.IsNaN(fa) || math.IsNaN(fb) {
+		return math.NaN(), ErrNaN
+	}
+	if fa == 0 {
+		return a, nil
+	}
+	if fb == 0 {
+		return b, nil
+	}
+	if (fa > 0) == (fb > 0) {
+		return math.NaN(), errors.New("mathx: Brent requires a sign change on [a, b]")
+	}
+	// b is the current best estimate and c the contrapoint, so the root
+	// always lies between b and c; a is the previous b.
+	c, fc := a, fa
+	d := b - a
+	e := d
+	for i := 0; i < maxIter; i++ {
+		if (fb > 0) == (fc > 0) {
+			c, fc = a, fa
+			d = b - a
+			e = d
+		}
+		if math.Abs(fc) < math.Abs(fb) {
+			a, b, c = b, c, b
+			fa, fb, fc = fb, fc, fb
+		}
+		xm := (c - b) / 2
+		if math.Abs(c-b) < tol || b+xm == b || b+xm == c {
+			return secantFinish(b, c, fb, fc), nil
+		}
+		tol1 := 2*epsilon*math.Abs(b) + tol/2
+		finite := !math.IsInf(fa, 0) && !math.IsInf(fb, 0) && !math.IsInf(fc, 0)
+		if finite && math.Abs(e) >= tol1 && math.Abs(fa) > math.Abs(fb) {
+			var p, q float64
+			s := fb / fa
+			if a == c {
+				// Secant step.
+				p = 2 * xm * s
+				q = 1 - s
+			} else {
+				// Inverse quadratic interpolation through a, b, c.
+				qq, r := fa/fc, fb/fc
+				p = s * (2*xm*qq*(qq-r) - (b-a)*(r-1))
+				q = (qq - 1) * (r - 1) * (s - 1)
+			}
+			if p > 0 {
+				q = -q
+			} else {
+				p = -p
+			}
+			// Accept the interpolant only if it stays well inside the
+			// bracket and shrinks faster than the step before last.
+			if 2*p < math.Min(3*xm*q-math.Abs(tol1*q), math.Abs(e*q)) {
+				e, d = d, p/q
+			} else {
+				d, e = xm, xm
+			}
+		} else {
+			d, e = xm, xm
+		}
+		a, fa = b, fb
+		if math.Abs(d) > tol1 {
+			b += d
+		} else {
+			// A step shorter than the tolerance would stall: move by
+			// tol1 toward c (never past the midpoint) so the bracket
+			// closes around the root.
+			b += math.Copysign(math.Min(tol1, math.Abs(xm)), xm)
+		}
+		fb = f.Eval(b)
+		if math.IsNaN(fb) {
+			return math.NaN(), ErrNaN
+		}
+		if fb == 0 {
+			return b, nil
+		}
+	}
+	if (fb > 0) == (fc > 0) {
+		c, fc = a, fa
+	}
+	if math.Abs(fc) < math.Abs(fb) {
+		b, c, fb, fc = c, b, fc, fb
+	}
+	return secantFinish(b, c, fb, fc), nil
+}
+
+// secantFinish returns the secant root of the final bracket [b, c]
+// when it lies strictly inside, else b. On a bracket this narrow f is
+// linear to far below rounding, so the secant point hits the root to
+// the precision f is evaluated at, at no extra evaluation.
+func secantFinish(b, c, fb, fc float64) float64 {
+	x := b - fb*(c-b)/(fc-fb)
+	if x > math.Min(b, c) && x < math.Max(b, c) {
+		return x
+	}
+	return b
+}
+
+// epsilon is the float64 machine epsilon, 2⁻⁵².
+const epsilon = 0x1p-52
 
 // LogSumExp returns log(exp(a) + exp(b)) without overflow.
 func LogSumExp(a, b float64) float64 {

@@ -197,6 +197,126 @@ func TestBisectDecreasingFunction(t *testing.T) {
 	}
 }
 
+// fn adapts a closure to Evaluator for tests and counts evaluations.
+type fn struct {
+	f     func(float64) float64
+	calls *int
+}
+
+func (e fn) Eval(x float64) float64 {
+	*e.calls++
+	return e.f(x)
+}
+
+func brent(f func(float64) float64, a, b, tol float64) (root float64, calls int, err error) {
+	e := fn{f: f, calls: &calls}
+	root, err = Brent(e, a, b, e.Eval(a), e.Eval(b), tol, 200)
+	return root, calls, err
+}
+
+func TestBrent(t *testing.T) {
+	cases := []struct {
+		name     string
+		f        func(float64) float64
+		a, b     float64
+		want     float64
+		maxCalls int
+	}{
+		{"sqrt2", func(x float64) float64 { return x*x - 2 }, 0, 2, math.Sqrt2, 12},
+		{"decreasing", func(x float64) float64 { return 3 - x }, 0, 10, 3, 4},
+		{"cubic", func(x float64) float64 { return (x - 0.7) * (x*x + 1) }, -5, 5, 0.7, 15},
+		// A Weibull log-CDF in log t: near-linear, the lifetime case.
+		{"weibull", func(x float64) float64 { return math.Log(-math.Expm1(-math.Exp(1.4*(x-10)))) - math.Log(1e-5) }, -20, 15, 10 + math.Log(-math.Log1p(-1e-5))/1.4, 12},
+		// −Inf on the low side (underflow) forces bisection steps.
+		{"underflow", func(x float64) float64 {
+			if x < -1 {
+				return math.Inf(-1)
+			}
+			return x - 0.25
+		}, -100, 1, 0.25, 20},
+	}
+	for _, c := range cases {
+		got, calls, err := brent(c.f, c.a, c.b, 1e-12)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !almostEqual(got, c.want, 1e-11) {
+			t.Errorf("%s: root %v, want %v", c.name, got, c.want)
+		}
+		if calls > c.maxCalls {
+			t.Errorf("%s: %d evaluations, want ≤ %d", c.name, calls, c.maxCalls)
+		}
+		bisCalls := 0
+		if _, err := Bisect(func(x float64) float64 { bisCalls++; return c.f(x) }, c.a, c.b, 1e-12, 200); err != nil {
+			t.Fatal(err)
+		}
+		if calls > bisCalls {
+			t.Errorf("%s: %d evaluations, bisection needs %d", c.name, calls, bisCalls)
+		}
+	}
+}
+
+func TestBrentEdges(t *testing.T) {
+	if root, _, err := brent(func(x float64) float64 { return x }, 0, 5, 1e-12); err != nil || root != 0 {
+		t.Errorf("endpoint root = %v, %v", root, err)
+	}
+	if root, _, err := brent(func(x float64) float64 { return x - 5 }, 0, 5, 1e-12); err != nil || root != 5 {
+		t.Errorf("upper endpoint root = %v, %v", root, err)
+	}
+	if _, _, err := brent(func(x float64) float64 { return 1 + x*x }, -1, 1, 1e-12); err == nil {
+		t.Error("no sign change should error")
+	}
+	nanAbove := func(x float64) float64 {
+		if x > 0.5 {
+			return math.NaN()
+		}
+		return x - 0.75
+	}
+	if _, _, err := brent(nanAbove, 0, 1, 1e-12); err != ErrNaN {
+		t.Errorf("NaN endpoint: err = %v, want ErrNaN", err)
+	}
+	nanInside := func(x float64) float64 {
+		if x > 0.2 && x < 0.9 {
+			return math.NaN()
+		}
+		return x - 0.5
+	}
+	if _, _, err := brent(nanInside, 0, 1, 1e-12); err != ErrNaN {
+		t.Errorf("NaN inside: err = %v, want ErrNaN", err)
+	}
+	// A step function has no root to interpolate toward: the answer is
+	// the jump, bracketed to tol.
+	step := func(x float64) float64 {
+		if x < 1.0/3 {
+			return -1
+		}
+		return 1
+	}
+	if root, _, err := brent(step, 0, 1, 1e-10); err != nil || math.Abs(root-1.0/3) > 1e-10 {
+		t.Errorf("step root = %v, %v", root, err)
+	}
+	// An evaluation cap that ends the search early still returns a
+	// point inside the bracket.
+	calls := 0
+	e := fn{f: func(x float64) float64 { return x*x*x - 2 }, calls: &calls}
+	root, err := Brent(e, 0, 2, e.Eval(0), e.Eval(2), 1e-15, 2)
+	if err != nil || !(root > 0 && root < 2) || calls != 4 {
+		t.Errorf("capped search = %v, %v after %d calls", root, err, calls)
+	}
+}
+
+func BenchmarkBrent(b *testing.B) {
+	calls := 0
+	e := fn{f: func(x float64) float64 { return math.Log(-math.Expm1(-math.Exp(1.4*(x-10)))) - math.Log(1e-5) }, calls: &calls}
+	fa, fb := e.Eval(-20), e.Eval(15)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Brent(e, -20, 15, fa, fb, 1e-10, 200); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestLogSumExp(t *testing.T) {
 	cases := []struct{ a, b, want float64 }{
 		{0, 0, math.Log(2)},

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"obdrel"
+	"obdrel/internal/obs"
+	"obdrel/internal/pipeline"
 )
 
 // postBatch posts a JSON batch body and decodes the JSONL stream into
@@ -92,6 +94,43 @@ func TestBatchSameDesignSweepGroupsOnce(t *testing.T) {
 	}
 	if trailer["done"] != true || trailer["ok"].(float64) != 12 {
 		t.Fatalf("trailer = %v", trailer)
+	}
+}
+
+// TestBatchStreamSpanBudget bounds what one traced fleet stream costs
+// the trace ring: the server traces every request by default and the
+// ring holds a fixed number of traces, so the span count per stream is
+// its memory footprint. 100 st_fast items over C1–C6 × four fresh VDDs
+// (24 groups, each a cold thermal solve) must export at most 500 spans.
+func TestBatchStreamSpanBudget(t *testing.T) {
+	tracer := obs.NewTracer(obs.Options{})
+	// A private stage cache keeps every group's thermal solve cold.
+	srv := newTestServer(t, Options{Tracer: tracer, Stages: pipeline.NewCache(64)})
+	designs := []string{"C1", "C2", "C3", "C4", "C5", "C6"}
+	vdds := []float64{1.0131, 1.0917, 1.1733, 1.2519}
+	groups := len(designs) * len(vdds)
+	var items []string
+	for i := 0; i < 100; i++ {
+		cfg := fmt.Sprintf(`{"grid":6,"vdd":%g}`, vdds[i/len(designs)%len(vdds)])
+		q := fmt.Sprintf(`"query":"lifetime","ppm":%d`, 1+i)
+		if i/groups%2 == 1 {
+			q = fmt.Sprintf(`"query":"failureprob","t":%d`, 10000*(1+i))
+		}
+		items = append(items, fmt.Sprintf(`{"design":%q,"method":"st_fast",%s,"config":%s}`,
+			designs[i%len(designs)], q, cfg))
+	}
+	_, lines, trailer := postBatch(t, srv.URL+"/v1/batch", batchBody(items...))
+	if len(lines) != 100 || trailer["errors"].(float64) != 0 || trailer["groups"].(float64) != float64(groups) {
+		t.Fatalf("stream: %d lines, trailer %v", len(lines), trailer)
+	}
+	var spans int
+	for _, tr := range tracer.Recent(0) {
+		if tr.Name == "/v1/batch" {
+			spans = tr.SpanCount + tr.Dropped
+		}
+	}
+	if spans == 0 || spans > 500 {
+		t.Errorf("batch stream exported %d spans, want 1–500", spans)
 	}
 }
 

@@ -293,25 +293,19 @@ func maxAbs(v []float64) float64 {
 	return m
 }
 
-// vcycle runs one V-cycle over the hierarchy. When csp is non-nil
-// (traced request), the per-level residual maxima measured after
-// pre-smoothing are recorded on the cycle span.
-func (m *mgState) vcycle(workers int, gl float64, csp *obs.Span) {
+// vcycle runs one V-cycle over the hierarchy. The residual computed
+// after pre-smoothing on each level stays in that level's r, so the
+// caller can report the final cycle's per-level residuals.
+func (m *mgState) vcycle(workers int, gl float64) {
 	n := len(m.levels)
 	for k := 0; k < n-1; k++ {
 		l := m.levels[k]
 		l.smooth(workers, mgPreSmooth, gl)
 		l.residual(workers, gl)
-		if csp != nil {
-			csp.SetAttr("residual_l"+strconv.Itoa(k), maxAbs(l.r))
-		}
 		restrict(l, m.levels[k+1], workers)
 	}
 	coarse := m.levels[n-1]
 	m.lu.solve(coarse.f, coarse.u)
-	if csp != nil {
-		csp.SetAttr("coarse_cells", coarse.nx*coarse.ny)
-	}
 	for k := n - 2; k >= 0; k-- {
 		prolong(m.levels[k], m.levels[k+1], workers)
 		m.levels[k].smooth(workers, mgPostSmooth, gl)
@@ -340,9 +334,10 @@ func (st *solveState) runMultigrid(ctx context.Context) error {
 
 	// Per-solve telemetry mirroring the SOR span: the cycle count plays
 	// the role of "iterations" and the final per-cycle update the
-	// "residual". Traced requests additionally get one child span per
-	// V-cycle carrying the per-level smoothing residuals.
-	sctx, sp := obs.StartSpan(ctx, "thermal.multigrid")
+	// "residual", plus the last cycle's per-level smoothing residuals.
+	// One span per solve, never one per cycle: the span count of a
+	// traced request must not grow with the cycle count.
+	_, sp := obs.StartSpan(ctx, "thermal.multigrid")
 	defer sp.End()
 	if sp != nil {
 		sp.SetAttr("grid", s.Nx*s.Ny)
@@ -368,11 +363,7 @@ func (st *solveState) runMultigrid(ctx context.Context) error {
 				return err
 			}
 			copy(m.prev, fine.u)
-			var csp *obs.Span
-			if sp != nil {
-				_, csp = obs.StartSpan(sctx, "thermal.mg.cycle")
-			}
-			m.vcycle(st.workers, gl, csp)
+			m.vcycle(st.workers, gl)
 			maxDelta := 0.0
 			for i, u := range fine.u {
 				if d := math.Abs(u - m.prev[i]); d > maxDelta {
@@ -380,11 +371,6 @@ func (st *solveState) runMultigrid(ctx context.Context) error {
 				}
 			}
 			lastDelta = maxDelta
-			if csp != nil {
-				csp.SetAttr("cycle", cycle)
-				csp.SetAttr("delta_k", maxDelta)
-				csp.End()
-			}
 			if maxDelta < st.tol {
 				cycle++
 				break
@@ -396,6 +382,11 @@ func (st *solveState) runMultigrid(ctx context.Context) error {
 		sp.SetAttr("cycles", cycle)
 		sp.SetAttr("iterations", cycle)
 		sp.SetAttr("residual", lastDelta)
+		for k, l := range m.levels[:len(m.levels)-1] {
+			sp.SetAttr("residual_l"+strconv.Itoa(k), maxAbs(l.r))
+		}
+		coarse := m.levels[len(m.levels)-1]
+		sp.SetAttr("coarse_cells", coarse.nx*coarse.ny)
 	}
 	st.iterations = cycle
 	st.lastDelta = lastDelta

@@ -1,11 +1,13 @@
 package thermal
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
 	"obdrel/internal/floorplan"
+	"obdrel/internal/obs"
 )
 
 // fixtureDesigns are the floorplans the equivalence tests sweep: every
@@ -229,6 +231,45 @@ func TestCoupledScratchReuseMatches(t *testing.T) {
 	for i := range f.Temps {
 		if f.Temps[i] != res.Field.Temps[i] {
 			t.Fatalf("cell %d: coupled %v vs standalone %v", i, res.Field.Temps[i], f.Temps[i])
+		}
+	}
+}
+
+// TestTracedSolveSpanBudget: a traced coupled solve emits one span per
+// fixed-point round however many V-cycles each round takes — the cycle
+// count and final per-level residuals are attributes, not child spans —
+// so a traced request's size does not grow with solver effort.
+func TestTracedSolveSpanBudget(t *testing.T) {
+	d := floorplan.C6()
+	powers := fixturePowers(d)
+	tracedSolve := func(tol float64) (spans, cycles int, mg *obs.SpanOut) {
+		s := DefaultSolver()
+		s.Tol = tol
+		ctx, root := obs.NewTracer(obs.Options{}).StartTrace(context.Background(), "test", "", "")
+		_, err := s.SolveCoupledCtx(ctx, d, func([]float64) ([]float64, error) { return powers, nil }, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := root.EndTrace()
+		out.Root.Walk(func(sp *obs.SpanOut) {
+			if sp.Name == "thermal.multigrid" {
+				cycles += sp.Attrs["cycles"].(int)
+				mg = sp
+			}
+		})
+		return out.SpanCount, cycles, mg
+	}
+	loose, looseCycles, _ := tracedSolve(1e-3)
+	tight, tightCycles, mg := tracedSolve(1e-11)
+	if tightCycles <= looseCycles {
+		t.Fatalf("tolerances ran %d and %d V-cycles; the test needs them to differ", looseCycles, tightCycles)
+	}
+	if loose != tight {
+		t.Errorf("span count %d at %d V-cycles vs %d at %d — spans grow with the cycle count", loose, looseCycles, tight, tightCycles)
+	}
+	for _, key := range []string{"cycles", "residual", "residual_l0", "coarse_cells"} {
+		if _, ok := mg.Attrs[key]; !ok {
+			t.Errorf("thermal.multigrid span lacks attribute %q: %v", key, mg.Attrs)
 		}
 	}
 }

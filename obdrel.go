@@ -320,14 +320,10 @@ type Config struct {
 	// reduction plans), differing from the serial paths only within
 	// documented floating-point/ordering tolerances.
 	Workers int
-	// DisablePCACache skips the process-wide covariance/PCA cache and
-	// recomputes the eigendecomposition for this analyzer.
-	DisablePCACache bool
 	// DisableStageCache bypasses the process-wide stage-artifact cache
 	// (see Stages): every substrate stage rebuilds for this analyzer.
-	// Like Workers and DisablePCACache it is a performance knob,
-	// excluded from fingerprints; tests set it (together with
-	// DisablePCACache) to isolate runs from shared state.
+	// Like Workers it is a performance knob, excluded from fingerprints;
+	// tests set it to isolate runs from shared state.
 	DisableStageCache bool
 	// TableDir, when non-empty, spills the hybrid engine's per-block
 	// lookup tables to versioned, checksummed files in this directory

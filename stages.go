@@ -167,10 +167,7 @@ func (g *stageGraph) pca(ctx context.Context, model *grid.Model) (*grid.PCA, err
 			// Build-only annotations: this closure runs once per cache
 			// miss, so boxing the values is off the hot path.
 			obs.Annotate(bctx, "keep", keep)
-			if g.cfg.DisablePCACache {
-				return model.ComputePCACtx(bctx, keep, g.cfg.Workers)
-			}
-			return grid.SharedPCACache.GetCtx(bctx, model, keep, g.cfg.Workers)
+			return model.ComputePCACtx(bctx, keep, g.cfg.Workers)
 		})
 }
 

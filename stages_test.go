@@ -111,7 +111,6 @@ func TestStageFingerprintSensitivity(t *testing.T) {
 		// stage keys nor the fingerprint may move, or caches would
 		// fragment on knobs that do not change answers.
 		{"Workers", func(c *Config) { c.Workers = 8 }, nil, false},
-		{"DisablePCACache", func(c *Config) { c.DisablePCACache = true }, nil, false},
 		{"DisableStageCache", func(c *Config) { c.DisableStageCache = true }, nil, false},
 		{"TableDir", func(c *Config) { c.TableDir = "/tmp/tables" }, nil, false},
 	}
@@ -278,7 +277,6 @@ func TestNewAnalyzerCtxCancellation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GridNx, cfg.GridNy = 30, 30 // 900-node eigendecomposition: a deliberately slow build
 	cfg.DisableStageCache = true    // keep runs independent and under the caller's ctx
-	cfg.DisablePCACache = true
 
 	start := time.Now()
 	if _, err := NewAnalyzerCtx(context.Background(), C6(), cfg); err != nil {

@@ -17,7 +17,6 @@ func tableConfig(dir string) *obdrel.Config {
 	cfg.HybridNL, cfg.HybridNB = 24, 24
 	cfg.TableDir = dir
 	cfg.DisableStageCache = true
-	cfg.DisablePCACache = true
 	return cfg
 }
 
