@@ -88,9 +88,14 @@ type Analyzer struct {
 	cfg    *Config
 	design *floorplan.Design
 	model  *grid.Model
-	pca    *grid.PCA
-	chip   *core.Chip
-	tech   *obd.Tech
+	// pca resolves the PCA through the stage cache (a hit, or a
+	// deterministic rebuild if it was evicted). The analyzer holds no
+	// PCA itself, so the cache's byte budget alone bounds PCA memory
+	// however many analyzers a registry keeps; only the sampling
+	// engines call it, once each, when they are built.
+	pca  func(context.Context) (*grid.PCA, error)
+	chip *core.Chip
+	tech *obd.Tech
 
 	blockInfo []BlockInfo
 	field     *thermal.Field
@@ -125,6 +130,16 @@ func NewAnalyzerCtx(ctx context.Context, d *Design, cfg *Config) (*Analyzer, err
 	return NewAnalyzerCtxIn(ctx, sharedStages, d, cfg)
 }
 
+// defaultStages is the stage cache the constructors without an
+// explicit one use: the process-wide cache, or none under
+// Config.DisableStageCache.
+func defaultStages(cfg *Config) *pipeline.Cache {
+	if cfg.DisableStageCache {
+		return nil
+	}
+	return sharedStages
+}
+
 // NewAnalyzerCtxIn is NewAnalyzerCtx against an explicit stage cache
 // instead of the process-wide one. The serving layer uses it to give
 // each node its own stage cache (with its own disk/peer tiers), which
@@ -155,10 +170,13 @@ func (a *Analyzer) engine(m Method) (core.Engine, error) {
 	case MethodStFast:
 		e, err = core.NewStFast(a.chip, a.cfg.L0)
 	case MethodStMC:
-		e, err = core.NewStMC(a.chip, a.pca, core.StMCOptions{
-			Samples: a.cfg.StMCSamples, Bins: a.cfg.StMCBins, Seed: a.cfg.Seed,
-			Workers: a.cfg.Workers,
-		})
+		var pca *grid.PCA
+		if pca, err = a.pca(context.Background()); err == nil {
+			e, err = core.NewStMC(a.chip, pca, core.StMCOptions{
+				Samples: a.cfg.StMCSamples, Bins: a.cfg.StMCBins, Seed: a.cfg.Seed,
+				Workers: a.cfg.Workers,
+			})
+		}
 	case MethodHybrid:
 		// The hybrid tables can come from a spill file when
 		// Config.TableDir is set — see tables.go.
@@ -166,10 +184,13 @@ func (a *Analyzer) engine(m Method) (core.Engine, error) {
 	case MethodGuard:
 		e, err = core.NewGuardBand(a.chip, a.cfg.GuardSigmas)
 	case MethodMC:
-		e, err = core.NewMonteCarlo(a.chip, a.pca, core.MCOptions{
-			Samples: a.cfg.MCSamples, Seed: a.cfg.Seed,
-			Workers: a.cfg.Workers,
-		})
+		var pca *grid.PCA
+		if pca, err = a.pca(context.Background()); err == nil {
+			e, err = core.NewMonteCarlo(a.chip, pca, core.MCOptions{
+				Samples: a.cfg.MCSamples, Seed: a.cfg.Seed,
+				Workers: a.cfg.Workers,
+			})
+		}
 	case MethodTempUnaware:
 		var uni *core.Chip
 		uni, err = a.chip.WithUniformParams(a.chip.WorstParams())

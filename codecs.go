@@ -2,6 +2,7 @@ package obdrel
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 
 	"obdrel/internal/artifact"
@@ -9,7 +10,6 @@ import (
 	"obdrel/internal/core"
 	"obdrel/internal/floorplan"
 	"obdrel/internal/grid"
-	"obdrel/internal/linalg"
 	"obdrel/internal/obd"
 	"obdrel/internal/power"
 	"obdrel/internal/thermal"
@@ -141,34 +141,15 @@ func init() {
 				return nil, errCodecType(StagePCA, v)
 			}
 			var w artifact.Writer
-			w.Bool(pca.Loadings != nil)
-			if pca.Loadings != nil {
-				w.Int(pca.Loadings.Rows)
-				w.Int(pca.Loadings.Cols)
-				w.F64s(pca.Loadings.Data)
-			}
-			w.F64s(pca.Eigenvalues)
-			w.Int(pca.K)
-			w.F64(pca.TotalVariance)
-			w.F64(pca.CapturedVariance)
+			encPCA(&w, pca)
 			return w.Bytes(), nil
 		},
 		Decode: func(p []byte) (any, error) {
 			r := artifact.NewReader(p)
-			pca := &grid.PCA{}
-			if r.Bool() {
-				pca.Loadings = &linalg.Matrix{
-					Rows: r.Int(), Cols: r.Int(), Data: r.F64s(),
-				}
-				if pca.Loadings.Rows < 0 || pca.Loadings.Cols < 0 ||
-					pca.Loadings.Rows*pca.Loadings.Cols != len(pca.Loadings.Data) {
-					return nil, errors.New("obdrel: pca artifact: loadings shape mismatch")
-				}
+			pca, err := decPCA(r)
+			if err != nil {
+				return nil, err
 			}
-			pca.Eigenvalues = r.F64s()
-			pca.K = r.Int()
-			pca.TotalVariance = r.F64()
-			pca.CapturedVariance = r.F64()
 			if err := r.Close(); err != nil {
 				return nil, err
 			}
@@ -469,6 +450,43 @@ func decGridModel(r *artifact.Reader) *grid.Model {
 		}
 	}
 	return m
+}
+
+// encPCA writes the block form of a PCA: the grid, then each block's
+// retained eigenvalues and scaled columns. The block basis, component
+// order and K are implied by the grid and block count, so grid.NewPCA
+// re-derives them on decode.
+func encPCA(w *artifact.Writer, p *grid.PCA) {
+	w.Int(p.Nx)
+	w.Int(p.Ny)
+	w.Int(len(p.Blocks))
+	for _, b := range p.Blocks {
+		w.F64s(b.Eigenvalues)
+		w.F64s(b.Loadings)
+	}
+	w.F64(p.TotalVariance)
+	w.F64(p.CapturedVariance)
+}
+
+func decPCA(r *artifact.Reader) (*grid.PCA, error) {
+	nx, ny, nb := r.Int(), r.Int(), r.Int()
+	if nb < 0 || nb > 4 {
+		return nil, errors.New("obdrel: pca artifact: bad block count")
+	}
+	blocks := make([]grid.PCABlock, nb)
+	for i := range blocks {
+		blocks[i].Eigenvalues = r.F64s()
+		blocks[i].Loadings = r.F64s()
+	}
+	total, captured := r.F64(), r.F64()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	p, err := grid.NewPCA(nx, ny, blocks, total, captured)
+	if err != nil {
+		return nil, fmt.Errorf("obdrel: pca artifact: %w", err)
+	}
+	return p, nil
 }
 
 func encBlod(w *artifact.Writer, ch *blod.Characterization) {

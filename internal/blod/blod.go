@@ -18,9 +18,10 @@
 //
 // Everything the analytic engines need reduces to inner products of
 // loading rows, which equal covariance entries (Λ·Λᵀ = C). The
-// characterization therefore works directly on the n×n grid
-// covariance in O(G²) per block (G = grids overlapped by the block)
-// and never materializes the K×K quadratic-form matrix:
+// characterization therefore works directly on grid covariance
+// entries in O(G²) per block (G = grids overlapped by the block),
+// assembling only each block's G×G sub-matrix — never the n×n
+// covariance or the K×K quadratic-form matrix:
 //
 //	Var(u_j)  = ū_j·ū_j           = Σ_{l,l'} f_l f_{l'} C_{l,l'}
 //	tr(B_j)   = Σ_l h_l M_{l,l}
@@ -103,8 +104,8 @@ func Characterize(d *floorplan.Design, m *grid.Model) (*Characterization, error)
 	return CharacterizeCtx(context.Background(), d, m)
 }
 
-// CharacterizeCtx is Characterize with cancellation checkpoints in the
-// covariance assembly and between blocks.
+// CharacterizeCtx is Characterize with a cancellation checkpoint
+// between blocks.
 func CharacterizeCtx(ctx context.Context, d *floorplan.Design, m *grid.Model) (*Characterization, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -115,16 +116,12 @@ func CharacterizeCtx(ctx context.Context, d *floorplan.Design, m *grid.Model) (*
 	if math.Abs(d.W-m.W) > 1e-9 || math.Abs(d.H-m.H) > 1e-9 {
 		return nil, fmt.Errorf("blod: design %v×%v does not match model die %v×%v", d.W, d.H, m.W, m.H)
 	}
-	cov, err := m.CovarianceCtx(ctx, 1)
-	if err != nil {
-		return nil, err
-	}
 	c := &Characterization{Model: m, Blocks: make([]BlockChar, len(d.Blocks))}
 	for i := range d.Blocks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		bc, err := characterizeBlock(&d.Blocks[i], m, cov)
+		bc, err := characterizeBlock(&d.Blocks[i], m)
 		if err != nil {
 			return nil, fmt.Errorf("blod: block %q: %w", d.Blocks[i].Name, err)
 		}
@@ -134,12 +131,14 @@ func CharacterizeCtx(ctx context.Context, d *floorplan.Design, m *grid.Model) (*
 }
 
 // characterizeBlock computes one block's (u_j, v_j) model from the
-// grid covariance.
-func characterizeBlock(b *floorplan.Block, m *grid.Model, cov covAt) (*BlockChar, error) {
+// covariance among the grids it overlaps — a G×G sub-matrix, never the
+// n×n one.
+func characterizeBlock(b *floorplan.Block, m *grid.Model) (*BlockChar, error) {
 	grids, weights := gridOverlapWeights(b, m)
 	if len(grids) == 0 {
 		return nil, errors.New("block overlaps no correlation grid")
 	}
+	cov := m.CovarianceAmong(grids)
 	mj := float64(b.Devices)
 	bc := &BlockChar{
 		Name:    b.Name,
@@ -172,7 +171,7 @@ func characterizeBlock(b *floorplan.Block, m *grid.Model, cov covAt) (*BlockChar
 	q := 0.0
 	for a := 0; a < g; a++ {
 		for bb := 0; bb < g; bb++ {
-			r[a] += weights[bb] / mj * cov.At(grids[a], grids[bb])
+			r[a] += weights[bb] / mj * cov[a*g+bb]
 		}
 		q += weights[a] / mj * r[a]
 	}
@@ -180,10 +179,10 @@ func characterizeBlock(b *floorplan.Block, m *grid.Model, cov covAt) (*BlockChar
 	// Centered Gram matrix M and the traces of B.
 	for a := 0; a < g; a++ {
 		ha := weights[a] / denom
-		maa := cov.At(grids[a], grids[a]) - 2*r[a] + q
+		maa := cov[a*g+a] - 2*r[a] + q
 		bc.TrB += ha * maa
 		for bb := 0; bb < g; bb++ {
-			mab := cov.At(grids[a], grids[bb]) - r[a] - r[bb] + q
+			mab := cov[a*g+bb] - r[a] - r[bb] + q
 			hb := weights[bb] / denom
 			bc.TrB2 += ha * hb * mab * mab
 		}
@@ -201,11 +200,6 @@ func characterizeBlock(b *floorplan.Block, m *grid.Model, cov covAt) (*BlockChar
 	bc.AHat = bc.TrB2 / bc.TrB
 	bc.BHat = bc.TrB * bc.TrB / bc.TrB2
 	return bc, nil
-}
-
-// covAt abstracts the covariance lookup (satisfied by linalg.Matrix).
-type covAt interface {
-	At(i, j int) float64
 }
 
 // gridOverlapWeights distributes the block's devices over the

@@ -71,8 +71,8 @@ func NewMonteCarlo(c *Chip, pca *grid.PCA, opts MCOptions) (*MonteCarlo, error) 
 	if c == nil || pca == nil {
 		return nil, errors.New("core: nil chip or PCA")
 	}
-	if pca.Loadings.Rows != c.Model.NumGrids() {
-		return nil, fmt.Errorf("core: PCA covers %d grids, model has %d", pca.Loadings.Rows, c.Model.NumGrids())
+	if pca.Nx*pca.Ny != c.Model.NumGrids() {
+		return nil, fmt.Errorf("core: PCA covers %d grids, model has %d", pca.Nx*pca.Ny, c.Model.NumGrids())
 	}
 	e := &MonteCarlo{chip: c, Samples: opts.Samples, WBins: opts.WBins, Workers: opts.Workers, seed: opts.Seed}
 	if e.Samples <= 0 {

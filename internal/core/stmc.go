@@ -57,8 +57,8 @@ func NewStMC(c *Chip, pca *grid.PCA, opts StMCOptions) (*StMC, error) {
 	if c == nil || pca == nil {
 		return nil, errors.New("core: nil chip or PCA")
 	}
-	if pca.Loadings.Rows != c.Model.NumGrids() {
-		return nil, fmt.Errorf("core: PCA covers %d grids, model has %d", pca.Loadings.Rows, c.Model.NumGrids())
+	if pca.Nx*pca.Ny != c.Model.NumGrids() {
+		return nil, fmt.Errorf("core: PCA covers %d grids, model has %d", pca.Nx*pca.Ny, c.Model.NumGrids())
 	}
 	e := &StMC{
 		chip:    c,

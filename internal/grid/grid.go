@@ -16,18 +16,15 @@
 //	x = λ_{i,0} + Σ_j λ_{i,j} z_j + λ_r ε                    (Eq. 2)
 //
 // with independent standard normal z_j. The loading matrix Λ (one row
-// per grid) is what the BLOD characterization consumes.
+// per grid) is stored block-wise by reflection parity (see PCA).
 package grid
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"obdrel/internal/linalg"
-	"obdrel/internal/par"
 )
 
 // Model describes the thickness-variation structure of one technology
@@ -194,179 +191,70 @@ func (m *Model) Correlation(d float64) float64 {
 // global + spatially correlated thickness component across grids.
 // For StructExpDecay, entry (i, j) is σ_g² + σ_s²·exp(-d_ij/L); for
 // StructQuadTree it is σ_g² plus the variances of the quad-tree
-// regions shared by the two grids.
+// regions shared by the two grids. The analysis itself never builds
+// it — the PCA solves reflection blocks and BLOD reads per-block
+// sub-matrices (CovarianceAmong) — so it is the dense reference those
+// paths are verified against.
 func (m *Model) Covariance() *linalg.Matrix {
-	return m.CovarianceWorkers(1)
-}
-
-// CovarianceWorkers is Covariance with the row assembly fanned out
-// over workers (0 = GOMAXPROCS, 1 = serial). Row i fills entries
-// (i, j≥i) and mirrors them; distinct i touch disjoint (i, j) pairs,
-// and every entry depends only on the two grid centers, so the matrix
-// is bit-identical for every worker count.
-func (m *Model) CovarianceWorkers(workers int) *linalg.Matrix {
-	c, _ := m.CovarianceCtx(context.Background(), workers)
-	return c
-}
-
-// CovarianceCtx is CovarianceWorkers with a cancellation checkpoint at
-// every row: once ctx expires, assembly stops and ctx's error is
-// returned.
-func (m *Model) CovarianceCtx(ctx context.Context, workers int) (*linalg.Matrix, error) {
-	if m.Structure == StructQuadTree {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return m.quadTreeCovariance(), nil
-	}
 	n := m.NumGrids()
 	c := linalg.NewMatrix(n, n)
-	l := m.RhoDist * math.Max(m.W, m.H)
-	g2 := m.SigmaG * m.SigmaG
-	s2 := m.SigmaS * m.SigmaS
-	if err := par.ForCtx(ctx, workers, n, func(i int) {
-		xi, yi := m.GridCenter(i)
-		c.Set(i, i, g2+s2)
-		for j := i + 1; j < n; j++ {
-			xj, yj := m.GridCenter(j)
-			d := math.Hypot(xi-xj, yi-yj)
-			v := g2 + s2*math.Exp(-d/l)
+	kern := m.kernel()
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := kern(i, j)
 			c.Set(i, j, v)
 			c.Set(j, i, v)
 		}
-	}); err != nil {
-		return nil, err
 	}
-	return c, nil
+	return c
 }
 
-// PCA is the canonical-form representation of the correlated
-// thickness variation: row i of Loadings holds the sensitivities
-// λ_{i,1..K} of grid i to the K retained principal components.
-type PCA struct {
-	// Loadings is n×K: Loadings[i][k] = λ_{i,k}.
-	Loadings *linalg.Matrix
-	// Eigenvalues holds the retained eigenvalues, descending.
-	Eigenvalues []float64
-	// K is the number of retained components.
-	K int
-	// TotalVariance is the trace of the covariance matrix;
-	// CapturedVariance is the sum of retained eigenvalues.
-	TotalVariance, CapturedVariance float64
-}
-
-// ComputePCA returns the canonical-form factorization x = Λ·z of the
-// correlated component. For StructExpDecay this eigendecomposes the
-// covariance (Λ = V·√D), retaining components until keepFraction of
-// the total variance is captured (pass 1 to keep everything above
-// numerical noise). For StructQuadTree the factor is exact by
-// construction (one component per region) and keepFraction is
-// ignored beyond validation.
-func (m *Model) ComputePCA(keepFraction float64) (*PCA, error) {
-	return m.ComputePCAWorkers(keepFraction, 1)
-}
-
-// ComputePCAWorkers is ComputePCA with the covariance assembly and the
-// loading-matrix scaling fanned out over workers. The eigensolver
-// itself stays serial (Householder/QL is sequential by construction);
-// since every parallel stage here is element-independent, the PCA is
-// bit-identical for every worker count.
-func (m *Model) ComputePCAWorkers(keepFraction float64, workers int) (*PCA, error) {
-	return m.ComputePCACtx(context.Background(), keepFraction, workers)
-}
-
-// ComputePCACtx is ComputePCAWorkers with cancellation checkpoints in
-// the covariance assembly, the eigensolver's outer loops, and the
-// loading-matrix scaling.
-func (m *Model) ComputePCACtx(ctx context.Context, keepFraction float64, workers int) (*PCA, error) {
-	if !(keepFraction > 0) || keepFraction > 1 {
-		return nil, fmt.Errorf("grid: keepFraction must be in (0,1], got %v", keepFraction)
+// CovarianceAmong returns the covariance sub-matrix among the given
+// grids (row-major, len(grids)² entries), without building the n×n
+// matrix. Each entry is evaluated by the same expression as
+// Covariance's, so it is bit-identical to the dense entry.
+func (m *Model) CovarianceAmong(grids []int) []float64 {
+	g := len(grids)
+	out := make([]float64, g*g)
+	kern := m.kernel()
+	for a := 0; a < g; a++ {
+		for b := a; b < g; b++ {
+			v := kern(grids[a], grids[b])
+			out[a*g+b] = v
+			out[b*g+a] = v
+		}
 	}
+	return out
+}
+
+// kernel returns the covariance entry function cov(i, j) of the
+// model's structure — the one expression every covariance consumer
+// evaluates. For StructExpDecay it is σ_g² + σ_s²·exp(-d_ij/L); for
+// StructQuadTree σ_g² plus the variances of the regions the two grids
+// share.
+func (m *Model) kernel() func(i, j int) float64 {
+	g2 := m.SigmaG * m.SigmaG
 	if m.Structure == StructQuadTree {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return m.quadTreeFactor(), nil
-	}
-	cov, err := m.CovarianceCtx(ctx, workers)
-	if err != nil {
-		return nil, err
-	}
-	vals, vecs, err := linalg.EigenSymCtx(ctx, cov)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("grid: covariance eigendecomposition: %w", err)
-	}
-	n := len(vals)
-	total := 0.0
-	for _, v := range vals {
-		if v > 0 {
-			total += v
+		lv := m.qtLevelVariances()
+		return func(i, j int) float64 {
+			xi, yi := m.GridCenter(i)
+			xj, yj := m.GridCenter(j)
+			v := g2
+			for l, s2 := range lv {
+				if m.qtRegion(xi, yi, l+1) == m.qtRegion(xj, yj, l+1) {
+					v += s2
+				}
+			}
+			return v
 		}
 	}
-	// Retain enough components for keepFraction of variance, always
-	// discarding numerically negative/negligible eigenvalues.
-	floor := 1e-12 * vals[0]
-	k := 0
-	captured := 0.0
-	for k < n && vals[k] > floor {
-		captured += vals[k]
-		k++
-		if captured >= keepFraction*total-1e-15*total {
-			break
-		}
+	l := m.RhoDist * math.Max(m.W, m.H)
+	s2 := m.SigmaS * m.SigmaS
+	return func(i, j int) float64 {
+		xi, yi := m.GridCenter(i)
+		xj, yj := m.GridCenter(j)
+		return g2 + s2*math.Exp(-math.Hypot(xi-xj, yi-yj)/l)
 	}
-	if k == 0 {
-		return nil, errors.New("grid: covariance matrix has no positive eigenvalues")
-	}
-	loadings := linalg.NewMatrix(n, k)
-	if err := par.ForCtx(ctx, workers, n, func(i int) {
-		for j := 0; j < k; j++ {
-			loadings.Set(i, j, vecs.At(i, j)*math.Sqrt(vals[j]))
-		}
-	}); err != nil {
-		return nil, err
-	}
-	return &PCA{
-		Loadings:         loadings,
-		Eigenvalues:      append([]float64(nil), vals[:k]...),
-		K:                k,
-		TotalVariance:    total,
-		CapturedVariance: captured,
-	}, nil
-}
-
-// SampleComponents draws one standard-normal vector z of the PCA
-// components.
-func (p *PCA) SampleComponents(rng *rand.Rand) []float64 {
-	z := make([]float64, p.K)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	return z
-}
-
-// GridShifts returns the per-grid correlated thickness shifts Λ·z for
-// a component sample z.
-func (p *PCA) GridShifts(z []float64) []float64 {
-	return p.Loadings.MulVec(z)
-}
-
-// GridShiftsWorkers is GridShifts with the per-grid dot products
-// fanned out over workers — useful for single large shift evaluations
-// outside an already-parallel sampling loop. Bit-identical to
-// GridShifts for every worker count.
-func (p *PCA) GridShiftsWorkers(z []float64, workers int) []float64 {
-	return p.Loadings.MulVecWorkers(z, workers)
-}
-
-// ReconstructCovariance returns Λ·Λᵀ, which approximates the original
-// covariance (exactly, when all components are retained). Used for
-// model verification.
-func (p *PCA) ReconstructCovariance() *linalg.Matrix {
-	return p.Loadings.Mul(p.Loadings.Transpose())
 }
 
 // VarianceBudget splits a total sigma into the (global, spatial,

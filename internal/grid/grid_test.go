@@ -191,8 +191,8 @@ func TestComputePCAWorkersBitIdentical(t *testing.T) {
 	if parallel.K != serial.K {
 		t.Fatalf("K: parallel %d vs serial %d", parallel.K, serial.K)
 	}
-	if d := parallel.Loadings.MaxAbsDiff(serial.Loadings); d != 0 {
-		t.Fatalf("loadings differ by %v — parallel covariance assembly is not bit-deterministic", d)
+	if d := parallel.Dense().MaxAbsDiff(serial.Dense()); d != 0 {
+		t.Fatalf("loadings differ by %v — parallel block eigensolves are not bit-deterministic", d)
 	}
 }
 
@@ -229,8 +229,9 @@ func TestPCAGlobalComponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	min, max := math.Inf(1), math.Inf(-1)
+	first := p.Dense()
 	for i := 0; i < m.NumGrids(); i++ {
-		l := math.Abs(p.Loadings.At(i, 0))
+		l := math.Abs(first.At(i, 0))
 		if l < min {
 			min = l
 		}
@@ -296,6 +297,27 @@ func BenchmarkComputePCA10x10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := m.ComputePCA(1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCovarianceAmongMatchesDense: BLOD reads covariance entries
+// through CovarianceAmong, so its sub-matrices must equal the dense
+// matrix entry for entry, bit for bit, under both structures.
+func TestCovarianceAmongMatchesDense(t *testing.T) {
+	exp := testModel(t, 7, 5, 0.4)
+	exp.W = 1.3
+	qt := qtModel(t, 3, 0.5)
+	for _, m := range []*Model{exp, qt} {
+		dense := m.Covariance()
+		grids := []int{0, 2, 3, 9, m.NumGrids() - 1}
+		sub := m.CovarianceAmong(grids)
+		for a, ga := range grids {
+			for b, gb := range grids {
+				if got, want := sub[a*len(grids)+b], dense.At(ga, gb); got != want {
+					t.Fatalf("%v: cov(%d,%d) = %v, dense %v", m.Structure, ga, gb, got, want)
+				}
+			}
 		}
 	}
 }

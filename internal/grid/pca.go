@@ -1,0 +1,429 @@
+package grid
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+
+	"obdrel/internal/linalg"
+	"obdrel/internal/par"
+)
+
+// PCA is the canonical-form factorization x = Λ·z of the correlated
+// thickness component (Eq. 2), stored block-wise.
+//
+// The exponential-decay covariance depends only on |Δix| and |Δiy|,
+// so it commutes with the die's two reflections ix → Nx-1-ix and
+// iy → Ny-1-iy, for every Nx, Ny, W and H. Their joint eigenspaces
+// split the grid vectors by parity under each reflection, and in that
+// even/odd basis the covariance is block diagonal with four blocks —
+// EE, EO, OE, OO, first letter the x parity — of about n/4 rows each
+// (169/156/156/144 at 25×25). Each block is eigendecomposed on its
+// own, and Λ is kept in the same form: per block, the retained
+// eigenvector columns in the block's basis, scaled by √λ. That is
+// about a quarter of the dense n×K bytes; GridShifts maps back to
+// grids on the fly.
+//
+// The quad-tree factor is exact by construction and has no such
+// symmetry to exploit; it is stored as a single block in the identity
+// basis (row i = grid i), so both structures share this one type.
+type PCA struct {
+	// Nx, Ny are the grid resolution the factor covers.
+	Nx, Ny int
+	// Blocks holds the four reflection-parity blocks (EE, EO, OE, OO)
+	// or, for the quad-tree factor, one identity-basis block. The
+	// basis of each block is implied by Nx, Ny and the block count.
+	Blocks []PCABlock
+	// Eigenvalues holds the retained eigenvalues in component order:
+	// the blocks' columns merged by descending eigenvalue, ties broken
+	// by block and then by column. Component k is z_k of Eq. 2.
+	Eigenvalues []float64
+	// K is the number of retained components.
+	K int
+	// TotalVariance is the trace of the covariance matrix;
+	// CapturedVariance is the sum of retained eigenvalues.
+	TotalVariance, CapturedVariance float64
+
+	// comp[b][c] is the component index of block b's column c.
+	comp [][]int
+}
+
+// PCABlock is one block of the factor.
+type PCABlock struct {
+	// Eigenvalues of the retained columns (descending for the
+	// reflection blocks; per-column variances for the quad-tree
+	// factor, in column order).
+	Eigenvalues []float64
+	// Loadings is rows×len(Eigenvalues), row-major: column c is the
+	// block's c-th eigenvector in the block basis, scaled by √λ_c.
+	Loadings []float64
+}
+
+// Reflection-parity blocks, first letter the x parity.
+const (
+	blockEE = iota
+	blockEO
+	blockOE
+	blockOO
+	numParityBlocks
+)
+
+// parityCount is the dimension of the even (odd=false) or odd
+// reflection subspace over n points: basis member p pairs point p with
+// its mirror n-1-p, and for odd n the even subspace also holds the
+// middle point alone.
+func parityCount(n int, odd bool) int {
+	if odd {
+		return n / 2
+	}
+	return (n + 1) / 2
+}
+
+// blockParity returns block b's x and y parities.
+func blockParity(b int) (xOdd, yOdd bool) {
+	return b == blockOE || b == blockOO, b == blockEO || b == blockOO
+}
+
+// NewPCA assembles a factor from its blocks and checks their shapes
+// against the grid. It derives the component order, K and the merged
+// Eigenvalues; the codec uses it to rebuild a decoded PCA.
+func NewPCA(nx, ny int, blocks []PCABlock, total, captured float64) (*PCA, error) {
+	const maxSide = 1 << 16
+	if nx <= 0 || ny <= 0 || nx > maxSide || ny > maxSide {
+		return nil, fmt.Errorf("grid: pca grid %d×%d out of range", nx, ny)
+	}
+	if len(blocks) != 1 && len(blocks) != numParityBlocks {
+		return nil, fmt.Errorf("grid: pca has %d blocks, want 1 or %d", len(blocks), numParityBlocks)
+	}
+	p := &PCA{Nx: nx, Ny: ny, Blocks: blocks, TotalVariance: total, CapturedVariance: captured}
+	for b := range blocks {
+		rows, cols := p.blockRows(b), len(blocks[b].Eigenvalues)
+		if cols > 0 && rows == 0 || rows*cols != len(blocks[b].Loadings) {
+			return nil, fmt.Errorf("grid: pca block %d holds %d loadings for %d×%d", b, len(blocks[b].Loadings), rows, cols)
+		}
+	}
+	spectra := make([][]float64, len(blocks))
+	for b := range blocks {
+		spectra[b] = blocks[b].Eigenvalues
+	}
+	p.Eigenvalues, p.comp = mergeSpectra(spectra)
+	p.K = len(p.Eigenvalues)
+	if p.K == 0 {
+		return nil, errors.New("grid: pca retains no components")
+	}
+	return p, nil
+}
+
+// blockRows returns the row count of block b.
+func (p *PCA) blockRows(b int) int {
+	if len(p.Blocks) == 1 {
+		return p.Nx * p.Ny
+	}
+	xOdd, yOdd := blockParity(b)
+	return parityCount(p.Nx, xOdd) * parityCount(p.Ny, yOdd)
+}
+
+// mergeSpectra merges the blocks' spectra into one component order: a
+// k-way merge taking the largest head eigenvalue, ties to the lower
+// block. Within a block, columns keep their order, so a single block
+// maps column c to component c. It returns the merged eigenvalues and
+// each column's component index.
+func mergeSpectra(spectra [][]float64) (vals []float64, comp [][]int) {
+	total := 0
+	comp = make([][]int, len(spectra))
+	for b, s := range spectra {
+		total += len(s)
+		comp[b] = make([]int, len(s))
+	}
+	vals = make([]float64, 0, total)
+	head := make([]int, len(spectra))
+	for len(vals) < total {
+		best := -1
+		for b, s := range spectra {
+			if head[b] < len(s) && (best < 0 || s[head[b]] > spectra[best][head[best]]) {
+				best = b
+			}
+		}
+		comp[best][head[best]] = len(vals)
+		vals = append(vals, spectra[best][head[best]])
+		head[best]++
+	}
+	return vals, comp
+}
+
+// SizeBytes reports the factor's retained memory, which the stage
+// cache charges against its byte budget.
+func (p *PCA) SizeBytes() int64 {
+	n := 2 * len(p.Eigenvalues) // merged eigenvalues + component indices
+	for _, blk := range p.Blocks {
+		n += len(blk.Eigenvalues) + len(blk.Loadings)
+	}
+	return 8 * int64(n)
+}
+
+// ComputePCA returns the canonical-form factorization x = Λ·z of the
+// correlated component. For StructExpDecay this eigendecomposes the
+// covariance's four reflection blocks (Λ = V·√D), retaining
+// components until keepFraction of the total variance is captured
+// (pass 1 to keep everything above numerical noise). For
+// StructQuadTree the factor is exact by construction (one component
+// per region) and keepFraction is ignored beyond validation.
+func (m *Model) ComputePCA(keepFraction float64) (*PCA, error) {
+	return m.ComputePCAWorkers(keepFraction, 1)
+}
+
+// ComputePCAWorkers is ComputePCA with the four block eigensolves
+// fanned out over workers. The blocks are independent, so the PCA is
+// bit-identical for every worker count.
+func (m *Model) ComputePCAWorkers(keepFraction float64, workers int) (*PCA, error) {
+	return m.ComputePCACtx(context.Background(), keepFraction, workers)
+}
+
+// ComputePCACtx is ComputePCAWorkers with cancellation checkpoints
+// before each block and inside the eigensolver's outer loops.
+func (m *Model) ComputePCACtx(ctx context.Context, keepFraction float64, workers int) (*PCA, error) {
+	if !(keepFraction > 0) || keepFraction > 1 {
+		return nil, fmt.Errorf("grid: keepFraction must be in (0,1], got %v", keepFraction)
+	}
+	if m.Structure == StructQuadTree {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return m.quadTreeFactor(), nil
+	}
+	// The covariance depends on the grid offset (|Δix|, |Δiy|) only:
+	// tabulate it once from the model's own entry expression.
+	kern := m.kernel()
+	table := make([]float64, m.NumGrids())
+	for g := range table {
+		table[g] = kern(0, g)
+	}
+	vals := make([][]float64, numParityBlocks)
+	vecs := make([]*linalg.Matrix, numParityBlocks)
+	errs := make([]error, numParityBlocks)
+	if err := par.ForCtx(ctx, workers, numParityBlocks, func(b int) {
+		if blk := m.parityBlock(b, table); blk != nil {
+			vals[b], vecs[b], errs[b] = linalg.EigenSymCtx(ctx, blk)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, fmt.Errorf("grid: covariance eigendecomposition: %w", err)
+	}
+	merged, comp := mergeSpectra(vals)
+	total := 0.0
+	for _, v := range merged {
+		if v > 0 {
+			total += v
+		}
+	}
+	// Retain enough components for keepFraction of variance, always
+	// discarding numerically negative/negligible eigenvalues.
+	floor := 1e-12 * merged[0]
+	k := 0
+	captured := 0.0
+	for k < len(merged) && merged[k] > floor {
+		captured += merged[k]
+		k++
+		if captured >= keepFraction*total-1e-15*total {
+			break
+		}
+	}
+	if k == 0 {
+		return nil, errors.New("grid: covariance matrix has no positive eigenvalues")
+	}
+	// The merge takes each block's columns in order, so the first k
+	// components are a prefix of every block.
+	blocks := make([]PCABlock, numParityBlocks)
+	for b := range blocks {
+		kept := 0
+		for kept < len(comp[b]) && comp[b][kept] < k {
+			kept++
+		}
+		if kept == 0 {
+			continue
+		}
+		rows := vecs[b].Rows
+		blk := PCABlock{
+			Eigenvalues: append([]float64(nil), vals[b][:kept]...),
+			Loadings:    make([]float64, rows*kept),
+		}
+		for c := 0; c < kept; c++ {
+			s := math.Sqrt(vals[b][c])
+			for r := 0; r < rows; r++ {
+				blk.Loadings[r*kept+c] = vecs[b].At(r, c) * s
+			}
+		}
+		blocks[b] = blk
+	}
+	return NewPCA(m.Nx, m.Ny, blocks, total, captured)
+}
+
+// fold1D returns the terms of the 1D reflection fold: for basis
+// members p, q of one parity over n points and any f,
+//
+//	Σ_{i,i'} u_p(i)·u_q(i')·f(|i-i'|) = Σ_t w[t]·f(d[t]).
+//
+// A paired member is (e_p ± e_{n-1-p})/√2, the middle one (even
+// parity, odd n) is e_p, and the mirror identity |p̄-q̄| = |p-q| folds
+// the four point pairs into at most two distances.
+func fold1D(n int, odd bool, p, q int) (d [2]int, w [2]float64, terms int) {
+	mp, mq := 2*p == n-1, 2*q == n-1
+	switch {
+	case mp && mq:
+		return [2]int{0}, [2]float64{1}, 1
+	case mp || mq:
+		return [2]int{absInt(p - q)}, [2]float64{math.Sqrt2}, 1
+	}
+	s := 1.0
+	if odd {
+		s = -1
+	}
+	return [2]int{absInt(p - q), absInt(p + q - (n - 1))}, [2]float64{1, s}, 2
+}
+
+func absInt(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// parityBlock assembles reflection block b of the covariance from the
+// offset table (table[dy·Nx+dx] = cov at grid offset (dx, dy)), or
+// returns nil for an empty block. Row r is basis member
+// (p, q) = (r mod cx, r div cx) with cx the x subspace dimension.
+func (m *Model) parityBlock(b int, table []float64) *linalg.Matrix {
+	xOdd, yOdd := blockParity(b)
+	cx, cy := parityCount(m.Nx, xOdd), parityCount(m.Ny, yOdd)
+	rows := cx * cy
+	if rows == 0 {
+		return nil
+	}
+	blk := linalg.NewMatrix(rows, rows)
+	for r := 0; r < rows; r++ {
+		p, q := r%cx, r/cx
+		for r2 := r; r2 < rows; r2++ {
+			dx, wx, nx := fold1D(m.Nx, xOdd, p, r2%cx)
+			dy, wy, ny := fold1D(m.Ny, yOdd, q, r2/cx)
+			v := 0.0
+			for a := 0; a < nx; a++ {
+				for c := 0; c < ny; c++ {
+					v += wx[a] * wy[c] * table[dy[c]*m.Nx+dx[a]]
+				}
+			}
+			blk.Set(r, r2, v)
+			blk.Set(r2, r, v)
+		}
+	}
+	return blk
+}
+
+// SampleComponents draws one standard-normal vector z of the PCA
+// components.
+func (p *PCA) SampleComponents(rng *rand.Rand) []float64 {
+	z := make([]float64, p.K)
+	for i := range z {
+		z[i] = rng.NormFloat64()
+	}
+	return z
+}
+
+// GridShifts returns the per-grid correlated thickness shifts Λ·z for
+// a component sample z. Each block row's loading·z is mapped back to
+// the (up to four) grids its basis vector touches.
+func (p *PCA) GridShifts(z []float64) []float64 {
+	if len(z) != p.K {
+		panic(fmt.Sprintf("grid: GridShifts got %d components, want %d", len(z), p.K))
+	}
+	out := make([]float64, p.Nx*p.Ny)
+	for b := range p.Blocks {
+		idx := p.comp[b]
+		cols := len(idx)
+		if cols == 0 {
+			continue
+		}
+		l := p.Blocks[b].Loadings
+		rows := len(l) / cols
+		for r := 0; r < rows; r++ {
+			y := 0.0
+			for c, x := range l[r*cols : (r+1)*cols] {
+				y += x * z[idx[c]]
+			}
+			if len(p.Blocks) == 1 {
+				out[r] = y
+			} else {
+				p.unmirror(out, b, r, y)
+			}
+		}
+	}
+	return out
+}
+
+// unmirror adds y times reflection block b's basis vector r to out.
+// The vector is u_i ⊗ u_j with (i, j) = (r mod cx, r div cx); a paired
+// 1D member is (e_i ± e_ī)/√2 (sign − for odd parity), the middle one
+// of an odd side is e_i alone.
+func (p *PCA) unmirror(out []float64, b, r int, y float64) {
+	xOdd, yOdd := blockParity(b)
+	cx := parityCount(p.Nx, xOdd)
+	i, j := r%cx, r/cx
+	ib, jb := p.Nx-1-i, p.Ny-1-j
+	xPaired, yPaired := i != ib, j != jb
+	switch {
+	case xPaired && yPaired:
+		y *= 0.5
+	case xPaired || yPaired:
+		y *= math.Sqrt2 / 2
+	}
+	sx, sy := 1.0, 1.0
+	if xOdd {
+		sx = -1
+	}
+	if yOdd {
+		sy = -1
+	}
+	out[j*p.Nx+i] += y
+	if xPaired {
+		out[j*p.Nx+ib] += sx * y
+	}
+	if yPaired {
+		out[jb*p.Nx+i] += sy * y
+		if xPaired {
+			out[jb*p.Nx+ib] += sx * sy * y
+		}
+	}
+}
+
+// Dense returns the n×K loading matrix Λ, column k being component
+// k's loading vector over the grids. It materializes the dense form
+// the blocks avoid, so it is for verification, not sampling.
+func (p *PCA) Dense() *linalg.Matrix {
+	d := linalg.NewMatrix(p.Nx*p.Ny, p.K)
+	z := make([]float64, p.K)
+	for k := range z {
+		z[k] = 1
+		for g, v := range p.GridShifts(z) {
+			d.Set(g, k, v)
+		}
+		z[k] = 0
+	}
+	return d
+}
+
+// ReconstructCovariance returns Λ·Λᵀ, which approximates the original
+// covariance (exactly, when all components are retained). Used for
+// model verification.
+func (p *PCA) ReconstructCovariance() *linalg.Matrix {
+	d := p.Dense()
+	return d.Mul(d.Transpose())
+}

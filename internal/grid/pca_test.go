@@ -1,0 +1,167 @@
+package grid
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"obdrel/internal/linalg"
+)
+
+// oracleModel is testModel with independent die dimensions, so the
+// reflection blocks are checked on rectangular dies too.
+func oracleModel(t *testing.T, nx, ny int, w, h, rhoDist float64) *Model {
+	t.Helper()
+	m := testModel(t, nx, ny, rhoDist)
+	m.W, m.H = w, h
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestBlockPCAMatchesDenseOracle checks the four-block eigensolve
+// against a dense EigenSym of the full covariance: same spectrum, the
+// same reconstructed covariance, true eigenpairs of the dense matrix,
+// and the keep rule honoured.
+func TestBlockPCAMatchesDenseOracle(t *testing.T) {
+	cases := []struct {
+		nx, ny int
+		w, h   float64
+	}{
+		{1, 1, 1, 1},
+		{1, 7, 1, 1},
+		{7, 1, 2, 0.5},
+		{6, 6, 1, 1},
+		{7, 7, 1, 1},
+		{7, 7, 1.3, 0.8},
+		{6, 9, 1, 1.7},
+		{25, 25, 1, 1},
+	}
+	for _, c := range cases {
+		m := oracleModel(t, c.nx, c.ny, c.w, c.h, 0.5)
+		cov := m.Covariance()
+		want, _, err := linalg.EigenSym(cov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lam0 := want[0]
+		c00 := cov.At(0, 0)
+		for _, keep := range []float64{1, 0.95} {
+			p, err := m.ComputePCAWorkers(keep, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%dx%d die %gx%g keep=%g", c.nx, c.ny, c.w, c.h, keep)
+			for k, got := range p.Eigenvalues {
+				if d := math.Abs(got - want[k]); d > 1e-12*lam0 {
+					t.Errorf("%s: eigenvalue %d = %v, dense %v (|Δ| = %.3g λ₀)", name, k, got, want[k], d/lam0)
+				}
+				if k > 0 && got > p.Eigenvalues[k-1] {
+					t.Errorf("%s: eigenvalues not descending at %d", name, k)
+				}
+			}
+			total := 0.0
+			for _, v := range want {
+				if v > 0 {
+					total += v
+				}
+			}
+			if p.CapturedVariance < keep*total*(1-1e-12) {
+				t.Errorf("%s: kept %v of %v total variance", name, p.CapturedVariance, total)
+			}
+			dense := p.Dense()
+			for k := 0; k < p.K; k++ {
+				// v = Λ_k/√λ_k must satisfy C·v = λ·v.
+				s := math.Sqrt(p.Eigenvalues[k])
+				v := make([]float64, dense.Rows)
+				for g := range v {
+					v[g] = dense.At(g, k) / s
+				}
+				cv := cov.MulVec(v)
+				res := 0.0
+				for g := range v {
+					d := cv[g] - p.Eigenvalues[k]*v[g]
+					res += d * d
+				}
+				if math.Sqrt(res) > 1e-10*lam0 {
+					t.Errorf("%s: component %d residual %v > 1e-10·λ₀", name, k, math.Sqrt(res))
+				}
+			}
+			if keep == 1 {
+				if d := p.ReconstructCovariance().MaxAbsDiff(cov); d > 1e-12*c00 {
+					t.Errorf("%s: reconstruction error %v > 1e-12·C₀₀", name, d)
+				}
+			}
+		}
+	}
+}
+
+// TestBlockPCAShape pins the block layout at the paper's 25×25 grid:
+// 169/156/156/144 basis rows, every kept column accounted for once.
+func TestBlockPCAShape(t *testing.T) {
+	p, err := testModel(t, 25, 25, 0.5).ComputePCA(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Blocks) != 4 {
+		t.Fatalf("%d blocks, want 4", len(p.Blocks))
+	}
+	seen := make([]bool, p.K)
+	for b, want := range []int{169, 156, 156, 144} {
+		if got := p.blockRows(b); got != want {
+			t.Errorf("block %d has %d rows, want %d", b, got, want)
+		}
+		for c, k := range p.comp[b] {
+			if seen[k] {
+				t.Fatalf("component %d mapped twice", k)
+			}
+			seen[k] = true
+			if p.Eigenvalues[k] != p.Blocks[b].Eigenvalues[c] {
+				t.Fatalf("component %d eigenvalue does not match block %d column %d", k, b, c)
+			}
+		}
+	}
+	if dense := int64(8 * 625 * p.K); p.SizeBytes() > dense/3 {
+		t.Errorf("block PCA holds %d bytes, dense would hold %d", p.SizeBytes(), dense)
+	}
+}
+
+// TestNewPCARejectsBadShapes: the decode path must reject a block
+// layout that does not fit the grid instead of panicking later.
+func TestNewPCARejectsBadShapes(t *testing.T) {
+	good := []PCABlock{{Eigenvalues: []float64{1}, Loadings: []float64{1, 2}}}
+	if _, err := NewPCA(2, 1, good, 1, 1); err != nil {
+		t.Fatalf("valid identity block rejected: %v", err)
+	}
+	for name, c := range map[string]struct {
+		nx, ny int
+		blocks []PCABlock
+	}{
+		"zero grid":       {0, 1, good},
+		"huge grid":       {1 << 20, 1, good},
+		"rows mismatch":   {3, 1, good},
+		"three blocks":    {2, 1, make([]PCABlock, 3)},
+		"no components":   {2, 2, make([]PCABlock, 4)},
+		"cols on no rows": {1, 1, []PCABlock{{}, {}, {}, {Eigenvalues: []float64{1}}}},
+	} {
+		if _, err := NewPCA(c.nx, c.ny, c.blocks, 1, 1); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func BenchmarkComputePCA25x25(b *testing.B) {
+	sigmaTot := 2.2 * 0.04 / 3
+	sg, ss, se, _ := VarianceBudget(sigmaTot, 0.5, 0.25, 0.25)
+	m, err := NewModel(2.2, 1, 1, 25, 25, sg, ss, se, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.ComputePCA(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

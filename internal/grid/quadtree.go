@@ -87,35 +87,11 @@ func (m *Model) qtRegion(x, y float64, l int) int {
 	return ry*n + rx
 }
 
-// quadTreeCovariance builds the n×n covariance implied by the
-// quad-tree structure: cov(i, j) = σ_g² + Σ_l σ_l²·[same region at
-// level l].
-func (m *Model) quadTreeCovariance() *linalg.Matrix {
-	n := m.NumGrids()
-	lv := m.qtLevelVariances()
-	c := linalg.NewMatrix(n, n)
-	g2 := m.SigmaG * m.SigmaG
-	for i := 0; i < n; i++ {
-		xi, yi := m.GridCenter(i)
-		for j := i; j < n; j++ {
-			xj, yj := m.GridCenter(j)
-			v := g2
-			for l, s2 := range lv {
-				if m.qtRegion(xi, yi, l+1) == m.qtRegion(xj, yj, l+1) {
-					v += s2
-				}
-			}
-			c.Set(i, j, v)
-			c.Set(j, i, v)
-		}
-	}
-	return c
-}
-
 // quadTreeFactor returns the exact canonical-form factor of the
 // quad-tree structure: one column for the global variable and one per
 // region per level, with loading σ_level on the grids the region
-// covers. The result satisfies Λ·Λᵀ = Covariance exactly.
+// covers. The result satisfies Λ·Λᵀ = Covariance exactly. It is
+// stored as a single identity-basis block (row i = grid i).
 func (m *Model) quadTreeFactor() *PCA {
 	n := m.NumGrids()
 	lv := m.qtLevelVariances()
@@ -148,11 +124,11 @@ func (m *Model) quadTreeFactor() *PCA {
 		eig[c] = s / float64(n)
 	}
 	total := m.SigmaG*m.SigmaG + m.SigmaS*m.SigmaS
-	return &PCA{
-		Loadings:         loadings,
-		Eigenvalues:      eig,
-		K:                cols,
-		TotalVariance:    total * float64(n),
-		CapturedVariance: total * float64(n),
+	p, err := NewPCA(m.Nx, m.Ny, []PCABlock{{Eigenvalues: eig, Loadings: loadings.Data}},
+		total*float64(n), total*float64(n))
+	if err != nil {
+		// The shapes above are consistent by construction.
+		panic(err)
 	}
+	return p
 }

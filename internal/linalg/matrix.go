@@ -4,10 +4,14 @@
 // tridiagonalization followed by implicit-shift QL, with a cyclic
 // Jacobi fallback used for cross-checking).
 //
-// The package is deliberately minimal — the spatial-correlation PCA
-// operates on covariance matrices of at most a few hundred rows, so a
-// straightforward dense implementation is both sufficient and easy to
-// verify.
+// The package is deliberately minimal. The spatial-correlation PCA
+// never hands it the full n×n grid covariance: internal/grid splits
+// that matrix into four reflection-symmetry blocks of about n/4 rows
+// (169 at most for the paper's 25×25 grid) and solves each with
+// EigenSymCtx, so a straightforward dense implementation is both
+// sufficient and easy to verify. Dense EigenSym of the whole
+// covariance and JacobiEigenSym remain as the test oracles for that
+// block decomposition.
 package linalg
 
 import (
@@ -123,28 +127,6 @@ func (m *Matrix) MulVecInto(dst, v []float64) {
 		}
 		dst[i] = s
 	}
-}
-
-// MulVecWorkers returns m · v with the row dot products fanned out
-// over workers (0 = GOMAXPROCS, 1 = serial). Every row is an
-// independent left-to-right dot product, so the result is
-// bit-identical to MulVec for every worker count.
-func (m *Matrix) MulVecWorkers(v []float64, workers int) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %d×%d · %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]float64, m.Rows)
-	par.ForChunks(workers, m.Rows, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ri := m.Row(i)
-			s := 0.0
-			for j, x := range v {
-				s += ri[j] * x
-			}
-			out[i] = s
-		}
-	})
-	return out
 }
 
 // IsSymmetric reports whether m is square and symmetric to within tol.

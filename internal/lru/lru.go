@@ -64,6 +64,19 @@ func (c *Cache[V]) Put(key string, val V) (evictedKey string, evictedVal V, evic
 	return e.key, e.val, true
 }
 
+// RemoveOldest deletes the least recently used entry and returns it,
+// with ok=false when the cache is empty.
+func (c *Cache[V]) RemoveOldest() (key string, val V, ok bool) {
+	oldest := c.order.Back()
+	if oldest == nil {
+		return "", val, false
+	}
+	c.order.Remove(oldest)
+	e := oldest.Value.(*entry[V])
+	delete(c.index, e.key)
+	return e.key, e.val, true
+}
+
 // Remove deletes key, reporting whether it was present.
 func (c *Cache[V]) Remove(key string) bool {
 	el, ok := c.index[key]

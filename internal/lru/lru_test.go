@@ -64,3 +64,19 @@ func TestCapacityFloor(t *testing.T) {
 		t.Fatal("capacity floor of 1 should evict on second insert")
 	}
 }
+
+func TestRemoveOldest(t *testing.T) {
+	c := New[int](3)
+	if _, _, ok := c.RemoveOldest(); ok {
+		t.Fatal("RemoveOldest on empty cache reported an entry")
+	}
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.Get("a")
+	if k, v, ok := c.RemoveOldest(); !ok || k != "b" || v != 2 {
+		t.Fatalf("RemoveOldest = %q %d %v, want b 2 true", k, v, ok)
+	}
+	if _, ok := c.Get("b"); ok || c.Len() != 1 {
+		t.Fatalf("b still present or Len = %d", c.Len())
+	}
+}

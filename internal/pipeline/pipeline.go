@@ -76,6 +76,42 @@ type Cache struct {
 type stageState struct {
 	lru   *lru.Cache[any]
 	stats stats
+	// bytes is the retained size of the LRU's sized artifacts,
+	// guarded by Cache.mu.
+	bytes int64
+}
+
+// StageByteBudget bounds the bytes one stage's LRU retains, counted
+// over artifacts that report their size (SizeBytes() int64), alongside
+// the entry-count capacity. A PCA at the paper's 25×25 grid is about
+// 0.8 MB, so the budget holds about ten of them. The newest entry is
+// always kept, even when it alone exceeds the budget.
+const StageByteBudget = 8 << 20
+
+// sizeOf returns an artifact's charge against the byte budget: its
+// SizeBytes when it reports one, else zero.
+func sizeOf(v any) int64 {
+	if s, ok := v.(interface{ SizeBytes() int64 }); ok {
+		return s.SizeBytes()
+	}
+	return 0
+}
+
+// put inserts (or replaces) an artifact as most recently used, then
+// evicts least-recently-used entries until the stage is within both
+// its entry capacity and StageByteBudget. Caller holds Cache.mu.
+func (st *stageState) put(key string, v any) {
+	if old, ok := st.lru.Get(key); ok {
+		st.bytes -= sizeOf(old)
+	}
+	if _, evicted, ok := st.lru.Put(key, v); ok {
+		st.bytes -= sizeOf(evicted)
+	}
+	st.bytes += sizeOf(v)
+	for st.bytes > StageByteBudget && st.lru.Len() > 1 {
+		_, evicted, _ := st.lru.RemoveOldest()
+		st.bytes -= sizeOf(evicted)
+	}
 }
 
 type stats struct {
@@ -354,7 +390,7 @@ func (c *Cache) getOnce(ctx context.Context, stage, key string, build func(conte
 		delete(c.flights, fk)
 		switch {
 		case err == nil:
-			st.lru.Put(key, v)
+			st.put(key, v)
 			if source == SourceBuilt {
 				// Tier loads are not builds: the follower-builds==0
 				// cluster gate and the build-seconds metric both count
@@ -498,8 +534,10 @@ type StageStat struct {
 	DiskHits, DiskRejects, Spills, SpillFails, PeerHits, PeerErrors int64
 	// BuildSeconds is the cumulative wall time of successful builds.
 	BuildSeconds float64
-	// Entries is the stage's current LRU occupancy.
+	// Entries is the stage's current LRU occupancy; Bytes the
+	// retained size of its sized artifacts (see StageByteBudget).
 	Entries int
+	Bytes   int64
 }
 
 // Snapshot returns every stage's counters, sorted by stage name.
@@ -534,6 +572,7 @@ func statOf(name string, st *stageState) StageStat {
 		PeerErrors:       st.stats.peerErrors.Load(),
 		BuildSeconds:     float64(st.stats.buildNanos.Load()) / 1e9,
 		Entries:          st.lru.Len(),
+		Bytes:            st.bytes,
 	}
 }
 

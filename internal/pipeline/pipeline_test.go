@@ -350,3 +350,56 @@ func TestResetAndCapacity(t *testing.T) {
 		t.Fatalf("default capacity ignored: len %d", c.Len("t"))
 	}
 }
+
+// blob is a test artifact that reports its size.
+type blob int64
+
+func (b blob) SizeBytes() int64 { return int64(b) }
+
+// TestByteBudget: sized artifacts are charged against StageByteBudget
+// alongside the entry count — LRU entries go first, the newest stays
+// even when it alone is over budget, and unsized stages are unaffected.
+func TestByteBudget(t *testing.T) {
+	c := NewCache(64)
+	put := func(stage, key string, size int64) {
+		if _, _, err := Get(context.Background(), c, stage, key, func(context.Context) (blob, error) {
+			return blob(size), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quarter := int64(StageByteBudget / 4)
+	for i := 0; i < 10; i++ {
+		put("sized", fmt.Sprint(i), quarter)
+	}
+	st := c.Stat("sized")
+	if st.Entries != 4 || st.Bytes != 4*quarter {
+		t.Fatalf("after 10 quarter-budget puts: %d entries, %d bytes; want 4, %d", st.Entries, st.Bytes, 4*quarter)
+	}
+	for _, k := range []string{"6", "7", "8", "9"} {
+		if _, ok := c.Peek("sized", k); !ok {
+			t.Fatalf("recent key %s evicted", k)
+		}
+	}
+	put("sized", "huge", 2*StageByteBudget)
+	if st := c.Stat("sized"); st.Entries != 1 || st.Bytes != 2*StageByteBudget {
+		t.Fatalf("oversized newest: %d entries, %d bytes; want it alone", st.Entries, st.Bytes)
+	}
+	// Install replaces in place: the charge is the new size, not the sum.
+	c.mu.Lock()
+	c.state("sized").put("huge", blob(1))
+	c.mu.Unlock()
+	if st := c.Stat("sized"); st.Bytes != 1 {
+		t.Fatalf("replacement left %d bytes charged, want 1", st.Bytes)
+	}
+	for i := 0; i < 10; i++ {
+		if _, _, err := Get(context.Background(), c, "plain", fmt.Sprint(i), func(context.Context) (int, error) {
+			return i, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stat("plain"); st.Entries != 10 || st.Bytes != 0 {
+		t.Fatalf("unsized stage: %d entries, %d bytes; want 10, 0", st.Entries, st.Bytes)
+	}
+}

@@ -222,7 +222,7 @@ func (c *Cache) Install(stage, key string, sealed []byte) error {
 	}
 	c.mu.Lock()
 	st := c.state(stage)
-	st.lru.Put(key, v)
+	st.put(key, v)
 	dir := c.tiers.Dir
 	c.mu.Unlock()
 	if dir != "" {
@@ -358,7 +358,7 @@ func (c *Cache) WarmFromDisk(ctx context.Context, owns func(stage, key string) b
 			c.mu.Unlock()
 			if v, ok := c.diskLoad(ctx, cd.stage, cd.key, dir, st); ok {
 				c.mu.Lock()
-				st.lru.Put(cd.key, v)
+				st.put(cd.key, v)
 				c.mu.Unlock()
 				ws.Loaded++
 			} else {

@@ -141,8 +141,10 @@ func TestReplicationPushOnBuild(t *testing.T) {
 		t.Fatalf("build ran %d times, want 1", built)
 	}
 
+	// The PUT handler counts the receive only after Install makes the
+	// replica visible, so wait for both before asserting on either.
 	waitFor(t, "replica to land on B", 5*time.Second, func() bool {
-		return b.s.stages.Held(clStage, key)
+		return b.s.stages.Held(clStage, key) && b.s.member.replReceives.Load() >= 1
 	})
 	if v, ok := b.s.stages.Peek(clStage, key); !ok || v.(int64) != 42 {
 		t.Fatalf("replica on B = %v (ok=%v), want 42 in memory", v, ok)

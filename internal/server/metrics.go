@@ -365,6 +365,8 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		func(s pipeline.StageStat) string { return fmt.Sprintf("%g", s.BuildSeconds) })
 	labeled("obdreld_stage_entries", "Artifacts resident per stage LRU.", "gauge",
 		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Entries) })
+	labeled("obdreld_stage_bytes", "Retained bytes of sized artifacts per stage LRU (bounded by the per-stage byte budget).", "gauge",
+		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Bytes) })
 	labeled("obdreld_stage_retries_total", "Transient stage-build failures that were retried, by stage.", "counter",
 		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Retries) })
 	labeled("obdreld_stage_breaker_opens_total", "Circuit-breaker open transitions, by stage.", "counter",

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -282,9 +283,18 @@ func TestMetricsExposition(t *testing.T) {
 		`obdreld_stage_build_seconds_total{stage="analyzer"}`,
 		`obdreld_stage_cache_misses_total{stage="thermal"}`,
 		`obdreld_stage_entries{stage="pca"}`,
+		`obdreld_stage_bytes{stage="pca"}`,
 	} {
 		if !bytes.Contains(text, []byte(want)) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// The pca stage holds one sized artifact, so its byte gauge is
+	// non-zero; unsized stages report zero.
+	for stage, positive := range map[string]bool{"pca": true, "thermal": false} {
+		m := regexp.MustCompile(`obdreld_stage_bytes\{stage="` + stage + `"\} (\d+)`).FindSubmatch(text)
+		if m == nil || (string(m[1]) != "0") != positive {
+			t.Errorf("obdreld_stage_bytes for %s = %q, want positive=%v", stage, m, positive)
 		}
 	}
 }

@@ -159,12 +159,10 @@ func NewMissionAnalyzer(d *Design, cfg *Config, modes []Mode) (*Analyzer, error)
 	if err != nil {
 		return nil, err
 	}
-	keep := cfg.PCAKeepFraction
-	if keep == 0 {
-		keep = 1
-	}
-	pca, err := model.ComputePCA(keep)
-	if err != nil {
+	// The PCA goes through the pca stage like every analyzer's, so a
+	// mission analyzer pins no PCA either.
+	g := &stageGraph{cache: defaultStages(cfg), cfg: cfg, keys: stageKeys(d.Fingerprint(), d.W, d.H, cfg)}
+	if _, err := g.pca(context.Background(), model); err != nil {
 		return nil, err
 	}
 	char, err := blod.Characterize(fd, model)
@@ -192,7 +190,7 @@ func NewMissionAnalyzer(d *Design, cfg *Config, modes []Mode) (*Analyzer, error)
 		cfg:       cfg,
 		design:    fd,
 		model:     model,
-		pca:       pca,
+		pca:       g.pcaResolver(model),
 		chip:      chip,
 		tech:      tech,
 		blockInfo: info,
@@ -308,12 +306,8 @@ func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) 
 	if d == nil {
 		return nil, errNilDesign
 	}
-	cache := sharedStages
-	if cfg.DisableStageCache {
-		cache = nil
-	}
 	g := &stageGraph{
-		cache: cache,
+		cache: defaultStages(cfg),
 		d:     d,
 		cfg:   cfg,
 		tech:  cfg.resolvedTech(),
@@ -424,8 +418,9 @@ func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) 
 	if err != nil {
 		return nil, err
 	}
-	pca, err := g.pca(ctx, model)
-	if err != nil {
+	// The PCA is resolved eagerly so its errors surface here and its
+	// build is attributed to this construction, but not retained.
+	if _, err := g.pca(ctx, model); err != nil {
 		return nil, err
 	}
 	char, err := g.blod(ctx, fd, model)
@@ -453,7 +448,7 @@ func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) 
 		cfg:       cfg,
 		design:    fd,
 		model:     model,
-		pca:       pca,
+		pca:       g.pcaResolver(model),
 		chip:      chip,
 		tech:      g.tech,
 		blockInfo: info,

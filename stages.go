@@ -171,6 +171,15 @@ func (g *stageGraph) pca(ctx context.Context, model *grid.Model) (*grid.PCA, err
 		})
 }
 
+// pcaResolver returns the analyzer's handle on the pca stage: each
+// call resolves it through the cache again instead of pinning the
+// artifact.
+func (g *stageGraph) pcaResolver(model *grid.Model) func(context.Context) (*grid.PCA, error) {
+	return func(ctx context.Context) (*grid.PCA, error) {
+		return g.pca(ctx, model)
+	}
+}
+
 func (g *stageGraph) blod(ctx context.Context, fd *floorplan.Design, model *grid.Model) (*blod.Characterization, error) {
 	return stageGet(ctx, g.cache, StageBLOD, g.keys[StageBLOD],
 		func(bctx context.Context) (*blod.Characterization, error) {
@@ -289,8 +298,9 @@ func newAnalyzerWith(ctx context.Context, cache *pipeline.Cache, d *Design, cfg 
 	if err != nil {
 		return nil, err
 	}
-	pca, err := g.pca(ctx, model)
-	if err != nil {
+	// The PCA is resolved eagerly so its errors surface here and its
+	// build is attributed to this construction, but not retained.
+	if _, err := g.pca(ctx, model); err != nil {
 		return nil, err
 	}
 	char, err := g.blod(ctx, fd, model)
@@ -309,7 +319,7 @@ func newAnalyzerWith(ctx context.Context, cache *pipeline.Cache, d *Design, cfg 
 		cfg:       cfg,
 		design:    fd,
 		model:     model,
-		pca:       pca,
+		pca:       g.pcaResolver(model),
 		chip:      chip,
 		tech:      g.tech,
 		blockInfo: w.info,
