@@ -9,9 +9,8 @@ import (
 // TestWarmQueryZeroAlloc is the zero-allocation gate for the warm
 // steady-state query path: once an analyzer's engine is built, the
 // st_fast and hybrid lifetime/failure-probability lookups must not
-// allocate. This is what lets the µs-latency monitoring loop run at
-// loadgen rates without GC pressure; cmd/bench re-measures it and the
-// report validator gates on it.
+// allocate. This is what lets a µs-latency monitoring loop poll at
+// high rates without GC pressure.
 func TestWarmQueryZeroAlloc(t *testing.T) {
 	an, err := obdrel.NewAnalyzer(obdrel.C1(), fastConfig())
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"obdrel/internal/floorplan"
 	"obdrel/internal/grid"
 	"obdrel/internal/obd"
-	"obdrel/internal/pipeline"
 	"obdrel/internal/stats"
 	"obdrel/internal/thermal"
 )
@@ -120,37 +119,14 @@ func NewAnalyzer(d *Design, cfg *Config) (*Analyzer, error) {
 // characterization), so a cancelled context stops the substrate
 // computation promptly instead of abandoning it.
 //
-// Stage artifacts are served from the process-wide stage cache unless
-// Config.DisableStageCache is set. Artifacts are immutable and their
-// builds deterministic for a fixed Workers value, so cache reuse never
-// changes results; mixing Workers values across processes' requests
-// shares artifacts across the documented serial/parallel tolerance
-// (Workers is a perf knob, excluded from stage fingerprints).
+// Stage artifacts are served from the process-wide stage cache;
+// NewAnalyzerCtxIn takes another, or none. Artifacts are immutable and
+// their builds deterministic for a fixed Workers value, so cache reuse
+// never changes results; mixing Workers values across processes'
+// requests shares artifacts across the documented serial/parallel
+// tolerance (Workers is a perf knob, excluded from stage fingerprints).
 func NewAnalyzerCtx(ctx context.Context, d *Design, cfg *Config) (*Analyzer, error) {
 	return NewAnalyzerCtxIn(ctx, sharedStages, d, cfg)
-}
-
-// defaultStages is the stage cache the constructors without an
-// explicit one use: the process-wide cache, or none under
-// Config.DisableStageCache.
-func defaultStages(cfg *Config) *pipeline.Cache {
-	if cfg.DisableStageCache {
-		return nil
-	}
-	return sharedStages
-}
-
-// NewAnalyzerCtxIn is NewAnalyzerCtx against an explicit stage cache
-// instead of the process-wide one. The serving layer uses it to give
-// each node its own stage cache (with its own disk/peer tiers), which
-// is also what lets a multi-node cluster run inside one test process
-// without the nodes sharing artifacts through sharedStages.
-// Config.DisableStageCache still wins: it disables caching entirely.
-func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*Analyzer, error) {
-	if cfg != nil && cfg.DisableStageCache {
-		cache = nil
-	}
-	return newAnalyzerWith(ctx, cache, d, cfg)
 }
 
 // engine returns (building on first use) the engine for a method.

@@ -42,7 +42,7 @@ func TestStageCodecsRoundTripBitIdentical(t *testing.T) {
 	cfg.Extrinsic = obd.DefaultExtrinsic()
 	cfg.WaferPattern = &grid.WaferPattern{DieX: 0.3, DieY: -0.2, DieSpan: 0.05, Bowl: 0.4, SlantX: 0.1, SlantY: -0.05}
 	cache := pipeline.NewCache(8)
-	if _, err := newAnalyzerWith(context.Background(), cache, d, cfg); err != nil {
+	if _, err := NewAnalyzerCtxIn(context.Background(), cache, d, cfg); err != nil {
 		t.Fatal(err)
 	}
 	keys := stageKeys(d.Fingerprint(), d.W, d.H, cfg)
@@ -89,7 +89,7 @@ func TestAnalyzerFromDecodedArtifactsBitIdentical(t *testing.T) {
 	// Leader: build everything into cacheA, then move every artifact
 	// through the wire format into cacheB.
 	cacheA := pipeline.NewCache(8)
-	a1, err := newAnalyzerWith(ctx, cacheA, d, cfg)
+	a1, err := NewAnalyzerCtxIn(ctx, cacheA, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAnalyzerFromDecodedArtifactsBitIdentical(t *testing.T) {
 
 	// Follower: every stage resolves from the disk tier; the build
 	// closures must never run.
-	a2, err := newAnalyzerWith(ctx, cacheB, d, cfg)
+	a2, err := NewAnalyzerCtxIn(ctx, cacheB, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package obdrel_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	"obdrel"
+	"obdrel/internal/pipeline"
 )
 
 // TestConcurrentQueries exercises one Analyzer from many goroutines
@@ -98,11 +100,10 @@ func TestWorkersEquivalence(t *testing.T) {
 		cfg := fastConfig()
 		cfg.MCSamples = 200
 		cfg.Workers = workers
-		// Isolate runs from the shared stage cache — this test must
+		// One fresh stage cache per worker count — this test must
 		// rebuild every substrate stage per worker count, or the
 		// serial/parallel comparison compares one build with itself.
-		cfg.DisableStageCache = true
-		an, err := obdrel.NewAnalyzer(obdrel.C1(), cfg)
+		an, err := obdrel.NewAnalyzerCtxIn(context.Background(), pipeline.NewCache(64), obdrel.C1(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

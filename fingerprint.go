@@ -26,9 +26,8 @@ import (
 //   - nil Tech/Power/Thermal and a zero PCAKeepFraction resolve to
 //     their defaults before hashing, so an explicit DefaultConfig and
 //     a zero-value-with-defaults config collide (as they should);
-//   - performance-only knobs (Workers, DisableStageCache, TableDir)
-//     are excluded — they select
-//     execution strategy, not the model. Workers ≥ 2 and 0 are
+//   - performance-only knobs (Workers, TableDir) are excluded — they
+//     select execution strategy, not the model. Workers ≥ 2 and 0 are
 //     bit-identical by construction; Workers:1 differs only within the
 //     documented serial/parallel tolerance, which caching layers
 //     accept; TableDir only changes where hybrid tables are stored.

@@ -23,10 +23,9 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	t.Run("perf knobs excluded", func(t *testing.T) {
 		cfg := obdrel.DefaultConfig()
 		cfg.Workers = 7
-		cfg.DisableStageCache = true
 		cfg.TableDir = "/tmp/tables"
 		if cfg.Fingerprint() != base.Fingerprint() {
-			t.Fatal("Workers/DisableStageCache/TableDir changed the fingerprint")
+			t.Fatal("Workers/TableDir changed the fingerprint")
 		}
 	})
 	t.Run("defaults resolved", func(t *testing.T) {

@@ -20,7 +20,8 @@ func BenchmarkSpanDisabled(b *testing.B) {
 }
 
 // BenchmarkSpanEnabled measures the same call shape with a live trace,
-// for the enabled-vs-disabled overhead comparison in cmd/bench.
+// for the enabled-vs-disabled overhead comparison with
+// BenchmarkSpanDisabled.
 func BenchmarkSpanEnabled(b *testing.B) {
 	tr := NewTracer(Options{RingSize: 4})
 	ctx, root := tr.StartTrace(context.Background(), "bench", "", "")

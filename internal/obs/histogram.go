@@ -7,9 +7,9 @@ import (
 )
 
 // LatencyBuckets are the shared fixed histogram upper bounds in
-// seconds, used both by the server's /metrics exposition and by
-// cmd/loadgen's client-side recording so the two distributions are
-// directly comparable. The low end resolves µs-scale warm hybrid
+// seconds, used by the server's /metrics exposition and by the
+// fleet-wide merge in /v1/cluster/status, which needs every node's
+// histograms on one layout. The low end resolves µs-scale warm hybrid
 // queries, the high end cold engine builds.
 var LatencyBuckets = [...]float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,

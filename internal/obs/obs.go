@@ -26,7 +26,7 @@
 // someone else's snapshot.
 //
 // Trace identity follows the W3C Trace Context format so that callers
-// (cmd/loadgen, upstream proxies) can join server traces to their own:
+// (load generators, upstream proxies) can join server traces to their own:
 // ParseTraceparent / Traceparent convert the `traceparent` header.
 package obs
 

@@ -321,9 +321,9 @@ func (s *Server) resolveBatchWork(index int, it *batchItem) batch.Work {
 		query = "lifetime"
 	}
 
-	// timed stamps a result with sub-µs query latency — the fleet
-	// bench derives per-item percentiles from it, and integer µs
-	// would floor warm-path queries to 0.
+	// timed stamps a result with sub-µs query latency — the repo
+	// benchmark's batch-fleet workload sums it into its eval-CPU row,
+	// and integer µs would floor warm-path queries to 0.
 	timed := func(t0 time.Time, out map[string]any) map[string]any {
 		out["query_us"] = float64(time.Since(t0).Nanoseconds()) / 1e3
 		return out

@@ -63,7 +63,9 @@ func batchBody(items ...string) string {
 }
 
 func TestBatchSameDesignSweepGroupsOnce(t *testing.T) {
-	srv := newTestServer(t, Options{})
+	// A private stage cache makes the build counts this sweep's own.
+	stages := pipeline.NewCache(64)
+	srv := newTestServer(t, Options{Stages: stages})
 	var items []string
 	for i := 0; i < 12; i++ {
 		items = append(items, fmt.Sprintf(
@@ -94,6 +96,12 @@ func TestBatchSameDesignSweepGroupsOnce(t *testing.T) {
 	}
 	if trailer["done"] != true || trailer["ok"].(float64) != 12 {
 		t.Fatalf("trailer = %v", trailer)
+	}
+	// One group means one substrate: every pipeline stage built once.
+	for _, stage := range obdrel.StageNames() {
+		if n := stages.Stat(stage).Builds; n != 1 {
+			t.Errorf("stage %s built %d times for one group, want 1", stage, n)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"obdrel"
 	"obdrel/internal/artifact"
 	"obdrel/internal/pipeline"
 )
@@ -385,6 +386,112 @@ func TestReplicaSetDistinct(t *testing.T) {
 					seen[node] = true
 				}
 			}
+		}
+	}
+}
+
+// TestClusterRealStagesPeerFillAndRestart runs the artifact tiers on
+// the real stage codecs instead of the synthetic int64 stage. Node A
+// answers a lifetime sweep cold and spills every stage to its disk
+// tier. Node B, on a static two-node ring, answers the same sweep
+// with zero builds on every stage, all by peer fill. A node started
+// later on A's artifact directory, with a fresh cache and no peers,
+// answers it from the disk tier alone. All three agree bit for bit.
+func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
+	var paths []string
+	for _, d := range []string{"C1", "C2"} {
+		for _, ppm := range []int{5, 10, 20} {
+			paths = append(paths, fmt.Sprintf(
+				"/v1/lifetime?design=%s&method=st_fast&ppm=%d&grid=8&mc_samples=100&stmc_samples=1000", d, ppm))
+		}
+	}
+	sweep := func(base string) []float64 {
+		t.Helper()
+		out := make([]float64, len(paths))
+		for i, p := range paths {
+			out[i] = getJSON(t, base+p, http.StatusOK)["lifetime_hours"].(float64)
+		}
+		return out
+	}
+	// Workers pinned so every node derives the same artifacts whatever
+	// the host's GOMAXPROCS.
+	node := func(cache *pipeline.Cache, dir string, peers []string, self string, warmLimit int) *Server {
+		s, err := NewE(Options{
+			Stages: cache, ArtifactDir: dir, Peers: peers, Self: self,
+			WarmLimit: warmLimit, Workers: 2, DisableTracing: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	lA, lB := &lateHandler{}, &lateHandler{}
+	tsA, tsB := httptest.NewServer(lA), httptest.NewServer(lB)
+	defer tsA.Close()
+	defer tsB.Close()
+	peers := []string{tsA.URL, tsB.URL}
+	cacheA, cacheB := pipeline.NewCache(64), pipeline.NewCache(64)
+	dirA := t.TempDir()
+	sA := node(cacheA, dirA, peers, tsA.URL, -1)
+	sB := node(cacheB, t.TempDir(), peers, tsB.URL, -1)
+	lA.h.Store(sA.Handler())
+	lB.h.Store(sB.Handler())
+
+	want := sweep(tsA.URL)
+	for _, stage := range obdrel.StageNames() {
+		st := cacheA.Stat(stage)
+		if st.Builds == 0 || st.Spills == 0 {
+			t.Errorf("node A stage %s: builds=%d spills=%d, want both > 0", stage, st.Builds, st.Spills)
+		}
+	}
+
+	gotB := sweep(tsB.URL)
+	for _, stage := range obdrel.StageNames() {
+		st := cacheB.Stat(stage)
+		if st.Builds != 0 || st.PeerHits == 0 {
+			t.Errorf("node B stage %s: builds=%d peerHits=%d, want 0 and > 0", stage, st.Builds, st.PeerHits)
+		}
+	}
+	if got := sA.artifactStats().PeerServes; got == 0 {
+		t.Error("node A served no artifacts to its peer")
+	}
+	if got := sB.artifactStats().FetchFills; got == 0 {
+		t.Error("node B filled nothing from its peer")
+	}
+
+	// Restart: A goes away and a fresh node answers from A's spills.
+	tsA.Close()
+	cacheC := pipeline.NewCache(64)
+	sC := node(cacheC, dirA, nil, "", 1024)
+	tsC := httptest.NewServer(sC.Handler())
+	defer tsC.Close()
+	waitFor(t, "restarted node ready", 10*time.Second, func() bool {
+		resp, err := http.Get(tsC.URL + "/readyz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
+	gotC := sweep(tsC.URL)
+	for _, stage := range obdrel.StageNames() {
+		st := cacheC.Stat(stage)
+		if st.Builds != 0 || st.DiskHits == 0 {
+			t.Errorf("restarted stage %s: builds=%d diskHits=%d, want 0 and > 0", stage, st.Builds, st.DiskHits)
+		}
+	}
+	for _, c := range []*pipeline.Cache{cacheA, cacheB, cacheC} {
+		for _, st := range c.Snapshot() {
+			if st.DiskRejects != 0 || st.SpillFails != 0 {
+				t.Errorf("stage %s: diskRejects=%d spillFails=%d, want 0", st.Stage, st.DiskRejects, st.SpillFails)
+			}
+		}
+	}
+
+	for i, p := range paths {
+		if gotB[i] != want[i] || gotC[i] != want[i] {
+			t.Errorf("%s: A %v, B %v, restarted %v — want bit-identical", p, want[i], gotB[i], gotC[i])
 		}
 	}
 }

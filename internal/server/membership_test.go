@@ -194,6 +194,12 @@ func TestReplicaServesAfterKill(t *testing.T) {
 		}
 		return true
 	})
+	// Replication ran clean: no push errors, queue drops, or rejects.
+	for _, n := range []*dynNode{a, b, c} {
+		if e, d, r := n.s.cluster.replicaPushErrs.Load(), n.s.cluster.replicaDropped.Load(), n.s.member.replRejects.Load(); e+d+r != 0 {
+			t.Fatalf("node %s: replica push errors=%d dropped=%d rejects=%d, want 0", n.ts.URL, e, d, r)
+		}
+	}
 
 	a.kill()
 
@@ -258,6 +264,11 @@ func TestRebalanceStreamsOnJoin(t *testing.T) {
 	})
 	if got := b.s.member.rebalFetched.Load(); got < 1 {
 		t.Fatalf("rebalFetched = %d, want ≥ 1", got)
+	}
+	for i, key := range keys {
+		if v, ok := b.s.stages.Peek(clStage, key); !ok || v.(int64) != int64(100+i) {
+			t.Fatalf("streamed key %s = %v (ok=%v), want %d", key, v, ok, 100+i)
+		}
 	}
 	// Builds on B stayed at zero: everything was streamed or pushed.
 	for _, st := range b.s.stages.Snapshot() {

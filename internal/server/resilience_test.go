@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"obdrel"
+	"obdrel/internal/fault"
+	"obdrel/internal/pipeline"
 )
 
 // getResp is getJSON plus the response itself, for header assertions.
@@ -418,5 +421,96 @@ func TestResilienceMetricsExposition(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
+	}
+}
+
+// TestChaosOverHTTP drives the resilience stack through the X-Fault
+// header the way an operator's chaos run would, in four phases:
+//
+//   - churn: every request misses the registry (a fresh seed knob) and
+//     carries its own seeded 10% registry.build error rule, so the
+//     injected failures are the same on every run; retries absorb them;
+//   - scope: a poisoned design's circuit opens (503) while a healthy
+//     design keeps answering 200;
+//   - recovery: once the faults stop and the short open window
+//     expires, the half-open probe closes the circuit;
+//   - leakage: clean traffic moves no injected-fault counter.
+func TestChaosOverHTTP(t *testing.T) {
+	s := New(Options{
+		Stages:           pipeline.NewCache(64),
+		DisableTracing:   true,
+		FaultHeader:      true,
+		BreakerThreshold: 3,
+		BreakerOpenFor:   500 * time.Millisecond,
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	lifetime := func(design string, seed int) string {
+		return fmt.Sprintf("%s/v1/lifetime?design=%s&method=st_fast&ppm=10&seed=%d&%s", srv.URL, design, seed, cheap)
+	}
+	status := func(url, spec string) int {
+		hdr := map[string]string{}
+		if spec != "" {
+			hdr["X-Fault"] = spec
+		}
+		resp, _ := getResp(t, url, hdr)
+		return resp.StatusCode
+	}
+
+	const churn = 100
+	injected0 := fault.InjectedTotal()
+	errs := 0
+	for i := 0; i < churn; i++ {
+		if status(lifetime("C1", 1000+i), fmt.Sprintf("seed=%d,registry.build:error:0.1", i+1)) != http.StatusOK {
+			errs++
+		}
+	}
+	injected := fault.InjectedTotal() - injected0
+	retries := s.reg.Stats().Retries
+	if errs != 0 {
+		t.Errorf("churn: %d/%d client errors, want exactly 0 for these seeds", errs, churn)
+	}
+	// The seeded decision streams fire exactly 15 faults, each absorbed
+	// by one retry.
+	if injected != 15 || retries != injected {
+		t.Errorf("churn: %d faults injected, %d retries — want 15 and 15", injected, retries)
+	}
+
+	healthy, poisoned := lifetime("C1", 1), lifetime("C2", 999001)
+	if code := status(healthy, ""); code != http.StatusOK {
+		t.Fatalf("healthy warmup: status %d", code)
+	}
+	opened := false
+	for i := 0; i < 10 && !opened; i++ {
+		opened = status(poisoned, "registry.build(C2):perm:1") == http.StatusServiceUnavailable
+	}
+	if !opened {
+		t.Fatal("scope: the poisoned design's circuit never opened")
+	}
+	for i := 0; i < 10; i++ {
+		if code := status(healthy, ""); code != http.StatusOK {
+			t.Fatalf("scope: healthy design answered %d while C2's circuit was open", code)
+		}
+	}
+
+	recovered := false
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline) && !recovered; {
+		recovered = status(poisoned, "") == http.StatusOK
+		if !recovered {
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	if !recovered {
+		t.Fatal("recovery: the half-open probe never closed the circuit")
+	}
+
+	injected0 = fault.InjectedTotal()
+	for i := 0; i < 20; i++ {
+		if code := status(healthy, ""); code != http.StatusOK {
+			t.Fatalf("leakage: clean request answered %d", code)
+		}
+	}
+	if moved := fault.InjectedTotal() - injected0; moved != 0 {
+		t.Fatalf("leakage: injected-fault counter moved by %d during clean traffic", moved)
 	}
 }

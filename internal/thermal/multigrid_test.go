@@ -58,6 +58,39 @@ func TestMultigridMatchesSOR(t *testing.T) {
 			}
 		})
 	}
+	// At 100×100 SOR's true error sits orders of magnitude above its
+	// per-sweep delta, so multigrid at Tol 1e-9 is judged against a
+	// converged SOR reference (Tol 1e-11), within 1e-7 K.
+	t.Run("C6-100x100", func(t *testing.T) {
+		d := floorplan.C6()
+		powers := make([]float64, len(d.Blocks))
+		for i := range powers {
+			powers[i] = 0.4 + 0.15*float64(i%5)
+		}
+		mk := func(method string, tol float64) *Solver {
+			s := DefaultSolver()
+			s.Nx, s.Ny = 100, 100
+			s.Method = method
+			s.Tol = tol
+			s.MaxIter = 500000
+			return s
+		}
+		ref, err := mk(MethodSOR, 1e-11).Solve(d, powers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fm, err := mk(MethodMultigrid, 1e-9).Solve(d, powers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var worst float64
+		for i := range ref.Temps {
+			worst = math.Max(worst, math.Abs(ref.Temps[i]-fm.Temps[i]))
+		}
+		if worst > 1e-7 {
+			t.Fatalf("multigrid differs from converged SOR by %.3e K, want ≤ 1e-7", worst)
+		}
+	})
 }
 
 // TestMultigridBitStableAcrossWorkers: the red-black smoothing order is

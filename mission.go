@@ -161,7 +161,7 @@ func NewMissionAnalyzer(d *Design, cfg *Config, modes []Mode) (*Analyzer, error)
 	}
 	// The PCA goes through the pca stage like every analyzer's, so a
 	// mission analyzer pins no PCA either.
-	g := &stageGraph{cache: defaultStages(cfg), cfg: cfg, keys: stageKeys(d.Fingerprint(), d.W, d.H, cfg)}
+	g := &stageGraph{cache: sharedStages, cfg: cfg, keys: stageKeys(d.Fingerprint(), d.W, d.H, cfg)}
 	if _, err := g.pca(context.Background(), model); err != nil {
 		return nil, err
 	}
@@ -307,7 +307,7 @@ func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) 
 		return nil, errNilDesign
 	}
 	g := &stageGraph{
-		cache: defaultStages(cfg),
+		cache: sharedStages,
 		d:     d,
 		cfg:   cfg,
 		tech:  cfg.resolvedTech(),

@@ -62,7 +62,7 @@
 // SetBreaker — both off by default for library use). With nothing
 // armed, every injection point is a single atomic load and zero
 // allocations, so the fault framework is free in production. See
-// DESIGN.md §11 and the chaos harness in cmd/loadgen.
+// DESIGN.md §11 and TestChaosOverHTTP in internal/server.
 package obdrel
 
 import (
@@ -320,11 +320,6 @@ type Config struct {
 	// reduction plans), differing from the serial paths only within
 	// documented floating-point/ordering tolerances.
 	Workers int
-	// DisableStageCache bypasses the process-wide stage-artifact cache
-	// (see Stages): every substrate stage rebuilds for this analyzer.
-	// Like Workers it is a performance knob, excluded from fingerprints;
-	// tests set it to isolate runs from shared state.
-	DisableStageCache bool
 	// TableDir, when non-empty, spills the hybrid engine's per-block
 	// lookup tables to versioned, checksummed files in this directory
 	// on first build and serves later builds straight from a shared

@@ -44,14 +44,14 @@ func StageNames() []string {
 }
 
 // sharedStages is the process-wide stage-artifact cache used by
-// NewAnalyzer (unless Config.DisableStageCache) and by the serving
+// NewAnalyzer, the mission and trace constructors, and the serving
 // layer. Every artifact is immutable after its build, so sharing
 // across analyzers is safe; 64 entries per stage comfortably covers a
 // MaxVDD bisection's probe set plus a table sweep.
 var sharedStages = pipeline.NewCache(64)
 
 // Stages returns the process-wide stage cache — for observability
-// (Snapshot on /metrics and cmd/bench) and capacity tuning by daemons.
+// (Snapshot on /metrics) and capacity tuning by daemons.
 func Stages() *pipeline.Cache { return sharedStages }
 
 // StageFingerprints returns the cache key of every analysis stage for
@@ -255,12 +255,16 @@ func (g *stageGraph) chip(ctx context.Context, fd *floorplan.Design, model *grid
 		})
 }
 
-// newAnalyzerWith runs the full stage graph against an explicit cache
-// (nil disables caching entirely — every stage builds inline under
-// ctx, the exact legacy code path). Stages resolve in the same order,
+// NewAnalyzerCtxIn is NewAnalyzerCtx against an explicit stage cache
+// instead of the process-wide one. The serving layer uses it to give
+// each node its own stage cache (with its own disk/peer tiers), which
+// is also what lets a multi-node cluster run inside one test process
+// without the nodes sharing artifacts through sharedStages. A nil
+// cache disables caching entirely: every stage builds inline under
+// ctx, the exact legacy code path. Stages resolve in the same order,
 // with the same validation sequence and error wrapping, as the
 // pre-stage-graph monolithic constructor.
-func newAnalyzerWith(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*Analyzer, error) {
+func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*Analyzer, error) {
 	if cfg == nil {
 		cfg = DefaultConfig()
 	}

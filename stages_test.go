@@ -111,7 +111,6 @@ func TestStageFingerprintSensitivity(t *testing.T) {
 		// stage keys nor the fingerprint may move, or caches would
 		// fragment on knobs that do not change answers.
 		{"Workers", func(c *Config) { c.Workers = 8 }, nil, false},
-		{"DisableStageCache", func(c *Config) { c.DisableStageCache = true }, nil, false},
 		{"TableDir", func(c *Config) { c.TableDir = "/tmp/tables" }, nil, false},
 	}
 
@@ -171,7 +170,7 @@ func TestMaxVDDStageReuse(t *testing.T) {
 	probes, built := 0, 0
 	factory := func(ctx context.Context, d *Design, c *Config) (*Analyzer, error) {
 		probes++
-		an, err := newAnalyzerWith(ctx, cache, d, c)
+		an, err := NewAnalyzerCtxIn(ctx, cache, d, c)
 		if err == nil {
 			// A probe near the top of the bracket can fail outright
 			// (power/thermal runaway) — the search treats that as
@@ -244,7 +243,7 @@ func TestMaxVDDPinnedThermal(t *testing.T) {
 	probes := 0
 	factory := func(ctx context.Context, d *Design, c *Config) (*Analyzer, error) {
 		probes++
-		return newAnalyzerWith(ctx, cache, d, c)
+		return NewAnalyzerCtxIn(ctx, cache, d, c)
 	}
 	v, err := MaxVDDFromCtx(context.Background(), factory, C1(), cfg,
 		MethodStFast, 10, 5*8760.0, 1.0, 1.5, 0.005)
@@ -276,10 +275,11 @@ func TestMaxVDDPinnedThermal(t *testing.T) {
 func TestNewAnalyzerCtxCancellation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GridNx, cfg.GridNy = 30, 30 // 900-node eigendecomposition: a deliberately slow build
-	cfg.DisableStageCache = true    // keep runs independent and under the caller's ctx
 
+	// A nil stage cache keeps the runs independent and every build
+	// inline under the caller's ctx.
 	start := time.Now()
-	if _, err := NewAnalyzerCtx(context.Background(), C6(), cfg); err != nil {
+	if _, err := NewAnalyzerCtxIn(context.Background(), nil, C6(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	cold := time.Since(start)
@@ -293,7 +293,7 @@ func TestNewAnalyzerCtxCancellation(t *testing.T) {
 		cancel()
 	}()
 	start = time.Now()
-	_, err := NewAnalyzerCtx(ctx, C6(), cfg)
+	_, err := NewAnalyzerCtxIn(ctx, nil, C6(), cfg)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -305,7 +305,7 @@ func TestNewAnalyzerCtxCancellation(t *testing.T) {
 
 // TestStageCacheColdWarmEquivalence: the stage cache is a pure
 // memoization — an analyzer assembled from cached artifacts answers
-// bit-identically to one built with caching disabled entirely.
+// bit-identically to one built with no stage cache at all.
 func TestStageCacheColdWarmEquivalence(t *testing.T) {
 	methods := []Method{MethodStFast, MethodStMC, MethodHybrid, MethodGuard, MethodMC}
 	answers := func(an *Analyzer) []float64 {
@@ -320,9 +320,7 @@ func TestStageCacheColdWarmEquivalence(t *testing.T) {
 		return out
 	}
 
-	uncached := quickConfig()
-	uncached.DisableStageCache = true
-	anCold, err := NewAnalyzer(C1(), uncached)
+	anCold, err := NewAnalyzerCtxIn(context.Background(), nil, C1(), quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +328,7 @@ func TestStageCacheColdWarmEquivalence(t *testing.T) {
 
 	cache := pipeline.NewCache(16)
 	for round := 1; round <= 2; round++ {
-		an, err := newAnalyzerWith(context.Background(), cache, C1(), quickConfig())
+		an, err := NewAnalyzerCtxIn(context.Background(), cache, C1(), quickConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

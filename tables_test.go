@@ -1,6 +1,7 @@
 package obdrel_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,22 +11,28 @@ import (
 )
 
 // tableConfig returns a fast config with the hybrid tables spilled to
-// (and served from) dir. Small tables keep the fill cheap; the stage
-// cache is disabled so each analyzer construction is independent.
+// (and served from) dir. Small tables keep the fill cheap.
 func tableConfig(dir string) *obdrel.Config {
 	cfg := fastConfig()
 	cfg.HybridNL, cfg.HybridNB = 24, 24
 	cfg.TableDir = dir
-	cfg.DisableStageCache = true
 	return cfg
+}
+
+// uncachedAnalyzer builds with no stage cache, so each analyzer
+// construction is independent.
+func uncachedAnalyzer(t *testing.T, d *obdrel.Design, cfg *obdrel.Config) *obdrel.Analyzer {
+	t.Helper()
+	an, err := obdrel.NewAnalyzerCtxIn(context.Background(), nil, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an
 }
 
 func hybridLifetime(t *testing.T, d *obdrel.Design, cfg *obdrel.Config) float64 {
 	t.Helper()
-	an, err := obdrel.NewAnalyzer(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := uncachedAnalyzer(t, d, cfg)
 	life, err := an.LifetimePPM(10, obdrel.MethodHybrid)
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +175,7 @@ func TestTableServedZeroAlloc(t *testing.T) {
 	d := obdrel.C1()
 	hybridLifetime(t, d, tableConfig(dir)) // spill
 
-	an, err := obdrel.NewAnalyzer(d, tableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := uncachedAnalyzer(t, d, tableConfig(dir))
 	if _, err := an.FailureProb(1e4, obdrel.MethodHybrid); err != nil {
 		t.Fatal(err) // warm: builds the engine from the file
 	}
