@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"obdrel/internal/core"
 	"obdrel/internal/floorplan"
 	"obdrel/internal/obd"
 	"obdrel/internal/power"
@@ -23,9 +24,10 @@ import (
 //
 // Canonicalization rules shared by every segment:
 //
-//   - nil Tech/Power/Thermal and a zero PCAKeepFraction resolve to
-//     their defaults before hashing, so an explicit DefaultConfig and
-//     a zero-value-with-defaults config collide (as they should);
+//   - nil Tech/Power/Thermal, a zero PCAKeepFraction and the engines'
+//     implicit L0/HybridNL/HybridNB resolve to their defaults before
+//     hashing, so an explicit DefaultConfig and a
+//     zero-value-with-defaults config collide (as they should);
 //   - performance-only knobs (Workers, TableDir) are excluded — they
 //     select execution strategy, not the model. Workers ≥ 2 and 0 are
 //     bit-identical by construction; Workers:1 differs only within the
@@ -204,13 +206,40 @@ func (c *Config) segWeibull() string {
 		c.VDD, c.UseBlockMaxTemp, ext)
 }
 
+// resolvedL0 returns the block-integral order with 0 meaning
+// core.DefaultL0, as core.NewStFast and core.NewHybrid resolve it.
+func (c *Config) resolvedL0() int {
+	if c.L0 <= 0 {
+		return core.DefaultL0
+	}
+	return c.L0
+}
+
+// resolvedHybridGrid returns the hybrid table resolution with the
+// engine's defaults applied: core.NewHybrid turns any side ≤ 1 into
+// 100.
+func (c *Config) resolvedHybridGrid() (nl, nb int) {
+	nl, nb = c.HybridNL, c.HybridNB
+	if nl <= 1 {
+		nl = 100
+	}
+	if nb <= 1 {
+		nb = 100
+	}
+	return nl, nb
+}
+
 // segEngines covers the knobs that configure query engines but no
 // substrate stage: they shape how questions are answered, not what
 // the chip is, so they reach only the whole-analyzer fingerprint.
+// The table resolution and integral order are hashed as the engines
+// resolve them, so an explicit 100×100 or l0=32 names the same
+// analyzer as the omitted default.
 func (c *Config) segEngines() string {
+	nl, nb := c.resolvedHybridGrid()
 	return fmt.Sprintf("eng|l0=%d|stmc=%d,%d|mc=%d|hyb=%dx%d|guard=%g|seed=%d",
-		c.L0, c.StMCSamples, c.StMCBins, c.MCSamples,
-		c.HybridNL, c.HybridNB, c.GuardSigmas, c.Seed)
+		c.resolvedL0(), c.StMCSamples, c.StMCBins, c.MCSamples,
+		nl, nb, c.GuardSigmas, c.Seed)
 }
 
 // Fingerprint returns a stable, canonical identity for the
@@ -254,10 +283,17 @@ func (d *Design) Fingerprint() string {
 // pair — the key under which serving layers memoize Analyzers. A nil
 // config selects DefaultConfig, matching NewAnalyzer.
 func CacheKey(d *Design, cfg *Config) string {
+	return CacheKeyFromFingerprint(d.Fingerprint(), cfg)
+}
+
+// CacheKeyFromFingerprint is CacheKey for a caller that already holds
+// the design's Fingerprint: a server over a fixed catalog hashes each
+// design once instead of on every lookup.
+func CacheKeyFromFingerprint(designFP string, cfg *Config) string {
 	if cfg == nil {
 		cfg = DefaultConfig()
 	}
-	return d.Fingerprint() + ":" + cfg.Fingerprint()
+	return designFP + ":" + cfg.Fingerprint()
 }
 
 // Fingerprint returns a stable, canonical identity for a telemetry
@@ -281,5 +317,11 @@ func (tr Trace) Fingerprint() string {
 // fingerprint. Serving layers memoize trace analyzers under it; the
 // batch planner uses it as the grouping key for trace query items.
 func TraceCacheKey(d *Design, cfg *Config, tr Trace) string {
-	return CacheKey(d, cfg) + ":" + tr.Fingerprint()
+	return TraceCacheKeyFrom(CacheKey(d, cfg), tr)
+}
+
+// TraceCacheKeyFrom is TraceCacheKey for a caller that already holds
+// the (design, config) CacheKey.
+func TraceCacheKeyFrom(cacheKey string, tr Trace) string {
+	return cacheKey + ":" + tr.Fingerprint()
 }

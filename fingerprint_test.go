@@ -35,16 +35,37 @@ func TestFingerprintCanonicalization(t *testing.T) {
 			t.Fatal("zero PCAKeepFraction should collide with the explicit default 1")
 		}
 	})
+	t.Run("engine defaults resolved", func(t *testing.T) {
+		// The engines build the same 100×100 tables and l0 = 32
+		// integrals whether these knobs are omitted or spelled out, so
+		// the whole-config key must not split on the spelling.
+		cases := map[string]func(*obdrel.Config){
+			"hybrid 100x100": func(c *obdrel.Config) { c.HybridNL, c.HybridNB = 100, 100 },
+			"hybrid nl only": func(c *obdrel.Config) { c.HybridNL = 100 },
+			"hybrid 1x1":     func(c *obdrel.Config) { c.HybridNL, c.HybridNB = 1, 1 },
+			"l0 default":     func(c *obdrel.Config) { c.L0 = 32 },
+		}
+		for name, mutate := range cases {
+			cfg := obdrel.DefaultConfig()
+			mutate(cfg)
+			if cfg.Fingerprint() != base.Fingerprint() {
+				t.Errorf("%s: explicit engine default split the fingerprint", name)
+			}
+		}
+	})
 	t.Run("model knobs included", func(t *testing.T) {
 		distinct := map[string]string{"base": base.Fingerprint()}
 		mutations := map[string]func(*obdrel.Config){
-			"vdd":   func(c *obdrel.Config) { c.VDD = 1.1 },
-			"grid":  func(c *obdrel.Config) { c.GridNx = 16 },
-			"seed":  func(c *obdrel.Config) { c.Seed = 2 },
-			"rho":   func(c *obdrel.Config) { c.RhoDist = 0.3 },
-			"maxT":  func(c *obdrel.Config) { c.UseBlockMaxTemp = false },
-			"mc":    func(c *obdrel.Config) { c.MCSamples = 77 },
-			"quadT": func(c *obdrel.Config) { c.QuadTree = true },
+			"hybridNL": func(c *obdrel.Config) { c.HybridNL = 50 },
+			"hybridNB": func(c *obdrel.Config) { c.HybridNB = 50 },
+			"l0":       func(c *obdrel.Config) { c.L0 = 16 },
+			"vdd":      func(c *obdrel.Config) { c.VDD = 1.1 },
+			"grid":     func(c *obdrel.Config) { c.GridNx = 16 },
+			"seed":     func(c *obdrel.Config) { c.Seed = 2 },
+			"rho":      func(c *obdrel.Config) { c.RhoDist = 0.3 },
+			"maxT":     func(c *obdrel.Config) { c.UseBlockMaxTemp = false },
+			"mc":       func(c *obdrel.Config) { c.MCSamples = 77 },
+			"quadT":    func(c *obdrel.Config) { c.QuadTree = true },
 			"solver": func(c *obdrel.Config) {
 				s := thermal.DefaultSolver()
 				s.Method = thermal.MethodSOR
@@ -107,6 +128,9 @@ func TestCacheKey(t *testing.T) {
 	}
 	if k == obdrel.CacheKey(obdrel.C2(), nil) {
 		t.Fatal("designs not separated in cache key")
+	}
+	if k != obdrel.CacheKeyFromFingerprint(obdrel.C1().Fingerprint(), nil) {
+		t.Fatal("CacheKeyFromFingerprint disagrees with CacheKey")
 	}
 }
 

@@ -345,15 +345,16 @@ func (s *Server) resolveBatchWork(index int, it *batchItem) batch.Work {
 			return &batchPrepared{an: an, src: src}, nil
 		}
 	}
+	key := s.registryKey(d, &it.Config, cfg)
 	getBase := func(pctx context.Context) (*obdrel.Analyzer, GetResult, error) {
-		return s.reg.Get(pctx, d, cfg)
+		return s.reg.Get(pctx, key, d, cfg)
 	}
 
 	switch query {
 	case "lifetime":
 		return batch.Work{
 			Index:   index,
-			Key:     obdrel.CacheKey(d, cfg),
+			Key:     key,
 			EvalKey: fmt.Sprintf("lifetime|m=%s|ppm=%g", m, ppm),
 			Prepare: prepare(getBase, true),
 			Eval: func(_ context.Context, prepared any) (any, error) {
@@ -376,7 +377,7 @@ func (s *Server) resolveBatchWork(index int, it *batchItem) batch.Work {
 		t := it.T
 		return batch.Work{
 			Index:   index,
-			Key:     obdrel.CacheKey(d, cfg),
+			Key:     key,
 			EvalKey: fmt.Sprintf("failureprob|m=%s|t=%g", m, t),
 			Prepare: prepare(getBase, true),
 			Eval: func(_ context.Context, prepared any) (any, error) {
@@ -406,7 +407,7 @@ func (s *Server) resolveBatchWork(index int, it *batchItem) batch.Work {
 		target, tolV := it.TargetHours, it.TolV
 		return batch.Work{
 			Index:   index,
-			Key:     obdrel.CacheKey(d, cfg),
+			Key:     key,
 			EvalKey: fmt.Sprintf("maxvdd|m=%s|ppm=%g|target=%g|vlo=%g|vhi=%g|tolv=%g", m, ppm, target, vLo, vHi, tolV),
 			// The bisection's probe analyzers differ per voltage, so
 			// the group prepare only warms the base substrate
@@ -418,7 +419,7 @@ func (s *Server) resolveBatchWork(index int, it *batchItem) batch.Work {
 				probes := 0
 				factory := func(fctx context.Context, pd *obdrel.Design, pc *obdrel.Config) (*obdrel.Analyzer, error) {
 					probes++
-					an, _, err := s.reg.Get(fctx, pd, pc)
+					an, _, err := s.reg.Get(fctx, s.registryKey(pd, nil, pc), pd, pc)
 					return an, err
 				}
 				v, err := obdrel.MaxVDDFromCtx(ictx, factory, d, cfg, m, ppm, target, vLo, vHi, tolV)
@@ -437,12 +438,13 @@ func (s *Server) resolveBatchWork(index int, it *batchItem) batch.Work {
 		}
 		tr := it.Trace
 		t := it.T
+		traceKey := obdrel.TraceCacheKeyFrom(key, tr)
 		return batch.Work{
 			Index:   index,
-			Key:     obdrel.TraceCacheKey(d, cfg, tr),
+			Key:     traceKey,
 			EvalKey: fmt.Sprintf("trace|m=%s|ppm=%g|t=%g", m, ppm, t),
 			Prepare: prepare(func(pctx context.Context) (*obdrel.Analyzer, GetResult, error) {
-				return s.reg.GetTrace(pctx, d, cfg, tr)
+				return s.reg.GetTrace(pctx, traceKey, d, cfg, tr)
 			}, true),
 			Eval: func(_ context.Context, prepared any) (any, error) {
 				p := prepared.(*batchPrepared)

@@ -114,16 +114,19 @@ func (r *Registry) Len() int { return r.cache.Len(analyzerStage) }
 // builds, cancelled builds) for the metrics endpoint.
 func (r *Registry) Stats() pipeline.StageStat { return r.cache.Stat(analyzerStage) }
 
-// Get returns the analyzer for (design, config), building it at most
-// once per key regardless of concurrency. When ctx expires the wait is
+// Get returns the analyzer for (design, config) stored under key,
+// building it at most once per key regardless of concurrency. key must
+// be obdrel.CacheKey(d, cfg); the caller supplies it because the
+// server already holds it (see Server.registryKey) and deriving it
+// again costs more than the lookup. When ctx expires the wait is
 // abandoned AND — if no other request is waiting on the same key — the
 // build's context is cancelled, so a 504 stops the stage computation
 // it started instead of leaking it; coalesced waiters that are still
 // alive retry with a fresh build rather than inheriting the
 // cancellation. A failed build falls back to the last-good store (see
 // the type comment); only genuine cancellations propagate unshielded.
-func (r *Registry) Get(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, GetResult, error) {
-	return r.getKeyed(ctx, obdrel.CacheKey(d, cfg), d.Name,
+func (r *Registry) Get(ctx context.Context, key string, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, GetResult, error) {
+	return r.getKeyed(ctx, key, d.Name,
 		func(bctx context.Context) (*obdrel.Analyzer, error) {
 			return r.build(bctx, d, cfg)
 		})
@@ -133,9 +136,10 @@ func (r *Registry) Get(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config
 // coalescing, same retry/breaker/serve-stale policies, keyed by the
 // trace-extended cache key so distinct traces over one (design,
 // config) are distinct analyzers while the substrate stages
-// underneath still share the process-wide stage cache.
-func (r *Registry) GetTrace(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config, tr obdrel.Trace) (*obdrel.Analyzer, GetResult, error) {
-	return r.getKeyed(ctx, obdrel.TraceCacheKey(d, cfg, tr), d.Name+" trace",
+// underneath still share the process-wide stage cache. key must be
+// obdrel.TraceCacheKey(d, cfg, tr).
+func (r *Registry) GetTrace(ctx context.Context, key string, d *obdrel.Design, cfg *obdrel.Config, tr obdrel.Trace) (*obdrel.Analyzer, GetResult, error) {
+	return r.getKeyed(ctx, key, d.Name+" trace",
 		func(bctx context.Context) (*obdrel.Analyzer, error) {
 			return obdrel.NewTraceAnalyzerCtx(bctx, d, cfg, tr)
 		})

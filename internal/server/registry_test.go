@@ -44,7 +44,7 @@ func TestSingleflightBuild(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started.Done()
-			an, _, err := reg.Get(context.Background(), obdrel.C1(), testConfig(1))
+			an, _, err := regGet(reg, context.Background(), obdrel.C1(), testConfig(1))
 			results[i], errs[i] = an, err
 		}(i)
 	}
@@ -84,10 +84,10 @@ func TestRegistryHitAndEviction(t *testing.T) {
 	ctx := context.Background()
 	d := obdrel.C1()
 
-	if _, src, err := reg.Get(ctx, d, testConfig(1)); err != nil || src.Hit {
+	if _, src, err := regGet(reg, ctx, d, testConfig(1)); err != nil || src.Hit {
 		t.Fatalf("first get: hit=%t err=%v", src.Hit, err)
 	}
-	if _, src, err := reg.Get(ctx, d, testConfig(1)); err != nil || !src.Hit {
+	if _, src, err := regGet(reg, ctx, d, testConfig(1)); err != nil || !src.Hit {
 		t.Fatalf("second get should hit: hit=%t err=%v", src.Hit, err)
 	}
 	if m.CacheHits.Load() != 1 || m.CacheMisses.Load() != 1 {
@@ -97,13 +97,13 @@ func TestRegistryHitAndEviction(t *testing.T) {
 	// Two more distinct configs overflow the capacity-2 LRU; the
 	// seed-1 entry (least recently used after the seed-2 insert) is
 	// evicted and must rebuild on the next request.
-	reg.Get(ctx, d, testConfig(2))
-	reg.Get(ctx, d, testConfig(3))
+	regGet(reg, ctx, d, testConfig(2))
+	regGet(reg, ctx, d, testConfig(3))
 	if reg.Len() != 2 {
 		t.Fatalf("registry holds %d analyzers, want 2", reg.Len())
 	}
 	before := builds.Load()
-	if _, src, _ := reg.Get(ctx, d, testConfig(1)); src.Hit {
+	if _, src, _ := regGet(reg, ctx, d, testConfig(1)); src.Hit {
 		t.Fatal("evicted entry reported as cached")
 	}
 	if builds.Load() != before+1 {
@@ -117,7 +117,7 @@ func TestRegistryBuildError(t *testing.T) {
 	reg := NewRegistry(2, func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
 		return nil, boom
 	}, m)
-	if _, _, err := reg.Get(context.Background(), obdrel.C1(), testConfig(1)); !errors.Is(err, boom) {
+	if _, _, err := regGet(reg, context.Background(), obdrel.C1(), testConfig(1)); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// Failed builds are not cached.
@@ -148,7 +148,7 @@ func TestRegistryContextTimeout(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, _, err := reg.Get(ctx, obdrel.C1(), testConfig(1)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := regGet(reg, ctx, obdrel.C1(), testConfig(1)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	select {
@@ -171,7 +171,7 @@ func TestRegistryContextTimeout(t *testing.T) {
 
 	// A fresh request is not poisoned by the cancelled flight: it
 	// rebuilds from scratch and succeeds.
-	if _, src, err := reg.Get(context.Background(), obdrel.C1(), testConfig(1)); err != nil || src.Hit {
+	if _, src, err := regGet(reg, context.Background(), obdrel.C1(), testConfig(1)); err != nil || src.Hit {
 		t.Fatalf("rebuild after cancellation: hit=%t err=%v", src.Hit, err)
 	}
 	if builds.Load() != 2 {
@@ -204,7 +204,7 @@ func TestRegistrySurvivorRetries(t *testing.T) {
 	impatient, cancelImpatient := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := reg.Get(impatient, obdrel.C1(), testConfig(1))
+		_, _, err := regGet(reg, impatient, obdrel.C1(), testConfig(1))
 		done <- err
 	}()
 	<-firstStarted
@@ -219,7 +219,7 @@ func TestRegistrySurvivorRetries(t *testing.T) {
 	// transparently retry with a fresh build.
 	survivor := make(chan error, 1)
 	go func() {
-		an, _, err := reg.Get(context.Background(), obdrel.C1(), testConfig(1))
+		an, _, err := regGet(reg, context.Background(), obdrel.C1(), testConfig(1))
 		if err == nil && an == nil {
 			err = errors.New("nil analyzer without error")
 		}
@@ -242,4 +242,9 @@ func TestRegistrySurvivorRetries(t *testing.T) {
 	if reg.Len() != 1 {
 		t.Fatalf("registry holds %d analyzers, want 1", reg.Len())
 	}
+}
+
+// regGet looks (d, cfg) up under its canonical key, as the server does.
+func regGet(reg *Registry, ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, GetResult, error) {
+	return reg.Get(ctx, obdrel.CacheKey(d, cfg), d, cfg)
 }

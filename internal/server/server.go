@@ -248,6 +248,7 @@ type Server struct {
 	metrics *Metrics
 	reg     *Registry
 	designs map[string]*obdrel.Design
+	keys    map[*obdrel.Design]catalogKey
 	order   []string
 	sem     chan struct{}
 	logger  *slog.Logger
@@ -307,6 +308,7 @@ func NewE(opts Options) (*Server, error) {
 		metrics: m,
 		reg:     NewRegistry(o.MaxAnalyzers, o.Build, m),
 		designs: map[string]*obdrel.Design{},
+		keys:    map[*obdrel.Design]catalogKey{},
 		sem:     make(chan struct{}, o.MaxConcurrent),
 		logger:  slog.New(slog.NewJSONHandler(o.AccessLog, nil)),
 		tracer:  o.Tracer,
@@ -331,9 +333,19 @@ func NewE(opts Options) (*Server, error) {
 	if o.MaxStale > 0 {
 		s.reg.SetMaxStale(o.MaxStale)
 	}
+	// The catalog is immutable, so each design is hashed once here,
+	// along with its whole registry key under the base config. A base
+	// config that fails validation fails every request that would use
+	// its key, so that key is never needed.
+	base, baseErr := buildConfig(&configParams{}, &o)
 	for _, d := range obdrel.Benchmarks() {
 		s.designs[d.Name] = d
 		s.order = append(s.order, d.Name)
+		ck := catalogKey{fp: d.Fingerprint()}
+		if baseErr == nil {
+			ck.base = obdrel.CacheKeyFromFingerprint(ck.fp, base)
+		}
+		s.keys[d] = ck
 	}
 
 	// Artifact tiers: the disk spill dir and, with a peer list, the
@@ -1054,6 +1066,33 @@ func (s *Server) artifactStats() ArtifactStats {
 	return st
 }
 
+// catalogKey holds what the server derives once per catalog design:
+// its Fingerprint and its registry key under the base config, the one
+// every request without config overrides resolves to.
+type catalogKey struct {
+	fp, base string
+}
+
+// registryKey is the one place the server derives an analyzer's
+// registry key; it always equals obdrel.CacheKey(d, cfg). p is the
+// request's config overrides, or nil when cfg did not come straight
+// from a request (MaxVDD probes). A request that overrides nothing
+// reuses the precomputed base key; any other config hashes only
+// itself next to the catalog fingerprint. A design the catalog does
+// not hold hashes in full: the probe factory's design comes back
+// through the library, not from s.designs.
+func (s *Server) registryKey(d *obdrel.Design, p *configParams, cfg *obdrel.Config) string {
+	ck, ok := s.keys[d]
+	switch {
+	case !ok:
+		return obdrel.CacheKey(d, cfg)
+	case p != nil && *p == (configParams{}):
+		return ck.base
+	default:
+		return obdrel.CacheKeyFromFingerprint(ck.fp, cfg)
+	}
+}
+
 func (s *Server) handleDesigns(ctx context.Context, r *http.Request) (any, error) {
 	type designInfo struct {
 		Name    string  `json:"name"`
@@ -1086,7 +1125,7 @@ func (s *Server) handleLifetime(ctx context.Context, r *http.Request) (any, erro
 	if ppm == 0 {
 		ppm = 10
 	}
-	an, src, err := s.reg.Get(ctx, d, cfg)
+	an, src, err := s.reg.Get(ctx, s.registryKey(d, &req.Config, cfg), d, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -1157,7 +1196,7 @@ func (s *Server) handleFailureProb(ctx context.Context, r *http.Request) (any, e
 	if !(req.T > 0) {
 		return nil, errBadRequest("t (hours) must be positive, got %v", req.T)
 	}
-	an, src, err := s.reg.Get(ctx, d, cfg)
+	an, src, err := s.reg.Get(ctx, s.registryKey(d, &req.Config, cfg), d, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -1217,7 +1256,7 @@ func (s *Server) handleMaxVDD(ctx context.Context, r *http.Request) (any, error)
 	probes := 0
 	factory := func(fctx context.Context, pd *obdrel.Design, pc *obdrel.Config) (*obdrel.Analyzer, error) {
 		probes++
-		an, _, err := s.reg.Get(fctx, pd, pc)
+		an, _, err := s.reg.Get(fctx, s.registryKey(pd, nil, pc), pd, pc)
 		return an, err
 	}
 	v, err := await(ctx, func() (float64, error) {
@@ -1246,7 +1285,7 @@ func (s *Server) handleBlocks(ctx context.Context, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	an, src, err := s.reg.Get(ctx, d, cfg)
+	an, src, err := s.reg.Get(ctx, s.registryKey(d, &req.Config, cfg), d, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -32,18 +32,8 @@ import (
 // hybrid tables, canonicalized exactly as core.NewHybrid resolves its
 // defaults so an explicit 100×100 and the zero-value default collide.
 func (a *Analyzer) hybridTableKey() string {
-	nl, nb := a.cfg.HybridNL, a.cfg.HybridNB
-	if nl <= 1 {
-		nl = 100
-	}
-	if nb <= 1 {
-		nb = 100
-	}
-	l0 := a.cfg.L0
-	if l0 <= 0 {
-		l0 = core.DefaultL0
-	}
-	return fp16("hybridtable", a.chipKey, fmt.Sprintf("nl=%d|nb=%d|l0=%d", nl, nb, l0))
+	nl, nb := a.cfg.resolvedHybridGrid()
+	return fp16("hybridtable", a.chipKey, fmt.Sprintf("nl=%d|nb=%d|l0=%d", nl, nb, a.cfg.resolvedL0()))
 }
 
 // tableStats counts table-file traffic process-wide; obdreld surfaces
