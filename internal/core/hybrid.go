@@ -88,9 +88,9 @@ func NewHybrid(c *Chip, opts HybridOptions) (*Hybrid, error) {
 			return nil, fmt.Errorf("core: block %q: %w", c.Char.Blocks[j].Name, err)
 		}
 		area := c.Char.Blocks[j].AJ
-		// The 100×100 fill is the dominant build cost; its rows fan
-		// out over the workers (each entry reads only the immutable
-		// per-block weights).
+		// The 100×100 fill is one block integral per entry; its rows
+		// fan out over the workers (each entry reads only the
+		// immutable per-block weights).
 		tab, err := integrate.NewTable2DWorkers(ls, bs, func(l, b float64) float64 {
 			return bw.failureProb(l, b, area)
 		}, opts.Workers)

@@ -11,8 +11,10 @@ import (
 //
 //	R_c(t) = 1 - Σ_j ∫∫ (1 - e^(-A_j·g(u_j,v_j))) f_u(u_j) f_v(v_j) du_j dv_j
 //
-// evaluated with the l0×l0 midpoint rule of the Fig. 9 algorithm. Its
-// cost is O(N·l0²) per time point, independent of the device count.
+// evaluated with the l0×l0 midpoint rule of the Fig. 9 algorithm. The
+// rule is summed in factored form (see blockWeights.failureProb): in
+// the ppm regime a time point costs O(N·l0) exponentials and O(N·K·l0)
+// multiply-adds, independent of the device count.
 type StFast struct {
 	chip *Chip
 	// L0 is the subdomain count per axis; the paper uses 10.

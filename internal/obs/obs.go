@@ -296,7 +296,8 @@ func (s *SpanOut) Walk(visit func(*SpanOut)) {
 // Options configure a Tracer.
 type Options struct {
 	// RingSize bounds the recent-trace ring served by Recent
-	// (default 128, minimum 1).
+	// (default 128, minimum 1). The ring also holds at most
+	// RingSize×64 spans; the oldest traces go first.
 	RingSize int
 	// JSONL, when non-nil, receives every finalized trace as one JSON
 	// line. Writes are serialized; a write error disables the exporter.
@@ -312,10 +313,11 @@ type Options struct {
 type Tracer struct {
 	opts Options
 
-	mu     sync.Mutex
-	ring   []*TraceOut // circular, ring[next-1] is newest
-	next   int
-	filled bool
+	mu    sync.Mutex
+	ring  []*TraceOut // circular; ring[start] is the oldest of n
+	start int
+	n     int
+	spans int // Σ SpanCount over the n held traces
 
 	jsonlMu  sync.Mutex
 	jsonlErr error
@@ -331,6 +333,14 @@ func NewTracer(opts Options) *Tracer {
 	}
 	return &Tracer{opts: opts, ring: make([]*TraceOut, opts.RingSize)}
 }
+
+// ringSpansPerTrace bounds the ring by memory as well as by length: it
+// holds at most RingSize×ringSpansPerTrace spans, dropping the oldest
+// traces first and always keeping the newest. A unary request exports
+// a handful of spans, but a /v1/batch stream exports hundreds, so a
+// ring bounded by count alone let 128 batch traces pin tens of
+// megabytes.
+const ringSpansPerTrace = 64
 
 // StartTrace opens a new trace rooted at a span called name and
 // returns a context carrying it. A non-empty traceID adopts the
@@ -363,11 +373,14 @@ func (t *Tracer) finalize(tr *trace) {
 	t.total.Add(1)
 
 	t.mu.Lock()
-	t.ring[t.next] = out
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.filled = true
+	if t.n == len(t.ring) {
+		t.dropOldest()
+	}
+	t.ring[(t.start+t.n)%len(t.ring)] = out
+	t.n++
+	t.spans += out.SpanCount
+	for t.n > 1 && t.spans > len(t.ring)*ringSpansPerTrace {
+		t.dropOldest()
 	}
 	t.mu.Unlock()
 
@@ -386,6 +399,14 @@ func (t *Tracer) finalize(tr *trace) {
 	if t.opts.OnTrace != nil {
 		t.opts.OnTrace(out)
 	}
+}
+
+// dropOldest evicts the ring's oldest trace. Called with t.mu held.
+func (t *Tracer) dropOldest() {
+	t.spans -= t.ring[t.start].SpanCount
+	t.ring[t.start] = nil
+	t.start = (t.start + 1) % len(t.ring)
+	t.n--
 }
 
 // export builds the immutable span tree from the completed-span list.
@@ -465,20 +486,12 @@ func (t *Tracer) Recent(n int) []*TraceOut {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	size := t.next
-	if t.filled {
-		size = len(t.ring)
-	}
-	if n <= 0 || n > size {
-		n = size
+	if n <= 0 || n > t.n {
+		n = t.n
 	}
 	out := make([]*TraceOut, 0, n)
-	for i := 0; i < n; i++ {
-		idx := t.next - 1 - i
-		if idx < 0 {
-			idx += len(t.ring)
-		}
-		out = append(out, t.ring[idx])
+	for i := t.n - 1; len(out) < n; i-- {
+		out = append(out, t.ring[(t.start+i)%len(t.ring)])
 	}
 	return out
 }

@@ -168,6 +168,39 @@ func TestRingBound(t *testing.T) {
 	}
 }
 
+// TestRingSpanBound checks the ring's memory bound: traces with many
+// spans evict the oldest ones before the count bound is reached, and
+// the newest trace is kept even when it alone exceeds the budget.
+func TestRingSpanBound(t *testing.T) {
+	tr := NewTracer(Options{RingSize: 4}) // budget 4×64 = 256 spans
+	trace := func(seq, children int) {
+		ctx, root := tr.StartTrace(context.Background(), "req", "", "")
+		root.SetAttr("seq", seq)
+		for i := 0; i < children; i++ {
+			_, sp := StartSpan(ctx, "child")
+			sp.End()
+		}
+		root.End()
+	}
+	for i := 0; i < 4; i++ {
+		trace(i, 99) // 100 spans each
+	}
+	recent := tr.Recent(0)
+	if len(recent) != 2 || recent[0].Root.Attrs["seq"] != 3 || recent[1].Root.Attrs["seq"] != 2 {
+		t.Fatalf("ring after four 100-span traces holds %d, want the newest two", len(recent))
+	}
+	trace(4, 999)
+	if recent = tr.Recent(0); len(recent) != 1 || recent[0].SpanCount != 1000 {
+		t.Fatalf("ring after a 1000-span trace holds %d traces, want only it", len(recent))
+	}
+	for i := 5; i < 9; i++ {
+		trace(i, 0)
+	}
+	if got := len(tr.Recent(0)); got != 4 {
+		t.Fatalf("small traces: ring holds %d, want count bound 4", got)
+	}
+}
+
 func TestJSONLExporterAndHook(t *testing.T) {
 	var buf bytes.Buffer
 	var hooked []*TraceOut

@@ -75,7 +75,8 @@ type Options struct {
 	// run with an untraced context and the instrumented call sites
 	// cost a nil check each.
 	DisableTracing bool
-	// TraceBuffer bounds the /debug/traces ring (default 128).
+	// TraceBuffer bounds the /debug/traces ring (default 128 traces,
+	// and at most 64 spans per trace slot on average).
 	TraceBuffer int
 	// TraceJSONL, when non-nil, receives every finalized trace as one
 	// JSON line.

@@ -31,9 +31,12 @@ import (
 // hybridTableKey returns the table-file key for this analyzer's
 // hybrid tables, canonicalized exactly as core.NewHybrid resolves its
 // defaults so an explicit 100×100 and the zero-value default collide.
+// The fill tag names how the block integrals were summed: entries
+// filled by another summation differ in their low bits, so their files
+// must miss rather than serve answers a fresh build would not give.
 func (a *Analyzer) hybridTableKey() string {
 	nl, nb := a.cfg.resolvedHybridGrid()
-	return fp16("hybridtable", a.chipKey, fmt.Sprintf("nl=%d|nb=%d|l0=%d", nl, nb, a.cfg.resolvedL0()))
+	return fp16("hybridtable", a.chipKey, fmt.Sprintf("nl=%d|nb=%d|l0=%d|fill=series", nl, nb, a.cfg.resolvedL0()))
 }
 
 // tableStats counts table-file traffic process-wide; obdreld surfaces

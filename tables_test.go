@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"obdrel"
+	"obdrel/internal/tablefile"
 )
 
 // tableConfig returns a fast config with the hybrid tables spilled to
@@ -135,6 +136,69 @@ func TestTableDirRejectsStaleAndCorrupt(t *testing.T) {
 		_, _, rejects1 := obdrel.TableFileStats()
 		if rejects1-rejects0 < 1 {
 			t.Errorf("rejects advanced by %d, want ≥ 1", rejects1-rejects0)
+		}
+	})
+
+	// Tables filled before the key carried a fill tag differ from a
+	// fresh fill in their low bits. A directory spilled by such a build
+	// must miss by name, and its payload under the current name must be
+	// rejected; neither may serve.
+	t.Run("untagged fill key", func(t *testing.T) {
+		want := hybridLifetime(t, d, tableConfig(""))
+		src := t.TempDir()
+		hybridLifetime(t, d, tableConfig(src))
+		entries, err := os.ReadDir(src)
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("want one table file, got %v (%v)", entries, err)
+		}
+		f, err := tablefile.Open(filepath.Join(src, entries[0].Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		// Doubled entries make any served old table visible in the answer.
+		old := make([][]float64, len(f.Blocks()))
+		for k, blk := range f.Blocks() {
+			for _, v := range blk {
+				old[k] = append(old[k], 2*v)
+			}
+		}
+
+		dir := t.TempDir()
+		an := uncachedAnalyzer(t, d, tableConfig(dir))
+		oldKey, newKey := an.UntaggedHybridTableKey(), an.HybridTableKey()
+		if oldKey == newKey {
+			t.Fatal("fill tag does not change the table key")
+		}
+		oldPath, newPath := filepath.Join(dir, oldKey+".obdt"), filepath.Join(dir, newKey+".obdt")
+		if err := tablefile.Write(oldPath, oldKey, f.Ls(), f.Bs(), old); err != nil {
+			t.Fatal(err)
+		}
+
+		loads0, saves0, _ := obdrel.TableFileStats()
+		if got := hybridLifetime(t, d, tableConfig(dir)); got != want {
+			t.Errorf("lifetime beside an untagged file %v, want %v", got, want)
+		}
+		loads1, saves1, rejects1 := obdrel.TableFileStats()
+		if loads1 != loads0 || saves1-saves0 != 1 {
+			t.Errorf("loads +%d, saves +%d; want the untagged file missed and a fresh spill", loads1-loads0, saves1-saves0)
+		}
+		if _, err := os.Stat(newPath); err != nil {
+			t.Fatalf("no table spilled under the tagged key: %v", err)
+		}
+
+		stale, err := os.ReadFile(oldPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(newPath, stale, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := hybridLifetime(t, d, tableConfig(dir)); got != want {
+			t.Errorf("post-reject rebuild lifetime %v, want %v", got, want)
+		}
+		if _, _, rejects2 := obdrel.TableFileStats(); rejects2-rejects1 < 1 {
+			t.Errorf("rejects advanced by %d, want ≥ 1", rejects2-rejects1)
 		}
 	})
 
