@@ -115,7 +115,7 @@ func NewAnalyzer(d *Design, cfg *Config) (*Analyzer, error) {
 
 // NewAnalyzerCtx is NewAnalyzer with cancellation support: ctx is
 // checked at stage-cache lookups and inside every stage build (thermal
-// SOR sweeps, covariance rows, eigensolver loops, per-block
+// fixed-point rounds, covariance rows, eigensolver loops, per-block
 // characterization), so a cancelled context stops the substrate
 // computation promptly instead of abandoning it.
 //

@@ -12,3 +12,7 @@ func (a *Analyzer) UntaggedHybridTableKey() string {
 	nl, nb := a.cfg.resolvedHybridGrid()
 	return fp16("hybridtable", a.chipKey, fmt.Sprintf("nl=%d|nb=%d|l0=%d", nl, nb, a.cfg.resolvedL0()))
 }
+
+// ThermalSegment exposes the thermal stage's key input to the external
+// tests.
+func (c *Config) ThermalSegment() string { return c.segThermal() }

@@ -155,9 +155,8 @@ func (c *Config) segThermal() string {
 // point.
 func (c *Config) segThermalAt(v float64) string {
 	ts := c.resolvedThermal()
-	return fmt.Sprintf("thermal|%dx%d|m=%s|gv=%g|gl=%g|ta=%g|om=%g|tol=%g|it=%d|v=%g",
-		ts.Nx, ts.Ny, ts.ResolvedMethod(), ts.GVertical, ts.GLateral, ts.TAmbient, ts.Omega, ts.Tol, ts.MaxIter,
-		v)
+	return fmt.Sprintf("thermal|%dx%d|solve=dct|gv=%g|gl=%g|ta=%g|v=%g",
+		ts.Nx, ts.Ny, ts.GVertical, ts.GLateral, ts.TAmbient, v)
 }
 
 // segCovariance is the variation-model stage input: die geometry plus

@@ -1,6 +1,6 @@
 // Package par is the repo-wide worker-pool substrate. Every
-// parallelized hot path — Monte-Carlo sampling and queries, the
-// red-black thermal SOR, covariance assembly, hybrid-table fills, the
+// parallelized hot path — Monte-Carlo sampling and queries,
+// covariance assembly, hybrid-table fills, the
 // cmd/ sweep fan-outs — goes through these helpers so the concurrency
 // policy lives in one place:
 //

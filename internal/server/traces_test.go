@@ -64,7 +64,7 @@ func TestExplainColdMaxVDD(t *testing.T) {
 	// shift keeps -count=N repeats cold): its probe voltages never land
 	// on 1.2 V or another bisection's probes, so the voltage-keyed
 	// thermal stage misses the process-wide stage cache and the trace
-	// is guaranteed to contain a real SOR solve; grid=7 keeps the
+	// is guaranteed to contain a real thermal solve; grid=7 keeps the
 	// correlation-side stages cold too.
 	shift := float64(coldRuns.Add(1)) * 0.003
 	url := srv.URL + fmt.Sprintf("/v1/maxvdd?design=C1&method=st_fast&ppm=10&target_hours=1000"+
@@ -76,7 +76,7 @@ func TestExplainColdMaxVDD(t *testing.T) {
 	}
 	root := explainRoot(t, out)
 
-	probes, stageSpans, sorIters := 0, 0, 0.0
+	probes, stageSpans, thermalRounds := 0, 0, 0.0
 	var searchProbes any
 	walkSpans(root, func(sp map[string]any) {
 		name, _ := sp["name"].(string)
@@ -95,10 +95,10 @@ func TestExplainColdMaxVDD(t *testing.T) {
 			} else if s, _ := c.(string); s != "hit" && s != "miss" && s != "coalesced" && s != "cancelled" {
 				t.Errorf("%s cache = %v", name, c)
 			}
-		case name == "thermal.sor" || name == "thermal.multigrid":
-			it, _ := spanAttr(sp, "iterations")
-			if f, ok := it.(float64); ok && f > sorIters {
-				sorIters = f
+		case name == "thermal.coupled":
+			r, _ := spanAttr(sp, "rounds")
+			if f, ok := r.(float64); ok && f > thermalRounds {
+				thermalRounds = f
 			}
 		}
 	})
@@ -111,8 +111,8 @@ func TestExplainColdMaxVDD(t *testing.T) {
 	if stageSpans < len(obdrel.StageNames()) {
 		t.Errorf("trace has %d stage spans, want ≥ %d", stageSpans, len(obdrel.StageNames()))
 	}
-	if !(sorIters >= 1) {
-		t.Errorf("no thermal solver span with iterations ≥ 1")
+	if !(thermalRounds >= 1) {
+		t.Errorf("no thermal.coupled span with rounds ≥ 1")
 	}
 }
 

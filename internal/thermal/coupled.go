@@ -32,14 +32,17 @@ func (s *Solver) SolveCoupled(d *floorplan.Design, powerAt func(temps []float64)
 	return s.SolveCoupledCtx(context.Background(), d, powerAt, tolK, maxRounds)
 }
 
-// SolveCoupledCtx is SolveCoupled with cancellation checkpoints: one
-// before each fixed-point round, plus the inner solver's per-sweep
-// checks via the solve state.
+// SolveCoupledCtx is SolveCoupled with a cancellation checkpoint before
+// each fixed-point round.
 //
-// The temperature-field, cell-power, and block-temperature scratch
-// slices are allocated once and reused across rounds (each round still
-// restarts the inner solve from ambient, so the per-round iterations
-// are identical to a fresh SolveCtx call).
+// The rounds run in the cosine basis (spectral.go): the die's geometry
+// is transformed once, each round forms the power spectrum and reads
+// the block means back through the blocks' separable overlap vectors
+// without building a field, and only the converged spectrum is
+// transformed back. The returned Field, BlockMean and BlockMax are
+// those of that final transform, the same path Solve takes, so a
+// standalone Solve at the converged powers reproduces the field bit
+// for bit.
 func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, powerAt func(temps []float64) ([]float64, error), tolK float64, maxRounds int) (*CoupledResult, error) {
 	if powerAt == nil {
 		return nil, errors.New("thermal: SolveCoupled requires a power callback")
@@ -50,12 +53,11 @@ func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, power
 	if maxRounds <= 0 {
 		maxRounds = 25
 	}
-	// The coupled span parents the inner per-round solver spans, so a
-	// trace shows how many fixed-point rounds (Eq. 12–14 loop) the
-	// solve took and how each round's inner solve converged.
+	// One span per coupled solve: the round count and the final change
+	// are attributes, so a trace does not grow with the rounds.
 	ctx, sp := obs.StartSpan(ctx, "thermal.coupled")
 	defer sp.End()
-	st, err := s.newSolveState(d)
+	m, err := s.newSpectral(d)
 	if err != nil {
 		return nil, err
 	}
@@ -64,9 +66,7 @@ func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, power
 		temps[i] = s.TAmbient
 	}
 	var (
-		field      = st.field() // aliases the state's scratch; valid after the last run
 		mean       = make([]float64, len(d.Blocks))
-		max        = make([]float64, len(d.Blocks))
 		powers     []float64
 		lastChange = math.Inf(1)
 	)
@@ -85,11 +85,10 @@ func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, power
 		if err != nil {
 			return nil, fmt.Errorf("thermal: power callback: %w", err)
 		}
-		if err := st.run(ctx, powers); err != nil {
+		if err := m.load(powers); err != nil {
 			return nil, err
 		}
-		field.Iterations = st.iterations
-		if err := field.BlockTempsInto(d, mean, max); err != nil {
+		if err := m.blockMeans(mean); err != nil {
 			return nil, err
 		}
 		lastChange = 0
@@ -110,6 +109,11 @@ func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, power
 	}
 	if lastChange >= tolK {
 		return nil, errors.New("thermal: power/thermal fixed point did not converge")
+	}
+	field := m.field()
+	max := make([]float64, len(d.Blocks))
+	if err := field.BlockTempsInto(d, mean, max); err != nil {
+		return nil, err
 	}
 	return &CoupledResult{
 		Field:     field,

@@ -5,9 +5,9 @@
 //
 //	gV·(T_c - T_amb) + Σ_n gL·(T_c - T_n) = P_c
 //
-// The sparse linear system is solved either by geometric multigrid
-// (the default — O(N) in the cell count, see multigrid.go) or by
-// successive over-relaxation (the legacy method). The result is the
+// The operator is diagonal in the grid's orthonormal cosine basis, so
+// the linear system is solved exactly by one direct transform — no
+// iteration and no tolerance (see spectral.go). The result is the
 // block-structured temperature field of Fig. 1: globally uneven
 // (hotspots over execution units), locally uniform within a
 // functional block — exactly the structure the paper's "block"
@@ -21,8 +21,6 @@ import (
 	"math"
 
 	"obdrel/internal/floorplan"
-	"obdrel/internal/obs"
-	"obdrel/internal/par"
 )
 
 // Solver holds the discretization and package parameters.
@@ -37,34 +35,6 @@ type Solver struct {
 	GLateral float64
 	// TAmbient is the ambient temperature (°C).
 	TAmbient float64
-	// Method selects the linear solver: "multigrid" (also the default
-	// when empty) runs the geometric V-cycle of multigrid.go, whose
-	// cost per digit of accuracy is O(Nx·Ny); "sor" runs the legacy
-	// successive over-relaxation sweep, whose iteration count grows
-	// super-linearly with resolution. Both converge to the same linear
-	// system's solution, so they agree within the convergence
-	// tolerance Tol.
-	Method string
-	// Omega is the SOR relaxation factor in (0, 2); 0 selects the
-	// default 1.85. Multigrid ignores it (its smoother is plain
-	// Gauss–Seidel).
-	Omega float64
-	// Tol is the convergence tolerance on the max temperature update
-	// per sweep (SOR) or per V-cycle (multigrid), in K; 0 selects 1e-7.
-	Tol float64
-	// MaxIter bounds the SOR sweeps or multigrid V-cycles; 0 selects
-	// 20000.
-	MaxIter int
-	// Workers selects the solve parallelism: 0 uses GOMAXPROCS and
-	// ≥ 1 that many workers. For SOR, 1 is the exact legacy
-	// lexicographic Gauss–Seidel sweep and ≥ 2 a red-black
-	// (checkerboard) sweep whose row updates fan out over the workers;
-	// within a red-black phase every cell reads only opposite-color
-	// neighbours, so the parallel solution is bit-identical for every
-	// worker count ≥ 2. Multigrid uses the red-black ordering at every
-	// worker count, so its result is bit-identical for ALL worker
-	// counts, including 1.
-	Workers int
 }
 
 // DefaultSolver returns the solver calibrated for the normalized 1×1
@@ -90,28 +60,8 @@ func (s *Solver) Validate() error {
 		return errors.New("thermal: vertical conductance must be positive")
 	case s.GLateral < 0:
 		return errors.New("thermal: lateral conductance must be non-negative")
-	case s.Omega < 0 || s.Omega >= 2:
-		return errors.New("thermal: SOR omega must be in [0, 2)")
-	case s.Method != "" && s.Method != MethodSOR && s.Method != MethodMultigrid:
-		return fmt.Errorf("thermal: unknown solver method %q", s.Method)
 	}
 	return nil
-}
-
-// Solver method names accepted by Solver.Method.
-const (
-	MethodSOR       = "sor"
-	MethodMultigrid = "multigrid"
-)
-
-// ResolvedMethod returns the solver method after applying the default:
-// an empty Method selects multigrid. Fingerprinting uses this so that
-// an explicit "multigrid" and the default produce the same stage key.
-func (s *Solver) ResolvedMethod() string {
-	if s.Method == "" {
-		return MethodMultigrid
-	}
-	return s.Method
 }
 
 // Field is a solved temperature map.
@@ -121,8 +71,8 @@ type Field struct {
 	// Temps holds cell temperatures (°C), row-major with index
 	// iy*Nx + ix.
 	Temps []float64
-	// Iterations is the number of SOR sweeps or multigrid V-cycles
-	// used.
+	// Iterations is 1: the solve is one direct transform. The field is
+	// kept for the thermal artifact layout.
 	Iterations int
 }
 
@@ -177,255 +127,21 @@ func (s *Solver) Solve(d *floorplan.Design, blockPowers []float64) (*Field, erro
 	return s.SolveCtx(context.Background(), d, blockPowers)
 }
 
-// SolveCtx is Solve with a cancellation checkpoint at every sweep (SOR)
-// or V-cycle (multigrid): once ctx expires the solve stops and returns
-// ctx's error. The checkpoint granularity is O(Nx·Ny) cell updates —
-// microseconds at the supported resolutions.
+// SolveCtx is Solve with a cancellation check before the solve. The
+// solve itself is one direct transform (spectral.go) of fixed cost
+// O(Nx·Ny·(Nx+Ny)), so there is nothing to interrupt inside it.
 func (s *Solver) SolveCtx(ctx context.Context, d *floorplan.Design, blockPowers []float64) (*Field, error) {
-	st, err := s.newSolveState(d)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	m, err := s.newSpectral(d)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.run(ctx, blockPowers); err != nil {
+	if err := m.load(blockPowers); err != nil {
 		return nil, err
 	}
-	return st.field(), nil
-}
-
-// solveState holds the scratch of one solver instance bound to a die:
-// the per-cell power and temperature arrays plus the method-specific
-// state (multigrid level hierarchy). SolveCoupledCtx builds one state
-// and reuses it across fixed-point rounds, so the cold-build profile
-// pays the allocations once instead of once per round.
-type solveState struct {
-	s *Solver
-	d *floorplan.Design
-
-	// Resolved knobs.
-	omega, tol float64
-	maxIter    int
-	method     string
-	workers    int
-
-	nc        int
-	cellPower []float64
-	temps     []float64
-	rowMax    []float64 // per-row update maxima (SOR red-black)
-
-	mg *mgState // lazily built on the first multigrid run
-
-	iterations int
-	lastDelta  float64
-}
-
-// newSolveState validates the solver and allocates the per-die scratch.
-func (s *Solver) newSolveState(d *floorplan.Design) (*solveState, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	st := &solveState{
-		s:       s,
-		d:       d,
-		omega:   s.Omega,
-		tol:     s.Tol,
-		maxIter: s.MaxIter,
-		method:  s.ResolvedMethod(),
-		workers: par.Resolve(s.Workers, s.Ny),
-		nc:      s.Nx * s.Ny,
-	}
-	if st.omega == 0 {
-		st.omega = 1.85
-	}
-	if st.tol == 0 {
-		st.tol = 1e-7
-	}
-	if st.maxIter == 0 {
-		st.maxIter = 20000
-	}
-	st.cellPower = make([]float64, st.nc)
-	st.temps = make([]float64, st.nc)
-	return st, nil
-}
-
-// fillCellPower distributes the block powers over the cells each block
-// overlaps, proportionally to the overlap area, resetting the scratch
-// first so the state can be reused across solves.
-func (st *solveState) fillCellPower(blockPowers []float64) error {
-	s, d := st.s, st.d
-	if len(blockPowers) != len(d.Blocks) {
-		return fmt.Errorf("thermal: %d powers for %d blocks", len(blockPowers), len(d.Blocks))
-	}
-	for i := range st.cellPower {
-		st.cellPower[i] = 0
-	}
-	cw := d.W / float64(s.Nx)
-	ch := d.H / float64(s.Ny)
-	for bi := range d.Blocks {
-		b := &d.Blocks[bi]
-		if blockPowers[bi] < 0 {
-			return fmt.Errorf("thermal: negative power for block %q", b.Name)
-		}
-		density := blockPowers[bi] / b.Area()
-		ix0 := int(math.Floor(b.X / cw))
-		ix1 := int(math.Ceil((b.X + b.W) / cw))
-		iy0 := int(math.Floor(b.Y / ch))
-		iy1 := int(math.Ceil((b.Y + b.H) / ch))
-		for iy := clampInt(iy0, 0, s.Ny-1); iy <= clampInt(iy1, 0, s.Ny-1); iy++ {
-			for ix := clampInt(ix0, 0, s.Nx-1); ix <= clampInt(ix1, 0, s.Nx-1); ix++ {
-				ox := overlap1D(b.X, b.X+b.W, float64(ix)*cw, float64(ix+1)*cw)
-				oy := overlap1D(b.Y, b.Y+b.H, float64(iy)*ch, float64(iy+1)*ch)
-				if ox > 0 && oy > 0 {
-					st.cellPower[iy*s.Nx+ix] += density * ox * oy
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// run solves one steady state into st.temps. The temperature scratch is
-// reset to ambient first, so repeated runs are independent (each round
-// of the coupled fixed point sees the exact cold-start iteration, as
-// the pre-reuse code did).
-func (st *solveState) run(ctx context.Context, blockPowers []float64) error {
-	if err := st.fillCellPower(blockPowers); err != nil {
-		return err
-	}
-	for i := range st.temps {
-		st.temps[i] = st.s.TAmbient
-	}
-	if st.method == MethodMultigrid {
-		return st.runMultigrid(ctx)
-	}
-	return st.runSOR(ctx)
-}
-
-// field wraps the solved temperatures. The Field aliases the state's
-// scratch; callers must not run the state again while using it.
-func (st *solveState) field() *Field {
-	return &Field{
-		Nx: st.s.Nx, Ny: st.s.Ny,
-		W: st.d.W, H: st.d.H,
-		Temps:      st.temps,
-		Iterations: st.iterations,
-	}
-}
-
-// runSOR is the legacy successive over-relaxation solve.
-func (st *solveState) runSOR(ctx context.Context) error {
-	s := st.s
-	gv := s.GVertical / float64(st.nc)
-	gl := s.GLateral
-	temps := st.temps
-	cellPower := st.cellPower
-	omega, tol, maxIter, workers := st.omega, st.tol, st.maxIter, st.workers
-	// Solver telemetry: one span per SOR solve reporting convergence
-	// (sweep count + final residual). Untraced contexts get a nil span
-	// and every instrumentation line below is a pointer check.
-	_, sp := obs.StartSpan(ctx, "thermal.sor")
-	defer sp.End()
-	if sp != nil {
-		sp.SetAttr("grid", s.Nx*s.Ny)
-		sp.SetAttr("workers", workers)
-	}
-	lastDelta := math.Inf(1)
-	update := func(ix, iy int) float64 {
-		i := iy*s.Nx + ix
-		num := cellPower[i] + gv*s.TAmbient
-		den := gv
-		if ix > 0 {
-			num += gl * temps[i-1]
-			den += gl
-		}
-		if ix < s.Nx-1 {
-			num += gl * temps[i+1]
-			den += gl
-		}
-		if iy > 0 {
-			num += gl * temps[i-s.Nx]
-			den += gl
-		}
-		if iy < s.Ny-1 {
-			num += gl * temps[i+s.Nx]
-			den += gl
-		}
-		delta := num/den - temps[i]
-		temps[i] += omega * delta
-		return math.Abs(delta)
-	}
-	iter := 0
-	if workers == 1 {
-		// Legacy lexicographic Gauss–Seidel-ordered SOR.
-		for ; iter < maxIter; iter++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			maxDelta := 0.0
-			for iy := 0; iy < s.Ny; iy++ {
-				for ix := 0; ix < s.Nx; ix++ {
-					if ad := update(ix, iy); ad > maxDelta {
-						maxDelta = ad
-					}
-				}
-			}
-			lastDelta = maxDelta
-			if maxDelta < tol {
-				iter++
-				break
-			}
-		}
-	} else {
-		// Red-black SOR: phase 0 updates cells with (ix+iy) even,
-		// phase 1 the odd ones. All cells of one color depend only on
-		// the other color, so rows fan out over the workers without
-		// changing the result.
-		if st.rowMax == nil {
-			st.rowMax = make([]float64, s.Ny)
-		}
-		rowMax := st.rowMax
-		for ; iter < maxIter; iter++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for i := range rowMax {
-				rowMax[i] = 0
-			}
-			for phase := 0; phase < 2; phase++ {
-				par.ForChunks(workers, s.Ny, 4, func(yLo, yHi int) {
-					for iy := yLo; iy < yHi; iy++ {
-						m := rowMax[iy]
-						for ix := (phase + iy) % 2; ix < s.Nx; ix += 2 {
-							if ad := update(ix, iy); ad > m {
-								m = ad
-							}
-						}
-						rowMax[iy] = m
-					}
-				})
-			}
-			maxDelta := 0.0
-			for _, m := range rowMax {
-				if m > maxDelta {
-					maxDelta = m
-				}
-			}
-			lastDelta = maxDelta
-			if maxDelta < tol {
-				iter++
-				break
-			}
-		}
-	}
-	if sp != nil {
-		sp.SetAttr("iterations", iter)
-		sp.SetAttr("residual", lastDelta)
-	}
-	st.iterations = iter
-	st.lastDelta = lastDelta
-	if iter >= maxIter {
-		return errors.New("thermal: SOR did not converge")
-	}
-	return nil
+	return m.field(), nil
 }
 
 func clampInt(v, lo, hi int) int {
@@ -436,6 +152,16 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
+}
+
+// cellRange returns the cells [i0, i1] of an n-cell axis of pitch w
+// that can overlap [lo, hi]: the floor/ceil cell indices, widened by
+// one cell on each side so that rounding in lo/w or hi/w cannot drop
+// an edge cell, clamped onto the grid. Every cell outside the range
+// has zero overlap, so a scan over the range visits exactly the
+// overlapping cells of a full scan, in the same order.
+func cellRange(lo, hi, w float64, n int) (i0, i1 int) {
+	return clampInt(int(math.Floor(lo/w))-1, 0, n-1), clampInt(int(math.Ceil(hi/w))+1, 0, n-1)
 }
 
 func overlap1D(a0, a1, b0, b1 float64) float64 {
@@ -461,8 +187,9 @@ func (f *Field) BlockTemps(d *floorplan.Design) (mean, max []float64, err error)
 }
 
 // BlockTempsInto is BlockTemps writing into caller-provided slices
-// (each len(d.Blocks)), so a fixed-point loop can reuse its scratch
-// across rounds.
+// (each len(d.Blocks)). Each block scans only its cell range
+// (cellRange), which visits the same cells in the same order as a scan
+// of the whole grid, so the result is bit-identical to one.
 func (f *Field) BlockTempsInto(d *floorplan.Design, mean, max []float64) error {
 	if len(mean) != len(d.Blocks) || len(max) != len(d.Blocks) {
 		return fmt.Errorf("thermal: scratch length %d/%d for %d blocks", len(mean), len(max), len(d.Blocks))
@@ -473,12 +200,14 @@ func (f *Field) BlockTempsInto(d *floorplan.Design, mean, max []float64) error {
 		b := &d.Blocks[bi]
 		var wsum, tsum float64
 		tmax := math.Inf(-1)
-		for iy := 0; iy < f.Ny; iy++ {
+		ix0, ix1 := cellRange(b.X, b.X+b.W, cw, f.Nx)
+		iy0, iy1 := cellRange(b.Y, b.Y+b.H, ch, f.Ny)
+		for iy := iy0; iy <= iy1; iy++ {
 			oy := overlap1D(b.Y, b.Y+b.H, float64(iy)*ch, float64(iy+1)*ch)
 			if oy <= 0 {
 				continue
 			}
-			for ix := 0; ix < f.Nx; ix++ {
+			for ix := ix0; ix <= ix1; ix++ {
 				ox := overlap1D(b.X, b.X+b.W, float64(ix)*cw, float64(ix+1)*cw)
 				if ox <= 0 {
 					continue

@@ -482,13 +482,7 @@ func (g *stageGraph) traceSegThermal(ctx context.Context, fd *floorplan.Design, 
 				}
 				scaled.Blocks[i].Activity = a
 			}
-			ts := g.ts
-			if ts.Workers == 0 && g.cfg.Workers != 0 {
-				tsCopy := *ts
-				tsCopy.Workers = g.cfg.Workers
-				ts = &tsCopy
-			}
-			return ts.SolveCoupledCtx(bctx, &scaled, func(temps []float64) ([]float64, error) {
+			return g.ts.SolveCoupledCtx(bctx, &scaled, func(temps []float64) ([]float64, error) {
 				return pm.DesignPowers(&scaled, seg.VDD, temps)
 			}, 0, 0)
 		})

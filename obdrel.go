@@ -43,7 +43,7 @@
 // stage cache) is instrumented with internal/obs spans: when the
 // caller's context carries an active trace, stage lookups record
 // hit/miss/coalesced provenance and build durations, the thermal
-// solver reports SOR sweep counts and residuals, and MaxVDD searches
+// fixed point reports its round count and final change, and MaxVDD searches
 // report every bisection probe. When the context is untraced — the
 // default for library use — the instrumentation is a nil check with
 // zero allocations, so batch callers pay nothing. The serving layer
@@ -313,8 +313,8 @@ type Config struct {
 	// Seed makes every stochastic stage reproducible.
 	Seed int64
 	// Workers bounds the parallelism of every engine and substrate
-	// stage (MC sampling and queries, thermal SOR, st_MC projection,
-	// hybrid-table fill, PCA). 0 uses GOMAXPROCS; 1 selects the exact
+	// stage (MC sampling and queries, st_MC projection, hybrid-table
+	// fill, PCA). 0 uses GOMAXPROCS; 1 selects the exact
 	// serial legacy paths; any value ≥ 2 produces bit-identical
 	// results regardless of the actual count (fixed deterministic
 	// reduction plans), differing from the serial paths only within

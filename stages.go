@@ -134,16 +134,8 @@ func (g *stageGraph) powermap(ctx context.Context) (*power.Model, error) {
 func (g *stageGraph) thermal(ctx context.Context, fd *floorplan.Design, pm *power.Model) (*thermal.CoupledResult, error) {
 	return stageGet(ctx, g.cache, StageThermal, g.keys[StageThermal],
 		func(bctx context.Context) (*thermal.CoupledResult, error) {
-			ts := g.ts
-			if ts.Workers == 0 && g.cfg.Workers != 0 {
-				// Propagate the config's worker knob without mutating
-				// a caller-owned solver.
-				tsCopy := *ts
-				tsCopy.Workers = g.cfg.Workers
-				ts = &tsCopy
-			}
 			veff := g.cfg.thermalVDD()
-			coupled, err := ts.SolveCoupledCtx(bctx, fd, func(temps []float64) ([]float64, error) {
+			coupled, err := g.ts.SolveCoupledCtx(bctx, fd, func(temps []float64) ([]float64, error) {
 				return pm.DesignPowers(fd, veff, temps)
 			}, 0, 0)
 			if err != nil {
