@@ -3,6 +3,7 @@
 // cmd/tables and cmd/figures):
 //
 //	BenchmarkTable3_*      — per-method analysis runtime on C1–C6
+//	BenchmarkLifetimePPM   — one st_fast lifetime solve, C1–C6 at 1 and 100 ppm
 //	BenchmarkTable4_*      — st_fast under the correlation-distance sweep
 //	BenchmarkTable5_*      — analysis cost vs correlation-grid resolution
 //	BenchmarkFig1_*        — the HotSpot-like thermal substrate
@@ -20,6 +21,7 @@
 package obdrel_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -89,6 +91,26 @@ func BenchmarkTable3_StFast(b *testing.B) {
 		b.Run(d.Name, func(b *testing.B) {
 			benchLifetime(b, benchAnalyzer(b, d, 16, 100), obdrel.MethodStFast)
 		})
+	}
+}
+
+// BenchmarkLifetimePPM times one st_fast lifetime solve on C1–C6 at
+// 1 and 100 ppm: the Brent search whose first evaluation, at α_max,
+// sits in the saturated corner of every block integral.
+func BenchmarkLifetimePPM(b *testing.B) {
+	for _, d := range obdrel.Benchmarks() {
+		for _, ppm := range []float64{1, 100} {
+			b.Run(fmt.Sprintf("%s/%gppm", d.Name, ppm), func(b *testing.B) {
+				an := benchAnalyzer(b, d, 16, 100)
+				warm(b, an, obdrel.MethodStFast)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := an.LifetimePPM(ppm, obdrel.MethodStFast); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package batch is the fleet-scale query planner: it takes a stream
 // of resolved work items — each carrying a substrate grouping key, a
 // once-per-group Prepare, and a per-item Eval — plans them a window
-// at a time, evaluates each window's groups with the prepare done
-// once per group and the evals fanned across a worker pool, and emits
-// per-item results in input order.
+// at a time, evaluates each window's groups concurrently across a
+// worker pool (a group prepares once, then fans its evals across the
+// same pool), and emits per-item results in input order.
 //
 // The planner owns none of the domain: the serving layer resolves
 // HTTP items into Work (keys are canonical (design, config[, trace])
@@ -29,10 +29,12 @@
 //   - Results are emitted in item order within each window, and
 //     windows in input order, so memory is bounded by the window
 //     size regardless of batch length.
-//   - Cancellation is checked between windows and between evals:
-//     items not yet evaluated when ctx dies fail with ctx's error,
-//     every admitted item gets exactly one Result, and Run returns
-//     ctx.Err().
+//   - Workers: 1 is the exact serial path: prepare the first group,
+//     run its evals in order, then the next group, and so on.
+//   - Cancellation is checked between windows, before each group and
+//     between evals: items not yet evaluated when ctx dies fail with
+//     ctx's error, every admitted item gets exactly one Result, and
+//     Run returns ctx.Err().
 package batch
 
 import (
@@ -82,8 +84,9 @@ type Stats struct {
 	// Items admitted, split into OK and Failed results.
 	Items, OK, Failed int64
 	// Groups is the number of distinct keys prepared; Reused counts
-	// items that shared a previously prepared group (the substrate
-	// amortization the planner exists for).
+	// items that shared a successfully prepared group beyond the item
+	// that prepared it (the substrate amortization the planner exists
+	// for). Items of a group whose Prepare failed never count.
 	Groups, Reused int64
 	// SharedEvals counts items answered from another item's eval —
 	// duplicates by (Key, EvalKey) that did not run their own query.
@@ -97,8 +100,9 @@ type Options struct {
 	// Window is the number of items planned and held in memory at a
 	// time (default 256).
 	Window int
-	// Workers bounds eval parallelism within a group (0 =
-	// GOMAXPROCS, 1 = serial).
+	// Workers bounds parallelism at both levels: a window's groups
+	// run on up to Workers tasks, and each group's evals fan over up
+	// to Workers more (0 = GOMAXPROCS, 1 = serial).
 	Workers int
 	// Flush, when set, runs after each window's results are emitted —
 	// the streaming hook that pushes the window to the client.
@@ -130,6 +134,20 @@ type evalUnit struct {
 	items    []int  // indexes into the window slice
 	out      *evalOut
 	fromMemo bool
+}
+
+// prep is one key's Prepare outcome.
+type prep struct {
+	value any
+	err   error
+}
+
+// groupOut is what one group's task leaves for the window's commit.
+type groupOut struct {
+	err   error // ctx's error when the group never started
+	prep  *prep
+	fresh bool // prep was made by this task, not an earlier window
+	units []*evalUnit
 }
 
 // memoCap bounds the per-run eval memo so a pathological batch of
@@ -172,14 +190,10 @@ func Run(ctx context.Context, src Source, emit func(Result) error, opts Options)
 	// prepared carries each distinct key's Prepare outcome across
 	// windows: value or error, so a failed group fails fast on
 	// recurrence instead of re-preparing.
-	type prep struct {
-		value any
-		err   error
-	}
 	prepared := make(map[string]*prep)
 	// evalMemo carries distinct (Key, EvalKey) answers across windows,
-	// keyed by the concatenated pair. Written only between windows
-	// (single-threaded); workers read it without locks.
+	// keyed by the concatenated pair. Written only after a window's
+	// fan-out (single-threaded); workers read it without locks.
 	evalMemo := make(map[string]*evalOut)
 
 	srcDone := false
@@ -228,62 +242,54 @@ func Run(ctx context.Context, src Source, emit func(Result) error, opts Options)
 		plan.SetAttr("groups", len(groups))
 		plan.End()
 
-		// Evaluate each group: prepare once, fan the evals.
-		for _, g := range groups {
-			if err := ctx.Err(); err != nil {
+		// Evaluate the window's groups concurrently: each group task
+		// prepares its key if it is new, then fans its evals. The
+		// prepared map and the memo are read-only until the fan-out
+		// returns; each key is one group per window, so no two tasks
+		// prepare the same key.
+		outs := make([]groupOut, len(groups))
+		par.For(opts.Workers, len(groups), func(gi int) {
+			g, o := groups[gi], &outs[gi]
+			if o.err = ctx.Err(); o.err != nil {
+				return
+			}
+			o.prep = prepared[g.key]
+			if o.prep == nil {
+				o.prep, o.fresh = &prep{}, true
+				o.prep.value, o.prep.err = runPrepare(ctx, g.key, items[g.items[0]].Prepare)
+			}
+			if o.prep.err != nil {
+				return
+			}
+			o.units = partitionEvals(items, g)
+			par.For(opts.Workers, len(o.units), func(k int) {
+				evalUnitOf(ctx, items, evalMemo, g.key, o.units[k], o.prep.value)
+			})
+		})
+
+		// Commit in group order, single-threaded again: prepared
+		// groups, fanned-out answers, fresh answers to the memo.
+		for gi, g := range groups {
+			o := &outs[gi]
+			if o.fresh {
+				prepared[g.key] = o.prep
+				stats.Groups++
+			}
+			err := o.err
+			if err == nil {
+				err = o.prep.err
+			}
+			if err != nil {
 				for _, i := range g.items {
 					results[i].Err = err
 				}
 				continue
 			}
-			p := prepared[g.key]
-			if p == nil {
-				p = &prep{}
-				p.value, p.err = runPrepare(ctx, g.key, items[g.items[0]].Prepare)
-				prepared[g.key] = p
-				stats.Groups++
-				stats.Reused += int64(len(g.items) - 1)
-			} else {
-				stats.Reused += int64(len(g.items))
+			stats.Reused += int64(len(g.items))
+			if o.fresh {
+				stats.Reused--
 			}
-			if p.err != nil {
-				for _, i := range g.items {
-					results[i].Err = p.err
-				}
-				continue
-			}
-			units := partitionEvals(items, g)
-			par.For(opts.Workers, len(units), func(k int) {
-				u := units[k]
-				if err := ctx.Err(); err != nil {
-					u.out = &evalOut{err: err}
-					return
-				}
-				if u.key != "" {
-					if m := evalMemo[g.key+"\x00"+u.key]; m != nil {
-						u.out, u.fromMemo = m, true
-						return
-					}
-				}
-				i := u.items[0]
-				ictx, sp := obs.StartSpan(ctx, "batch.item")
-				var out evalOut
-				out.value, out.err = runEval(ictx, items[i].Eval, p.value)
-				u.out = &out
-				if sp != nil {
-					sp.SetAttr("index", items[i].Index)
-					if n := len(u.items); n > 1 {
-						sp.SetAttr("fanout", n)
-					}
-					if out.err != nil {
-						sp.SetAttr("error", out.err.Error())
-					}
-					sp.End()
-				}
-			})
-			// Fan out, then commit fresh answers to the cross-window
-			// memo (single-threaded again here).
-			for _, u := range units {
+			for _, u := range o.units {
 				for _, i := range u.items {
 					results[i].Value, results[i].Err = u.out.value, u.out.err
 				}
@@ -339,6 +345,37 @@ func runPrepare(ctx context.Context, key string, prepare func(context.Context) (
 		}
 	}()
 	return prepare(gctx)
+}
+
+// evalUnitOf answers one eval unit of group key: from the cross-window
+// memo when the unit's query was answered before, else by running the
+// first item's Eval under a batch.item span.
+func evalUnitOf(ctx context.Context, items []Work, memo map[string]*evalOut, key string, u *evalUnit, prepared any) {
+	if err := ctx.Err(); err != nil {
+		u.out = &evalOut{err: err}
+		return
+	}
+	if u.key != "" {
+		if m := memo[key+"\x00"+u.key]; m != nil {
+			u.out, u.fromMemo = m, true
+			return
+		}
+	}
+	i := u.items[0]
+	ictx, sp := obs.StartSpan(ctx, "batch.item")
+	var out evalOut
+	out.value, out.err = runEval(ictx, items[i].Eval, prepared)
+	u.out = &out
+	if sp != nil {
+		sp.SetAttr("index", items[i].Index)
+		if n := len(u.items); n > 1 {
+			sp.SetAttr("fanout", n)
+		}
+		if out.err != nil {
+			sp.SetAttr("error", out.err.Error())
+		}
+		sp.End()
+	}
 }
 
 // runEval runs one item's Eval with panic containment.

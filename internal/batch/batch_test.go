@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"obdrel/internal/fault"
 )
@@ -148,17 +149,25 @@ func TestPrepareErrorFailsGroupOnly(t *testing.T) {
 		}
 	}
 	works := []Work{okWork(0, "good", &prepares), bad(1), bad(2), okWork(3, "good", &prepares)}
-	var results []Result
-	stats, err := Run(context.Background(), sliceSource(works), collect(t, &results), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Failed != 2 || stats.OK != 2 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	for _, i := range []int{1, 2} {
-		if !errors.Is(results[i].Err, boom) {
-			t.Fatalf("item %d error = %v, want %v", i, results[i].Err, boom)
+	// Window 2 meets the failed key again in the second window.
+	for _, window := range []int{0, 2} {
+		var results []Result
+		stats, err := Run(context.Background(), sliceSource(works), collect(t, &results),
+			Options{Window: window, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Failed != 2 || stats.OK != 2 {
+			t.Fatalf("window %d: stats = %+v", window, stats)
+		}
+		// Only the good group's second item shared a prepared substrate.
+		if stats.Reused != 1 {
+			t.Fatalf("window %d: Reused = %d, want 1 (a failed group reuses nothing)", window, stats.Reused)
+		}
+		for _, i := range []int{1, 2} {
+			if !errors.Is(results[i].Err, boom) {
+				t.Fatalf("window %d: item %d error = %v, want %v", window, i, results[i].Err, boom)
+			}
 		}
 	}
 }
@@ -484,5 +493,97 @@ func TestDedupConcurrentRace(t *testing.T) {
 		if r.Index != i || r.Err != nil {
 			t.Fatalf("result %d = %+v", i, r)
 		}
+	}
+}
+
+// barrier returns a function that blocks until n callers have reached
+// it, or fails after a timeout: the callers did not run at once.
+func barrier(n int32) func() error {
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	return func() error {
+		if arrived.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-time.After(5 * time.Second):
+			return errors.New("timed out waiting for a concurrent caller")
+		}
+	}
+}
+
+func TestGroupsPrepareConcurrently(t *testing.T) {
+	meet := barrier(2)
+	var works []Work
+	for i, key := range []string{"a", "b"} {
+		key := key
+		works = append(works, Work{
+			Index: i, Key: key,
+			Prepare: func(context.Context) (any, error) { return key, meet() },
+			Eval:    func(_ context.Context, prepared any) (any, error) { return prepared, nil },
+		})
+	}
+	var results []Result
+	stats, err := Run(context.Background(), sliceSource(works), collect(t, &results), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.OK != 2 {
+		t.Fatalf("stats = %+v, results = %+v: the two groups did not prepare at once", stats, results)
+	}
+}
+
+func TestSingleGroupEvalsStillFanOut(t *testing.T) {
+	meet := barrier(2)
+	var prepares atomic.Int64
+	var works []Work
+	for i := 0; i < 2; i++ {
+		w := okWork(i, "only", &prepares)
+		w.Eval = func(context.Context, any) (any, error) { return nil, meet() }
+		works = append(works, w)
+	}
+	var results []Result
+	stats, err := Run(context.Background(), sliceSource(works), collect(t, &results), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.OK != 2 || prepares.Load() != 1 {
+		t.Fatalf("stats = %+v, prepares = %d, results = %+v: the group's evals did not overlap",
+			stats, prepares.Load(), results)
+	}
+}
+
+func TestWorkersOneRunsInItemOrder(t *testing.T) {
+	var mu sync.Mutex
+	var log []string
+	record := func(s string) {
+		mu.Lock()
+		log = append(log, s)
+		mu.Unlock()
+	}
+	var works []Work
+	for i := 0; i < 6; i++ {
+		i, key := i, fmt.Sprintf("g%d", i%3)
+		works = append(works, Work{
+			Index: i, Key: key,
+			Prepare: func(context.Context) (any, error) {
+				record("prepare " + key)
+				return nil, nil
+			},
+			Eval: func(context.Context, any) (any, error) {
+				record(fmt.Sprintf("eval %d", i))
+				return i, nil
+			},
+		})
+	}
+	var results []Result
+	if _, err := Run(context.Background(), sliceSource(works), collect(t, &results), Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"prepare g0", "eval 0", "eval 3", "prepare g1", "eval 1", "eval 4", "prepare g2", "eval 2", "eval 5"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("call log = %q, want %q", log, want)
 	}
 }

@@ -43,6 +43,10 @@ const qEps = 1e-12
 // error is at most 1/(seriesK+1)! ≈ 2e-20, far below rounding.
 const seriesK = 20
 
+// lnSaturated is ln 40, the cell exponent past which failureProb takes
+// a cell's 1 − exp(−A·g) to be exactly 1 (see failureProb).
+var lnSaturated = math.Log(40)
+
 // minNormal is the smallest normal float64; products below it are
 // dropped from the series moments instead of crawling through
 // denormals.
@@ -119,13 +123,26 @@ func newBlockWeights(bc *blod.BlockChar, l0 int) (*blockWeights, error) {
 //
 // with K = seriesK. The moments S_k are computed once per call and
 // shared by every row, so a row costs one exp and a K-term Horner
-// polynomial in y_i instead of l0 exp/expm1 pairs. Rows with y_i > 1
-// (the saturated corner) keep the direct sum.
+// polynomial in y_i instead of l0 exp/expm1 pairs.
+//
+// Rows with y_i > 1 keep the direct sum, up to the first saturated
+// cell. A cell whose exponent L·b·u_i + (L·b)²·v_j/2 + ln A reaches
+// ln 40 has A·g ≥ 40 (up to rounding far below the 0.03 margin) and so
+// A·g > 56·ln 2 ≈ 38.82, past which math.Expm1 returns exactly −1: its
+// term is fv_j·1. The exponent is nondecreasing in v, so the saturated
+// cells are a suffix of the row, and the row adds their fv_j in order
+// without an exp or expm1. This is bit-identical to summing every
+// cell directly. Nonpositive or infinite areas, and NaN exponents,
+// never take the shortcut.
 func (bw *blockWeights) failureProb(l, b, area float64) float64 {
 	lb := l * b
 	c := lb * lb / 2
+	llbb := l * l * b * b // GValue's form of (L·b)², for the saturation test
 	vMax := bw.vs[len(bw.vs)-1]
-	yOff := c*vMax + math.Log(area)
+	lnA := math.Log(area)
+	yOff := c*vMax + lnA
+	// Cells whose exponent reaches eSat have 1 − exp(−A·g) exactly 1.
+	eSat, canSat := lnSaturated-lnA, area > 0 && area <= math.MaxFloat64
 	var a [seriesK]float64 // series coefficients (−1)^k·S_(k+1)/(k+1)!
 	haveA := false
 	d := 0.0
@@ -143,8 +160,16 @@ func (bw *blockWeights) failureProb(l, b, area float64) float64 {
 			}
 			row = y * r
 		} else {
-			for j, v := range bw.vs {
+			j := 0
+			for ; j < len(bw.vs); j++ {
+				v := bw.vs[j]
+				if canSat && lb*u+llbb*v/2 >= eSat {
+					break
+				}
 				row += bw.fv[j] * -math.Expm1(-area*GValue(l, b, u, v))
+			}
+			for ; j < len(bw.vs); j++ {
+				row += bw.fv[j]
 			}
 		}
 		d += bw.fu[i] * row
