@@ -92,16 +92,15 @@ type Analyzer struct {
 	// PCA itself, so the cache's byte budget alone bounds PCA memory
 	// however many analyzers a registry keeps; only the sampling
 	// engines call it, once each, when they are built.
-	pca  func(context.Context) (*grid.PCA, error)
-	chip *core.Chip
-	tech *obd.Tech
+	pca func(context.Context) (*grid.PCA, error)
+	// hybrid resolves the hybrid engine's tables through the same
+	// cache, under StageHybrid; only the hybrid engine calls it.
+	hybrid func(context.Context) (*hybridTables, error)
+	chip   *core.Chip
+	tech   *obd.Tech
 
 	blockInfo []BlockInfo
 	field     *thermal.Field
-	// chipKey is the chip-stage fingerprint — the transitive identity
-	// of everything the query engines consume. The hybrid table file
-	// is keyed by it (see tables.go).
-	chipKey string
 
 	mu      sync.Mutex
 	engines map[Method]core.Engine
@@ -154,9 +153,10 @@ func (a *Analyzer) engine(m Method) (core.Engine, error) {
 			})
 		}
 	case MethodHybrid:
-		// The hybrid tables can come from a spill file when
-		// Config.TableDir is set — see tables.go.
-		e, err = a.hybridEngine()
+		var tabs *hybridTables
+		if tabs, err = a.hybrid(context.Background()); err == nil {
+			e, err = core.NewHybridFromTables(a.chip, tabs.ls, tabs.bs, tabs.blocks)
+		}
 	case MethodGuard:
 		e, err = core.NewGuardBand(a.chip, a.cfg.GuardSigmas)
 	case MethodMC:

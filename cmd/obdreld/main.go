@@ -83,7 +83,6 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 0, "max simultaneous /v1 requests; excess get 429 (0 = 4×GOMAXPROCS)")
 		timeout       = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		workers       = flag.Int("workers", 0, "analysis worker parallelism per build (0 = GOMAXPROCS)")
-		tableDir      = flag.String("table-dir", "", "spill hybrid lookup tables to this directory and serve them from a shared read-only mapping across restarts (empty disables)")
 		drain         = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
 		quiet         = flag.Bool("quiet", false, "suppress per-request access log")
 		debugAddr     = flag.String("debug-addr", "", "diagnostics listener (/debug/traces + /debug/pprof); empty disables")
@@ -137,12 +136,6 @@ func main() {
 		traceSink = f
 	}
 	obdrel.Stages().SetDefaultCapacity(*stageCache)
-	if *tableDir != "" {
-		if err := os.MkdirAll(*tableDir, 0o755); err != nil {
-			log.Fatalf("-table-dir: %v", err)
-		}
-		log.Printf("hybrid tables spill to %s", *tableDir)
-	}
 
 	// Process-wide fault profile (chaos testing): armed before serving
 	// so every injection point sees it, and logged loudly — this must
@@ -210,7 +203,6 @@ func main() {
 		MaxConcurrent:  *maxConcurrent,
 		RequestTimeout: *timeout,
 		Workers:        *workers,
-		TableDir:       *tableDir,
 		AccessLog:      accessLog,
 		DisableTracing: *noTrace,
 		TraceBuffer:    *traceBuffer,

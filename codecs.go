@@ -10,6 +10,7 @@ import (
 	"obdrel/internal/core"
 	"obdrel/internal/floorplan"
 	"obdrel/internal/grid"
+	"obdrel/internal/integrate"
 	"obdrel/internal/obd"
 	"obdrel/internal/power"
 	"obdrel/internal/thermal"
@@ -31,8 +32,8 @@ import (
 //     format version covers.
 //
 // A reflection-guarded test (codecs_test.go) pins that every stage in
-// StageNames() has a codec, so a new stage cannot silently become
-// non-spillable.
+// StageNames(), and StageHybrid, has a codec, so a new stage cannot
+// silently become non-spillable.
 
 func init() {
 	artifact.Register(StageFloorplan, artifact.Codec{
@@ -288,6 +289,47 @@ func init() {
 				}
 			}
 			return chip, nil
+		},
+	})
+	artifact.Register(StageHybrid, artifact.Codec{
+		Encode: func(v any) ([]byte, error) {
+			ht, ok := v.(*hybridTables)
+			if !ok {
+				return nil, errCodecType(StageHybrid, v)
+			}
+			var w artifact.Writer
+			w.F64s(ht.ls)
+			w.F64s(ht.bs)
+			w.Int(len(ht.blocks))
+			for _, b := range ht.blocks {
+				w.F64s(b)
+			}
+			return w.Bytes(), nil
+		},
+		Decode: func(p []byte) (any, error) {
+			r := artifact.NewReader(p)
+			ht := &hybridTables{ls: r.F64s(), bs: r.F64s()}
+			// 9 bytes is an empty F64s: presence flag plus length.
+			ht.blocks = make([][]float64, boundedLen(r, 9))
+			for i := range ht.blocks {
+				ht.blocks[i] = r.F64s()
+			}
+			if err := r.Close(); err != nil {
+				return nil, err
+			}
+			// Validate the geometry a table needs (finite, increasing
+			// axes; nl·nb entries per block) here, so a checksum-valid
+			// but malformed payload fails the load and rebuilds. The
+			// block count is the chip's to check, at engine build.
+			if len(ht.blocks) == 0 {
+				return nil, errors.New("obdrel: hybrid artifact: no block tables")
+			}
+			for i, b := range ht.blocks {
+				if _, err := integrate.NewTable2DFromData(ht.ls, ht.bs, b); err != nil {
+					return nil, fmt.Errorf("obdrel: hybrid artifact: block %d: %w", i, err)
+				}
+			}
+			return ht, nil
 		},
 	})
 }

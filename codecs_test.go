@@ -1,12 +1,14 @@
 package obdrel
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
 
 	"obdrel/internal/artifact"
 	"obdrel/internal/grid"
+	"obdrel/internal/integrate"
 	"obdrel/internal/obd"
 	"obdrel/internal/pipeline"
 )
@@ -15,11 +17,12 @@ import (
 // every stage the graph can cache must have an artifact codec, so a
 // newly added stage cannot silently become non-spillable (it would
 // never reach the disk tier or serve peers, and a follower would
-// quietly rebuild it). StageNames() is the authoritative roster — the
-// fingerprint-sensitivity test already pins that roster against the
-// stage graph.
+// quietly rebuild it). StageNames() is the authoritative roster of
+// construction stages — the fingerprint-sensitivity test already pins
+// that roster against the stage graph — and StageHybrid, which engines
+// resolve lazily, is named explicitly.
 func TestEveryStageHasCodec(t *testing.T) {
-	for _, stage := range StageNames() {
+	for _, stage := range append(StageNames(), StageHybrid) {
 		if _, ok := artifact.Lookup(stage); !ok {
 			t.Errorf("stage %q has no artifact codec: register one in codecs.go", stage)
 		}
@@ -41,12 +44,18 @@ func TestStageCodecsRoundTripBitIdentical(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Extrinsic = obd.DefaultExtrinsic()
 	cfg.WaferPattern = &grid.WaferPattern{DieX: 0.3, DieY: -0.2, DieSpan: 0.05, Bowl: 0.4, SlantX: 0.1, SlantY: -0.05}
+	cfg.HybridNL, cfg.HybridNB = 24, 24
 	cache := pipeline.NewCache(8)
-	if _, err := NewAnalyzerCtxIn(context.Background(), cache, d, cfg); err != nil {
+	an, err := NewAnalyzerCtxIn(context.Background(), cache, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := an.Prepare(MethodHybrid); err != nil {
 		t.Fatal(err)
 	}
 	keys := stageKeys(d.Fingerprint(), d.W, d.H, cfg)
-	for _, stage := range StageNames() {
+	keys[StageHybrid] = hybridTableKey(keys[StageChip], cfg)
+	for _, stage := range append(StageNames(), StageHybrid) {
 		key := keys[stage]
 		v, ok := cache.Peek(stage, key)
 		if !ok {
@@ -147,4 +156,39 @@ func TestAnalyzerFromDecodedArtifactsBitIdentical(t *testing.T) {
 	if l1 != l2 {
 		t.Errorf("LifetimePPM: leader %v, follower %v", l1, l2)
 	}
+}
+
+// FuzzHybridTablesDecode feeds the hybrid codec the payloads a disk
+// file or a peer could hand it. Decode must never panic, must reject
+// malformed input with an error and no artifact, and must accept only
+// payloads that make valid tables, in canonical form: re-encoding an
+// accepted artifact gives the same bytes, so the sealed checksum stays
+// a content address.
+func FuzzHybridTablesDecode(f *testing.F) {
+	codec, ok := artifact.Lookup(StageHybrid)
+	if !ok {
+		f.Fatal("no hybrid codec")
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		v, err := codec.Decode(payload)
+		if err != nil {
+			if v != nil {
+				t.Fatalf("rejected payload (%v) returned an artifact", err)
+			}
+			return
+		}
+		ht := v.(*hybridTables)
+		for k, blk := range ht.blocks {
+			if _, err := integrate.NewTable2DFromData(ht.ls, ht.bs, blk); err != nil {
+				t.Fatalf("accepted payload's block %d is not a table: %v", k, err)
+			}
+		}
+		again, err := codec.Encode(v)
+		if err != nil {
+			t.Fatalf("accepted artifact does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoding an accepted payload gave %d different bytes from %d", len(again), len(payload))
+		}
+	})
 }

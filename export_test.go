@@ -1,16 +1,35 @@
 package obdrel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// HybridTableKey exposes the table-file key to the external tests.
-func (a *Analyzer) HybridTableKey() string { return a.hybridTableKey() }
+// HybridTableKey exposes the hybrid stage key of (d, cfg) to the
+// external tests.
+func HybridTableKey(d *Design, cfg *Config) string {
+	return hybridTableKey(StageFingerprints(d, cfg)[StageChip], cfg)
+}
 
-// UntaggedHybridTableKey is the table-file key from before the key
-// carried a fill tag: the name and embedded key of every table file a
-// directory spilled by such a build holds.
-func (a *Analyzer) UntaggedHybridTableKey() string {
-	nl, nb := a.cfg.resolvedHybridGrid()
-	return fp16("hybridtable", a.chipKey, fmt.Sprintf("nl=%d|nb=%d|l0=%d", nl, nb, a.cfg.resolvedL0()))
+// UntaggedHybridTableKey is the hybrid key from before the key carried
+// the interp tag: the key tables of linear D_j were stored under.
+func UntaggedHybridTableKey(d *Design, cfg *Config) string {
+	nl, nb := cfg.resolvedHybridGrid()
+	return fp16(StageHybrid, StageFingerprints(d, cfg)[StageChip],
+		fmt.Sprintf("nl=%d|nb=%d|l0=%d|fill=series", nl, nb, cfg.resolvedL0()))
+}
+
+// LinearHybridTables returns a copy of a hybrid stage artifact holding
+// D_j instead of ln D_j: the tables a linear-interpolation build made.
+func LinearHybridTables(v any) any {
+	ht := v.(*hybridTables)
+	lin := &hybridTables{ls: ht.ls, bs: ht.bs, blocks: make([][]float64, len(ht.blocks))}
+	for k, blk := range ht.blocks {
+		for _, lv := range blk {
+			lin.blocks[k] = append(lin.blocks[k], math.Exp(lv))
+		}
+	}
+	return lin
 }
 
 // ThermalSegment exposes the thermal stage's key input to the external

@@ -28,11 +28,11 @@ import (
 //     implicit L0/HybridNL/HybridNB resolve to their defaults before
 //     hashing, so an explicit DefaultConfig and a
 //     zero-value-with-defaults config collide (as they should);
-//   - performance-only knobs (Workers, TableDir) are excluded — they
-//     select execution strategy, not the model. Workers ≥ 2 and 0 are
+//   - the performance-only knob Workers is excluded — it selects
+//     execution strategy, not the model. Workers ≥ 2 and 0 are
 //     bit-identical by construction; Workers:1 differs only within the
 //     documented serial/parallel tolerance, which caching layers
-//     accept; TableDir only changes where hybrid tables are stored.
+//     accept.
 
 // fp16 hashes newline-joined canonical segments into the 32-hex-char
 // fingerprint format used by every cache key in the system.

@@ -23,9 +23,8 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	t.Run("perf knobs excluded", func(t *testing.T) {
 		cfg := obdrel.DefaultConfig()
 		cfg.Workers = 7
-		cfg.TableDir = "/tmp/tables"
 		if cfg.Fingerprint() != base.Fingerprint() {
-			t.Fatal("Workers/TableDir changed the fingerprint")
+			t.Fatal("Workers changed the fingerprint")
 		}
 	})
 	t.Run("defaults resolved", func(t *testing.T) {

@@ -3,10 +3,10 @@
 // stage artifacts, plus the per-stage codec registry that turns live
 // Go structs into payload bytes and back bit-identically.
 //
-// The container follows the proven OBDT layout of internal/tablefile —
-// fixed little-endian header, FNV-64a payload checksum, validation
-// before any payload byte is interpreted — so the disk spill tier and
-// the peer cache-fill protocol share one self-describing format:
+// The container is a fixed little-endian header, an FNV-64a payload
+// checksum, and validation before any payload byte is interpreted, so
+// the disk spill tier and the peer cache-fill protocol share one
+// self-describing format:
 //
 //	offset size  field
 //	0      4     magic "OBDA"
@@ -166,10 +166,10 @@ func open(data []byte) (stage, key string, payload []byte, err error) {
 	return stage, key, payload, nil
 }
 
-// checksum is FNV-64a over the payload, matching tablefile's choice:
-// fast, dependency-free, and strong enough to catch torn writes and
-// bit rot (crypto integrity is not the threat model — peers are
-// trusted; the fingerprint key is the content address).
+// checksum is FNV-64a over the payload: fast, dependency-free, and
+// strong enough to catch torn writes and bit rot (crypto integrity is
+// not the threat model — peers are trusted; the fingerprint key is the
+// content address).
 func checksum(p []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(p)
@@ -195,9 +195,9 @@ func ParseFileName(name string) (stage, key string, ok bool) {
 	return base[:i], base[i+1:], true
 }
 
-// WriteFile persists a sealed container under dir with the
-// temp-file + rename discipline tablefile established: a reader never
-// observes a partially written artifact, and a crash leaves at worst
+// WriteFile persists a sealed container under dir with the temp-file +
+// rename discipline: a reader never observes a partially written
+// artifact, and a crash leaves at worst
 // an ignorable .obda-tmp-* file.
 func WriteFile(dir, stage, key string, sealed []byte) error {
 	f, err := os.CreateTemp(dir, ".obda-tmp-*")

@@ -17,6 +17,11 @@ import (
 // st_fast, and letting one table serve many setup/application
 // profiles (different temperatures and voltages only move the query
 // point, not the table).
+//
+// The tables hold ln D_j, not D_j. At ppm levels D_j grows roughly
+// like exp(b·u·L) across a cell, so interpolating D_j linearly
+// overstates it (≈2% in lifetime at 100×100); its logarithm is close
+// to linear in both axes.
 type Hybrid struct {
 	chip   *Chip
 	tables []*integrate.Table2D
@@ -42,7 +47,17 @@ type HybridOptions struct {
 	Workers int
 }
 
-// NewHybrid precomputes the per-block lookup tables.
+// The fill stores ln max(D_j, dFloor) so the logarithm stays finite,
+// and queries read an interpolant within logDFloorSlack of ln dFloor
+// as D_j = 0.
+const (
+	dFloor         = 1e-300
+	logDFloorSlack = 1e-9
+)
+
+var logDFloor = math.Log(dFloor)
+
+// NewHybrid precomputes the per-block lookup tables of ln D_j.
 func NewHybrid(c *Chip, opts HybridOptions) (*Hybrid, error) {
 	if c == nil {
 		return nil, errors.New("core: nil chip")
@@ -92,7 +107,7 @@ func NewHybrid(c *Chip, opts HybridOptions) (*Hybrid, error) {
 		// fan out over the workers (each entry reads only the
 		// immutable per-block weights).
 		tab, err := integrate.NewTable2DWorkers(ls, bs, func(l, b float64) float64 {
-			return bw.failureProb(l, b, area)
+			return math.Log(math.Max(bw.failureProb(l, b, area), dFloor))
 		}, opts.Workers)
 		if err != nil {
 			return nil, err
@@ -103,11 +118,10 @@ func NewHybrid(c *Chip, opts HybridOptions) (*Hybrid, error) {
 }
 
 // NewHybridFromTables reconstructs the engine from precomputed table
-// data — the load half of the mmap-ready table file (see
-// internal/tablefile): ls/bs are the shared ln(t/α) and b axes and
-// blocks the per-block row-major value grids, typically aliasing a
-// shared read-only mapping. Nothing is copied; the caller keeps the
-// backing store alive and immutable.
+// data, as TableData returned it: ls/bs are the shared ln(t/α) and b
+// axes and blocks the per-block row-major grids of ln D_j (floored at
+// ln 1e-300). Nothing is copied; the caller keeps the slices
+// immutable.
 func NewHybridFromTables(c *Chip, ls, bs []float64, blocks [][]float64) (*Hybrid, error) {
 	if c == nil {
 		return nil, errors.New("core: nil chip")
@@ -130,9 +144,9 @@ func NewHybridFromTables(c *Chip, ls, bs []float64, blocks [][]float64) (*Hybrid
 	return e, nil
 }
 
-// TableData exposes the shared axes and per-block value grids for
-// serialization (the spill half of the table file). The slices are the
-// engine's live internals — read-only to callers.
+// TableData exposes the shared axes and per-block grids of ln D_j for
+// serialization. The slices are the engine's live internals —
+// read-only to callers.
 func (e *Hybrid) TableData() (ls, bs []float64, blocks [][]float64) {
 	if len(e.tables) == 0 {
 		return nil, nil, nil
@@ -148,8 +162,8 @@ func (e *Hybrid) TableData() (ls, bs []float64, blocks [][]float64) {
 // Name implements Engine.
 func (e *Hybrid) Name() string { return "hybrid" }
 
-// FailureProb implements Engine: N bilinear table lookups at
-// (ln(t/α_j), b_j), summed per Eq. 28.
+// FailureProb implements Engine: N bilinear table lookups of ln D_j at
+// (ln(t/α_j), b_j), exponentiated and summed per Eq. 28.
 func (e *Hybrid) FailureProb(t float64) (float64, error) {
 	if t <= 0 {
 		return 0, nil
@@ -162,9 +176,8 @@ func (e *Hybrid) FailureProb(t float64) (float64, error) {
 		if l >= e.LMin {
 			// Far below the tabulated range the intrinsic failure
 			// probability is indistinguishable from zero.
-			d = tab.At(l, p.B)
-			if d < 0 {
-				d = 0
+			if lv := tab.At(l, p.B); lv > logDFloor+logDFloorSlack {
+				d = math.Exp(lv)
 			}
 		}
 		sum += combineFailure(d, e.chip.extrinsicHazard(j, t))

@@ -138,24 +138,40 @@ func NewTable2D(xs, ys []float64, fill func(x, y float64) float64) (*Table2D, er
 	return NewTable2DWorkers(xs, ys, fill, 1)
 }
 
+// checkAxes rejects axes with fewer than 2 points each, then checks
+// both with checkAxis.
+func checkAxes(xs, ys []float64) error {
+	if len(xs) < 2 || len(ys) < 2 {
+		return errors.New("integrate: Table2D needs at least 2 points per axis")
+	}
+	if err := checkAxis("x", xs); err != nil {
+		return err
+	}
+	return checkAxis("y", ys)
+}
+
+// checkAxis rejects non-finite points and points that are not strictly
+// increasing. The comparison is negated so a NaN fails it.
+func checkAxis(name string, axis []float64) error {
+	for i, v := range axis {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return fmt.Errorf("integrate: %s axis not finite at %d", name, i)
+		}
+		if i > 0 && !(v > axis[i-1]) {
+			return fmt.Errorf("integrate: %s axis not strictly increasing at %d", name, i)
+		}
+	}
+	return nil
+}
+
 // NewTable2DWorkers is NewTable2D with the fill fanned out over
 // workers (0 = GOMAXPROCS, 1 = serial), one x-row at a time. Every
 // entry is computed independently from its grid point, so the table is
 // bit-identical for every worker count. fill must be safe for
 // concurrent calls when workers != 1.
 func NewTable2DWorkers(xs, ys []float64, fill func(x, y float64) float64, workers int) (*Table2D, error) {
-	if len(xs) < 2 || len(ys) < 2 {
-		return nil, errors.New("integrate: Table2D needs at least 2 points per axis")
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			return nil, fmt.Errorf("integrate: x axis not strictly increasing at %d", i)
-		}
-	}
-	for i := 1; i < len(ys); i++ {
-		if ys[i] <= ys[i-1] {
-			return nil, fmt.Errorf("integrate: y axis not strictly increasing at %d", i)
-		}
+	if err := checkAxes(xs, ys); err != nil {
+		return nil, err
 	}
 	t := &Table2D{
 		xs:   append([]float64(nil), xs...),
@@ -173,23 +189,12 @@ func NewTable2DWorkers(xs, ys []float64, fill func(x, y float64) float64, worker
 }
 
 // NewTable2DFromData wraps precomputed axes and values WITHOUT
-// copying — the caller's slices become the table's backing store. This
-// is the mmap path of the hybrid table file: vals may alias a shared
-// read-only mapping, so the table adds no per-process copy. Callers
-// must not mutate the slices afterwards.
+// copying — the caller's slices become the table's backing store, so
+// a decoded artifact and the tables built from it share one copy.
+// Callers must not mutate the slices afterwards.
 func NewTable2DFromData(xs, ys, vals []float64) (*Table2D, error) {
-	if len(xs) < 2 || len(ys) < 2 {
-		return nil, errors.New("integrate: Table2D needs at least 2 points per axis")
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			return nil, fmt.Errorf("integrate: x axis not strictly increasing at %d", i)
-		}
-	}
-	for i := 1; i < len(ys); i++ {
-		if ys[i] <= ys[i-1] {
-			return nil, fmt.Errorf("integrate: y axis not strictly increasing at %d", i)
-		}
+	if err := checkAxes(xs, ys); err != nil {
+		return nil, err
 	}
 	if len(vals) != len(xs)*len(ys) {
 		return nil, fmt.Errorf("integrate: %d values for a %d×%d table", len(vals), len(xs), len(ys))

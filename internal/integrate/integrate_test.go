@@ -160,6 +160,34 @@ func TestTable2DValidates(t *testing.T) {
 	}
 }
 
+// TestTable2DFromDataRejectsNonFiniteAxes feeds the decode path axes a
+// checksum-valid but hostile payload can carry: a NaN compares false
+// against its neighbours, so a `<=` test alone lets it through.
+func TestTable2DFromDataRejectsNonFiniteAxes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string][2][]float64{
+		"NaN first x":  {{nan, 1, 2}, {0, 1}},
+		"NaN inner x":  {{0, nan, 2}, {0, 1}},
+		"NaN last y":   {{0, 1, 2}, {0, nan}},
+		"all-NaN y":    {{0, 1, 2}, {nan, nan}},
+		"+Inf last x":  {{0, 1, inf}, {0, 1}},
+		"-Inf first y": {{0, 1, 2}, {-inf, 1}},
+		"repeated x":   {{0, 1, 1}, {0, 1}},
+	}
+	for name, ax := range cases {
+		vals := make([]float64, len(ax[0])*len(ax[1]))
+		if _, err := NewTable2DFromData(ax[0], ax[1], vals); err == nil {
+			t.Errorf("%s: NewTable2DFromData accepted axes %v × %v", name, ax[0], ax[1])
+		}
+		if _, err := NewTable2D(ax[0], ax[1], func(x, y float64) float64 { return 0 }); err == nil {
+			t.Errorf("%s: NewTable2D accepted axes %v × %v", name, ax[0], ax[1])
+		}
+	}
+	if _, err := NewTable2DFromData([]float64{0, 1}, []float64{0, 1}, make([]float64, 4)); err != nil {
+		t.Errorf("finite increasing axes rejected: %v", err)
+	}
+}
+
 func TestLinspace(t *testing.T) {
 	xs := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}

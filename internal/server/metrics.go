@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"obdrel"
 	"obdrel/internal/fault"
 	"obdrel/internal/obs"
 	"obdrel/internal/pipeline"
@@ -314,11 +313,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	}
 	gauge("obdreld_batch_substrate_reuse_ratio", "Fraction of batch items that reused a prepared substrate group.", reuseRatio)
 	counter("obdreld_fault_injected_total", "Faults fired by the injection framework (zero unless armed).", fault.InjectedTotal())
-	tblLoads, tblSaves, tblRejects := obdrel.TableFileStats()
-	counter("obdreld_hybrid_table_loads_total", "Hybrid engines served from a spilled table file.", int64(tblLoads))
-	counter("obdreld_hybrid_table_saves_total", "Hybrid table sets spilled to the table directory.", int64(tblSaves))
-	counter("obdreld_hybrid_table_rejects_total", "Table files rejected for key mismatch or corruption.", int64(tblRejects))
-	fmt.Fprintf(cw, "# HELP obdreld_engine_build_seconds_total Wall time constructing analyzers (power-thermal fixed point; per-method tables build lazily and appear in request latency).\n")
+	fmt.Fprintf(cw, "# HELP obdreld_engine_build_seconds_total Wall time constructing analyzers (the construction stages; hybrid tables build lazily on first hybrid use and count under obdreld_stage_build_seconds_total stage hybrid).\n")
 	fmt.Fprintf(cw, "# TYPE obdreld_engine_build_seconds_total counter\n")
 	fmt.Fprintf(cw, "obdreld_engine_build_seconds_total %g\n", float64(m.BuildNanos.Load())/1e9)
 	gauge("obdreld_in_flight_requests", "Requests currently being served.", float64(m.InFlight.Load()))

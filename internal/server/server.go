@@ -56,11 +56,6 @@ type Options struct {
 	// Workers is the Config.Workers applied to every build (0 =
 	// GOMAXPROCS).
 	Workers int
-	// TableDir is the Config.TableDir applied to every build: hybrid
-	// lookup tables are spilled there on first build and served from a
-	// shared read-only mapping afterwards — across requests and across
-	// daemon restarts. Empty keeps the tables in-process only.
-	TableDir string
 	// AccessLog receives one JSON line per request (nil = discard).
 	AccessLog io.Writer
 	// Build overrides the analyzer factory (tests); nil uses
@@ -1514,7 +1509,6 @@ func parseMethod(name string) (obdrel.Method, error) {
 func buildConfig(p *configParams, o *Options) (*obdrel.Config, error) {
 	cfg := obdrel.DefaultConfig()
 	cfg.Workers = o.Workers
-	cfg.TableDir = o.TableDir
 	if p.VDD != nil {
 		cfg.VDD = *p.VDD
 	}

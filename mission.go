@@ -186,11 +186,16 @@ func NewMissionAnalyzer(d *Design, cfg *Config, modes []Mode) (*Analyzer, error)
 			return nil, err
 		}
 	}
+	// The mission chip has no stage key (its blend of modes is built
+	// outside the stage graph), so its hybrid tables build inline,
+	// once per analyzer.
+	uncached := &stageGraph{cfg: cfg}
 	return &Analyzer{
 		cfg:       cfg,
 		design:    fd,
 		model:     model,
 		pca:       g.pcaResolver(model),
+		hybrid:    uncached.hybridResolver(chip, ""),
 		chip:      chip,
 		tech:      tech,
 		blockInfo: info,
@@ -444,21 +449,22 @@ func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) 
 			return nil, err
 		}
 	}
+	// The trace-specific Weibull parameters make the chip identity
+	// trace-dependent; composing the trace fingerprint in keeps the
+	// hybrid tables (keyed by chipKey) distinct per trace.
+	chipKey := fp16(StageChip, g.keys[StageBLOD],
+		fp16("trace-weibull", d.Fingerprint(), cfg.segPower(), cfg.segWeibull(), tr.Fingerprint()))
 	return &Analyzer{
 		cfg:       cfg,
 		design:    fd,
 		model:     model,
 		pca:       g.pcaResolver(model),
+		hybrid:    g.hybridResolver(chip, chipKey),
 		chip:      chip,
 		tech:      g.tech,
 		blockInfo: info,
 		field:     bestField,
-		// The trace-specific Weibull parameters make the chip identity
-		// trace-dependent; composing the trace fingerprint in keeps
-		// hybrid table spills (keyed by chipKey) distinct per trace.
-		chipKey: fp16(StageChip, g.keys[StageBLOD],
-			fp16("trace-weibull", d.Fingerprint(), cfg.segPower(), cfg.segWeibull(), tr.Fingerprint())),
-		engines: make(map[Method]core.Engine),
+		engines:   make(map[Method]core.Engine),
 	}, nil
 }
 

@@ -320,16 +320,6 @@ type Config struct {
 	// reduction plans), differing from the serial paths only within
 	// documented floating-point/ordering tolerances.
 	Workers int
-	// TableDir, when non-empty, spills the hybrid engine's per-block
-	// lookup tables to versioned, checksummed files in this directory
-	// on first build and serves later builds straight from a shared
-	// read-only mapping (mmap on Linux; see internal/tablefile). Files
-	// are keyed by the chip-stage fingerprint plus the table geometry,
-	// so a stale or foreign file is never served — it is rejected and
-	// rebuilt in place. Like Workers it is a performance knob, excluded
-	// from fingerprints: where the tables come from does not change a
-	// single query result.
-	TableDir string
 }
 
 // DefaultConfig returns the paper's experimental setup.

@@ -24,6 +24,11 @@ import (
 //	            │  powermap ──────┘                    ├─► chip
 //	            └─► covariance ─┬─► blod ──────────────┘
 //	                            └─► pca   (sampling engines only)
+//
+// StageHybrid hangs off chip but is not a construction stage: the
+// analyzer resolves it on first hybrid use, so StageNames() leaves it
+// out. It is cached, spilled, peer-filled and replicated like the
+// rest, since the tiers find codecs through artifact.Lookup.
 const (
 	StageFloorplan  = "floorplan"
 	StagePowerMap   = "powermap"
@@ -33,9 +38,11 @@ const (
 	StageBLOD       = "blod"
 	StageWeibull    = "weibull"
 	StageChip       = "chip"
+	StageHybrid     = "hybrid"
 )
 
-// StageNames lists the analysis stages in dependency order.
+// StageNames lists the construction stages in dependency order; it
+// omits StageHybrid, which engines resolve lazily.
 func StageNames() []string {
 	return []string{
 		StageFloorplan, StagePowerMap, StageThermal, StageCovariance,
@@ -169,6 +176,27 @@ func (g *stageGraph) pca(ctx context.Context, model *grid.Model) (*grid.PCA, err
 func (g *stageGraph) pcaResolver(model *grid.Model) func(context.Context) (*grid.PCA, error) {
 	return func(ctx context.Context) (*grid.PCA, error) {
 		return g.pca(ctx, model)
+	}
+}
+
+// hybridResolver returns the analyzer's handle on the hybrid stage:
+// the per-block ln D_j tables of chip, keyed by chipKey and the table
+// geometry. Like pcaResolver it resolves through the cache on each
+// call; the engine calls it once, when it is built.
+func (g *stageGraph) hybridResolver(chip *core.Chip, chipKey string) func(context.Context) (*hybridTables, error) {
+	return func(ctx context.Context) (*hybridTables, error) {
+		return stageGet(ctx, g.cache, StageHybrid, hybridTableKey(chipKey, g.cfg),
+			func(context.Context) (*hybridTables, error) {
+				e, err := core.NewHybrid(chip, core.HybridOptions{
+					NL: g.cfg.HybridNL, NB: g.cfg.HybridNB, L0: g.cfg.L0,
+					Workers: g.cfg.Workers,
+				})
+				if err != nil {
+					return nil, err
+				}
+				ls, bs, blocks := e.TableData()
+				return &hybridTables{ls: ls, bs: bs, blocks: blocks}, nil
+			})
 	}
 }
 
@@ -316,11 +344,11 @@ func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg
 		design:    fd,
 		model:     model,
 		pca:       g.pcaResolver(model),
+		hybrid:    g.hybridResolver(chip, g.keys[StageChip]),
 		chip:      chip,
 		tech:      g.tech,
 		blockInfo: w.info,
 		field:     coupled.Field,
-		chipKey:   g.keys[StageChip],
 		engines:   make(map[Method]core.Engine),
 	}, nil
 }

@@ -107,11 +107,10 @@ func TestStageFingerprintSensitivity(t *testing.T) {
 		{"GuardSigmas", func(c *Config) { c.GuardSigmas += 0.5 }, nil, true},
 		{"Seed", func(c *Config) { c.Seed += 1 }, nil, true},
 
-		// Performance knobs select execution strategy only: neither
+		// The performance knob selects execution strategy only: neither
 		// stage keys nor the fingerprint may move, or caches would
 		// fragment on knobs that do not change answers.
 		{"Workers", func(c *Config) { c.Workers = 8 }, nil, false},
-		{"TableDir", func(c *Config) { c.TableDir = "/tmp/tables" }, nil, false},
 	}
 
 	baseKeys := StageFingerprints(d, base)

@@ -2,214 +2,182 @@ package obdrel_test
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"obdrel"
-	"obdrel/internal/tablefile"
+	"obdrel/internal/artifact"
+	"obdrel/internal/pipeline"
 )
 
-// tableConfig returns a fast config with the hybrid tables spilled to
-// (and served from) dir. Small tables keep the fill cheap.
-func tableConfig(dir string) *obdrel.Config {
+// tableConfig returns a fast config with small hybrid tables, which
+// keep the fill cheap.
+func tableConfig() *obdrel.Config {
 	cfg := fastConfig()
 	cfg.HybridNL, cfg.HybridNB = 24, 24
-	cfg.TableDir = dir
 	return cfg
 }
 
-// uncachedAnalyzer builds with no stage cache, so each analyzer
-// construction is independent.
-func uncachedAnalyzer(t *testing.T, d *obdrel.Design, cfg *obdrel.Config) *obdrel.Analyzer {
+// tierCache returns a fresh stage cache spilling to dir, standing in
+// for a daemon (re)started with -artifact-dir dir.
+func tierCache(dir string) *pipeline.Cache {
+	c := pipeline.NewCache(8)
+	c.SetTiers(pipeline.Tiers{Dir: dir})
+	return c
+}
+
+func hybridAnalyzer(t *testing.T, cache *pipeline.Cache, d *obdrel.Design, cfg *obdrel.Config) *obdrel.Analyzer {
 	t.Helper()
-	an, err := obdrel.NewAnalyzerCtxIn(context.Background(), nil, d, cfg)
+	an, err := obdrel.NewAnalyzerCtxIn(context.Background(), cache, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return an
 }
 
-func hybridLifetime(t *testing.T, d *obdrel.Design, cfg *obdrel.Config) float64 {
+// hybridLifetime answers a 10 ppm hybrid lifetime from an analyzer
+// built in cache (nil: no cache, every stage built inline).
+func hybridLifetime(t *testing.T, cache *pipeline.Cache, d *obdrel.Design, cfg *obdrel.Config) float64 {
 	t.Helper()
-	an := uncachedAnalyzer(t, d, cfg)
-	life, err := an.LifetimePPM(10, obdrel.MethodHybrid)
+	life, err := hybridAnalyzer(t, cache, d, cfg).LifetimePPM(10, obdrel.MethodHybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return life
 }
 
-// TestTableDirRoundTrip is the end-to-end contract of the table spill:
-// the first build writes a file, the second build loads it, and the
-// file-served engine answers bit-identically to the freshly built one.
-func TestTableDirRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d := obdrel.C1()
+// hybridPath is where the disk tier keeps the hybrid artifact of key.
+func hybridPath(dir, key string) string {
+	return filepath.Join(dir, artifact.FileName(obdrel.StageHybrid, key))
+}
 
-	loads0, saves0, rejects0 := obdrel.TableFileStats()
-
-	fresh := hybridLifetime(t, d, tableConfig("")) // no spill: reference
-	spilled := hybridLifetime(t, d, tableConfig(dir))
-	if spilled != fresh {
-		t.Errorf("spill-path lifetime %v != in-memory %v", spilled, fresh)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), ".obdt") {
-		t.Fatalf("table dir after first build: %v, want one .obdt file", entries)
-	}
-
-	loaded := hybridLifetime(t, d, tableConfig(dir))
-	if loaded != fresh {
-		t.Errorf("file-served lifetime %v != in-memory %v", loaded, fresh)
-	}
-
-	loads1, saves1, rejects1 := obdrel.TableFileStats()
-	if saves1-saves0 != 1 {
-		t.Errorf("saves advanced by %d, want 1", saves1-saves0)
-	}
-	if loads1-loads0 < 1 {
-		t.Errorf("loads advanced by %d, want ≥ 1", loads1-loads0)
-	}
-	if rejects1 != rejects0 {
-		t.Errorf("rejects advanced by %d, want 0", rejects1-rejects0)
+// wantHybridStat checks the hybrid stage's build and disk counters.
+func wantHybridStat(t *testing.T, c *pipeline.Cache, builds, diskHits, diskRejects, spills int64) {
+	t.Helper()
+	st := c.Stat(obdrel.StageHybrid)
+	if st.Builds != builds || st.DiskHits != diskHits || st.DiskRejects != diskRejects || st.Spills != spills {
+		t.Errorf("hybrid stage builds/diskHits/diskRejects/spills = %d/%d/%d/%d, want %d/%d/%d/%d",
+			st.Builds, st.DiskHits, st.DiskRejects, st.Spills, builds, diskHits, diskRejects, spills)
 	}
 }
 
-// TestTableDirRejectsStaleAndCorrupt verifies the two never-serve
-// guarantees: a file written under a different model configuration
-// (fingerprint mismatch) and a bit-flipped file (checksum mismatch)
-// are both rejected and rebuilt, never served.
+// TestTableDirRoundTrip is the end-to-end contract of the hybrid
+// stage's disk tier: the first build spills the tables, a restarted
+// cache loads them without building, and the loaded engine answers
+// bit-identically to one built with no cache at all.
+func TestTableDirRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	d := obdrel.C1()
+	cfg := tableConfig()
+
+	fresh := hybridLifetime(t, nil, d, cfg)
+	first := tierCache(dir)
+	if spilled := hybridLifetime(t, first, d, cfg); spilled != fresh {
+		t.Errorf("spilling lifetime %v != uncached %v", spilled, fresh)
+	}
+	wantHybridStat(t, first, 1, 0, 0, 1)
+	if _, err := os.Stat(hybridPath(dir, obdrel.HybridTableKey(d, cfg))); err != nil {
+		t.Fatalf("no hybrid artifact spilled under the analyzer's key: %v", err)
+	}
+
+	restarted := tierCache(dir)
+	if loaded := hybridLifetime(t, restarted, d, cfg); loaded != fresh {
+		t.Errorf("disk-served lifetime %v != uncached %v", loaded, fresh)
+	}
+	wantHybridStat(t, restarted, 0, 1, 0, 0)
+}
+
+// TestTableDirRejectsStaleAndCorrupt verifies the never-serve
+// guarantees: an artifact written under another model configuration,
+// one of linear tables from before the interp tag, and a bit-flipped
+// one are each missed or rejected and rebuilt, never served.
 func TestTableDirRejectsStaleAndCorrupt(t *testing.T) {
 	d := obdrel.C1()
 
 	t.Run("stale key", func(t *testing.T) {
 		dir := t.TempDir()
-		// Build under the default VDD, then under VDD=1.1: two files,
-		// two keys (VDD reaches the chip fingerprint through the
-		// weibull stage).
-		hybridLifetime(t, d, tableConfig(dir))
-		entries, err := os.ReadDir(dir)
-		if err != nil || len(entries) != 1 {
-			t.Fatalf("want one table file, got %v (%v)", entries, err)
+		// Default VDD and VDD = 1.1 give two keys: VDD reaches the chip
+		// fingerprint through the weibull stage.
+		cfgV11 := tableConfig()
+		cfgV11.VDD = 1.1
+		oldKey := obdrel.HybridTableKey(d, tableConfig())
+		newKey := obdrel.HybridTableKey(d, cfgV11)
+		if oldKey == newKey {
+			t.Fatal("hybrid key did not change with VDD")
 		}
-		oldPath := filepath.Join(dir, entries[0].Name())
+		hybridLifetime(t, tierCache(dir), d, tableConfig())
+		want := hybridLifetime(t, tierCache(dir), d, cfgV11)
 
-		cfgV11 := func() *obdrel.Config {
-			c := tableConfig(dir)
-			c.VDD = 1.1
-			return c
-		}
-		want := hybridLifetime(t, d, cfgV11())
-		entries, err = os.ReadDir(dir)
+		// Clobber the VDD = 1.1 artifact with the default-VDD one: the
+		// file name promises one key, the embedded key is another — a
+		// stale spill directory after a model change.
+		stale, err := os.ReadFile(hybridPath(dir, oldKey))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var freshPath string
-		for _, e := range entries {
-			if p := filepath.Join(dir, e.Name()); p != oldPath {
-				freshPath = p
-			}
-		}
-		if freshPath == "" {
-			t.Fatal("second config produced no new table file — key did not change with VDD")
-		}
-		// Clobber the VDD=1.1 file with the default-VDD payload: the
-		// filename now promises one key, the embedded key is another —
-		// a stale spill directory after a model change.
-		stale, err := os.ReadFile(oldPath)
-		if err != nil {
+		if err := os.WriteFile(hybridPath(dir, newKey), stale, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(freshPath, stale, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, _, rejects0 := obdrel.TableFileStats()
-		got := hybridLifetime(t, d, cfgV11())
-		if got != want {
+		c := tierCache(dir)
+		if got := hybridLifetime(t, c, d, cfgV11); got != want {
 			t.Errorf("post-reject rebuild lifetime %v, want %v", got, want)
 		}
-		_, _, rejects1 := obdrel.TableFileStats()
-		if rejects1-rejects0 < 1 {
-			t.Errorf("rejects advanced by %d, want ≥ 1", rejects1-rejects0)
-		}
+		wantHybridStat(t, c, 1, 0, 1, 1)
 	})
 
-	// Tables filled before the key carried a fill tag differ from a
-	// fresh fill in their low bits. A directory spilled by such a build
-	// must miss by name, and its payload under the current name must be
-	// rejected; neither may serve.
+	// Tables of D_j interpolated linearly answer ≈2% off a fresh build.
+	// An artifact of them, keyed without the interp tag, must miss by
+	// name, and its payload under the current name must be rejected
+	// by the embedded key; neither may serve.
 	t.Run("untagged fill key", func(t *testing.T) {
-		want := hybridLifetime(t, d, tableConfig(""))
+		cfg := tableConfig()
+		want := hybridLifetime(t, nil, d, cfg)
 		src := t.TempDir()
-		hybridLifetime(t, d, tableConfig(src))
-		entries, err := os.ReadDir(src)
-		if err != nil || len(entries) != 1 {
-			t.Fatalf("want one table file, got %v (%v)", entries, err)
+		hybridLifetime(t, tierCache(src), d, cfg)
+		oldKey, newKey := obdrel.UntaggedHybridTableKey(d, cfg), obdrel.HybridTableKey(d, cfg)
+		if oldKey == newKey {
+			t.Fatal("interp tag does not change the hybrid key")
 		}
-		f, err := tablefile.Open(filepath.Join(src, entries[0].Name()))
+		sealed, err := os.ReadFile(hybridPath(src, newKey))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		// Doubled entries make any served old table visible in the answer.
-		old := make([][]float64, len(f.Blocks()))
-		for k, blk := range f.Blocks() {
-			for _, v := range blk {
-				old[k] = append(old[k], 2*v)
-			}
+		v, err := artifact.Decode(obdrel.StageHybrid, newKey, sealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		linear, err := artifact.Encode(obdrel.StageHybrid, oldKey, obdrel.LinearHybridTables(v))
+		if err != nil {
+			t.Fatal(err)
 		}
 
 		dir := t.TempDir()
-		an := uncachedAnalyzer(t, d, tableConfig(dir))
-		oldKey, newKey := an.UntaggedHybridTableKey(), an.HybridTableKey()
-		if oldKey == newKey {
-			t.Fatal("fill tag does not change the table key")
-		}
-		oldPath, newPath := filepath.Join(dir, oldKey+".obdt"), filepath.Join(dir, newKey+".obdt")
-		if err := tablefile.Write(oldPath, oldKey, f.Ls(), f.Bs(), old); err != nil {
+		if err := artifact.WriteFile(dir, obdrel.StageHybrid, oldKey, linear); err != nil {
 			t.Fatal(err)
 		}
+		c := tierCache(dir)
+		if got := hybridLifetime(t, c, d, cfg); got != want {
+			t.Errorf("lifetime beside a linear artifact %v, want %v", got, want)
+		}
+		wantHybridStat(t, c, 1, 0, 0, 1)
 
-		loads0, saves0, _ := obdrel.TableFileStats()
-		if got := hybridLifetime(t, d, tableConfig(dir)); got != want {
-			t.Errorf("lifetime beside an untagged file %v, want %v", got, want)
-		}
-		loads1, saves1, rejects1 := obdrel.TableFileStats()
-		if loads1 != loads0 || saves1-saves0 != 1 {
-			t.Errorf("loads +%d, saves +%d; want the untagged file missed and a fresh spill", loads1-loads0, saves1-saves0)
-		}
-		if _, err := os.Stat(newPath); err != nil {
-			t.Fatalf("no table spilled under the tagged key: %v", err)
-		}
-
-		stale, err := os.ReadFile(oldPath)
-		if err != nil {
+		if err := os.WriteFile(hybridPath(dir, newKey), linear, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(newPath, stale, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if got := hybridLifetime(t, d, tableConfig(dir)); got != want {
+		c = tierCache(dir)
+		if got := hybridLifetime(t, c, d, cfg); got != want {
 			t.Errorf("post-reject rebuild lifetime %v, want %v", got, want)
 		}
-		if _, _, rejects2 := obdrel.TableFileStats(); rejects2-rejects1 < 1 {
-			t.Errorf("rejects advanced by %d, want ≥ 1", rejects2-rejects1)
-		}
+		wantHybridStat(t, c, 1, 0, 1, 1)
 	})
 
 	t.Run("corrupt payload", func(t *testing.T) {
 		dir := t.TempDir()
-		want := hybridLifetime(t, d, tableConfig(dir))
-		entries, err := os.ReadDir(dir)
-		if err != nil || len(entries) != 1 {
-			t.Fatalf("want one table file, got %v (%v)", entries, err)
-		}
-		path := filepath.Join(dir, entries[0].Name())
+		cfg := tableConfig()
+		want := hybridLifetime(t, tierCache(dir), d, cfg)
+		path := hybridPath(dir, obdrel.HybridTableKey(d, cfg))
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -218,38 +186,35 @@ func TestTableDirRejectsStaleAndCorrupt(t *testing.T) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, rejects0 := obdrel.TableFileStats()
-		got := hybridLifetime(t, d, tableConfig(dir))
-		if got != want {
+		c := tierCache(dir)
+		if got := hybridLifetime(t, c, d, cfg); got != want {
 			t.Errorf("post-corruption rebuild lifetime %v, want %v", got, want)
 		}
-		_, _, rejects1 := obdrel.TableFileStats()
-		if rejects1-rejects0 < 1 {
-			t.Errorf("rejects advanced by %d, want ≥ 1", rejects1-rejects0)
-		}
+		wantHybridStat(t, c, 1, 0, 1, 1)
 	})
 }
 
-// TestTableServedZeroAlloc extends the zero-allocation gate to the
-// mmap-served hybrid engine: queries through tables aliasing a shared
-// read-only mapping must be exactly as allocation-free as the
-// in-memory ones.
+// TestTableServedZeroAlloc extends the zero-allocation gate to a
+// hybrid engine whose tables were decoded from the disk tier: its
+// queries must be exactly as allocation-free as a built engine's.
 func TestTableServedZeroAlloc(t *testing.T) {
 	dir := t.TempDir()
 	d := obdrel.C1()
-	hybridLifetime(t, d, tableConfig(dir)) // spill
+	hybridLifetime(t, tierCache(dir), d, tableConfig()) // spill
 
-	an := uncachedAnalyzer(t, d, tableConfig(dir))
+	c := tierCache(dir)
+	an := hybridAnalyzer(t, c, d, tableConfig())
 	if _, err := an.FailureProb(1e4, obdrel.MethodHybrid); err != nil {
-		t.Fatal(err) // warm: builds the engine from the file
+		t.Fatal(err) // warm: builds the engine from the decoded tables
 	}
+	wantHybridStat(t, c, 0, 1, 0, 0)
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := an.FailureProb(1e4, obdrel.MethodHybrid); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm file-served FailureProb allocates %v per op, want 0", allocs)
+		t.Errorf("warm disk-served FailureProb allocates %v per op, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(200, func() {
 		if _, err := an.LifetimePPM(10, obdrel.MethodHybrid); err != nil {
@@ -257,6 +222,63 @@ func TestTableServedZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm file-served LifetimePPM allocates %v per op, want 0", allocs)
+		t.Errorf("warm disk-served LifetimePPM allocates %v per op, want 0", allocs)
 	}
+}
+
+// TestHybridMatchesStFast gates the log-space tables at the paper's
+// setup: on C1–C6, hybrid lifetimes at 1, 10 and 100 ppm, and hybrid
+// failure probabilities at VDD ∈ {1.0, 1.2, 1.3} × t ∈ {1e4, 1e5,
+// 1e6} h, stay within 1e-4 relative of st_fast. Tables of D_j itself,
+// interpolated linearly, missed this by ≈2–3%.
+func TestHybridMatchesStFast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills 18 default-resolution table sets")
+	}
+	const bound = 1e-4
+	rel := func(got, want float64) float64 { return math.Abs(got-want) / want }
+	var worstLife, worstP float64
+	for _, d := range obdrel.Benchmarks() {
+		for _, vdd := range []float64{1.0, 1.2, 1.3} {
+			cfg := obdrel.DefaultConfig()
+			cfg.VDD = vdd
+			an, err := obdrel.NewAnalyzer(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vdd == obdrel.DefaultConfig().VDD {
+				for _, ppm := range []float64{1, 10, 100} {
+					fast, err := an.LifetimePPM(ppm, obdrel.MethodStFast)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hyb, err := an.LifetimePPM(ppm, obdrel.MethodHybrid)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if e := rel(hyb, fast); e > bound || math.IsNaN(e) {
+						t.Errorf("%s %g ppm: hybrid lifetime %v, st_fast %v (rel %.2g)", d.Name, ppm, hyb, fast, e)
+					} else {
+						worstLife = math.Max(worstLife, e)
+					}
+				}
+			}
+			for _, h := range []float64{1e4, 1e5, 1e6} {
+				fast, err := an.FailureProb(h, obdrel.MethodStFast)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hyb, err := an.FailureProb(h, obdrel.MethodHybrid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e := rel(hyb, fast); e > bound || math.IsNaN(e) {
+					t.Errorf("%s %g V %g h: hybrid P_fail %v, st_fast %v (rel %.2g)", d.Name, vdd, h, hyb, fast, e)
+				} else {
+					worstP = math.Max(worstP, e)
+				}
+			}
+		}
+	}
+	t.Logf("worst relative error: lifetime %.2g, P_fail %.2g", worstLife, worstP)
 }
