@@ -130,7 +130,7 @@ func NewAnalyzerCtx(ctx context.Context, d *Design, cfg *Config) (*Analyzer, err
 
 // engine returns (building on first use) the engine for a method.
 // Construction is serialized so an Analyzer is safe for concurrent
-// queries; engines themselves are read-only after construction.
+// queries; engines themselves are safe for concurrent use.
 func (a *Analyzer) engine(m Method) (core.Engine, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -374,23 +374,6 @@ func BenchmarkFig10_SampleFailureTimes(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) -----------------------------------------
 
-// BenchmarkAblation_L0 sweeps the integration resolution of the
-// Fig. 9 algorithm; the paper claims l0 = 10 suffices.
-func BenchmarkAblation_L0(b *testing.B) {
-	for _, l0 := range []int{5, 10, 32, 64} {
-		b.Run(map[int]string{5: "l0=5", 10: "l0=10", 32: "l0=32", 64: "l0=64"}[l0], func(b *testing.B) {
-			cfg := obdrel.DefaultConfig()
-			cfg.GridNx, cfg.GridNy = 16, 16
-			cfg.L0 = l0
-			an, err := obdrel.NewAnalyzer(obdrel.C2(), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchLifetime(b, an, obdrel.MethodStFast)
-		})
-	}
-}
-
 // BenchmarkAblation_TableRes sweeps the hybrid lookup-table resolution
 // (paper: 100×100), timing the one-time build.
 func BenchmarkAblation_TableRes(b *testing.B) {

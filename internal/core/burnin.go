@@ -67,21 +67,16 @@ func NewBurnIn(base *StFast, intShift, extShift []float64) (*BurnIn, error) {
 // shifted evaluates P_shift(t) = Σ_j D_total_j at per-block shifted
 // times.
 func (e *BurnIn) shifted(t float64) float64 {
-	sum := 0.0
-	for j := range e.IntShift {
-		p := e.base.chip.Params[j]
+	chip := e.base.chip
+	p, _ := e.base.chipFailure(func(j int) (float64, float64, bool) {
+		h := chip.extrinsicHazard(j, t+e.ExtShift[j])
 		tInt := t + e.IntShift[j]
-		d := 0.0
-		if tInt > 0 {
-			l := math.Log(tInt / p.Alpha)
-			d = e.base.weights[j].failureProb(l, p.B, e.base.chip.Char.Blocks[j].AJ)
+		if tInt <= 0 {
+			return 0, h, false
 		}
-		sum += combineFailure(d, e.base.chip.extrinsicHazard(j, t+e.ExtShift[j]))
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
+		return math.Log(tInt / chip.Params[j].Alpha), h, true
+	})
+	return p
 }
 
 // Name implements Engine.

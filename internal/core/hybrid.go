@@ -34,16 +34,15 @@ type Hybrid struct {
 // HybridOptions configures table construction. Zero values select the
 // defaults: 100×100 entries, ln(t/α) ∈ [-40, 0], b spanning the
 // chip's block parameters with 30% margin, and the st_fast default
-// integration resolution for the table fill.
+// midpoint resolution for the entries the closed form misses.
 type HybridOptions struct {
 	NL, NB     int
 	LMin, LMax float64
 	BMin, BMax float64
 	L0         int
 	// Workers parallelizes the table fill (0 = GOMAXPROCS,
-	// 1 = serial). Every entry is an independent double integral over
-	// precomputed weights, so the tables are bit-identical for every
-	// worker count.
+	// 1 = serial). Every entry is an independent double integral, so
+	// the tables are bit-identical for every worker count.
 	Workers int
 }
 
@@ -98,16 +97,17 @@ func NewHybrid(c *Chip, opts HybridOptions) (*Hybrid, error) {
 	ls := integrate.Linspace(e.LMin, e.LMax, e.NL)
 	bs := integrate.Linspace(e.BMin, e.BMax, e.NB)
 	for j := range c.Char.Blocks {
-		bw, err := newBlockWeights(&c.Char.Blocks[j], l0)
+		bi, err := newBlockIntegral(&c.Char.Blocks[j], l0)
 		if err != nil {
 			return nil, fmt.Errorf("core: block %q: %w", c.Char.Blocks[j].Name, err)
 		}
 		area := c.Char.Blocks[j].AJ
 		// The 100×100 fill is one block integral per entry; its rows
-		// fan out over the workers (each entry reads only the
-		// immutable per-block weights).
+		// fan out over the workers (the saturated corner falls back to
+		// the midpoint rule, whose weights the first such entry builds
+		// once for all workers).
 		tab, err := integrate.NewTable2DWorkers(ls, bs, func(l, b float64) float64 {
-			return math.Log(math.Max(bw.failureProb(l, b, area), dFloor))
+			return math.Log(math.Max(bi.failureProb(l, b, area), dFloor))
 		}, opts.Workers)
 		if err != nil {
 			return nil, err

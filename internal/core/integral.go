@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"obdrel/internal/blod"
 	"obdrel/internal/stats"
@@ -17,13 +18,174 @@ func GValue(l, b, u, v float64) float64 {
 	return math.Exp(l*b*u + l*l*b*b*v/2)
 }
 
+// blockIntegral evaluates one block's ensemble failure probability
+//
+//	D_j(L, b) = ∫∫ (1 - exp(-A_j·g(u,v))) f_u(u) f_v(v) du dv
+//
+// (Eq. 28's double integral). Both marginals have closed-form
+// moment-generating functions, u ~ N(U0, σ_u²) and
+// v = V0 + Â·χ²(b̂) (Eq. 29–30), so closedForm sums D_j as a series
+// with a rigorous bracket. Where the bracket cannot be trusted the
+// l0×l0 midpoint rule of the Fig. 9 algorithm answers instead; its
+// weights are built on the first such call.
+type blockIntegral struct {
+	ud stats.Normal // σ_u as UDist floors it
+	vd stats.Dist
+	// v0, aHat and bHat are v's parameters; aHat = 0 marks a
+	// degenerate v.
+	v0, aHat, bHat float64
+	l0             int
+
+	once sync.Once
+	bw   *blockWeights
+}
+
+// newBlockIntegral validates the block's marginals; the weights of
+// the l0×l0 midpoint fallback are left for the first fallback.
+func newBlockIntegral(bc *blod.BlockChar, l0 int) (*blockIntegral, error) {
+	ud, err := bc.UDist()
+	if err != nil {
+		return nil, err
+	}
+	vd, err := bc.VDist()
+	if err != nil {
+		return nil, err
+	}
+	bi := &blockIntegral{ud: ud, vd: vd, v0: bc.V0, l0: l0}
+	if chi, ok := vd.(stats.ShiftedScaledChi2); ok {
+		bi.aHat, bi.bHat = chi.A, chi.Chi2.K
+	}
+	return bi, nil
+}
+
+// failureProb is D_j by the closed form, or by the midpoint rule where
+// the closed form's bracket does not close.
+func (bi *blockIntegral) failureProb(l, b, area float64) float64 {
+	if d, ok := bi.closedForm(l, b, area); ok {
+		return d
+	}
+	return bi.weights().midpoint(l, b, area)
+}
+
+// weights returns the block's midpoint weights, building them on the
+// first call. Engines share their blockIntegrals across concurrent
+// queries, so the build is guarded by a sync.Once.
+func (bi *blockIntegral) weights() *blockWeights {
+	bi.once.Do(func() { bi.bw = midpointWeights(bi.ud, bi.vd, bi.l0) })
+	return bi.bw
+}
+
+// maxTerms caps the closed form's series, and closeTol is the relative
+// bracket width at which it stops.
+const (
+	maxTerms = 64
+	closeTol = 1e-12
+)
+
+// lnFactorial[k] = ln k!.
+var lnFactorial = func() (f [maxTerms + 1]float64) {
+	for k := 2; k <= maxTerms; k++ {
+		f[k] = f[k-1] + math.Log(float64(k))
+	}
+	return f
+}()
+
+// closedForm sums D_j term by term. Expanding 1 − e^(−A·g) in its
+// exponential series and taking the MGFs of u and v, with
+// c = (L·b)²/2,
+//
+//	D_j = Σ_k (−1)^(k+1)/k! · A^k · exp(k·L·b·U0 + k²·c·σ_u² + k·c·V0) · (1 − 2·Â·k·c)^(−b̂/2).
+//
+// For x ≥ 0 the Taylor partial sums of 1 − e^(−x) alternate between
+// upper and lower bounds, and expectations keep the order, so D_j lies
+// between any two adjacent partial sums. The sum stops at the first
+// term within closeTol of the sum; the terms are formed in log space.
+//
+// ok is false, and the caller must evaluate D_j another way, where the
+// bracket cannot be trusted: when 2·Â·k·c ≥ 1 (the χ² moment does not
+// exist), when the terms grow before the bracket closes (the series is
+// asymptotic there, typically for D_j near 1), when the sum's rounding
+// error could exceed the bracket, and when the area or L·b is NaN,
+// infinite or (for the area) nonpositive.
+func (bi *blockIntegral) closedForm(l, b, area float64) (d float64, ok bool) {
+	lb := l * b
+	if !trusted(lb, area) {
+		return 0, false
+	}
+	c := lb * lb / 2
+	su := bi.ud.Sigma
+	lin := math.Log(area) + lb*bi.ud.Mu + c*bi.v0 // the exponent's coefficient of k
+	quad := c * su * su                           // and of k²
+	sum, mag, prev := 0.0, 0.0, math.MaxFloat64
+	for k := 1; k <= maxTerms; k++ {
+		fk := float64(k)
+		lt := fk*lin + fk*fk*quad - lnFactorial[k]
+		if bi.aHat > 0 {
+			s := 2 * bi.aHat * fk * c
+			if !(s < 1) {
+				return 0, false
+			}
+			lt -= bi.bHat / 2 * math.Log1p(-s)
+		}
+		term := math.Exp(lt)
+		// Growing, NaN and +Inf terms all fail this test.
+		if !(term <= prev) {
+			return 0, false
+		}
+		if k%2 == 1 {
+			sum += term
+		} else {
+			sum -= term
+		}
+		mag += term
+		if term <= closeTol*math.Abs(sum) {
+			// Each add rounds by at most half an ulp of the running
+			// magnitude; the bracket is trusted only above that.
+			if fk*mag*0x1p-53 > closeTol*math.Abs(sum) {
+				return 0, false
+			}
+			return math.Min(math.Max(sum, 0), 1), true
+		}
+		prev = term
+	}
+	return 0, false
+}
+
+// trusted reports whether the closed form and the saturation bound may
+// be evaluated at all: a positive finite area and a finite L·b.
+func trusted(lb, area float64) bool {
+	return area > 0 && area <= math.MaxFloat64 && math.Abs(lb) <= math.MaxFloat64
+}
+
+// phi6 is Φ(6), the standard normal probability below six sigma.
+var phi6 = 1 - math.Erfc(6/math.Sqrt2)/2
+
+// lowerBound is a rigorous lower bound on D_j for blocks the closed
+// form misses. v ≥ V0 always, and L·b·u ≥ L·b·U0 − 6·|L·b|·σ_u with
+// probability Φ(6), so with c = (L·b)²/2
+//
+//	D_j ≥ Φ(6)·(1 − exp(−A·exp(L·b·U0 − 6·|L·b|·σ_u + c·V0))).
+//
+// It is 0 where the inputs are not trusted.
+func (bi *blockIntegral) lowerBound(l, b, area float64) float64 {
+	lb := l * b
+	if !trusted(lb, area) {
+		return 0
+	}
+	x := lb*bi.ud.Mu - 6*math.Abs(lb)*bi.ud.Sigma + lb*lb/2*bi.v0
+	d := phi6 * -math.Expm1(-area*math.Exp(x))
+	if !(d >= 0) {
+		return 0
+	}
+	return d
+}
+
 // blockWeights caches the abscissae and marginal PDF weights of the
 // l0×l0 midpoint rule over one block's (u, v) integration domain. The
 // rule's weights factor as fu[i]·fv[j], so only the 2·l0 marginal
 // weights are stored. They depend only on the BLOD marginals, not on
 // (t, α, b), so they are computed once per block and reused across
-// every integrand evaluation — lifetime solves, hybrid-table fills and
-// burn-in screens.
+// every integrand evaluation.
 type blockWeights struct {
 	us, vs []float64 // midpoints; vs ascending
 	fu     []float64 // f_u(us[i])·du
@@ -37,14 +199,14 @@ type blockWeights struct {
 // the parts-per-million targets of the analysis.
 const qEps = 1e-12
 
-// seriesK is the number of exponential-series terms failureProb sums
+// seriesK is the number of exponential-series terms midpoint sums
 // for an unsaturated row (largest A·g ≤ 1). The alternating series'
 // truncation error is below its first omitted term, so the relative
 // error is at most 1/(seriesK+1)! ≈ 2e-20, far below rounding.
 const seriesK = 20
 
-// lnSaturated is ln 40, the cell exponent past which failureProb takes
-// a cell's 1 − exp(−A·g) to be exactly 1 (see failureProb).
+// lnSaturated is ln 40, the cell exponent past which midpoint takes a
+// cell's 1 − exp(−A·g) to be exactly 1 (see midpoint).
 var lnSaturated = math.Log(40)
 
 // minNormal is the smallest normal float64; products below it are
@@ -52,22 +214,10 @@ var lnSaturated = math.Log(40)
 // denormals.
 const minNormal = 0x1p-1022
 
-// newBlockWeights builds the marginals of the l0×l0 midpoint grid of
-// the paper's Fig. 9 algorithm (step 2–3) for one block. For a
-// degenerate block (v_j deterministic) the v axis collapses to the
-// single atom.
-func newBlockWeights(bc *blod.BlockChar, l0 int) (*blockWeights, error) {
-	if l0 <= 0 {
-		l0 = DefaultL0
-	}
-	ud, err := bc.UDist()
-	if err != nil {
-		return nil, err
-	}
-	vd, err := bc.VDist()
-	if err != nil {
-		return nil, err
-	}
+// midpointWeights builds the marginals of the l0×l0 midpoint grid of
+// the paper's Fig. 9 algorithm (step 2–3). For a degenerate block (v_j
+// deterministic) the v axis collapses to the single atom.
+func midpointWeights(ud stats.Normal, vd stats.Dist, l0 int) *blockWeights {
 	uLo, uHi := ud.Quantile(qEps), ud.Quantile(1-qEps)
 	bw := &blockWeights{}
 	du := (uHi - uLo) / float64(l0)
@@ -86,7 +236,7 @@ func newBlockWeights(bc *blod.BlockChar, l0 int) (*blockWeights, error) {
 		bw.vs = []float64{vd.Mean()}
 		bw.fv = []float64{1}
 		bw.wsum = usum
-		return bw, nil
+		return bw
 	}
 	dv := (vHi - vLo) / float64(l0)
 	vsum := 0.0
@@ -98,14 +248,11 @@ func newBlockWeights(bc *blod.BlockChar, l0 int) (*blockWeights, error) {
 		vsum += wt
 	}
 	bw.wsum = usum * vsum
-	return bw, nil
+	return bw
 }
 
-// failureProb evaluates the block's ensemble failure probability
-//
-//	D_j(L, b) = ∫∫ (1 - exp(-A_j·g(u,v))) f_u(u) f_v(v) du dv
-//
-// with the cached midpoint rule. Computing D_j (rather than the
+// midpoint evaluates the block's ensemble failure probability D_j with
+// the cached midpoint rule: the fallback for what closedForm misses. Computing D_j (rather than the
 // reliability integral I_j = 1 - D_j) keeps ppm-scale results exact:
 // the integrand uses expm1 and the truncated tail mass only ever
 // drops ~qEps of probability.
@@ -134,7 +281,7 @@ func newBlockWeights(bc *blod.BlockChar, l0 int) (*blockWeights, error) {
 // without an exp or expm1. This is bit-identical to summing every
 // cell directly. Nonpositive or infinite areas, and NaN exponents,
 // never take the shortcut.
-func (bw *blockWeights) failureProb(l, b, area float64) float64 {
+func (bw *blockWeights) midpoint(l, b, area float64) float64 {
 	lb := l * b
 	c := lb * lb / 2
 	llbb := l * l * b * b // GValue's form of (L·b)², for the saturation test

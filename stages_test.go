@@ -273,7 +273,7 @@ func TestMaxVDDPinnedThermal(t *testing.T) {
 // computation promptly instead of letting it run to completion.
 func TestNewAnalyzerCtxCancellation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.GridNx, cfg.GridNy = 30, 30 // 900-node eigendecomposition: a deliberately slow build
+	cfg.GridNx, cfg.GridNy = 40, 40 // 1600-node eigendecomposition: a deliberately slow build
 
 	// A nil stage cache keeps the runs independent and every build
 	// inline under the caller's ctx.

@@ -27,12 +27,14 @@ func (h *hybridTables) SizeBytes() int64 {
 // knob the tables depend on) and the table geometry, canonicalized
 // exactly as core.NewHybrid resolves its defaults so an explicit
 // 100×100 and the zero-value default collide. The tags name how the
-// entries were filled and what they hold: entries summed another way
-// differ in their low bits, and linear tables hold D_j rather than
-// ln D_j, so artifacts of either kind miss rather than serve answers
-// a fresh build would not give.
+// entries were filled and what they hold: fill=mgf entries are the
+// closed-form series, with the l0 midpoint rule where it misses (so l0
+// stays in the key). Entries filled another way differ in their low
+// digits, and linear tables hold D_j rather than ln D_j, so artifacts
+// of either kind miss rather than serve answers a fresh build would
+// not give.
 func hybridTableKey(chipKey string, cfg *Config) string {
 	nl, nb := cfg.resolvedHybridGrid()
 	return fp16(StageHybrid, chipKey,
-		fmt.Sprintf("nl=%d|nb=%d|l0=%d|fill=series|interp=log", nl, nb, cfg.resolvedL0()))
+		fmt.Sprintf("nl=%d|nb=%d|l0=%d|fill=mgf|interp=log", nl, nb, cfg.resolvedL0()))
 }

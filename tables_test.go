@@ -91,8 +91,9 @@ func TestTableDirRoundTrip(t *testing.T) {
 
 // TestTableDirRejectsStaleAndCorrupt verifies the never-serve
 // guarantees: an artifact written under another model configuration,
-// one of linear tables from before the interp tag, and a bit-flipped
-// one are each missed or rejected and rebuilt, never served.
+// one of linear tables from before the interp tag, one of tables filled
+// by the midpoint rule before the closed form, and a bit-flipped one
+// are each missed or rejected and rebuilt, never served.
 func TestTableDirRejectsStaleAndCorrupt(t *testing.T) {
 	d := obdrel.C1()
 
@@ -127,51 +128,62 @@ func TestTableDirRejectsStaleAndCorrupt(t *testing.T) {
 		wantHybridStat(t, c, 1, 0, 1, 1)
 	})
 
-	// Tables of D_j interpolated linearly answer ≈2% off a fresh build.
-	// An artifact of them, keyed without the interp tag, must miss by
-	// name, and its payload under the current name must be rejected
-	// by the embedded key; neither may serve.
-	t.Run("untagged fill key", func(t *testing.T) {
-		cfg := tableConfig()
-		want := hybridLifetime(t, nil, d, cfg)
-		src := t.TempDir()
-		hybridLifetime(t, tierCache(src), d, cfg)
-		oldKey, newKey := obdrel.UntaggedHybridTableKey(d, cfg), obdrel.HybridTableKey(d, cfg)
-		if oldKey == newKey {
-			t.Fatal("interp tag does not change the hybrid key")
-		}
-		sealed, err := os.ReadFile(hybridPath(src, newKey))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := artifact.Decode(obdrel.StageHybrid, newKey, sealed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		linear, err := artifact.Encode(obdrel.StageHybrid, oldKey, obdrel.LinearHybridTables(v))
-		if err != nil {
-			t.Fatal(err)
-		}
+	// An artifact another build rule made must miss by name, and its
+	// payload under the current name must be rejected by the embedded
+	// key; neither may serve. Tables of D_j interpolated linearly answer
+	// ≈2% off a fresh build, and were keyed without the interp tag;
+	// tables filled by the midpoint rule sit up to ≈3e-5 off the closed
+	// form's, and were keyed fill=series.
+	for _, old := range []struct {
+		name   string
+		key    func(*obdrel.Design, *obdrel.Config) string
+		tables func(any) any
+	}{
+		{"untagged fill key", obdrel.UntaggedHybridTableKey, obdrel.LinearHybridTables},
+		{"series fill key", obdrel.SeriesHybridTableKey, func(v any) any { return obdrel.DriftedHybridTables(v, 3e-5) }},
+	} {
+		t.Run(old.name, func(t *testing.T) {
+			cfg := tableConfig()
+			want := hybridLifetime(t, nil, d, cfg)
+			src := t.TempDir()
+			hybridLifetime(t, tierCache(src), d, cfg)
+			oldKey, newKey := old.key(d, cfg), obdrel.HybridTableKey(d, cfg)
+			if oldKey == newKey {
+				t.Fatal("the old and current hybrid keys are equal")
+			}
+			sealed, err := os.ReadFile(hybridPath(src, newKey))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := artifact.Decode(obdrel.StageHybrid, newKey, sealed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale, err := artifact.Encode(obdrel.StageHybrid, oldKey, old.tables(v))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		dir := t.TempDir()
-		if err := artifact.WriteFile(dir, obdrel.StageHybrid, oldKey, linear); err != nil {
-			t.Fatal(err)
-		}
-		c := tierCache(dir)
-		if got := hybridLifetime(t, c, d, cfg); got != want {
-			t.Errorf("lifetime beside a linear artifact %v, want %v", got, want)
-		}
-		wantHybridStat(t, c, 1, 0, 0, 1)
+			dir := t.TempDir()
+			if err := artifact.WriteFile(dir, obdrel.StageHybrid, oldKey, stale); err != nil {
+				t.Fatal(err)
+			}
+			c := tierCache(dir)
+			if got := hybridLifetime(t, c, d, cfg); got != want {
+				t.Errorf("lifetime beside a stale artifact %v, want %v", got, want)
+			}
+			wantHybridStat(t, c, 1, 0, 0, 1)
 
-		if err := os.WriteFile(hybridPath(dir, newKey), linear, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		c = tierCache(dir)
-		if got := hybridLifetime(t, c, d, cfg); got != want {
-			t.Errorf("post-reject rebuild lifetime %v, want %v", got, want)
-		}
-		wantHybridStat(t, c, 1, 0, 1, 1)
-	})
+			if err := os.WriteFile(hybridPath(dir, newKey), stale, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c = tierCache(dir)
+			if got := hybridLifetime(t, c, d, cfg); got != want {
+				t.Errorf("post-reject rebuild lifetime %v, want %v", got, want)
+			}
+			wantHybridStat(t, c, 1, 0, 1, 1)
+		})
+	}
 
 	t.Run("corrupt payload", func(t *testing.T) {
 		dir := t.TempDir()
