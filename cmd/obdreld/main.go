@@ -111,14 +111,14 @@ func main() {
 		wideSample = flag.Int("wide-sample", 1, "head-sample 1-in-N requests for -wide-events (5xx are always emitted)")
 
 		artifactDir = flag.String("artifact-dir", "", "spill serializable stage artifacts to this directory and serve them back across restarts (empty disables the disk tier)")
-		peers       = flag.String("peers", "", "comma-separated base URLs of every cluster node, this one included; enables static-ring peer cache-fill (requires -self; mutually exclusive with -join)")
+		peers       = flag.String("peers", "", "comma-separated base URLs of every cluster node, this one included; pins a fixed ring whose members never leave it, and enables peer cache-fill (requires -self; mutually exclusive with -join)")
 		self        = flag.String("self", "", "this node's base URL as seen by peers")
 		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "deadline for one peer artifact fetch")
 		warmLimit   = flag.Int("warm-limit", 1024, "max artifacts the startup anti-entropy sweep loads from -artifact-dir (negative disables; /readyz reports progress)")
 
-		join     = flag.String("join", "", "comma-separated seed URLs of an existing cluster; enables dynamic lease-based membership (requires -self; a first node seeds with its own -self URL)")
+		join     = flag.String("join", "", "comma-separated seed URLs of an existing cluster; the ring is discovered by gossip and tracks live members (requires -self; a first node seeds with its own -self URL)")
 		lease    = flag.Duration("lease", 10*time.Second, "membership lease: a node silent for lease/2 is suspect, for the full lease dead")
-		replicas = flag.Int("replicas", 2, "artifact replica factor in dynamic cluster mode (k distinct ring owners per key)")
+		replicas = flag.Int("replicas", 1, "artifact replica factor in cluster mode (k distinct ring owners per key; default 1, owner only — a -join fleet that must survive a kill -9 wants 2)")
 	)
 	flag.Parse()
 
@@ -181,16 +181,16 @@ func main() {
 		}
 		*queueDepth = 2 * mc
 	}
-	var peerList []string
+	var peerList, joinList []string
 	if *peers != "" {
 		peerList = strings.Split(*peers, ",")
-		log.Printf("cluster mode (static): self=%s peers=%s", *self, *peers)
 	}
-	var joinList []string
 	if *join != "" {
 		joinList = strings.Split(*join, ",")
-		log.Printf("cluster mode (dynamic): self=%s join=%s lease=%v replicas=%d",
-			*self, *join, *lease, *replicas)
+	}
+	if peerList != nil || joinList != nil {
+		log.Printf("cluster mode: self=%s peers=%s join=%s lease=%v replicas=%d",
+			*self, *peers, *join, *lease, *replicas)
 	}
 	if *artifactDir != "" {
 		if err := os.MkdirAll(*artifactDir, 0o755); err != nil {
@@ -293,7 +293,7 @@ func main() {
 	if debugSrv != nil {
 		debugSrv.Shutdown(shutdownCtx)
 	}
-	svc.Close() // stop membership/replication loops (no-op outside dynamic mode)
+	svc.Close() // stop membership/replication loops (no-op outside cluster mode)
 	m := svc.Metrics()
 	fmt.Fprintf(os.Stderr,
 		"obdreld: served %v; cache hits=%d misses=%d coalesced=%d; builds=%d (%.2fs); throttled=%d timed_out=%d; traces=%d\n",
@@ -326,7 +326,7 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"obdreld: artifacts fetch_attempts=%d fetch_fills=%d fetch_errors=%d hedged=%d hedge_wins=%d peer_serves=%d warm_loaded=%d\n",
 			as.FetchAttempts, as.FetchFills, as.FetchErrors, as.FetchHedged, as.FetchHedgeWins, as.PeerServes, as.WarmLoaded)
-		if as.Dynamic {
+		if as.Replicas > 0 {
 			fmt.Fprintf(os.Stderr,
 				"obdreld: membership epoch=%d members active=%d suspect=%d dead=%d replica_pushes=%d push_errors=%d dropped=%d receives=%d rebalance_sweeps=%d rebalance_fetched=%d heartbeat_errors=%d\n",
 				as.Epoch, as.MembersActive, as.MembersSuspect, as.MembersDead,

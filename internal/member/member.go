@@ -1,5 +1,6 @@
 // Package member implements the lease-based cluster membership
-// directory behind obdreld's dynamic ring (-join mode).
+// directory that every obdreld cluster node runs, whether its ring is
+// pinned (-peers) or discovered (-join).
 //
 // Each node keeps a Directory: a map from node URL to the freshest
 // known (incarnation, state) pair plus a local last-contact stamp.
@@ -20,9 +21,11 @@
 // direct contact (an inbound exchange from the node, or a successful
 // outbound exchange to it) or by learning a strictly newer
 // incarnation. A member with no contact for lease/2 turns suspect;
-// for a full lease, dead. Suspect members stay in the ring (serving
-// is never gated on gossip); dead members leave the ring but remain
+// for a full lease, dead. Suspect members stay in the alive set
+// (serving is never gated on gossip); dead members leave it but remain
 // as tombstones so their obituary out-gossips stale "active" entries.
+// The caller builds its ring from the alive set, and may pin members
+// that stay in the ring whatever their state.
 //
 // Every mutation that changes the member list bumps the local epoch.
 // Epochs are per-node view versions, not a fleet consensus: merge
@@ -45,7 +48,7 @@ type State int
 const (
 	Active  State = iota // lease current
 	Suspect              // missed heartbeats for lease/2; still in the ring
-	Dead                 // lease expired or graceful leave; out of the ring
+	Dead                 // lease expired or graceful leave; out of the alive set
 )
 
 func (s State) String() string {
@@ -175,7 +178,7 @@ func (d *Directory) Incarnation() int64 {
 
 // Alive returns the sorted set of non-dead members including self.
 // Suspect members are included: suspicion delays nothing, only a
-// confirmed lease expiry shrinks the ring.
+// confirmed lease expiry shrinks the alive set.
 func (d *Directory) Alive() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,13 +19,15 @@ import (
 	"obdrel/internal/obs"
 )
 
-// cluster is obdreld's sharding layer. In static mode (-peers) every
-// node knows the full peer list and the ring never changes; in
-// dynamic mode (-join) the member directory swaps a new ring in on
-// every membership epoch. Stage fingerprints map onto peers with a
-// consistent-hash ring, and a node that misses an artifact
-// cache-fills it from the cluster via GET /v1/artifact/{stage}/{key}
-// instead of recomputing physics.
+// cluster is obdreld's sharding layer, and every cluster node runs it
+// the same way, over a member directory. A -peers node's ring is its
+// pinned list and nothing else: gossip only reports the members'
+// liveness, and admits no name outside the list. A -join node's ring
+// is the directory's alive set plus self, so it grows and shrinks
+// with gossip; the directory swaps a new ring in on every change. Stage
+// fingerprints map onto nodes with a consistent-hash ring, and a node
+// that misses an artifact cache-fills it from the cluster via
+// GET /v1/artifact/{stage}/{key} instead of recomputing physics.
 //
 // Ownership orders preference, it does not gate serving: the owner of
 // a key is the node the ring designates as its canonical holder, so a
@@ -34,23 +37,23 @@ import (
 // mode short of "nobody has it and the local build fails" degrades to
 // a local build, never to a client-visible error.
 //
-// In dynamic mode ownership is k-way: the first `replicas` distinct
-// nodes clockwise from a key's point form its replica set, every
-// build pushes the sealed artifact to the other members of that set,
-// and owns() (which filters the warm sweep and the rebalance stream)
-// means "self is in the replica set", so a kill −9 of the primary
-// leaves warm replicas and zero cold rebuilds.
+// Ownership is k-way: the first `replicas` distinct nodes clockwise
+// from a key's point form its replica set, and owns() (which filters
+// the warm sweep and the rebalance stream) means "self is in the
+// replica set". With k > 1 every build pushes the sealed artifact to
+// the other members of that set, so a kill −9 of the primary leaves
+// warm replicas and zero cold rebuilds.
 type cluster struct {
 	self    string
+	pinned  []string // normalized -peers list, self included; nil for -join
 	client  *http.Client
 	timeout time.Duration
-	dynamic bool
 
 	mu       sync.RWMutex
-	peers    []string // normalized, sorted, self included (current alive set)
+	peers    []string // normalized, sorted ring members: pinned, or alive ∪ self
 	ring     *hashRing
 	epoch    uint64
-	replicas int // k-way placement factor; 1 = owner-only (static mode)
+	replicas int // k-way placement factor; 1 = owner-only; fixed after NewE
 
 	// fetchAttempts counts cluster fetches started; fetchFills those
 	// satisfied by some peer; fetchErrors per-peer request failures
@@ -76,125 +79,93 @@ type cluster struct {
 // small cluster without turning one miss into a full-cluster scan.
 const maxFetchCandidates = 3
 
-// newCluster validates the peer list and builds the ring. Self must
-// appear in peers — a node that is not part of the ring it routes on
-// would consider every key remote.
-func newCluster(self string, peers []string, timeout time.Duration) (*cluster, error) {
+// newCluster validates self and the pinned list and seeds the ring
+// with them. Self must appear in a non-empty pinned list — a node that
+// is not part of the ring it routes on would consider every key
+// remote. An empty pinned list (-join) starts the ring as just self.
+func newCluster(self string, pinned []string, timeout time.Duration) (*cluster, error) {
+	self = normalizePeer(self)
 	if self == "" {
-		return nil, fmt.Errorf("cluster: -peers requires -self")
+		return nil, fmt.Errorf("cluster: -peers and -join require -self")
 	}
-	norm := make([]string, 0, len(peers))
-	seen := map[string]bool{}
-	selfIn := false
-	for _, p := range peers {
-		p = normalizePeer(p)
-		if p == "" {
-			continue
-		}
-		if u, err := url.Parse(p); err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("cluster: peer %q is not a base URL", p)
-		}
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		norm = append(norm, p)
-		if p == normalizePeer(self) {
-			selfIn = true
-		}
+	if !isBaseURL(self) {
+		return nil, fmt.Errorf("cluster: self %q is not a base URL", self)
 	}
-	if len(norm) == 0 {
-		return nil, fmt.Errorf("cluster: empty peer list")
+	pins, err := peerList("-peers", pinned)
+	if err != nil {
+		return nil, err
 	}
-	if !selfIn {
+	if len(pins) > 0 && !slices.Contains(pins, self) {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list", self)
 	}
-	sort.Strings(norm)
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	return &cluster{
-		self:     normalizePeer(self),
-		peers:    norm,
-		ring:     newHashRing(norm, 64),
+	cl := &cluster{
+		self:     self,
+		pinned:   pins,
 		client:   &http.Client{Timeout: timeout},
 		timeout:  timeout,
 		replicas: 1,
-	}, nil
+	}
+	cl.setMembers(nil, 1)
+	return cl, nil
 }
 
-// newDynamicCluster builds a cluster whose membership starts as just
-// self; the member directory grows it via setMembers as gossip
-// converges. replicas is clamped to ≥1.
-func newDynamicCluster(self string, replicas int, timeout time.Duration) (*cluster, error) {
-	self = normalizePeer(self)
-	if self == "" {
-		return nil, fmt.Errorf("cluster: -join requires -self")
-	}
-	if u, err := url.Parse(self); err != nil || u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("cluster: self %q is not a base URL", self)
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	return &cluster{
-		self:     self,
-		dynamic:  true,
-		peers:    []string{self},
-		ring:     newHashRing([]string{self}, 64),
-		epoch:    1,
-		client:   &http.Client{Timeout: timeout},
-		timeout:  timeout,
-		replicas: replicas,
-	}, nil
-}
-
-// setMembers installs a new alive set at the given epoch and returns
-// the previous ring (for the rebalance diff) plus whether the ring
-// actually changed. The alive list must already contain self.
-func (cl *cluster) setMembers(alive []string, epoch uint64) (prev *hashRing, changed bool) {
-	norm := make([]string, 0, len(alive))
-	seen := map[string]bool{}
-	for _, p := range alive {
+// peerList normalizes a -peers or -join list: blanks and duplicates
+// drop, and every other entry must be a base URL. A list that is
+// non-empty yet names no node is an error.
+func peerList(flag string, in []string) ([]string, error) {
+	var out []string
+	for _, p := range in {
 		p = normalizePeer(p)
-		if p == "" || seen[p] {
+		if p == "" || slices.Contains(out, p) {
 			continue
 		}
-		seen[p] = true
-		norm = append(norm, p)
+		if !isBaseURL(p) {
+			return nil, fmt.Errorf("cluster: %s entry %q is not a base URL", flag, p)
+		}
+		out = append(out, p)
 	}
-	if !seen[cl.self] {
-		norm = append(norm, cl.self)
+	if len(in) > 0 && len(out) == 0 {
+		return nil, fmt.Errorf("cluster: empty %s list", flag)
 	}
-	sort.Strings(norm)
+	return out, nil
+}
+
+// isBaseURL reports whether p is exactly a node's base URL: an http or
+// https scheme and a host, with no user, path, query or fragment. It
+// is the one check every name passes before it enters the ring: the
+// -peers and -join lists, and every record gossip brings in.
+func isBaseURL(p string) bool {
+	u, err := url.Parse(p)
+	return err == nil && (u.Scheme == "http" || u.Scheme == "https") &&
+		u.Hostname() != "" && p == u.Scheme+"://"+u.Host
+}
+
+// setMembers installs the directory's alive set at the given epoch.
+// The ring becomes the pinned list when there is one, whatever the
+// members' states, and alive ∪ self otherwise. It reports whether the
+// ring actually changed, so on a -peers node it never does.
+func (cl *cluster) setMembers(alive []string, epoch uint64) bool {
+	norm := slices.Clone(cl.pinned)
+	if len(norm) == 0 {
+		norm = append([]string{cl.self}, alive...)
+	}
+	slices.Sort(norm)
+	norm = slices.Compact(norm)
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	prev = cl.ring
 	cl.epoch = epoch
-	if slicesEqual(norm, cl.peers) {
-		return prev, false
+	if slices.Equal(norm, cl.peers) {
+		return false
 	}
 	cl.peers = norm
 	cl.ring = newHashRing(norm, 64)
-	return prev, true
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
 	return true
 }
 
-// ringView returns the current ring; peersView the current alive set.
+// ringView returns the current ring; peersView its members.
 func (cl *cluster) ringView() *hashRing {
 	cl.mu.RLock()
 	defer cl.mu.RUnlock()
@@ -215,12 +186,6 @@ func (cl *cluster) epochView() uint64 {
 	return cl.epoch
 }
 
-func (cl *cluster) replicaFactor() int {
-	cl.mu.RLock()
-	defer cl.mu.RUnlock()
-	return cl.replicas
-}
-
 func normalizePeer(p string) string {
 	return strings.TrimRight(strings.TrimSpace(p), "/")
 }
@@ -231,36 +196,17 @@ func (cl *cluster) owner(stage, key string) string {
 }
 
 // owns reports whether this node is a canonical holder of a key — the
-// anti-entropy sweep and the rebalance stream warm exactly these. In
-// static mode that means sole ownership; with k-way replication it
-// means membership in the key's replica set.
+// anti-entropy sweep and the rebalance stream warm exactly these: sole
+// ownership at k = 1, membership in the key's replica set above it.
 func (cl *cluster) owns(stage, key string) bool {
-	return cl.ownsOn(cl.ringView(), stage, key)
-}
-
-// ownsOn evaluates owns against an explicit ring (the rebalance diff
-// compares the previous and current rings for the same key).
-func (cl *cluster) ownsOn(r *hashRing, stage, key string) bool {
-	k := cl.replicaFactor()
-	if k <= 1 {
-		return r.owner(stage+"/"+key) == cl.self
-	}
-	for _, n := range r.replicaSet(stage+"/"+key, k) {
-		if n == cl.self {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(cl.replicaSet(stage, key), cl.self)
 }
 
 // replicaSet lists the key's canonical holders on the current ring:
 // the first k distinct nodes clockwise, owner first. With fewer than
 // k members the whole membership is the set.
 func (cl *cluster) replicaSet(stage, key string) []string {
-	cl.mu.RLock()
-	r, k := cl.ring, cl.replicas
-	cl.mu.RUnlock()
-	return r.replicaSet(stage+"/"+key, k)
+	return cl.ringView().replicaSet(stage+"/"+key, cl.replicas)
 }
 
 // candidates lists the peers a fetch should try, in preference order:
@@ -269,14 +215,8 @@ func (cl *cluster) replicaSet(stage, key string) []string {
 // candidate, whichever is larger — a fetch must be able to walk past
 // one dead replica holder).
 func (cl *cluster) candidates(stage, key string) []string {
-	cl.mu.RLock()
-	r, k := cl.ring, cl.replicas
-	cl.mu.RUnlock()
-	limit := maxFetchCandidates
-	if k+1 > limit {
-		limit = k + 1
-	}
-	seq := r.successors(stage + "/" + key)
+	limit := max(maxFetchCandidates, cl.replicas+1)
+	seq := cl.ringView().successors(stage + "/" + key)
 	out := make([]string, 0, limit)
 	for _, p := range seq {
 		if p == cl.self {

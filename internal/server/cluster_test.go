@@ -94,14 +94,22 @@ func TestNewEClusterValidation(t *testing.T) {
 		name  string
 		self  string
 		peers []string
+		join  []string
 	}{
-		{"missing self", "", []string{"http://a:1"}},
-		{"self not in peers", "http://c:3", []string{"http://a:1", "http://b:2"}},
-		{"not a URL", "http://a:1", []string{"http://a:1", "nonsense"}},
-		{"empty list", "http://a:1", []string{"", "  "}},
+		{"missing self", "", []string{"http://a:1"}, nil},
+		{"self not in peers", "http://c:3", []string{"http://a:1", "http://b:2"}, nil},
+		{"not a URL", "http://a:1", []string{"http://a:1", "nonsense"}, nil},
+		{"empty list", "http://a:1", []string{"", "  "}, nil},
+		{"peer with a path", "http://a:1", []string{"http://a:1", "http://b:2/a/path"}, nil},
+		{"join seeds not URLs", "http://a:1", nil, []string{"nonsense", "127.0.0.1:9"}},
+		{"join seed with a path", "http://a:1", nil, []string{"http://b:2/a/path"}},
+		{"join seed with a query", "http://a:1", nil, []string{"http://b:2?x=1"}},
+		{"join without self", "", nil, []string{"http://b:2"}},
+		{"self not a base URL", "http://a:1/x", nil, []string{"http://b:2"}},
+		{"peers and join", "http://a:1", []string{"http://a:1"}, []string{"http://b:2"}},
 	}
 	for _, tc := range cases {
-		if _, err := NewE(Options{Stages: pipeline.NewCache(4), Self: tc.self, Peers: tc.peers, DisableTracing: true}); err == nil {
+		if _, err := NewE(Options{Stages: pipeline.NewCache(4), Self: tc.self, Peers: tc.peers, JoinPeers: tc.join, DisableTracing: true}); err == nil {
 			t.Errorf("%s: NewE accepted invalid cluster options", tc.name)
 		}
 	}

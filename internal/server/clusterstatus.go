@@ -40,7 +40,7 @@ type routeStats struct {
 
 // nodeStats is the compact per-node document served on
 // GET /v1/cluster/stats. The membership fields are zero outside
-// dynamic mode, and a mixed-version or mixed-epoch fleet decodes
+// cluster mode, and a mixed-version or mixed-epoch fleet decodes
 // whatever subset each node reports — per-node data always survives.
 type nodeStats struct {
 	Node            string                `json:"node"`
@@ -53,7 +53,7 @@ type nodeStats struct {
 	Tiers           tierCounters          `json:"tiers"`
 	Routes          map[string]routeStats `json:"routes"`
 
-	// Dynamic-membership view (omitted in static/solo mode): this
+	// Membership view (omitted outside cluster mode): this
 	// node's epoch, replica factor, rebalance state, and its own
 	// member directory with per-member states.
 	Epoch       uint64        `json:"epoch,omitempty"`
@@ -93,7 +93,7 @@ func (s *Server) localNodeStats() nodeStats {
 	}
 	if m := s.member; m != nil {
 		ns.Epoch = s.cluster.epochView()
-		ns.Replicas = s.cluster.replicaFactor()
+		ns.Replicas = s.cluster.replicas
 		ns.Rebalancing = m.rebalancing.Load()
 		ns.Members = m.dir.Members()
 	}
@@ -181,10 +181,10 @@ type clusterStatusOut struct {
 		Routes  map[string]fleetQuantiles `json:"routes"`
 	} `json:"fleet"`
 	// Ring is each node's exact share of the key space (empty outside
-	// cluster mode), evaluated on THIS node's current ring — in
-	// dynamic mode the shares are per-epoch, stamped with RingEpoch.
+	// cluster mode), evaluated on THIS node's current ring — the
+	// shares are per-epoch, stamped with RingEpoch.
 	Ring map[string]float64 `json:"ring,omitempty"`
-	// Dynamic-membership fleet view: RingEpoch/Replicas are this
+	// Membership fleet view: RingEpoch/Replicas are this
 	// node's; Membership its directory with per-member states;
 	// MixedEpochs is true when healthy nodes report different epochs —
 	// the fleet is mid-convergence, so cross-node aggregates should be
@@ -208,15 +208,15 @@ func (s *Server) clusterStatus(ctx context.Context) clusterStatusOut {
 	} else {
 		out.Self = cl.self
 		out.Ring = cl.ringView().shares()
-		if s.member != nil {
-			out.RingEpoch = cl.epochView()
-			out.Replicas = cl.replicaFactor()
-			out.Membership = s.member.dir.Members()
-		}
-		// The fan-out targets the CURRENT alive set: in dynamic mode
-		// dead members are reported in Membership (with state "dead")
-		// rather than probed, so a shrunken fleet does not pay a
-		// timeout per tombstone on every status call.
+		out.RingEpoch = cl.epochView()
+		out.Replicas = cl.replicas
+		out.Membership = s.member.dir.Members()
+		// The fan-out targets the CURRENT ring: a dead -join member
+		// has left it and is reported in Membership (with state
+		// "dead") rather than probed, so a shrunken fleet does not pay
+		// a timeout per tombstone on every status call. A dead pinned
+		// member stays in the ring, so it is probed and reported as a
+		// failed node.
 		peers := cl.peersView()
 		entries := make([]nodeEntry, len(peers))
 		var wg sync.WaitGroup
@@ -269,8 +269,8 @@ func (s *Server) clusterStatus(ctx context.Context) clusterStatusOut {
 		}
 	}
 	out.Degraded = out.NodesDead > 0
-	// Mixed-epoch detection: healthy dynamic nodes disagreeing on the
-	// view epoch. Static nodes (epoch 0) never trip it.
+	// Mixed-epoch detection: healthy cluster nodes disagreeing on the
+	// view epoch. A node outside cluster mode (epoch 0) never trips it.
 	var seenEpoch uint64
 	for _, n := range out.Nodes {
 		if n.Err != "" || n.Epoch == 0 {

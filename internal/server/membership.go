@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,16 +15,16 @@ import (
 	"obdrel/internal/pipeline"
 )
 
-// This file is the dynamic-membership side of cluster mode (-join):
-// the gossip exchange endpoint, the heartbeat loop, the async k-way
-// replicator, and the epoch-triggered rebalance sweep. Static mode
-// (-peers) touches none of it — s.dir stays nil and the ring is
-// immutable for the process lifetime.
+// This file is the membership side of cluster mode, which every
+// cluster node runs: the gossip exchange endpoint, the heartbeat loop,
+// the async k-way replicator, and the epoch-triggered rebalance sweep.
+// A -peers node runs it too; its ring is its pinned list, so for it the
+// directory reports liveness without moving keys.
 
-// membership bundles the dynamic-mode machinery hanging off a Server.
+// membership bundles the member directory and the machinery around it.
 type membership struct {
 	dir   *member.Directory
-	seeds []string // -join URLs, normalized, self excluded
+	seeds []string // -peers or -join URLs, normalized, self excluded
 	repl  *replicator
 
 	stop     chan struct{}
@@ -48,34 +49,27 @@ type membership struct {
 	replRejects   atomic.Int64
 }
 
-// startMembership wires the directory to the cluster ring and starts
-// the heartbeat and rebalance workers. Called from NewE in dynamic
-// mode only.
-func (s *Server) startMembership(seeds []string, lease time.Duration) {
+// newMembership builds the directory over the cluster ring and the
+// replicator. seeds are normalized base URLs; self is dropped from
+// them. NewE starts the heartbeat and rebalance workers once the
+// artifact tiers are installed.
+func (s *Server) newMembership(seeds []string, lease time.Duration) *membership {
 	m := &membership{
 		dir:       member.New(s.cluster.self, lease, nil),
+		seeds:     slices.DeleteFunc(seeds, func(p string) bool { return p == s.cluster.self }),
 		stop:      make(chan struct{}),
 		rebalKick: make(chan struct{}, 1),
 		repl:      newReplicator(s),
 	}
-	for _, seed := range seeds {
-		if seed = normalizePeer(seed); seed != "" && seed != s.cluster.self {
-			m.seeds = append(m.seeds, seed)
-		}
-	}
-	s.member = m
-	m.dir.SetOnChange(func(ch member.Change) { s.onMembershipChange(ch) })
-
-	m.wg.Add(2)
-	go s.heartbeatLoop()
-	go s.rebalanceLoop()
+	m.dir.SetOnChange(s.onMembershipChange)
+	return m
 }
 
-// Close stops the dynamic-membership background work (heartbeats,
+// Close stops the membership background work (heartbeats,
 // replication pushes, rebalance sweeps) WITHOUT a graceful leave —
 // the in-process equivalent of kill −9 plus goroutine hygiene. A
 // graceful exit calls BeginDrain first, which gossips the obituary.
-// Close is a no-op outside dynamic mode and safe to call twice.
+// Close is a no-op outside cluster mode and safe to call twice.
 func (s *Server) Close() {
 	m := s.member
 	if m == nil {
@@ -89,10 +83,10 @@ func (s *Server) Close() {
 }
 
 // onMembershipChange swaps the ring to the directory's new alive set
-// and kicks the rebalance worker when the ring actually changed.
+// and kicks the rebalance worker when the ring actually changed — never
+// on a -peers node, whose ring is its pinned list.
 func (s *Server) onMembershipChange(ch member.Change) {
-	_, changed := s.cluster.setMembers(ch.Alive, ch.Epoch)
-	if !changed {
+	if !s.cluster.setMembers(ch.Alive, ch.Epoch) {
 		return
 	}
 	select {
@@ -121,8 +115,13 @@ func (s *Server) heartbeatLoop() {
 	ticker := time.NewTicker(m.heartbeatInterval())
 	defer ticker.Stop()
 
-	// Join immediately rather than waiting out the first tick.
-	s.gossipRound()
+	// A -join node joins immediately rather than waiting out the first
+	// tick. A -peers node's ring is complete from construction, so its
+	// first exchange waits a tick and does not dial peers that are
+	// still starting.
+	if len(s.cluster.pinned) == 0 {
+		s.gossipRound()
+	}
 	for {
 		select {
 		case <-m.stop:
@@ -204,12 +203,34 @@ func (s *Server) exchange(peer string, snap member.List) (*member.List, error) {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&merged); err != nil {
 		return nil, err
 	}
+	merged = s.cluster.admit(merged)
 	return &merged, nil
+}
+
+// admits reports whether a name gossip brings in may enter the
+// directory: any base URL on a -join node, only a pinned member on a
+// -peers node, so nobody can post their way into a pinned ring.
+func (cl *cluster) admits(p string) bool {
+	return isBaseURL(p) && (len(cl.pinned) == 0 || slices.Contains(cl.pinned, p))
+}
+
+// admit drops the gossip records whose node the cluster does not
+// admit, and blanks a From it does not admit, so a malformed name —
+// or, on a -peers node, any name outside the pinned list — never
+// enters the directory, is never dialled and never joins the ring. A
+// bad record is dropped, not the exchange: the rest still merges.
+func (cl *cluster) admit(l member.List) member.List {
+	if !cl.admits(l.From) {
+		l.From = ""
+	}
+	l.Members = slices.DeleteFunc(l.Members, func(in member.Info) bool { return !cl.admits(in.Node) })
+	return l
 }
 
 // handleClusterJoin is the push-pull gossip surface: the request body
 // is the sender's directory snapshot, the response is ours after the
-// merge. Registered only in dynamic mode; static nodes 404.
+// merge. Every cluster node registers it. The body must be one JSON
+// document; records the cluster does not admit are dropped.
 func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	status := http.StatusOK
@@ -220,11 +241,16 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var in member.List
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&in); err != nil {
+	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	if err == nil {
+		err = json.Unmarshal(body, &in)
+	}
+	if err != nil {
 		status = http.StatusBadRequest
 		writeJSON(w, status, map[string]any{"error": "bad member list: " + err.Error()})
 		return
 	}
+	in = s.cluster.admit(in)
 	m := s.member
 	m.dir.Merge(in)
 	m.dir.Contact(in.From)
@@ -232,9 +258,8 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClusterKeys lists this node's artifact inventory — the
-// rebalance sweep's discovery surface. Available in both cluster
-// modes (a static node's inventory is just as useful to a dynamic
-// cluster being migrated onto).
+// rebalance sweep's discovery surface. Registered on every node; a
+// node outside cluster mode reports an empty node name and epoch 0.
 func (s *Server) handleClusterKeys(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	status := http.StatusOK
@@ -398,9 +423,6 @@ func (s *Server) fetchInventory(ctx context.Context, peer string) ([]pipeline.St
 // fleet drops us by epoch bump instead of waiting out the lease.
 func (s *Server) leaveCluster() {
 	m := s.member
-	if m == nil {
-		return
-	}
 	m.dir.Leave()
 	snap := m.dir.Snapshot()
 	var wg sync.WaitGroup

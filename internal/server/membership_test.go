@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"obdrel/internal/artifact"
+	"obdrel/internal/member"
 	"obdrel/internal/pipeline"
 )
 
@@ -399,4 +401,160 @@ func TestArtifactPutHostility(t *testing.T) {
 	if !a.s.stages.Held(clStage, good) {
 		t.Fatal("valid push did not install")
 	}
+}
+
+// TestClusterJoinDropsMalformedMembers: a gossip snapshot naming
+// things that are not base URLs answers 200 but changes neither the
+// directory nor the ring — a bogus member would otherwise take 1/n of
+// ownership — and the same records in a peer's exchange answer are
+// dropped. The node's loops stop first, so nothing dials the names.
+func TestClusterJoinDropsMalformedMembers(t *testing.T) {
+	a := startDynNode(t, nil, time.Second)
+	a.s.Close()
+	before := a.s.cluster.peersView()
+	body := `{"from":"garbage","epoch":1,"members":[` +
+		`{"node":"garbage","incarnation":1,"state":"active"},` +
+		`{"node":"http://x:1/a/path","incarnation":1,"state":"active"}]}`
+	resp, err := http.Post(a.ts.URL+"/v1/cluster/join", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("join status %d, want 200", resp.StatusCode)
+	}
+	if got := a.s.cluster.peersView(); !slices.Equal(got, before) {
+		t.Fatalf("ring went from %v to %v", before, got)
+	}
+	if got := a.s.member.dir.Members(); len(got) != 1 {
+		t.Fatalf("directory holds %v, want only self", got)
+	}
+
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(body))
+	}))
+	defer peer.Close()
+	merged, err := a.s.exchange(peer.URL, a.s.member.dir.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.From != "" || len(merged.Members) != 0 {
+		t.Fatalf("exchange kept %q and %v, want nothing", merged.From, merged.Members)
+	}
+}
+
+// TestPinnedMemberStaysInRing is the -peers contract: a pinned member
+// whose lease expires is reported dead by the directory but stays in
+// the ring, no rebalance sweep fires, and a fresh key still builds
+// locally on the survivor.
+func TestPinnedMemberStaysInRing(t *testing.T) {
+	lA, lB := &lateHandler{}, &lateHandler{}
+	tsA, tsB := httptest.NewServer(lA), httptest.NewServer(lB)
+	defer tsA.Close()
+	peers := []string{tsA.URL, tsB.URL}
+	mk := func(self string) *Server {
+		s, err := NewE(Options{
+			Stages: pipeline.NewCache(4), Peers: peers, Self: self,
+			Lease: 500 * time.Millisecond, PeerTimeout: 200 * time.Millisecond,
+			WarmLimit: -1, DisableTracing: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sA, sB := mk(tsA.URL), mk(tsB.URL)
+	defer sA.Close()
+	lA.h.Store(sA.Handler())
+	lB.h.Store(sB.Handler())
+	waitFor(t, "A to see B active", 5*time.Second, func() bool {
+		active, _, _ := sA.member.dir.Counts()
+		return active == 2
+	})
+
+	tsB.Close()
+	sB.Close()
+	waitFor(t, "B's lease to expire on A", 5*time.Second, func() bool {
+		_, _, dead := sA.member.dir.Counts()
+		return dead == 1
+	})
+
+	resp, err := http.Get(tsA.URL + "/v1/cluster/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out clusterStatusOut
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	state := ""
+	for _, m := range out.Membership {
+		if m.Node == tsB.URL {
+			state = m.State.String()
+		}
+	}
+	if state != "dead" {
+		t.Fatalf("B's membership state = %q, want dead: %+v", state, out.Membership)
+	}
+	if _, ok := out.Ring[tsB.URL]; !ok || len(out.Ring) != 2 {
+		t.Fatalf("ring = %v, want both pinned nodes", out.Ring)
+	}
+	if got := sA.member.rebalSweeps.Load(); got != 0 {
+		t.Fatalf("rebalance sweeps = %d, want 0 on a pinned ring", got)
+	}
+	v, res, err := pipeline.Get(context.Background(), sA.stages, clStage, key32('f'), func(context.Context) (int64, error) {
+		return 5, nil
+	})
+	if err != nil || v != 5 || res.Source != pipeline.SourceBuilt {
+		t.Fatalf("fresh key on A = (%d, %q, %v), want 5 built locally", v, res.Source, err)
+	}
+}
+
+// FuzzClusterJoin feeds /v1/cluster/join the bodies an unauthenticated
+// client could send a -peers node. The handler must never panic, must
+// answer 400 to anything that is not one JSON document, and whatever
+// it merges, the ring must stay exactly the pinned list, the
+// directory must hold no other name, and no rebalance sweep may be
+// kicked. The node's loops are stopped first, so no name a body
+// introduces is ever dialled.
+func FuzzClusterJoin(f *testing.F) {
+	self, other := "http://127.0.0.1:1", "http://127.0.0.1:2"
+	s, err := NewE(Options{
+		Stages: pipeline.NewCache(4), Peers: []string{self, other}, Self: self,
+		WarmLimit: -1, DisableTracing: true,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// Each input starts from a fresh directory and the pinned ring,
+		// so members merged by earlier inputs do not pile up.
+		s.member.dir = member.New(self, time.Minute, nil)
+		s.member.dir.SetOnChange(s.onMembershipChange)
+		s.cluster.setMembers(nil, 1)
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/cluster/join", bytes.NewReader(body)))
+		switch {
+		case !json.Valid(body) && rw.Code != http.StatusBadRequest:
+			t.Fatalf("malformed body answered %d, want 400", rw.Code)
+		case rw.Code == http.StatusOK && !json.Valid(rw.Body.Bytes()):
+			t.Fatalf("200 with a malformed snapshot: %q", rw.Body.String())
+		case rw.Code != http.StatusOK && rw.Code != http.StatusBadRequest:
+			t.Fatalf("status %d, want 200 or 400", rw.Code)
+		}
+		if ring := s.cluster.peersView(); !slices.Equal(ring, []string{self, other}) {
+			t.Fatalf("ring %v, want exactly the pinned list", ring)
+		}
+		for _, mi := range s.member.dir.Members() {
+			if mi.Node != self && mi.Node != other {
+				t.Fatalf("directory admitted %q, which is not pinned", mi.Node)
+			}
+		}
+		if len(s.member.rebalKick) != 0 {
+			t.Fatal("a join body kicked a rebalance sweep on a pinned ring")
+		}
+	})
 }

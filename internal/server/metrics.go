@@ -146,19 +146,19 @@ type ArtifactStats struct {
 	// request delivered the winning fill.
 	FetchHedged, FetchHedgeWins int64
 
-	// Replication counters (dynamic mode): pushes attempted to replica
+	// Replication counters (cluster mode): pushes attempted to replica
 	// peers, push failures, enqueue drops under pressure, containers
 	// received (installed) from peer pushes, receives rejected by
 	// checksum/schema validation.
 	ReplicaPushes, ReplicaPushErrors, ReplicaDropped int64
 	ReplicaReceives, ReplicaRejects                  int64
 
-	// Membership and rebalance state (dynamic mode). Epoch is this
+	// Membership and rebalance state (cluster mode). Epoch is this
 	// node's membership view version; Replicas the k-way placement
-	// factor; Members* the directory's per-state counts including
-	// self. RebalanceFetched counts artifacts streamed in by sweeps;
-	// KeysLost artifacts held but no longer owned on the current ring.
-	Dynamic                                     bool
+	// factor, zero outside cluster mode; Members* the directory's
+	// per-state counts including self. RebalanceFetched counts
+	// artifacts streamed in by sweeps; KeysLost artifacts held but no
+	// longer owned on the current ring.
 	Epoch                                       uint64
 	Replicas                                    int
 	MembersActive, MembersSuspect, MembersDead  int
@@ -397,9 +397,9 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	}
 	gauge("obdreld_artifact_warming", "1 while the startup anti-entropy sweep is still running.", warmGauge)
 
-	// Dynamic-membership families: emitted only in -join mode so the
-	// exposition stays byte-stable for static and single-node nodes.
-	if a.Dynamic {
+	// Membership families: emitted only in cluster mode (Replicas ≥ 1
+	// there) so the exposition stays byte-stable for single nodes.
+	if a.Replicas > 0 {
 		counter("obdreld_artifact_replica_pushes_total", "Replication pushes attempted to replica-set peers.", a.ReplicaPushes)
 		counter("obdreld_artifact_replica_push_errors_total", "Replication pushes that failed (transport or peer rejection).", a.ReplicaPushErrors)
 		counter("obdreld_artifact_replica_dropped_total", "Replication enqueues dropped on a full queue.", a.ReplicaDropped)

@@ -46,9 +46,9 @@ func (a *reqAnnot) staleness() (time.Duration, bool) {
 // so load balancers stop routing here, and new /v1 requests are
 // rejected 503 with Retry-After while in-flight ones finish. Call it
 // BEFORE closing the listener so the readiness flip is observable.
-// In dynamic cluster mode it also gossips this node's obituary (best
-// effort, in the background) so the fleet drops it by epoch bump
-// instead of waiting out the lease.
+// In cluster mode it also gossips this node's obituary (best effort,
+// in the background) so the fleet drops it by epoch bump instead of
+// waiting out the lease; a node that pins it keeps it in the ring.
 func (s *Server) BeginDrain() {
 	if s.draining.Swap(true) {
 		return

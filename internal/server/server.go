@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -120,26 +121,32 @@ type Options struct {
 	// and served back — checksum-verified — across restarts. Empty
 	// disables the tier.
 	ArtifactDir string
-	// Peers is the static cluster membership: every node's base URL,
-	// this node's included. Non-empty enables the peer cache-fill
-	// tier and consistent-hash ownership of stage fingerprints.
+	// Peers pins a fixed ring: every node's base URL, this node's
+	// included (-peers). The list is both the node's gossip seeds and
+	// its pinned members, and the ring is exactly the list: members
+	// stay in it when their lease expires, and gossip admits no name
+	// outside it. Non-empty enables cluster mode: the peer cache-fill
+	// tier, consistent-hash ownership of stage fingerprints, and the
+	// member directory.
 	Peers []string
-	// Self is this node's own base URL; required with Peers and must
-	// appear in the list.
+	// Self is this node's own base URL; required in cluster mode, and
+	// with Peers it must appear in the list.
 	Self string
 	// PeerTimeout bounds one peer artifact fetch (default 2s).
 	PeerTimeout time.Duration
-	// JoinPeers enables dynamic membership: seed URLs this node
-	// gossips with to discover the fleet (-join). Mutually exclusive
-	// with Peers; requires Self. A first node may list only itself.
+	// JoinPeers are seed URLs this node gossips with to discover the
+	// fleet (-join); the ring is whoever is alive. Non-empty enables
+	// cluster mode. Mutually exclusive with Peers; requires Self. A
+	// first node may list only itself.
 	JoinPeers []string
-	// Lease is the dynamic-membership lease: a peer silent for half of
-	// it turns suspect, for all of it dead (default 10s).
+	// Lease is the membership lease: a peer silent for half of it turns
+	// suspect, for all of it dead (default 10s). A dead -join member
+	// leaves the ring; a dead pinned member stays in it.
 	Lease time.Duration
-	// Replicas is the k-way placement factor in dynamic mode: every
-	// artifact's replica set is the first k distinct ring successors,
-	// builds push to the other members asynchronously, and owns() (the
-	// warm/rebalance filter) means replica-set membership (default 2).
+	// Replicas is the k-way placement factor: every artifact's replica
+	// set is the first k distinct ring successors, and owns() (the
+	// warm/rebalance filter) means replica-set membership. Above 1,
+	// builds push to the other members asynchronously (default 1).
 	Replicas int
 	// WarmLimit bounds the anti-entropy startup sweep that loads this
 	// node's owned artifacts from ArtifactDir into memory (default
@@ -230,7 +237,7 @@ func (o *Options) withDefaults() Options {
 		out.Lease = 10 * time.Second
 	}
 	if out.Replicas <= 0 {
-		out.Replicas = 2
+		out.Replicas = 1
 	}
 	if out.WarmLimit == 0 {
 		out.WarmLimit = 1024
@@ -251,8 +258,8 @@ type Server struct {
 	tracer  *obs.Tracer
 
 	// stages is the node's stage-artifact cache (tiered when
-	// ArtifactDir/Peers are set); cluster is nil outside cluster mode;
-	// member is nil outside dynamic (-join) mode.
+	// ArtifactDir/Peers/JoinPeers are set); cluster and member are both
+	// nil outside cluster mode and both set in it.
 	stages  *pipeline.Cache
 	cluster *cluster
 	member  *membership
@@ -295,7 +302,7 @@ func New(opts Options) *Server {
 
 // NewE is New with error reporting: the only fallible part of
 // construction is cluster membership validation, so a server without
-// Peers never returns an error.
+// Peers or JoinPeers never returns an error.
 func NewE(opts Options) (*Server, error) {
 	o := opts.withDefaults()
 	m := NewMetrics()
@@ -344,45 +351,40 @@ func NewE(opts Options) (*Server, error) {
 		s.keys[d] = ck
 	}
 
-	// Artifact tiers: the disk spill dir and, with a peer list, the
-	// cluster cache-fill tier over it. -peers is the static seed mode;
-	// -join the dynamic one — never both.
+	// Artifact tiers: the disk spill dir and, in cluster mode, the
+	// cluster cache-fill tier over it. -peers pins the ring, -join
+	// discovers it — never both.
 	if len(o.Peers) > 0 && len(o.JoinPeers) > 0 {
-		return nil, fmt.Errorf("cluster: -peers (static) and -join (dynamic) are mutually exclusive")
+		return nil, fmt.Errorf("cluster: -peers and -join are mutually exclusive")
 	}
-	if len(o.Peers) > 0 {
+	if len(o.Peers) > 0 || len(o.JoinPeers) > 0 {
 		cl, err := newCluster(o.Self, o.Peers, o.PeerTimeout)
 		if err != nil {
 			return nil, err
 		}
-		s.cluster = cl
-	} else if len(o.JoinPeers) > 0 {
-		cl, err := newDynamicCluster(o.Self, o.Replicas, o.PeerTimeout)
+		join, err := peerList("-join", o.JoinPeers)
 		if err != nil {
 			return nil, err
 		}
+		cl.replicas = o.Replicas
 		s.cluster = cl
+		s.member = s.newMembership(slices.Concat(cl.pinned, join), o.Lease)
 	}
 	if o.ArtifactDir != "" || s.cluster != nil {
 		t := pipeline.Tiers{Dir: o.ArtifactDir}
 		if s.cluster != nil {
 			t.Fetch = s.cluster.fetch
-		}
-		if s.cluster != nil && s.cluster.dynamic && o.Replicas > 1 {
-			// The hook reads s.member at call time because the
-			// replicator is constructed by startMembership, after the
-			// tier configuration is installed.
-			t.Replicate = func(stage, key string, sealed []byte) {
-				if m := s.member; m != nil {
-					m.repl.enqueue(stage, key, sealed)
-				}
+			if o.Replicas > 1 {
+				t.Replicate = s.member.repl.enqueue
 			}
 		}
 		s.stages.SetTiers(t)
 	}
 	s.startWarm()
-	if s.cluster != nil && s.cluster.dynamic {
-		s.startMembership(o.JoinPeers, o.Lease)
+	if m := s.member; m != nil {
+		m.wg.Add(2)
+		go s.heartbeatLoop()
+		go s.rebalanceLoop()
 	}
 	return s, nil
 }
@@ -440,7 +442,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/cluster/stats", s.handleClusterStats)
 	mux.HandleFunc("/v1/cluster/status", s.handleClusterStatus)
 	mux.HandleFunc("/v1/cluster/keys", s.handleClusterKeys)
-	if s.member != nil {
+	if s.cluster != nil {
 		mux.HandleFunc("/v1/cluster/join", s.handleClusterJoin)
 	}
 	for _, route := range []string{
@@ -893,7 +895,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"warming": false,
 		"warmed":  s.warmDone.Load(),
 	}
-	// Dynamic membership: report the view epoch and rebalance progress.
+	// Cluster mode: report the view epoch and rebalance progress.
 	// Rebalancing never gates readiness — the node serves throughout,
 	// fetching per-query until the stream catches up.
 	if m := s.member; m != nil {
@@ -1046,10 +1048,8 @@ func (s *Server) artifactStats() ArtifactStats {
 		st.ReplicaPushErrors = cl.replicaPushErrs.Load()
 		st.ReplicaDropped = cl.replicaDropped.Load()
 		st.Epoch = cl.epochView()
-		st.Replicas = cl.replicaFactor()
-	}
-	if m := s.member; m != nil {
-		st.Dynamic = true
+		st.Replicas = cl.replicas
+		m := s.member
 		st.ReplicaReceives = m.replReceives.Load()
 		st.ReplicaRejects = m.replRejects.Load()
 		st.Rebalancing = m.rebalancing.Load()
