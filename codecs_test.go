@@ -3,6 +3,7 @@ package obdrel
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -181,6 +182,54 @@ func FuzzHybridTablesDecode(f *testing.F) {
 		for k, blk := range ht.blocks {
 			if _, err := integrate.NewTable2DFromData(ht.ls, ht.bs, blk); err != nil {
 				t.Fatalf("accepted payload's block %d is not a table: %v", k, err)
+			}
+		}
+		again, err := codec.Encode(v)
+		if err != nil {
+			t.Fatalf("accepted artifact does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoding an accepted payload gave %d different bytes from %d", len(again), len(payload))
+		}
+	})
+}
+
+// FuzzPCADecode feeds arbitrary payloads to the pca codec. A PCA
+// artifact arrives from disk or a peer and feeds st_MC and MC sampling
+// directly, so decode must never panic, a rejection returns no
+// artifact, and an accepted payload re-encodes to the same bytes and
+// holds only finite, non-negative eigenvalues and variances and finite
+// loadings. The seed corpus under testdata/fuzz/FuzzPCADecode holds a
+// valid 3×3 four-block PCA, a valid quad-tree PCA, and hostile
+// variants of them.
+func FuzzPCADecode(f *testing.F) {
+	codec, ok := artifact.Lookup(StagePCA)
+	if !ok {
+		f.Fatal("no pca codec")
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		v, err := codec.Decode(payload)
+		if err != nil {
+			if v != nil {
+				t.Fatalf("rejected payload (%v) returned an artifact", err)
+			}
+			return
+		}
+		p := v.(*grid.PCA)
+		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+		if !finite(p.TotalVariance) || p.TotalVariance < 0 || !finite(p.CapturedVariance) || p.CapturedVariance < 0 {
+			t.Fatalf("accepted payload's variances are total=%v captured=%v", p.TotalVariance, p.CapturedVariance)
+		}
+		for b, blk := range p.Blocks {
+			for c, x := range blk.Eigenvalues {
+				if !finite(x) || x < 0 {
+					t.Fatalf("accepted payload's block %d eigenvalue %d is %v", b, c, x)
+				}
+			}
+			for i, x := range blk.Loadings {
+				if !finite(x) {
+					t.Fatalf("accepted payload's block %d loading %d is %v", b, i, x)
+				}
 			}
 		}
 		again, err := codec.Encode(v)

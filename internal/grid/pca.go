@@ -87,8 +87,10 @@ func blockParity(b int) (xOdd, yOdd bool) {
 }
 
 // NewPCA assembles a factor from its blocks and checks their shapes
-// against the grid. It derives the component order, K and the merged
-// Eigenvalues; the codec uses it to rebuild a decoded PCA.
+// against the grid and their values: eigenvalues and the two variances
+// must be finite and non-negative, loadings finite. It derives the
+// component order, K and the merged Eigenvalues; the codec uses it to
+// rebuild a decoded PCA.
 func NewPCA(nx, ny int, blocks []PCABlock, total, captured float64) (*PCA, error) {
 	const maxSide = 1 << 16
 	if nx <= 0 || ny <= 0 || nx > maxSide || ny > maxSide {
@@ -97,11 +99,24 @@ func NewPCA(nx, ny int, blocks []PCABlock, total, captured float64) (*PCA, error
 	if len(blocks) != 1 && len(blocks) != numParityBlocks {
 		return nil, fmt.Errorf("grid: pca has %d blocks, want 1 or %d", len(blocks), numParityBlocks)
 	}
+	if !finiteNonNegative(total) || !finiteNonNegative(captured) {
+		return nil, fmt.Errorf("grid: pca variances total=%v captured=%v, want finite and non-negative", total, captured)
+	}
 	p := &PCA{Nx: nx, Ny: ny, Blocks: blocks, TotalVariance: total, CapturedVariance: captured}
-	for b := range blocks {
-		rows, cols := p.blockRows(b), len(blocks[b].Eigenvalues)
-		if cols > 0 && rows == 0 || rows*cols != len(blocks[b].Loadings) {
-			return nil, fmt.Errorf("grid: pca block %d holds %d loadings for %d×%d", b, len(blocks[b].Loadings), rows, cols)
+	for b, blk := range blocks {
+		rows, cols := p.blockRows(b), len(blk.Eigenvalues)
+		if cols > 0 && rows == 0 || rows*cols != len(blk.Loadings) {
+			return nil, fmt.Errorf("grid: pca block %d holds %d loadings for %d×%d", b, len(blk.Loadings), rows, cols)
+		}
+		for c, v := range blk.Eigenvalues {
+			if !finiteNonNegative(v) {
+				return nil, fmt.Errorf("grid: pca block %d eigenvalue %d is %v, want finite and non-negative", b, c, v)
+			}
+		}
+		for i, v := range blk.Loadings {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("grid: pca block %d loading %d is %v", b, i, v)
+			}
 		}
 	}
 	spectra := make([][]float64, len(blocks))
@@ -115,6 +130,8 @@ func NewPCA(nx, ny int, blocks []PCABlock, total, captured float64) (*PCA, error
 	}
 	return p, nil
 }
+
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // blockRows returns the row count of block b.
 func (p *PCA) blockRows(b int) int {
@@ -191,7 +208,7 @@ func (m *Model) ComputePCACtx(ctx context.Context, keepFraction float64, workers
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return m.quadTreeFactor(), nil
+		return m.quadTreeFactor()
 	}
 	// The covariance depends on the grid offset (|Δix|, |Δiy|) only:
 	// tabulate it once from the model's own entry expression.

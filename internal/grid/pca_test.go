@@ -151,6 +151,41 @@ func TestNewPCARejectsBadShapes(t *testing.T) {
 	}
 }
 
+// TestNewPCARejectsBadValues: a decoded factor with non-finite or
+// negative eigenvalues, non-finite loadings or bad variances would
+// make the sampling engines draw NaN, so NewPCA rejects it.
+func TestNewPCARejectsBadValues(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	block := func(eig, load float64) []PCABlock {
+		return []PCABlock{{Eigenvalues: []float64{eig}, Loadings: []float64{load, 1}}}
+	}
+	if _, err := NewPCA(2, 1, block(0, 0), 0, 0); err != nil {
+		t.Fatalf("zero eigenvalue, loading and variances rejected: %v", err)
+	}
+	for name, c := range map[string]struct {
+		blocks          []PCABlock
+		total, captured float64
+	}{
+		"NaN eigenvalue":      {block(nan, 1), 1, 1},
+		"+Inf eigenvalue":     {block(inf, 1), 1, 1},
+		"negative eigenvalue": {block(-1e-300, 1), 1, 1},
+		"NaN loading":         {block(1, nan), 1, 1},
+		"-Inf loading":        {block(1, -inf), 1, 1},
+		"NaN total":           {block(1, 1), nan, 1},
+		"+Inf total":          {block(1, 1), inf, 1},
+		"negative total":      {block(1, 1), -1, 1},
+		"NaN captured":        {block(1, 1), 1, nan},
+		"negative captured":   {block(1, 1), 1, -1},
+	} {
+		if p, err := NewPCA(2, 1, c.blocks, c.total, c.captured); err == nil || p != nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// BenchmarkComputePCA25x25 builds the paper's 25×25 PCA with the four
+// block eigensolves run serially and fanned out over GOMAXPROCS
+// workers.
 func BenchmarkComputePCA25x25(b *testing.B) {
 	sigmaTot := 2.2 * 0.04 / 3
 	sg, ss, se, _ := VarianceBudget(sigmaTot, 0.5, 0.25, 0.25)
@@ -158,10 +193,16 @@ func BenchmarkComputePCA25x25(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.ComputePCA(1); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"workers", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := m.ComputePCAWorkers(1, bc.workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -92,7 +92,7 @@ func (m *Model) qtRegion(x, y float64, l int) int {
 // region per level, with loading σ_level on the grids the region
 // covers. The result satisfies Λ·Λᵀ = Covariance exactly. It is
 // stored as a single identity-basis block (row i = grid i).
-func (m *Model) quadTreeFactor() *PCA {
+func (m *Model) quadTreeFactor() (*PCA, error) {
 	n := m.NumGrids()
 	lv := m.qtLevelVariances()
 	levels := len(lv)
@@ -124,11 +124,8 @@ func (m *Model) quadTreeFactor() *PCA {
 		eig[c] = s / float64(n)
 	}
 	total := m.SigmaG*m.SigmaG + m.SigmaS*m.SigmaS
-	p, err := NewPCA(m.Nx, m.Ny, []PCABlock{{Eigenvalues: eig, Loadings: loadings.Data}},
+	// The shapes are consistent by construction; NewPCA still rejects
+	// non-finite values, e.g. from an infinite sigma.
+	return NewPCA(m.Nx, m.Ny, []PCABlock{{Eigenvalues: eig, Loadings: loadings.Data}},
 		total*float64(n), total*float64(n))
-	if err != nil {
-		// The shapes above are consistent by construction.
-		panic(err)
-	}
-	return p
 }

@@ -1,8 +1,13 @@
 package linalg
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -171,6 +176,151 @@ func TestEigenSymKnown2x2(t *testing.T) {
 	checkEigen(t, a, vals, vecs, 1e-10)
 }
 
+// randomSymmetric builds a random symmetric matrix with standard
+// normal entries, indefinite in general.
+func randomSymmetric(n int, rng *rand.Rand) *Matrix {
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			x := rng.NormFloat64()
+			a.Set(i, j, x)
+			a.Set(j, i, x)
+		}
+	}
+	return a
+}
+
+// expDecayKernel builds the covariance of an nx×ny grid of unit cells
+// under the exponential-decay kernel exp(-dist/rho).
+func expDecayKernel(nx, ny int, rho float64) *Matrix {
+	n := nx * ny
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			dx, dy := float64(i%nx-j%nx), float64(i/nx-j/nx)
+			a.Set(i, j, math.Exp(-math.Hypot(dx, dy)/rho))
+		}
+	}
+	return a
+}
+
+// TestEigenSymBitIdenticalToReference pins the transposed-layout
+// solver to the row-major reference it replaced: every eigenvalue and
+// every eigenvector entry must match bit for bit.
+func TestEigenSymBitIdenticalToReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	type tc struct {
+		name string
+		a    *Matrix
+	}
+	var cases []tc
+	for _, n := range []int{1, 2, 3, 17, 100, 144, 156, 169} {
+		cases = append(cases, tc{fmt.Sprintf("spd/n=%d", n), randomSPD(n, rng)})
+	}
+	for _, n := range []int{2, 5, 17, 64} {
+		cases = append(cases, tc{fmt.Sprintf("indefinite/n=%d", n), randomSymmetric(n, rng)})
+	}
+	// Symmetric only within IsSymmetric's tolerance: the upper
+	// triangle is perturbed, so the result depends on which triangle
+	// the solver reads.
+	near := randomSPD(40, rng)
+	tol := 1e-9 * (1 + maxAbs(near))
+	for i := 0; i < near.Rows; i++ {
+		for j := i + 1; j < near.Cols; j++ {
+			near.Set(i, j, near.At(i, j)+0.5*tol*(2*rng.Float64()-1))
+		}
+	}
+	if !near.IsSymmetric(tol) || near.IsSymmetric(0) {
+		t.Fatal("perturbed matrix is not symmetric within tolerance only")
+	}
+	cases = append(cases, tc{"near-symmetric/n=40", near})
+	cases = append(cases, tc{"exp-decay/13x13", expDecayKernel(13, 13, 4)})
+	for _, c := range cases {
+		wantVals, wantVecs, err := eigenSymReference(c.a)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		vals, vecs, err := EigenSym(c.a)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for k := range wantVals {
+			if math.Float64bits(vals[k]) != math.Float64bits(wantVals[k]) {
+				t.Fatalf("%s: eigenvalue %d = %v, reference %v", c.name, k, vals[k], wantVals[k])
+			}
+		}
+		for i := range wantVecs.Data {
+			if math.Float64bits(vecs.Data[i]) != math.Float64bits(wantVecs.Data[i]) {
+				t.Fatalf("%s: eigenvector entry (%d,%d) = %v, reference %v",
+					c.name, i/c.a.Cols, i%c.a.Cols, vecs.Data[i], wantVecs.Data[i])
+			}
+		}
+	}
+}
+
+// checkpointCtx counts the solver's cancellation checkpoints (Err
+// calls). Checkpoint at reads the parent's error and then signals
+// reached; every later checkpoint first waits for cancelled, so a
+// cancel issued after checkpoint at is seen by the next one.
+type checkpointCtx struct {
+	context.Context
+	calls     atomic.Int64
+	at        int64
+	reached   chan struct{}
+	cancelled chan struct{}
+}
+
+func (c *checkpointCtx) Err() error {
+	n := c.calls.Add(1)
+	if n > c.at {
+		<-c.cancelled
+	}
+	err := c.Context.Err()
+	if n == c.at {
+		close(c.reached)
+	}
+	return err
+}
+
+func TestEigenSymCtxCancelled(t *testing.T) {
+	a := randomSPD(400, rand.New(rand.NewSource(5)))
+	t.Run("pre-cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		vals, vecs, err := EigenSymCtx(ctx, a)
+		if !errors.Is(err, context.Canceled) || vals != nil || vecs != nil {
+			t.Fatalf("got (%d values, vectors %t, %v), want nil outputs and context.Canceled", len(vals), vecs != nil, err)
+		}
+	})
+	// tred2's reduction and accumulation loops each check once per row
+	// (399 + 399 at n = 400), then tql2 once per eigenvalue: cancel
+	// inside each phase.
+	for _, at := range []int64{1, 200, 600, 1000, 1001} {
+		t.Run(fmt.Sprintf("after checkpoint %d", at), func(t *testing.T) {
+			parent, cancel := context.WithCancel(context.Background())
+			ctx := &checkpointCtx{Context: parent, at: at,
+				reached: make(chan struct{}), cancelled: make(chan struct{})}
+			solved := make(chan struct{})
+			defer close(solved)
+			go func() {
+				select {
+				case <-ctx.reached:
+				case <-solved:
+				}
+				cancel()
+				close(ctx.cancelled)
+			}()
+			vals, vecs, err := EigenSymCtx(ctx, a)
+			if !errors.Is(err, context.Canceled) || vals != nil || vecs != nil {
+				t.Fatalf("got (%d values, vectors %t, %v), want nil outputs and context.Canceled", len(vals), vecs != nil, err)
+			}
+			if got := ctx.calls.Load(); got != at+1 {
+				t.Fatalf("returned after checkpoint %d, want the first one after the cancel (%d)", got, at+1)
+			}
+		})
+	}
+}
+
 func TestEigenSymRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 3, 10, 40, 100} {
@@ -231,18 +381,23 @@ func TestJacobiMatchesQL(t *testing.T) {
 
 // TestEigenTraceProperty checks trace(A) = Σλ and trace(A²) = Σλ² on
 // random symmetric (not necessarily definite) matrices.
+// TestJacobiReportsNonConvergence: a sweep budget too small to
+// converge must be an error, not an unconverged result.
+func TestJacobiReportsNonConvergence(t *testing.T) {
+	a := randomSPD(15, rand.New(rand.NewSource(3)))
+	if vals, vecs, err := JacobiEigenSym(a, 1); err == nil || vals != nil || vecs != nil {
+		t.Fatalf("1 sweep on 15×15: got (%d values, %v), want an error and nil outputs", len(vals), err)
+	}
+	if _, _, err := JacobiEigenSym(a, 50); err != nil {
+		t.Fatalf("50 sweeps: %v", err)
+	}
+}
+
 func TestEigenTraceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				x := rng.NormFloat64()
-				a.Set(i, j, x)
-				a.Set(j, i, x)
-			}
-		}
+		a := randomSymmetric(n, rng)
 		vals, _, err := EigenSym(a)
 		if err != nil {
 			return false
@@ -266,9 +421,245 @@ func TestEigenTraceProperty(t *testing.T) {
 	}
 }
 
+// eigenSymReference is the row-major JAMA/EISPACK solver that EigenSym
+// replaced, kept verbatim (working copy a.Clone(), every O(n³) loop
+// walking a column of v) as the oracle for
+// TestEigenSymBitIdenticalToReference.
+func eigenSymReference(a *Matrix) (values []float64, vectors *Matrix, err error) {
+	ctx := context.Background()
+	if a.Rows != a.Cols {
+		return nil, nil, errors.New("linalg: EigenSym requires a square matrix")
+	}
+	if !a.IsSymmetric(1e-9 * (1 + maxAbs(a))) {
+		return nil, nil, errors.New("linalg: EigenSym requires a symmetric matrix")
+	}
+	n := a.Rows
+	v := a.Clone()
+	d := make([]float64, n)
+	e := make([]float64, n)
+	if err := tred2Reference(ctx, v, d, e); err != nil {
+		return nil, nil, err
+	}
+	if err := tql2Reference(ctx, v, d, e); err != nil {
+		return nil, nil, err
+	}
+	// Sort eigenpairs by descending eigenvalue.
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(x, y int) bool { return d[idx[x]] > d[idx[y]] })
+	values = make([]float64, n)
+	vectors = NewMatrix(n, n)
+	for newCol, oldCol := range idx {
+		values[newCol] = d[oldCol]
+		for r := 0; r < n; r++ {
+			vectors.Set(r, newCol, v.At(r, oldCol))
+		}
+	}
+	return values, vectors, nil
+}
+
+// tred2Reference reduces the symmetric matrix stored in v to tridiagonal form
+// by Householder similarity transformations, accumulating the
+// transformations in v. On return d holds the diagonal and e the
+// subdiagonal (e[0] unused).
+func tred2Reference(ctx context.Context, v *Matrix, d, e []float64) error {
+	n := v.Rows
+	for j := 0; j < n; j++ {
+		d[j] = v.At(n-1, j)
+	}
+	for i := n - 1; i > 0; i-- {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		scale, h := 0.0, 0.0
+		if i > 1 {
+			for k := 0; k < i; k++ {
+				scale += math.Abs(d[k])
+			}
+		}
+		if scale == 0 {
+			e[i] = d[i-1]
+			for j := 0; j < i; j++ {
+				d[j] = v.At(i-1, j)
+				v.Set(i, j, 0)
+				v.Set(j, i, 0)
+			}
+		} else {
+			for k := 0; k < i; k++ {
+				d[k] /= scale
+				h += d[k] * d[k]
+			}
+			f := d[i-1]
+			g := math.Sqrt(h)
+			if f > 0 {
+				g = -g
+			}
+			e[i] = scale * g
+			h -= f * g
+			d[i-1] = f - g
+			for j := 0; j < i; j++ {
+				e[j] = 0
+			}
+			for j := 0; j < i; j++ {
+				f = d[j]
+				v.Set(j, i, f)
+				g = e[j] + v.At(j, j)*f
+				for k := j + 1; k <= i-1; k++ {
+					g += v.At(k, j) * d[k]
+					e[k] += v.At(k, j) * f
+				}
+				e[j] = g
+			}
+			f = 0
+			for j := 0; j < i; j++ {
+				e[j] /= h
+				f += e[j] * d[j]
+			}
+			hh := f / (h + h)
+			for j := 0; j < i; j++ {
+				e[j] -= hh * d[j]
+			}
+			for j := 0; j < i; j++ {
+				f = d[j]
+				g = e[j]
+				for k := j; k <= i-1; k++ {
+					v.Set(k, j, v.At(k, j)-(f*e[k]+g*d[k]))
+				}
+				d[j] = v.At(i-1, j)
+				v.Set(i, j, 0)
+			}
+		}
+		d[i] = h
+	}
+	for i := 0; i < n-1; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		v.Set(n-1, i, v.At(i, i))
+		v.Set(i, i, 1)
+		h := d[i+1]
+		if h != 0 {
+			for k := 0; k <= i; k++ {
+				d[k] = v.At(k, i+1) / h
+			}
+			for j := 0; j <= i; j++ {
+				g := 0.0
+				for k := 0; k <= i; k++ {
+					g += v.At(k, i+1) * v.At(k, j)
+				}
+				for k := 0; k <= i; k++ {
+					v.Set(k, j, v.At(k, j)-g*d[k])
+				}
+			}
+		}
+		for k := 0; k <= i; k++ {
+			v.Set(k, i+1, 0)
+		}
+	}
+	for j := 0; j < n; j++ {
+		d[j] = v.At(n-1, j)
+		v.Set(n-1, j, 0)
+	}
+	v.Set(n-1, n-1, 1)
+	e[0] = 0
+	return nil
+}
+
+// tql2Reference diagonalizes the tridiagonal matrix (d, e) by implicit-shift QL
+// iteration, accumulating eigenvectors into v.
+func tql2Reference(ctx context.Context, v *Matrix, d, e []float64) error {
+	n := v.Rows
+	for i := 1; i < n; i++ {
+		e[i-1] = e[i]
+	}
+	e[n-1] = 0
+	f, tst1 := 0.0, 0.0
+	const eps = 2.220446049250313e-16
+	for l := 0; l < n; l++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		m := l
+		for m < n {
+			if math.Abs(e[m]) <= eps*tst1 {
+				break
+			}
+			m++
+		}
+		if m > l {
+			for iter := 0; ; iter++ {
+				if iter >= 100 {
+					return errors.New("linalg: QL iteration did not converge")
+				}
+				g := d[l]
+				p := (d[l+1] - g) / (2 * e[l])
+				r := math.Hypot(p, 1)
+				if p < 0 {
+					r = -r
+				}
+				d[l] = e[l] / (p + r)
+				d[l+1] = e[l] * (p + r)
+				dl1 := d[l+1]
+				h := g - d[l]
+				for i := l + 2; i < n; i++ {
+					d[i] -= h
+				}
+				f += h
+				p = d[m]
+				c, c2, c3 := 1.0, 1.0, 1.0
+				el1 := e[l+1]
+				s, s2 := 0.0, 0.0
+				for i := m - 1; i >= l; i-- {
+					c3 = c2
+					c2 = c
+					s2 = s
+					g = c * e[i]
+					h = c * p
+					r = math.Hypot(p, e[i])
+					e[i+1] = s * r
+					s = e[i] / r
+					c = p / r
+					p = c*d[i] - s*g
+					d[i+1] = h + s*(c*g+s*d[i])
+					for k := 0; k < n; k++ {
+						h = v.At(k, i+1)
+						v.Set(k, i+1, s*v.At(k, i)+c*h)
+						v.Set(k, i, c*v.At(k, i)-s*h)
+					}
+				}
+				p = -s * s2 * c3 * el1 * e[l] / dl1
+				e[l] = s * p
+				d[l] = c * p
+				if math.Abs(e[l]) <= eps*tst1 {
+					break
+				}
+			}
+		}
+		d[l] += f
+		e[l] = 0
+	}
+	return nil
+}
+
 func BenchmarkEigenSym100(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomSPD(100, rng)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := EigenSym(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEigenSym169 solves a matrix the size of the largest
+// reflection block of the 25×25 grid.
+func BenchmarkEigenSym169(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := randomSPD(169, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := EigenSym(a); err != nil {

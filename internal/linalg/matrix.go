@@ -9,9 +9,11 @@
 // that matrix into four reflection-symmetry blocks of about n/4 rows
 // (169 at most for the paper's 25×25 grid) and solves each with
 // EigenSymCtx, so a straightforward dense implementation is both
-// sufficient and easy to verify. Dense EigenSym of the whole
-// covariance and JacobiEigenSym remain as the test oracles for that
-// block decomposition.
+// sufficient and easy to verify. The eigensolver stores its working
+// matrix transposed (vᵀ), so its O(n³) loops walk contiguous rows, and
+// it is bit-identical to the row-major JAMA/EISPACK code it ports.
+// Dense EigenSym of the whole covariance and JacobiEigenSym remain as
+// the test oracles for that block decomposition.
 package linalg
 
 import (
