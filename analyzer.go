@@ -120,10 +120,9 @@ func NewAnalyzer(d *Design, cfg *Config) (*Analyzer, error) {
 //
 // Stage artifacts are served from the process-wide stage cache;
 // NewAnalyzerCtxIn takes another, or none. Artifacts are immutable and
-// their builds deterministic for a fixed Workers value, so cache reuse
-// never changes results; mixing Workers values across processes'
-// requests shares artifacts across the documented serial/parallel
-// tolerance (Workers is a perf knob, excluded from stage fingerprints).
+// their builds deterministic and independent of Workers (a perf knob,
+// excluded from stage fingerprints), so cache reuse never changes
+// results.
 func NewAnalyzerCtx(ctx context.Context, d *Design, cfg *Config) (*Analyzer, error) {
 	return NewAnalyzerCtxIn(ctx, sharedStages, d, cfg)
 }

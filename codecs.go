@@ -279,16 +279,7 @@ func init() {
 			// passes the exact validation a built one does — a corrupt
 			// but checksum-valid payload cannot smuggle in an
 			// inconsistent chip.
-			chip, err := core.NewChip(fd, m, ch, params)
-			if err != nil {
-				return nil, err
-			}
-			if ext != nil {
-				if err := chip.SetExtrinsic(ext); err != nil {
-					return nil, err
-				}
-			}
-			return chip, nil
+			return assembleChip(fd, m, ch, &weibullArtifact{params: params, ext: ext})
 		},
 	})
 	artifact.Register(StageHybrid, artifact.Codec{

@@ -90,46 +90,57 @@ func TestConcurrentQueriesMC(t *testing.T) {
 }
 
 // TestWorkersEquivalence pins the Config.Workers contract end to end:
-// Workers:1 runs the exact serial legacy paths, and any Workers ≥ 2
-// must agree with it to the documented tolerances. The thermal stage
-// switches ordering (lexicographic vs red-black, both converged to the
-// same tolerance) and the MC reduction reassociates — everything else
-// is bit-identical — so the analyzer-level lifetimes agree to ≪ 0.01%.
+// every worker count gives bit-identical answers. 1000 MC samples span
+// several 256-sample reduction chunks, so a worker-dependent reduction
+// plan would show in the MC answers.
 func TestWorkersEquivalence(t *testing.T) {
-	lifetimes := func(workers int) map[obdrel.Method]float64 {
+	methods := []obdrel.Method{
+		obdrel.MethodStFast, obdrel.MethodStMC, obdrel.MethodHybrid,
+		obdrel.MethodGuard, obdrel.MethodMC,
+	}
+	times := []float64{1e4, 1e5, 1e6}
+	answers := func(workers int) []float64 {
 		cfg := fastConfig()
-		cfg.MCSamples = 200
+		cfg.MCSamples = 1000
 		cfg.Workers = workers
 		// One fresh stage cache per worker count — this test must
 		// rebuild every substrate stage per worker count, or the
-		// serial/parallel comparison compares one build with itself.
+		// comparison compares one build with itself.
 		an, err := obdrel.NewAnalyzerCtxIn(context.Background(), pipeline.NewCache(64), obdrel.C1(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := map[obdrel.Method]float64{}
-		for _, m := range []obdrel.Method{
-			obdrel.MethodStFast, obdrel.MethodStMC, obdrel.MethodHybrid,
-			obdrel.MethodGuard, obdrel.MethodMC,
-		} {
+		var out []float64
+		for _, m := range methods {
 			life, err := an.LifetimePPM(10, m)
 			if err != nil {
 				t.Fatalf("workers=%d method %v: %v", workers, m, err)
 			}
-			out[m] = life
+			out = append(out, life)
+		}
+		for _, tq := range times {
+			p, err := an.FailureProb(tq, obdrel.MethodMC)
+			if err != nil {
+				t.Fatalf("workers=%d MC FailureProb(%g): %v", workers, tq, err)
+			}
+			out = append(out, p)
 		}
 		return out
 	}
-	serial := lifetimes(1)
-	parallel := lifetimes(4)
-	again := lifetimes(7)
-	for m, ref := range serial {
-		if !approx(parallel[m], ref, 1e-4) {
-			t.Errorf("method %v: workers=4 %v vs serial %v", m, parallel[m], ref)
-		}
-		if parallel[m] != again[m] {
-			t.Errorf("method %v: workers=4 %v != workers=7 %v (parallel plan not deterministic)",
-				m, parallel[m], again[m])
+	labels := make([]string, 0, len(methods)+len(times))
+	for _, m := range methods {
+		labels = append(labels, m.String()+" 10-ppm lifetime")
+	}
+	for _, tq := range times {
+		labels = append(labels, fmt.Sprintf("MC FailureProb(%g)", tq))
+	}
+	ref := answers(1)
+	for _, w := range []int{4, 7} {
+		got := answers(w)
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Errorf("%s: workers=%d %v != workers=1 %v", labels[i], w, got[i], ref[i])
+			}
 		}
 	}
 }

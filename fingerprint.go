@@ -29,10 +29,8 @@ import (
 //     hashing, so an explicit DefaultConfig and a
 //     zero-value-with-defaults config collide (as they should);
 //   - the performance-only knob Workers is excluded — it selects
-//     execution strategy, not the model. Workers ≥ 2 and 0 are
-//     bit-identical by construction; Workers:1 differs only within the
-//     documented serial/parallel tolerance, which caching layers
-//     accept.
+//     execution strategy, not the model, and every value is
+//     bit-identical by construction.
 
 // fp16 hashes newline-joined canonical segments into the 32-hex-char
 // fingerprint format used by every cache key in the system.

@@ -191,8 +191,7 @@ func (e *MonteCarlo) Name() string { return "MC" }
 // FailureProb implements Engine: the sample average of
 // 1 - exp(-S_k(t)). The reduction over sample histograms fans out over
 // e.Workers with the deterministic chunk plan of par.SumOrdered, so
-// the result is bit-identical for every worker count ≥ 2 and matches
-// the legacy serial loop when Workers == 1.
+// the result is bit-identical for every worker count.
 func (e *MonteCarlo) FailureProb(t float64) (float64, error) {
 	if t <= 0 {
 		return 0, nil

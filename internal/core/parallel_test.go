@@ -51,10 +51,8 @@ func TestExponentMatchesDirect(t *testing.T) {
 }
 
 // TestMCFailureProbWorkerEquivalence pins the determinism contract of
-// the parallel query reduction: every worker count ≥ 2 is bit-identical
-// (fixed chunked pairwise summation), and the Workers==1 legacy linear
-// loop agrees to within floating-point reassociation error (≤ 1e-12
-// relative — the documented tolerance for this path).
+// the parallel query reduction: every worker count, one included, is
+// bit-identical (one fixed chunked pairwise summation).
 func TestMCFailureProbWorkerEquivalence(t *testing.T) {
 	fx, e := newMCFixture(t, 700, 1)
 	tRef, err := LifetimePPM(e, fx.chip, 100)
@@ -63,27 +61,19 @@ func TestMCFailureProbWorkerEquivalence(t *testing.T) {
 	}
 	for _, tQuery := range []float64{tRef, tRef * 10, tRef * 1000} {
 		e.Workers = 1
-		serial, err := e.FailureProb(tQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Workers = 2
 		ref, err := e.FailureProb(tQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{3, 5, 16} {
+		for _, w := range []int{2, 3, 5, 16} {
 			e.Workers = w
 			got, err := e.FailureProb(tQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != ref {
-				t.Fatalf("t=%v workers=%d: %v != workers=2 value %v", tQuery, w, got, ref)
+				t.Fatalf("t=%v workers=%d: %v != workers=1 value %v", tQuery, w, got, ref)
 			}
-		}
-		if d := math.Abs(serial - ref); d > 1e-12*math.Abs(serial) {
-			t.Fatalf("t=%v: serial %v vs parallel %v beyond reassociation tolerance", tQuery, serial, ref)
 		}
 	}
 }

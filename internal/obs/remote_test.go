@@ -50,8 +50,10 @@ func TestAttachRemoteGraft(t *testing.T) {
 	if ps.StartUs != fetchOut.StartUs {
 		t.Fatalf("remote root start %v, fetch start %v", ps.StartUs, fetchOut.StartUs)
 	}
-	if got := ps.Children[0].StartUs - ps.StartUs; got != 10 {
-		t.Fatalf("intra-subtree offset = %v, want 10", got)
+	// rebase adds one delta to every start, so the child sits at
+	// exactly the root's rebased start plus its remote offset of 10.
+	if got, want := ps.Children[0].StartUs, ps.StartUs+10; got != want {
+		t.Fatalf("grafted child start = %v, want root start + 10 = %v", got, want)
 	}
 
 	// Walk visits the grafted spans too.

@@ -4,14 +4,13 @@
 // cmd/ sweep fan-outs — goes through these helpers so the concurrency
 // policy lives in one place:
 //
-//   - A requested worker count of 0 means "use GOMAXPROCS"; 1 selects
-//     the exact serial legacy path (no goroutines, no reduction-order
-//     change), which keeps serial/parallel equivalence testable.
+//   - A requested worker count of 0 means "use GOMAXPROCS"; 1 runs the
+//     work inline, without goroutines.
 //   - Work distribution uses an atomic counter, not a channel, so the
 //     producer never serializes on an unbuffered handoff.
-//   - Floating-point reductions use a fixed chunk plan that depends
-//     only on the problem size, never on the worker count, so parallel
-//     results are bit-identical no matter how many workers run.
+//   - Floating-point reductions use one fixed chunk plan that depends
+//     only on the problem size, never on the worker count, so results
+//     are bit-identical however many workers run, one included.
 package par
 
 import (
@@ -133,26 +132,6 @@ func annotateSkipped(ctx context.Context, skipped int) {
 	}
 }
 
-// ForChunksCtx is ForChunks with ForCtx's cancellation checkpoints
-// (one per chunk).
-func ForChunksCtx(ctx context.Context, workers, n, chunk int, fn func(lo, hi int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	numChunks := (n + chunk - 1) / chunk
-	return ForCtx(ctx, workers, numChunks, func(c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	})
-}
-
 // ForChunks splits [0, n) into ceil(n/chunk) fixed-size chunks and
 // runs fn(lo, hi) for each. The chunk boundaries depend only on n and
 // chunk — not on the worker count — so any per-chunk results a caller
@@ -181,31 +160,17 @@ func ForChunks(workers, n, chunk int, fn func(lo, hi int)) {
 // on the runtime worker count.
 const sumChunk = 256
 
-// SumOrdered computes Σ term(i) for i in [0, n).
-//
-// With workers == 1 it is the plain left-to-right loop — bit-identical
-// to the pre-parallel serial code. With workers > 1 each fixed
-// 256-item chunk is summed left-to-right into a partial, and the
-// partials are combined by ordered pairwise summation; the result is
-// bit-identical for every worker count ≥ 2 (the tree shape depends
-// only on n). The two paths differ only by floating-point reassociation,
-// i.e. within a few ULPs; pairwise summation is in fact the more
-// accurate of the two.
+// SumOrdered computes Σ term(i) for i in [0, n): each fixed 256-item
+// chunk is summed left-to-right into a partial, and the partials are
+// combined by ordered pairwise summation. The tree shape depends only
+// on n, so the result is bit-identical for every worker count.
 func SumOrdered(workers, n int, term func(i int) float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	w := Resolve(workers, n)
-	if w == 1 {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += term(i)
-		}
-		return s
-	}
 	numChunks := (n + sumChunk - 1) / sumChunk
 	partials := make([]float64, numChunks)
-	ForChunks(w, n, sumChunk, func(lo, hi int) {
+	ForChunks(workers, n, sumChunk, func(lo, hi int) {
 		s := 0.0
 		for i := lo; i < hi; i++ {
 			s += term(i)
@@ -229,43 +194,4 @@ func PairwiseSum(xs []float64) float64 {
 	}
 	half := len(xs) / 2
 	return PairwiseSum(xs[:half]) + PairwiseSum(xs[half:])
-}
-
-// MaxOrdered computes max over per-chunk maxima with the same fixed
-// chunk plan as SumOrdered. max is associative and commutative, so the
-// result is identical to the serial loop for every worker count; the
-// helper exists so convergence checks inside parallel sweeps stay
-// deterministic and allocation-free at the call site.
-func MaxOrdered(workers, n int, term func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	w := Resolve(workers, n)
-	if w == 1 {
-		m := term(0)
-		for i := 1; i < n; i++ {
-			if v := term(i); v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	numChunks := (n + sumChunk - 1) / sumChunk
-	partials := make([]float64, numChunks)
-	ForChunks(w, n, sumChunk, func(lo, hi int) {
-		m := term(lo)
-		for i := lo + 1; i < hi; i++ {
-			if v := term(i); v > m {
-				m = v
-			}
-		}
-		partials[lo/sumChunk] = m
-	})
-	m := partials[0]
-	for _, v := range partials[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -444,7 +444,7 @@ func (s *Server) resolveBatchWork(index int, it *batchItem) batch.Work {
 			Key:     traceKey,
 			EvalKey: fmt.Sprintf("trace|m=%s|ppm=%g|t=%g", m, ppm, t),
 			Prepare: prepare(func(pctx context.Context) (*obdrel.Analyzer, GetResult, error) {
-				return s.reg.GetTrace(pctx, traceKey, d, cfg, tr)
+				return s.reg.GetTrace(pctx, s.stages, traceKey, d, cfg, tr)
 			}, true),
 			Eval: func(_ context.Context, prepared any) (any, error) {
 				p := prepared.(*batchPrepared)

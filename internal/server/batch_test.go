@@ -277,6 +277,28 @@ func TestBatchTraceMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestBatchTraceBuildsInNodeStages: a server given its own stage cache
+// builds trace substrates there, inside that node's tiers and stage
+// metrics, not in the process-wide obdrel.Stages().
+func TestBatchTraceBuildsInNodeStages(t *testing.T) {
+	stages := pipeline.NewCache(64)
+	srv := newTestServer(t, Options{Stages: stages, DisableTracing: true})
+	item := fmt.Sprintf(`{"query":"trace","design":"C2","method":"st_fast","ppm":10,"trace":[{"hours":500,"vdd":1.15,"activity_scale":0.8}],"config":%s}`, cheapCfg)
+	_, lines, _ := postBatch(t, srv.URL+"/v1/batch", batchBody(item))
+	if len(lines) != 1 || lines[0]["ok"] != true {
+		t.Fatalf("trace item failed: %v", lines)
+	}
+	builds := map[string]int64{}
+	for _, s := range stages.Snapshot() {
+		builds[s.Stage] = s.Builds
+	}
+	for _, stage := range []string{obdrel.StageThermal, obdrel.StageBLOD} {
+		if builds[stage] != 1 {
+			t.Errorf("node stage cache built %s %d times, want 1 (stats %v)", stage, builds[stage], builds)
+		}
+	}
+}
+
 func TestBatchInvalidTraceIsPerItemError(t *testing.T) {
 	srv := newTestServer(t, Options{})
 	items := []string{

@@ -19,7 +19,7 @@ type BuildFunc func(context.Context, *obdrel.Design, *obdrel.Config) (*obdrel.An
 // analyzerStage is the registry's stage name inside its pipeline cache:
 // assembled Analyzers keyed by the canonical obdrel.CacheKey. The
 // stage-level artifacts underneath (thermal, PCA, BLOD, …) live in the
-// process-wide obdrel.Stages() cache, so even a registry miss reuses
+// node's stage cache (Options.Stages), so even a registry miss reuses
 // every substrate stage whose inputs did not change.
 const analyzerStage = "analyzer"
 
@@ -136,12 +136,12 @@ func (r *Registry) Get(ctx context.Context, key string, d *obdrel.Design, cfg *o
 // coalescing, same retry/breaker/serve-stale policies, keyed by the
 // trace-extended cache key so distinct traces over one (design,
 // config) are distinct analyzers while the substrate stages
-// underneath still share the process-wide stage cache. key must be
+// underneath still share the node's stage cache, stages. key must be
 // obdrel.TraceCacheKey(d, cfg, tr).
-func (r *Registry) GetTrace(ctx context.Context, key string, d *obdrel.Design, cfg *obdrel.Config, tr obdrel.Trace) (*obdrel.Analyzer, GetResult, error) {
+func (r *Registry) GetTrace(ctx context.Context, stages *pipeline.Cache, key string, d *obdrel.Design, cfg *obdrel.Config, tr obdrel.Trace) (*obdrel.Analyzer, GetResult, error) {
 	return r.getKeyed(ctx, key, d.Name+" trace",
 		func(bctx context.Context) (*obdrel.Analyzer, error) {
-			return obdrel.NewTraceAnalyzerCtx(bctx, d, cfg, tr)
+			return obdrel.NewTraceAnalyzerCtxIn(bctx, stages, d, cfg, tr)
 		})
 }
 

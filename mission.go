@@ -6,10 +6,9 @@ import (
 	"fmt"
 	"math"
 
-	"obdrel/internal/blod"
-	"obdrel/internal/core"
 	"obdrel/internal/floorplan"
 	"obdrel/internal/obd"
+	"obdrel/internal/pipeline"
 	"obdrel/internal/power"
 	"obdrel/internal/thermal"
 )
@@ -30,10 +29,12 @@ type Mode struct {
 }
 
 // NewMissionAnalyzer characterizes a design under a duty-cycled
-// mission profile instead of a single worst-case operating point.
-// Each mode gets its own power/thermal solve and block-level Weibull
-// characterization; the per-mode characteristic lives combine by
-// linear damage accumulation (Miner's rule):
+// mission profile instead of a single worst-case operating point. A
+// mission is a trace whose segment hours are the modes' fractions:
+// each mode becomes the solved Segment{Hours: Fraction, VDD,
+// ActivityScale}, and the trace path (see NewTraceAnalyzerCtx)
+// combines the per-mode characteristic lives by linear damage
+// accumulation (Miner's rule):
 //
 //	1/α_eff,j = Σ_m fraction_m / α_{j,m}
 //
@@ -42,166 +43,22 @@ type Mode struct {
 // over realistic mode temperatures is a few percent, so the
 // approximation is mild; the dominant mode dominates the weight). The
 // same combination applies to the extrinsic population when
-// configured.
+// configured. Every stage, including each mode's thermal solve and
+// the hybrid tables, resolves through the process-wide stage cache.
 //
 // The returned Analyzer answers all the usual queries; reported block
 // temperatures are the fraction-weighted means with the max taken
 // across modes, and the stored temperature field belongs to the
 // highest-power mode.
 func NewMissionAnalyzer(d *Design, cfg *Config, modes []Mode) (*Analyzer, error) {
-	if cfg == nil {
-		cfg = DefaultConfig()
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if err := validateModes(modes); err != nil {
 		return nil, err
 	}
-	fd, err := d.internal()
-	if err != nil {
-		return nil, err
+	tr := make(Trace, len(modes))
+	for i, m := range modes {
+		tr[i] = Segment{Hours: m.Fraction, VDD: m.VDD, ActivityScale: m.ActivityScale}
 	}
-	tech := cfg.Tech
-	if tech == nil {
-		tech = obd.DefaultTech()
-	}
-	if err := tech.Validate(); err != nil {
-		return nil, err
-	}
-	pm := cfg.Power
-	if pm == nil {
-		pm = power.Default()
-	}
-	if err := pm.Validate(); err != nil {
-		return nil, err
-	}
-	ts := cfg.Thermal
-	if ts == nil {
-		ts = thermal.DefaultSolver()
-	}
-
-	n := len(fd.Blocks)
-	info := make([]BlockInfo, n)
-	for i := range info {
-		info[i] = BlockInfo{
-			Name:     fd.Blocks[i].Name,
-			Devices:  fd.Blocks[i].Devices,
-			MaxTempC: math.Inf(-1),
-		}
-	}
-	// Per-block accumulators: damage rate Σ f/α, damage-weighted b,
-	// extrinsic damage rate.
-	damage := make([]float64, n)
-	bWeighted := make([]float64, n)
-	extDamage := make([]float64, n)
-	var (
-		bestField *thermal.Field
-		bestPower float64
-	)
-	for _, mode := range modes {
-		scaled := *fd
-		scaled.Blocks = append([]floorplan.Block(nil), fd.Blocks...)
-		for i := range scaled.Blocks {
-			a := scaled.Blocks[i].Activity * mode.ActivityScale
-			if a > 1 {
-				a = 1
-			}
-			scaled.Blocks[i].Activity = a
-		}
-		coupled, err := ts.SolveCoupled(&scaled, func(temps []float64) ([]float64, error) {
-			return pm.DesignPowers(&scaled, mode.VDD, temps)
-		}, 0, 0)
-		if err != nil {
-			return nil, fmt.Errorf("obdrel: mode %q thermal analysis: %w", mode.Name, err)
-		}
-		if tot := power.Total(coupled.Powers); tot > bestPower {
-			bestPower = tot
-			bestField = coupled.Field
-		}
-		for j := 0; j < n; j++ {
-			tBlock := coupled.BlockMean[j]
-			if cfg.UseBlockMaxTemp {
-				tBlock = coupled.BlockMax[j]
-			}
-			p, err := tech.Characterize(tBlock, mode.VDD)
-			if err != nil {
-				return nil, fmt.Errorf("obdrel: mode %q block %q: %w", mode.Name, fd.Blocks[j].Name, err)
-			}
-			w := mode.Fraction / p.Alpha
-			damage[j] += w
-			bWeighted[j] += w * p.B
-			info[j].MeanTempC += mode.Fraction * coupled.BlockMean[j]
-			info[j].PowerW += mode.Fraction * coupled.Powers[j]
-			if coupled.BlockMax[j] > info[j].MaxTempC {
-				info[j].MaxTempC = coupled.BlockMax[j]
-			}
-			if cfg.Extrinsic != nil {
-				pe, err := tech.CharacterizeExtrinsic(cfg.Extrinsic, tBlock, mode.VDD)
-				if err != nil {
-					return nil, fmt.Errorf("obdrel: mode %q block %q extrinsic: %w", mode.Name, fd.Blocks[j].Name, err)
-				}
-				extDamage[j] += mode.Fraction / pe.AlphaE
-			}
-		}
-	}
-	params := make([]obd.Params, n)
-	for j := 0; j < n; j++ {
-		params[j] = obd.Params{
-			Alpha: 1 / damage[j],
-			B:     bWeighted[j] / damage[j],
-		}
-		info[j].Alpha = params[j].Alpha
-		info[j].B = params[j].B
-	}
-
-	model, err := cfg.variationModel(fd.W, fd.H)
-	if err != nil {
-		return nil, err
-	}
-	// The PCA goes through the pca stage like every analyzer's, so a
-	// mission analyzer pins no PCA either.
-	g := &stageGraph{cache: sharedStages, cfg: cfg, keys: stageKeys(d.Fingerprint(), d.W, d.H, cfg)}
-	if _, err := g.pca(context.Background(), model); err != nil {
-		return nil, err
-	}
-	char, err := blod.Characterize(fd, model)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := core.NewChip(fd, model, char, params)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Extrinsic != nil {
-		ext := make([]obd.ExtrinsicParams, n)
-		for j := 0; j < n; j++ {
-			ext[j] = obd.ExtrinsicParams{
-				AlphaE:         1 / extDamage[j],
-				BetaE:          cfg.Extrinsic.BetaE,
-				DefectFraction: cfg.Extrinsic.DefectFraction,
-			}
-		}
-		if err := chip.SetExtrinsic(ext); err != nil {
-			return nil, err
-		}
-	}
-	// The mission chip has no stage key (its blend of modes is built
-	// outside the stage graph), so its hybrid tables build inline,
-	// once per analyzer.
-	uncached := &stageGraph{cfg: cfg}
-	return &Analyzer{
-		cfg:       cfg,
-		design:    fd,
-		model:     model,
-		pca:       g.pcaResolver(model),
-		hybrid:    uncached.hybridResolver(chip, ""),
-		chip:      chip,
-		tech:      tech,
-		blockInfo: info,
-		field:     bestField,
-		engines:   make(map[Method]core.Engine),
-	}, nil
+	return NewTraceAnalyzerCtx(context.Background(), d, cfg, tr)
 }
 
 // Segment is one piecewise interval of a measured telemetry trace:
@@ -230,8 +87,8 @@ type Segment struct {
 // telemetry generalization of a mission profile. Where Mode carries
 // time *fractions* at design-time operating points, Trace carries
 // measured wall-clock segments; damage accumulates by Miner's rule
-// over the segments' hour shares exactly as NewMissionAnalyzer
-// combines modes.
+// over the segments' hour shares. NewMissionAnalyzer is this path with
+// the fractions as hours.
 type Trace []Segment
 
 // TotalHours returns the trace's total duration.
@@ -280,8 +137,7 @@ func NewTraceAnalyzer(d *Design, cfg *Config, tr Trace) (*Analyzer, error) {
 // NewTraceAnalyzerCtx replays a per-unit telemetry trace through the
 // reliability model: each segment contributes damage at its own
 // (temperature, voltage) operating point for its share of the trace's
-// hours, combined by Miner's rule exactly as NewMissionAnalyzer
-// combines duty-cycle modes:
+// hours, combined by Miner's rule:
 //
 //	1/α_eff,j = Σ_s (hours_s / Σhours) / α_{j,s}
 //
@@ -291,7 +147,7 @@ func NewTraceAnalyzer(d *Design, cfg *Config, tr Trace) (*Analyzer, error) {
 // substrate stages (floorplan, covariance, PCA, BLOD) and each
 // distinct (VDD, activity) thermal solve resolve through the shared
 // stage cache, so replaying a fleet of traces over one design builds
-// the substrate once.
+// the substrate once. NewTraceAnalyzerCtxIn takes another cache.
 //
 // The returned Analyzer answers all the usual queries; reported block
 // temperatures are hour-weighted means with the max across segments,
@@ -299,39 +155,48 @@ func NewTraceAnalyzer(d *Design, cfg *Config, tr Trace) (*Analyzer, error) {
 // solved segment (a uniform 1×1 field at the hottest measured
 // temperature when every segment is measured).
 func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) (*Analyzer, error) {
-	if cfg == nil {
-		cfg = DefaultConfig()
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+	return NewTraceAnalyzerCtxIn(ctx, sharedStages, d, cfg, tr)
+}
+
+// NewTraceAnalyzerCtxIn is NewTraceAnalyzerCtx against an explicit
+// stage cache, as NewAnalyzerCtxIn is for NewAnalyzerCtx. The trace's
+// chip itself is not a cached stage: its Weibull parameters are
+// specific to the trace, so no other analyzer or peer would ask for
+// it.
+func NewTraceAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config, tr Trace) (*Analyzer, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	if d == nil {
-		return nil, errNilDesign
-	}
-	g := &stageGraph{
-		cache: sharedStages,
-		d:     d,
-		cfg:   cfg,
-		tech:  cfg.resolvedTech(),
-		pm:    cfg.resolvedPower(),
-		ts:    cfg.resolvedThermal(),
-		keys:  stageKeys(d.Fingerprint(), d.W, d.H, cfg),
-	}
-	fd, err := g.floorplan(ctx)
+	g, fd, pm, err := newStageGraph(ctx, cache, d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := g.tech.Validate(); err != nil {
-		return nil, err
-	}
-	pm, err := g.powermap(ctx)
+	w, field, err := g.traceWeibull(ctx, fd, pm, tr)
 	if err != nil {
 		return nil, err
 	}
+	model, char, err := g.substrate(ctx, fd)
+	if err != nil {
+		return nil, err
+	}
+	chip, err := assembleChip(fd, model, char, w)
+	if err != nil {
+		return nil, err
+	}
+	// The trace-specific Weibull parameters make the chip identity
+	// trace-dependent; composing the trace fingerprint in keeps the
+	// hybrid tables (keyed by chipKey) distinct per trace.
+	chipKey := fp16(StageChip, g.keys[StageBLOD],
+		fp16("trace-weibull", d.Fingerprint(), g.cfg.segPower(), g.cfg.segWeibull(), tr.Fingerprint()))
+	return g.analyzer(fd, model, chip, chipKey, w.info, field), nil
+}
 
+// traceWeibull is the trace path's weibull stage: it resolves each
+// segment's operating point, from the sensor or the solver, and
+// combines the per-segment device Weibull parameters by Miner's rule.
+// It also returns the field the analyzer reports.
+func (g *stageGraph) traceWeibull(ctx context.Context, fd *floorplan.Design, pm *power.Model, tr Trace) (*weibullArtifact, *thermal.Field, error) {
+	cfg := g.cfg
 	n := len(fd.Blocks)
 	info := make([]BlockInfo, n)
 	for i := range info {
@@ -349,11 +214,10 @@ func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) 
 		bestField   *thermal.Field
 		bestPower   float64
 		maxMeasured = math.Inf(-1)
-		haveSolved  bool
 	)
 	for si, seg := range tr {
 		frac := seg.Hours / total
-		// blockTemp/blockMax/blockPower describe the segment's
+		// blockMean/blockMax/blockPower describe the segment's
 		// resolved operating point, from the sensor or the solver.
 		var blockMean, blockMax, blockPower []float64
 		if seg.TempC != 0 {
@@ -361,10 +225,9 @@ func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) 
 				maxMeasured = seg.TempC
 			}
 		} else {
-			haveSolved = true
 			coupled, err := g.traceSegThermal(ctx, fd, pm, seg)
 			if err != nil {
-				return nil, fmt.Errorf("obdrel: trace segment %d thermal analysis: %w", si, err)
+				return nil, nil, fmt.Errorf("obdrel: trace segment %d thermal analysis: %w", si, err)
 			}
 			if tot := power.Total(coupled.Powers); tot > bestPower || bestField == nil {
 				bestPower = tot
@@ -383,7 +246,7 @@ func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) 
 			}
 			p, err := g.tech.Characterize(tBlock, seg.VDD)
 			if err != nil {
-				return nil, fmt.Errorf("obdrel: trace segment %d block %q: %w", si, fd.Blocks[j].Name, err)
+				return nil, nil, fmt.Errorf("obdrel: trace segment %d block %q: %w", si, fd.Blocks[j].Name, err)
 			}
 			w := frac / p.Alpha
 			damage[j] += w
@@ -396,76 +259,39 @@ func NewTraceAnalyzerCtx(ctx context.Context, d *Design, cfg *Config, tr Trace) 
 			if cfg.Extrinsic != nil {
 				pe, err := g.tech.CharacterizeExtrinsic(cfg.Extrinsic, tBlock, seg.VDD)
 				if err != nil {
-					return nil, fmt.Errorf("obdrel: trace segment %d block %q extrinsic: %w", si, fd.Blocks[j].Name, err)
+					return nil, nil, fmt.Errorf("obdrel: trace segment %d block %q extrinsic: %w", si, fd.Blocks[j].Name, err)
 				}
 				extDamage[j] += frac / pe.AlphaE
 			}
 		}
 	}
-	if !haveSolved {
+	if bestField == nil {
 		// Every segment came with a sensor reading: there is no solved
 		// field to store, so report a uniform die at the hottest
 		// measured temperature.
 		bestField = &thermal.Field{Nx: 1, Ny: 1, W: fd.W, H: fd.H, Temps: []float64{maxMeasured}}
 	}
 
-	params := make([]obd.Params, n)
+	w := &weibullArtifact{params: make([]obd.Params, n), info: info}
 	for j := 0; j < n; j++ {
-		params[j] = obd.Params{
+		w.params[j] = obd.Params{
 			Alpha: 1 / damage[j],
 			B:     bWeighted[j] / damage[j],
 		}
-		info[j].Alpha = params[j].Alpha
-		info[j].B = params[j].B
-	}
-
-	model, err := g.covariance(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// The PCA is resolved eagerly so its errors surface here and its
-	// build is attributed to this construction, but not retained.
-	if _, err := g.pca(ctx, model); err != nil {
-		return nil, err
-	}
-	char, err := g.blod(ctx, fd, model)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := core.NewChip(fd, model, char, params)
-	if err != nil {
-		return nil, err
+		info[j].Alpha = w.params[j].Alpha
+		info[j].B = w.params[j].B
 	}
 	if cfg.Extrinsic != nil {
-		ext := make([]obd.ExtrinsicParams, n)
+		w.ext = make([]obd.ExtrinsicParams, n)
 		for j := 0; j < n; j++ {
-			ext[j] = obd.ExtrinsicParams{
+			w.ext[j] = obd.ExtrinsicParams{
 				AlphaE:         1 / extDamage[j],
 				BetaE:          cfg.Extrinsic.BetaE,
 				DefectFraction: cfg.Extrinsic.DefectFraction,
 			}
 		}
-		if err := chip.SetExtrinsic(ext); err != nil {
-			return nil, err
-		}
 	}
-	// The trace-specific Weibull parameters make the chip identity
-	// trace-dependent; composing the trace fingerprint in keeps the
-	// hybrid tables (keyed by chipKey) distinct per trace.
-	chipKey := fp16(StageChip, g.keys[StageBLOD],
-		fp16("trace-weibull", d.Fingerprint(), cfg.segPower(), cfg.segWeibull(), tr.Fingerprint()))
-	return &Analyzer{
-		cfg:       cfg,
-		design:    fd,
-		model:     model,
-		pca:       g.pcaResolver(model),
-		hybrid:    g.hybridResolver(chip, chipKey),
-		chip:      chip,
-		tech:      g.tech,
-		blockInfo: info,
-		field:     bestField,
-		engines:   make(map[Method]core.Engine),
-	}, nil
+	return w, bestField, nil
 }
 
 // traceSegThermal resolves a solved trace segment's coupled
@@ -501,10 +327,10 @@ func validateModes(modes []Mode) error {
 	sum := 0.0
 	for _, m := range modes {
 		switch {
-		case !(m.VDD > 0):
-			return fmt.Errorf("obdrel: mode %q has non-positive VDD", m.Name)
-		case m.ActivityScale < 0:
-			return fmt.Errorf("obdrel: mode %q has negative activity scale", m.Name)
+		case !(m.VDD > 0) || math.IsInf(m.VDD, 0):
+			return fmt.Errorf("obdrel: mode %q VDD %v not finite positive", m.Name, m.VDD)
+		case !(m.ActivityScale >= 0) || math.IsInf(m.ActivityScale, 0):
+			return fmt.Errorf("obdrel: mode %q activity scale %v not finite non-negative", m.Name, m.ActivityScale)
 		case !(m.Fraction > 0) || m.Fraction > 1:
 			return fmt.Errorf("obdrel: mode %q fraction %v outside (0,1]", m.Name, m.Fraction)
 		}

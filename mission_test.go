@@ -179,11 +179,58 @@ func TestMissionValidationEdgeCases(t *testing.T) {
 		}},
 		{"fraction above one", []obdrel.Mode{{Name: "a", VDD: 1.2, ActivityScale: 1, Fraction: 1.5}}},
 		{"negative vdd", []obdrel.Mode{{Name: "a", VDD: -1.2, ActivityScale: 1, Fraction: 1}}},
+		{"inf vdd", []obdrel.Mode{{Name: "a", VDD: math.Inf(1), ActivityScale: 1, Fraction: 1}}},
+		{"nan activity", []obdrel.Mode{{Name: "a", VDD: 1.2, ActivityScale: math.NaN(), Fraction: 1}}},
+		{"inf activity", []obdrel.Mode{{Name: "a", VDD: 1.2, ActivityScale: math.Inf(1), Fraction: 1}}},
 	}
 	for _, c := range cases {
 		if _, err := obdrel.NewMissionAnalyzer(obdrel.C1(), cfg, c.modes); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// TestMissionResolvesThroughStageCache: a mission's per-mode thermal
+// solves and its hybrid tables are stage artifacts, so an identical
+// second mission builds neither.
+func TestMissionResolvesThroughStageCache(t *testing.T) {
+	cfg := fastConfig()
+	cfg.GridNx, cfg.GridNy = 7, 7 // keys no other test in the package builds
+	modes := []obdrel.Mode{
+		{Name: "lo", VDD: 1.05, ActivityScale: 0.45, Fraction: 0.25},
+		{Name: "hi", VDD: 1.27, ActivityScale: 0.95, Fraction: 0.75},
+	}
+	builds := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, s := range obdrel.Stages().Snapshot() {
+			out[s.Stage] = s.Builds
+		}
+		return out
+	}
+	mission := func() map[string]int64 {
+		before := builds()
+		an, err := obdrel.NewMissionAnalyzer(obdrel.C3(), cfg, modes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := an.LifetimePPM(10, obdrel.MethodHybrid); err != nil {
+			t.Fatal(err)
+		}
+		delta := builds()
+		for stage, n := range before {
+			delta[stage] -= n
+		}
+		return delta
+	}
+	first := mission()
+	if first[obdrel.StageThermal] != 2 || first[obdrel.StageHybrid] != 1 {
+		t.Fatalf("first mission built %d thermal and %d hybrid artifacts, want 2 and 1 (%v)",
+			first[obdrel.StageThermal], first[obdrel.StageHybrid], first)
+	}
+	second := mission()
+	if second[obdrel.StageThermal] != 0 || second[obdrel.StageHybrid] != 0 {
+		t.Fatalf("identical second mission built %d thermal and %d hybrid artifacts, want none (%v)",
+			second[obdrel.StageThermal], second[obdrel.StageHybrid], second)
 	}
 }
 
@@ -235,7 +282,7 @@ func TestTraceValidation(t *testing.T) {
 
 // TestTraceMatchesMission pins the Miner's-rule equivalence: a trace
 // whose hour shares equal a mission profile's fractions, with solved
-// temperatures, must produce the same lifetime.
+// temperatures, must produce the bit-identical lifetime.
 func TestTraceMatchesMission(t *testing.T) {
 	cfg := fastConfig()
 	mission, err := obdrel.NewMissionAnalyzer(obdrel.C1(), cfg, []obdrel.Mode{
@@ -260,7 +307,7 @@ func TestTraceMatchesMission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approx(lMission, lTrace, 1e-9) {
+	if lMission != lTrace {
 		t.Errorf("trace lifetime %v differs from equivalent mission %v", lTrace, lMission)
 	}
 }

@@ -314,11 +314,10 @@ type Config struct {
 	Seed int64
 	// Workers bounds the parallelism of every engine and substrate
 	// stage (MC sampling and queries, st_MC projection, hybrid-table
-	// fill, PCA). 0 uses GOMAXPROCS; 1 selects the exact
-	// serial legacy paths; any value ≥ 2 produces bit-identical
-	// results regardless of the actual count (fixed deterministic
-	// reduction plans), differing from the serial paths only within
-	// documented floating-point/ordering tolerances.
+	// fill, PCA). 0 uses GOMAXPROCS; 1 runs without goroutines.
+	// Every value produces bit-identical results: each reduction has
+	// one fixed plan that depends on the problem size, never on the
+	// worker count.
 	Workers int
 }
 

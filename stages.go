@@ -259,40 +259,40 @@ func (g *stageGraph) weibull(ctx context.Context, fd *floorplan.Design, coupled 
 func (g *stageGraph) chip(ctx context.Context, fd *floorplan.Design, model *grid.Model, char *blod.Characterization, w *weibullArtifact) (*core.Chip, error) {
 	return stageGet(ctx, g.cache, StageChip, g.keys[StageChip],
 		func(context.Context) (*core.Chip, error) {
-			chip, err := core.NewChip(fd, model, char, w.params)
-			if err != nil {
-				return nil, err
-			}
-			if w.ext != nil {
-				// SetExtrinsic mutates the chip; it happens only here,
-				// before the artifact enters the cache, so every
-				// cached chip is immutable to its consumers.
-				if err := chip.SetExtrinsic(w.ext); err != nil {
-					return nil, err
-				}
-			}
-			return chip, nil
+			return assembleChip(fd, model, char, w)
 		})
 }
 
-// NewAnalyzerCtxIn is NewAnalyzerCtx against an explicit stage cache
-// instead of the process-wide one. The serving layer uses it to give
-// each node its own stage cache (with its own disk/peer tiers), which
-// is also what lets a multi-node cluster run inside one test process
-// without the nodes sharing artifacts through sharedStages. A nil
-// cache disables caching entirely: every stage builds inline under
-// ctx, the exact legacy code path. Stages resolve in the same order,
-// with the same validation sequence and error wrapping, as the
-// pre-stage-graph monolithic constructor.
-func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*Analyzer, error) {
+// assembleChip builds the chip from its substrate and per-block
+// Weibull parameters. SetExtrinsic mutates the chip; it happens only
+// here, before the chip reaches the cache or an analyzer, so every
+// chip is immutable to its consumers.
+func assembleChip(fd *floorplan.Design, model *grid.Model, char *blod.Characterization, w *weibullArtifact) (*core.Chip, error) {
+	chip, err := core.NewChip(fd, model, char, w.params)
+	if err != nil {
+		return nil, err
+	}
+	if w.ext != nil {
+		if err := chip.SetExtrinsic(w.ext); err != nil {
+			return nil, err
+		}
+	}
+	return chip, nil
+}
+
+// newStageGraph is the prologue every analyzer constructor shares: it
+// validates cfg (nil selects DefaultConfig) and d, then resolves the
+// floorplan and power-map stages with the technology validated between
+// them.
+func newStageGraph(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*stageGraph, *floorplan.Design, *power.Model, error) {
 	if cfg == nil {
 		cfg = DefaultConfig()
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if d == nil {
-		return nil, errNilDesign
+		return nil, nil, nil, errNilDesign
 	}
 	g := &stageGraph{
 		cache: cache,
@@ -305,12 +305,65 @@ func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg
 	}
 	fd, err := g.floorplan(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if err := g.tech.Validate(); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	pm, err := g.powermap(ctx)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return g, fd, pm, nil
+}
+
+// substrate resolves the voltage-independent tail every constructor
+// shares: covariance, then PCA, then BLOD. The PCA is resolved eagerly
+// so its errors surface here and its build is attributed to this
+// construction, but not retained.
+func (g *stageGraph) substrate(ctx context.Context, fd *floorplan.Design) (*grid.Model, *blod.Characterization, error) {
+	model, err := g.covariance(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := g.pca(ctx, model); err != nil {
+		return nil, nil, err
+	}
+	char, err := g.blod(ctx, fd, model)
+	if err != nil {
+		return nil, nil, err
+	}
+	return model, char, nil
+}
+
+// analyzer wraps a resolved chip in the query facade; chipKey names
+// the chip's hybrid tables in the stage cache.
+func (g *stageGraph) analyzer(fd *floorplan.Design, model *grid.Model, chip *core.Chip, chipKey string, info []BlockInfo, field *thermal.Field) *Analyzer {
+	return &Analyzer{
+		cfg:       g.cfg,
+		design:    fd,
+		model:     model,
+		pca:       g.pcaResolver(model),
+		hybrid:    g.hybridResolver(chip, chipKey),
+		chip:      chip,
+		tech:      g.tech,
+		blockInfo: info,
+		field:     field,
+		engines:   make(map[Method]core.Engine),
+	}
+}
+
+// NewAnalyzerCtxIn is NewAnalyzerCtx against an explicit stage cache
+// instead of the process-wide one. The serving layer uses it to give
+// each node its own stage cache (with its own disk/peer tiers), which
+// is also what lets a multi-node cluster run inside one test process
+// without the nodes sharing artifacts through sharedStages. A nil
+// cache disables caching entirely: every stage builds inline under
+// ctx, the exact legacy code path. Stages resolve in the same order,
+// with the same validation sequence and error wrapping, as the
+// pre-stage-graph monolithic constructor.
+func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*Analyzer, error) {
+	g, fd, pm, err := newStageGraph(ctx, cache, d, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -318,16 +371,7 @@ func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg
 	if err != nil {
 		return nil, err
 	}
-	model, err := g.covariance(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// The PCA is resolved eagerly so its errors surface here and its
-	// build is attributed to this construction, but not retained.
-	if _, err := g.pca(ctx, model); err != nil {
-		return nil, err
-	}
-	char, err := g.blod(ctx, fd, model)
+	model, char, err := g.substrate(ctx, fd)
 	if err != nil {
 		return nil, err
 	}
@@ -339,16 +383,5 @@ func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg
 	if err != nil {
 		return nil, err
 	}
-	return &Analyzer{
-		cfg:       cfg,
-		design:    fd,
-		model:     model,
-		pca:       g.pcaResolver(model),
-		hybrid:    g.hybridResolver(chip, g.keys[StageChip]),
-		chip:      chip,
-		tech:      g.tech,
-		blockInfo: w.info,
-		field:     coupled.Field,
-		engines:   make(map[Method]core.Engine),
-	}, nil
+	return g.analyzer(fd, model, chip, g.keys[StageChip], w.info, coupled.Field), nil
 }
