@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"obdrel"
 	"obdrel/internal/obs"
@@ -197,6 +199,84 @@ func TestBatchMalformedMidStreamKeepsPriorResults(t *testing.T) {
 	}
 	if trailer["done"] != false || !strings.Contains(trailer["error"].(string), "bad JSON") {
 		t.Fatalf("trailer = %v, want done=false with a bad-JSON error", trailer)
+	}
+}
+
+// TestBatchRejectsUnknownItemField: items decode strictly, as unary
+// POST bodies do. A typo'd "ppn" makes its item malformed instead of
+// answering at the default 10 ppm: the items before it still answer,
+// and the trailer reads done:false naming the item and the field.
+func TestBatchRejectsUnknownItemField(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	body := batchBody(
+		fmt.Sprintf(`{"design":"C1","method":"st_fast","ppm":1,"config":%s}`, cheapCfg),
+		fmt.Sprintf(`{"design":"C1","method":"st_fast","ppn":1,"config":%s}`, cheapCfg))
+	_, lines, trailer := postBatch(t, srv.URL+"/v1/batch", body)
+	if len(lines) != 1 || lines[0]["ok"] != true {
+		t.Fatalf("want only the valid first item answered: %v", lines)
+	}
+	msg, _ := trailer["error"].(string)
+	if trailer["done"] != false || !strings.Contains(msg, "item 1") || !strings.Contains(msg, `"ppn"`) {
+		t.Fatalf("trailer = %v, want done=false naming item 1 and \"ppn\"", trailer)
+	}
+}
+
+// TestBatchStreamInRequestEnvelope: /v1/batch runs inside the same
+// envelope as every unary route. Its access-log line carries cache
+// provenance and peer_fills, a stream slower than -slow-request logs
+// the warning, a "*" objective counts it, and it emits a wide event.
+func TestBatchStreamInRequestEnvelope(t *testing.T) {
+	var logBuf, wideBuf syncBuffer
+	objs, err := obs.ParseSLOSpec("*:availability:99")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{
+		Stages: pipeline.NewCache(16), DisableTracing: true, AccessLog: &logBuf,
+		WideEvents: &wideBuf, SlowRequest: time.Nanosecond, SLOs: objs,
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	postBatch(t, srv.URL+"/v1/batch", batchBody(
+		fmt.Sprintf(`{"design":"C2","method":"st_fast","ppm":7,"config":%s}`, cheapCfg)))
+
+	var logged, slow bool
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var entry struct {
+			Msg       string `json:"msg"`
+			Route     string `json:"route"`
+			Cache     string `json:"cache"`
+			PeerFills *int   `json:"peer_fills"`
+		}
+		if err := json.Unmarshal([]byte(line), &entry); err != nil {
+			t.Fatalf("unparsable access-log line %q: %v", line, err)
+		}
+		if entry.Route != "/v1/batch" {
+			continue
+		}
+		switch entry.Msg {
+		case "request":
+			logged = true
+			if entry.Cache != "built" || entry.PeerFills == nil {
+				t.Errorf("batch access-log line %q, want cache=built and peer_fills", line)
+			}
+		case "slow request":
+			slow = true
+		}
+	}
+	if !logged || !slow {
+		t.Errorf("access log: request line %v, slow-request warning %v; want both", logged, slow)
+	}
+
+	var ev WideEvent
+	if err := json.Unmarshal([]byte(strings.TrimSpace(wideBuf.String())), &ev); err != nil {
+		t.Fatalf("wide events %q: %v", wideBuf.String(), err)
+	}
+	if ev.Route != "/v1/batch" || ev.Status != http.StatusOK || ev.Cache != "built" || ev.StageBuilds < 1 {
+		t.Errorf("wide event = %+v, want a built /v1/batch stream", ev)
+	}
+	if reps := s.SLOReport(); len(reps) != 1 || reps[0].Good != 1 {
+		t.Errorf("\"*\" objective = %+v, want the stream counted good", reps)
 	}
 }
 

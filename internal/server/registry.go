@@ -11,9 +11,12 @@ import (
 	"obdrel/internal/pipeline"
 )
 
-// BuildFunc constructs the analyzer for a design/config pair under a
-// context that cancels the build. Production uses obdrel.NewAnalyzerCtx;
-// tests inject counters and stalls.
+// BuildFunc constructs the plain analyzer for a design/config pair
+// under a context that cancels the build. Production uses
+// obdrel.NewAnalyzerCtxIn over the node's stage cache; tests inject
+// counters and stalls. It builds plain (design, config) analyzers only:
+// telemetry-replay analyzers (GetTrace) always build with
+// obdrel.NewTraceAnalyzerCtxIn in the node's stage cache.
 type BuildFunc func(context.Context, *obdrel.Design, *obdrel.Config) (*obdrel.Analyzer, error)
 
 // analyzerStage is the registry's stage name inside its pipeline cache:

@@ -43,7 +43,8 @@ func getResp(t *testing.T, url string, hdr map[string]string) (*http.Response, m
 // LRU, poisons the builder, and verifies the next request for the
 // evicted key is served from the last-good store with full staleness
 // provenance: cache="stale" + staleness_s in the payload, the Warning
-// and X-Staleness headers, and the serve_stale counter.
+// and X-Staleness headers, and the serve_stale counter; a batch item
+// for the key carries the same body provenance.
 func TestServeStaleOnFailedRebuild(t *testing.T) {
 	var fail atomic.Bool
 	s := New(Options{
@@ -89,6 +90,12 @@ func TestServeStaleOnFailedRebuild(t *testing.T) {
 	}
 	if got := s.Metrics().ServeStale.Load(); got != 1 {
 		t.Fatalf("ServeStale = %d, want 1", got)
+	}
+	// The same key as a batch item: its line has only a body to carry
+	// the provenance.
+	_, lines, _ := postBatch(t, srv.URL+"/v1/batch", batchBody(`{"design":"C1","ppm":100,"config":`+cheapCfg+`}`))
+	if res, _ := lines[0]["result"].(map[string]any); res["cache"] != "stale" || res["staleness_s"] == nil {
+		t.Fatalf("stale batch item = %v, want cache=stale with staleness_s", lines[0])
 	}
 
 	// With a healthy builder again the same key rebuilds fresh.

@@ -38,7 +38,6 @@ import (
 	"obdrel"
 	"obdrel/internal/artifact"
 	"obdrel/internal/fault"
-	"obdrel/internal/obd"
 	"obdrel/internal/obs"
 	"obdrel/internal/pipeline"
 )
@@ -59,9 +58,11 @@ type Options struct {
 	Workers int
 	// AccessLog receives one JSON line per request (nil = discard).
 	AccessLog io.Writer
-	// Build overrides the analyzer factory (tests); nil uses
-	// obdrel.NewAnalyzerCtx, so request deadlines cancel in-flight
-	// stage builds.
+	// Build overrides the plain (design, config) analyzer factory
+	// (tests); nil uses obdrel.NewAnalyzerCtxIn over Stages, so request
+	// deadlines cancel in-flight stage builds. Trace analyzers (batch
+	// "trace" items) never pass through it: they always build with
+	// obdrel.NewTraceAnalyzerCtxIn in Stages.
 	Build BuildFunc
 
 	// Tracer overrides the request tracer; nil constructs one with
@@ -432,12 +433,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.Handle("/v1/designs", s.instrument("/v1/designs", s.handleDesigns, http.MethodGet))
-	mux.Handle("/v1/lifetime", s.instrument("/v1/lifetime", s.handleLifetime, http.MethodGet, http.MethodPost))
-	mux.Handle("/v1/failureprob", s.instrument("/v1/failureprob", s.handleFailureProb, http.MethodGet, http.MethodPost))
-	mux.Handle("/v1/maxvdd", s.instrument("/v1/maxvdd", s.handleMaxVDD, http.MethodGet, http.MethodPost))
-	mux.Handle("/v1/blocks", s.instrument("/v1/blocks", s.handleBlocks, http.MethodGet, http.MethodPost))
-	mux.Handle("/v1/batch", s.instrumentBatch("/v1/batch"))
+	get, post, unary := http.MethodGet, http.MethodPost, s.opts.RequestTimeout
+	mux.Handle("/v1/designs", s.instrument("/v1/designs", unary, s.handleDesigns, get))
+	mux.Handle("/v1/lifetime", s.instrument("/v1/lifetime", unary, s.queryRoute(kindLifetime), get, post))
+	mux.Handle("/v1/failureprob", s.instrument("/v1/failureprob", unary, s.queryRoute(kindFailureProb), get, post))
+	mux.Handle("/v1/maxvdd", s.instrument("/v1/maxvdd", unary, s.queryRoute(kindMaxVDD), get, post))
+	mux.Handle("/v1/blocks", s.instrument("/v1/blocks", unary, s.handleBlocks, get, post))
+	// A batch is one admission slot doing thousands of queries, so its
+	// stream gets its own deadline.
+	mux.Handle("/v1/batch", s.instrument("/v1/batch", s.opts.BatchTimeout, s.handleBatch, post))
 	mux.HandleFunc("/v1/artifact/", s.handleArtifact)
 	mux.HandleFunc("/v1/cluster/stats", s.handleClusterStats)
 	mux.HandleFunc("/v1/cluster/status", s.handleClusterStatus)
@@ -571,13 +575,25 @@ func errNotFound(format string, args ...any) error {
 	return &apiError{code: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
 }
 
-// instrument wraps a /v1 handler with the production plumbing: method
-// gating (405 with an Allow header), concurrency limiting (429 on
-// saturation), the per-request deadline, the root trace span (honoring
-// an incoming W3C traceparent and emitting one on the response), the
-// in-flight gauge, panic containment, metrics, the slow-request
-// warning, and one structured log line per request.
-func (s *Server) instrument(route string, h func(context.Context, *http.Request) (any, error), allow ...string) http.Handler {
+// handlerFunc answers one /v1 request inside instrument's envelope. It
+// returns the payload for the envelope to write, or a streamed status
+// when it has written the response itself.
+type handlerFunc func(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, error)
+
+// streamed is the status a streaming handler (/v1/batch) committed:
+// returned as the payload, it tells the envelope the response is
+// already on the wire.
+type streamed int
+
+// instrument is the one request envelope around every /v1 route,
+// /v1/batch included: method gating (405 with an Allow header), the
+// drain gate, admission (429/503 on saturation; a batch stream holds
+// one slot), the in-flight gauge, the route's deadline (timeout), the
+// X-Fault injector, the root trace span (honoring an incoming W3C
+// traceparent and emitting one on the response), panic containment,
+// error mapping, metrics, the access log line, the slow-request
+// warning, the SLO observation and the wide event.
+func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, allow ...string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		status := http.StatusOK
@@ -679,7 +695,7 @@ func (s *Server) instrument(route string, h func(context.Context, *http.Request)
 		s.metrics.InFlight.Add(1)
 		defer s.metrics.InFlight.Add(-1)
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		ctx, annot := withAnnot(ctx)
 		// Per-request cost accounting: the pipeline records its tier
@@ -731,8 +747,21 @@ func (s *Server) instrument(route string, h func(context.Context, *http.Request)
 			if ferr := fault.InjectLabeled(ctx, "server.handler", route); ferr != nil {
 				return nil, ferr
 			}
-			return h(ctx, r)
+			return h(ctx, w, r)
 		}()
+
+		// Serve-stale provenance for the access log and wide event.
+		age, stale := annot.staleness()
+		isStale, staleSecs = stale, int64(age.Seconds())
+		if st, ok := resp.(streamed); ok {
+			// The stream committed its own status and headers.
+			status = int(st)
+			if root != nil {
+				root.SetAttr("status", status)
+				root.EndTrace()
+			}
+			return
+		}
 
 		var payload any
 		switch {
@@ -771,10 +800,9 @@ func (s *Server) instrument(route string, h func(context.Context, *http.Request)
 
 		// Serve-stale annotation: the registry answered from the
 		// last-good store because the fresh build failed.
-		if age, stale := annot.staleness(); stale {
-			isStale, staleSecs = true, int64(age.Seconds())
+		if stale {
 			w.Header().Set("Warning", `110 obdreld "Response is Stale"`)
-			w.Header().Set("X-Staleness", strconv.FormatInt(int64(age.Seconds()), 10))
+			w.Header().Set("X-Staleness", strconv.FormatInt(staleSecs, 10))
 		}
 
 		// End the trace before writing: the finalized tree is what
@@ -1089,7 +1117,7 @@ func (s *Server) registryKey(d *obdrel.Design, p *configParams, cfg *obdrel.Conf
 	}
 }
 
-func (s *Server) handleDesigns(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleDesigns(context.Context, http.ResponseWriter, *http.Request) (any, error) {
 	type designInfo struct {
 		Name    string  `json:"name"`
 		Blocks  int     `json:"blocks"`
@@ -1108,180 +1136,16 @@ func (s *Server) handleDesigns(ctx context.Context, r *http.Request) (any, error
 	return map[string]any{"designs": out}, nil
 }
 
-func (s *Server) handleLifetime(ctx context.Context, r *http.Request) (any, error) {
-	req, err := parseRequest(r)
+func (s *Server) handleBlocks(ctx context.Context, _ http.ResponseWriter, r *http.Request) (any, error) {
+	var req apiRequest
+	if err := parseRequest(r, &req); err != nil {
+		return nil, err
+	}
+	q, err := s.resolveTarget(&req)
 	if err != nil {
 		return nil, err
 	}
-	d, cfg, m, err := s.resolve(req)
-	if err != nil {
-		return nil, err
-	}
-	ppm := req.PPM
-	if ppm == 0 {
-		ppm = 10
-	}
-	an, src, err := s.reg.Get(ctx, s.registryKey(d, &req.Config, cfg), d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	_, qsp := obs.StartSpan(ctx, "query.lifetime")
-	annotateQuery(qsp, m, cfg)
-	var life float64
-	if an.EngineReady(m) {
-		// Warm path: the engine exists, the query is a µs-scale,
-		// allocation-free lookup — call it directly instead of paying a
-		// goroutine + channel + closure per request.
-		life, err = an.LifetimePPM(ppm, m)
-	} else {
-		life, err = await(ctx, func() (float64, error) { return an.LifetimePPM(ppm, m) })
-	}
-	qsp.End()
-	if err != nil {
-		return nil, queryErr(err)
-	}
-	out := map[string]any{
-		"design":         d.Name,
-		"method":         m.String(),
-		"ppm":            ppm,
-		"lifetime_hours": life,
-		"cache":          src.Label(),
-		"query_us":       time.Since(start).Microseconds(),
-	}
-	addStaleness(out, src)
-	return out, nil
-}
-
-// addStaleness surfaces serve-stale provenance in the payload (the
-// headers carry it too; the body keeps scripted clients honest).
-func addStaleness(out map[string]any, src GetResult) {
-	if src.Stale {
-		out["staleness_s"] = int64(src.StaleAge.Seconds())
-	}
-}
-
-// annotateQuery records the work a method query implies: the sample
-// counts driving MC-flavoured evaluation, the table resolution for
-// hybrid lookups. Nil spans skip the boxing entirely.
-func annotateQuery(sp *obs.Span, m obdrel.Method, cfg *obdrel.Config) {
-	if sp == nil {
-		return
-	}
-	sp.SetAttr("method", m.String())
-	switch m {
-	case obdrel.MethodMC:
-		sp.SetAttr("mc_samples", cfg.MCSamples)
-	case obdrel.MethodStMC:
-		sp.SetAttr("stmc_samples", cfg.StMCSamples)
-	case obdrel.MethodHybrid:
-		sp.SetAttr("hybrid_nl", cfg.HybridNL)
-		sp.SetAttr("hybrid_nb", cfg.HybridNB)
-	}
-}
-
-func (s *Server) handleFailureProb(ctx context.Context, r *http.Request) (any, error) {
-	req, err := parseRequest(r)
-	if err != nil {
-		return nil, err
-	}
-	d, cfg, m, err := s.resolve(req)
-	if err != nil {
-		return nil, err
-	}
-	if !(req.T > 0) {
-		return nil, errBadRequest("t (hours) must be positive, got %v", req.T)
-	}
-	an, src, err := s.reg.Get(ctx, s.registryKey(d, &req.Config, cfg), d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	_, qsp := obs.StartSpan(ctx, "query.failureprob")
-	annotateQuery(qsp, m, cfg)
-	var p float64
-	if an.EngineReady(m) {
-		// Warm path: direct call, same rationale as handleLifetime.
-		p, err = an.FailureProb(req.T, m)
-	} else {
-		p, err = await(ctx, func() (float64, error) { return an.FailureProb(req.T, m) })
-	}
-	qsp.End()
-	if err != nil {
-		return nil, queryErr(err)
-	}
-	out := map[string]any{
-		"design":       d.Name,
-		"method":       m.String(),
-		"t_hours":      req.T,
-		"failure_prob": p,
-		"reliability":  1 - p,
-		"cache":        src.Label(),
-		"query_us":     time.Since(start).Microseconds(),
-	}
-	addStaleness(out, src)
-	return out, nil
-}
-
-func (s *Server) handleMaxVDD(ctx context.Context, r *http.Request) (any, error) {
-	req, err := parseRequest(r)
-	if err != nil {
-		return nil, err
-	}
-	d, cfg, m, err := s.resolve(req)
-	if err != nil {
-		return nil, err
-	}
-	ppm := req.PPM
-	if ppm == 0 {
-		ppm = 10
-	}
-	if !(req.TargetHours > 0) {
-		return nil, errBadRequest("target_hours must be positive, got %v", req.TargetHours)
-	}
-	vLo, vHi := req.VLo, req.VHi
-	if vLo == 0 {
-		vLo = 0.9
-	}
-	if vHi == 0 {
-		vHi = 1.5
-	}
-	// Probe analyzers route through the registry, so the bisection's
-	// repeat visits (and later searches over the same bracket) reuse
-	// characterized voltages.
-	probes := 0
-	factory := func(fctx context.Context, pd *obdrel.Design, pc *obdrel.Config) (*obdrel.Analyzer, error) {
-		probes++
-		an, _, err := s.reg.Get(fctx, s.registryKey(pd, nil, pc), pd, pc)
-		return an, err
-	}
-	v, err := await(ctx, func() (float64, error) {
-		return obdrel.MaxVDDFromCtx(ctx, factory, d, cfg, m, ppm, req.TargetHours, vLo, vHi, req.TolV)
-	})
-	if err != nil {
-		return nil, queryErr(err)
-	}
-	return map[string]any{
-		"design":       d.Name,
-		"method":       m.String(),
-		"ppm":          ppm,
-		"target_hours": req.TargetHours,
-		"vdd_bracket":  []float64{vLo, vHi},
-		"max_vdd":      v,
-		"probes":       probes,
-	}, nil
-}
-
-func (s *Server) handleBlocks(ctx context.Context, r *http.Request) (any, error) {
-	req, err := parseRequest(r)
-	if err != nil {
-		return nil, err
-	}
-	d, cfg, _, err := s.resolve(req)
-	if err != nil {
-		return nil, err
-	}
-	an, src, err := s.reg.Get(ctx, s.registryKey(d, &req.Config, cfg), d, cfg)
+	an, src, err := s.analyzer(ctx, &q)
 	if err != nil {
 		return nil, err
 	}
@@ -1304,283 +1168,11 @@ func (s *Server) handleBlocks(ctx context.Context, r *http.Request) (any, error)
 	}
 	tmin, tmean, tmax := an.TempSpread()
 	payload := map[string]any{
-		"design": d.Name,
+		"design": q.d.Name,
 		"cache":  src.Label(),
 		"blocks": out,
 		"temp_c": map[string]float64{"min": tmin, "mean": tmean, "max": tmax},
 	}
 	addStaleness(payload, src)
 	return payload, nil
-}
-
-// queryErr maps analyzer-level validation failures (bad ppm, bad
-// time) to 400; anything else stays a 500/504.
-func queryErr(err error) error {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return err
-	}
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return err
-	}
-	if strings.Contains(err.Error(), "obdrel:") {
-		return &apiError{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	return err
-}
-
-// apiRequest is the query envelope, accepted as URL query parameters
-// (GET) or a JSON body (POST). Config knobs are pointers so "absent"
-// and "zero" stay distinguishable; absent knobs keep DefaultConfig.
-type apiRequest struct {
-	Design      string       `json:"design"`
-	Method      string       `json:"method"`
-	PPM         float64      `json:"ppm"`
-	T           float64      `json:"t"`
-	TargetHours float64      `json:"target_hours"`
-	VLo         float64      `json:"vlo"`
-	VHi         float64      `json:"vhi"`
-	TolV        float64      `json:"tolv"`
-	Config      configParams `json:"config"`
-}
-
-type configParams struct {
-	VDD         *float64 `json:"vdd"`
-	SigmaRatio  *float64 `json:"sigma_ratio"`
-	RhoDist     *float64 `json:"rho_dist"`
-	Grid        *int     `json:"grid"`
-	MCSamples   *int     `json:"mc_samples"`
-	StMCSamples *int     `json:"stmc_samples"`
-	HybridNL    *int     `json:"hybrid_nl"`
-	HybridNB    *int     `json:"hybrid_nb"`
-	GuardSigmas *float64 `json:"guard_sigmas"`
-	PCAKeep     *float64 `json:"pca_keep"`
-	L0          *int     `json:"l0"`
-	Seed        *int64   `json:"seed"`
-	BlockMaxT   *bool    `json:"use_block_max_temp"`
-	QuadTree    *bool    `json:"quadtree"`
-	Defects     *float64 `json:"defects"`
-}
-
-// Resource caps on untrusted knobs: a request must not be able to ask
-// for an arbitrarily large eigendecomposition or sample count.
-const (
-	maxGrid        = 64
-	maxMCSamples   = 20000
-	maxStMCSamples = 200000
-	maxHybridN     = 512
-	maxL0          = 128
-)
-
-func parseRequest(r *http.Request) (*apiRequest, error) {
-	var req apiRequest
-	switch r.Method {
-	case http.MethodGet:
-		if err := parseQuery(r, &req); err != nil {
-			return nil, err
-		}
-	case http.MethodPost:
-		dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return nil, errBadRequest("bad JSON body: %v", err)
-		}
-	default:
-		return nil, &apiError{code: http.StatusMethodNotAllowed, msg: "use GET with query parameters or POST with a JSON body"}
-	}
-	return &req, nil
-}
-
-func parseQuery(r *http.Request, req *apiRequest) error {
-	q := r.URL.Query()
-	var err error
-	getF := func(key string, dst *float64) {
-		if err != nil || !q.Has(key) {
-			return
-		}
-		v, perr := strconv.ParseFloat(q.Get(key), 64)
-		if perr != nil {
-			err = errBadRequest("parameter %q: %v", key, perr)
-			return
-		}
-		*dst = v
-	}
-	getFP := func(key string, dst **float64) {
-		if err != nil || !q.Has(key) {
-			return
-		}
-		var v float64
-		getF(key, &v)
-		if err == nil {
-			*dst = &v
-		}
-	}
-	getIP := func(key string, dst **int) {
-		if err != nil || !q.Has(key) {
-			return
-		}
-		v, perr := strconv.Atoi(q.Get(key))
-		if perr != nil {
-			err = errBadRequest("parameter %q: %v", key, perr)
-			return
-		}
-		*dst = &v
-	}
-	getBP := func(key string, dst **bool) {
-		if err != nil || !q.Has(key) {
-			return
-		}
-		v, perr := strconv.ParseBool(q.Get(key))
-		if perr != nil {
-			err = errBadRequest("parameter %q: %v", key, perr)
-			return
-		}
-		*dst = &v
-	}
-	req.Design = q.Get("design")
-	req.Method = q.Get("method")
-	getF("ppm", &req.PPM)
-	getF("t", &req.T)
-	getF("target_hours", &req.TargetHours)
-	getF("vlo", &req.VLo)
-	getF("vhi", &req.VHi)
-	getF("tolv", &req.TolV)
-	getFP("vdd", &req.Config.VDD)
-	getFP("sigma_ratio", &req.Config.SigmaRatio)
-	getFP("rho_dist", &req.Config.RhoDist)
-	getIP("grid", &req.Config.Grid)
-	getIP("mc_samples", &req.Config.MCSamples)
-	getIP("stmc_samples", &req.Config.StMCSamples)
-	getIP("hybrid_nl", &req.Config.HybridNL)
-	getIP("hybrid_nb", &req.Config.HybridNB)
-	getFP("guard_sigmas", &req.Config.GuardSigmas)
-	getFP("pca_keep", &req.Config.PCAKeep)
-	getIP("l0", &req.Config.L0)
-	getBP("use_block_max_temp", &req.Config.BlockMaxT)
-	getBP("quadtree", &req.Config.QuadTree)
-	getFP("defects", &req.Config.Defects)
-	if q.Has("seed") {
-		v, perr := strconv.ParseInt(q.Get("seed"), 10, 64)
-		if perr != nil {
-			return errBadRequest("parameter %q: %v", "seed", perr)
-		}
-		req.Config.Seed = &v
-	}
-	return err
-}
-
-// resolve maps the request onto a design, a validated Config, and a
-// method. The config starts from DefaultConfig, applies only the
-// supplied knobs (under the resource caps), then runs the library's
-// full validation so untrusted garbage fails with a 400 and a
-// descriptive message.
-func (s *Server) resolve(req *apiRequest) (*obdrel.Design, *obdrel.Config, obdrel.Method, error) {
-	name := req.Design
-	if name == "" {
-		name = "C6"
-	}
-	d, ok := s.designs[strings.ToUpper(name)]
-	if !ok {
-		return nil, nil, 0, errNotFound("unknown design %q (see /v1/designs)", req.Design)
-	}
-	m, err := parseMethod(req.Method)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	cfg, err := buildConfig(&req.Config, &s.opts)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return d, cfg, m, nil
-}
-
-func parseMethod(name string) (obdrel.Method, error) {
-	if name == "" {
-		return obdrel.MethodHybrid, nil
-	}
-	for _, m := range obdrel.Methods() {
-		if strings.EqualFold(m.String(), name) {
-			return m, nil
-		}
-	}
-	return 0, errBadRequest("unknown method %q (want one of %v)", name, obdrel.Methods())
-}
-
-func buildConfig(p *configParams, o *Options) (*obdrel.Config, error) {
-	cfg := obdrel.DefaultConfig()
-	cfg.Workers = o.Workers
-	if p.VDD != nil {
-		cfg.VDD = *p.VDD
-	}
-	if p.SigmaRatio != nil {
-		cfg.SigmaRatio = *p.SigmaRatio
-	}
-	if p.RhoDist != nil {
-		cfg.RhoDist = *p.RhoDist
-	}
-	if p.Grid != nil {
-		if *p.Grid > maxGrid {
-			return nil, errBadRequest("grid %d exceeds the service cap %d", *p.Grid, maxGrid)
-		}
-		cfg.GridNx, cfg.GridNy = *p.Grid, *p.Grid
-	}
-	if p.MCSamples != nil {
-		if *p.MCSamples > maxMCSamples {
-			return nil, errBadRequest("mc_samples %d exceeds the service cap %d", *p.MCSamples, maxMCSamples)
-		}
-		cfg.MCSamples = *p.MCSamples
-	}
-	if p.StMCSamples != nil {
-		if *p.StMCSamples > maxStMCSamples {
-			return nil, errBadRequest("stmc_samples %d exceeds the service cap %d", *p.StMCSamples, maxStMCSamples)
-		}
-		cfg.StMCSamples = *p.StMCSamples
-	}
-	if p.HybridNL != nil {
-		if *p.HybridNL > maxHybridN {
-			return nil, errBadRequest("hybrid_nl %d exceeds the service cap %d", *p.HybridNL, maxHybridN)
-		}
-		cfg.HybridNL = *p.HybridNL
-	}
-	if p.HybridNB != nil {
-		if *p.HybridNB > maxHybridN {
-			return nil, errBadRequest("hybrid_nb %d exceeds the service cap %d", *p.HybridNB, maxHybridN)
-		}
-		cfg.HybridNB = *p.HybridNB
-	}
-	if p.GuardSigmas != nil {
-		cfg.GuardSigmas = *p.GuardSigmas
-	}
-	if p.PCAKeep != nil {
-		cfg.PCAKeepFraction = *p.PCAKeep
-	}
-	if p.L0 != nil {
-		if *p.L0 > maxL0 {
-			return nil, errBadRequest("l0 %d exceeds the service cap %d", *p.L0, maxL0)
-		}
-		cfg.L0 = *p.L0
-	}
-	if p.Seed != nil {
-		cfg.Seed = *p.Seed
-	}
-	if p.BlockMaxT != nil {
-		cfg.UseBlockMaxTemp = *p.BlockMaxT
-	}
-	if p.QuadTree != nil {
-		cfg.QuadTree = *p.QuadTree
-	}
-	if p.Defects != nil && *p.Defects != 0 {
-		ext := *obd.DefaultExtrinsic()
-		ext.DefectFraction = *p.Defects
-		cfg.Extrinsic = &ext
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, errBadRequest("%v", err)
-	}
-	if cfg.Extrinsic != nil {
-		if err := cfg.Extrinsic.Validate(); err != nil {
-			return nil, errBadRequest("%v", err)
-		}
-	}
-	return cfg, nil
 }

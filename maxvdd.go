@@ -37,24 +37,13 @@ func MaxVDDCtx(ctx context.Context, d *Design, cfg *Config, method Method, ppm, 
 	return MaxVDDFromCtx(ctx, NewAnalyzerCtx, d, cfg, method, ppm, targetHours, vLo, vHi, tolV)
 }
 
-// AnalyzerFactory builds (or retrieves — e.g. from a serving-layer
-// registry) the Analyzer for a design/config pair. NewAnalyzer is the
-// plain factory.
-type AnalyzerFactory func(*Design, *Config) (*Analyzer, error)
-
-// AnalyzerFactoryCtx is AnalyzerFactory with a context governing the
-// build. NewAnalyzerCtx is the plain factory.
-type AnalyzerFactoryCtx func(context.Context, *Design, *Config) (*Analyzer, error)
-
-// MaxVDDFrom is MaxVDD with an explicit analyzer factory. Long-running
-// services pass a caching factory so repeated voltage searches — whose
+// AnalyzerFactoryCtx builds (or retrieves — e.g. from a serving-layer
+// registry) the Analyzer for a design/config pair under a context
+// governing the build. NewAnalyzerCtx is the plain factory; long-running
+// services pass a caching one so repeated voltage searches — whose
 // bisections revisit the same probe voltages — reuse characterized
 // analyzers instead of rebuilding them.
-func MaxVDDFrom(build AnalyzerFactory, d *Design, cfg *Config, method Method, ppm, targetHours, vLo, vHi, tolV float64) (float64, error) {
-	return MaxVDDFromCtx(context.Background(),
-		func(_ context.Context, d *Design, cfg *Config) (*Analyzer, error) { return build(d, cfg) },
-		d, cfg, method, ppm, targetHours, vLo, vHi, tolV)
-}
+type AnalyzerFactoryCtx func(context.Context, *Design, *Config) (*Analyzer, error)
 
 // MaxVDDFromCtx is the context-aware search core: an explicit factory
 // plus a context that aborts the bisection between probes and cancels
