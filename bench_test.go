@@ -6,7 +6,7 @@
 //	BenchmarkLifetimePPM   — one st_fast lifetime solve, C1–C6 at 1 and 100 ppm
 //	BenchmarkTable4_*      — st_fast under the correlation-distance sweep
 //	BenchmarkTable5_*      — analysis cost vs correlation-grid resolution
-//	BenchmarkFig1_*        — the HotSpot-like thermal substrate
+//	BenchmarkFig1_*        — the HotSpot-like thermal substrate (operator build + coupled solve)
 //	BenchmarkFig3_*        — the SBD→HBD leakage-trace simulator
 //	BenchmarkFig4_*        — BLOD histogram construction + Gaussian fit
 //	BenchmarkFig6_7_*      — joint-PDF construction and mutual information
@@ -21,6 +21,7 @@
 package obdrel_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -214,7 +215,11 @@ func BenchmarkFig1_ThermalSolve(b *testing.B) {
 	s := thermal.DefaultSolver()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := s.SolveCoupled(d, func(temps []float64) ([]float64, error) {
+		op, err := s.NewOperator(d, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = s.SolveCoupledCtx(context.Background(), op, d, func(temps []float64) ([]float64, error) {
 			return pm.DesignPowers(d, 1.2, temps)
 		}, 0, 0)
 		if err != nil {

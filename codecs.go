@@ -32,8 +32,8 @@ import (
 //     format version covers.
 //
 // A reflection-guarded test (codecs_test.go) pins that every stage in
-// StageNames(), and StageHybrid, has a codec, so a new stage cannot
-// silently become non-spillable.
+// StageNames(), StageHybrid and StageThermalOp has a codec, so a new
+// stage cannot silently become non-spillable.
 
 func init() {
 	artifact.Register(StageFloorplan, artifact.Codec{
@@ -113,7 +113,50 @@ func init() {
 			if err := r.Close(); err != nil {
 				return nil, err
 			}
+			// Shape checks, so a checksum-valid but malformed payload
+			// fails the load and rebuilds instead of reaching the
+			// weibull stage's per-block indexing.
+			if f := cr.Field; f != nil && (f.Nx <= 0 || f.Ny <= 0 || f.Nx > len(f.Temps) || f.Ny > len(f.Temps) || f.Nx*f.Ny != len(f.Temps)) {
+				return nil, fmt.Errorf("obdrel: thermal artifact: %dx%d field with %d cells", f.Nx, f.Ny, len(f.Temps))
+			}
+			if n := len(cr.BlockMean); len(cr.BlockMax) != n || len(cr.Powers) != n {
+				return nil, errors.New("obdrel: thermal artifact: per-block lengths differ")
+			}
 			return cr, nil
+		},
+	})
+	artifact.Register(StageThermalOp, artifact.Codec{
+		Encode: func(v any) ([]byte, error) {
+			op, ok := v.(*thermal.Operator)
+			if !ok {
+				return nil, errCodecType(StageThermalOp, v)
+			}
+			var w artifact.Writer
+			w.Int(op.Nx)
+			w.Int(op.Ny)
+			w.F64(op.W)
+			w.F64(op.H)
+			w.Int(op.B)
+			w.F64s(op.CellRise)
+			w.F64s(op.MeanRise)
+			return w.Bytes(), nil
+		},
+		Decode: func(p []byte) (any, error) {
+			r := artifact.NewReader(p)
+			op := &thermal.Operator{
+				Nx: r.Int(), Ny: r.Int(),
+				W: r.F64(), H: r.F64(),
+				B:        r.Int(),
+				CellRise: r.F64s(),
+				MeanRise: r.F64s(),
+			}
+			if err := r.Close(); err != nil {
+				return nil, err
+			}
+			if err := op.Validate(); err != nil {
+				return nil, fmt.Errorf("obdrel: thermal operator artifact: %w", err)
+			}
+			return op, nil
 		},
 	})
 	artifact.Register(StageCovariance, artifact.Codec{

@@ -12,6 +12,7 @@ import (
 	"obdrel/internal/integrate"
 	"obdrel/internal/obd"
 	"obdrel/internal/pipeline"
+	"obdrel/internal/thermal"
 )
 
 // TestEveryStageHasCodec is the reflection-style registration guard:
@@ -21,9 +22,10 @@ import (
 // quietly rebuild it). StageNames() is the authoritative roster of
 // construction stages — the fingerprint-sensitivity test already pins
 // that roster against the stage graph — and StageHybrid, which engines
-// resolve lazily, is named explicitly.
+// resolve lazily, and StageThermalOp, which thermal builds resolve
+// lazily, are named explicitly.
 func TestEveryStageHasCodec(t *testing.T) {
-	for _, stage := range append(StageNames(), StageHybrid) {
+	for _, stage := range append(StageNames(), StageHybrid, StageThermalOp) {
 		if _, ok := artifact.Lookup(stage); !ok {
 			t.Errorf("stage %q has no artifact codec: register one in codecs.go", stage)
 		}
@@ -56,7 +58,8 @@ func TestStageCodecsRoundTripBitIdentical(t *testing.T) {
 	}
 	keys := stageKeys(d.Fingerprint(), d.W, d.H, cfg)
 	keys[StageHybrid] = hybridTableKey(keys[StageChip], cfg)
-	for _, stage := range append(StageNames(), StageHybrid) {
+	keys[StageThermalOp] = thermalOpKey(keys[StageFloorplan], cfg)
+	for _, stage := range append(StageNames(), StageHybrid, StageThermalOp) {
 		key := keys[stage]
 		v, ok := cache.Peek(stage, key)
 		if !ok {
@@ -131,6 +134,9 @@ func TestAnalyzerFromDecodedArtifactsBitIdentical(t *testing.T) {
 		if st := cacheB.Stat(stage); st.Builds != 0 || st.DiskHits != 1 {
 			t.Errorf("stage %s: builds=%d diskHits=%d, want 0/1", stage, st.Builds, st.DiskHits)
 		}
+	}
+	if st := cacheB.Stat(StageThermalOp); st.Builds != 0 || st.Hits+st.Misses != 0 {
+		t.Errorf("follower resolved the thermal operator: builds=%d lookups=%d, want none", st.Builds, st.Hits+st.Misses)
 	}
 
 	for _, tt := range []float64{1, 5, 11.3} {
@@ -231,6 +237,55 @@ func FuzzPCADecode(f *testing.F) {
 					t.Fatalf("accepted payload's block %d loading %d is %v", b, i, x)
 				}
 			}
+		}
+		again, err := codec.Encode(v)
+		if err != nil {
+			t.Fatalf("accepted artifact does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoding an accepted payload gave %d different bytes from %d", len(again), len(payload))
+		}
+	})
+}
+
+// FuzzThermalDecode feeds arbitrary payloads to the thermal codec
+// (operator false) and the thermal operator codec (operator true).
+// Both artifacts arrive from disk or a peer and feed the weibull stage
+// and the coupled solve directly, so decode must never panic, a
+// rejection returns an error and no artifact, and an accepted payload
+// re-encodes to the same bytes with a consistent shape: a field of
+// Nx·Ny cells and equal per-block lengths, or an operator that passes
+// Validate. The seed corpus under testdata/fuzz/FuzzThermalDecode
+// holds a valid artifact of each kind at a 3×2 solver grid and hostile
+// variants of them.
+func FuzzThermalDecode(f *testing.F) {
+	stages := map[bool]string{false: StageThermal, true: StageThermalOp}
+	f.Fuzz(func(t *testing.T, operator bool, payload []byte) {
+		codec, ok := artifact.Lookup(stages[operator])
+		if !ok {
+			t.Fatalf("no %s codec", stages[operator])
+		}
+		v, err := codec.Decode(payload)
+		if err != nil {
+			if v != nil {
+				t.Fatalf("rejected payload (%v) returned an artifact", err)
+			}
+			return
+		}
+		switch a := v.(type) {
+		case *thermal.CoupledResult:
+			if f := a.Field; f != nil && f.Nx*f.Ny != len(f.Temps) {
+				t.Fatalf("accepted field is %dx%d with %d cells", f.Nx, f.Ny, len(f.Temps))
+			}
+			if n := len(a.BlockMean); len(a.BlockMax) != n || len(a.Powers) != n {
+				t.Fatalf("accepted per-block lengths %d/%d/%d", n, len(a.BlockMax), len(a.Powers))
+			}
+		case *thermal.Operator:
+			if err := a.Validate(); err != nil {
+				t.Fatalf("accepted operator does not validate: %v", err)
+			}
+		default:
+			t.Fatalf("decoded %T", v)
 		}
 		again, err := codec.Encode(v)
 		if err != nil {

@@ -150,11 +150,23 @@ func (c *Config) segThermal() string {
 // segThermalAt is segThermal evaluated at an explicit voltage — the
 // per-segment key for telemetry-trace solves, where each segment's
 // measured VDD (not the config's operating point) drives the fixed
-// point.
+// point. The solve tag names the solve path, so artifacts another path
+// produced miss by name.
 func (c *Config) segThermalAt(v float64) string {
 	ts := c.resolvedThermal()
-	return fmt.Sprintf("thermal|%dx%d|solve=dct|gv=%g|gl=%g|ta=%g|v=%g",
+	return fmt.Sprintf("thermal|%dx%d|solve=op|gv=%g|gl=%g|ta=%g|v=%g",
 		ts.Nx, ts.Ny, ts.GVertical, ts.GLateral, ts.TAmbient, v)
+}
+
+// thermalOpKey is the thermal operator's stage key: the floorplan key
+// and the solver's grid and conductances. It leaves out the voltage,
+// the power model and TAmbient, which the operator does not depend on,
+// so a voltage sweep and a trace's activity-scaled segments share one
+// operator.
+func thermalOpKey(floorplanKey string, c *Config) string {
+	ts := c.resolvedThermal()
+	return fp16(StageThermalOp, floorplanKey,
+		fmt.Sprintf("thermalop|%dx%d|gv=%g|gl=%g", ts.Nx, ts.Ny, ts.GVertical, ts.GLateral))
 }
 
 // segCovariance is the variation-model stage input: die geometry plus

@@ -90,8 +90,8 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		// The thermal stage key names its solve method, so artifacts of
 		// another solver miss by name; an explicit default solver
 		// resolves to the same key as none.
-		if seg := base.ThermalSegment(); !strings.Contains(seg, "|solve=dct|") {
-			t.Fatalf("thermal stage key input %q lacks the solve=dct tag", seg)
+		if seg := base.ThermalSegment(); !strings.Contains(seg, "|solve=op|") {
+			t.Fatalf("thermal stage key input %q lacks the solve=op tag", seg)
 		}
 		cfg := obdrel.DefaultConfig()
 		cfg.Thermal = thermal.DefaultSolver()

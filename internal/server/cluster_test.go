@@ -461,6 +461,12 @@ func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
 			t.Errorf("node B stage %s: builds=%d peerHits=%d, want 0 and > 0", stage, st.Builds, st.PeerHits)
 		}
 	}
+	// The operator is resolved only inside a thermal build, so a node
+	// serving peer-filled thermal artifacts never builds, fetches or
+	// even looks one up.
+	if st := cacheB.Stat(obdrel.StageThermalOp); st.Builds != 0 || st.Hits+st.Misses != 0 {
+		t.Errorf("node B resolved the thermal operator: builds=%d lookups=%d, want none", st.Builds, st.Hits+st.Misses)
+	}
 	if got := sA.artifactStats().PeerServes; got == 0 {
 		t.Error("node A served no artifacts to its peer")
 	}
@@ -488,6 +494,9 @@ func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
 		if st.Builds != 0 || st.DiskHits == 0 {
 			t.Errorf("restarted stage %s: builds=%d diskHits=%d, want 0 and > 0", stage, st.Builds, st.DiskHits)
 		}
+	}
+	if st := cacheC.Stat(obdrel.StageThermalOp); st.Builds != 0 || st.Hits+st.Misses != 0 {
+		t.Errorf("restarted node resolved the thermal operator: builds=%d lookups=%d, want none", st.Builds, st.Hits+st.Misses)
 	}
 	for _, c := range []*pipeline.Cache{cacheA, cacheB, cacheC} {
 		for _, st := range c.Snapshot() {

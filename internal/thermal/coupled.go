@@ -11,7 +11,7 @@ import (
 	"obdrel/internal/obs"
 )
 
-// CoupledResult is the converged output of SolveCoupled.
+// CoupledResult is the converged output of SolveCoupledCtx.
 type CoupledResult struct {
 	Field *Field
 	// BlockMean and BlockMax are the per-block mean and worst-case
@@ -23,29 +23,25 @@ type CoupledResult struct {
 	Rounds int
 }
 
-// SolveCoupled runs the power/thermal fixed point: leakage power
-// depends on temperature, which depends on power. powerAt receives the
-// current per-block mean temperatures and returns per-block powers;
-// the loop repeats until the largest block-temperature change falls
-// below tolK (default 0.05 K) or maxRounds (default 25) is hit.
-func (s *Solver) SolveCoupled(d *floorplan.Design, powerAt func(temps []float64) ([]float64, error), tolK float64, maxRounds int) (*CoupledResult, error) {
-	return s.SolveCoupledCtx(context.Background(), d, powerAt, tolK, maxRounds)
-}
-
-// SolveCoupledCtx is SolveCoupled with a cancellation checkpoint before
-// each fixed-point round.
+// SolveCoupledCtx runs the power/thermal fixed point on design d
+// through its operator op (built by NewOperator for this solver and
+// d's geometry): leakage power depends on temperature, which depends
+// on power. powerAt receives the current per-block mean temperatures
+// and returns per-block powers; the loop repeats until the largest
+// block-temperature change falls below tolK (default 0.05 K) or
+// maxRounds (default 25) is hit, with a cancellation checkpoint before
+// each round.
 //
-// The rounds run in the cosine basis (spectral.go): the die's geometry
-// is transformed once, each round forms the power spectrum and reads
-// the block means back through the blocks' separable overlap vectors
-// without building a field, and only the converged spectrum is
-// transformed back. The returned Field, BlockMean and BlockMax are
-// those of that final transform, the same path Solve takes, so a
-// standalone Solve at the converged powers reproduces the field bit
-// for bit.
-func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, powerAt func(temps []float64) ([]float64, error), tolK float64, maxRounds int) (*CoupledResult, error) {
+// Each round reads the block means as T_amb + G·p, O(B²), without
+// building a field. The field is formed once, as T_amb + H·p at the
+// converged powers, and the returned BlockMean and BlockMax are read
+// from it by BlockTempsInto.
+func (s *Solver) SolveCoupledCtx(ctx context.Context, op *Operator, d *floorplan.Design, powerAt func(temps []float64) ([]float64, error), tolK float64, maxRounds int) (*CoupledResult, error) {
 	if powerAt == nil {
-		return nil, errors.New("thermal: SolveCoupled requires a power callback")
+		return nil, errors.New("thermal: SolveCoupledCtx requires a power callback")
+	}
+	if op.B != len(d.Blocks) {
+		return nil, fmt.Errorf("thermal: operator of %d blocks for a %d-block design", op.B, len(d.Blocks))
 	}
 	if tolK <= 0 {
 		tolK = 0.05
@@ -57,10 +53,6 @@ func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, power
 	// are attributes, so a trace does not grow with the rounds.
 	ctx, sp := obs.StartSpan(ctx, "thermal.coupled")
 	defer sp.End()
-	m, err := s.newSpectral(d)
-	if err != nil {
-		return nil, err
-	}
 	temps := make([]float64, len(d.Blocks))
 	for i := range temps {
 		temps[i] = s.TAmbient
@@ -68,6 +60,7 @@ func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, power
 	var (
 		mean       = make([]float64, len(d.Blocks))
 		powers     []float64
+		err        error
 		lastChange = math.Inf(1)
 	)
 	round := 0
@@ -85,12 +78,17 @@ func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, power
 		if err != nil {
 			return nil, fmt.Errorf("thermal: power callback: %w", err)
 		}
-		if err := m.load(powers); err != nil {
-			return nil, err
+		if len(powers) != len(d.Blocks) {
+			return nil, fmt.Errorf("thermal: %d powers for %d blocks", len(powers), len(d.Blocks))
 		}
-		if err := m.blockMeans(mean); err != nil {
-			return nil, err
+		for j, p := range powers {
+			// A NaN or infinite power would make every later change
+			// NaN, which no stopping rule rejects.
+			if !(p >= 0) || math.IsInf(p, 1) {
+				return nil, fmt.Errorf("thermal: power %v for block %q is not finite and non-negative", p, d.Blocks[j].Name)
+			}
 		}
+		op.blockMeans(s.TAmbient, powers, mean)
 		lastChange = 0
 		for i := range mean {
 			if c := math.Abs(mean[i] - temps[i]); c > lastChange {
@@ -110,7 +108,7 @@ func (s *Solver) SolveCoupledCtx(ctx context.Context, d *floorplan.Design, power
 	if lastChange >= tolK {
 		return nil, errors.New("thermal: power/thermal fixed point did not converge")
 	}
-	field := m.field()
+	field := op.field(s.TAmbient, powers)
 	max := make([]float64, len(d.Blocks))
 	if err := field.BlockTempsInto(d, mean, max); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"fmt"
 	"math"
 
 	"obdrel/internal/floorplan"
@@ -23,26 +22,21 @@ import (
 //
 // — no iteration and no tolerance; the cost is O(Nx·Ny·(Nx+Ny)).
 //
-// Every block is a rectangle, so its cell-power spread and its
-// block-mean weights are both the outer product oy⊗ox of its 1-D
-// overlap vectors. The spectrum of the cell power is therefore
-// Σ_j (p_j/A_j)·(C_y·oy_j)⊗(C_x·ox_j), and a block's mean rise is the
-// bilinear form (C_y·oy_j)ᵀ·Û·(C_x·ox_j) / (Σoy_j·Σox_j). The coupled
-// power↔temperature rounds run entirely in that basis at O(B·Nx·Ny)
-// per round; only the final field is transformed back.
+// Every block is a rectangle, so its cell-power spread is the outer
+// product oy⊗ox of its 1-D overlap vectors, and the spectrum of one
+// watt in block j is (C_y·oy_j)⊗(C_x·ox_j) / A_j. The basis serves
+// only to build the operator (operator.go): one such load and one
+// inverse transform per block.
 
 // spectral is one die bound to the solver's cosine basis: the per-axis
-// DCT-II matrices, the operator's eigenvalues, every block's
-// transformed overlap vectors, and the temperature-rise spectrum of
-// the last loaded powers.
+// DCT-II matrices, the operator's eigenvalues and every block's
+// transformed overlap vectors.
 type spectral struct {
-	s      *Solver
-	d      *floorplan.Design
 	nx, ny int
 	cx, cy []float64 // orthonormal DCT-II matrices, row k = basis vector k
+	cyT    []float64 // C_yᵀ, row iy = the basis vectors' entries at iy
 	eig    []float64 // operator eigenvalue per mode, row-major (ky, kx)
 	blocks []blockModes
-	hat    []float64 // temperature-rise spectrum Û, row-major (ky, kx)
 }
 
 // blockModes is one block's separable geometry in the cosine basis.
@@ -58,10 +52,16 @@ func (s *Solver) newSpectral(d *floorplan.Design) (*spectral, error) {
 		return nil, err
 	}
 	nx, ny := s.Nx, s.Ny
-	m := &spectral{s: s, d: d, nx: nx, ny: ny}
+	m := &spectral{nx: nx, ny: ny}
 	var lx, ly []float64
 	m.cx, lx = cosineBasis(nx)
 	m.cy, ly = cosineBasis(ny)
+	m.cyT = make([]float64, ny*ny)
+	for k := 0; k < ny; k++ {
+		for i := 0; i < ny; i++ {
+			m.cyT[i*ny+k] = m.cy[k*ny+i]
+		}
+	}
 	gv := s.GVertical / float64(nx*ny)
 	m.eig = make([]float64, nx*ny)
 	for ky := 0; ky < ny; ky++ {
@@ -69,7 +69,6 @@ func (s *Solver) newSpectral(d *floorplan.Design) (*spectral, error) {
 			m.eig[ky*nx+kx] = gv + s.GLateral*(ly[ky]+lx[kx])
 		}
 	}
-	m.hat = make([]float64, nx*ny)
 	m.blocks = make([]blockModes, len(d.Blocks))
 	cw := d.W / float64(nx)
 	ch := d.H / float64(ny)
@@ -129,103 +128,60 @@ func axisModes(c []float64, n int, lo, hi, w float64) (hat []float64, sum float6
 	return hat, sum
 }
 
-// load sets the temperature-rise spectrum for the given block powers:
-// Û = (Σ_j (p_j/A_j)·ŷ_j⊗x̂_j) ⊘ eig.
-func (m *spectral) load(blockPowers []float64) error {
-	if len(blockPowers) != len(m.blocks) {
-		return fmt.Errorf("thermal: %d powers for %d blocks", len(blockPowers), len(m.blocks))
-	}
-	for j, p := range blockPowers {
-		if p < 0 {
-			return fmt.Errorf("thermal: negative power for block %q", m.d.Blocks[j].Name)
-		}
-	}
+// unitLoad writes into hat the temperature-rise spectrum of one watt
+// in block j: Û_j = (ŷ_j⊗x̂_j / A_j) ⊘ eig.
+func (m *spectral) unitLoad(j int, hat []float64) {
+	b := &m.blocks[j]
 	nx := m.nx
-	clear(m.hat)
-	for j := range m.blocks {
-		b := &m.blocks[j]
-		if b.wsum == 0 {
-			continue // overlaps no cell: injects nothing
-		}
-		density := blockPowers[j] / b.area
-		for ky, yv := range b.yhat {
-			a := density * yv
-			row := m.hat[ky*nx : (ky+1)*nx]
-			row = row[:len(b.xhat)]
-			for kx, xv := range b.xhat {
-				row[kx] += a * xv
-			}
+	density := 1 / b.area
+	for ky, yv := range b.yhat {
+		a := density * yv
+		row := hat[ky*nx : (ky+1)*nx]
+		eig := m.eig[ky*nx : (ky+1)*nx]
+		for kx, xv := range b.xhat {
+			row[kx] = a * xv / eig[kx]
 		}
 	}
-	for i, e := range m.eig {
-		m.hat[i] /= e
-	}
-	return nil
 }
 
-// blockMeans writes every block's area-weighted mean temperature under
-// the loaded spectrum, without building the field.
-func (m *spectral) blockMeans(mean []float64) error {
-	nx := m.nx
-	for j := range m.blocks {
-		b := &m.blocks[j]
-		if b.wsum == 0 {
-			return fmt.Errorf("thermal: block %q overlaps no thermal cells", m.d.Blocks[j].Name)
-		}
-		acc := 0.0
-		for ky, yv := range b.yhat {
-			row := m.hat[ky*nx : (ky+1)*nx]
-			row = row[:len(b.xhat)]
-			r := 0.0
-			for kx, xv := range b.xhat {
-				r += row[kx] * xv
-			}
-			acc += yv * r
-		}
-		mean[j] = m.s.TAmbient + acc/b.wsum
-	}
-	return nil
-}
-
-// field transforms the loaded spectrum back to cell temperatures:
-// T = T_amb + C_yᵀ·Û·C_x. Both passes accumulate from the highest mode
-// down: the smooth low modes carry most of the magnitude, so adding
-// them last keeps the partial sums small and the rounding an order of
-// magnitude below that of summing upwards (TestSpectralSolveResidual).
-func (m *spectral) field() *Field {
+// inverse transforms a spectrum back to cell rises, u = C_yᵀ·Û·C_x,
+// into out (len nx·ny); tmp is scratch of the same length. Both passes
+// accumulate from the highest mode down: the smooth low modes carry
+// most of the magnitude, so adding them last keeps the partial sums
+// small and the rounding an order of magnitude below that of summing
+// upwards (TestSpectralSolveResidual).
+func (m *spectral) inverse(hat, tmp, out []float64) {
 	nx, ny := m.nx, m.ny
-	// tmp = Û·C_x, accumulated row by row.
-	tmp := make([]float64, nx*ny)
+	// tmp = Û·C_x, row by row.
 	for ky := 0; ky < ny; ky++ {
-		out := tmp[ky*nx : (ky+1)*nx]
-		for kx := nx - 1; kx >= 0; kx-- {
-			h := m.hat[ky*nx+kx]
-			basis := m.cx[kx*nx : (kx+1)*nx]
-			basis = basis[:len(out)]
-			for ix, c := range basis {
-				out[ix] += h * c
-			}
+		combine(tmp[ky*nx:(ky+1)*nx], hat[ky*nx:(ky+1)*nx], m.cx)
+	}
+	// out = C_yᵀ·tmp, row by row.
+	for iy := 0; iy < ny; iy++ {
+		combine(out[iy*nx:(iy+1)*nx], m.cyT[iy*ny:(iy+1)*ny], tmp)
+	}
+}
+
+// combine sets dst = Σ_k a[k]·src_k, where src_k is the k-th
+// len(dst)-long row of src, adding the terms from the highest k down
+// four rows at a time.
+func combine(dst, a, src []float64) {
+	n := len(dst)
+	clear(dst)
+	k := len(a) - 1
+	for ; k >= 3; k -= 4 {
+		a0, a1, a2, a3 := a[k], a[k-1], a[k-2], a[k-3]
+		s0, s1 := src[k*n:(k+1)*n], src[(k-1)*n:k*n]
+		s2, s3 := src[(k-2)*n:(k-1)*n], src[(k-3)*n:(k-2)*n]
+		s0, s1, s2, s3 = s0[:n], s1[:n], s2[:n], s3[:n]
+		for i := range dst {
+			dst[i] += a0*s0[i] + a1*s1[i] + a2*s2[i] + a3*s3[i]
 		}
 	}
-	// temps = C_yᵀ·tmp.
-	temps := make([]float64, nx*ny)
-	for ky := ny - 1; ky >= 0; ky-- {
-		in := tmp[ky*nx : (ky+1)*nx]
-		for iy, c := range m.cy[ky*ny : (ky+1)*ny] {
-			out := temps[iy*nx : (iy+1)*nx]
-			out = out[:len(in)]
-			for ix, v := range in {
-				out[ix] += c * v
-			}
+	for ; k >= 0; k-- {
+		ak, sk := a[k], src[k*n:(k+1)*n]
+		for i, v := range sk {
+			dst[i] += ak * v
 		}
-	}
-	for i := range temps {
-		temps[i] += m.s.TAmbient
-	}
-	return &Field{
-		Nx: nx, Ny: ny,
-		W: m.d.W, H: m.d.H,
-		Temps:      temps,
-		Iterations: 1,
 	}
 }

@@ -162,7 +162,7 @@ func TestSpectralSolveResidual(t *testing.T) {
 			s := DefaultSolver()
 			s.Nx, s.Ny = dims[0], dims[1]
 			s.GLateral = gl
-			f, err := s.Solve(d, powers)
+			f, err := solve(s, d, powers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func TestSpectralSolveResidual(t *testing.T) {
 // design fixture and on a fine grid.
 func TestSpectralMatchesGaussSeidel(t *testing.T) {
 	check := func(t *testing.T, s *Solver, d *floorplan.Design, powers []float64) {
-		f, err := s.Solve(d, powers)
+		f, err := solve(s, d, powers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestCoupledMatchesIterativeReference(t *testing.T) {
 		for step := 0; step <= 50; step++ {
 			vdd := 0.90 + 0.01*float64(step)
 			powerAt := func(temps []float64) ([]float64, error) { return pm.DesignPowers(d, vdd, temps) }
-			got, err := s.SolveCoupled(d, powerAt, 0, 0)
+			got, err := coupled(s, d, powerAt, 0, 0)
 			ref, refErr := iterativeCoupledRef(t, s, d, powerAt)
 			if (err == nil) != (refErr == nil) {
 				t.Fatalf("%s @ %.2f V: spectral err %v, reference err %v", d.Name, vdd, err, refErr)
@@ -304,7 +304,7 @@ func TestSpectralGridRefinement(t *testing.T) {
 	var maxT []float64
 	for _, n := range []int{25, 50, 100, 200} {
 		s := &Solver{Nx: n, Ny: n, GVertical: 1.3, GLateral: 0.10, TAmbient: 45}
-		f, err := s.Solve(d, powers)
+		f, err := solve(s, d, powers)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -324,7 +324,7 @@ func TestSpectralSmallGrids(t *testing.T) {
 	d := uniformDesign()
 	for _, dims := range [][2]int{{1, 1}, {2, 2}, {8, 8}, {7, 13}, {1, 40}, {33, 9}} {
 		s := &Solver{Nx: dims[0], Ny: dims[1], GVertical: 1.3, GLateral: 0.10, TAmbient: 45}
-		f, err := s.Solve(d, []float64{10})
+		f, err := solve(s, d, []float64{10})
 		if err != nil {
 			t.Fatalf("%dx%d: %v", dims[0], dims[1], err)
 		}
@@ -344,7 +344,7 @@ func TestSpectralZeroLateral(t *testing.T) {
 	s.GLateral = 0
 	d := floorplan.C6()
 	powers := fixturePowers(d)
-	f, err := s.Solve(d, powers)
+	f, err := solve(s, d, powers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,11 +411,11 @@ func TestBlockTempsMatchesFullScan(t *testing.T) {
 		for _, n := range [][2]int{{32, 32}, {25, 25}, {10, 10}, {7, 13}, {1, 1}} {
 			s := DefaultSolver()
 			s.Nx, s.Ny = n[0], n[1]
-			f, err := s.Solve(d, fixturePowers(d))
+			f, err := solve(s, d, fixturePowers(d))
 			if err != nil {
 				t.Fatal(err)
 			}
-			mean, max, err := f.BlockTemps(d)
+			mean, max, err := blockTemps(f, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,36 +430,14 @@ func TestBlockTempsMatchesFullScan(t *testing.T) {
 	}
 }
 
-// TestFieldAtExactEdge is the boundary-lookup regression: a query
-// exactly on the east/north chip edge computes ix == Nx / iy == Ny and
-// must clamp into the last cell instead of reading out of range.
-func TestFieldAtExactEdge(t *testing.T) {
-	s := DefaultSolver()
-	d := uniformDesign()
-	f, err := s.Solve(d, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := f.At(float64(f.Nx-1)/float64(f.Nx)*d.W+1e-9, float64(f.Ny-1)/float64(f.Ny)*d.H+1e-9)
-	if got := f.At(d.W, d.H); got != last {
-		t.Errorf("At(W, H) = %v, want last cell %v", got, last)
-	}
-	if got := f.At(d.W, 0); got != f.At(d.W-1e-9, 0) {
-		t.Errorf("At(W, 0) = %v, want east-edge cell %v", got, f.At(d.W-1e-9, 0))
-	}
-	if got := f.At(0, d.H); got != f.At(0, d.H-1e-9) {
-		t.Errorf("At(0, H) = %v, want north-edge cell %v", got, f.At(0, d.H-1e-9))
-	}
-}
-
 // TestCoupledScratchReuseMatches: the coupled loop and a standalone
-// Solve at the converged powers share one spectrum path, so they
+// solve at the converged powers share the one H·p path, so they
 // produce the same field bit for bit.
 func TestCoupledScratchReuseMatches(t *testing.T) {
 	s := DefaultSolver()
 	d := floorplan.C6()
 	powers := fixturePowers(d)
-	res, err := s.SolveCoupled(d, func(temps []float64) ([]float64, error) {
+	res, err := coupled(s, d, func(temps []float64) ([]float64, error) {
 		// Mildly temperature-dependent power, like leakage.
 		p := make([]float64, len(powers))
 		for i := range p {
@@ -470,7 +448,7 @@ func TestCoupledScratchReuseMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := s.Solve(d, res.Powers)
+	f, err := solve(s, d, res.Powers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +468,12 @@ func TestTracedSolveSpanBudget(t *testing.T) {
 	pm := power.Default()
 	tracedSolve := func(tolK float64) (spans, rounds int, coupled *obs.SpanOut) {
 		ctx, root := obs.NewTracer(obs.Options{}).StartTrace(context.Background(), "test", "", "")
-		_, err := DefaultSolver().SolveCoupledCtx(ctx, d, func(temps []float64) ([]float64, error) {
+		s := DefaultSolver()
+		op, err := s.NewOperator(d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.SolveCoupledCtx(ctx, op, d, func(temps []float64) ([]float64, error) {
 			return pm.DesignPowers(d, 1.2, temps)
 		}, tolK, 0)
 		if err != nil {
@@ -518,18 +501,25 @@ func TestTracedSolveSpanBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkCoupledSolve is the thermal stage's build: the power↔
-// temperature fixed point on each benchmark die at the default solver
-// and the paper's 1.2 V.
+// BenchmarkCoupledSolve is the thermal stage's build once the design's
+// operator is resolved: the power↔temperature fixed point on each
+// benchmark die at the default solver and the paper's 1.2 V.
 func BenchmarkCoupledSolve(b *testing.B) {
 	pm := power.Default()
 	for _, d := range fixtureDesigns()[:6] {
 		d := d
 		b.Run(d.Name, func(b *testing.B) {
 			s := DefaultSolver()
+			op, err := s.NewOperator(d, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
 			powerAt := func(temps []float64) ([]float64, error) { return pm.DesignPowers(d, 1.2, temps) }
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.SolveCoupled(d, powerAt, 0, 0); err != nil {
+				if _, err := s.SolveCoupledCtx(ctx, op, d, powerAt, 0, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -537,15 +527,16 @@ func BenchmarkCoupledSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveSizes is one direct solve of C6 at growing resolutions.
-func BenchmarkSolveSizes(b *testing.B) {
-	d := floorplan.C6()
-	powers := fixturePowers(d)
-	for _, n := range []int{25, 50, 100, 200} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			s := &Solver{Nx: n, Ny: n, GVertical: 1.3, GLateral: 0.10, TAmbient: 45}
+// BenchmarkThermalOperator is the per-design operator build the
+// thermal stage resolves once per die and solver grid.
+func BenchmarkThermalOperator(b *testing.B) {
+	for _, d := range fixtureDesigns()[:6] {
+		d := d
+		b.Run(d.Name, func(b *testing.B) {
+			s := DefaultSolver()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Solve(d, powers); err != nil {
+				if _, err := s.NewOperator(d, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

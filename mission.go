@@ -305,6 +305,12 @@ func (g *stageGraph) traceSegThermal(ctx context.Context, fd *floorplan.Design, 
 		g.cfg.segPower(), g.cfg.segThermalAt(seg.VDD))
 	return stageGet(ctx, g.cache, StageThermal, key,
 		func(bctx context.Context) (*thermal.CoupledResult, error) {
+			// Activity scaling leaves the geometry alone, so every
+			// segment shares the design's operator.
+			op, err := g.thermalOp(bctx, fd)
+			if err != nil {
+				return nil, err
+			}
 			scaled := *fd
 			scaled.Blocks = append([]floorplan.Block(nil), fd.Blocks...)
 			for i := range scaled.Blocks {
@@ -314,7 +320,7 @@ func (g *stageGraph) traceSegThermal(ctx context.Context, fd *floorplan.Design, 
 				}
 				scaled.Blocks[i].Activity = a
 			}
-			return g.ts.SolveCoupledCtx(bctx, &scaled, func(temps []float64) ([]float64, error) {
+			return g.ts.SolveCoupledCtx(bctx, op, &scaled, func(temps []float64) ([]float64, error) {
 				return pm.DesignPowers(&scaled, seg.VDD, temps)
 			}, 0, 0)
 		})

@@ -21,14 +21,20 @@ import (
 // canonical segments and DESIGN.md §9 for the dependency table):
 //
 //	floorplan ──┬─────────────► thermal ──► weibull ──┐
-//	            │  powermap ──────┘                    ├─► chip
-//	            └─► covariance ─┬─► blod ──────────────┘
-//	                            └─► pca   (sampling engines only)
+//	  ┆         │  powermap ──────┘  ┆                 ├─► chip
+//	  ┆         └─► covariance ─┬─► blod ──────────────┘
+//	  ┆                         └─► pca   (sampling engines only)
+//	  └┄┄► thermalop ┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┘   (lazy, per die and solver grid)
 //
-// StageHybrid hangs off chip but is not a construction stage: the
-// analyzer resolves it on first hybrid use, so StageNames() leaves it
-// out. It is cached, spilled, peer-filled and replicated like the
-// rest, since the tiers find codecs through artifact.Lookup.
+// StageHybrid hangs off chip and StageThermalOp off floorplan, but
+// neither is a construction stage, so StageNames() leaves both out.
+// The analyzer resolves hybrid on first hybrid use. The thermal
+// operator — the die's field per watt in each block, which every
+// voltage, activity and leakage model shares — is resolved only from
+// inside a thermal build, so a node that loads or peer-fills its
+// thermal artifacts never builds one. Both are cached, spilled,
+// peer-filled and replicated like the rest, since the tiers find
+// codecs through artifact.Lookup.
 const (
 	StageFloorplan  = "floorplan"
 	StagePowerMap   = "powermap"
@@ -39,10 +45,11 @@ const (
 	StageWeibull    = "weibull"
 	StageChip       = "chip"
 	StageHybrid     = "hybrid"
+	StageThermalOp  = "thermalop"
 )
 
 // StageNames lists the construction stages in dependency order; it
-// omits StageHybrid, which engines resolve lazily.
+// omits StageHybrid and StageThermalOp, which resolve lazily.
 func StageNames() []string {
 	return []string{
 		StageFloorplan, StagePowerMap, StageThermal, StageCovariance,
@@ -141,14 +148,28 @@ func (g *stageGraph) powermap(ctx context.Context) (*power.Model, error) {
 func (g *stageGraph) thermal(ctx context.Context, fd *floorplan.Design, pm *power.Model) (*thermal.CoupledResult, error) {
 	return stageGet(ctx, g.cache, StageThermal, g.keys[StageThermal],
 		func(bctx context.Context) (*thermal.CoupledResult, error) {
+			op, err := g.thermalOp(bctx, fd)
+			if err != nil {
+				return nil, fmt.Errorf("obdrel: thermal analysis: %w", err)
+			}
 			veff := g.cfg.thermalVDD()
-			coupled, err := g.ts.SolveCoupledCtx(bctx, fd, func(temps []float64) ([]float64, error) {
+			coupled, err := g.ts.SolveCoupledCtx(bctx, op, fd, func(temps []float64) ([]float64, error) {
 				return pm.DesignPowers(fd, veff, temps)
 			}, 0, 0)
 			if err != nil {
 				return nil, fmt.Errorf("obdrel: thermal analysis: %w", err)
 			}
 			return coupled, nil
+		})
+}
+
+// thermalOp resolves the die's thermal operator, keyed by the
+// floorplan and the solver's grid and conductances only. Only the
+// thermal build closures call it.
+func (g *stageGraph) thermalOp(ctx context.Context, fd *floorplan.Design) (*thermal.Operator, error) {
+	return stageGet(ctx, g.cache, StageThermalOp, thermalOpKey(g.keys[StageFloorplan], g.cfg),
+		func(context.Context) (*thermal.Operator, error) {
+			return g.ts.NewOperator(fd, g.cfg.Workers)
 		})
 }
 

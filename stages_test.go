@@ -154,9 +154,9 @@ func TestStageFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// TestMaxVDDStageReuse is the tentpole's acceptance test: across a
-// whole voltage bisection the voltage-independent stages (covariance,
-// PCA, BLOD) build exactly once, the voltage-dependent tail (thermal,
+// TestMaxVDDStageReuse: across a whole voltage bisection the
+// voltage-independent stages (thermal operator, covariance, PCA, BLOD)
+// build exactly once, the voltage-dependent tail (thermal,
 // weibull) builds once per distinct probe voltage, and a warm repeat
 // of the same search builds nothing at all.
 func TestMaxVDDStageReuse(t *testing.T) {
@@ -196,7 +196,7 @@ func TestMaxVDDStageReuse(t *testing.T) {
 		t.Fatalf("bisection ran %d probes (%d characterized), want ≥ 8 for a meaningful reuse test", probes, built)
 	}
 	buildsOf := func(stage string) int64 { return cache.Stat(stage).Builds }
-	for _, stage := range []string{StageFloorplan, StagePowerMap, StageCovariance, StagePCA, StageBLOD} {
+	for _, stage := range []string{StageFloorplan, StagePowerMap, StageThermalOp, StageCovariance, StagePCA, StageBLOD} {
 		if n := buildsOf(stage); n != 1 {
 			t.Errorf("%d-probe search built stage %s %d times, want 1", probes, stage, n)
 		}
@@ -228,6 +228,40 @@ func TestMaxVDDStageReuse(t *testing.T) {
 		if n := buildsOf(s); n != before[s] {
 			t.Errorf("warm search rebuilt stage %s (%d → %d builds)", s, before[s], n)
 		}
+	}
+}
+
+// TestThermalOperatorOncePerDesign: a VDD sweep and a trace whose
+// solved segments scale the activity all share their design's thermal
+// operator, so each design builds one while every distinct (VDD,
+// activity) point still builds its own thermal artifact.
+func TestThermalOperatorOncePerDesign(t *testing.T) {
+	cache := pipeline.NewCache(64)
+	ctx := context.Background()
+	tr := Trace{
+		{Hours: 100, VDD: 1.05, ActivityScale: 0.5},
+		{Hours: 300, VDD: 1.25, ActivityScale: 0.9},
+		{Hours: 50, VDD: 1.15, ActivityScale: 0.7},
+		{Hours: 20, VDD: 1.2, TempC: 80},
+	}
+	designs := []*Design{C1(), C2()}
+	for _, d := range designs {
+		for _, vdd := range []float64{1.0, 1.1, 1.2, 1.3} {
+			cfg := quickConfig()
+			cfg.VDD = vdd
+			if _, err := NewAnalyzerCtxIn(ctx, cache, d, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := NewTraceAnalyzerCtxIn(ctx, cache, d, quickConfig(), tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cache.Stat(StageThermalOp).Builds; n != int64(len(designs)) {
+		t.Errorf("built %d thermal operators for %d designs, want one each", n, len(designs))
+	}
+	if n, want := cache.Stat(StageThermal).Builds, int64(len(designs)*(4+3)); n != want {
+		t.Errorf("built %d thermal artifacts, want %d (4 VDDs and 3 solved segments per design)", n, want)
 	}
 }
 
