@@ -233,15 +233,6 @@ func (a *Analyzer) FailureProb(t float64, m Method) (float64, error) {
 	return e.FailureProb(t)
 }
 
-// Reliability returns R(t) at time t (hours).
-func (a *Analyzer) Reliability(t float64, m Method) (float64, error) {
-	p, err := a.FailureProb(t, m)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - p, nil
-}
-
 // LifetimePPM returns the n-faults-per-million-parts lifetime in
 // hours — the time at which n out of a million chips have failed
 // (Section V's evaluation criterion).
@@ -256,17 +247,6 @@ func (a *Analyzer) LifetimePPM(n float64, m Method) (float64, error) {
 	return core.LifetimePPM(e, a.chip, n)
 }
 
-// LifetimeAtFailureProb returns the time at which the chip-ensemble
-// failure probability reaches pTarget.
-func (a *Analyzer) LifetimeAtFailureProb(pTarget float64, m Method) (float64, error) {
-	e, err := a.engine(m)
-	if err != nil {
-		return 0, err
-	}
-	aMin, aMax := a.chip.AlphaRange()
-	return core.LifetimeAt(e, pTarget, aMin*1e-15, aMax)
-}
-
 // tolerant returns (building on first use) the K-breakdown wrapper
 // over the Monte-Carlo engine.
 func (a *Analyzer) tolerant(k int) (core.Engine, error) {
@@ -275,23 +255,6 @@ func (a *Analyzer) tolerant(k int) (core.Engine, error) {
 		return nil, err
 	}
 	return core.NewTolerant(base, k)
-}
-
-// FailureProbTolerant returns the probability that at least k devices
-// have broken down by time t — the successive-breakdown failure
-// criterion of Section III ("circuit may even survive to function
-// after several HBDs"). k = 1 is the standard first-breakdown
-// criterion. The estimate comes from the device-level Monte-Carlo
-// samples.
-func (a *Analyzer) FailureProbTolerant(t float64, k int) (float64, error) {
-	if err := validTime(t); err != nil {
-		return 0, err
-	}
-	e, err := a.tolerant(k)
-	if err != nil {
-		return 0, err
-	}
-	return e.FailureProb(t)
 }
 
 // LifetimePPMTolerant returns the n-per-million lifetime under a
@@ -371,12 +334,6 @@ type BurnInResult struct {
 
 	engine *core.BurnIn
 	chip   *core.Chip
-}
-
-// FailureProb returns the shipped-population field failure
-// probability at time t after the screen.
-func (r *BurnInResult) FailureProb(t float64) (float64, error) {
-	return r.engine.FailureProb(t)
 }
 
 // LifetimePPM returns the shipped population's n-per-million field
@@ -469,9 +426,6 @@ func (a *Analyzer) TempSpread() (min, mean, max float64) {
 	min, max = a.field.MinMax()
 	return min, a.field.Mean(), max
 }
-
-// Design returns the analyzed design (public form).
-func (a *Analyzer) Design() *Design { return fromInternalDesign(a.design) }
 
 // Comparison is one row of a method-comparison table.
 type Comparison struct {

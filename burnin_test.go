@@ -84,18 +84,6 @@ func TestBurnInFacade(t *testing.T) {
 	if !(screened > unscreened) {
 		t.Errorf("burn-in did not help a defect-dominated population: %v vs %v", screened, unscreened)
 	}
-	// Field failure probability right after screen is ~0 and grows.
-	p0, err := res.FailureProb(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := res.FailureProb(screened)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(p0 < p1) {
-		t.Errorf("screened failure curve not increasing: %v vs %v", p0, p1)
-	}
 	if _, err := an.BurnIn(1.6, 125, -5); err == nil {
 		t.Error("negative duration should error")
 	}

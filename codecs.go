@@ -322,7 +322,11 @@ func init() {
 			// passes the exact validation a built one does — a corrupt
 			// but checksum-valid payload cannot smuggle in an
 			// inconsistent chip.
-			return assembleChip(fd, m, ch, &weibullArtifact{params: params, ext: ext})
+			chip, err := assembleChip(fd, m, ch, &weibullArtifact{params: params, ext: ext})
+			if err != nil {
+				return nil, err
+			}
+			return chip, nil
 		},
 	})
 	artifact.Register(StageHybrid, artifact.Codec{
@@ -465,15 +469,23 @@ func decPower(r *artifact.Reader) *power.Model {
 	}
 	hasMap := r.Bool()
 	n := boundedLen(r, 16)
-	if hasMap {
-		pm.DynDensity = make(map[floorplan.Class]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		c := floorplan.Class(r.Int())
-		v := r.F64()
-		if pm.DynDensity != nil {
-			pm.DynDensity[c] = v
+	if !hasMap {
+		if n != 0 {
+			r.Fail("powermap without a class map lists %d classes", n)
 		}
+		return pm
+	}
+	// encPower writes each class once in ascending order; anything else
+	// would decode to the same model but re-encode differently.
+	pm.DynDensity = make(map[floorplan.Class]float64, n)
+	for i, prev := 0, 0; i < n; i++ {
+		c := r.Int()
+		if i > 0 && c <= prev {
+			r.Fail("powermap classes not strictly increasing at %d", i)
+			return pm
+		}
+		prev = c
+		pm.DynDensity[floorplan.Class(c)] = r.F64()
 	}
 	return pm
 }
@@ -523,6 +535,13 @@ func decGridModel(r *artifact.Reader) *grid.Model {
 		m.Pattern = &grid.WaferPattern{
 			DieX: r.F64(), DieY: r.F64(), DieSpan: r.F64(),
 			Bowl: r.F64(), SlantX: r.F64(), SlantY: r.F64(),
+		}
+	}
+	// Every built model is valid, and the PCA and BLOD stages index by
+	// its grid, so a payload describing an invalid one fails the read.
+	if r.Err() == nil {
+		if err := m.Validate(); err != nil {
+			r.Fail("%v", err)
 		}
 	}
 	return m
@@ -627,6 +646,9 @@ func decObdParams(r *artifact.Reader) []obd.Params {
 	present := r.Bool()
 	n := boundedLen(r, 16)
 	if !present {
+		if n != 0 {
+			r.Fail("absent device parameters list %d entries", n)
+		}
 		return nil
 	}
 	ps := make([]obd.Params, n)

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"obdrel/internal/artifact"
+	"obdrel/internal/blod"
+	"obdrel/internal/core"
 	"obdrel/internal/grid"
 	"obdrel/internal/integrate"
 	"obdrel/internal/obd"
@@ -295,4 +297,132 @@ func FuzzThermalDecode(f *testing.F) {
 			t.Fatalf("re-encoding an accepted payload gave %d different bytes from %d", len(again), len(payload))
 		}
 	})
+}
+
+// fuzzStages are the codecs FuzzStageDecode reaches, indexed by its
+// stage argument modulo their count.
+var fuzzStages = []string{StageFloorplan, StagePowerMap, StageCovariance, StageBLOD, StageWeibull, StageChip}
+
+// FuzzStageDecode feeds arbitrary payloads to the floorplan, powermap,
+// covariance, blod, weibull and chip codecs (stage selects one, modulo
+// six). Each artifact arrives from disk or a peer, so decode must never
+// panic, a rejection returns an error and no artifact, an accepted
+// payload re-encodes to the same bytes (the sealed checksum stays a
+// content address), and an accepted grid model, alone or inside a blod
+// characterization or a chip, passes Validate. The seed corpus under
+// testdata/fuzz/FuzzStageDecode holds a valid artifact of each stage at
+// a 4×4 grid and the hostile payloads of
+// TestStageCodecsRejectNonCanonicalPayloads.
+func FuzzStageDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stage uint8, payload []byte) {
+		name := fuzzStages[int(stage)%len(fuzzStages)]
+		codec, ok := artifact.Lookup(name)
+		if !ok {
+			t.Fatalf("no %s codec", name)
+		}
+		v, err := codec.Decode(payload)
+		if err != nil {
+			if v != nil {
+				t.Fatalf("%s: rejected payload (%v) returned an artifact", name, err)
+			}
+			return
+		}
+		var m *grid.Model
+		switch a := v.(type) {
+		case *grid.Model:
+			m = a
+		case *blod.Characterization:
+			if a != nil {
+				m = a.Model
+			}
+		case *core.Chip:
+			m = a.Model
+		}
+		if m != nil {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("%s: accepted grid model does not validate: %v", name, err)
+			}
+		}
+		again, err := codec.Encode(v)
+		if err != nil {
+			t.Fatalf("%s: accepted artifact does not re-encode: %v", name, err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("%s: re-encoding an accepted payload gave %d different bytes from %d", name, len(again), len(payload))
+		}
+	})
+}
+
+// hostilePayloads are checksum-valid payloads no encoder produces: a
+// covariance model whose grid is not positive (the PCA build indexes
+// by it), and powermap and weibull payloads that would decode to a
+// model whose encoding differs from the payload.
+func hostilePayloads(t testing.TB) map[string]struct {
+	stage   string
+	payload []byte
+} {
+	model := func(nx, ny int) []byte {
+		m, err := grid.NewModel(2.2, 1, 1, 4, 4, 0.02, 0.01, 0.01, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Nx, m.Ny = nx, ny
+		var w artifact.Writer
+		encGridModel(&w, m)
+		return w.Bytes()
+	}
+	power := func(hasMap bool, classes ...int) []byte {
+		var w artifact.Writer
+		w.Bool(true)
+		for _, x := range []float64{1.2, 0.05, 0.02, 300} {
+			w.F64(x)
+		}
+		w.Bool(hasMap)
+		w.Int(len(classes))
+		for _, c := range classes {
+			w.Int(c)
+			w.F64(float64(c + 1))
+		}
+		return w.Bytes()
+	}
+	// The weibull payload below claims absent device parameters yet
+	// counts one; the "entry" bytes are the rest of a valid payload.
+	var wb artifact.Writer
+	wb.Bool(false)
+	wb.Int(1)
+	wb.Bool(false) // no extrinsic population
+	wb.Int(1)      // one block info
+	wb.String("b")
+	for _, x := range []float64{60, 70, 1, 1e9, 0.5} {
+		wb.F64(x)
+	}
+	wb.Int(10)
+	return map[string]struct {
+		stage   string
+		payload []byte
+	}{
+		"covariance_negative_nx":  {StageCovariance, model(-5, 4)},
+		"covariance_zero_nx":      {StageCovariance, model(0, 4)},
+		"covariance_zero_ny":      {StageCovariance, model(4, 0)},
+		"powermap_duplicate":      {StagePowerMap, power(true, 1, 1)},
+		"powermap_unsorted":       {StagePowerMap, power(true, 2, 1)},
+		"powermap_entries_no_map": {StagePowerMap, power(false, 1)},
+		"weibull_absent_params":   {StageWeibull, wb.Bytes()},
+	}
+}
+
+// TestStageCodecsRejectNonCanonicalPayloads: each hostile payload must
+// fail decode with no artifact, so a corrupt but checksum-valid disk
+// file or peer answer rebuilds instead of crashing a PCA build or
+// breaking the checksum-as-content-address invariant.
+func TestStageCodecsRejectNonCanonicalPayloads(t *testing.T) {
+	for name, c := range hostilePayloads(t) {
+		codec, ok := artifact.Lookup(c.stage)
+		if !ok {
+			t.Fatalf("no %s codec", c.stage)
+		}
+		if v, err := codec.Decode(c.payload); err == nil || v != nil {
+			t.Errorf("%s: decode = (%v, %v), want an error and no artifact", name, v, err)
+		}
+	}
 }

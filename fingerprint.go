@@ -321,16 +321,10 @@ func (tr Trace) Fingerprint() string {
 	return fp16(b.String())
 }
 
-// TraceCacheKey returns the canonical cache identity of a telemetry
-// replay: the (design, config) CacheKey extended with the trace
-// fingerprint. Serving layers memoize trace analyzers under it; the
-// batch planner uses it as the grouping key for trace query items.
-func TraceCacheKey(d *Design, cfg *Config, tr Trace) string {
-	return TraceCacheKeyFrom(CacheKey(d, cfg), tr)
-}
-
-// TraceCacheKeyFrom is TraceCacheKey for a caller that already holds
-// the (design, config) CacheKey.
+// TraceCacheKeyFrom returns the canonical cache identity of a
+// telemetry replay: the (design, config) CacheKey extended with the
+// trace fingerprint. Serving layers memoize trace analyzers under it;
+// the batch planner uses it as the grouping key for trace query items.
 func TraceCacheKeyFrom(cacheKey string, tr Trace) string {
 	return cacheKey + ":" + tr.Fingerprint()
 }

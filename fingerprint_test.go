@@ -263,7 +263,7 @@ func TestTraceFingerprint(t *testing.T) {
 func TestTraceCacheKey(t *testing.T) {
 	cfg := obdrel.DefaultConfig()
 	tr := obdrel.Trace{{Hours: 100, VDD: 1.2, ActivityScale: 1, TempC: 55}}
-	key := obdrel.TraceCacheKey(obdrel.C1(), cfg, tr)
+	key := obdrel.TraceCacheKeyFrom(obdrel.CacheKey(obdrel.C1(), cfg), tr)
 	if !strings.HasPrefix(key, obdrel.CacheKey(obdrel.C1(), cfg)+":") {
 		t.Fatal("trace cache key should extend the unary cache key")
 	}
@@ -271,10 +271,10 @@ func TestTraceCacheKey(t *testing.T) {
 		t.Fatal("trace cache key should end with the trace fingerprint")
 	}
 	other := obdrel.Trace{{Hours: 200, VDD: 1.2, ActivityScale: 1, TempC: 55}}
-	if obdrel.TraceCacheKey(obdrel.C1(), cfg, other) == key {
+	if obdrel.TraceCacheKeyFrom(obdrel.CacheKey(obdrel.C1(), cfg), other) == key {
 		t.Fatal("different traces share a cache key")
 	}
-	if obdrel.TraceCacheKey(obdrel.C2(), cfg, tr) == key {
+	if obdrel.TraceCacheKeyFrom(obdrel.CacheKey(obdrel.C2(), cfg), tr) == key {
 		t.Fatal("different designs share a trace cache key")
 	}
 }

@@ -129,14 +129,6 @@ func Open(data []byte, stage, key string) ([]byte, error) {
 	return payload, nil
 }
 
-// Peek validates a sealed container and returns the (stage, key) it
-// declares, without requiring the caller to know them up front — the
-// anti-entropy sweep uses it to identify files on disk.
-func Peek(data []byte) (stage, key string, err error) {
-	stage, key, _, err = open(data)
-	return stage, key, err
-}
-
 // open runs the full validation ladder. Order matters for error
 // typing: structure first (truncation, magic, version), then identity
 // (stage field well-formed), then integrity (length, checksum).

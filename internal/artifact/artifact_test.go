@@ -32,10 +32,6 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("payload mismatch: %q != %q", got, payload)
 	}
-	stage, key, err := Peek(sealed)
-	if err != nil || stage != "thermal" || key != testKey {
-		t.Fatalf("Peek = %q %q %v", stage, key, err)
-	}
 }
 
 // TestOpenHostility covers every rejection class the satellite task
@@ -150,7 +146,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	var w Writer
 	w.U64(0)
 	w.U64(math.MaxUint64)
-	w.I64(-42)
+	w.Int(-42)
 	w.Int(123456)
 	w.F64(math.Copysign(0, -1)) // negative zero survives
 	w.F64(math.Inf(-1))
@@ -292,14 +288,8 @@ func TestRegistry(t *testing.T) {
 	if _, ok := Lookup("no-such-stage"); ok {
 		t.Fatal("Lookup invented a codec")
 	}
-	found := false
-	for _, s := range RegisteredStages() {
-		if s == "test-reg-stage" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("RegisteredStages missing test-reg-stage")
+	if _, ok := Lookup("test-reg-stage"); !ok {
+		t.Fatal("Lookup missing test-reg-stage")
 	}
 	defer func() {
 		if recover() == nil {

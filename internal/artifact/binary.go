@@ -21,8 +21,6 @@ func (w *Writer) U64(v uint64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
 func (w *Writer) Int(v int) { w.U64(uint64(int64(v))) }
 
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }

@@ -2,7 +2,6 @@ package artifact
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -46,18 +45,6 @@ func Lookup(stage string) (Codec, bool) {
 	defer regMu.RUnlock()
 	c, ok := registry[stage]
 	return c, ok
-}
-
-// RegisteredStages lists every stage with a codec, sorted.
-func RegisteredStages() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for s := range registry {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Encode serializes a live artifact into a sealed container.

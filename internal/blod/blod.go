@@ -270,13 +270,6 @@ func (bc *BlockChar) VDist() (stats.Dist, error) {
 	return stats.NewShiftedScaledChi2(bc.V0, bc.AHat, bc.BHat)
 }
 
-// VMean and VVariance return the exact first two moments of v_j
-// (before the χ² approximation): mean V0 + tr(B), variance 2·tr(B²).
-func (bc *BlockChar) VMean() float64 { return bc.V0 + bc.TrB }
-
-// VVariance returns the exact variance of the quadratic form.
-func (bc *BlockChar) VVariance() float64 { return 2 * bc.TrB2 }
-
 // UVFromShifts evaluates (u_j, v_j) for one chip sample given the
 // per-grid correlated shifts s = Λ·z (from grid.PCA.GridShifts):
 //
@@ -318,34 +311,6 @@ func patternSpread(bc *BlockChar, denom float64) float64 {
 		s += bc.Weights[i] / denom * bc.NomOff[i] * bc.NomOff[i]
 	}
 	return s
-}
-
-// UVCovarianceMC estimates cov(u_j, v_j) and the correlation from
-// per-grid shift samples — used to verify the paper's Lemma
-// (E[u_j·v_j] = E[u_j]·E[v_j]) numerically.
-func (bc *BlockChar) UVCovarianceMC(shiftSamples [][]float64) (cov, corr float64, err error) {
-	if len(shiftSamples) < 2 {
-		return 0, 0, errors.New("blod: need at least two samples")
-	}
-	us := make([]float64, len(shiftSamples))
-	vs := make([]float64, len(shiftSamples))
-	for i, s := range shiftSamples {
-		us[i], vs[i] = bc.UVFromShifts(s)
-	}
-	mu, _, err := stats.MeanVariance(us)
-	if err != nil {
-		return 0, 0, err
-	}
-	mv, _, err := stats.MeanVariance(vs)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := range us {
-		cov += (us[i] - mu) * (vs[i] - mv)
-	}
-	cov /= float64(len(us) - 1)
-	corr, err = stats.Correlation(us, vs)
-	return cov, corr, err
 }
 
 // DeviceAllocation returns an integer per-grid device allocation for

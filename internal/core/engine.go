@@ -18,15 +18,6 @@ type Engine interface {
 	FailureProb(t float64) (float64, error)
 }
 
-// Reliability returns R(t) = 1 - P_fail(t) for any engine.
-func Reliability(e Engine, t float64) (float64, error) {
-	p, err := e.FailureProb(t)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - p, nil
-}
-
 // PPMTarget converts an n-faults-per-million-parts criterion into the
 // failure-probability target n·10⁻⁶ (Section V).
 func PPMTarget(n float64) float64 { return n * 1e-6 }

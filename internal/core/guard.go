@@ -80,19 +80,3 @@ func (e *GuardBand) FailureProb(t float64) (float64, error) {
 	}
 	return -math.Expm1(-expo), nil
 }
-
-// LifetimeClosedForm returns t_req = α·(-ln(R_req)/A)^(1/(b·x_min))
-// (Eq. 34) for the reliability requirement R_req — no numerical
-// search needed, which is why the paper reports no runtime for the
-// guard-band method. With an extrinsic population attached the
-// closed form no longer applies; use LifetimeAt on the engine.
-func (e *GuardBand) LifetimeClosedForm(rReq float64) (float64, error) {
-	if !(rReq > 0) || rReq >= 1 {
-		return 0, fmt.Errorf("core: reliability requirement must be in (0,1), got %v", rReq)
-	}
-	if e.Extrinsic != nil {
-		return 0, errors.New("core: no closed-form lifetime with an extrinsic population; solve numerically")
-	}
-	beta := e.Params.B * e.XMin
-	return e.Params.Alpha * math.Pow(-math.Log(rReq)/e.Area, 1/beta), nil
-}

@@ -187,13 +187,3 @@ func (e *Hybrid) FailureProb(t float64) (float64, error) {
 	}
 	return sum, nil
 }
-
-// TableEntries returns the per-block table size, for memory
-// reporting.
-func (e *Hybrid) TableEntries() int {
-	if len(e.tables) == 0 {
-		return 0
-	}
-	nx, ny := e.tables[0].Size()
-	return nx * ny
-}

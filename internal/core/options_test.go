@@ -16,8 +16,8 @@ func TestHybridCustomRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hyb.TableEntries(); got != 60*40 {
-		t.Errorf("TableEntries = %d", got)
+	if ls, bs, _ := hyb.tables[0].Data(); len(ls) != 60 || len(bs) != 40 {
+		t.Errorf("table axes %d×%d, want 60×40", len(ls), len(bs))
 	}
 	fast, err := NewStFast(fx.chip, 0)
 	if err != nil {

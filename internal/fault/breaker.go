@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,8 +29,6 @@ type Breaker struct {
 
 	mu      sync.Mutex
 	entries map[string]*brEntry
-
-	opens, fastFails, probes atomic.Int64
 }
 
 type brEntry struct {
@@ -96,15 +93,12 @@ func (b *Breaker) Allow(key string) *OpenError {
 	}
 	now := b.now()
 	if now.Before(e.openUntil) {
-		b.fastFails.Add(1)
 		return &OpenError{Key: key, Until: e.openUntil, Last: e.lastErr}
 	}
 	if e.probing {
-		b.fastFails.Add(1)
 		return &OpenError{Key: key, Until: now.Add(b.openFor), Last: e.lastErr}
 	}
 	e.probing = true
-	b.probes.Add(1)
 	return nil
 }
 
@@ -150,11 +144,7 @@ func (b *Breaker) Failure(key string, err error) bool {
 	// Threshold reached, or a half-open probe failed: (re)open.
 	wasOpen := !e.openUntil.IsZero() && b.now().Before(e.openUntil)
 	e.openUntil = b.now().Add(b.openFor)
-	if !wasOpen {
-		b.opens.Add(1)
-		return true
-	}
-	return false
+	return !wasOpen
 }
 
 // evictClosedLocked drops one closed (not currently open) entry to
@@ -169,34 +159,4 @@ func (b *Breaker) evictClosedLocked() {
 		anyKey = k
 	}
 	delete(b.entries, anyKey)
-}
-
-// Opens counts transitions into the open state.
-func (b *Breaker) Opens() int64 { return b.opens.Load() }
-
-// FastFails counts requests shed by an open circuit.
-func (b *Breaker) FastFails() int64 { return b.fastFails.Load() }
-
-// Probes counts half-open probe admissions.
-func (b *Breaker) Probes() int64 { return b.probes.Load() }
-
-// OpenKeys returns how many keys are currently open.
-func (b *Breaker) OpenKeys() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	n := 0
-	for _, e := range b.entries {
-		if !e.openUntil.IsZero() && now.Before(e.openUntil) {
-			n++
-		}
-	}
-	return n
-}
-
-// SetClock replaces the breaker's clock — tests only.
-func (b *Breaker) SetClock(now func() time.Time) {
-	b.mu.Lock()
-	b.now = now
-	b.mu.Unlock()
 }

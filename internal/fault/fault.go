@@ -3,7 +3,6 @@ package fault
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -194,14 +193,13 @@ func parseRule(seg string) (Rule, error) {
 	}
 }
 
-// armedRule is a Rule with its evaluation counters. The count feeds the
+// armedRule is a Rule with its evaluation counter. The count feeds the
 // decision stream, so under a fixed seed the k-th evaluation of a rule
 // always decides the same way regardless of timing.
 type armedRule struct {
 	Rule
 	id    uint64
 	count atomic.Int64
-	fired atomic.Int64
 }
 
 // Injector holds armed rules indexed by point. Decisions are pure
@@ -270,7 +268,6 @@ func (inj *Injector) eval(ctx context.Context, point, label string) error {
 		if !inj.decide(r, n) {
 			continue
 		}
-		r.fired.Add(1)
 		injectedTotal.Add(1)
 		switch r.Kind {
 		case KindLatency:
@@ -295,27 +292,6 @@ func sleep(ctx context.Context, d time.Duration) {
 	case <-t.C:
 	case <-ctx.Done():
 	}
-}
-
-// PointStat reports one armed rule's activity.
-type PointStat struct {
-	Rule      string
-	Evaluated int64
-	Fired     int64
-}
-
-// Stats returns per-rule evaluation/firing counts, sorted by rule.
-func (inj *Injector) Stats() []PointStat {
-	out := make([]PointStat, 0, len(inj.rules))
-	for _, r := range inj.rules {
-		out = append(out, PointStat{
-			Rule:      r.Rule.String(),
-			Evaluated: r.count.Load(),
-			Fired:     r.fired.Load(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rule < out[j].Rule })
-	return out
 }
 
 // The disarmed fast path: Inject is called on hot paths (every stage
@@ -349,9 +325,6 @@ func Disarm() {
 		gate.Add(-1)
 	}
 }
-
-// Global returns the armed process-global injector, or nil.
-func Global() *Injector { return global.Load() }
 
 // InjectedTotal counts every fault fired process-wide since start —
 // the leakage counter: its delta must be zero over any disarmed window.

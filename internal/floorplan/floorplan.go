@@ -83,15 +83,6 @@ type Design struct {
 	Blocks []Block
 }
 
-// TotalDevices returns the chip's device count m.
-func (d *Design) TotalDevices() int {
-	n := 0
-	for i := range d.Blocks {
-		n += d.Blocks[i].Devices
-	}
-	return n
-}
-
 // Validate checks geometric and structural consistency: positive die
 // and block dimensions, blocks within the die, no block overlaps, and
 // at least one device per block.

@@ -20,7 +20,7 @@ func TestBenchmarkDeviceCounts(t *testing.T) {
 		{C6(), 840_000, 15},
 	}
 	for _, c := range cases {
-		if got := c.d.TotalDevices(); got != c.want {
+		if got := totalDevices(c.d); got != c.want {
 			t.Errorf("%s: %d devices, want %d", c.d.Name, got, c.want)
 		}
 		if got := len(c.d.Blocks); got != c.blocks {
@@ -152,7 +152,7 @@ func TestManyCore(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Error(err)
 	}
-	if got := d.TotalDevices(); got != 16000 {
+	if got := totalDevices(d); got != 16000 {
 		t.Errorf("devices = %d, want 16000", got)
 	}
 	if _, err := ManyCore(0, 1000); err == nil {
@@ -173,9 +173,18 @@ func TestSyntheticProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return d.Validate() == nil && d.TotalDevices() == devices && len(d.Blocks) == nBlocks
+		return d.Validate() == nil && totalDevices(d) == devices && len(d.Blocks) == nBlocks
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// totalDevices returns the design's device count m.
+func totalDevices(d *Design) int {
+	n := 0
+	for i := range d.Blocks {
+		n += d.Blocks[i].Devices
+	}
+	return n
 }

@@ -136,26 +136,6 @@ func (m *Model) Validate() error {
 // NumGrids returns the number of spatial grids n = Nx·Ny.
 func (m *Model) NumGrids() int { return m.Nx * m.Ny }
 
-// GridIndex returns the grid containing point (x, y); coordinates
-// outside the chip are clamped onto it.
-func (m *Model) GridIndex(x, y float64) int {
-	ix := int(x / m.W * float64(m.Nx))
-	iy := int(y / m.H * float64(m.Ny))
-	if ix < 0 {
-		ix = 0
-	}
-	if ix >= m.Nx {
-		ix = m.Nx - 1
-	}
-	if iy < 0 {
-		iy = 0
-	}
-	if iy >= m.Ny {
-		iy = m.Ny - 1
-	}
-	return iy*m.Nx + ix
-}
-
 // GridCenter returns the center coordinates of grid g.
 func (m *Model) GridCenter(g int) (x, y float64) {
 	ix := g % m.Nx
@@ -170,21 +150,6 @@ func (m *Model) GridRect(g int) (x0, y0, x1, y1 float64) {
 	wx := m.W / float64(m.Nx)
 	wy := m.H / float64(m.Ny)
 	return float64(ix) * wx, float64(iy) * wy, float64(ix+1) * wx, float64(iy+1) * wy
-}
-
-// Correlation returns the model correlation of the combined
-// global+spatial component between two grid centers at distance d:
-//
-//	ρ(d) = (σ_g² + σ_s²·exp(-d/L)) / (σ_g² + σ_s²)
-//
-// with L = RhoDist · max(W, H).
-func (m *Model) Correlation(d float64) float64 {
-	tot := m.SigmaG*m.SigmaG + m.SigmaS*m.SigmaS
-	if tot == 0 {
-		return 0
-	}
-	l := m.RhoDist * math.Max(m.W, m.H)
-	return (m.SigmaG*m.SigmaG + m.SigmaS*m.SigmaS*math.Exp(-d/l)) / tot
 }
 
 // Covariance builds the n×n covariance matrix of the combined

@@ -420,27 +420,3 @@ func (p *PCA) unmirror(out []float64, b, r int, y float64) {
 		}
 	}
 }
-
-// Dense returns the n×K loading matrix Λ, column k being component
-// k's loading vector over the grids. It materializes the dense form
-// the blocks avoid, so it is for verification, not sampling.
-func (p *PCA) Dense() *linalg.Matrix {
-	d := linalg.NewMatrix(p.Nx*p.Ny, p.K)
-	z := make([]float64, p.K)
-	for k := range z {
-		z[k] = 1
-		for g, v := range p.GridShifts(z) {
-			d.Set(g, k, v)
-		}
-		z[k] = 0
-	}
-	return d
-}
-
-// ReconstructCovariance returns Λ·Λᵀ, which approximates the original
-// covariance (exactly, when all components are retained). Used for
-// model verification.
-func (p *PCA) ReconstructCovariance() *linalg.Matrix {
-	d := p.Dense()
-	return d.Mul(d.Transpose())
-}

@@ -14,112 +14,10 @@ func approx(a, b, tol float64) bool {
 	return d <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-func TestMidpoint1D(t *testing.T) {
-	// ∫₀¹ x² dx = 1/3
-	got := Midpoint1D(func(x float64) float64 { return x * x }, 0, 1, 1000)
-	if !approx(got, 1.0/3, 1e-6) {
-		t.Errorf("x² integral = %v", got)
-	}
-	// Midpoint is exact for linear functions with any panel count.
-	got = Midpoint1D(func(x float64) float64 { return 3*x + 2 }, -1, 4, 3)
-	want := 3.0/2*(16-1) + 2*5
-	if !approx(got, want, 1e-12) {
-		t.Errorf("linear integral = %v, want %v", got, want)
-	}
-	// Degenerate inputs return 0.
-	if Midpoint1D(math.Sin, 1, 1, 10) != 0 || Midpoint1D(math.Sin, 0, 1, 0) != 0 {
-		t.Error("degenerate Midpoint1D should be 0")
-	}
-}
-
-func TestMidpoint2D(t *testing.T) {
-	// ∫∫ xy over [0,1]² = 1/4
-	got := Midpoint2D(func(x, y float64) float64 { return x * y }, 0, 1, 50, 0, 1, 50)
-	if !approx(got, 0.25, 1e-10) {
-		t.Errorf("xy integral = %v", got)
-	}
-	// Bilinear integrand is integrated exactly by midpoint rule:
-	// ∫∫(2+x+y+xy) over [0,2]×[0,3] = 12 + 6 + 9 + 9 = 36.
-	got = Midpoint2D(func(x, y float64) float64 { return 2 + x + y + x*y }, 0, 2, 2, 0, 3, 2)
-	want := 36.0
-	if !approx(got, want, 1e-12) {
-		t.Errorf("bilinear integral = %v, want %v", got, want)
-	}
-	if Midpoint2D(func(x, y float64) float64 { return 1 }, 0, 0, 2, 0, 1, 2) != 0 {
-		t.Error("degenerate range should be 0")
-	}
-}
-
-func TestGaussLegendreNodes(t *testing.T) {
-	// The 2-point rule has nodes ±1/√3, weights 1.
-	x, w, err := GaussLegendre(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(x[1], 1/math.Sqrt(3), 1e-14) || !approx(w[0], 1, 1e-14) {
-		t.Errorf("2-point rule: x=%v w=%v", x, w)
-	}
-	// Weights always sum to 2 (length of [-1,1]).
-	for _, n := range []int{1, 3, 7, 16, 40} {
-		_, w, err := GaussLegendre(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := 0.0
-		for _, wi := range w {
-			s += wi
-		}
-		if !approx(s, 2, 1e-12) {
-			t.Errorf("n=%d: weights sum to %v", n, s)
-		}
-	}
-	if _, _, err := GaussLegendre(0); err == nil {
-		t.Error("n=0 should error")
-	}
-}
-
-func TestGaussLegendreExactness(t *testing.T) {
-	// n-point GL is exact for polynomials up to degree 2n-1.
-	// Check x⁹ on [0,1] with n=5: ∫ = 1/10.
-	got, err := GaussLegendre1D(func(x float64) float64 { return math.Pow(x, 9) }, 0, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(got, 0.1, 1e-13) {
-		t.Errorf("x⁹ integral = %v", got)
-	}
-}
-
-func TestGaussLegendre2DGaussian(t *testing.T) {
-	// ∫∫ standard bivariate normal over [-8,8]² = 1.
-	f := func(x, y float64) float64 {
-		return math.Exp(-(x*x+y*y)/2) / (2 * math.Pi)
-	}
-	got, err := GaussLegendre2D(f, -8, 8, -8, 8, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(got, 1, 1e-8) {
-		t.Errorf("bivariate normal mass = %v", got)
-	}
-}
-
-func TestMidpointConvergesToGL(t *testing.T) {
-	f := func(x, y float64) float64 { return math.Exp(-x*x-y*y) * math.Cos(x*y) }
-	ref, err := GaussLegendre2D(f, -2, 2, -2, 2, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Midpoint2D(f, -2, 2, 200, -2, 2, 200)
-	if !approx(got, ref, 1e-4) {
-		t.Errorf("midpoint %v vs GL %v", got, ref)
-	}
-}
-
 func TestTable2DReproducesBilinear(t *testing.T) {
 	// Bilinear interpolation is exact for bilinear functions.
 	f := func(x, y float64) float64 { return 3 + 2*x - y + 0.5*x*y }
-	tab, err := NewTable2D(Linspace(0, 10, 11), Linspace(-5, 5, 21), f)
+	tab, err := NewTable2DWorkers(Linspace(0, 10, 11), Linspace(-5, 5, 21), f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +26,13 @@ func TestTable2DReproducesBilinear(t *testing.T) {
 			t.Errorf("At(%v,%v) = %v, want %v", q[0], q[1], got, f(q[0], q[1]))
 		}
 	}
-	nx, ny := tab.Size()
-	if nx != 11 || ny != 21 {
-		t.Errorf("Size = %d,%d", nx, ny)
+	if len(tab.xs) != 11 || len(tab.ys) != 21 {
+		t.Errorf("axes %d×%d, want 11×21", len(tab.xs), len(tab.ys))
 	}
 }
 
 func TestTable2DClampsOutside(t *testing.T) {
-	tab, err := NewTable2D([]float64{0, 1}, []float64{0, 1}, func(x, y float64) float64 { return x + y })
+	tab, err := NewTable2DWorkers([]float64{0, 1}, []float64{0, 1}, func(x, y float64) float64 { return x + y }, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +46,13 @@ func TestTable2DClampsOutside(t *testing.T) {
 
 func TestTable2DValidates(t *testing.T) {
 	one := func(x, y float64) float64 { return 1 }
-	if _, err := NewTable2D([]float64{0}, []float64{0, 1}, one); err == nil {
+	if _, err := NewTable2DWorkers([]float64{0}, []float64{0, 1}, one, 1); err == nil {
 		t.Error("single x point should error")
 	}
-	if _, err := NewTable2D([]float64{0, 0}, []float64{0, 1}, one); err == nil {
+	if _, err := NewTable2DWorkers([]float64{0, 0}, []float64{0, 1}, one, 1); err == nil {
 		t.Error("non-increasing x should error")
 	}
-	if _, err := NewTable2D([]float64{0, 1}, []float64{1, 0}, one); err == nil {
+	if _, err := NewTable2DWorkers([]float64{0, 1}, []float64{1, 0}, one, 1); err == nil {
 		t.Error("decreasing y should error")
 	}
 }
@@ -179,8 +76,8 @@ func TestTable2DFromDataRejectsNonFiniteAxes(t *testing.T) {
 		if _, err := NewTable2DFromData(ax[0], ax[1], vals); err == nil {
 			t.Errorf("%s: NewTable2DFromData accepted axes %v × %v", name, ax[0], ax[1])
 		}
-		if _, err := NewTable2D(ax[0], ax[1], func(x, y float64) float64 { return 0 }); err == nil {
-			t.Errorf("%s: NewTable2D accepted axes %v × %v", name, ax[0], ax[1])
+		if _, err := NewTable2DWorkers(ax[0], ax[1], func(x, y float64) float64 { return 0 }, 1); err == nil {
+			t.Errorf("%s: NewTable2DWorkers accepted axes %v × %v", name, ax[0], ax[1])
 		}
 	}
 	if _, err := NewTable2DFromData([]float64{0, 1}, []float64{0, 1}, make([]float64, 4)); err != nil {
@@ -201,32 +98,6 @@ func TestLinspace(t *testing.T) {
 	}
 }
 
-func TestInterpMonotone(t *testing.T) {
-	xs := []float64{0, 1, 2, 4}
-	ys := []float64{0, 10, 20, 40}
-	cases := []struct{ q, want float64 }{
-		{-1, 0}, {0, 0}, {0.5, 5}, {1.5, 15}, {3, 30}, {4, 40}, {99, 40},
-	}
-	for _, c := range cases {
-		got, err := InterpMonotone(xs, ys, c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !approx(got, c.want, 1e-12) {
-			t.Errorf("InterpMonotone(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if _, err := InterpMonotone([]float64{1, 1}, []float64{0, 0}, 1); err == nil {
-		t.Error("non-increasing xs should error")
-	}
-	if _, err := InterpMonotone(nil, nil, 1); err == nil {
-		t.Error("empty input should error")
-	}
-	if v, err := InterpMonotone([]float64{2}, []float64{7}, 100); err != nil || v != 7 {
-		t.Errorf("single point interp = %v, %v", v, err)
-	}
-}
-
 // Property: Table2D.At reproduces the fill function exactly at grid
 // nodes.
 func TestTable2DNodesProperty(t *testing.T) {
@@ -234,7 +105,7 @@ func TestTable2DNodesProperty(t *testing.T) {
 		fn := func(x, y float64) float64 { return math.Sin(x) + math.Cos(y) + float64(seed%7) }
 		xs := Linspace(0, 4, 9)
 		ys := Linspace(-2, 2, 7)
-		tab, err := NewTable2D(xs, ys, fn)
+		tab, err := NewTable2DWorkers(xs, ys, fn, 1)
 		if err != nil {
 			return false
 		}

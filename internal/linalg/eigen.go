@@ -3,12 +3,11 @@ package linalg
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
 
-// EigenSym computes the eigendecomposition of a symmetric matrix a:
+// EigenSymCtx computes the eigendecomposition of a symmetric matrix a:
 // a = V · diag(values) · Vᵀ with orthonormal columns in V. Eigenvalues
 // are returned in descending order. The input is not modified.
 //
@@ -19,20 +18,17 @@ import (
 // O(n³) loop walks a contiguous row; one 169-row reflection block of
 // the 25×25 spatial-correlation model solves in about 10 ms on a
 // 2-vCPU x86-64 host.
-func EigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
-	return EigenSymCtx(context.Background(), a)
-}
-
-// EigenSymCtx is EigenSym with cancellation checkpoints on the outer
-// Householder and QL loops: once ctx expires the decomposition stops
-// and returns ctx's error. Checkpoint granularity is one outer-loop
-// row, i.e. O(n²) work between checks.
+//
+// The outer Householder and QL loops are cancellation checkpoints:
+// once ctx expires the decomposition stops and returns ctx's error.
+// Checkpoint granularity is one outer-loop row, i.e. O(n²) work
+// between checks.
 func EigenSymCtx(ctx context.Context, a *Matrix) (values []float64, vectors *Matrix, err error) {
 	if a.Rows != a.Cols {
-		return nil, nil, errors.New("linalg: EigenSym requires a square matrix")
+		return nil, nil, errors.New("linalg: EigenSymCtx requires a square matrix")
 	}
 	if !a.IsSymmetric(1e-9 * (1 + maxAbs(a))) {
-		return nil, nil, errors.New("linalg: EigenSym requires a symmetric matrix")
+		return nil, nil, errors.New("linalg: EigenSymCtx requires a symmetric matrix")
 	}
 	n := a.Rows
 	// w = vᵀ, where v is the working matrix of the row-major JAMA
@@ -274,85 +270,4 @@ func tql2(ctx context.Context, w *Matrix, d, e []float64) error {
 		e[l] = 0
 	}
 	return nil
-}
-
-// JacobiEigenSym computes the eigendecomposition of a small symmetric
-// matrix by cyclic Jacobi rotations. It is slower than EigenSym but
-// independent of it, so the two serve as cross-checks in tests.
-// Eigenvalues are returned in descending order. It returns an error if
-// the off-diagonal part is still above tolerance after maxSweeps
-// sweeps.
-func JacobiEigenSym(a *Matrix, maxSweeps int) (values []float64, vectors *Matrix, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, errors.New("linalg: JacobiEigenSym requires a square matrix")
-	}
-	n := a.Rows
-	m := a.Clone()
-	v := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
-	}
-	tol := 1e-22 * float64(n*n)
-	for sweep := 0; ; sweep++ {
-		off := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += m.At(i, j) * m.At(i, j)
-			}
-		}
-		if off < tol {
-			break
-		}
-		if sweep == maxSweeps {
-			return nil, nil, fmt.Errorf("linalg: Jacobi iteration did not converge in %d sweeps (off-diagonal sum of squares %g, tolerance %g)", maxSweeps, off, tol)
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				theta := (m.At(q, q) - m.At(p, p)) / (2 * apq)
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					akp, akq := m.At(k, p), m.At(k, q)
-					m.Set(k, p, c*akp-s*akq)
-					m.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := m.At(p, k), m.At(q, k)
-					m.Set(p, k, c*apk-s*aqk)
-					m.Set(q, k, s*apk+c*aqk)
-				}
-				for k := 0; k < n; k++ {
-					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
-			}
-		}
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.At(i, i)
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(x, y int) bool { return d[idx[x]] > d[idx[y]] })
-	values = make([]float64, n)
-	vectors = NewMatrix(n, n)
-	for newCol, oldCol := range idx {
-		values[newCol] = d[oldCol]
-		for r := 0; r < n; r++ {
-			vectors.Set(r, newCol, v.At(r, oldCol))
-		}
-	}
-	return values, vectors, nil
 }

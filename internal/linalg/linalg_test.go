@@ -19,15 +19,48 @@ func randomSPD(n int, rng *rand.Rand) *Matrix {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
-	a := m.Transpose().Mul(m)
+	a := mul(m.Transpose(), m)
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+float64(n))
 	}
 	return a
 }
 
+// matrixFrom builds an r×c matrix from row-major data.
+func matrixFrom(r, c int, data []float64) *Matrix {
+	m := NewMatrix(r, c)
+	copy(m.Data, data)
+	return m
+}
+
+func clone(m *Matrix) *Matrix { return matrixFrom(m.Rows, m.Cols, m.Data) }
+
+// mul returns a · b.
+func mul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			for j := 0; j < b.Cols; j++ {
+				out.Data[i*b.Cols+j] += a.At(i, k) * b.At(k, j)
+			}
+		}
+	}
+	return out
+}
+
+// mulVec returns a · v.
+func mulVec(a *Matrix, v []float64) []float64 {
+	out := make([]float64, a.Rows)
+	for i := range out {
+		for j, x := range v {
+			out[i] += a.At(i, j) * x
+		}
+	}
+	return out
+}
+
 func TestMatrixBasics(t *testing.T) {
-	m := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := matrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	if m.At(1, 2) != 6 {
 		t.Errorf("At(1,2) = %v", m.At(1, 2))
 	}
@@ -38,11 +71,6 @@ func TestMatrixBasics(t *testing.T) {
 	tr := m.Transpose()
 	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 {
 		t.Errorf("Transpose wrong: %+v", tr)
-	}
-	c := m.Clone()
-	c.Set(0, 0, -1)
-	if m.At(0, 0) != 9 {
-		t.Error("Clone is not deep")
 	}
 }
 
@@ -56,74 +84,24 @@ func TestMatrixPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("NewMatrix(0,1)", func() { NewMatrix(0, 1) })
-	mustPanic("NewMatrixFrom short", func() { NewMatrixFrom(2, 2, []float64{1}) })
-	mustPanic("Mul mismatch", func() {
-		NewMatrix(2, 3).Mul(NewMatrix(2, 3))
-	})
-	mustPanic("MulVec mismatch", func() {
-		NewMatrix(2, 3).MulVec([]float64{1})
-	})
 }
 
 func TestMulAgainstHand(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 2, 3, 4})
-	b := NewMatrixFrom(2, 2, []float64{5, 6, 7, 8})
-	got := a.Mul(b)
-	want := NewMatrixFrom(2, 2, []float64{19, 22, 43, 50})
-	if got.MaxAbsDiff(want) > 1e-15 {
-		t.Errorf("Mul = %+v", got)
+	a := matrixFrom(2, 2, []float64{1, 2, 3, 4})
+	b := matrixFrom(2, 2, []float64{5, 6, 7, 8})
+	got := mul(a, b)
+	for i, want := range []float64{19, 22, 43, 50} {
+		if got.Data[i] != want {
+			t.Errorf("mul = %v", got.Data)
+		}
 	}
 }
 
 func TestMulVec(t *testing.T) {
-	a := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	got := a.MulVec([]float64{1, 0, -1})
+	a := matrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	got := mulVec(a, []float64{1, 0, -1})
 	if got[0] != -2 || got[1] != -2 {
-		t.Errorf("MulVec = %v", got)
-	}
-}
-
-func TestCholeskyReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 5, 20, 60} {
-		a := randomSPD(n, rng)
-		l, err := Cholesky(a, 0)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		rec := l.Mul(l.Transpose())
-		if d := rec.MaxAbsDiff(a); d > 1e-8*float64(n) {
-			t.Errorf("n=%d: reconstruction error %v", n, d)
-		}
-		// Strictly upper triangle must be zero.
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if l.At(i, j) != 0 {
-					t.Fatalf("n=%d: upper triangle not zero at (%d,%d)", n, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, err := Cholesky(a, 0); err != ErrNotPositiveDefinite {
-		t.Errorf("expected ErrNotPositiveDefinite, got %v", err)
-	}
-	if _, err := Cholesky(NewMatrix(2, 3), 0); err == nil {
-		t.Error("non-square should error")
-	}
-}
-
-func TestCholeskyJitterRescuesSemiDefinite(t *testing.T) {
-	// Rank-1 PSD matrix; plain Cholesky fails, jitter succeeds.
-	a := NewMatrixFrom(2, 2, []float64{1, 1, 1, 1})
-	if _, err := Cholesky(a, 0); err == nil {
-		t.Fatal("rank-1 matrix should fail without jitter")
-	}
-	if _, err := Cholesky(a, 1e-10); err != nil {
-		t.Fatalf("jittered factorization failed: %v", err)
+		t.Errorf("mulVec = %v", got)
 	}
 }
 
@@ -136,7 +114,7 @@ func checkEigen(t *testing.T, a *Matrix, vals []float64, vecs *Matrix, tol float
 		for i := 0; i < n; i++ {
 			v[i] = vecs.At(i, k)
 		}
-		av := a.MulVec(v)
+		av := mulVec(a, v)
 		for i := 0; i < n; i++ {
 			if math.Abs(av[i]-vals[k]*v[i]) > tol {
 				t.Fatalf("eigenpair %d violates A·v=λv: residual %v", k, av[i]-vals[k]*v[i])
@@ -144,7 +122,7 @@ func checkEigen(t *testing.T, a *Matrix, vals []float64, vecs *Matrix, tol float
 		}
 	}
 	// Orthonormality VᵀV = I.
-	vtv := vecs.Transpose().Mul(vecs)
+	vtv := mul(vecs.Transpose(), vecs)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			want := 0.0
@@ -165,8 +143,8 @@ func checkEigen(t *testing.T, a *Matrix, vals []float64, vecs *Matrix, tol float
 }
 
 func TestEigenSymKnown2x2(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{2, 1, 1, 2})
-	vals, vecs, err := EigenSym(a)
+	a := matrixFrom(2, 2, []float64{2, 1, 1, 2})
+	vals, vecs, err := EigenSymCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +218,7 @@ func TestEigenSymBitIdenticalToReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
-		vals, vecs, err := EigenSym(c.a)
+		vals, vecs, err := EigenSymCtx(context.Background(), c.a)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -325,7 +303,7 @@ func TestEigenSymRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 3, 10, 40, 100} {
 		a := randomSPD(n, rng)
-		vals, vecs, err := EigenSym(a)
+		vals, vecs, err := EigenSymCtx(context.Background(), a)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -334,8 +312,8 @@ func TestEigenSymRandom(t *testing.T) {
 }
 
 func TestEigenSymDiagonal(t *testing.T) {
-	a := NewMatrixFrom(3, 3, []float64{5, 0, 0, 0, -2, 0, 0, 0, 1})
-	vals, vecs, err := EigenSym(a)
+	a := matrixFrom(3, 3, []float64{5, 0, 0, 0, -2, 0, 0, 0, 1})
+	vals, vecs, err := EigenSymCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +327,11 @@ func TestEigenSymDiagonal(t *testing.T) {
 }
 
 func TestEigenSymRejectsAsymmetric(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 5, 0, 1})
-	if _, _, err := EigenSym(a); err == nil {
+	a := matrixFrom(2, 2, []float64{1, 5, 0, 1})
+	if _, _, err := EigenSymCtx(context.Background(), a); err == nil {
 		t.Error("asymmetric matrix should error")
 	}
-	if _, _, err := EigenSym(NewMatrix(2, 3)); err == nil {
+	if _, _, err := EigenSymCtx(context.Background(), NewMatrix(2, 3)); err == nil {
 		t.Error("non-square matrix should error")
 	}
 }
@@ -362,11 +340,11 @@ func TestJacobiMatchesQL(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{2, 5, 15} {
 		a := randomSPD(n, rng)
-		v1, _, err := EigenSym(a)
+		v1, _, err := EigenSymCtx(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, vecs2, err := JacobiEigenSym(a, 50)
+		v2, vecs2, err := jacobiEigenSym(a, 50)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,10 +363,10 @@ func TestJacobiMatchesQL(t *testing.T) {
 // converge must be an error, not an unconverged result.
 func TestJacobiReportsNonConvergence(t *testing.T) {
 	a := randomSPD(15, rand.New(rand.NewSource(3)))
-	if vals, vecs, err := JacobiEigenSym(a, 1); err == nil || vals != nil || vecs != nil {
+	if vals, vecs, err := jacobiEigenSym(a, 1); err == nil || vals != nil || vecs != nil {
 		t.Fatalf("1 sweep on 15×15: got (%d values, %v), want an error and nil outputs", len(vals), err)
 	}
-	if _, _, err := JacobiEigenSym(a, 50); err != nil {
+	if _, _, err := jacobiEigenSym(a, 50); err != nil {
 		t.Fatalf("50 sweeps: %v", err)
 	}
 }
@@ -398,7 +376,7 @@ func TestEigenTraceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
 		a := randomSymmetric(n, rng)
-		vals, _, err := EigenSym(a)
+		vals, _, err := EigenSymCtx(context.Background(), a)
 		if err != nil {
 			return false
 		}
@@ -422,7 +400,7 @@ func TestEigenTraceProperty(t *testing.T) {
 }
 
 // eigenSymReference is the row-major JAMA/EISPACK solver that EigenSym
-// replaced, kept verbatim (working copy a.Clone(), every O(n³) loop
+// replaced, kept verbatim (working copy clone(a), every O(n³) loop
 // walking a column of v) as the oracle for
 // TestEigenSymBitIdenticalToReference.
 func eigenSymReference(a *Matrix) (values []float64, vectors *Matrix, err error) {
@@ -434,7 +412,7 @@ func eigenSymReference(a *Matrix) (values []float64, vectors *Matrix, err error)
 		return nil, nil, errors.New("linalg: EigenSym requires a symmetric matrix")
 	}
 	n := a.Rows
-	v := a.Clone()
+	v := clone(a)
 	d := make([]float64, n)
 	e := make([]float64, n)
 	if err := tred2Reference(ctx, v, d, e); err != nil {
@@ -649,7 +627,7 @@ func BenchmarkEigenSym100(b *testing.B) {
 	a := randomSPD(100, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := EigenSym(a); err != nil {
+		if _, _, err := EigenSymCtx(context.Background(), a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -662,19 +640,89 @@ func BenchmarkEigenSym169(b *testing.B) {
 	a := randomSPD(169, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := EigenSym(a); err != nil {
+		if _, _, err := EigenSymCtx(context.Background(), a); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkCholesky100(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randomSPD(100, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Cholesky(a, 0); err != nil {
-			b.Fatal(err)
+// jacobiEigenSym computes the eigendecomposition of a small symmetric
+// matrix by cyclic Jacobi rotations. It is slower than EigenSymCtx but
+// independent of it, so the two serve as cross-checks.
+// Eigenvalues are returned in descending order. It returns an error if
+// the off-diagonal part is still above tolerance after maxSweeps
+// sweeps.
+func jacobiEigenSym(a *Matrix, maxSweeps int) (values []float64, vectors *Matrix, err error) {
+	if a.Rows != a.Cols {
+		return nil, nil, errors.New("linalg: jacobiEigenSym requires a square matrix")
+	}
+	n := a.Rows
+	m := clone(a)
+	v := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		v.Set(i, i, 1)
+	}
+	tol := 1e-22 * float64(n*n)
+	for sweep := 0; ; sweep++ {
+		off := 0.0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				off += m.At(i, j) * m.At(i, j)
+			}
+		}
+		if off < tol {
+			break
+		}
+		if sweep == maxSweeps {
+			return nil, nil, fmt.Errorf("linalg: Jacobi iteration did not converge in %d sweeps (off-diagonal sum of squares %g, tolerance %g)", maxSweeps, off, tol)
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := m.At(p, q)
+				if math.Abs(apq) < 1e-300 {
+					continue
+				}
+				theta := (m.At(q, q) - m.At(p, p)) / (2 * apq)
+				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				if theta < 0 {
+					t = -t
+				}
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				for k := 0; k < n; k++ {
+					akp, akq := m.At(k, p), m.At(k, q)
+					m.Set(k, p, c*akp-s*akq)
+					m.Set(k, q, s*akp+c*akq)
+				}
+				for k := 0; k < n; k++ {
+					apk, aqk := m.At(p, k), m.At(q, k)
+					m.Set(p, k, c*apk-s*aqk)
+					m.Set(q, k, s*apk+c*aqk)
+				}
+				for k := 0; k < n; k++ {
+					vkp, vkq := v.At(k, p), v.At(k, q)
+					v.Set(k, p, c*vkp-s*vkq)
+					v.Set(k, q, s*vkp+c*vkq)
+				}
+			}
 		}
 	}
+	d := make([]float64, n)
+	for i := 0; i < n; i++ {
+		d[i] = m.At(i, i)
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(x, y int) bool { return d[idx[x]] > d[idx[y]] })
+	values = make([]float64, n)
+	vectors = NewMatrix(n, n)
+	for newCol, oldCol := range idx {
+		values[newCol] = d[oldCol]
+		for r := 0; r < n; r++ {
+			vectors.Set(r, newCol, v.At(r, oldCol))
+		}
+	}
+	return values, vectors, nil
 }

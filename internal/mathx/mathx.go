@@ -125,25 +125,6 @@ func GammaP(a, x float64) (float64, error) {
 	return 1 - q, err
 }
 
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) (float64, error) {
-	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
-		return math.NaN(), errors.New("mathx: GammaQ requires a > 0 and x >= 0")
-	}
-	if x == 0 {
-		return 1, nil
-	}
-	if math.IsInf(x, 1) {
-		return 0, nil
-	}
-	if x < a+1 {
-		p, err := gammaPSeries(a, x)
-		return 1 - p, err
-	}
-	return gammaQContinuedFraction(a, x)
-}
-
 // gammaPSeries evaluates P(a,x) by its power series, converging well
 // for x < a+1.
 func gammaPSeries(a, x float64) (float64, error) {
@@ -350,28 +331,3 @@ func secantFinish(b, c, fb, fc float64) float64 {
 
 // epsilon is the float64 machine epsilon, 2⁻⁵².
 const epsilon = 0x1p-52
-
-// LogSumExp returns log(exp(a) + exp(b)) without overflow.
-func LogSumExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	}
-	return x
-}

@@ -156,25 +156,8 @@ func New(self string, lease time.Duration, clock func() time.Time) *Directory {
 // mutations and should happen before the directory is shared.
 func (d *Directory) SetOnChange(fn func(Change)) { d.onChange = fn }
 
-// Self returns the local node URL.
-func (d *Directory) Self() string { return d.self }
-
 // Lease returns the configured lease duration.
 func (d *Directory) Lease() time.Duration { return d.lease }
-
-// Epoch returns the current view version.
-func (d *Directory) Epoch() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.epoch
-}
-
-// Incarnation returns our own current incarnation.
-func (d *Directory) Incarnation() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inc
-}
 
 // Alive returns the sorted set of non-dead members including self.
 // Suspect members are included: suspicion delays nothing, only a

@@ -300,3 +300,17 @@ func TestConcurrentChurn(t *testing.T) {
 		}
 	}
 }
+
+// Epoch returns the current view version.
+func (d *Directory) Epoch() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.epoch
+}
+
+// Incarnation returns our own current incarnation.
+func (d *Directory) Incarnation() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.inc
+}

@@ -47,23 +47,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Reliability returns R(t | x) = exp(-a·(t/α)^(b·x)) for a device of
-// normalized area a and oxide thickness x nm (Eq. 9).
-func (p Params) Reliability(t, x, a float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	return math.Exp(-a * math.Exp(p.B*x*math.Log(t/p.Alpha)))
-}
-
-// FailureCDF returns F(t | x) = 1 - R(t | x).
-func (p Params) FailureCDF(t, x, a float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return -math.Expm1(-a * math.Exp(p.B*x*math.Log(t/p.Alpha)))
-}
-
 // SampleFailureTime inverts the Weibull CDF for a uniform variate u in
 // (0, 1): T = α · (-ln(1-u)/a)^(1/(b·x)).
 func (p Params) SampleFailureTime(u, x, a float64) float64 {
@@ -160,10 +143,4 @@ func (tech *Tech) Characterize(tC, v float64) (Params, error) {
 		return Params{}, err
 	}
 	return p, nil
-}
-
-// MinThickness returns the guard-band minimum oxide thickness
-// u0 - nSigma·σ_tot used by the traditional worst-case analysis.
-func (tech *Tech) MinThickness(sigmaTot, nSigma float64) float64 {
-	return tech.U0 - nSigma*sigmaTot
 }

@@ -218,15 +218,6 @@ func TestSampleFailureTimeMatchesWeibull(t *testing.T) {
 	}
 }
 
-func TestMinThickness(t *testing.T) {
-	tech := DefaultTech()
-	sigma := 2.2 * 0.04 / 3
-	got := tech.MinThickness(sigma, 3)
-	if !approx(got, 2.2*0.96, 1e-12) {
-		t.Errorf("MinThickness = %v", got)
-	}
-}
-
 // Property: reliability is monotone in each of (t, x, a) for random
 // valid parameters.
 func TestReliabilityMonotoneProperty(t *testing.T) {
@@ -244,4 +235,22 @@ func TestReliabilityMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Reliability returns R(t | x) = exp(-a·(t/α)^(b·x)) for a device of
+// normalized area a and oxide thickness x nm (Eq. 9), the closed form
+// the sampler and the device-model properties are checked against.
+func (p Params) Reliability(t, x, a float64) float64 {
+	if t <= 0 {
+		return 1
+	}
+	return math.Exp(-a * math.Exp(p.B*x*math.Log(t/p.Alpha)))
+}
+
+// FailureCDF returns F(t | x) = 1 - R(t | x).
+func (p Params) FailureCDF(t, x, a float64) float64 {
+	if t <= 0 {
+		return 0
+	}
+	return -math.Expm1(-a * math.Exp(p.B*x*math.Log(t/p.Alpha)))
 }

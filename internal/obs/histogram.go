@@ -94,21 +94,14 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge adds every sample recorded by o into h. Because both share the
-// fixed LatencyBuckets layout, the merged histogram's Quantile is
-// exactly what a single histogram fed the pooled samples would report,
-// and Max is preserved exactly (not bucket-rounded).
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	h.MergeSnapshot(o.Snapshot())
-}
-
 // MergeSnapshot folds a snapshot (typically from a peer node) into h.
-// Snapshots with a foreign bucket layout are rejected (returns false,
-// h unchanged) so a mixed-version fleet degrades to "node reported,
-// not merged" instead of corrupting fleet quantiles.
+// Because both share the fixed LatencyBuckets layout, the merged
+// histogram's Quantile is exactly what a single histogram fed the
+// pooled samples would report, and Max is preserved exactly (not
+// bucket-rounded). Snapshots with a foreign bucket layout are
+// rejected (returns false, h unchanged) so a mixed-version fleet
+// degrades to "node reported, not merged" instead of corrupting fleet
+// quantiles.
 func (h *Histogram) MergeSnapshot(s HistogramSnapshot) bool {
 	if len(s.Buckets) != len(h.counts) {
 		return false

@@ -31,7 +31,7 @@ func TestHistogramMergeEqualsPooled(t *testing.T) {
 		}
 		merged := &Histogram{}
 		for _, p := range parts {
-			merged.Merge(p)
+			merged.MergeSnapshot(p.Snapshot())
 		}
 		if got, want := merged.Count(), pooled.Count(); got != want {
 			t.Fatalf("trial %d: merged count %d, pooled %d", trial, got, want)
@@ -64,14 +64,14 @@ func TestHistogramMergeEmptyIdentity(t *testing.T) {
 	h.Observe(40 * time.Millisecond)
 	before := h.Snapshot()
 
-	h.Merge(&Histogram{})
+	h.MergeSnapshot((&Histogram{}).Snapshot())
 	after := h.Snapshot()
 	if after.Count != before.Count || after.SumNs != before.SumNs || after.MaxNs != before.MaxNs {
 		t.Fatalf("empty merge mutated histogram: %+v -> %+v", before, after)
 	}
 
 	empty := &Histogram{}
-	empty.Merge(h)
+	empty.MergeSnapshot(h.Snapshot())
 	got := empty.Snapshot()
 	if got.Count != before.Count || got.SumNs != before.SumNs || got.MaxNs != before.MaxNs {
 		t.Fatalf("merge into empty lost samples: want %+v got %+v", before, got)
@@ -81,8 +81,6 @@ func TestHistogramMergeEmptyIdentity(t *testing.T) {
 			t.Fatalf("bucket %d: want %d got %d", i, before.Buckets[i], got.Buckets[i])
 		}
 	}
-
-	h.Merge(nil) // nil merge is a no-op, not a panic
 }
 
 // TestHistogramMergeSnapshotLayoutMismatch: foreign bucket layouts are

@@ -147,14 +147,6 @@ func newSpan(tr *trace, parent *Span, name string) *Span {
 	}
 }
 
-// Name returns the span's name ("" for nil).
-func (sp *Span) Name() string {
-	if sp == nil {
-		return ""
-	}
-	return sp.name
-}
-
 // ID returns the span's 16-hex-digit id ("" for nil).
 func (sp *Span) ID() string {
 	if sp == nil {
@@ -511,16 +503,6 @@ func (t *Tracer) LateSpans() int64 {
 		return 0
 	}
 	return t.lateSpans.Load()
-}
-
-// JSONLErr reports the first JSONL-exporter write failure, if any.
-func (t *Tracer) JSONLErr() error {
-	if t == nil {
-		return nil
-	}
-	t.jsonlMu.Lock()
-	defer t.jsonlMu.Unlock()
-	return t.jsonlErr
 }
 
 // ---- trace identity (W3C Trace Context) ----

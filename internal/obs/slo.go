@@ -153,18 +153,6 @@ func NewSLO(objs []Objective) *SLO {
 	return s
 }
 
-// Objectives returns the configured objectives (nil when disabled).
-func (s *SLO) Objectives() []Objective {
-	if s == nil {
-		return nil
-	}
-	out := make([]Objective, len(s.objs))
-	for i, o := range s.objs {
-		out[i] = o.obj
-	}
-	return out
-}
-
 // Observe scores one finished request against every matching
 // objective. traceID may be empty (untraced request); exemplars then
 // record only timing.

@@ -65,7 +65,6 @@ import (
 type Cache struct {
 	mu         sync.Mutex
 	defaultCap int
-	caps       map[string]int
 	stages     map[string]*stageState
 	flights    map[flightKey]*flight
 	retry      fault.Retry
@@ -150,19 +149,9 @@ func NewCache(defaultCap int) *Cache {
 	}
 	return &Cache{
 		defaultCap: defaultCap,
-		caps:       map[string]int{},
 		stages:     map[string]*stageState{},
 		flights:    map[flightKey]*flight{},
 	}
-}
-
-// SetCapacity overrides the LRU capacity of one stage. It only
-// affects the stage's next (re)creation, so call it before the first
-// Get for that stage (or after Reset).
-func (c *Cache) SetCapacity(stage string, capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.caps[stage] = capacity
 }
 
 // SetDefaultCapacity overrides the per-stage default capacity for
@@ -194,23 +183,12 @@ func (c *Cache) SetBreaker(b *fault.Breaker) {
 	c.breaker = b
 }
 
-// Breaker returns the installed breaker, or nil.
-func (c *Cache) Breaker() *fault.Breaker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.breaker
-}
-
 // state returns (creating if needed) the stage's LRU+stats. Caller
 // holds c.mu.
 func (c *Cache) state(stage string) *stageState {
 	st, ok := c.stages[stage]
 	if !ok {
-		capacity := c.defaultCap
-		if n, ok := c.caps[stage]; ok && n > 0 {
-			capacity = n
-		}
-		st = &stageState{lru: lru.New[any](capacity)}
+		st = &stageState{lru: lru.New[any](c.defaultCap)}
 		c.stages[stage] = st
 	}
 	return st
@@ -596,12 +574,4 @@ func (c *Cache) Len(stage string) int {
 		return st.lru.Len()
 	}
 	return 0
-}
-
-// Reset drops every artifact and counter. In-flight builds complete
-// but their results land in fresh stage states.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stages = map[string]*stageState{}
 }

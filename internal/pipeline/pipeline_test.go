@@ -78,10 +78,10 @@ func TestHitMissAndStats(t *testing.T) {
 }
 
 // TestStagesAreIndependent: the same key in two stages is two
-// artifacts; capacities apply per stage.
+// artifacts; capacities apply per stage, and SetDefaultCapacity
+// governs only stages created after it.
 func TestStagesAreIndependent(t *testing.T) {
 	c := NewCache(2)
-	c.SetCapacity("small", 1)
 	mk := func(stage string, v int) func(context.Context) (int, error) {
 		return func(context.Context) (int, error) { return v, nil }
 	}
@@ -95,6 +95,7 @@ func TestStagesAreIndependent(t *testing.T) {
 	}
 
 	// The "small" stage holds one entry: the second key evicts the first.
+	c.SetDefaultCapacity(1)
 	Get(context.Background(), c, "small", "k1", mk("small", 1))
 	Get(context.Background(), c, "small", "k2", mk("small", 2))
 	if c.Len("small") != 1 {
@@ -102,6 +103,10 @@ func TestStagesAreIndependent(t *testing.T) {
 	}
 	if _, res, _ := Get(context.Background(), c, "small", "k1", mk("small", 3)); res.Hit {
 		t.Fatal("evicted key served as hit")
+	}
+	Get(context.Background(), c, "a", "k2", mk("a", 2))
+	if c.Len("a") != 2 {
+		t.Fatalf("stage a len %d, want 2: a later default capacity shrank it", c.Len("a"))
 	}
 }
 
@@ -331,23 +336,24 @@ func TestWrongTypeGuard(t *testing.T) {
 	}
 }
 
-// TestResetAndCapacity: Reset drops artifacts and counters;
-// SetDefaultCapacity governs stages created afterwards.
+// TestResetAndCapacity: a stage starts empty, with zero counters;
+// SetDefaultCapacity governs stages created afterwards and leaves an
+// existing stage's capacity alone.
 func TestResetAndCapacity(t *testing.T) {
 	c := NewCache(4)
+	if st := c.Stat("s"); c.Len("s") != 0 || st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("new stage not empty: len %d stats %+v", c.Len("s"), st)
+	}
 	Get(context.Background(), c, "s", "k", func(context.Context) (int, error) { return 1, nil })
-	c.Reset()
-	if c.Len("s") != 0 {
-		t.Fatal("reset kept entries")
-	}
-	if st := c.Stat("s"); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("reset kept stats %+v", st)
-	}
 	c.SetDefaultCapacity(1)
 	Get(context.Background(), c, "t", "k1", func(context.Context) (int, error) { return 1, nil })
 	Get(context.Background(), c, "t", "k2", func(context.Context) (int, error) { return 2, nil })
 	if c.Len("t") != 1 {
 		t.Fatalf("default capacity ignored: len %d", c.Len("t"))
+	}
+	Get(context.Background(), c, "s", "k2", func(context.Context) (int, error) { return 2, nil })
+	if c.Len("s") != 2 {
+		t.Fatalf("existing stage shrank to len %d, want 2", c.Len("s"))
 	}
 }
 

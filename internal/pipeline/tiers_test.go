@@ -18,7 +18,7 @@ func init() {
 	artifact.Register(tierStage, artifact.Codec{
 		Encode: func(v any) ([]byte, error) {
 			var w artifact.Writer
-			w.I64(v.(int64))
+			w.U64(uint64(v.(int64)))
 			return w.Bytes(), nil
 		},
 		Decode: func(p []byte) (any, error) {

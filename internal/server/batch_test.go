@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -231,7 +232,7 @@ func TestBatchStreamInRequestEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{
+	s := mustNew(Options{
 		Stages: pipeline.NewCache(16), DisableTracing: true, AccessLog: &logBuf,
 		WideEvents: &wideBuf, SlowRequest: time.Nanosecond, SLOs: objs,
 	})
@@ -344,7 +345,7 @@ func TestBatchTraceMatchesLibrary(t *testing.T) {
 		{Hours: 3000, VDD: 1.1, TempC: 78},
 		{Hours: 1000, VDD: 1.2, ActivityScale: 1},
 	}
-	an, err := obdrel.NewTraceAnalyzer(obdrel.C1(), cfg, tr)
+	an, err := obdrel.NewTraceAnalyzerCtx(context.Background(), obdrel.C1(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,11 +190,6 @@ func normalizePeer(p string) string {
 	return strings.TrimRight(strings.TrimSpace(p), "/")
 }
 
-// owner returns the node the ring designates for an artifact key.
-func (cl *cluster) owner(stage, key string) string {
-	return cl.ringView().owner(stage + "/" + key)
-}
-
 // owns reports whether this node is a canonical holder of a key — the
 // anti-entropy sweep and the rebalance stream warm exactly these: sole
 // ownership at k = 1, membership in the key's replica set above it.
@@ -433,10 +428,6 @@ func newHashRing(nodes []string, vnodes int) *hashRing {
 		return r.points[i].node < r.points[j].node
 	})
 	return r
-}
-
-func (r *hashRing) owner(key string) string {
-	return r.points[r.at(key)].node
 }
 
 // successors lists distinct nodes clockwise from the key's point —

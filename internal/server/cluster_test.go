@@ -27,7 +27,7 @@ func init() {
 	artifact.Register(clStage, artifact.Codec{
 		Encode: func(v any) ([]byte, error) {
 			var w artifact.Writer
-			w.I64(v.(int64))
+			w.U64(uint64(v.(int64)))
 			return w.Bytes(), nil
 		},
 		Decode: func(p []byte) (any, error) {
@@ -224,7 +224,7 @@ func TestClusterDegradeToLocalBuild(t *testing.T) {
 // stages, malformed keys, cold keys, and wrong methods are all typed
 // refusals, never 500s.
 func TestArtifactEndpointHostility(t *testing.T) {
-	s := New(Options{Stages: pipeline.NewCache(4), DisableTracing: true})
+	s := mustNew(Options{Stages: pipeline.NewCache(4), DisableTracing: true})
 	h := s.Handler()
 	do := func(method, path string) int {
 		req := httptest.NewRequest(method, path, nil)
@@ -266,7 +266,7 @@ func TestWarmSweepReadyz(t *testing.T) {
 	}
 
 	cache := pipeline.NewCache(4)
-	s := New(Options{Stages: cache, ArtifactDir: dir, DisableTracing: true})
+	s := mustNew(Options{Stages: cache, ArtifactDir: dir, DisableTracing: true})
 	h := s.Handler()
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -511,4 +511,10 @@ func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
 			t.Errorf("%s: A %v, B %v, restarted %v — want bit-identical", p, want[i], gotB[i], gotC[i])
 		}
 	}
+}
+
+// owner returns the node the ring designates for key: the first of its
+// successors.
+func (r *hashRing) owner(key string) string {
+	return r.points[r.at(key)].node
 }

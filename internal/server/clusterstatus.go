@@ -175,7 +175,7 @@ type clusterStatusOut struct {
 	Nodes     []nodeEntry `json:"nodes"`
 	// Fleet merges every healthy node's fixed-bucket histograms:
 	// per-route and overall p50/p95/p99 over the pooled samples, with
-	// the exact fleet-wide max preserved by Histogram.Merge.
+	// the exact fleet-wide max preserved by Histogram.MergeSnapshot.
 	Fleet struct {
 		Overall fleetQuantiles            `json:"overall"`
 		Routes  map[string]fleetQuantiles `json:"routes"`

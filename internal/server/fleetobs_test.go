@@ -232,7 +232,7 @@ func TestClusterStatusDegradedFanOut(t *testing.T) {
 // the access log.
 func TestRouteLabelClosedSet(t *testing.T) {
 	var logBuf bytes.Buffer
-	s := New(Options{Stages: pipeline.NewCache(4), DisableTracing: true, AccessLog: &logBuf})
+	s := mustNew(Options{Stages: pipeline.NewCache(4), DisableTracing: true, AccessLog: &logBuf})
 	h := s.Handler()
 
 	cases := []struct {
@@ -300,7 +300,7 @@ func TestRouteLabelClosedSet(t *testing.T) {
 // cost deltas.
 func TestAccessLogProvenanceAndWideEvents(t *testing.T) {
 	var logBuf, wideBuf bytes.Buffer
-	s := New(Options{
+	s := mustNew(Options{
 		Stages: pipeline.NewCache(8), DisableTracing: true,
 		AccessLog: &logBuf, WideEvents: &wideBuf,
 	})
@@ -386,7 +386,7 @@ func TestAccessLogProvenanceAndWideEvents(t *testing.T) {
 // still emits (marked sampled=false).
 func TestWideEventErrorOverride(t *testing.T) {
 	var wideBuf bytes.Buffer
-	s := New(Options{
+	s := mustNew(Options{
 		Stages: pipeline.NewCache(4), DisableTracing: true, FaultHeader: true,
 		WideEvents: &wideBuf, WideEventSample: 1 << 30,
 	})
@@ -454,7 +454,7 @@ func TestServerSLOEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{Stages: pipeline.NewCache(4), DisableTracing: true, FaultHeader: true, SLOs: objs})
+	s := mustNew(Options{Stages: pipeline.NewCache(4), DisableTracing: true, FaultHeader: true, SLOs: objs})
 	h := s.Handler()
 
 	for i := 0; i < 9; i++ {
@@ -513,7 +513,7 @@ func TestServerSLOEndToEnd(t *testing.T) {
 
 	// A server without objectives: /debug/slo answers disabled, and the
 	// exposition stays byte-free of slo families.
-	s2 := New(Options{Stages: pipeline.NewCache(4), DisableTracing: true})
+	s2 := mustNew(Options{Stages: pipeline.NewCache(4), DisableTracing: true})
 	rw = httptest.NewRecorder()
 	s2.DebugHandler().ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/debug/slo", nil))
 	if rw.Code != http.StatusOK || !strings.Contains(rw.Body.String(), `"enabled": false`) {

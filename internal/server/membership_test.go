@@ -89,8 +89,8 @@ func TestDynamicJoinConvergence(t *testing.T) {
 
 	// The ring is identical everywhere once the alive sets agree.
 	key := key32('a')
-	owner := a.s.cluster.owner(clStage, key)
-	if got := b.s.cluster.owner(clStage, key); got != owner {
+	owner := a.s.cluster.replicaSet(clStage, key)[0]
+	if got := b.s.cluster.replicaSet(clStage, key)[0]; got != owner {
 		t.Fatalf("ring diverged: a says %s, b says %s", owner, got)
 	}
 

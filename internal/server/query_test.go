@@ -72,7 +72,7 @@ func TestUnaryAndBatchAnswersAgree(t *testing.T) {
 // that passes Config.Validate inside the service caps, the arguments
 // its kind requires, and the canonical registry key.
 func FuzzQueryRequest(f *testing.F) {
-	s := New(Options{Stages: pipeline.NewCache(1), DisableTracing: true})
+	s := mustNew(Options{Stages: pipeline.NewCache(1), DisableTracing: true})
 	f.Add("design=C1&method=hybrid&ppm=10&grid=8", false, uint8(0))
 	f.Add("design=c3&t=1e5&vdd=1.1&defects=0.02&seed=-3", false, uint8(1))
 	f.Add("target_hours=1000&vlo=1.0&vhi=1.4&tolv=0.01&quadtree=true", false, uint8(2))
@@ -134,7 +134,7 @@ func FuzzQueryRequest(f *testing.F) {
 		}
 		want := obdrel.CacheKey(q.d, q.cfg)
 		if q.kind == kindTrace {
-			want = obdrel.TraceCacheKey(q.d, q.cfg, q.tr)
+			want = obdrel.TraceCacheKeyFrom(obdrel.CacheKey(q.d, q.cfg), q.tr)
 		}
 		if q.key != want {
 			t.Fatalf("registry key %q, want the canonical %q", q.key, want)

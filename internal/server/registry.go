@@ -140,7 +140,7 @@ func (r *Registry) Get(ctx context.Context, key string, d *obdrel.Design, cfg *o
 // trace-extended cache key so distinct traces over one (design,
 // config) are distinct analyzers while the substrate stages
 // underneath still share the node's stage cache, stages. key must be
-// obdrel.TraceCacheKey(d, cfg, tr).
+// obdrel.TraceCacheKeyFrom(obdrel.CacheKey(d, cfg), tr).
 func (r *Registry) GetTrace(ctx context.Context, stages *pipeline.Cache, key string, d *obdrel.Design, cfg *obdrel.Config, tr obdrel.Trace) (*obdrel.Analyzer, GetResult, error) {
 	return r.getKeyed(ctx, key, d.Name+" trace",
 		func(bctx context.Context) (*obdrel.Analyzer, error) {

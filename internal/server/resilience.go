@@ -58,9 +58,6 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // observeServiceTime feeds the admission controller's EWMA estimate of
 // per-request service time (α = 1/8, atomic CAS — no lock on the hot
 // path).

@@ -47,7 +47,7 @@ func getResp(t *testing.T, url string, hdr map[string]string) (*http.Response, m
 // for the key carries the same body provenance.
 func TestServeStaleOnFailedRebuild(t *testing.T) {
 	var fail atomic.Bool
-	s := New(Options{
+	s := mustNew(Options{
 		MaxAnalyzers: 1,
 		MaxStale:     time.Hour,
 		Build: func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
@@ -109,7 +109,7 @@ func TestServeStaleOnFailedRebuild(t *testing.T) {
 // degradation off: the failed rebuild surfaces as an error.
 func TestServeStaleDisabled(t *testing.T) {
 	var fail atomic.Bool
-	s := New(Options{
+	s := mustNew(Options{
 		MaxAnalyzers:     1,
 		MaxStale:         -1,
 		BreakerThreshold: -1,
@@ -186,7 +186,7 @@ func TestXFaultHeaderIgnoredByDefault(t *testing.T) {
 // TestBreakerOpenMapsTo503 drives a key past the breaker threshold and
 // verifies the fast-fail surfaces as 503 with a Retry-After horizon.
 func TestBreakerOpenMapsTo503(t *testing.T) {
-	s := New(Options{
+	s := mustNew(Options{
 		MaxStale:         -1,
 		BreakerThreshold: 1,
 		BreakerOpenFor:   time.Hour,
@@ -219,7 +219,7 @@ func TestBreakerOpenMapsTo503(t *testing.T) {
 func TestAdmissionQueueWaits(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	s := New(Options{
+	s := mustNew(Options{
 		MaxConcurrent:  1,
 		QueueDepth:     1,
 		RequestTimeout: 10 * time.Second,
@@ -281,7 +281,7 @@ func TestAdmissionQueueWaits(t *testing.T) {
 // refuses a request whose predicted queue wait already exceeds its
 // deadline — instantly, not after RequestTimeout.
 func TestAdmissionRejectEarly(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueDepth: 8, RequestTimeout: 50 * time.Millisecond})
+	s := mustNew(Options{MaxConcurrent: 1, QueueDepth: 8, RequestTimeout: 50 * time.Millisecond})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -310,7 +310,7 @@ func TestAdmissionRejectEarly(t *testing.T) {
 // TestAdmissionQueueTimeout verifies a queued request that never gets
 // a slot inside its deadline leaves with a 503 and is counted.
 func TestAdmissionQueueTimeout(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueDepth: 8, RequestTimeout: 50 * time.Millisecond})
+	s := mustNew(Options{MaxConcurrent: 1, QueueDepth: 8, RequestTimeout: 50 * time.Millisecond})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -329,7 +329,7 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 // TestLegacyInstant429 pins the default behaviour: with QueueDepth
 // unset, saturation still answers an immediate 429.
 func TestLegacyInstant429(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1})
+	s := mustNew(Options{MaxConcurrent: 1})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -350,7 +350,7 @@ func TestLegacyInstant429(t *testing.T) {
 // /healthz stays 200 for liveness) and sheds new /v1 work with a
 // Retry-After, counting each rejection.
 func TestDrainLifecycle(t *testing.T) {
-	s := New(Options{})
+	s := mustNew(Options{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -387,7 +387,7 @@ func TestDrainLifecycle(t *testing.T) {
 // TestTracesMalformedFiltersFallBack pins the diagnostics contract: a
 // garbled dashboard link still renders, using the defaults.
 func TestTracesMalformedFiltersFallBack(t *testing.T) {
-	s := New(Options{})
+	s := mustNew(Options{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	dbg := httptest.NewServer(s.DebugHandler())
@@ -405,7 +405,7 @@ func TestTracesMalformedFiltersFallBack(t *testing.T) {
 // TestResilienceMetricsExposition verifies the new counters and gauges
 // appear on /metrics.
 func TestResilienceMetricsExposition(t *testing.T) {
-	s := New(Options{})
+	s := mustNew(Options{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -443,7 +443,7 @@ func TestResilienceMetricsExposition(t *testing.T) {
 //     expires, the half-open probe closes the circuit;
 //   - leakage: clean traffic moves no injected-fault counter.
 func TestChaosOverHTTP(t *testing.T) {
-	s := New(Options{
+	s := mustNew(Options{
 		Stages:           pipeline.NewCache(64),
 		DisableTracing:   true,
 		FaultHeader:      true,

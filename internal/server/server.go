@@ -290,20 +290,9 @@ type Server struct {
 	peerServes atomic.Int64
 }
 
-// New returns a service over the built-in benchmark designs. It
-// panics on invalid cluster options (Peers/Self); construction from
-// user input should go through NewE, which reports the error instead.
-func New(opts Options) *Server {
-	s, err := NewE(opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// NewE is New with error reporting: the only fallible part of
-// construction is cluster membership validation, so a server without
-// Peers or JoinPeers never returns an error.
+// NewE returns a service over the built-in benchmark designs. The only
+// fallible part of construction is cluster membership validation, so a
+// server without Peers or JoinPeers never returns an error.
 func NewE(opts Options) (*Server, error) {
 	o := opts.withDefaults()
 	m := NewMetrics()

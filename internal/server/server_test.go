@@ -21,9 +21,19 @@ import (
 // request below appends it so the registry key is shared.
 const cheap = "grid=6&mc_samples=50&stmc_samples=500"
 
+// mustNew is NewE for options that carry no cluster membership, which
+// never fail.
+func mustNew(opts Options) *Server {
+	s, err := NewE(opts)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func newTestServer(t *testing.T, opts Options) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(New(opts).Handler())
+	srv := httptest.NewServer(mustNew(opts).Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -179,7 +189,7 @@ func TestBadInputs(t *testing.T) {
 
 func TestConcurrencyLimiter(t *testing.T) {
 	block := make(chan struct{})
-	s := New(Options{MaxConcurrent: 1, Build: func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
+	s := mustNew(Options{MaxConcurrent: 1, Build: func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
 		<-block
 		return obdrel.NewAnalyzerCtx(ctx, d, cfg)
 	}})
@@ -232,7 +242,7 @@ func TestConcurrencyLimiter(t *testing.T) {
 func TestRequestTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s := New(Options{RequestTimeout: 50 * time.Millisecond, Build: func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
+	s := mustNew(Options{RequestTimeout: 50 * time.Millisecond, Build: func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
 		select {
 		case <-release:
 			return obdrel.NewAnalyzerCtx(ctx, d, cfg)

@@ -156,7 +156,7 @@ func TestExplainWarmLifetimeStageHits(t *testing.T) {
 // and checks /debug/traces stays bounded while still counting every
 // trace, and that its filters work.
 func TestDebugTracesRingBound(t *testing.T) {
-	s := New(Options{TraceBuffer: 4})
+	s := mustNew(Options{TraceBuffer: 4})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	dbg := httptest.NewServer(s.DebugHandler())
@@ -233,7 +233,7 @@ func TestTraceparentPropagation(t *testing.T) {
 // TestTracingDisabled: with DisableTracing the explain knob is inert
 // and /debug/traces reports the feature off.
 func TestTracingDisabled(t *testing.T) {
-	s := New(Options{DisableTracing: true})
+	s := mustNew(Options{DisableTracing: true})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	dbg := httptest.NewServer(s.DebugHandler())

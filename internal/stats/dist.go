@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"obdrel/internal/mathx"
 )
@@ -60,11 +59,6 @@ func (n Normal) Mean() float64 { return n.Mu }
 
 // Variance implements Dist.
 func (n Normal) Variance() float64 { return n.Sigma * n.Sigma }
-
-// Sample draws one variate using rng.
-func (n Normal) Sample(rng *rand.Rand) float64 {
-	return n.Mu + n.Sigma*rng.NormFloat64()
-}
 
 // ChiSquared is the chi-square distribution with K degrees of freedom.
 // K may be fractional (as produced by Satterthwaite-style moment
@@ -141,43 +135,6 @@ func (c ChiSquared) Mean() float64 { return c.K }
 // Variance implements Dist.
 func (c ChiSquared) Variance() float64 { return 2 * c.K }
 
-// Sample draws one variate. For integral K it sums squared normals;
-// otherwise it uses the Marsaglia-Tsang gamma sampler with shape K/2,
-// scale 2.
-func (c ChiSquared) Sample(rng *rand.Rand) float64 {
-	return 2 * sampleGamma(c.K/2, rng)
-}
-
-// sampleGamma draws from Gamma(shape, 1) via Marsaglia & Tsang (2000),
-// with the standard boost for shape < 1.
-func sampleGamma(shape float64, rng *rand.Rand) float64 {
-	if shape < 1 {
-		// Gamma(a) = Gamma(a+1) * U^(1/a)
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return sampleGamma(shape+1, rng) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	cc := 1 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + cc*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
 // ShiftedScaledChi2 is the distribution of c0 + a·X where
 // X ~ ChiSquared(k). It models the BLOD sample variance v_j ≈
 // λ_r² + â·χ²_b̂ per the paper's Eq. (29).
@@ -218,11 +175,6 @@ func (s ShiftedScaledChi2) Mean() float64 { return s.C0 + s.A*s.Chi2.K }
 
 // Variance implements Dist.
 func (s ShiftedScaledChi2) Variance() float64 { return s.A * s.A * 2 * s.Chi2.K }
-
-// Sample draws one variate.
-func (s ShiftedScaledChi2) Sample(rng *rand.Rand) float64 {
-	return s.C0 + s.A*s.Chi2.Sample(rng)
-}
 
 // Degenerate is the point mass at V. It models the BLOD variance of a
 // block fully contained in a single correlation grid, where the
@@ -320,15 +272,6 @@ func (w Weibull) Variance() float64 {
 	g1 := math.Gamma(1 + 1/w.Shape)
 	g2 := math.Gamma(1 + 2/w.Shape)
 	return w.Scale * w.Scale * (g2 - g1*g1)
-}
-
-// Sample draws one variate by inversion.
-func (w Weibull) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return w.Scale * math.Pow(-math.Log(u), 1/w.Shape)
 }
 
 // ErrEmptySample reports statistics requested on an empty sample.

@@ -211,3 +211,56 @@ func TestQuantileCDFRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The samplers below draw the variates the moment, fit and histogram
+// tests check against each distribution's closed forms.
+
+// Sample draws one variate using rng.
+func (n Normal) Sample(rng *rand.Rand) float64 {
+	return n.Mu + n.Sigma*rng.NormFloat64()
+}
+
+// Sample draws one variate with the Marsaglia-Tsang gamma sampler at
+// shape K/2, scale 2.
+func (c ChiSquared) Sample(rng *rand.Rand) float64 {
+	return 2 * sampleGamma(c.K/2, rng)
+}
+
+// sampleGamma draws from Gamma(shape, 1) via Marsaglia & Tsang (2000),
+// with the standard boost for shape < 1.
+func sampleGamma(shape float64, rng *rand.Rand) float64 {
+	if shape < 1 {
+		// Gamma(a) = Gamma(a+1) * U^(1/a)
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		return sampleGamma(shape+1, rng) * math.Pow(u, 1/shape)
+	}
+	d := shape - 1.0/3.0
+	cc := 1 / math.Sqrt(9*d)
+	for {
+		x := rng.NormFloat64()
+		v := 1 + cc*x
+		if v <= 0 {
+			continue
+		}
+		v = v * v * v
+		u := rng.Float64()
+		if u < 1-0.0331*x*x*x*x {
+			return d * v
+		}
+		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+			return d * v
+		}
+	}
+}
+
+// Sample draws one variate by inversion.
+func (w Weibull) Sample(rng *rand.Rand) float64 {
+	u := rng.Float64()
+	for u == 0 {
+		u = rng.Float64()
+	}
+	return w.Scale * math.Pow(-math.Log(u), 1/w.Shape)
+}

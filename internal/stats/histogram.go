@@ -64,14 +64,6 @@ func (h *Histogram) Density(i int) float64 {
 	return h.Counts[i] / (h.N * h.BinWidth())
 }
 
-// Prob returns the probability mass of bin i.
-func (h *Histogram) Prob(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.Counts[i] / h.N
-}
-
 // Mean returns the histogram mean using bin midpoints.
 func (h *Histogram) Mean() float64 {
 	if h.N == 0 {
@@ -188,11 +180,6 @@ func (h *Histogram2D) Prob(i, j int) float64 {
 		return 0
 	}
 	return h.Counts[i*h.YBins+j] / h.N
-}
-
-// Density returns the joint density of cell (i, j).
-func (h *Histogram2D) Density(i, j int) float64 {
-	return h.Prob(i, j) / (h.XWidth() * h.YWidth())
 }
 
 // MarginalX returns the x marginal probability masses.

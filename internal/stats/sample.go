@@ -5,32 +5,6 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmptySample
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Variance returns the unbiased (n-1 denominator) sample variance.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmptySample
-	}
-	m, _ := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1), nil
-}
-
 // MeanVariance returns both in one pass over the data (Welford).
 func MeanVariance(xs []float64) (mean, variance float64, err error) {
 	if len(xs) < 2 {
@@ -51,8 +25,13 @@ func Correlation(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) || len(xs) < 2 {
 		return 0, ErrEmptySample
 	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
+	var mx, my float64
+	for i := range xs {
+		mx += xs[i]
+		my += ys[i]
+	}
+	n := float64(len(xs))
+	mx, my = mx/n, my/n
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
@@ -64,30 +43,6 @@ func Correlation(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Quantile returns the p-quantile of the sample by linear
-// interpolation of the order statistics (type-7, the R default). The
-// input is not modified.
-func Quantile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmptySample
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0], nil
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1], nil
-	}
-	h := p * float64(len(sorted)-1)
-	i := int(math.Floor(h))
-	frac := h - float64(i)
-	if i+1 >= len(sorted) {
-		return sorted[len(sorted)-1], nil
-	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac, nil
 }
 
 // ECDF is an empirical cumulative distribution function built from a
@@ -115,9 +70,6 @@ func (e *ECDF) At(x float64) float64 {
 	}
 	return float64(i) / float64(len(e.sorted))
 }
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
 
 // Min and Max return the sample range.
 func (e *ECDF) Min() float64 { return e.sorted[0] }

@@ -9,35 +9,21 @@ import (
 
 func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	m, err := Mean(xs)
-	if err != nil || m != 5 {
-		t.Errorf("Mean = %v, %v", m, err)
-	}
-	v, err := Variance(xs)
-	if err != nil || !approx(v, 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %v, %v", v, err)
-	}
-	m2, v2, err := MeanVariance(xs)
-	if err != nil || !approx(m2, m, 1e-12) || !approx(v2, v, 1e-12) {
-		t.Errorf("MeanVariance = %v, %v, %v", m2, v2, err)
+	m, v, err := MeanVariance(xs)
+	if err != nil || !approx(m, 5, 1e-12) || !approx(v, 32.0/7.0, 1e-12) {
+		t.Errorf("MeanVariance = %v, %v, %v", m, v, err)
 	}
 }
 
 func TestEmptySampleErrors(t *testing.T) {
-	if _, err := Mean(nil); err != ErrEmptySample {
-		t.Error("Mean(nil) should return ErrEmptySample")
-	}
-	if _, err := Variance([]float64{1}); err != ErrEmptySample {
-		t.Error("Variance of single value should error")
-	}
 	if _, _, err := MeanVariance(nil); err != ErrEmptySample {
 		t.Error("MeanVariance(nil) should error")
 	}
+	if _, _, err := MeanVariance([]float64{1}); err != ErrEmptySample {
+		t.Error("MeanVariance of single value should error")
+	}
 	if _, err := Correlation([]float64{1}, []float64{2}); err != ErrEmptySample {
 		t.Error("Correlation of single pair should error")
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmptySample {
-		t.Error("Quantile(nil) should error")
 	}
 	if _, err := NewECDF(nil); err != ErrEmptySample {
 		t.Error("NewECDF(nil) should error")
@@ -82,27 +68,6 @@ func TestCorrelationIndependentSamples(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4, 5}
-	q, err := Quantile(xs, 0.5)
-	if err != nil || q != 3 {
-		t.Errorf("median = %v", q)
-	}
-	if q, _ := Quantile(xs, 0); q != 1 {
-		t.Errorf("min = %v", q)
-	}
-	if q, _ := Quantile(xs, 1); q != 5 {
-		t.Errorf("max = %v", q)
-	}
-	if q, _ := Quantile(xs, 0.25); q != 2 {
-		t.Errorf("q25 = %v", q)
-	}
-	// Input must not be reordered.
-	if xs[0] != 3 {
-		t.Error("Quantile modified its input")
-	}
-}
-
 func TestECDF(t *testing.T) {
 	e, err := NewECDF([]float64{1, 2, 2, 3})
 	if err != nil {
@@ -116,7 +81,7 @@ func TestECDF(t *testing.T) {
 			t.Errorf("ECDF(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
-	if e.Len() != 4 || e.Min() != 1 || e.Max() != 3 {
+	if e.Min() != 1 || e.Max() != 3 {
 		t.Error("ECDF metadata wrong")
 	}
 }

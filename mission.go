@@ -128,12 +128,6 @@ func (tr Trace) Validate() error {
 	return nil
 }
 
-// NewTraceAnalyzer characterizes a design under a measured telemetry
-// trace. See NewTraceAnalyzerCtx.
-func NewTraceAnalyzer(d *Design, cfg *Config, tr Trace) (*Analyzer, error) {
-	return NewTraceAnalyzerCtx(context.Background(), d, cfg, tr)
-}
-
 // NewTraceAnalyzerCtx replays a per-unit telemetry trace through the
 // reliability model: each segment contributes damage at its own
 // (temperature, voltage) operating point for its share of the trace's

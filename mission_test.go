@@ -1,6 +1,7 @@
 package obdrel_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -263,7 +264,7 @@ func TestTraceValidation(t *testing.T) {
 		if err := c.tr.Validate(); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
-		if _, err := obdrel.NewTraceAnalyzer(obdrel.C1(), fastConfig(), c.tr); err == nil {
+		if _, err := obdrel.NewTraceAnalyzerCtx(context.Background(), obdrel.C1(), fastConfig(), c.tr); err == nil {
 			t.Errorf("%s: NewTraceAnalyzer accepted an invalid trace", c.name)
 		}
 	}
@@ -292,7 +293,7 @@ func TestTraceMatchesMission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := obdrel.NewTraceAnalyzer(obdrel.C1(), cfg, obdrel.Trace{
+	trace, err := obdrel.NewTraceAnalyzerCtx(context.Background(), obdrel.C1(), cfg, obdrel.Trace{
 		{Hours: 4000, VDD: 1.0, ActivityScale: 0.4},
 		{Hours: 6000, VDD: 1.3, ActivityScale: 1},
 	})
@@ -317,7 +318,7 @@ func TestTraceMatchesMission(t *testing.T) {
 func TestTraceMeasuredTemps(t *testing.T) {
 	cfg := fastConfig()
 	life := func(temp float64) float64 {
-		an, err := obdrel.NewTraceAnalyzer(obdrel.C1(), cfg, obdrel.Trace{
+		an, err := obdrel.NewTraceAnalyzerCtx(context.Background(), obdrel.C1(), cfg, obdrel.Trace{
 			{Hours: 8760, VDD: 1.2, ActivityScale: 1, TempC: temp},
 		})
 		if err != nil {
@@ -334,7 +335,7 @@ func TestTraceMeasuredTemps(t *testing.T) {
 		t.Fatalf("95°C trace lifetime %v not below 55°C lifetime %v", hot, cool)
 	}
 	// Mixed measured + solved segments must also work end to end.
-	an, err := obdrel.NewTraceAnalyzer(obdrel.C1(), cfg, obdrel.Trace{
+	an, err := obdrel.NewTraceAnalyzerCtx(context.Background(), obdrel.C1(), cfg, obdrel.Trace{
 		{Hours: 4000, VDD: 1.2, ActivityScale: 1, TempC: 72},
 		{Hours: 4000, VDD: 1.2, ActivityScale: 1}, // solved
 	})

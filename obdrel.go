@@ -156,12 +156,6 @@ func (d *Design) TotalDevices() int {
 	return n
 }
 
-// Validate checks the design's geometric and structural consistency.
-func (d *Design) Validate() error {
-	_, err := d.internal()
-	return err
-}
-
 // errNilDesign is returned for a nil *Design — checked before the
 // stage graph touches the design's fingerprint.
 var errNilDesign = errors.New("obdrel: nil design")
@@ -225,16 +219,6 @@ func Benchmarks() []*Design {
 // Fig. 1(b) thermal profile.
 func ManyCore(cores, devicesPerTile int) (*Design, error) {
 	fd, err := floorplan.ManyCore(cores, devicesPerTile)
-	if err != nil {
-		return nil, err
-	}
-	return fromInternalDesign(fd), nil
-}
-
-// Synthetic generates a seeded random design with nBlocks blocks and
-// totalDevices devices on a 1×1 die.
-func Synthetic(name string, nBlocks, totalDevices int, seed int64) (*Design, error) {
-	fd, err := floorplan.Synthetic(name, nBlocks, totalDevices, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 // keep rule at keepFraction 1, stored as a single identity-basis block.
 func densePCA(t *testing.T, m *grid.Model) *grid.PCA {
 	t.Helper()
-	vals, vecs, err := linalg.EigenSym(m.Covariance())
+	vals, vecs, err := linalg.EigenSymCtx(context.Background(), m.Covariance())
 	if err != nil {
 		t.Fatal(err)
 	}
