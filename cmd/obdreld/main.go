@@ -38,8 +38,10 @@
 // sweeps, bisection probes); append ?explain=1 to any /v1 query to get
 // the span tree in the response, or start with -debug-addr to serve
 // /debug/traces and /debug/pprof on a separate (typically localhost)
-// listener. -slow-request logs a warning with the trace id for
-// requests over the threshold.
+// listener; /debug/traces?min_dur= lists the slow requests with their
+// trace ids. Every observed request writes one JSON record (route,
+// status, dur_us, cache provenance, stage walk, trace id) to stderr
+// unless -quiet.
 //
 // Resilience (see DESIGN.md §11): transient build failures retry with
 // jittered exponential backoff (-retries, -retry-base); repeatedly
@@ -84,9 +86,8 @@ func main() {
 		timeout       = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		workers       = flag.Int("workers", 0, "analysis worker parallelism per build (0 = GOMAXPROCS)")
 		drain         = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
-		quiet         = flag.Bool("quiet", false, "suppress per-request access log")
+		quiet         = flag.Bool("quiet", false, "write no per-request record to stderr")
 		debugAddr     = flag.String("debug-addr", "", "diagnostics listener (/debug/traces + /debug/pprof); empty disables")
-		slowRequest   = flag.Duration("slow-request", 0, "log a warning with the trace id for requests slower than this (0 disables)")
 		traceBuffer   = flag.Int("trace-buffer", 128, "recent-trace ring capacity served by /debug/traces")
 		noTrace       = flag.Bool("no-trace", false, "disable per-request tracing")
 		traceJSONL    = flag.String("trace-jsonl", "", "append every finalized trace as a JSON line to this file")
@@ -106,9 +107,7 @@ func main() {
 		faultSeed   = flag.Int64("fault-seed", 1, "decision-stream seed for -fault rules without their own seed= segment")
 		faultHeader = flag.Bool("fault-header", false, "honour per-request X-Fault injection headers (never on a public listener)")
 
-		sloSpec    = flag.String("slo", "", "burn-rate objectives, e.g. '/v1/lifetime:availability:99.9,/v1/lifetime:latency:25ms:99' (route '*' watches every route); served on /debug/slo and as obdreld_slo_* metrics")
-		wideEvents = flag.String("wide-events", "", "append one canonical JSONL event per sampled request to this file ('-' = stderr; empty disables)")
-		wideSample = flag.Int("wide-sample", 1, "head-sample 1-in-N requests for -wide-events (5xx are always emitted)")
+		sloSpec = flag.String("slo", "", "burn-rate objectives, e.g. '/v1/lifetime:availability:99.9,/v1/lifetime:latency:25ms:99' (route '*' watches every route); served on /debug/slo and as obdreld_slo_* metrics")
 
 		artifactDir = flag.String("artifact-dir", "", "spill serializable stage artifacts to this directory and serve them back across restarts (empty disables the disk tier)")
 		peers       = flag.String("peers", "", "comma-separated base URLs of every cluster node, this one included; pins a fixed ring whose members never leave it, and enables peer cache-fill (requires -self; mutually exclusive with -join)")
@@ -124,7 +123,7 @@ func main() {
 
 	var accessLog io.Writer = os.Stderr
 	if *quiet {
-		accessLog = io.Discard
+		accessLog = nil
 	}
 	var traceSink io.Writer
 	if *traceJSONL != "" {
@@ -158,20 +157,6 @@ func main() {
 	}
 	if len(sloObjs) > 0 {
 		log.Printf("slo burn-rate engine armed: %s", *sloSpec)
-	}
-	var wideSink io.Writer
-	switch *wideEvents {
-	case "":
-	case "-":
-		wideSink = os.Stderr
-	default:
-		f, err := os.OpenFile(*wideEvents, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("-wide-events: %v", err)
-		}
-		defer f.Close()
-		wideSink = f
-		log.Printf("wide events to %s (1 in %d, errors always)", *wideEvents, *wideSample)
 	}
 
 	if *queueDepth < 0 {
@@ -207,7 +192,6 @@ func main() {
 		DisableTracing: *noTrace,
 		TraceBuffer:    *traceBuffer,
 		TraceJSONL:     traceSink,
-		SlowRequest:    *slowRequest,
 
 		BatchWindow:   *batchWindow,
 		BatchMaxItems: *batchMaxItems,
@@ -230,9 +214,7 @@ func main() {
 		Lease:       *lease,
 		Replicas:    *replicas,
 
-		SLOs:            sloObjs,
-		WideEvents:      wideSink,
-		WideEventSample: *wideSample,
+		SLOs: sloObjs,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -309,9 +291,6 @@ func main() {
 		"obdreld: batch streams=%d items ok=%d error=%d groups=%d reused=%d shared_evals=%d stream_bytes=%d\n",
 		m.BatchRequests.Load(), m.BatchItemsOK.Load(), m.BatchItemsErr.Load(),
 		m.BatchGroups.Load(), m.BatchReused.Load(), m.BatchSharedEvals.Load(), m.BatchStreamBytes.Load())
-	if wideSink != nil {
-		fmt.Fprintf(os.Stderr, "obdreld: wide events emitted=%d (1 in %d)\n", svc.WideEventsEmitted(), *wideSample)
-	}
 	// Burn summary: the state an operator wants at the moment a node
 	// leaves the fleet — which objectives were burning and how hard.
 	for _, rep := range svc.SLOReport() {

@@ -430,6 +430,14 @@ func decFloorplan(r *artifact.Reader) *floorplan.Design {
 			Activity: r.F64(),
 		}
 	}
+	// Every built design is valid, and the powermap, thermal and chip
+	// stages place blocks by it, so a payload describing an invalid one
+	// fails the read.
+	if r.Err() == nil {
+		if err := fd.Validate(); err != nil {
+			r.Fail("%v", err)
+		}
+	}
 	return fd
 }
 

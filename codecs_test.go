@@ -10,6 +10,7 @@ import (
 	"obdrel/internal/artifact"
 	"obdrel/internal/blod"
 	"obdrel/internal/core"
+	"obdrel/internal/floorplan"
 	"obdrel/internal/grid"
 	"obdrel/internal/integrate"
 	"obdrel/internal/obd"
@@ -308,8 +309,9 @@ var fuzzStages = []string{StageFloorplan, StagePowerMap, StageCovariance, StageB
 // six). Each artifact arrives from disk or a peer, so decode must never
 // panic, a rejection returns an error and no artifact, an accepted
 // payload re-encodes to the same bytes (the sealed checksum stays a
-// content address), and an accepted grid model, alone or inside a blod
-// characterization or a chip, passes Validate. The seed corpus under
+// content address), an accepted grid model, alone or inside a blod
+// characterization or a chip, passes Validate, and so does an accepted
+// design, alone (floorplan) or inside a chip. The seed corpus under
 // testdata/fuzz/FuzzStageDecode holds a valid artifact of each stage at
 // a 4×4 grid and the hostile payloads of
 // TestStageCodecsRejectNonCanonicalPayloads.
@@ -328,7 +330,10 @@ func FuzzStageDecode(f *testing.F) {
 			return
 		}
 		var m *grid.Model
+		var fd *floorplan.Design
 		switch a := v.(type) {
+		case *floorplan.Design:
+			fd = a
 		case *grid.Model:
 			m = a
 		case *blod.Characterization:
@@ -336,11 +341,16 @@ func FuzzStageDecode(f *testing.F) {
 				m = a.Model
 			}
 		case *core.Chip:
-			m = a.Model
+			fd, m = a.Design, a.Model
 		}
 		if m != nil {
 			if err := m.Validate(); err != nil {
 				t.Fatalf("%s: accepted grid model does not validate: %v", name, err)
+			}
+		}
+		if fd != nil {
+			if err := fd.Validate(); err != nil {
+				t.Fatalf("%s: accepted design does not validate: %v", name, err)
 			}
 		}
 		again, err := codec.Encode(v)
@@ -354,9 +364,12 @@ func FuzzStageDecode(f *testing.F) {
 }
 
 // hostilePayloads are checksum-valid payloads no encoder produces: a
-// covariance model whose grid is not positive (the PCA build indexes
-// by it), and powermap and weibull payloads that would decode to a
-// model whose encoding differs from the payload.
+// covariance model whose grid is not positive or past
+// grid.MaxResolution (the PCA build indexes and allocates by it), C1's
+// floorplan with a NaN block width and a negative device count (the
+// powermap, thermal and chip stages place blocks by it), and powermap
+// and weibull payloads that would decode to a model whose encoding
+// differs from the payload.
 func hostilePayloads(t testing.TB) map[string]struct {
 	stage   string
 	payload []byte
@@ -371,6 +384,14 @@ func hostilePayloads(t testing.TB) map[string]struct {
 		encGridModel(&w, m)
 		return w.Bytes()
 	}
+	fd, err := Benchmarks()[0].internal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd.Blocks[0].W = math.NaN()
+	fd.Blocks[1].Devices = -3
+	var fw artifact.Writer
+	encFloorplan(&fw, fd)
 	power := func(hasMap bool, classes ...int) []byte {
 		var w artifact.Writer
 		w.Bool(true)
@@ -404,6 +425,8 @@ func hostilePayloads(t testing.TB) map[string]struct {
 		"covariance_negative_nx":  {StageCovariance, model(-5, 4)},
 		"covariance_zero_nx":      {StageCovariance, model(0, 4)},
 		"covariance_zero_ny":      {StageCovariance, model(4, 0)},
+		"covariance_huge_nx":      {StageCovariance, model(1<<20, 4)},
+		"floorplan_invalid":       {StageFloorplan, fw.Bytes()},
 		"powermap_duplicate":      {StagePowerMap, power(true, 1, 1)},
 		"powermap_unsorted":       {StagePowerMap, power(true, 2, 1)},
 		"powermap_entries_no_map": {StagePowerMap, power(false, 1)},

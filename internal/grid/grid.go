@@ -110,6 +110,16 @@ func NewModel(u0, w, h float64, nx, ny int, sigmaG, sigmaS, sigmaE, rhoDist floa
 	return m, nil
 }
 
+// MaxResolution bounds Nx and Ny. The PCA build eigendecomposes four
+// dense reflection blocks of about Nx·Ny/4 rows each, holding each
+// block and its eigenvectors at once: about 4·(Nx·Ny)² bytes in all,
+// 1 GiB at 128×128 (n = 16,384 grids), and the O(n³) eigensolves take
+// minutes there. Every grid the repo builds is far below it (the
+// paper's 25×25, 40×40 in tests, the daemon's cap of 64), so the bound
+// only turns away a decoded model, from disk or a peer, that would
+// have the PCA stage allocate without limit.
+const MaxResolution = 128
+
 // Validate checks the model's parameters.
 func (m *Model) Validate() error {
 	switch {
@@ -119,6 +129,8 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("grid: chip dimensions must be positive, got %v×%v", m.W, m.H)
 	case m.Nx <= 0 || m.Ny <= 0:
 		return fmt.Errorf("grid: grid resolution must be positive, got %d×%d", m.Nx, m.Ny)
+	case m.Nx > MaxResolution || m.Ny > MaxResolution:
+		return fmt.Errorf("grid: grid resolution %d×%d exceeds %d per side", m.Nx, m.Ny, MaxResolution)
 	case m.SigmaG < 0 || m.SigmaS < 0 || m.SigmaE < 0:
 		return errors.New("grid: sigmas must be non-negative")
 	case m.SigmaG+m.SigmaS+m.SigmaE == 0:

@@ -64,11 +64,16 @@ func TestNewModelValidates(t *testing.T) {
 		{"negative sigma", func() (*Model, error) { return NewModel(2, 1, 1, 2, 2, -1, 1, 1, 0.5) }},
 		{"all zero sigma", func() (*Model, error) { return NewModel(2, 1, 1, 2, 2, 0, 0, 0, 0.5) }},
 		{"zero rho", func() (*Model, error) { return NewModel(2, 1, 1, 2, 2, 1, 1, 1, 0) }},
+		{"nx over bound", func() (*Model, error) { return NewModel(2, 1, 1, MaxResolution+1, 2, 1, 1, 1, 0.5) }},
+		{"ny 2^20", func() (*Model, error) { return NewModel(2, 1, 1, 4, 1<<20, 1, 1, 1, 0.5) }},
 	}
 	for _, c := range cases {
 		if _, err := c.f(); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+	if _, err := NewModel(2, 1, 1, MaxResolution, MaxResolution, 1, 1, 1, 0.5); err != nil {
+		t.Errorf("grid at the bound: %v", err)
 	}
 }
 

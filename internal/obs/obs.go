@@ -295,8 +295,8 @@ type Options struct {
 	// line. Writes are serialized; a write error disables the exporter.
 	JSONL io.Writer
 	// OnTrace, when non-nil, is called synchronously with every
-	// finalized trace — the per-trace summary hook (slow-request
-	// logging, custom aggregation). It must not block.
+	// finalized trace — the per-trace summary hook (custom
+	// aggregation). It must not block.
 	OnTrace func(*TraceOut)
 }
 

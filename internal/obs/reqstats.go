@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // StageVisit is one resolved pipeline round observed during a request:
@@ -18,20 +19,23 @@ type StageVisit struct {
 // stages than this (bisection sweeps) keep counting but stop listing.
 const maxStageVisits = 128
 
-// ReqStats collects per-request cost accounting: the pipeline tier
-// walk (stage provenance), build time, and peer traffic. It rides the
-// context like a span does, and like a span the nil receiver no-ops
-// every method with zero allocations — the disabled path of the wide
-// event log is a nil *ReqStats, proven 0 allocs/op in tests.
+// ReqStats collects per-request cost and provenance: the pipeline tier
+// walk (stage provenance), build time, peer traffic, and whether the
+// answer was served stale. It rides the context like a span does, and
+// like a span the nil receiver no-ops every method with zero
+// allocations, so library callers outside a server request pay a nil
+// check, proven 0 allocs/op in tests.
 type ReqStats struct {
-	mu      sync.Mutex
-	visits  []StageVisit
-	dropped int
-	builds  int
-	mem     int
-	disk    int
-	peer    int
-	buildNs int64
+	mu       sync.Mutex
+	visits   []StageVisit
+	dropped  int
+	builds   int
+	mem      int
+	disk     int
+	peer     int
+	buildNs  int64
+	stale    bool
+	staleAge time.Duration
 }
 
 // reqStatsKey carries the collector through a context.
@@ -118,4 +122,27 @@ func (rs *ReqStats) Counts() (builds, mem, disk, peer int, buildNs int64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return rs.builds, rs.mem, rs.disk, rs.peer, rs.buildNs
+}
+
+// RecordStale notes that the request was answered from a last-good
+// analyzer of the given age because its rebuild failed. No-op on nil
+// collectors.
+func (rs *ReqStats) RecordStale(age time.Duration) {
+	if rs == nil {
+		return
+	}
+	rs.mu.Lock()
+	rs.stale, rs.staleAge = true, age
+	rs.mu.Unlock()
+}
+
+// Stale reports whether the request was served stale, and the age of
+// what it was served. False on nil collectors.
+func (rs *ReqStats) Stale() (time.Duration, bool) {
+	if rs == nil {
+		return 0, false
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.staleAge, rs.stale
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"testing"
+	"time"
 )
 
 func TestReqStatsRecording(t *testing.T) {
@@ -27,6 +28,13 @@ func TestReqStatsRecording(t *testing.T) {
 	if visits[3].Stage != "analyzer" || visits[3].Source != "built" || visits[3].BuildMs != 7 {
 		t.Fatalf("visit[3] = %+v", visits[3])
 	}
+	if _, stale := rs.Stale(); stale {
+		t.Fatal("fresh collector reports stale")
+	}
+	rs.RecordStale(90 * time.Second)
+	if age, stale := rs.Stale(); !stale || age != 90*time.Second {
+		t.Fatalf("Stale() = %v, %v after RecordStale(90s)", age, stale)
+	}
 }
 
 func TestReqStatsVisitCap(t *testing.T) {
@@ -44,9 +52,9 @@ func TestReqStatsVisitCap(t *testing.T) {
 	}
 }
 
-// TestReqStatsDisabledZeroAlloc proves the wide-event disabled path:
-// a context without a collector resolves to a nil *ReqStats, and
-// recording into it allocates nothing.
+// TestReqStatsDisabledZeroAlloc proves the library path outside a
+// server request: a context without a collector resolves to a nil
+// *ReqStats, and recording into it allocates nothing.
 func TestReqStatsDisabledZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	if rs := ReqStatsFrom(ctx); rs != nil {
@@ -54,6 +62,7 @@ func TestReqStatsDisabledZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ReqStatsFrom(ctx).RecordStage("thermal", "built", 12345)
+		ReqStatsFrom(ctx).RecordStale(time.Minute)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled ReqStats path allocates %.1f/op, want 0", allocs)
@@ -61,5 +70,8 @@ func TestReqStatsDisabledZeroAlloc(t *testing.T) {
 	var rs *ReqStats
 	if v, d := rs.Visits(); v != nil || d != 0 {
 		t.Fatal("nil Visits should be empty")
+	}
+	if _, stale := rs.Stale(); stale {
+		t.Fatal("nil collector reports stale")
 	}
 }

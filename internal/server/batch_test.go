@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"obdrel"
 	"obdrel/internal/obs"
@@ -223,58 +222,33 @@ func TestBatchRejectsUnknownItemField(t *testing.T) {
 }
 
 // TestBatchStreamInRequestEnvelope: /v1/batch runs inside the same
-// envelope as every unary route. Its access-log line carries cache
-// provenance and peer_fills, a stream slower than -slow-request logs
-// the warning, a "*" objective counts it, and it emits a wide event.
+// envelope as every unary route. Its one record carries cache
+// provenance, peer_fills and the stage builds, and a "*" objective
+// counts it.
 func TestBatchStreamInRequestEnvelope(t *testing.T) {
-	var logBuf, wideBuf syncBuffer
+	var logBuf syncBuffer
 	objs, err := obs.ParseSLOSpec("*:availability:99")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := mustNew(Options{
-		Stages: pipeline.NewCache(16), DisableTracing: true, AccessLog: &logBuf,
-		WideEvents: &wideBuf, SlowRequest: time.Nanosecond, SLOs: objs,
+		Stages: pipeline.NewCache(16), DisableTracing: true, AccessLog: &logBuf, SLOs: objs,
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	postBatch(t, srv.URL+"/v1/batch", batchBody(
 		fmt.Sprintf(`{"design":"C2","method":"st_fast","ppm":7,"config":%s}`, cheapCfg)))
 
-	var logged, slow bool
-	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
-		var entry struct {
-			Msg       string `json:"msg"`
-			Route     string `json:"route"`
-			Cache     string `json:"cache"`
-			PeerFills *int   `json:"peer_fills"`
-		}
-		if err := json.Unmarshal([]byte(line), &entry); err != nil {
-			t.Fatalf("unparsable access-log line %q: %v", line, err)
-		}
-		if entry.Route != "/v1/batch" {
-			continue
-		}
-		switch entry.Msg {
-		case "request":
-			logged = true
-			if entry.Cache != "built" || entry.PeerFills == nil {
-				t.Errorf("batch access-log line %q, want cache=built and peer_fills", line)
-			}
-		case "slow request":
-			slow = true
-		}
+	recs := readRecords(t, logBuf.String())
+	if len(recs) != 1 {
+		t.Fatalf("%d records, want the stream's one:\n%s", len(recs), logBuf.String())
 	}
-	if !logged || !slow {
-		t.Errorf("access log: request line %v, slow-request warning %v; want both", logged, slow)
+	if rec := recs[0]; rec.Route != "/v1/batch" || rec.Status != http.StatusOK ||
+		rec.Cache != "built" || rec.StageBuilds < 1 || rec.PeerFills != 0 {
+		t.Errorf("record = %+v, want a built /v1/batch stream with no peer fills", rec)
 	}
-
-	var ev WideEvent
-	if err := json.Unmarshal([]byte(strings.TrimSpace(wideBuf.String())), &ev); err != nil {
-		t.Fatalf("wide events %q: %v", wideBuf.String(), err)
-	}
-	if ev.Route != "/v1/batch" || ev.Status != http.StatusOK || ev.Cache != "built" || ev.StageBuilds < 1 {
-		t.Errorf("wide event = %+v, want a built /v1/batch stream", ev)
+	if !strings.Contains(logBuf.String(), `"peer_fills":0`) {
+		t.Errorf("record %q does not carry peer_fills", logBuf.String())
 	}
 	if reps := s.SLOReport(); len(reps) != 1 || reps[0].Good != 1 {
 		t.Errorf("\"*\" objective = %+v, want the stream counted good", reps)

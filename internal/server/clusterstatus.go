@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"obdrel/internal/member"
 	"obdrel/internal/obs"
@@ -102,9 +100,9 @@ func (s *Server) localNodeStats() nodeStats {
 
 // handleClusterStats serves this node's stats document to peers.
 func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	ob := s.begin()
 	status := http.StatusOK
-	defer func() { s.observeOps("/v1/cluster/stats", r, status, start, "") }()
+	defer func() { s.observe("/v1/cluster/stats", r, status, &ob) }()
 	if r.Method != http.MethodGet {
 		status = http.StatusMethodNotAllowed
 		writeJSON(w, status, map[string]any{"error": "GET only"})
@@ -293,31 +291,13 @@ func (s *Server) clusterStatus(ctx context.Context) clusterStatusOut {
 // handleClusterStatus serves the fleet aggregation. Always 200: a
 // degraded fleet is an answer, not an error.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	ob := s.begin()
 	status := http.StatusOK
-	defer func() { s.observeOps("/v1/cluster/status", r, status, start, "") }()
+	defer func() { s.observe("/v1/cluster/status", r, status, &ob) }()
 	if r.Method != http.MethodGet {
 		status = http.StatusMethodNotAllowed
 		writeJSON(w, status, map[string]any{"error": "GET only"})
 		return
 	}
 	writeJSON(w, status, s.clusterStatus(r.Context()))
-}
-
-// observeOps records metrics, the SLO observation, and one access-log
-// line for the ops routes served outside instrument (artifact serving,
-// cluster stats).
-func (s *Server) observeOps(route string, r *http.Request, status int, start time.Time, traceID string, extra ...slog.Attr) {
-	d := time.Since(start)
-	s.metrics.ObserveRequest(route, status, d)
-	attrs := append([]slog.Attr{
-		slog.String("method", r.Method),
-		slog.String("route", route),
-		slog.Int("status", status),
-		slog.Int64("dur_us", d.Microseconds()),
-		slog.String("remote", r.RemoteAddr),
-		slog.String("trace_id", traceID),
-	}, extra...)
-	s.logger.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
-	s.slo.Observe(route, status, d, traceID)
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // costSnapshot is a point-in-time read of the process-level cost
-// counters the wide-event log diffs around a request: cumulative heap
+// counters a request record diffs around its request: cumulative heap
 // allocations (bytes and objects) and process CPU time.
 type costSnapshot struct {
 	allocBytes   uint64
@@ -13,8 +13,8 @@ type costSnapshot struct {
 	cpuUs        int64
 }
 
-// readCost samples the counters. Only called for requests that won the
-// wide-event sampling draw — the disabled path never reaches it.
+// readCost samples the counters. Only called when a record will be
+// written: with no AccessLog it is never reached.
 func readCost() costSnapshot {
 	var s [2]rtmetrics.Sample
 	s[0].Name = "/gc/heap/allocs:bytes"

@@ -2,6 +2,6 @@
 
 package server
 
-// processCPUUs has no portable fallback; the wide event reports a zero
+// processCPUUs has no portable fallback; the request record reports a zero
 // CPU delta on platforms without getrusage.
 func processCPUUs() int64 { return 0 }

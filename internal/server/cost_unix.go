@@ -5,7 +5,7 @@ package server
 import "syscall"
 
 // processCPUUs returns cumulative process CPU time (user + system) in
-// microseconds via getrusage. Process-wide by nature: the wide event
+// microseconds via getrusage. Process-wide by nature: the record
 // documents the delta as a process-level figure, not a per-goroutine
 // attribution.
 func processCPUUs() int64 {

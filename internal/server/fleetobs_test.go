@@ -293,17 +293,13 @@ func TestRouteLabelClosedSet(t *testing.T) {
 	}
 }
 
-// TestAccessLogProvenanceAndWideEvents drives the same request twice
-// and checks both observability surfaces see the tier walk: the
-// access log's cache field goes built → mem, and the wide-event log
-// emits one canonical event per request with stages, build time, and
-// cost deltas.
-func TestAccessLogProvenanceAndWideEvents(t *testing.T) {
-	var logBuf, wideBuf bytes.Buffer
-	s := mustNew(Options{
-		Stages: pipeline.NewCache(8), DisableTracing: true,
-		AccessLog: &logBuf, WideEvents: &wideBuf,
-	})
+// TestRecordProvenance drives the same request twice and checks the
+// record sees the tier walk: one record per request, the cache field
+// going built → mem, peer_fills present, and the first record's
+// stages, build time and cost deltas filled in.
+func TestRecordProvenance(t *testing.T) {
+	var logBuf bytes.Buffer
+	s := mustNew(Options{Stages: pipeline.NewCache(8), DisableTracing: true, AccessLog: &logBuf})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -319,47 +315,16 @@ func TestAccessLogProvenanceAndWideEvents(t *testing.T) {
 		}
 	}
 
-	// Access log: cache provenance built → mem, peer_fills present.
-	var caches []string
-	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
-		var entry struct {
-			Route     string `json:"route"`
-			Cache     string `json:"cache"`
-			PeerFills *int   `json:"peer_fills"`
-		}
-		if err := json.Unmarshal([]byte(line), &entry); err != nil {
-			t.Fatalf("unparsable access-log line %q: %v", line, err)
-		}
-		if entry.Route != "/v1/lifetime" {
-			continue
-		}
-		if entry.PeerFills == nil || *entry.PeerFills != 0 {
-			t.Fatalf("peer_fills missing or wrong in %q", line)
-		}
-		caches = append(caches, entry.Cache)
+	recs := readRecords(t, logBuf.String())
+	if len(recs) != 2 {
+		t.Fatalf("%d records, want 2:\n%s", len(recs), logBuf.String())
 	}
-	if len(caches) != 2 || caches[0] != "built" || caches[1] != "mem" {
-		t.Fatalf("access-log cache provenance = %v, want [built mem]", caches)
-	}
-
-	// Wide events: one per request, stages and costs filled in.
-	var evs []WideEvent
-	for _, line := range strings.Split(strings.TrimSpace(wideBuf.String()), "\n") {
-		var ev WideEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("unparsable wide event %q: %v", line, err)
-		}
-		evs = append(evs, ev)
-	}
-	if len(evs) != 2 || s.WideEventsEmitted() != 2 {
-		t.Fatalf("wide events = %d (emitted %d), want 2", len(evs), s.WideEventsEmitted())
-	}
-	first, second := evs[0], evs[1]
-	if first.Route != "/v1/lifetime" || first.Status != http.StatusOK || !first.Sampled {
-		t.Fatalf("first event = %+v", first)
+	first, second := recs[0], recs[1]
+	if first.Route != "/v1/lifetime" || first.Status != http.StatusOK || first.PeerFills != 0 {
+		t.Fatalf("first record = %+v", first)
 	}
 	if first.Cache != "built" || first.StageBuilds < 1 || first.BuildMs <= 0 {
-		t.Fatalf("first event missed the build: %+v", first)
+		t.Fatalf("first record missed the build: %+v", first)
 	}
 	foundAnalyzer := false
 	for _, v := range first.Stages {
@@ -368,81 +333,34 @@ func TestAccessLogProvenanceAndWideEvents(t *testing.T) {
 		}
 	}
 	if !foundAnalyzer {
-		t.Fatalf("first event stages = %+v, want an analyzer build", first.Stages)
+		t.Fatalf("first record stages = %+v, want an analyzer build", first.Stages)
 	}
 	if second.Cache != "mem" || second.StageBuilds != 0 {
-		t.Fatalf("second event = %+v, want a mem hit", second)
+		t.Fatalf("second record = %+v, want a mem hit", second)
 	}
 	if first.DurUs <= 0 || first.QueueWaitUs < 0 {
-		t.Fatalf("first event timing = dur %d queue %d", first.DurUs, first.QueueWaitUs)
+		t.Fatalf("first record timing = dur %d queue %d", first.DurUs, first.QueueWaitUs)
 	}
 	if first.ProcAllocBytes == 0 {
-		t.Fatalf("first event has no allocation delta: %+v", first)
+		t.Fatalf("first record has no allocation delta: %+v", first)
 	}
 }
 
-// TestWideEventErrorOverride proves the always-on-error rule: with a
-// sampling rate no request can win, a success emits nothing and a 5xx
-// still emits (marked sampled=false).
-func TestWideEventErrorOverride(t *testing.T) {
-	var wideBuf bytes.Buffer
-	s := mustNew(Options{
-		Stages: pipeline.NewCache(4), DisableTracing: true, FaultHeader: true,
-		WideEvents: &wideBuf, WideEventSample: 1 << 30,
-	})
-	h := s.Handler()
-
-	rw := httptest.NewRecorder()
-	h.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/v1/designs", nil))
-	if rw.Code != http.StatusOK {
-		t.Fatalf("designs = %d", rw.Code)
-	}
-	if got := s.WideEventsEmitted(); got != 0 {
-		t.Fatalf("unsampled success emitted %d wide events", got)
-	}
-
+// TestRecordDisabledZeroAlloc proves the path with no AccessLog: a
+// request observed from begin to observe, metrics and SLO included,
+// builds no record, reads no cost counters and allocates nothing.
+func TestRecordDisabledZeroAlloc(t *testing.T) {
+	s := mustNew(Options{Stages: pipeline.NewCache(4), DisableTracing: true})
 	req := httptest.NewRequest(http.MethodGet, "/v1/designs", nil)
-	req.Header.Set("X-Fault", "server.handler:error")
-	rw = httptest.NewRecorder()
-	h.ServeHTTP(rw, req)
-	if rw.Code < 500 {
-		t.Fatalf("injected fault answered %d, want 5xx", rw.Code)
-	}
-	if got := s.WideEventsEmitted(); got != 1 {
-		t.Fatalf("error emitted %d wide events, want 1", got)
-	}
-	var ev WideEvent
-	if err := json.Unmarshal(bytes.TrimSpace(wideBuf.Bytes()), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Sampled || ev.Status < 500 {
-		t.Fatalf("error event = %+v, want sampled=false status>=500", ev)
-	}
-}
-
-// TestWideEventDisabledZeroAlloc proves the disabled wide-event path
-// (nil log, nil collector) costs zero allocations per request-side
-// call — the overhead gate the -wide-events flag advertises.
-func TestWideEventDisabledZeroAlloc(t *testing.T) {
-	var l *wideEventLog
-	bad := false
 	allocs := testing.AllocsPerRun(1000, func() {
-		if l.shouldSample() {
-			bad = true
-		}
-		l.emit(nil)
-		if l.Emitted() != 0 {
-			bad = true
-		}
-		if cacheProvenance(nil, false) != "none" {
-			bad = true
-		}
+		ob := s.begin()
+		s.observe("/v1/designs", req, http.StatusOK, &ob)
 	})
-	if bad {
-		t.Fatal("disabled wide-event log misbehaved")
-	}
 	if allocs != 0 {
-		t.Fatalf("disabled wide-event path allocates %.1f/op, want 0", allocs)
+		t.Fatalf("record path with no AccessLog allocates %.1f/op, want 0", allocs)
+	}
+	if cacheProvenance(nil) != "none" {
+		t.Fatal("a request without a collector must report cache none")
 	}
 }
 

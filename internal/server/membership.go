@@ -232,9 +232,9 @@ func (cl *cluster) admit(l member.List) member.List {
 // merge. Every cluster node registers it. The body must be one JSON
 // document; records the cluster does not admit are dropped.
 func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	ob := s.begin()
 	status := http.StatusOK
-	defer func() { s.observeOps("/v1/cluster/join", r, status, start, "") }()
+	defer func() { s.observe("/v1/cluster/join", r, status, &ob) }()
 	if r.Method != http.MethodPost {
 		status = http.StatusMethodNotAllowed
 		writeJSON(w, status, map[string]any{"error": "POST only"})
@@ -261,9 +261,9 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 // rebalance sweep's discovery surface. Registered on every node; a
 // node outside cluster mode reports an empty node name and epoch 0.
 func (s *Server) handleClusterKeys(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	ob := s.begin()
 	status := http.StatusOK
-	defer func() { s.observeOps("/v1/cluster/keys", r, status, start, "") }()
+	defer func() { s.observe("/v1/cluster/keys", r, status, &ob) }()
 	if r.Method != http.MethodGet {
 		status = http.StatusMethodNotAllowed
 		writeJSON(w, status, map[string]any{"error": "GET only"})

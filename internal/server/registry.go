@@ -8,6 +8,7 @@ import (
 	"obdrel"
 	"obdrel/internal/fault"
 	"obdrel/internal/lru"
+	"obdrel/internal/obs"
 	"obdrel/internal/pipeline"
 )
 
@@ -74,7 +75,7 @@ type GetResult struct {
 	StaleAge time.Duration
 }
 
-// Label renders the result for response payloads and access logs.
+// Label renders the result for response payloads.
 func (g GetResult) Label() string {
 	switch {
 	case g.Stale:
@@ -182,7 +183,7 @@ func (r *Registry) getKeyed(ctx context.Context, key, name string, build func(co
 		if e, age, ok := r.lastGood(key); ok {
 			r.metrics.ServeStale.Add(1)
 			r.metrics.staleAgeNanos.Store(age.Nanoseconds())
-			annotateStale(ctx, age)
+			obs.ReqStatsFrom(ctx).RecordStale(age)
 			return e.an, GetResult{Hit: true, Stale: true, StaleAge: age}, nil
 		}
 	}

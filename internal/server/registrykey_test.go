@@ -59,10 +59,10 @@ func TestRegistryKeyIsCanonical(t *testing.T) {
 // warmHitAllocCeiling is the allocation budget of one warm hybrid
 // lifetime request through the full handler stack (admission, tracing,
 // registry hit, engine lookup, JSON encode) plus the test's own
-// request and recorder: measured at 119/op on the production build,
-// plus a small margin. Re-deriving the design and config fingerprints
-// on every hit cost about 120 more.
-const warmHitAllocCeiling = 128
+// request and recorder, with no AccessLog: measured at 117/op on the
+// production build, and held there. Re-deriving the design and config
+// fingerprints on every hit cost about 120 more.
+const warmHitAllocCeiling = 117
 
 // TestWarmHitAllocCeiling drives Handler() with a warm no-override
 // hybrid query and holds its allocations under the ceiling. The race

@@ -1,46 +1,10 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
-
-// reqAnnot is the per-request annotation channel between the registry
-// (which knows when it served stale) and instrument (which owns the
-// response headers). It rides the request context.
-type reqAnnot struct {
-	mu       sync.Mutex
-	stale    bool
-	staleAge time.Duration
-}
-
-type annotKey struct{}
-
-func withAnnot(ctx context.Context) (context.Context, *reqAnnot) {
-	a := &reqAnnot{}
-	return context.WithValue(ctx, annotKey{}, a), a
-}
-
-// annotateStale marks the request as served-stale; a no-op outside a
-// server request (library callers carry no annotation).
-func annotateStale(ctx context.Context, age time.Duration) {
-	a, _ := ctx.Value(annotKey{}).(*reqAnnot)
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.stale, a.staleAge = true, age
-	a.mu.Unlock()
-}
-
-func (a *reqAnnot) staleness() (time.Duration, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.staleAge, a.stale
-}
 
 // BeginDrain flips the server into draining mode: /readyz answers 503
 // so load balancers stop routing here, and new /v1 requests are
@@ -96,22 +60,17 @@ func (s *Server) estimatedWait(pos int64) time.Duration {
 // when admitted is false the response (503/429) has already been
 // written. The caller must release s.sem when admitted.
 //
-// Reject-early: if the predicted queue wait already exceeds the
-// request deadline, the request is refused immediately with 503 and a
-// Retry-After estimating when capacity frees — failing in microseconds
-// instead of holding the client for a doomed RequestTimeout.
+// A full queue answers an immediate 429; at QueueDepth 0 that is every
+// request that finds no free slot. Reject-early: if the predicted
+// queue wait already exceeds the request deadline, the request is
+// refused immediately with 503 and a Retry-After estimating when
+// capacity frees — failing in microseconds instead of holding the
+// client for a doomed RequestTimeout.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (bool, int) {
 	select {
 	case s.sem <- struct{}{}:
 		return true, 0
 	default:
-	}
-	if s.opts.QueueDepth <= 0 {
-		// Queueing disabled: the legacy immediate 429.
-		s.metrics.Throttled.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{"error": "server saturated, retry later"})
-		return false, http.StatusTooManyRequests
 	}
 	pos := s.queueLen.Add(1)
 	defer s.queueLen.Add(-1)

@@ -47,7 +47,9 @@ func getResp(t *testing.T, url string, hdr map[string]string) (*http.Response, m
 // for the key carries the same body provenance.
 func TestServeStaleOnFailedRebuild(t *testing.T) {
 	var fail atomic.Bool
+	var logBuf syncBuffer
 	s := mustNew(Options{
+		AccessLog:    &logBuf,
 		MaxAnalyzers: 1,
 		MaxStale:     time.Hour,
 		Build: func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
@@ -57,6 +59,10 @@ func TestServeStaleOnFailedRebuild(t *testing.T) {
 			return obdrel.NewAnalyzerCtx(ctx, d, cfg)
 		},
 	})
+	// The last-good store ages on a clock the test moves: the stale
+	// answers below are 90 s old.
+	var skew atomic.Int64
+	s.reg.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -71,6 +77,7 @@ func TestServeStaleOnFailedRebuild(t *testing.T) {
 		t.Fatalf("evicting build failed: %d", resp.StatusCode)
 	}
 
+	skew.Store(int64(90 * time.Second))
 	fail.Store(true)
 	resp, out := getResp(t, urlA, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -85,8 +92,8 @@ func TestServeStaleOnFailedRebuild(t *testing.T) {
 	if w := resp.Header.Get("Warning"); !strings.Contains(w, "Response is Stale") {
 		t.Fatalf("Warning header = %q", w)
 	}
-	if resp.Header.Get("X-Staleness") == "" {
-		t.Fatal("X-Staleness header missing")
+	if got := resp.Header.Get("X-Staleness"); got != "90" {
+		t.Fatalf("X-Staleness = %q, want 90", got)
 	}
 	if got := s.Metrics().ServeStale.Load(); got != 1 {
 		t.Fatalf("ServeStale = %d, want 1", got)
@@ -96,6 +103,17 @@ func TestServeStaleOnFailedRebuild(t *testing.T) {
 	_, lines, _ := postBatch(t, srv.URL+"/v1/batch", batchBody(`{"design":"C1","ppm":100,"config":`+cheapCfg+`}`))
 	if res, _ := lines[0]["result"].(map[string]any); res["cache"] != "stale" || res["staleness_s"] == nil {
 		t.Fatalf("stale batch item = %v, want cache=stale with staleness_s", lines[0])
+	}
+	// Both stale answers' records say so, with their age: the unary
+	// request and the batch stream are the third and fourth records.
+	recs := readRecords(t, logBuf.String())
+	if len(recs) != 4 {
+		t.Fatalf("%d records, want one per request (4)", len(recs))
+	}
+	for i, route := range []string{"/v1/lifetime", "/v1/batch"} {
+		if rec := recs[2+i]; rec.Route != route || rec.Cache != "stale" || rec.StalenessS != 90 {
+			t.Errorf("stale %s record = %+v, want cache=stale staleness_s=90", route, rec)
+		}
 	}
 
 	// With a healthy builder again the same key rebuilds fresh.

@@ -1,9 +1,8 @@
 // Package server implements obdreld's JSON-over-HTTP reliability
 // query service: the /v1 API over an analyzer registry (a pipeline
 // stage cache with cancellable singleflight coalescing), with a
-// bounded concurrency limiter, per-request timeouts, structured
-// request logging, and a stdlib-only Prometheus-text /metrics
-// endpoint.
+// bounded concurrency limiter, per-request timeouts, one JSON record
+// per request, and a stdlib-only Prometheus-text /metrics endpoint.
 //
 // The serving model: an Analyzer is an immutable, fully characterized
 // chip that is expensive to build (power/thermal fixed point, PCA,
@@ -25,13 +24,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
+	"log"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,7 +56,9 @@ type Options struct {
 	// Workers is the Config.Workers applied to every build (0 =
 	// GOMAXPROCS).
 	Workers int
-	// AccessLog receives one JSON line per request (nil = discard).
+	// AccessLog receives one Record, a JSON line, per observed request
+	// (every /v1 route and the cluster and artifact routes). Nil writes
+	// none and builds none.
 	AccessLog io.Writer
 	// Build overrides the plain (design, config) analyzer factory
 	// (tests); nil uses obdrel.NewAnalyzerCtxIn over Stages, so request
@@ -78,9 +80,6 @@ type Options struct {
 	// TraceJSONL, when non-nil, receives every finalized trace as one
 	// JSON line.
 	TraceJSONL io.Writer
-	// SlowRequest, when positive, logs a warning (with the trace id)
-	// for any request slower than the threshold.
-	SlowRequest time.Duration
 
 	// RetryAttempts bounds analyzer-build attempts on Transient
 	// failures (default 3; 1 disables retry). RetryBase is the first
@@ -101,7 +100,8 @@ type Options struct {
 	// to QueueDepth saturated requests wait for a slot instead of
 	// getting an instant 429, but a request whose predicted wait
 	// exceeds its deadline is rejected 503 immediately. 0 (default)
-	// keeps the legacy instant-429 behaviour.
+	// queues nothing: a request that finds no free slot gets an
+	// instant 429.
 	QueueDepth int
 	// BatchWindow is the number of /v1/batch items planned, evaluated,
 	// and held in memory at a time (default 256) — the unit of
@@ -165,14 +165,6 @@ type Options struct {
 	// engine: /debug/slo answers an empty document and the
 	// obdreld_slo_* families are absent.
 	SLOs []obs.Objective
-	// WideEvents, when non-nil, receives one canonical JSONL event per
-	// sampled request (obdreld's -wide-events). Nil disables wide
-	// events entirely; the disabled path is 0 allocs/op.
-	WideEvents io.Writer
-	// WideEventSample head-samples 1-in-N requests for wide events
-	// (default 1 = every request). Requests that fail with a 5xx are
-	// always emitted regardless of the draw.
-	WideEventSample int
 }
 
 func (o *Options) withDefaults() Options {
@@ -197,9 +189,6 @@ func (o *Options) withDefaults() Options {
 		out.Build = func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
 			return obdrel.NewAnalyzerCtxIn(ctx, stages, d, cfg)
 		}
-	}
-	if out.AccessLog == nil {
-		out.AccessLog = io.Discard
 	}
 	if out.Tracer == nil && !out.DisableTracing {
 		out.Tracer = obs.NewTracer(obs.Options{RingSize: out.TraceBuffer, JSONL: out.TraceJSONL})
@@ -255,7 +244,6 @@ type Server struct {
 	keys    map[*obdrel.Design]catalogKey
 	order   []string
 	sem     chan struct{}
-	logger  *slog.Logger
 	tracer  *obs.Tracer
 
 	// stages is the node's stage-artifact cache (tiered when
@@ -265,10 +253,10 @@ type Server struct {
 	cluster *cluster
 	member  *membership
 
-	// slo is the burn-rate engine (nil without objectives); wide is
-	// the wide-event log (nil when disabled) — both nil-safe.
-	slo  *obs.SLO
-	wide *wideEventLog
+	// slo is the burn-rate engine (nil without objectives, nil-safe);
+	// logMu serializes record writes on AccessLog.
+	slo   *obs.SLO
+	logMu sync.Mutex
 
 	// draining gates new work during graceful shutdown; queueLen and
 	// ewmaServiceNs drive the admission controller; faultSeq seeds
@@ -303,11 +291,9 @@ func NewE(opts Options) (*Server, error) {
 		designs: map[string]*obdrel.Design{},
 		keys:    map[*obdrel.Design]catalogKey{},
 		sem:     make(chan struct{}, o.MaxConcurrent),
-		logger:  slog.New(slog.NewJSONHandler(o.AccessLog, nil)),
 		tracer:  o.Tracer,
 		stages:  o.Stages,
 		slo:     obs.NewSLO(o.SLOs),
-		wide:    newWideEventLog(o.WideEvents, o.WideEventSample),
 	}
 	m.stageStats = func() []pipeline.StageStat {
 		stats := s.stages.Snapshot()
@@ -403,8 +389,8 @@ func (s *Server) startWarm() {
 			})
 		s.warmLoaded.Store(int64(ws.Loaded))
 		if ws.Loaded+ws.Rejected > 0 {
-			s.logger.Info("artifact warm sweep",
-				"loaded", ws.Loaded, "skipped", ws.Skipped, "rejected", ws.Rejected)
+			log.Printf("artifact warm sweep: loaded=%d skipped=%d rejected=%d",
+				ws.Loaded, ws.Skipped, ws.Rejected)
 		}
 	}()
 }
@@ -544,9 +530,6 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 // daemon logs a burn summary on shutdown.
 func (s *Server) SLOReport() []obs.ObjectiveReport { return s.slo.Report() }
 
-// WideEventsEmitted reports how many wide events have been written.
-func (s *Server) WideEventsEmitted() int64 { return s.wide.Emitted() }
-
 // apiError carries an HTTP status with a message; every other error
 // maps to 500.
 type apiError struct {
@@ -580,74 +563,13 @@ type streamed int
 // one slot), the in-flight gauge, the route's deadline (timeout), the
 // X-Fault injector, the root trace span (honoring an incoming W3C
 // traceparent and emitting one on the response), panic containment,
-// error mapping, metrics, the access log line, the slow-request
-// warning, the SLO observation and the wide event.
+// error mapping, and observe: metrics, the SLO observation and the
+// request's record.
 func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, allow ...string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
+		ob := s.begin()
 		status := http.StatusOK
-		traceID := ""
-		var (
-			rstats    *obs.ReqStats
-			queueWait time.Duration
-			staleSecs int64
-			isStale   bool
-			sampled   bool
-			costStart costSnapshot
-		)
-		// Wide events: the head-sampling draw happens at request START
-		// so unsampled requests can skip the cost sampling entirely at
-		// emission; a 5xx overrides the draw at emission time. When the
-		// log is disabled (nil), nothing below allocates for it.
-		wide := s.wide
-		if wide != nil {
-			sampled = wide.shouldSample()
-			costStart = readCost()
-		}
-		defer func() {
-			d := time.Since(start)
-			s.metrics.ObserveRequest(route, status, d)
-			cache := cacheProvenance(rstats, isStale)
-			_, _, _, peerFills, _ := rstats.Counts()
-			s.logger.LogAttrs(context.Background(), slog.LevelInfo, "request",
-				slog.String("method", r.Method),
-				slog.String("route", route),
-				slog.String("query", r.URL.RawQuery),
-				slog.Int("status", status),
-				slog.Int64("dur_us", d.Microseconds()),
-				slog.String("remote", r.RemoteAddr),
-				slog.String("trace_id", traceID),
-				slog.String("cache", cache),
-				slog.Int("peer_fills", peerFills),
-			)
-			if s.opts.SlowRequest > 0 && d >= s.opts.SlowRequest {
-				s.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow request",
-					slog.String("route", route),
-					slog.String("query", r.URL.RawQuery),
-					slog.Int64("dur_us", d.Microseconds()),
-					slog.Int64("threshold_us", s.opts.SlowRequest.Microseconds()),
-					slog.String("trace_id", traceID),
-				)
-			}
-			s.slo.Observe(route, status, d, traceID)
-			if wide != nil && (sampled || status >= 500) {
-				wide.emit(buildWideEvent(route, reqObservation{
-					start:      start,
-					method:     r.Method,
-					query:      r.URL.RawQuery,
-					remote:     r.RemoteAddr,
-					status:     status,
-					traceID:    traceID,
-					dur:        d,
-					queueWait:  queueWait,
-					stale:      isStale,
-					stalenessS: staleSecs,
-					sampled:    sampled,
-					costStart:  costStart,
-					costEnd:    readCost(),
-				}, rstats))
-			}
-		}()
+		defer func() { s.observe(route, r, status, &ob) }()
 
 		// Method gate: a wrong verb answers 405 with the route's Allow
 		// set before costing an admission slot or a trace.
@@ -678,7 +600,7 @@ func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, 
 		}
 		defer func() { <-s.sem }()
 		enteredService := time.Now()
-		queueWait = enteredService.Sub(start)
+		ob.queueWait = enteredService.Sub(ob.start)
 		defer func() { s.observeServiceTime(time.Since(enteredService)) }()
 
 		s.metrics.InFlight.Add(1)
@@ -686,11 +608,11 @@ func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, 
 
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
-		ctx, annot := withAnnot(ctx)
-		// Per-request cost accounting: the pipeline records its tier
-		// walk (stage, provenance, build time) into the collector, and
-		// the access log + wide event read it back at completion.
-		ctx, rstats = obs.WithReqStats(ctx)
+		// Per-request cost and provenance: the pipeline records its tier
+		// walk (stage, provenance, build time) and the registry a
+		// serve-stale answer into the collector; the stale headers and
+		// the record read it back at completion.
+		ctx, ob.stats = obs.WithReqStats(ctx)
 
 		// Per-request fault rules (test/staging): an X-Fault header arms
 		// a request-scoped injector that follows the context into
@@ -716,7 +638,7 @@ func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, 
 		parentTID, parentSID, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
 		ctx, root := s.tracer.StartTrace(ctx, route, parentTID, parentSID)
 		if root != nil {
-			traceID = root.TraceID()
+			ob.traceID = root.TraceID()
 			w.Header().Set("traceparent", obs.Traceparent(root.TraceID(), root.ID()))
 			root.SetAttr("http_method", r.Method)
 			if q := r.URL.RawQuery; q != "" {
@@ -739,9 +661,6 @@ func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, 
 			return h(ctx, w, r)
 		}()
 
-		// Serve-stale provenance for the access log and wide event.
-		age, stale := annot.staleness()
-		isStale, staleSecs = stale, int64(age.Seconds())
 		if st, ok := resp.(streamed); ok {
 			// The stream committed its own status and headers.
 			status = int(st)
@@ -789,9 +708,9 @@ func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, 
 
 		// Serve-stale annotation: the registry answered from the
 		// last-good store because the fresh build failed.
-		if stale {
+		if age, stale := ob.stats.Stale(); stale {
 			w.Header().Set("Warning", `110 obdreld "Response is Stale"`)
-			w.Header().Set("X-Staleness", strconv.FormatInt(staleSecs, 10))
+			w.Header().Set("X-Staleness", strconv.FormatInt(int64(age.Seconds()), 10))
 		}
 
 		// End the trace before writing: the finalized tree is what
@@ -948,16 +867,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // subtree is returned in the X-Obdrel-Span header for the fetcher to
 // graft into its own tree.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	ob := s.begin()
 	status := http.StatusOK
-	traceID := ""
-	defer func() { s.observeOps("/v1/artifact", r, status, start, traceID) }()
+	defer func() { s.observe("/v1/artifact", r, status, &ob) }()
 
 	var root *obs.Span
 	if tid, sid, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
 		_, root = s.tracer.StartTrace(r.Context(), "peer.serve", tid, sid)
 		if root != nil {
-			traceID = root.TraceID()
+			ob.traceID = root.TraceID()
 			if s.cluster != nil {
 				// Per-node provenance: which node served this subtree.
 				root.SetAttr("node", s.cluster.self)

@@ -309,23 +309,65 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestAccessLog checks the structured per-request log line.
+// TestAccessLog: a /v1 route, the /v1/batch stream and an ops route
+// each write exactly one record, in the one Record schema, and the
+// routes outside observation (/healthz, /readyz, /metrics, unknown
+// paths) write none.
 func TestAccessLog(t *testing.T) {
 	var buf syncBuffer
 	srv := newTestServer(t, Options{AccessLog: &buf})
 	getJSON(t, srv.URL+"/v1/designs", http.StatusOK)
+	postBatch(t, srv.URL+"/v1/batch", batchBody(
+		fmt.Sprintf(`{"design":"C1","method":"st_fast","ppm":10,"config":%s}`, cheapCfg)))
+	getJSON(t, srv.URL+"/v1/cluster/stats", http.StatusOK)
+	for _, path := range []string{"/healthz", "/readyz", "/metrics", "/nonsense"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
 
-	line := strings.TrimSpace(buf.String())
-	var entry map[string]any
-	if err := json.Unmarshal([]byte(line), &entry); err != nil {
-		t.Fatalf("access log is not JSON: %q", line)
+	recs := readRecords(t, buf.String())
+	want := []string{"/v1/designs", "/v1/batch", "/v1/cluster/stats"}
+	if len(recs) != len(want) {
+		t.Fatalf("%d records, want one per observed request (%v):\n%s", len(recs), want, buf.String())
 	}
-	if entry["route"] != "/v1/designs" || entry["status"] != float64(200) {
-		t.Fatalf("log entry: %v", entry)
+	for i, rec := range recs {
+		if rec.Route != want[i] || rec.Status != http.StatusOK || rec.Method == "" || rec.TS == "" || rec.DurUs < 0 {
+			t.Errorf("record %d = %+v, want a 200 for %s", i, rec, want[i])
+		}
 	}
-	if _, ok := entry["dur_us"]; !ok {
-		t.Fatalf("log entry missing dur_us: %v", entry)
+	if recs[0].Cache != "none" || recs[1].Cache != "built" || recs[2].Cache != "none" {
+		t.Errorf("cache provenance = %q %q %q, want none built none", recs[0].Cache, recs[1].Cache, recs[2].Cache)
 	}
+}
+
+// readRecords decodes a record log strictly: each line must be one
+// Record, nothing else, carrying every field the schema always writes.
+func readRecords(t *testing.T, log string) []Record {
+	t.Helper()
+	var recs []Record
+	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
+		if line == "" {
+			continue
+		}
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		var rec Record
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("line %q is not a record: %v", line, err)
+		}
+		var keys map[string]any
+		json.Unmarshal([]byte(line), &keys)
+		for _, k := range []string{"ts", "route", "method", "status", "dur_us", "queue_wait_us", "cache", "stage_builds", "peer_fills"} {
+			if _, ok := keys[k]; !ok {
+				t.Fatalf("record %q lacks %q", line, k)
+			}
+		}
+		recs = append(recs, rec)
+	}
+	return recs
 }
 
 type syncBuffer struct {
