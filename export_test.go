@@ -57,3 +57,7 @@ func LinearHybridTables(v any) any {
 // ThermalSegment exposes the thermal stage's key input to the external
 // tests.
 func (c *Config) ThermalSegment() string { return c.segThermal() }
+
+// PCASegment exposes the pca stage's key input for a 1×1 die to the
+// external tests.
+func (c *Config) PCASegment() string { return c.segPCA(1, 1) }

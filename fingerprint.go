@@ -191,11 +191,15 @@ func (c *Config) segCovariance(dieW, dieH float64) string {
 // sweeps over those share one PCA: this key is what deduplicates
 // eigendecompositions across a Table IV/V sweep. The layout tag
 // versions the artifact's block form, so disk files and peers holding
-// the older dense layout miss instead of failing to decode.
+// the older dense layout miss instead of failing to decode. The solve
+// tag names the swap-symmetric solve of square grids, whose
+// eigenvector signs and EO/OE tie order differ from the four-block
+// solve's: factors built before it miss by name, so one key never
+// serves two sets of sampling-engine answers.
 func (c *Config) segPCA(dieW, dieH float64) string {
 	tech := c.resolvedTech()
 	qtLevels, qtDecay := c.resolvedQuadTree()
-	return fmt.Sprintf("pca|layout=blocks|die=%gx%g|u0=%g|sr=%g|fg=%g|fs=%g|rho=%g|grid=%dx%d|qt=%t,%d,%g|keep=%g",
+	return fmt.Sprintf("pca|layout=blocks|solve=swap|die=%gx%g|u0=%g|sr=%g|fg=%g|fs=%g|rho=%g|grid=%dx%d|qt=%t,%d,%g|keep=%g",
 		dieW, dieH, tech.U0, c.SigmaRatio, c.FracGlobal, c.FracSpatial,
 		c.RhoDist, c.GridNx, c.GridNy, c.QuadTree, qtLevels, qtDecay, c.resolvedKeep())
 }

@@ -86,6 +86,14 @@ func TestFingerprintCanonicalization(t *testing.T) {
 			distinct[name] = fp
 		}
 	})
+	t.Run("pca solve tag", func(t *testing.T) {
+		// The pca stage key names its solve, so factors of the
+		// four-block solve of square grids, whose eigenvector signs
+		// differ, miss by name.
+		if seg := base.PCASegment(); !strings.Contains(seg, "|layout=blocks|solve=swap|") {
+			t.Fatalf("pca stage key input %q lacks the layout=blocks|solve=swap tag", seg)
+		}
+	})
 	t.Run("thermal method defaults resolved", func(t *testing.T) {
 		// The thermal stage key names its solve method, so artifacts of
 		// another solver miss by name; an explicit default solver

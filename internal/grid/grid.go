@@ -111,10 +111,11 @@ func NewModel(u0, w, h float64, nx, ny int, sigmaG, sigmaS, sigmaE, rhoDist floa
 }
 
 // MaxResolution bounds Nx and Ny. The PCA build eigendecomposes four
-// dense reflection blocks of about Nx·Ny/4 rows each, holding each
-// block and its eigenvectors at once: about 4·(Nx·Ny)² bytes in all,
-// 1 GiB at 128×128 (n = 16,384 grids), and the O(n³) eigensolves take
-// minutes there. Every grid the repo builds is far below it (the
+// dense reflection blocks of about Nx·Ny/4 rows each (on a square,
+// swap-symmetric grid, EO and four swap halves of about Nx·Ny/8 rows
+// instead), holding the blocks and their eigenvectors at once: about
+// 4·(Nx·Ny)² bytes in all, 1 GiB at 128×128 (n = 16,384 grids), and
+// the O(n³) eigensolves take minutes there. Every grid the repo builds is far below it (the
 // paper's 25×25, 40×40 in tests, the daemon's cap of 64), so the bound
 // only turns away a decoded model, from disk or a peer, that would
 // have the PCA stage allocate without limit.

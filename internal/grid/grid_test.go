@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -138,24 +139,50 @@ func TestPCAReconstructsCovariance(t *testing.T) {
 }
 
 // TestComputePCAWorkersBitIdentical: the parallel covariance assembly
-// and eigensolve return exactly the serial decomposition, so a PCA
-// artifact does not depend on who built it.
+// and eigensolves return exactly the serial decomposition, so a PCA
+// artifact does not depend on who built it. The square grids take the
+// swap path, the 2×1 die the four-block solve.
 func TestComputePCAWorkersBitIdentical(t *testing.T) {
-	m := testModel(t, 5, 5, 0.4)
-	parallel, err := m.ComputePCAWorkers(1, 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		n int
+		w float64
+	}{{5, 1}, {25, 1}, {25, 2}} {
+		m := testModel(t, c.n, c.n, 0.4)
+		m.W = c.w
+		serial, err := m.ComputePCA(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 5} {
+			parallel, err := m.ComputePCAWorkers(1, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%dx%d grid, %gx1 die, %d workers", c.n, c.n, c.w, w)
+			if parallel.K != serial.K || !bitsEqual(parallel.Eigenvalues, serial.Eigenvalues) ||
+				!bitsEqual([]float64{parallel.TotalVariance, parallel.CapturedVariance}, []float64{serial.TotalVariance, serial.CapturedVariance}) {
+				t.Fatalf("%s: spectrum or variances differ from the serial build", name)
+			}
+			for b := range serial.Blocks {
+				if !bitsEqual(parallel.Blocks[b].Eigenvalues, serial.Blocks[b].Eigenvalues) || !bitsEqual(parallel.Blocks[b].Loadings, serial.Blocks[b].Loadings) {
+					t.Fatalf("%s: block %d differs from the serial build — parallel block eigensolves are not bit-deterministic", name, b)
+				}
+			}
+		}
 	}
-	serial, err := m.ComputePCA(1)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// bitsEqual reports whether a and b hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	if parallel.K != serial.K {
-		t.Fatalf("K: parallel %d vs serial %d", parallel.K, serial.K)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
 	}
-	if d := maxAbsDiff(parallel.Dense(), serial.Dense()); d != 0 {
-		t.Fatalf("loadings differ by %v — parallel block eigensolves are not bit-deterministic", d)
-	}
+	return true
 }
 
 func TestPCATruncation(t *testing.T) {

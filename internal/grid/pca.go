@@ -21,10 +21,12 @@ import (
 // even/odd basis the covariance is block diagonal with four blocks —
 // EE, EO, OE, OO, first letter the x parity — of about n/4 rows each
 // (169/156/156/144 at 25×25). Each block is eigendecomposed on its
-// own, and Λ is kept in the same form: per block, the retained
-// eigenvector columns in the block's basis, scaled by √λ. That is
-// about a quarter of the dense n×K bytes; GridShifts maps back to
-// grids on the fly.
+// own; on a square grid whose covariance is also symmetric under the
+// x↔y swap, EE and OO are solved as two swap halves each and OE is
+// EO with its rows permuted (see swapEigen). Λ is kept in the block
+// form either way: per block, the retained eigenvector columns in the
+// block's basis, scaled by √λ. That is about a quarter of the dense
+// n×K bytes; GridShifts maps back to grids on the fly.
 //
 // The quad-tree factor is exact by construction and has no such
 // symmetry to exploit; it is stored as a single block in the identity
@@ -182,7 +184,7 @@ func (p *PCA) SizeBytes() int64 {
 
 // ComputePCA returns the canonical-form factorization x = Λ·z of the
 // correlated component. For StructExpDecay this eigendecomposes the
-// covariance's four reflection blocks (Λ = V·√D), retaining
+// covariance's reflection blocks (Λ = V·√D), retaining
 // components until keepFraction of the total variance is captured
 // (pass 1 to keep everything above numerical noise). For
 // StructQuadTree the factor is exact by construction (one component
@@ -191,8 +193,8 @@ func (m *Model) ComputePCA(keepFraction float64) (*PCA, error) {
 	return m.ComputePCAWorkers(keepFraction, 1)
 }
 
-// ComputePCAWorkers is ComputePCA with the four block eigensolves
-// fanned out over workers. The blocks are independent, so the PCA is
+// ComputePCAWorkers is ComputePCA with the block eigensolves fanned
+// out over workers. The solves are independent, so the PCA is
 // bit-identical for every worker count.
 func (m *Model) ComputePCAWorkers(keepFraction float64, workers int) (*PCA, error) {
 	return m.ComputePCACtx(context.Background(), keepFraction, workers)
@@ -210,31 +212,14 @@ func (m *Model) ComputePCACtx(ctx context.Context, keepFraction float64, workers
 		}
 		return m.quadTreeFactor()
 	}
-	// The covariance depends on the grid offset (|Δix|, |Δiy|) only:
-	// tabulate it once from the model's own entry expression.
-	kern := m.kernel()
-	table := make([]float64, m.NumGrids())
-	for g := range table {
-		table[g] = kern(0, g)
+	table := m.offsetTable()
+	solve := m.parityEigen
+	if m.swapSymmetric(table) {
+		solve = m.swapEigen
 	}
-	vals := make([][]float64, numParityBlocks)
-	vecs := make([]*linalg.Matrix, numParityBlocks)
-	errs := make([]error, numParityBlocks)
-	if err := par.ForCtx(ctx, workers, numParityBlocks, func(b int) {
-		if blk := m.parityBlock(b, table); blk != nil {
-			vals[b], vecs[b], errs[b] = linalg.EigenSymCtx(ctx, blk)
-		}
-	}); err != nil {
+	vals, vecs, err := solve(ctx, table, workers)
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("grid: covariance eigendecomposition: %w", err)
 	}
 	merged, comp := mergeSpectra(vals)
 	total := 0.0
@@ -283,6 +268,205 @@ func (m *Model) ComputePCACtx(ctx context.Context, keepFraction float64, workers
 		blocks[b] = blk
 	}
 	return NewPCA(m.Nx, m.Ny, blocks, total, captured)
+}
+
+// offsetTable tabulates the covariance by grid offset, table[dy·Nx+dx]
+// = cov at offset (dx, dy), from the model's own entry expression: the
+// exponential-decay covariance depends on (|Δix|, |Δiy|) only.
+func (m *Model) offsetTable() []float64 {
+	kern := m.kernel()
+	table := make([]float64, m.NumGrids())
+	for g := range table {
+		table[g] = kern(0, g)
+	}
+	return table
+}
+
+// parityEigen eigendecomposes the covariance's four reflection-parity
+// blocks from the offset table, fanned out over workers. vals[b] and
+// vecs[b] are block b's spectrum (descending) and eigenvectors in the
+// block basis; an empty block leaves both nil.
+func (m *Model) parityEigen(ctx context.Context, table []float64, workers int) ([][]float64, []*linalg.Matrix, error) {
+	return eigenAll(ctx, workers, numParityBlocks, func(b int) *linalg.Matrix {
+		return m.parityBlock(b, table)
+	})
+}
+
+// swapSymmetric reports whether the offset table is symmetric under
+// the x↔y swap bit for bit: a square grid whose covariance at offset
+// (dx, dy) is the one at (dy, dx). The swap then commutes with the
+// covariance and swapEigen applies.
+func (m *Model) swapSymmetric(table []float64) bool {
+	if m.Nx != m.Ny {
+		return false
+	}
+	n := m.Nx
+	for dy := 0; dy < n; dy++ {
+		for dx := 0; dx < dy; dx++ {
+			if math.Float64bits(table[dy*n+dx]) != math.Float64bits(table[dx*n+dy]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// swapEigen is parityEigen for a swap-symmetric table. The swap
+// (ix, iy) → (iy, ix) maps basis member (p, q) of EE or OO to (q, p)
+// of the same block, and member (p, q) of EO to (q, p) of OE. So EE
+// and OO each split into a swap-symmetric and a swap-antisymmetric
+// half (91 + 78 and 78 + 66 rows at 25×25), and OE is EO with its rows
+// permuted and the same spectrum. The five solves, EO's 156 rows the
+// largest, take about a third of the four blocks' flops.
+func (m *Model) swapEigen(ctx context.Context, table []float64, workers int) ([][]float64, []*linalg.Matrix, error) {
+	ce, co := parityCount(m.Nx, false), parityCount(m.Nx, true)
+	ee, oo := m.parityBlock(blockEE, table), m.parityBlock(blockOO, table)
+	// EO, the largest solve, goes first so that it starts at once.
+	solves := []func() *linalg.Matrix{
+		func() *linalg.Matrix { return m.parityBlock(blockEO, table) },
+		func() *linalg.Matrix { return swapHalf(ee, ce, false) },
+		func() *linalg.Matrix { return swapHalf(ee, ce, true) },
+		func() *linalg.Matrix { return swapHalf(oo, co, false) },
+		func() *linalg.Matrix { return swapHalf(oo, co, true) },
+	}
+	hv, hx, err := eigenAll(ctx, workers, len(solves), func(i int) *linalg.Matrix { return solves[i]() })
+	if err != nil {
+		return nil, nil, err
+	}
+	vals := make([][]float64, numParityBlocks)
+	vecs := make([]*linalg.Matrix, numParityBlocks)
+	vals[blockEO], vecs[blockEO] = hv[0], hx[0]
+	vals[blockOE], vecs[blockOE] = hv[0], swapRows(hx[0], ce, co)
+	vals[blockEE], vecs[blockEE] = swapLift(ce, hv[1:3], hx[1:3])
+	vals[blockOO], vecs[blockOO] = swapLift(co, hv[3:5], hx[3:5])
+	return vals, vecs, nil
+}
+
+// eigenAll eigendecomposes build(i) for every i < n, fanned out over
+// workers; a nil matrix leaves its slot empty. The solves are
+// independent, so the result is bit-identical for every worker count.
+func eigenAll(ctx context.Context, workers, n int, build func(i int) *linalg.Matrix) ([][]float64, []*linalg.Matrix, error) {
+	vals := make([][]float64, n)
+	vecs := make([]*linalg.Matrix, n)
+	errs := make([]error, n)
+	if err := par.ForCtx(ctx, workers, n, func(i int) {
+		if a := build(i); a != nil {
+			vals[i], vecs[i], errs[i] = linalg.EigenSymCtx(ctx, a)
+		}
+	}); err != nil {
+		return nil, nil, err
+	}
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if ctx.Err() != nil {
+			return nil, nil, ctx.Err()
+		}
+		return nil, nil, fmt.Errorf("grid: covariance eigendecomposition: %w", err)
+	}
+	return vals, vecs, nil
+}
+
+// swapMembers lists the swap-symmetric (anti false) or antisymmetric
+// half's basis of a c×c parity block of a square grid. Member (p, q),
+// p ≤ q (p < q for the antisymmetric half), combines block row
+// p + q·c with its swap image q + p·c as (e_row ± e_mate)/√2; a
+// diagonal member (p = q, symmetric half only) is e_row alone, with
+// mate = row.
+func swapMembers(c int, anti bool) (rows, mates []int) {
+	for q := 0; q < c; q++ {
+		for p := 0; p < q || p == q && !anti; p++ {
+			rows = append(rows, p+q*c)
+			mates = append(mates, q+p*c)
+		}
+	}
+	return rows, mates
+}
+
+// swapHalf projects the c×c parity block a onto one swap half's
+// basis, or returns nil for an empty half. With A commuting with the
+// swap σ, entry (a, b) is A[a,b] ± A[a,σb] for two paired members,
+// √2·A[a,b] for one diagonal member and A[a,b] for two.
+func swapHalf(a *linalg.Matrix, c int, anti bool) *linalg.Matrix {
+	rows, mates := swapMembers(c, anti)
+	h := len(rows)
+	if h == 0 {
+		return nil
+	}
+	s := 1.0
+	if anti {
+		s = -1
+	}
+	out := linalg.NewMatrix(h, h)
+	for i, ri := range rows {
+		for j := i; j < h; j++ {
+			rj := rows[j]
+			var v float64
+			switch di, dj := ri == mates[i], rj == mates[j]; {
+			case di && dj:
+				v = a.At(ri, rj)
+			case di || dj:
+				v = math.Sqrt2 * a.At(ri, rj)
+			default:
+				v = a.At(ri, rj) + s*a.At(ri, mates[j])
+			}
+			out.Set(i, j, v)
+			out.Set(j, i, v)
+		}
+	}
+	return out
+}
+
+// swapLift maps a c×c parity block's two swap halves (symmetric
+// first) back to the block basis: a half's eigenvector y becomes
+// (y, ±y)/√2 on a paired member's row and mate, and y on a diagonal
+// member's row. The halves' spectra merge in descending order, ties
+// to the symmetric half.
+func swapLift(c int, vals [][]float64, vecs []*linalg.Matrix) ([]float64, *linalg.Matrix) {
+	if c == 0 {
+		return nil, nil
+	}
+	merged, comp := mergeSpectra(vals)
+	out := linalg.NewMatrix(c*c, len(merged))
+	for h, anti := range []bool{false, true} {
+		if vecs[h] == nil {
+			continue
+		}
+		s := 1.0
+		if anti {
+			s = -1
+		}
+		rows, mates := swapMembers(c, anti)
+		for i, r := range rows {
+			for col, k := range comp[h] {
+				y := vecs[h].At(i, col)
+				if r == mates[i] {
+					out.Set(r, k, y)
+					continue
+				}
+				y *= math.Sqrt2 / 2
+				out.Set(r, k, y)
+				out.Set(mates[i], k, s*y)
+			}
+		}
+	}
+	return merged, out
+}
+
+// swapRows maps EO's eigenvectors to OE's: the swap takes EO row
+// p + q·ce to OE row q + p·co.
+func swapRows(eo *linalg.Matrix, ce, co int) *linalg.Matrix {
+	if eo == nil {
+		return nil
+	}
+	oe := linalg.NewMatrix(eo.Rows, eo.Cols)
+	for q := 0; q < co; q++ {
+		for p := 0; p < ce; p++ {
+			copy(oe.Row(q+p*co), eo.Row(p+q*ce))
+		}
+	}
+	return oe
 }
 
 // fold1D returns the terms of the 1D reflection fold: for basis

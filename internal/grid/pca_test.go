@@ -187,20 +187,112 @@ func TestNewPCARejectsBadValues(t *testing.T) {
 	}
 }
 
-// BenchmarkComputePCA25x25 builds the paper's 25×25 PCA with the four
-// block eigensolves run serially and fanned out over GOMAXPROCS
-// workers.
+// TestSwapEigenMatchesParityBlocks checks the swap path of square
+// grids against the four-block solve: each block's spectrum agrees,
+// each block's Σ λ·v·vᵀ reconstructs its parity block, and EO and OE
+// share one spectrum bit for bit.
+func TestSwapEigenMatchesParityBlocks(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{1, 2, 5, 24, 25} {
+		for _, rho := range []float64{0.25, 0.5, 0.75} {
+			name := fmt.Sprintf("%dx%d rho=%g", n, n, rho)
+			m := testModel(t, n, n, rho)
+			table := m.offsetTable()
+			if !m.swapSymmetric(table) {
+				t.Fatalf("%s: square 1×1 die not swap-symmetric", name)
+			}
+			wantVals, _, err := m.parityEigen(ctx, table, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals, vecs, err := m.swapEigen(ctx, table, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lam0 := wantVals[blockEE][0]
+			c00 := table[0]
+			for b := 0; b < numParityBlocks; b++ {
+				if len(vals[b]) != len(wantVals[b]) {
+					t.Fatalf("%s: block %d has %d eigenvalues, want %d", name, b, len(vals[b]), len(wantVals[b]))
+				}
+				for k, v := range vals[b] {
+					if d := math.Abs(v - wantVals[b][k]); d > 1e-13*lam0 {
+						t.Errorf("%s: block %d eigenvalue %d = %v, four-block %v (|Δ| = %.3g λ₀)", name, b, k, v, wantVals[b][k], d/lam0)
+					}
+				}
+				blk := m.parityBlock(b, table)
+				if blk == nil {
+					continue
+				}
+				rows := blk.Rows
+				for i := 0; i < rows; i++ {
+					for j := 0; j < rows; j++ {
+						s := 0.0
+						for k, v := range vals[b] {
+							s += v * vecs[b].At(i, k) * vecs[b].At(j, k)
+						}
+						if d := math.Abs(s - blk.At(i, j)); d > 1e-12*c00 {
+							t.Fatalf("%s: block %d entry (%d,%d) reconstructs to %v, want %v", name, b, i, j, s, blk.At(i, j))
+						}
+					}
+				}
+			}
+			if !bitsEqual(vals[blockEO], vals[blockOE]) {
+				t.Fatalf("%s: EO spectrum %v, OE %v", name, vals[blockEO], vals[blockOE])
+			}
+		}
+	}
+}
+
+// TestSwapPCACancelled: a cancelled context stops the swap path's
+// solves and surfaces as ctx.Err(), serial or fanned out.
+func TestSwapPCACancelled(t *testing.T) {
+	m := testModel(t, 25, 25, 0.5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, w := range []int{1, 3} {
+		if p, err := m.ComputePCACtx(ctx, 1, w); p != nil || err != ctx.Err() {
+			t.Fatalf("%d workers: got (%v, %v), want (nil, %v)", w, p, err, ctx.Err())
+		}
+	}
+}
+
+// TestNonSquareTakesParityBlocks: a rectangular grid, or a square grid
+// on a rectangular die, has no swap symmetry and keeps the four-block
+// solve, while a square grid on a square die takes the swap path.
+func TestNonSquareTakesParityBlocks(t *testing.T) {
+	for _, c := range []struct {
+		nx, ny int
+		w, h   float64
+		swap   bool
+	}{
+		{25, 24, 1, 1, false},
+		{25, 25, 2, 1, false},
+		{25, 25, 1, 1, true},
+	} {
+		m := oracleModel(t, c.nx, c.ny, c.w, c.h, 0.5)
+		if got := m.swapSymmetric(m.offsetTable()); got != c.swap {
+			t.Errorf("%dx%d grid on a %gx%g die: swapSymmetric = %v, want %v", c.nx, c.ny, c.w, c.h, got, c.swap)
+		}
+	}
+}
+
+// BenchmarkComputePCA25x25 builds the paper's 25×25 PCA on its square
+// die, where the swap path solves five blocks, serially and fanned out
+// over GOMAXPROCS workers; die2x1 builds it on a 2×1 die, which has no
+// swap symmetry and takes the four-block solve.
 func BenchmarkComputePCA25x25(b *testing.B) {
 	sigmaTot := 2.2 * 0.04 / 3
 	sg, ss, se, _ := VarianceBudget(sigmaTot, 0.5, 0.25, 0.25)
-	m, err := NewModel(2.2, 1, 1, 25, 25, sg, ss, se, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, bc := range []struct {
 		name    string
+		w       float64
 		workers int
-	}{{"serial", 1}, {"workers", 0}} {
+	}{{"serial", 1, 1}, {"workers", 1, 0}, {"die2x1/workers", 2, 0}} {
+		m, err := NewModel(2.2, bc.w, 1, 25, 25, sg, ss, se, 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := m.ComputePCAWorkers(1, bc.workers); err != nil {

@@ -5,10 +5,12 @@
 //
 // The package is deliberately minimal. The spatial-correlation PCA
 // never hands it the full n×n grid covariance: internal/grid splits
-// that matrix into four reflection-symmetry blocks of about n/4 rows
-// (169 at most for the paper's 25×25 grid) and solves each with
-// EigenSymCtx, so a straightforward dense implementation is both
-// sufficient and easy to verify. The eigensolver stores its working
+// that matrix into four reflection-symmetry blocks of about n/4 rows,
+// and on square grids splits two of those again by the x↔y swap and
+// derives a third from the fourth, so the largest solve at the
+// paper's 25×25 grid has 156 rows (169 on a rectangular die). Each is
+// solved with EigenSymCtx, so a straightforward dense implementation
+// is both sufficient and easy to verify. The eigensolver stores its working
 // matrix transposed (vᵀ), so its O(n³) loops walk contiguous rows, and
 // it is bit-identical to the row-major JAMA/EISPACK code it ports.
 package linalg

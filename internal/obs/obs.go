@@ -18,12 +18,12 @@
 //
 // A trace finalizes when its ROOT span ends: the completed-span list
 // is snapshotted into an immutable TraceOut tree and delivered to the
-// tracer's three sinks — a bounded ring of recent traces (served by
-// /debug/traces), an optional JSONL exporter, and a per-trace summary
-// hook. Spans still open at that moment (e.g. a coalesced stage build
-// that outlives the request that started it) are counted as dropped;
-// spans that end after finalization are discarded, never delivered to
-// someone else's snapshot.
+// tracer's two sinks — a bounded ring of recent traces (served by
+// /debug/traces) and an optional JSONL exporter. Spans still open at
+// that moment (e.g. a coalesced stage build that outlives the request
+// that started it) are counted as dropped; spans that end after
+// finalization are discarded, never delivered to someone else's
+// snapshot.
 //
 // Trace identity follows the W3C Trace Context format so that callers
 // (load generators, upstream proxies) can join server traces to their own:
@@ -294,13 +294,9 @@ type Options struct {
 	// JSONL, when non-nil, receives every finalized trace as one JSON
 	// line. Writes are serialized; a write error disables the exporter.
 	JSONL io.Writer
-	// OnTrace, when non-nil, is called synchronously with every
-	// finalized trace — the per-trace summary hook (custom
-	// aggregation). It must not block.
-	OnTrace func(*TraceOut)
 }
 
-// Tracer owns trace production and the three delivery sinks. A nil
+// Tracer owns trace production and the two delivery sinks. A nil
 // *Tracer is a valid disabled tracer: StartTrace returns a nil span.
 type Tracer struct {
 	opts Options
@@ -387,9 +383,6 @@ func (t *Tracer) finalize(tr *trace) {
 			t.jsonlErr = err
 		}
 		t.jsonlMu.Unlock()
-	}
-	if t.opts.OnTrace != nil {
-		t.opts.OnTrace(out)
 	}
 }
 

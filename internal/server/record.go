@@ -35,33 +35,31 @@ type Record struct {
 	PeerFills     int              `json:"peer_fills"`
 	StalenessS    int64            `json:"staleness_s,omitempty"`
 
-	// Process-level cost deltas sampled around the request. They are
-	// honest about their scope: on a busy server concurrent requests
-	// bleed into each other's deltas, but on a quiescent one they are
-	// the request's own footprint.
-	ProcAllocBytes   uint64 `json:"proc_alloc_bytes,omitempty"`
-	ProcAllocObjects uint64 `json:"proc_alloc_objects,omitempty"`
-	ProcCPUUs        int64  `json:"proc_cpu_us,omitempty"`
+	// ProcCPUUs is the process CPU time spent while the request ran.
+	// It is honest about its scope: on a busy server concurrent
+	// requests bleed into each other's deltas, but on a quiescent one
+	// it is the request's own cost.
+	ProcCPUUs int64 `json:"proc_cpu_us,omitempty"`
 }
 
 // observed is what an observed route knows about its request by the
 // time it answers: when it started, the trace it ran under, how long
 // it queued, its per-request collector (nil where the route resolves
-// no pipeline work), and the process cost counters at the start, read
-// only when a record will be written.
+// no pipeline work), and the process CPU time at the start, read only
+// when a record will be written.
 type observed struct {
 	start     time.Time
 	traceID   string
 	queueWait time.Duration
 	stats     *obs.ReqStats
-	cost      costSnapshot
+	cpuUs     int64
 }
 
 // begin starts observing one request.
 func (s *Server) begin() observed {
 	ob := observed{start: time.Now()}
 	if s.opts.AccessLog != nil {
-		ob.cost = readCost()
+		ob.cpuUs = processCPUUs()
 	}
 	return ob
 }
@@ -79,27 +77,24 @@ func (s *Server) observe(route string, r *http.Request, status int, ob *observed
 	visits, dropped := ob.stats.Visits()
 	builds, _, _, peer, buildNs := ob.stats.Counts()
 	age, _ := ob.stats.Stale()
-	end := readCost()
 	enc, err := json.Marshal(&Record{
-		TS:               ob.start.UTC().Format(time.RFC3339Nano),
-		Route:            route,
-		Method:           r.Method,
-		Status:           status,
-		TraceID:          ob.traceID,
-		Remote:           r.RemoteAddr,
-		Query:            r.URL.RawQuery,
-		DurUs:            d.Microseconds(),
-		QueueWaitUs:      ob.queueWait.Microseconds(),
-		Cache:            cacheProvenance(ob.stats),
-		Stages:           visits,
-		StagesDropped:    dropped,
-		StageBuilds:      builds,
-		BuildMs:          float64(buildNs) / 1e6,
-		PeerFills:        peer,
-		StalenessS:       int64(age.Seconds()),
-		ProcAllocBytes:   end.allocBytes - ob.cost.allocBytes,
-		ProcAllocObjects: end.allocObjects - ob.cost.allocObjects,
-		ProcCPUUs:        end.cpuUs - ob.cost.cpuUs,
+		TS:            ob.start.UTC().Format(time.RFC3339Nano),
+		Route:         route,
+		Method:        r.Method,
+		Status:        status,
+		TraceID:       ob.traceID,
+		Remote:        r.RemoteAddr,
+		Query:         r.URL.RawQuery,
+		DurUs:         d.Microseconds(),
+		QueueWaitUs:   ob.queueWait.Microseconds(),
+		Cache:         cacheProvenance(ob.stats),
+		Stages:        visits,
+		StagesDropped: dropped,
+		StageBuilds:   builds,
+		BuildMs:       float64(buildNs) / 1e6,
+		PeerFills:     peer,
+		StalenessS:    int64(age.Seconds()),
+		ProcCPUUs:     processCPUUs() - ob.cpuUs,
 	})
 	if err != nil {
 		return

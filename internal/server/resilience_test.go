@@ -59,10 +59,12 @@ func TestServeStaleOnFailedRebuild(t *testing.T) {
 			return obdrel.NewAnalyzerCtx(ctx, d, cfg)
 		},
 	})
-	// The last-good store ages on a clock the test moves: the stale
-	// answers below are 90 s old.
+	// The last-good store ages on a clock only the test moves, so the
+	// stale answers below are exactly 90 s old however long the builds
+	// in between take.
 	var skew atomic.Int64
-	s.reg.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	base := time.Now()
+	s.reg.now = func() time.Time { return base.Add(time.Duration(skew.Load())) }
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
