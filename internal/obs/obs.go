@@ -551,14 +551,14 @@ func Traceparent(traceID, spanID string) string {
 }
 
 // ParseTraceparent extracts the trace id and parent span id from a W3C
-// traceparent header value. Malformed, all-zero, or version-ff headers
-// return ok=false.
+// traceparent header value. Malformed (flags included), all-zero, or
+// version-ff headers return ok=false.
 func ParseTraceparent(h string) (traceID, parentID string, ok bool) {
 	if len(h) != 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return "", "", false
 	}
-	ver, tid, sid := h[:2], h[3:35], h[36:52]
-	if ver == "ff" || !isLowerHex(ver) || !isLowerHex(tid) || !isLowerHex(sid) ||
+	ver, tid, sid, flags := h[:2], h[3:35], h[36:52], h[53:]
+	if ver == "ff" || !isLowerHex(ver) || !isLowerHex(tid) || !isLowerHex(sid) || !isLowerHex(flags) ||
 		allZero(tid) || allZero(sid) {
 		return "", "", false
 	}

@@ -246,6 +246,31 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzTraceparent feeds ParseTraceparent the header any client or
+// peer can send. It must not panic; an accepted header must be
+// well-formed (lower-hex version, ids and flags, non-zero ids); and
+// the ids it yields must survive Traceparent and a second parse.
+func FuzzTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		for _, field := range []string{h[:2], tid, sid, h[53:]} {
+			if !isLowerHex(field) {
+				t.Fatalf("accepted %q with a field %q that is not lower-case hex", h, field)
+			}
+		}
+		if allZero(tid) || allZero(sid) {
+			t.Fatalf("accepted %q with an all-zero id", h)
+		}
+		gt, gs, ok := ParseTraceparent(Traceparent(tid, sid))
+		if !ok || gt != tid || gs != sid {
+			t.Fatalf("%q: ids (%q, %q) came back as (%q, %q, %v)", h, tid, sid, gt, gs, ok)
+		}
+	})
+}
+
 func TestAdoptedTraceID(t *testing.T) {
 	tr := NewTracer(Options{})
 	tid, psid := NewTraceID(), NewSpanID()

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -16,7 +14,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"obdrel/internal/obs"
+	"obdrel/internal/member"
+	"obdrel/internal/pipeline"
 )
 
 // cluster is obdreld's sharding layer, and every cluster node runs it
@@ -43,17 +42,36 @@ import (
 // replica set". With k > 1 every build pushes the sealed artifact to
 // the other members of that set, so a kill −9 of the primary leaves
 // warm replicas and zero cold rebuilds.
+//
+// Its background work — the heartbeat loop, the rebalance loop, the
+// replication workers and a draining node's leave — starts in start
+// and stops in close.
 type cluster struct {
-	self    string
-	pinned  []string // normalized -peers list, self included; nil for -join
-	client  *http.Client
-	timeout time.Duration
+	self     string
+	pinned   []string // normalized -peers list, self included; nil for -join
+	seeds    []string // -peers or -join URLs, normalized, self excluded
+	stages   *pipeline.Cache
+	dir      *member.Directory
+	client   *http.Client
+	timeout  time.Duration
+	replicas int // k-way placement factor; 1 = owner-only
 
-	mu       sync.RWMutex
-	peers    []string // normalized, sorted ring members: pinned, or alive ∪ self
-	ring     *hashRing
-	epoch    uint64
-	replicas int // k-way placement factor; 1 = owner-only; fixed after NewE
+	mu    sync.RWMutex
+	peers []string // normalized, sorted ring members: pinned, or alive ∪ self
+	ring  *hashRing
+	epoch uint64
+
+	// ctx is cancelled by close: the loops return and their peer calls
+	// end. wg counts every goroutine close waits for.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+	// rebalKick queues one rebalance sweep; replTasks holds builds
+	// waiting to be pushed to their replica set. Its 256 slots absorb a
+	// burst of builds; beyond them a push is dropped (counted) and the
+	// rebalance sweep re-converges it.
+	rebalKick chan struct{}
+	replTasks chan repTask
 
 	// fetchAttempts counts cluster fetches started; fetchFills those
 	// satisfied by some peer; fetchErrors per-peer request failures
@@ -68,10 +86,25 @@ type cluster struct {
 	fetchHedged    atomic.Int64
 	fetchHedgeWins atomic.Int64
 	// Replication counters: pushes attempted, push failures (transport
-	// or rejection), pushes dropped on a full queue.
+	// or rejection), pushes dropped on a full queue, and pushes this
+	// node received and installed or rejected.
 	replicaPushes   atomic.Int64
 	replicaPushErrs atomic.Int64
 	replicaDropped  atomic.Int64
+	replReceives    atomic.Int64
+	replRejects     atomic.Int64
+	// Rebalance progress, surfaced by /readyz: a sweep never gates
+	// serving, it only reports.
+	rebalancing  atomic.Bool
+	rebalDone    atomic.Int64
+	rebalTotal   atomic.Int64
+	rebalFetched atomic.Int64
+	rebalSweeps  atomic.Int64
+	// keysLost counts artifacts held locally that the current ring no
+	// longer assigns to this node (kept — they still serve fetches —
+	// but reported so an operator can watch placement drift).
+	keysLost      atomic.Int64
+	heartbeatErrs atomic.Int64
 }
 
 // maxFetchCandidates bounds how many peers one fetch consults (owner
@@ -79,37 +112,78 @@ type cluster struct {
 // small cluster without turning one miss into a full-cluster scan.
 const maxFetchCandidates = 3
 
-// newCluster validates self and the pinned list and seeds the ring
-// with them. Self must appear in a non-empty pinned list — a node that
-// is not part of the ring it routes on would consider every key
-// remote. An empty pinned list (-join) starts the ring as just self.
-func newCluster(self string, pinned []string, timeout time.Duration) (*cluster, error) {
-	self = normalizePeer(self)
+// newCluster validates the cluster options and builds the cluster
+// over them: the ring seeded with the pinned list (or just self, for
+// -join), and the member directory. Self must appear in a non-empty
+// pinned list — a node that is not part of the ring it routes on would
+// consider every key remote. Nothing runs until start.
+func newCluster(o *Options) (*cluster, error) {
+	if len(o.Peers) > 0 && len(o.JoinPeers) > 0 {
+		return nil, fmt.Errorf("cluster: -peers and -join are mutually exclusive")
+	}
+	self := normalizePeer(o.Self)
 	if self == "" {
 		return nil, fmt.Errorf("cluster: -peers and -join require -self")
 	}
 	if !isBaseURL(self) {
 		return nil, fmt.Errorf("cluster: self %q is not a base URL", self)
 	}
-	pins, err := peerList("-peers", pinned)
+	pins, err := peerList("-peers", o.Peers)
 	if err != nil {
 		return nil, err
 	}
 	if len(pins) > 0 && !slices.Contains(pins, self) {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list", self)
 	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
+	join, err := peerList("-join", o.JoinPeers)
+	if err != nil {
+		return nil, err
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	cl := &cluster{
-		self:     self,
-		pinned:   pins,
-		client:   &http.Client{Timeout: timeout},
-		timeout:  timeout,
-		replicas: 1,
+		self:      self,
+		pinned:    pins,
+		seeds:     slices.DeleteFunc(slices.Concat(pins, join), func(p string) bool { return p == self }),
+		stages:    o.Stages,
+		dir:       member.New(self, o.Lease, nil),
+		client:    &http.Client{Timeout: o.PeerTimeout},
+		timeout:   o.PeerTimeout,
+		replicas:  o.Replicas,
+		ctx:       ctx,
+		cancel:    cancel,
+		rebalKick: make(chan struct{}, 1),
+		replTasks: make(chan repTask, 256),
 	}
+	cl.dir.SetOnChange(cl.onChange)
 	cl.setMembers(nil, 1)
 	return cl, nil
+}
+
+// start launches the heartbeat and rebalance loops and, above k = 1,
+// two replication workers, so one slow push does not stall the queue.
+func (cl *cluster) start() {
+	cl.background(cl.heartbeatLoop)
+	cl.background(cl.rebalanceLoop)
+	if cl.replicas > 1 {
+		cl.background(cl.pushLoop)
+		cl.background(cl.pushLoop)
+	}
+}
+
+// background runs f in a goroutine that close waits for.
+func (cl *cluster) background(f func()) {
+	cl.wg.Add(1)
+	go func() {
+		defer cl.wg.Done()
+		f()
+	}()
+}
+
+// close stops the background work and waits for it. Safe to call
+// twice.
+func (cl *cluster) close() {
+	cl.cancel()
+	cl.wg.Wait()
 }
 
 // peerList normalizes a -peers or -join list: blanks and duplicates
@@ -312,92 +386,6 @@ func (cl *cluster) hedgeDelay() time.Duration {
 		d = 5 * time.Millisecond
 	}
 	return d
-}
-
-// pushReplica writes one sealed artifact to a peer's replica-receive
-// surface (PUT /v1/artifact/{stage}/{key}). The receiver re-verifies
-// the container checksum before installing, so a garbled push can
-// reject but never corrupt.
-func (cl *cluster) pushReplica(ctx context.Context, peer, stage, key string, sealed []byte) error {
-	rctx, cancel := context.WithTimeout(ctx, cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPut,
-		peer+"/v1/artifact/"+url.PathEscape(stage)+"/"+url.PathEscape(key),
-		bytes.NewReader(sealed))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peer %s: replica %s/%s: status %d", peer, stage, key, resp.StatusCode)
-	}
-	return nil
-}
-
-// spanSubtreeHeader carries the owner's finished `peer.serve` span
-// subtree back to the fetcher (JSON-encoded obs.SpanOut), where it is
-// grafted under the fetcher's artifact.fetch span — the mechanism that
-// makes one ?explain=1 tree span both nodes.
-const spanSubtreeHeader = "X-Obdrel-Span"
-
-// fetchFrom performs one peer request. (nil, nil) is a clean 404.
-// Fetches that run inside a traced request mint an `artifact.fetch`
-// child span, propagate the trace to the peer as a W3C traceparent,
-// and graft the peer's returned span subtree under their own span.
-func (cl *cluster) fetchFrom(ctx context.Context, peer, stage, key string) ([]byte, error) {
-	sctx, sp := obs.StartSpan(ctx, "artifact.fetch")
-	if sp != nil {
-		sp.SetAttr("peer", peer)
-		sp.SetAttr("stage", stage)
-		defer sp.End()
-	}
-	rctx, cancel := context.WithTimeout(sctx, cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet,
-		peer+"/v1/artifact/"+url.PathEscape(stage)+"/"+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		req.Header.Set("traceparent", obs.Traceparent(sp.TraceID(), sp.ID()))
-	}
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return nil, err
-	}
-	defer resp.Body.Close()
-	sp.SetAttr("status", resp.StatusCode)
-	if sp != nil {
-		if h := resp.Header.Get(spanSubtreeHeader); h != "" {
-			var sub obs.SpanOut
-			// A peer that returns a garbled subtree costs us the graft,
-			// never the artifact.
-			if json.Unmarshal([]byte(h), &sub) == nil {
-				sp.AttachRemote(&sub)
-			}
-		}
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		// An artifact is header + payload; 32 MiB comfortably bounds
-		// every stage at the server's resource caps.
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-		if err != nil {
-			return nil, err
-		}
-		return body, nil
-	case http.StatusNotFound:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("peer %s: artifact %s/%s: status %d", peer, stage, key, resp.StatusCode)
-	}
 }
 
 // hashRing is a consistent-hash ring with virtual nodes: each peer

@@ -125,6 +125,7 @@ func TestNewEClusterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewE rejected valid options: %v", err)
 	}
+	t.Cleanup(s.Close)
 	if got := s.cluster.peers; len(got) != 2 {
 		t.Fatalf("peers = %v, want 2 normalized entries", got)
 	}
@@ -147,10 +148,12 @@ func TestPeerCacheFillBetweenNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sA.Close)
 	sB, err := NewE(Options{Stages: cacheB, ArtifactDir: dirB, Peers: peers, Self: tsB.URL, WarmLimit: -1, DisableTracing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sB.Close)
 	lA.h.Store(sA.Handler())
 	lB.h.Store(sB.Handler())
 
@@ -202,6 +205,7 @@ func TestClusterDegradeToLocalBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sB.Close)
 	lB.h.Store(sB.Handler())
 
 	builds := 0
@@ -431,6 +435,7 @@ func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.Close)
 		return s
 	}
 

@@ -2,12 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"sort"
-	"sync"
 
 	"obdrel/internal/member"
 	"obdrel/internal/obs"
@@ -89,49 +86,18 @@ func (s *Server) localNodeStats() nodeStats {
 		},
 		Routes: routes,
 	}
-	if m := s.member; m != nil {
-		ns.Epoch = s.cluster.epochView()
-		ns.Replicas = s.cluster.replicas
-		ns.Rebalancing = m.rebalancing.Load()
-		ns.Members = m.dir.Members()
+	if cl := s.cluster; cl != nil {
+		ns.Epoch = cl.epochView()
+		ns.Replicas = cl.replicas
+		ns.Rebalancing = cl.rebalancing.Load()
+		ns.Members = cl.dir.Members()
 	}
 	return ns
 }
 
 // handleClusterStats serves this node's stats document to peers.
-func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
-	ob := s.begin()
-	status := http.StatusOK
-	defer func() { s.observe("/v1/cluster/stats", r, status, &ob) }()
-	if r.Method != http.MethodGet {
-		status = http.StatusMethodNotAllowed
-		writeJSON(w, status, map[string]any{"error": "GET only"})
-		return
-	}
-	writeJSON(w, status, s.localNodeStats())
-}
-
-// nodeStatsFrom fetches one peer's stats document.
-func (cl *cluster) nodeStatsFrom(ctx context.Context, peer string) (nodeStats, error) {
-	var ns nodeStats
-	rctx, cancel := context.WithTimeout(ctx, cl.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, peer+"/v1/cluster/stats", nil)
-	if err != nil {
-		return ns, err
-	}
-	resp, err := cl.client.Do(req)
-	if err != nil {
-		return ns, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ns, fmt.Errorf("peer %s: stats status %d", peer, resp.StatusCode)
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&ns); err != nil {
-		return ns, fmt.Errorf("peer %s: stats decode: %v", peer, err)
-	}
-	return ns, nil
+func (s *Server) handleClusterStats(http.ResponseWriter, *http.Request, *observed) (int, any) {
+	return http.StatusOK, s.localNodeStats()
 }
 
 // nodeEntry is one node's row in the fleet status: its stats document,
@@ -208,7 +174,7 @@ func (s *Server) clusterStatus(ctx context.Context) clusterStatusOut {
 		out.Ring = cl.ringView().shares()
 		out.RingEpoch = cl.epochView()
 		out.Replicas = cl.replicas
-		out.Membership = s.member.dir.Members()
+		out.Membership = cl.dir.Members()
 		// The fan-out targets the CURRENT ring: a dead -join member
 		// has left it and is reported in Membership (with state
 		// "dead") rather than probed, so a shrunken fleet does not pay
@@ -217,25 +183,16 @@ func (s *Server) clusterStatus(ctx context.Context) clusterStatusOut {
 		// failed node.
 		peers := cl.peersView()
 		entries := make([]nodeEntry, len(peers))
-		var wg sync.WaitGroup
-		for i, peer := range peers {
-			if peer == cl.self {
-				entries[i] = nodeEntry{nodeStats: s.localNodeStats()}
-				continue
+		cl.fanOut(peers, func(i int, peer string) {
+			var ns nodeStats
+			if err := cl.callJSON(ctx, peer, http.MethodGet, "/v1/cluster/stats", nil, &ns, 4<<20); err != nil {
+				entries[i] = nodeEntry{nodeStats: nodeStats{Node: peer}, Err: err.Error()}
+				return
 			}
-			wg.Add(1)
-			go func(i int, peer string) {
-				defer wg.Done()
-				ns, err := cl.nodeStatsFrom(ctx, peer)
-				if err != nil {
-					entries[i] = nodeEntry{nodeStats: nodeStats{Node: peer}, Err: err.Error()}
-					return
-				}
-				ns.Node = peer // trust our own membership list over the peer's self-report
-				entries[i] = nodeEntry{nodeStats: ns}
-			}(i, peer)
-		}
-		wg.Wait()
+			ns.Node = peer // trust our own membership list over the peer's self-report
+			entries[i] = nodeEntry{nodeStats: ns}
+		})
+		entries[slices.Index(peers, cl.self)] = nodeEntry{nodeStats: s.localNodeStats()}
 		out.Nodes = entries
 	}
 	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i].Node < out.Nodes[j].Node })
@@ -290,14 +247,6 @@ func (s *Server) clusterStatus(ctx context.Context) clusterStatusOut {
 
 // handleClusterStatus serves the fleet aggregation. Always 200: a
 // degraded fleet is an answer, not an error.
-func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	ob := s.begin()
-	status := http.StatusOK
-	defer func() { s.observe("/v1/cluster/status", r, status, &ob) }()
-	if r.Method != http.MethodGet {
-		status = http.StatusMethodNotAllowed
-		writeJSON(w, status, map[string]any{"error": "GET only"})
-		return
-	}
-	writeJSON(w, status, s.clusterStatus(r.Context()))
+func (s *Server) handleClusterStatus(_ http.ResponseWriter, r *http.Request, _ *observed) (int, any) {
+	return http.StatusOK, s.clusterStatus(r.Context())
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"obdrel/internal/artifact"
 	"obdrel/internal/obs"
 	"obdrel/internal/pipeline"
 )
@@ -34,10 +35,12 @@ func TestCrossNodeTraceSingleTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sA.Close)
 	sB, err := NewE(Options{Stages: cacheB, ArtifactDir: t.TempDir(), Peers: peers, Self: tsB.URL, WarmLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sB.Close)
 	lA.h.Store(sA.Handler())
 	lB.h.Store(sB.Handler())
 
@@ -114,6 +117,69 @@ func TestCrossNodeTraceSingleTree(t *testing.T) {
 	}
 }
 
+// TestPeerSpanSubtreeNullChild: a peer's span-subtree header is the
+// peer's bytes, and one holding a null span costs the fetcher the
+// graft, never its trace: the fill lands, the trace ends without a
+// panic and marshals, and no part of the bad subtree is grafted.
+func TestPeerSpanSubtreeNullChild(t *testing.T) {
+	key := key32('n')
+	sealed, err := artifact.Encode(clStage, key, int64(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(spanSubtreeHeader, `{"name":"peer.serve","children":[null]}`)
+		w.Write(sealed)
+	}))
+	defer peer.Close()
+	const self = "http://127.0.0.1:1"
+	cache := pipeline.NewCache(4)
+	s, err := NewE(Options{Stages: cache, Peers: []string{self, peer.URL}, Self: self, WarmLimit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+
+	ctx, root := s.tracer.StartTrace(context.Background(), "/v1/test", "", "")
+	v, res, err := pipeline.Get(ctx, cache, clStage, key, func(context.Context) (int64, error) {
+		return 0, errors.New("follower must not build")
+	})
+	if err != nil || v != 3 || res.Source != pipeline.SourcePeer {
+		t.Fatalf("peer fill = (%d, %q, %v), want 3 via peer", v, res.Source, err)
+	}
+	out := root.EndTrace()
+	if _, err := json.Marshal(out); err != nil {
+		t.Fatalf("trace does not marshal: %v", err)
+	}
+	fetched := false
+	out.Root.Walk(func(sp *obs.SpanOut) {
+		fetched = fetched || sp.Name == "artifact.fetch"
+		if sp.Name == "peer.serve" {
+			t.Error("grafted a subtree that holds a null span")
+		}
+	})
+	if !fetched {
+		t.Fatal("no artifact.fetch span in the trace")
+	}
+}
+
+// FuzzPeerSpanGraft feeds the fetcher's span-subtree decoding the
+// bytes a peer can put in its X-Obdrel-Span header, grafts the result
+// under a fetch span and ends the trace, as fetchFrom and instrument
+// do. It must never panic, and the exported trace must marshal.
+func FuzzPeerSpanGraft(f *testing.F) {
+	tr := obs.NewTracer(obs.Options{RingSize: 1})
+	f.Fuzz(func(t *testing.T, h []byte) {
+		ctx, root := tr.StartTrace(context.Background(), "/v1/test", "", "")
+		_, fetch := obs.StartSpan(ctx, "artifact.fetch")
+		fetch.AttachRemote(peerSpanSubtree(string(h)))
+		fetch.End()
+		if _, err := json.Marshal(root.EndTrace()); err != nil {
+			t.Fatalf("trace does not marshal: %v", err)
+		}
+	})
+}
+
 // TestClusterStatusDegradedFanOut asks one node for the fleet view
 // with a dead peer in the membership: the answer is still 200, the
 // dead peer is reported (not fatal), the live nodes' histograms merge
@@ -137,6 +203,7 @@ func TestClusterStatusDegradedFanOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.Close)
 		return s
 	}
 	sA, sB := mk(tsA.URL), mk(tsB.URL)

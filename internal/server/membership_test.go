@@ -146,7 +146,7 @@ func TestReplicationPushOnBuild(t *testing.T) {
 	// The PUT handler counts the receive only after Install makes the
 	// replica visible, so wait for both before asserting on either.
 	waitFor(t, "replica to land on B", 5*time.Second, func() bool {
-		return b.s.stages.Held(clStage, key) && b.s.member.replReceives.Load() >= 1
+		return b.s.stages.Held(clStage, key) && b.s.cluster.replReceives.Load() >= 1
 	})
 	if v, ok := b.s.stages.Peek(clStage, key); !ok || v.(int64) != 42 {
 		t.Fatalf("replica on B = %v (ok=%v), want 42 in memory", v, ok)
@@ -154,7 +154,7 @@ func TestReplicationPushOnBuild(t *testing.T) {
 	if got := a.s.cluster.replicaPushes.Load(); got < 1 {
 		t.Fatalf("replicaPushes = %d, want ≥ 1", got)
 	}
-	if got := b.s.member.replReceives.Load(); got < 1 {
+	if got := b.s.cluster.replReceives.Load(); got < 1 {
 		t.Fatalf("replReceives on B = %d, want ≥ 1", got)
 	}
 }
@@ -198,7 +198,7 @@ func TestReplicaServesAfterKill(t *testing.T) {
 	})
 	// Replication ran clean: no push errors, queue drops, or rejects.
 	for _, n := range []*dynNode{a, b, c} {
-		if e, d, r := n.s.cluster.replicaPushErrs.Load(), n.s.cluster.replicaDropped.Load(), n.s.member.replRejects.Load(); e+d+r != 0 {
+		if e, d, r := n.s.cluster.replicaPushErrs.Load(), n.s.cluster.replicaDropped.Load(), n.s.cluster.replRejects.Load(); e+d+r != 0 {
 			t.Fatalf("node %s: replica push errors=%d dropped=%d rejects=%d, want 0", n.ts.URL, e, d, r)
 		}
 	}
@@ -225,7 +225,7 @@ func TestReplicaServesAfterKill(t *testing.T) {
 	waitFor(t, "death detection on B", 5*time.Second, func() bool {
 		return len(b.s.cluster.peersView()) == 2
 	})
-	_, _, dead := b.s.member.dir.Counts()
+	_, _, dead := b.s.cluster.dir.Counts()
 	if dead < 1 {
 		t.Fatalf("B's directory reports %d dead members, want ≥ 1", dead)
 	}
@@ -264,7 +264,7 @@ func TestRebalanceStreamsOnJoin(t *testing.T) {
 		}
 		return true
 	})
-	if got := b.s.member.rebalFetched.Load(); got < 1 {
+	if got := b.s.cluster.rebalFetched.Load(); got < 1 {
 		t.Fatalf("rebalFetched = %d, want ≥ 1", got)
 	}
 	for i, key := range keys {
@@ -303,8 +303,8 @@ func TestHedgedFetch(t *testing.T) {
 	fast := httptest.NewServer(serve(0))
 	defer fast.Close()
 
-	cl, err := newCluster("http://self.invalid:1",
-		[]string{"http://self.invalid:1", slow.URL, fast.URL}, 400*time.Millisecond)
+	cl, err := newCluster(&Options{Self: "http://self.invalid:1",
+		Peers: []string{"http://self.invalid:1", slow.URL, fast.URL}, PeerTimeout: 400 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestGracefulLeaveGossipsObituary(t *testing.T) {
 	waitFor(t, "obituary on A", 3*time.Second, func() bool {
 		return len(a.s.cluster.peersView()) == 1
 	})
-	_, _, dead := a.s.member.dir.Counts()
+	_, _, dead := a.s.cluster.dir.Counts()
 	if dead != 1 {
 		t.Fatalf("A's directory reports %d dead, want 1 (the drained B)", dead)
 	}
@@ -426,7 +426,7 @@ func TestClusterJoinDropsMalformedMembers(t *testing.T) {
 	if got := a.s.cluster.peersView(); !slices.Equal(got, before) {
 		t.Fatalf("ring went from %v to %v", before, got)
 	}
-	if got := a.s.member.dir.Members(); len(got) != 1 {
+	if got := a.s.cluster.dir.Members(); len(got) != 1 {
 		t.Fatalf("directory holds %v, want only self", got)
 	}
 
@@ -434,7 +434,7 @@ func TestClusterJoinDropsMalformedMembers(t *testing.T) {
 		w.Write([]byte(body))
 	}))
 	defer peer.Close()
-	merged, err := a.s.exchange(peer.URL, a.s.member.dir.Snapshot())
+	merged, err := a.s.cluster.exchange(context.Background(), peer.URL, a.s.cluster.dir.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,14 +468,14 @@ func TestPinnedMemberStaysInRing(t *testing.T) {
 	lA.h.Store(sA.Handler())
 	lB.h.Store(sB.Handler())
 	waitFor(t, "A to see B active", 5*time.Second, func() bool {
-		active, _, _ := sA.member.dir.Counts()
+		active, _, _ := sA.cluster.dir.Counts()
 		return active == 2
 	})
 
 	tsB.Close()
 	sB.Close()
 	waitFor(t, "B's lease to expire on A", 5*time.Second, func() bool {
-		_, _, dead := sA.member.dir.Counts()
+		_, _, dead := sA.cluster.dir.Counts()
 		return dead == 1
 	})
 
@@ -500,7 +500,7 @@ func TestPinnedMemberStaysInRing(t *testing.T) {
 	if _, ok := out.Ring[tsB.URL]; !ok || len(out.Ring) != 2 {
 		t.Fatalf("ring = %v, want both pinned nodes", out.Ring)
 	}
-	if got := sA.member.rebalSweeps.Load(); got != 0 {
+	if got := sA.cluster.rebalSweeps.Load(); got != 0 {
 		t.Fatalf("rebalance sweeps = %d, want 0 on a pinned ring", got)
 	}
 	v, res, err := pipeline.Get(context.Background(), sA.stages, clStage, key32('f'), func(context.Context) (int64, error) {
@@ -532,8 +532,8 @@ func FuzzClusterJoin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Each input starts from a fresh directory and the pinned ring,
 		// so members merged by earlier inputs do not pile up.
-		s.member.dir = member.New(self, time.Minute, nil)
-		s.member.dir.SetOnChange(s.onMembershipChange)
+		s.cluster.dir = member.New(self, time.Minute, nil)
+		s.cluster.dir.SetOnChange(s.cluster.onChange)
 		s.cluster.setMembers(nil, 1)
 		rw := httptest.NewRecorder()
 		h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/cluster/join", bytes.NewReader(body)))
@@ -548,12 +548,12 @@ func FuzzClusterJoin(f *testing.F) {
 		if ring := s.cluster.peersView(); !slices.Equal(ring, []string{self, other}) {
 			t.Fatalf("ring %v, want exactly the pinned list", ring)
 		}
-		for _, mi := range s.member.dir.Members() {
+		for _, mi := range s.cluster.dir.Members() {
 			if mi.Node != self && mi.Node != other {
 				t.Fatalf("directory admitted %q, which is not pinned", mi.Node)
 			}
 		}
-		if len(s.member.rebalKick) != 0 {
+		if len(s.cluster.rebalKick) != 0 {
 			t.Fatal("a join body kicked a rebalance sweep on a pinned ring")
 		}
 	})

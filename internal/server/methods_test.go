@@ -3,15 +3,28 @@ package server
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"obdrel/internal/pipeline"
 )
 
-// TestMethodNotAllowed drives every /v1 route with verbs outside its
-// allow set and checks the RFC 9110 contract: 405 with an Allow
-// header naming exactly the permitted methods.
+// TestMethodNotAllowed drives every /v1 route, the ops routes
+// included, with verbs outside its allow set and checks the RFC 9110
+// contract: 405 with an Allow header naming exactly the permitted
+// methods. /v1/cluster/join exists only on a cluster node.
 func TestMethodNotAllowed(t *testing.T) {
 	srv := newTestServer(t, Options{})
+	const self = "http://127.0.0.1:1"
+	node, err := NewE(Options{Stages: pipeline.NewCache(4), Peers: []string{self}, Self: self, WarmLimit: -1, DisableTracing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	clusterSrv := httptest.NewServer(node.Handler())
+	t.Cleanup(clusterSrv.Close)
+	artifactPath := "/v1/artifact/" + clStage + "/" + key32('a')
 	cases := []struct {
 		route     string
 		method    string
@@ -26,10 +39,20 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"/v1/blocks", http.MethodDelete, "GET, POST"},
 		{"/v1/batch", http.MethodGet, "POST"},
 		{"/v1/batch", http.MethodDelete, "POST"},
+		{artifactPath, http.MethodPost, "GET, PUT"},
+		{artifactPath, http.MethodDelete, "GET, PUT"},
+		{"/v1/cluster/keys", http.MethodPost, "GET"},
+		{"/v1/cluster/stats", http.MethodPost, "GET"},
+		{"/v1/cluster/status", http.MethodDelete, "GET"},
+		{"/v1/cluster/join", http.MethodGet, "POST"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.method+" "+tc.route, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, srv.URL+tc.route, nil)
+			base := srv.URL
+			if tc.route == "/v1/cluster/join" {
+				base = clusterSrv.URL
+			}
+			req, err := http.NewRequest(tc.method, base+tc.route, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

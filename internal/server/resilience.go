@@ -17,8 +17,8 @@ func (s *Server) BeginDrain() {
 	if s.draining.Swap(true) {
 		return
 	}
-	if s.member != nil {
-		go s.leaveCluster()
+	if s.cluster != nil {
+		s.cluster.background(s.cluster.leave)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,11 +246,10 @@ type Server struct {
 	tracer  *obs.Tracer
 
 	// stages is the node's stage-artifact cache (tiered when
-	// ArtifactDir/Peers/JoinPeers are set); cluster and member are both
-	// nil outside cluster mode and both set in it.
+	// ArtifactDir/Peers/JoinPeers are set); cluster is nil outside
+	// cluster mode.
 	stages  *pipeline.Cache
 	cluster *cluster
-	member  *membership
 
 	// slo is the burn-rate engine (nil without objectives, nil-safe);
 	// logMu serializes record writes on AccessLog.
@@ -330,39 +328,40 @@ func NewE(opts Options) (*Server, error) {
 	// Artifact tiers: the disk spill dir and, in cluster mode, the
 	// cluster cache-fill tier over it. -peers pins the ring, -join
 	// discovers it — never both.
-	if len(o.Peers) > 0 && len(o.JoinPeers) > 0 {
-		return nil, fmt.Errorf("cluster: -peers and -join are mutually exclusive")
-	}
 	if len(o.Peers) > 0 || len(o.JoinPeers) > 0 {
-		cl, err := newCluster(o.Self, o.Peers, o.PeerTimeout)
+		cl, err := newCluster(&o)
 		if err != nil {
 			return nil, err
 		}
-		join, err := peerList("-join", o.JoinPeers)
-		if err != nil {
-			return nil, err
-		}
-		cl.replicas = o.Replicas
 		s.cluster = cl
-		s.member = s.newMembership(slices.Concat(cl.pinned, join), o.Lease)
 	}
 	if o.ArtifactDir != "" || s.cluster != nil {
 		t := pipeline.Tiers{Dir: o.ArtifactDir}
 		if s.cluster != nil {
 			t.Fetch = s.cluster.fetch
 			if o.Replicas > 1 {
-				t.Replicate = s.member.repl.enqueue
+				t.Replicate = s.cluster.replicate
 			}
 		}
 		s.stages.SetTiers(t)
 	}
 	s.startWarm()
-	if m := s.member; m != nil {
-		m.wg.Add(2)
-		go s.heartbeatLoop()
-		go s.rebalanceLoop()
+	if s.cluster != nil {
+		s.cluster.start()
 	}
 	return s, nil
+}
+
+// Close stops the cluster's background work (heartbeats, replication
+// pushes, rebalance sweeps) WITHOUT a graceful leave — the in-process
+// equivalent of kill −9 plus goroutine hygiene — and returns once it
+// has stopped. A graceful exit calls BeginDrain first, which gossips
+// the obituary. Close is a no-op outside cluster mode and safe to call
+// twice.
+func (s *Server) Close() {
+	if s.cluster != nil {
+		s.cluster.close()
+	}
 }
 
 // startWarm launches the anti-entropy sweep: load this node's owned
@@ -417,12 +416,12 @@ func (s *Server) Handler() http.Handler {
 	// A batch is one admission slot doing thousands of queries, so its
 	// stream gets its own deadline.
 	mux.Handle("/v1/batch", s.instrument("/v1/batch", s.opts.BatchTimeout, s.handleBatch, post))
-	mux.HandleFunc("/v1/artifact/", s.handleArtifact)
-	mux.HandleFunc("/v1/cluster/stats", s.handleClusterStats)
-	mux.HandleFunc("/v1/cluster/status", s.handleClusterStatus)
-	mux.HandleFunc("/v1/cluster/keys", s.handleClusterKeys)
+	mux.Handle("/v1/artifact/", s.ops("/v1/artifact", s.handleArtifact, get, http.MethodPut))
+	mux.Handle("/v1/cluster/stats", s.ops("/v1/cluster/stats", s.handleClusterStats, get))
+	mux.Handle("/v1/cluster/status", s.ops("/v1/cluster/status", s.handleClusterStatus, get))
+	mux.Handle("/v1/cluster/keys", s.ops("/v1/cluster/keys", s.handleClusterKeys, get))
 	if s.cluster != nil {
-		mux.HandleFunc("/v1/cluster/join", s.handleClusterJoin)
+		mux.Handle("/v1/cluster/join", s.ops("/v1/cluster/join", s.handleClusterJoin, post))
 	}
 	for _, route := range []string{
 		"/healthz", "/readyz", "/metrics", "/v1/designs", "/v1/lifetime",
@@ -834,14 +833,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Cluster mode: report the view epoch and rebalance progress.
 	// Rebalancing never gates readiness — the node serves throughout,
 	// fetching per-query until the stream catches up.
-	if m := s.member; m != nil {
-		out["epoch"] = s.cluster.epochView()
-		out["members"] = len(m.dir.Alive())
-		if m.rebalancing.Load() {
+	if cl := s.cluster; cl != nil {
+		out["epoch"] = cl.epochView()
+		out["members"] = len(cl.dir.Alive())
+		if cl.rebalancing.Load() {
 			out["status"] = "rebalancing"
 			out["rebalancing"] = true
-			out["rebalance_done"] = m.rebalDone.Load()
-			out["rebalance_total"] = m.rebalTotal.Load()
+			out["rebalance_done"] = cl.rebalDone.Load()
+			out["rebalance_total"] = cl.rebalTotal.Load()
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -866,11 +865,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // /debug/traces rings show the same trace id — and the finished span
 // subtree is returned in the X-Obdrel-Span header for the fetcher to
 // graft into its own tree.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	ob := s.begin()
-	status := http.StatusOK
-	defer func() { s.observe("/v1/artifact", r, status, &ob) }()
-
+func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, ob *observed) (status int, body any) {
 	var root *obs.Span
 	if tid, sid, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
 		_, root = s.tracer.StartTrace(r.Context(), "peer.serve", tid, sid)
@@ -880,84 +875,53 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 				// Per-node provenance: which node served this subtree.
 				root.SetAttr("node", s.cluster.self)
 			}
+			// Seal the serve span and hand its subtree to the caller in
+			// a header: deferred, so it runs on every exit, after the
+			// answer is chosen and before ops writes it.
+			defer func() {
+				root.SetAttr("status", status)
+				root.SetAttr("held", status == http.StatusOK || status == http.StatusNoContent)
+				if out := root.EndTrace(); out != nil {
+					if enc, err := json.Marshal(out.Root); err == nil {
+						w.Header().Set(spanSubtreeHeader, string(enc))
+					}
+				}
+			}()
 		}
 	}
-	// finish seals the serve span and hands its subtree to the caller
-	// via header — BEFORE the body is written, which is why every exit
-	// path goes through it.
-	finish := func(held bool) {
-		if root == nil {
-			return
-		}
-		root.SetAttr("status", status)
-		root.SetAttr("held", held)
-		if out := root.EndTrace(); out != nil {
-			if enc, err := json.Marshal(out.Root); err == nil {
-				w.Header().Set(spanSubtreeHeader, string(enc))
-			}
-		}
-	}
-	if r.Method != http.MethodGet && r.Method != http.MethodPut {
-		status = http.StatusMethodNotAllowed
-		finish(false)
-		writeJSON(w, status, map[string]any{"error": "GET or PUT only"})
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/artifact/")
-	stage, key, ok := strings.Cut(rest, "/")
+	stage, key, ok := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/artifact/"), "/")
 	if !ok || strings.Contains(key, "/") {
-		status = http.StatusBadRequest
-		finish(false)
-		writeJSON(w, status, map[string]any{"error": "want /v1/artifact/{stage}/{key}"})
-		return
+		return http.StatusBadRequest, map[string]any{"error": "want /v1/artifact/{stage}/{key}"}
 	}
 	root.SetAttr("stage", stage)
 	if _, registered := artifact.Lookup(stage); !registered || !obdrel.ValidFingerprint(key) {
-		status = http.StatusBadRequest
-		finish(false)
-		writeJSON(w, status, map[string]any{"error": "unknown stage or malformed key"})
-		return
+		return http.StatusBadRequest, map[string]any{"error": "unknown stage or malformed key"}
 	}
 	if r.Method == http.MethodPut {
 		// Replica receive: a peer pushes the sealed container it just
 		// built (or streams one during rebalance). Install re-verifies
 		// the checksum, so a garbled push rejects without side effects.
-		body, err := io.ReadAll(io.LimitReader(r.Body, 32<<20))
+		pushed, err := io.ReadAll(io.LimitReader(r.Body, 32<<20))
 		if err != nil {
-			status = http.StatusBadRequest
-			finish(false)
-			writeJSON(w, status, map[string]any{"error": "short body"})
-			return
+			return http.StatusBadRequest, map[string]any{"error": "short body"}
 		}
-		if err := s.stages.Install(stage, key, body); err != nil {
-			if m := s.member; m != nil {
-				m.replRejects.Add(1)
+		if err := s.stages.Install(stage, key, pushed); err != nil {
+			if s.cluster != nil {
+				s.cluster.replRejects.Add(1)
 			}
-			status = http.StatusBadRequest
-			finish(false)
-			writeJSON(w, status, map[string]any{"error": "invalid container: " + err.Error()})
-			return
+			return http.StatusBadRequest, map[string]any{"error": "invalid container: " + err.Error()}
 		}
-		if m := s.member; m != nil {
-			m.replReceives.Add(1)
+		if s.cluster != nil {
+			s.cluster.replReceives.Add(1)
 		}
-		status = http.StatusNoContent
-		finish(true)
-		w.WriteHeader(status)
-		return
+		return http.StatusNoContent, nil
 	}
 	sealed, held := s.stages.Sealed(stage, key)
 	if !held {
-		status = http.StatusNotFound
-		finish(false)
-		writeJSON(w, status, map[string]any{"error": "artifact not held here"})
-		return
+		return http.StatusNotFound, map[string]any{"error": "artifact not held here"}
 	}
 	s.peerServes.Add(1)
-	finish(true)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(sealed)))
-	w.Write(sealed)
+	return http.StatusOK, sealed
 }
 
 // ArtifactStats exposes the node-level artifact counters (the daemon
@@ -984,15 +948,14 @@ func (s *Server) artifactStats() ArtifactStats {
 		st.ReplicaDropped = cl.replicaDropped.Load()
 		st.Epoch = cl.epochView()
 		st.Replicas = cl.replicas
-		m := s.member
-		st.ReplicaReceives = m.replReceives.Load()
-		st.ReplicaRejects = m.replRejects.Load()
-		st.Rebalancing = m.rebalancing.Load()
-		st.RebalanceSweeps = m.rebalSweeps.Load()
-		st.RebalanceFetched = m.rebalFetched.Load()
-		st.KeysLost = m.keysLost.Load()
-		st.HeartbeatErrors = m.heartbeatErrs.Load()
-		st.MembersActive, st.MembersSuspect, st.MembersDead = m.dir.Counts()
+		st.ReplicaReceives = cl.replReceives.Load()
+		st.ReplicaRejects = cl.replRejects.Load()
+		st.Rebalancing = cl.rebalancing.Load()
+		st.RebalanceSweeps = cl.rebalSweeps.Load()
+		st.RebalanceFetched = cl.rebalFetched.Load()
+		st.KeysLost = cl.keysLost.Load()
+		st.HeartbeatErrors = cl.heartbeatErrs.Load()
+		st.MembersActive, st.MembersSuspect, st.MembersDead = cl.dir.Counts()
 	}
 	return st
 }
