@@ -288,7 +288,7 @@ func (m *Model) offsetTable() []float64 {
 // block basis; an empty block leaves both nil.
 func (m *Model) parityEigen(ctx context.Context, table []float64, workers int) ([][]float64, []*linalg.Matrix, error) {
 	return eigenAll(ctx, workers, numParityBlocks, func(b int) *linalg.Matrix {
-		return m.parityBlock(b, table)
+		return m.parityEntries(b, table).block()
 	})
 }
 
@@ -317,17 +317,19 @@ func (m *Model) swapSymmetric(table []float64) bool {
 // and OO each split into a swap-symmetric and a swap-antisymmetric
 // half (91 + 78 and 78 + 66 rows at 25×25), and OE is EO with its rows
 // permuted and the same spectrum. The five solves, EO's 156 rows the
-// largest, take about a third of the four blocks' flops.
+// largest, take about a third of the four blocks' flops. Each solve
+// assembles its own matrix from the offset table inside its worker, so
+// no parity block is built serially before the fan-out.
 func (m *Model) swapEigen(ctx context.Context, table []float64, workers int) ([][]float64, []*linalg.Matrix, error) {
 	ce, co := parityCount(m.Nx, false), parityCount(m.Nx, true)
-	ee, oo := m.parityBlock(blockEE, table), m.parityBlock(blockOO, table)
+	ee, eo, oo := m.parityEntries(blockEE, table), m.parityEntries(blockEO, table), m.parityEntries(blockOO, table)
 	// EO, the largest solve, goes first so that it starts at once.
 	solves := []func() *linalg.Matrix{
-		func() *linalg.Matrix { return m.parityBlock(blockEO, table) },
-		func() *linalg.Matrix { return swapHalf(ee, ce, false) },
-		func() *linalg.Matrix { return swapHalf(ee, ce, true) },
-		func() *linalg.Matrix { return swapHalf(oo, co, false) },
-		func() *linalg.Matrix { return swapHalf(oo, co, true) },
+		eo.block,
+		func() *linalg.Matrix { return ee.swapHalf(false) },
+		func() *linalg.Matrix { return ee.swapHalf(true) },
+		func() *linalg.Matrix { return oo.swapHalf(false) },
+		func() *linalg.Matrix { return oo.swapHalf(true) },
 	}
 	hv, hx, err := eigenAll(ctx, workers, len(solves), func(i int) *linalg.Matrix { return solves[i]() })
 	if err != nil {
@@ -384,12 +386,12 @@ func swapMembers(c int, anti bool) (rows, mates []int) {
 	return rows, mates
 }
 
-// swapHalf projects the c×c parity block a onto one swap half's
-// basis, or returns nil for an empty half. With A commuting with the
-// swap σ, entry (a, b) is A[a,b] ± A[a,σb] for two paired members,
-// √2·A[a,b] for one diagonal member and A[a,b] for two.
-func swapHalf(a *linalg.Matrix, c int, anti bool) *linalg.Matrix {
-	rows, mates := swapMembers(c, anti)
+// swapHalf projects the c×c parity block e of a square grid onto one
+// swap half's basis, or returns nil for an empty half. With the block
+// A commuting with the swap σ, entry (a, b) is A[a,b] ± A[a,σb] for two
+// paired members, √2·A[a,b] for one diagonal member and A[a,b] for two.
+func (e *parityEntries) swapHalf(anti bool) *linalg.Matrix {
+	rows, mates := swapMembers(e.cx, anti)
 	h := len(rows)
 	if h == 0 {
 		return nil
@@ -405,11 +407,11 @@ func swapHalf(a *linalg.Matrix, c int, anti bool) *linalg.Matrix {
 			var v float64
 			switch di, dj := ri == mates[i], rj == mates[j]; {
 			case di && dj:
-				v = a.At(ri, rj)
+				v = e.at(ri, rj)
 			case di || dj:
-				v = math.Sqrt2 * a.At(ri, rj)
+				v = math.Sqrt2 * e.at(ri, rj)
 			default:
-				v = a.At(ri, rj) + s*a.At(ri, mates[j])
+				v = e.at(ri, rj) + s*e.at(ri, mates[j])
 			}
 			out.Set(i, j, v)
 			out.Set(j, i, v)
@@ -469,27 +471,47 @@ func swapRows(eo *linalg.Matrix, ce, co int) *linalg.Matrix {
 	return oe
 }
 
-// fold1D returns the terms of the 1D reflection fold: for basis
-// members p, q of one parity over n points and any f,
+// fold is one term list of the 1D reflection fold: for basis members
+// p, q of one parity over n points and any f,
 //
-//	Σ_{i,i'} u_p(i)·u_q(i')·f(|i-i'|) = Σ_t w[t]·f(d[t]).
-//
-// A paired member is (e_p ± e_{n-1-p})/√2, the middle one (even
-// parity, odd n) is e_p, and the mirror identity |p̄-q̄| = |p-q| folds
-// the four point pairs into at most two distances.
-func fold1D(n int, odd bool, p, q int) (d [2]int, w [2]float64, terms int) {
+//	Σ_{i,i'} u_p(i)·u_q(i')·f(|i-i'|) = Σ_{t<terms} w[t]·f(d[t]).
+type fold struct {
+	d     [2]int
+	w     [2]float64
+	terms int
+}
+
+// fold1D returns the fold of members p and q. A paired member is
+// (e_p ± e_{n-1-p})/√2, the middle one (even parity, odd n) is e_p,
+// and the mirror identity |p̄-q̄| = |p-q| folds the four point pairs
+// into at most two distances. The fold is symmetric in p and q, bit
+// for bit.
+func fold1D(n int, odd bool, p, q int) fold {
 	mp, mq := 2*p == n-1, 2*q == n-1
 	switch {
 	case mp && mq:
-		return [2]int{0}, [2]float64{1}, 1
+		return fold{d: [2]int{0}, w: [2]float64{1}, terms: 1}
 	case mp || mq:
-		return [2]int{absInt(p - q)}, [2]float64{math.Sqrt2}, 1
+		return fold{d: [2]int{absInt(p - q)}, w: [2]float64{math.Sqrt2}, terms: 1}
 	}
 	s := 1.0
 	if odd {
 		s = -1
 	}
-	return [2]int{absInt(p - q), absInt(p + q - (n - 1))}, [2]float64{1, s}, 2
+	return fold{d: [2]int{absInt(p - q), absInt(p + q - (n - 1))}, w: [2]float64{1, s}, terms: 2}
+}
+
+// foldTable tabulates fold1D for every pair of the c members of one
+// parity over n points: entry p·c+q is the fold of p and q.
+func foldTable(n int, odd bool) []fold {
+	c := parityCount(n, odd)
+	t := make([]fold, c*c)
+	for p := 0; p < c; p++ {
+		for q := 0; q < c; q++ {
+			t[p*c+q] = fold1D(n, odd, p, q)
+		}
+	}
+	return t
 }
 
 func absInt(x int) int {
@@ -499,29 +521,50 @@ func absInt(x int) int {
 	return x
 }
 
-// parityBlock assembles reflection block b of the covariance from the
-// offset table (table[dy·Nx+dx] = cov at grid offset (dx, dy)), or
-// returns nil for an empty block. Row r is basis member
-// (p, q) = (r mod cx, r div cx) with cx the x subspace dimension.
-func (m *Model) parityBlock(b int, table []float64) *linalg.Matrix {
+// parityEntries evaluates the entries of one reflection block of the
+// covariance from the offset table (table[dy·Nx+dx] = cov at grid
+// offset (dx, dy)) and the block's two tabulated 1D folds. Row r is
+// basis member (p, q) = (r mod cx, r div cx) with cx the x subspace
+// dimension.
+type parityEntries struct {
+	nx, cx, cy int
+	fx, fy     []fold
+	table      []float64
+}
+
+func (m *Model) parityEntries(b int, table []float64) *parityEntries {
 	xOdd, yOdd := blockParity(b)
-	cx, cy := parityCount(m.Nx, xOdd), parityCount(m.Ny, yOdd)
-	rows := cx * cy
+	return &parityEntries{
+		nx: m.Nx, cx: parityCount(m.Nx, xOdd), cy: parityCount(m.Ny, yOdd),
+		fx: foldTable(m.Nx, xOdd), fy: foldTable(m.Ny, yOdd),
+		table: table,
+	}
+}
+
+// at returns entry (r, r2) of the block; at(r, r2) and at(r2, r) are
+// equal bit for bit.
+func (e *parityEntries) at(r, r2 int) float64 {
+	x := &e.fx[r%e.cx*e.cx+r2%e.cx]
+	y := &e.fy[r/e.cx*e.cy+r2/e.cx]
+	v := 0.0
+	for a := 0; a < x.terms; a++ {
+		for c := 0; c < y.terms; c++ {
+			v += x.w[a] * y.w[c] * e.table[y.d[c]*e.nx+x.d[a]]
+		}
+	}
+	return v
+}
+
+// block assembles the whole block, or returns nil for an empty one.
+func (e *parityEntries) block() *linalg.Matrix {
+	rows := e.cx * e.cy
 	if rows == 0 {
 		return nil
 	}
 	blk := linalg.NewMatrix(rows, rows)
 	for r := 0; r < rows; r++ {
-		p, q := r%cx, r/cx
 		for r2 := r; r2 < rows; r2++ {
-			dx, wx, nx := fold1D(m.Nx, xOdd, p, r2%cx)
-			dy, wy, ny := fold1D(m.Ny, yOdd, q, r2/cx)
-			v := 0.0
-			for a := 0; a < nx; a++ {
-				for c := 0; c < ny; c++ {
-					v += wx[a] * wy[c] * table[dy[c]*m.Nx+dx[a]]
-				}
-			}
+			v := e.at(r, r2)
 			blk.Set(r, r2, v)
 			blk.Set(r2, r, v)
 		}

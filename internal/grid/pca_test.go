@@ -220,7 +220,7 @@ func TestSwapEigenMatchesParityBlocks(t *testing.T) {
 						t.Errorf("%s: block %d eigenvalue %d = %v, four-block %v (|Δ| = %.3g λ₀)", name, b, k, v, wantVals[b][k], d/lam0)
 					}
 				}
-				blk := m.parityBlock(b, table)
+				blk := m.parityEntries(b, table).block()
 				if blk == nil {
 					continue
 				}
@@ -239,6 +239,132 @@ func TestSwapEigenMatchesParityBlocks(t *testing.T) {
 			}
 			if !bitsEqual(vals[blockEO], vals[blockOE]) {
 				t.Fatalf("%s: EO spectrum %v, OE %v", name, vals[blockEO], vals[blockOE])
+			}
+		}
+	}
+}
+
+// parityBlockReference is the per-entry assembly parityEntries
+// replaced, kept as its oracle: it folds both axes afresh for every
+// entry of the upper triangle and mirrors it.
+func parityBlockReference(m *Model, b int, table []float64) *linalg.Matrix {
+	xOdd, yOdd := blockParity(b)
+	cx, cy := parityCount(m.Nx, xOdd), parityCount(m.Ny, yOdd)
+	rows := cx * cy
+	if rows == 0 {
+		return nil
+	}
+	blk := linalg.NewMatrix(rows, rows)
+	for r := 0; r < rows; r++ {
+		p, q := r%cx, r/cx
+		for r2 := r; r2 < rows; r2++ {
+			dx, wx, nx := fold1DReference(m.Nx, xOdd, p, r2%cx)
+			dy, wy, ny := fold1DReference(m.Ny, yOdd, q, r2/cx)
+			v := 0.0
+			for a := 0; a < nx; a++ {
+				for c := 0; c < ny; c++ {
+					v += wx[a] * wy[c] * table[dy[c]*m.Nx+dx[a]]
+				}
+			}
+			blk.Set(r, r2, v)
+			blk.Set(r2, r, v)
+		}
+	}
+	return blk
+}
+
+func fold1DReference(n int, odd bool, p, q int) (d [2]int, w [2]float64, terms int) {
+	mp, mq := 2*p == n-1, 2*q == n-1
+	switch {
+	case mp && mq:
+		return [2]int{0}, [2]float64{1}, 1
+	case mp || mq:
+		return [2]int{absInt(p - q)}, [2]float64{math.Sqrt2}, 1
+	}
+	s := 1.0
+	if odd {
+		s = -1
+	}
+	return [2]int{absInt(p - q), absInt(p + q - (n - 1))}, [2]float64{1, s}, 2
+}
+
+// swapHalfReference projects an assembled c×c parity block onto one
+// swap half, the way swapEigen did before each solve assembled its own
+// matrix.
+func swapHalfReference(a *linalg.Matrix, c int, anti bool) *linalg.Matrix {
+	rows, mates := swapMembers(c, anti)
+	h := len(rows)
+	if h == 0 {
+		return nil
+	}
+	s := 1.0
+	if anti {
+		s = -1
+	}
+	out := linalg.NewMatrix(h, h)
+	for i, ri := range rows {
+		for j := i; j < h; j++ {
+			rj := rows[j]
+			var v float64
+			switch di, dj := ri == mates[i], rj == mates[j]; {
+			case di && dj:
+				v = a.At(ri, rj)
+			case di || dj:
+				v = math.Sqrt2 * a.At(ri, rj)
+			default:
+				v = a.At(ri, rj) + s*a.At(ri, mates[j])
+			}
+			out.Set(i, j, v)
+			out.Set(j, i, v)
+		}
+	}
+	return out
+}
+
+// TestParityEntriesBitIdenticalToReference pins the tabulated-fold
+// assembly to the per-entry one: every entry of every parity block,
+// and on the square die of every swap half, matches bit for bit.
+func TestParityEntriesBitIdenticalToReference(t *testing.T) {
+	sameBits := func(name string, got, want *linalg.Matrix) {
+		t.Helper()
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: got matrix %t, reference %t", name, got != nil, want != nil)
+		}
+		if got == nil {
+			return
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("%s: %d×%d, reference %d×%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: entry (%d,%d) = %v, reference %v", name, i/want.Cols, i%want.Cols, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 5, 24, 25} {
+		for _, w := range []float64{1, 2} {
+			for _, rho := range []float64{0.3, 0.5, 0.71} {
+				m := oracleModel(t, n, n, w, 1, rho)
+				table := m.offsetTable()
+				// A 1×1 grid is swap-symmetric on any die.
+				swap := m.swapSymmetric(table)
+				if swap != (w == 1 || n == 1) {
+					t.Fatalf("%dx%d on a %gx1 die: swapSymmetric = %v", n, n, w, swap)
+				}
+				for b := 0; b < numParityBlocks; b++ {
+					name := fmt.Sprintf("%dx%d die %gx1 rho=%g block %d", n, n, w, rho, b)
+					ref := parityBlockReference(m, b, table)
+					e := m.parityEntries(b, table)
+					sameBits(name, e.block(), ref)
+					if !swap || (b != blockEE && b != blockOO) {
+						continue
+					}
+					for _, anti := range []bool{false, true} {
+						sameBits(fmt.Sprintf("%s swap half anti=%t", name, anti),
+							e.swapHalf(anti), swapHalfReference(ref, e.cx, anti))
+					}
+				}
 			}
 		}
 	}

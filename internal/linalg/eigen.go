@@ -195,7 +195,10 @@ func tred2(ctx context.Context, w *Matrix, d, e []float64) error {
 // tql2 diagonalizes the tridiagonal matrix (d, e) by implicit-shift QL
 // iteration, accumulating eigenvectors into the rows of w (w = vᵀ, as
 // in tred2): the plane rotation of v's columns i and i+1 is a rotation
-// of w's contiguous rows i and i+1.
+// of w's contiguous rows i and i+1. Two consecutive rotations of a
+// sweep share one pass over three rows (rotate2); every element sees
+// the same operations in the same order, so the result is
+// bit-identical to rotating one pair of rows at a time.
 func tql2(ctx context.Context, w *Matrix, d, e []float64) error {
 	n := w.Rows
 	for i := 1; i < n; i++ {
@@ -239,6 +242,11 @@ func tql2(ctx context.Context, w *Matrix, d, e []float64) error {
 				c, c2, c3 := 1.0, 1.0, 1.0
 				el1 := e[l+1]
 				s, s2 := 0.0, 0.0
+				// The rotation of rows i and i+1 waits for the next
+				// step's, of rows i-1 and i, and rotate2 applies both
+				// in one pass. The rows never feed back into d or e,
+				// so the delay is exact.
+				pending := false
 				for i := m - 1; i >= l; i-- {
 					c3 = c2
 					c2 = c
@@ -251,12 +259,13 @@ func tql2(ctx context.Context, w *Matrix, d, e []float64) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					wa := w.Row(i)
-					wb := w.Row(i + 1)[:len(wa)]
-					for k, h := range wb {
-						wb[k] = s*wa[k] + c*h
-						wa[k] = c*wa[k] - s*h
+					if pending {
+						rotate2(w.Row(i), w.Row(i+1), w.Row(i+2), c, s, c2, s2)
 					}
+					pending = !pending
+				}
+				if pending {
+					rotate(w.Row(l), w.Row(l+1), c, s)
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
 				e[l] = s * p
@@ -270,4 +279,28 @@ func tql2(ctx context.Context, w *Matrix, d, e []float64) error {
 		e[l] = 0
 	}
 	return nil
+}
+
+// rotate applies the plane rotation (c, s) to rows a and b:
+// b ← s·a + c·b, a ← c·a − s·b.
+func rotate(a, b []float64, c, s float64) {
+	b = b[:len(a)]
+	for k, h := range b {
+		b[k] = s*a[k] + c*h
+		a[k] = c*a[k] - s*h
+	}
+}
+
+// rotate2 is rotate(b, x, c1, s1) followed by rotate(a, b, c0, s0),
+// in one pass: each element of b leaves the first rotation as the
+// operand of the second.
+func rotate2(a, b, x []float64, c0, s0, c1, s1 float64) {
+	b, x = b[:len(a)], x[:len(a)]
+	for k, h := range x {
+		y := b[k]
+		x[k] = s1*y + c1*h
+		y = c1*y - s1*h
+		b[k] = s0*a[k] + c0*y
+		a[k] = c0*a[k] - s0*y
+	}
 }

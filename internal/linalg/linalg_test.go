@@ -184,7 +184,10 @@ func expDecayKernel(nx, ny int, rho float64) *Matrix {
 
 // TestEigenSymBitIdenticalToReference pins the transposed-layout
 // solver to the row-major reference it replaced: every eigenvalue and
-// every eigenvector entry must match bit for bit.
+// every eigenvector entry must match bit for bit. The sizes include
+// every solve of the 25×25 PCA (66, 78, 91, 144, 156 and 169 rows) and
+// odd and even ones, so QL sweeps of both parities pin tql2's fused
+// rotation pair and its unpaired last rotation.
 func TestEigenSymBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	type tc struct {
@@ -192,10 +195,10 @@ func TestEigenSymBitIdenticalToReference(t *testing.T) {
 		a    *Matrix
 	}
 	var cases []tc
-	for _, n := range []int{1, 2, 3, 17, 100, 144, 156, 169} {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 17, 66, 78, 91, 100, 144, 156, 169} {
 		cases = append(cases, tc{fmt.Sprintf("spd/n=%d", n), randomSPD(n, rng)})
 	}
-	for _, n := range []int{2, 5, 17, 64} {
+	for _, n := range []int{2, 3, 5, 17, 64, 65} {
 		cases = append(cases, tc{fmt.Sprintf("indefinite/n=%d", n), randomSymmetric(n, rng)})
 	}
 	// Symmetric only within IsSymmetric's tolerance: the upper

@@ -298,7 +298,9 @@ type Config struct {
 	Seed int64
 	// Workers bounds the parallelism of every engine and substrate
 	// stage (MC sampling and queries, st_MC projection, hybrid-table
-	// fill, PCA). 0 uses GOMAXPROCS; 1 runs without goroutines.
+	// fill, PCA) and of construction, which resolves the PCA and BLOD
+	// stages side by side. 0 uses GOMAXPROCS; 1 runs without
+	// goroutines.
 	// Every value produces bit-identical results: each reduction has
 	// one fixed plan that depends on the problem size, never on the
 	// worker count.

@@ -10,6 +10,7 @@ import (
 	"obdrel/internal/grid"
 	"obdrel/internal/obd"
 	"obdrel/internal/obs"
+	"obdrel/internal/par"
 	"obdrel/internal/pipeline"
 	"obdrel/internal/power"
 	"obdrel/internal/thermal"
@@ -339,19 +340,38 @@ func newStageGraph(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *C
 }
 
 // substrate resolves the voltage-independent tail every constructor
-// shares: covariance, then PCA, then BLOD. The PCA is resolved eagerly
-// so its errors surface here and its build is attributed to this
-// construction, but not retained.
+// shares: covariance, then PCA and BLOD side by side. BLOD reads only
+// the covariance model, so the two builds are independent; they run
+// as one par.ForCtx pair over cfg.Workers, and with Workers resolving
+// to 1 the PCA resolves first and BLOD second, inline. A PCA error
+// cancels BLOD and wins over BLOD's error, as the serial order would
+// have it; both resolutions have returned when substrate does. The
+// PCA is resolved eagerly so its errors surface here and its build is
+// attributed to this construction, but not retained.
 func (g *stageGraph) substrate(ctx context.Context, fd *floorplan.Design) (*grid.Model, *blod.Characterization, error) {
 	model, err := g.covariance(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := g.pca(ctx, model); err != nil {
-		return nil, nil, err
-	}
-	char, err := g.blod(ctx, fd, model)
-	if err != nil {
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var char *blod.Characterization
+	var pcaErr, blodErr error
+	err = par.ForCtx(pctx, g.cfg.Workers, 2, func(i int) {
+		if i == 0 {
+			if _, pcaErr = g.pca(pctx, model); pcaErr != nil {
+				cancel()
+			}
+			return
+		}
+		char, blodErr = g.blod(pctx, fd, model)
+	})
+	switch {
+	case pcaErr != nil:
+		return nil, nil, pcaErr
+	case blodErr != nil:
+		return nil, nil, blodErr
+	case err != nil:
 		return nil, nil, err
 	}
 	return model, char, nil
@@ -379,10 +399,13 @@ func (g *stageGraph) analyzer(fd *floorplan.Design, model *grid.Model, chip *cor
 // each node its own stage cache (with its own disk/peer tiers), which
 // is also what lets a multi-node cluster run inside one test process
 // without the nodes sharing artifacts through sharedStages. A nil
-// cache disables caching entirely: every stage builds inline under
-// ctx, the exact legacy code path. Stages resolve in the same order,
-// with the same validation sequence and error wrapping, as the
-// pre-stage-graph monolithic constructor.
+// cache disables caching entirely: every stage builds under ctx, with
+// no flights. Stages resolve in dependency order, with the same
+// validation sequence and error wrapping as the pre-stage-graph
+// monolithic constructor, except that the PCA and BLOD resolve side
+// by side (see substrate). With cfg.Workers resolving to 1 they
+// resolve PCA first, so the order is that constructor's exactly; at
+// any worker count a PCA error wins over a BLOD error.
 func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*Analyzer, error) {
 	g, fd, pm, err := newStageGraph(ctx, cache, d, cfg)
 	if err != nil {

@@ -3,10 +3,13 @@ package obdrel
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"obdrel/internal/fault"
 	"obdrel/internal/grid"
 	"obdrel/internal/obd"
 	"obdrel/internal/pipeline"
@@ -333,6 +336,172 @@ func TestNewAnalyzerCtxCancellation(t *testing.T) {
 	}
 	if limit := cold/2 + 100*time.Millisecond; elapsed > limit {
 		t.Fatalf("cancelled build returned after %v (cold build: %v) — cancellation did not stop the stage computation", elapsed, cold)
+	}
+}
+
+// TestSubstrateOverlapBitIdentical: resolving the PCA and BLOD side by
+// side (Workers 2) answers bit-identically to resolving them one after
+// the other (Workers 1), for every method, and either way a cold
+// construction builds each stage exactly once.
+func TestSubstrateOverlapBitIdentical(t *testing.T) {
+	methods := []Method{MethodStFast, MethodHybrid, MethodGuard, MethodStMC, MethodMC}
+	var ref []float64
+	for _, workers := range []int{1, 2} {
+		cfg := quickConfig()
+		cfg.MCSamples, cfg.StMCSamples = 100, 500
+		cfg.Workers = workers
+		cache := pipeline.NewCache(16)
+		an, err := NewAnalyzerCtxIn(context.Background(), cache, C1(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []string{StagePCA, StageBLOD} {
+			if n := cache.Stat(s).Builds; n != 1 {
+				t.Errorf("workers=%d: stage %s built %d times, want 1", workers, s, n)
+			}
+		}
+		got := make([]float64, len(methods))
+		for i, m := range methods {
+			if got[i], err = an.LifetimePPM(10, m); err != nil {
+				t.Fatalf("workers=%d method %v: %v", workers, m, err)
+			}
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for i, m := range methods {
+			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+				t.Errorf("method %v: workers=2 %v, workers=1 %v", m, got[i], ref[i])
+			}
+		}
+	}
+}
+
+// TestSubstrateOverlapsPCAAndBLOD: with two workers, BLOD builds while
+// the PCA is still building. An injected delay holds the PCA build
+// open; resolved one after the other, BLOD could not start until it
+// ended.
+func TestSubstrateOverlapsPCAAndBLOD(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("GOMAXPROCS 1: Workers resolves to 1, so the pair resolves one after the other")
+	}
+	spec, err := fault.ParseSpec("pipeline.build(pca):latency:300ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(spec.Injector(1))
+	defer fault.Disarm()
+	cfg := quickConfig()
+	cfg.Workers = 2
+	cache := pipeline.NewCache(16)
+	done := make(chan struct{})
+	overlapped := make(chan bool, 1)
+	go func() {
+		for {
+			if cache.Stat(StageBLOD).Builds == 1 && cache.Stat(StagePCA).Builds == 0 {
+				overlapped <- true
+				return
+			}
+			select {
+			case <-done:
+				overlapped <- false
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	_, err = NewAnalyzerCtxIn(context.Background(), cache, C1(), cfg)
+	close(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !<-overlapped {
+		t.Fatal("BLOD did not build while the PCA was building")
+	}
+}
+
+// TestSubstrateErrorPrecedence injects build failures into the pca and
+// blod stages: a PCA failure wins over a BLOD failure, as in the
+// serial order, and a BLOD failure alone surfaces as itself, whether
+// the two resolve side by side or one after the other.
+func TestSubstrateErrorPrecedence(t *testing.T) {
+	for _, c := range []struct {
+		spec, want string
+	}{
+		{"pipeline.build(pca):perm:1,pipeline.build(blod):perm:1", StagePCA},
+		{"pipeline.build(pca):perm:1", StagePCA},
+		{"pipeline.build(blod):perm:1", StageBLOD},
+	} {
+		for _, workers := range []int{1, 2} {
+			spec, err := fault.ParseSpec(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault.Arm(spec.Injector(1))
+			cfg := quickConfig()
+			cfg.Workers = workers
+			cache := pipeline.NewCache(16)
+			_, err = NewAnalyzerCtxIn(context.Background(), cache, C1(), cfg)
+			fault.Disarm()
+			var se *fault.StageError
+			var ie *fault.InjectedError
+			if !errors.As(err, &se) || se.Stage != c.want || !errors.As(err, &ie) {
+				t.Errorf("%s workers=%d: err = %v, want the injected %s StageError", c.spec, workers, err, c.want)
+			}
+			// One after the other, a failed PCA stops the construction
+			// before BLOD starts.
+			if st := cache.Stat(StageBLOD); workers == 1 && c.want == StagePCA && st.Builds+st.Misses != 0 {
+				t.Errorf("%s workers=1: BLOD looked up after the PCA failed (%d misses, %d builds)", c.spec, st.Misses, st.Builds)
+			}
+		}
+	}
+}
+
+// TestSubstrateCancelMidPCA is TestNewAnalyzerCtxCancellation's
+// contract on the overlapped path with a stage cache: cancelling a
+// construction while its PCA builds returns context.Canceled promptly,
+// and the abandoned PCA flight stops instead of running to completion.
+func TestSubstrateCancelMidPCA(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GridNx, cfg.GridNy = 40, 40 // a deliberately slow PCA
+	cfg.Workers = 2
+
+	start := time.Now()
+	if _, err := NewAnalyzerCtxIn(context.Background(), pipeline.NewCache(16), C6(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	cold := time.Since(start)
+	if cold < 100*time.Millisecond {
+		t.Skipf("build completes in %v — too fast to time cancellation against", cold)
+	}
+
+	cache := pipeline.NewCache(16)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		// The covariance resolves just before the PCA and BLOD start.
+		for cache.Stat(StageCovariance).Builds == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	start = time.Now()
+	_, err := NewAnalyzerCtxIn(ctx, cache, C6(), cfg)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	limit := cold/2 + 100*time.Millisecond
+	if elapsed > limit {
+		t.Fatalf("cancelled construction returned after %v (cold build: %v)", elapsed, cold)
+	}
+	deadline := time.Now().Add(limit)
+	for cache.Stat(StagePCA).Cancels == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := cache.Stat(StagePCA); st.Cancels != 1 || st.Builds != 0 {
+		t.Fatalf("pca stage after the cancel: %d cancels, %d builds; want the flight cancelled, not built", st.Cancels, st.Builds)
 	}
 }
 
