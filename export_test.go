@@ -56,8 +56,8 @@ func LinearHybridTables(v any) any {
 
 // ThermalSegment exposes the thermal stage's key input to the external
 // tests.
-func (c *Config) ThermalSegment() string { return c.segThermal() }
+func (c *Config) ThermalSegment() string { return string(c.segThermal(nil)) }
 
 // PCASegment exposes the pca stage's key input for a 1×1 die to the
 // external tests.
-func (c *Config) PCASegment() string { return c.segPCA(1, 1) }
+func (c *Config) PCASegment() string { return string(c.segPCA(nil, 1, 1)) }

@@ -3,10 +3,8 @@ package obdrel
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"obdrel/internal/core"
 	"obdrel/internal/floorplan"
@@ -22,6 +20,15 @@ import (
 // knob added to a stage segment automatically reaches the analyzer
 // key — the two can not drift apart.
 //
+// Every key is written by one append writer, keyText, into a stack
+// buffer and hashed with one sha256.Sum256. Its number writers append
+// exactly the bytes of fmt's %g, %d and %t, so every segment reads as
+// its fmt.Sprintf spelling did: the keys that name artifacts on disk
+// and at peers do not move (testdata/keys.golden.json pins them, and
+// FuzzKeySegments holds the writer to the fmt spelling). stageKeys
+// writes each segment once and hashes it into every stage key that
+// depends on it.
+//
 // Canonicalization rules shared by every segment:
 //
 //   - nil Tech/Power/Thermal, a zero PCAKeepFraction and the engines'
@@ -32,15 +39,50 @@ import (
 //     execution strategy, not the model, and every value is
 //     bit-identical by construction.
 
+// keyText is canonical key text under construction. Each writer
+// returns the extended text, so segments read as one chain of appends.
+type keyText []byte
+
+// str appends s as %s does.
+func (k keyText) str(s string) keyText { return append(k, s...) }
+
+// g appends x as %g does: strconv's shortest 'g' form, with fmt's
+// spelling of ±Inf, NaN and −0.
+func (k keyText) g(x float64) keyText { return strconv.AppendFloat(k, x, 'g', -1, 64) }
+
+// d appends x as %d does.
+func (k keyText) d(x int64) keyText { return strconv.AppendInt(k, x, 10) }
+
+// t appends x as %t does.
+func (k keyText) t(x bool) keyText { return strconv.AppendBool(k, x) }
+
+// line appends s as one newline-terminated fp16 segment.
+func (k keyText) line(s string) keyText { return append(append(k, s...), '\n') }
+
+// lines appends segments that are already newline-terminated.
+func (k keyText) lines(b keyText) keyText { return append(k, b...) }
+
+// end terminates the segment under construction.
+func (k keyText) end() keyText { return append(k, '\n') }
+
+// sum is the fp16 digest of newline-terminated segments: the first
+// 16 bytes of their SHA-256, in lowercase hex.
+func (k keyText) sum() string {
+	h := sha256.Sum256(k)
+	var out [32]byte
+	hex.Encode(out[:], h[:16])
+	return string(out[:])
+}
+
 // fp16 hashes newline-joined canonical segments into the 32-hex-char
 // fingerprint format used by every cache key in the system.
 func fp16(segments ...string) string {
-	h := sha256.New()
+	var buf [256]byte
+	k := keyText(buf[:0])
 	for _, s := range segments {
-		io.WriteString(h, s)
-		io.WriteString(h, "\n")
+		k = k.line(s)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return k.sum()
 }
 
 // ValidFingerprint reports whether s has the canonical fp16 shape —
@@ -119,32 +161,57 @@ func (c *Config) thermalVDD() float64 {
 	return c.VDD
 }
 
-// segPower is the power-map stage input: the resolved power model and
-// nothing else. The dynamic-density map iterates in a fixed class
-// order so the segment does not depend on Go's map ordering.
-func (c *Config) segPower() string {
-	pm := c.resolvedPower()
-	var b strings.Builder
-	fmt.Fprintf(&b, "power|vn=%g|lk=%g,%g,%g|", pm.VNom, pm.LeakDensity0, pm.LeakTCoeff, pm.TRef)
-	classes := make([]int, 0, len(pm.DynDensity))
+// segPower appends the power-map stage input: the resolved power
+// model and nothing else.
+func (c *Config) segPower(k keyText) keyText {
+	if c.Power == nil {
+		return k.str(defaultPowerText)
+	}
+	return powerText(k, c.Power)
+}
+
+// powerText appends the power-map segment of pm. The dynamic-density
+// map iterates in a fixed class order so the segment does not depend
+// on Go's map ordering.
+func powerText(k keyText, pm *power.Model) keyText {
+	k = k.str("power|vn=").g(pm.VNom).str("|lk=").g(pm.LeakDensity0).
+		str(",").g(pm.LeakTCoeff).str(",").g(pm.TRef).str("|")
+	var buf [16]int
+	classes := buf[:0]
 	for cl := range pm.DynDensity {
 		classes = append(classes, int(cl))
 	}
-	sort.Ints(classes)
+	slices.Sort(classes)
 	for _, cl := range classes {
-		fmt.Fprintf(&b, "%d=%g;", cl, pm.DynDensity[floorplan.Class(cl)])
+		k = k.d(int64(cl)).str("=").g(pm.DynDensity[floorplan.Class(cl)]).str(";")
 	}
-	return b.String()
+	return k
 }
 
-// segThermal is the thermal-solve stage input beyond the power map:
-// the resolved solver parameters and the voltage the fixed point runs
-// at. The field genuinely moves with VDD (dynamic power ∝ V², leakage
-// ∝ V), which is why the thermal stage — unlike covariance/PCA/BLOD —
-// is keyed by voltage; PinThermalVDD collapses that key across a
-// voltage sweep.
-func (c *Config) segThermal() string {
-	return c.segThermalAt(c.thermalVDD())
+// techText appends the technology's α(T,V)/b(T,V) calibration, as the
+// weibull segment spells it.
+func techText(k keyText, tech *obd.Tech) keyText {
+	return k.g(tech.U0).str("|").g(tech.Alpha0).str("|").g(tech.TRefC).
+		str("|").g(tech.VRef).str("|").g(tech.EaEV).str("|").g(tech.NV).
+		str("|").g(tech.B0).str("|").g(tech.CB)
+}
+
+// A nil Power or Tech resolves to a constant default, so its text is
+// written once: configs that leave them nil, as served requests do,
+// skip building the default power model's map and sorting it.
+var (
+	defaultPowerText = string(powerText(nil, power.Default()))
+	defaultTechText  = string(techText(nil, obd.DefaultTech()))
+)
+
+// segThermal appends the thermal-solve stage input beyond the power
+// map: the resolved solver parameters and the voltage the fixed point
+// runs at. The field genuinely moves with VDD (dynamic power ∝ V²,
+// leakage ∝ V), which is why the thermal stage — unlike
+// covariance/PCA/BLOD — is keyed by voltage; PinThermalVDD collapses
+// that key across a voltage sweep.
+func (c *Config) segThermal(k keyText) keyText {
+	return c.segThermalAt(k, c.thermalVDD())
 }
 
 // segThermalAt is segThermal evaluated at an explicit voltage — the
@@ -152,10 +219,11 @@ func (c *Config) segThermal() string {
 // measured VDD (not the config's operating point) drives the fixed
 // point. The solve tag names the solve path, so artifacts another path
 // produced miss by name.
-func (c *Config) segThermalAt(v float64) string {
+func (c *Config) segThermalAt(k keyText, v float64) keyText {
 	ts := c.resolvedThermal()
-	return fmt.Sprintf("thermal|%dx%d|solve=op|gv=%g|gl=%g|ta=%g|v=%g",
-		ts.Nx, ts.Ny, ts.GVertical, ts.GLateral, ts.TAmbient, v)
+	return k.str("thermal|").d(int64(ts.Nx)).str("x").d(int64(ts.Ny)).
+		str("|solve=op|gv=").g(ts.GVertical).str("|gl=").g(ts.GLateral).
+		str("|ta=").g(ts.TAmbient).str("|v=").g(v)
 }
 
 // thermalOpKey is the thermal operator's stage key: the floorplan key
@@ -165,27 +233,34 @@ func (c *Config) segThermalAt(v float64) string {
 // operator.
 func thermalOpKey(floorplanKey string, c *Config) string {
 	ts := c.resolvedThermal()
-	return fp16(StageThermalOp, floorplanKey,
-		fmt.Sprintf("thermalop|%dx%d|gv=%g|gl=%g", ts.Nx, ts.Ny, ts.GVertical, ts.GLateral))
+	var buf [128]byte
+	return keyText(buf[:0]).line(StageThermalOp).line(floorplanKey).
+		str("thermalop|").d(int64(ts.Nx)).str("x").d(int64(ts.Ny)).
+		str("|gv=").g(ts.GVertical).str("|gl=").g(ts.GLateral).end().sum()
 }
 
-// segCovariance is the variation-model stage input: die geometry plus
-// every knob of Eq. 1's decomposition — nominal thickness, the σ
+// segCovariance appends the variation-model stage input: die geometry
+// plus every knob of Eq. 1's decomposition — nominal thickness, the σ
 // budget, the correlation structure, and the wafer-level systematic
 // pattern.
-func (c *Config) segCovariance(dieW, dieH float64) string {
+func (c *Config) segCovariance(k keyText, dieW, dieH float64) keyText {
 	tech := c.resolvedTech()
 	qtLevels, qtDecay := c.resolvedQuadTree()
-	wafer := "nil"
-	if p := c.WaferPattern; p != nil {
-		wafer = fmt.Sprintf("%g|%g|%g|%g|%g|%g", p.DieX, p.DieY, p.DieSpan, p.Bowl, p.SlantX, p.SlantY)
+	k = k.str("cov|die=").g(dieW).str("x").g(dieH).str("|u0=").g(tech.U0).
+		str("|sr=").g(c.SigmaRatio).str("|fg=").g(c.FracGlobal).
+		str("|fs=").g(c.FracSpatial).str("|fi=").g(c.FracIndependent).
+		str("|rho=").g(c.RhoDist).str("|grid=").d(int64(c.GridNx)).str("x").d(int64(c.GridNy)).
+		str("|qt=").t(c.QuadTree).str(",").d(int64(qtLevels)).str(",").g(qtDecay).
+		str("|wafer=")
+	p := c.WaferPattern
+	if p == nil {
+		return k.str("nil")
 	}
-	return fmt.Sprintf("cov|die=%gx%g|u0=%g|sr=%g|fg=%g|fs=%g|fi=%g|rho=%g|grid=%dx%d|qt=%t,%d,%g|wafer=%s",
-		dieW, dieH, tech.U0, c.SigmaRatio, c.FracGlobal, c.FracSpatial, c.FracIndependent,
-		c.RhoDist, c.GridNx, c.GridNy, c.QuadTree, qtLevels, qtDecay, wafer)
+	return k.g(p.DieX).str("|").g(p.DieY).str("|").g(p.DieSpan).str("|").
+		g(p.Bowl).str("|").g(p.SlantX).str("|").g(p.SlantY)
 }
 
-// segPCA is the eigendecomposition stage input. It deliberately
+// segPCA appends the eigendecomposition stage input. It deliberately
 // excludes FracIndependent (σ_ε never enters the correlated-component
 // covariance) and the wafer pattern (a deterministic mean shift), so
 // sweeps over those share one PCA: this key is what deduplicates
@@ -196,27 +271,35 @@ func (c *Config) segCovariance(dieW, dieH float64) string {
 // eigenvector signs and EO/OE tie order differ from the four-block
 // solve's: factors built before it miss by name, so one key never
 // serves two sets of sampling-engine answers.
-func (c *Config) segPCA(dieW, dieH float64) string {
+func (c *Config) segPCA(k keyText, dieW, dieH float64) keyText {
 	tech := c.resolvedTech()
 	qtLevels, qtDecay := c.resolvedQuadTree()
-	return fmt.Sprintf("pca|layout=blocks|solve=swap|die=%gx%g|u0=%g|sr=%g|fg=%g|fs=%g|rho=%g|grid=%dx%d|qt=%t,%d,%g|keep=%g",
-		dieW, dieH, tech.U0, c.SigmaRatio, c.FracGlobal, c.FracSpatial,
-		c.RhoDist, c.GridNx, c.GridNy, c.QuadTree, qtLevels, qtDecay, c.resolvedKeep())
+	return k.str("pca|layout=blocks|solve=swap|die=").g(dieW).str("x").g(dieH).
+		str("|u0=").g(tech.U0).str("|sr=").g(c.SigmaRatio).
+		str("|fg=").g(c.FracGlobal).str("|fs=").g(c.FracSpatial).
+		str("|rho=").g(c.RhoDist).str("|grid=").d(int64(c.GridNx)).str("x").d(int64(c.GridNy)).
+		str("|qt=").t(c.QuadTree).str(",").d(int64(qtLevels)).str(",").g(qtDecay).
+		str("|keep=").g(c.resolvedKeep())
 }
 
-// segWeibull is the per-block device-parameter stage input beyond the
-// thermal field: the full technology (α(T,V)/b(T,V) calibration), the
-// operating voltage, the mean-vs-max temperature choice, and the
+// segWeibull appends the per-block device-parameter stage input beyond
+// the thermal field: the full technology (α(T,V)/b(T,V) calibration),
+// the operating voltage, the mean-vs-max temperature choice, and the
 // extrinsic population.
-func (c *Config) segWeibull() string {
-	tech := c.resolvedTech()
-	ext := "nil"
-	if e := c.Extrinsic; e != nil {
-		ext = fmt.Sprintf("%g|%g|%g|%g|%g", e.DefectFraction, e.Alpha0E, e.BetaE, e.EaEV, e.NV)
+func (c *Config) segWeibull(k keyText) keyText {
+	k = k.str("weib|tech=")
+	if c.Tech == nil {
+		k = k.str(defaultTechText)
+	} else {
+		k = techText(k, c.Tech)
 	}
-	return fmt.Sprintf("weib|tech=%g|%g|%g|%g|%g|%g|%g|%g|v=%g|maxT=%t|ext=%s",
-		tech.U0, tech.Alpha0, tech.TRefC, tech.VRef, tech.EaEV, tech.NV, tech.B0, tech.CB,
-		c.VDD, c.UseBlockMaxTemp, ext)
+	k = k.str("|v=").g(c.VDD).str("|maxT=").t(c.UseBlockMaxTemp).str("|ext=")
+	e := c.Extrinsic
+	if e == nil {
+		return k.str("nil")
+	}
+	return k.g(e.DefectFraction).str("|").g(e.Alpha0E).str("|").g(e.BetaE).
+		str("|").g(e.EaEV).str("|").g(e.NV)
 }
 
 // resolvedL0 returns the block-integral order with 0 meaning
@@ -242,17 +325,18 @@ func (c *Config) resolvedHybridGrid() (nl, nb int) {
 	return nl, nb
 }
 
-// segEngines covers the knobs that configure query engines but no
+// segEngines appends the knobs that configure query engines but no
 // substrate stage: they shape how questions are answered, not what
 // the chip is, so they reach only the whole-analyzer fingerprint.
 // The table resolution and integral order are hashed as the engines
 // resolve them, so an explicit 100×100 or l0=32 names the same
 // analyzer as the omitted default.
-func (c *Config) segEngines() string {
+func (c *Config) segEngines(k keyText) keyText {
 	nl, nb := c.resolvedHybridGrid()
-	return fmt.Sprintf("eng|l0=%d|stmc=%d,%d|mc=%d|hyb=%dx%d|guard=%g|seed=%d",
-		c.resolvedL0(), c.StMCSamples, c.StMCBins, c.MCSamples,
-		nl, nb, c.GuardSigmas, c.Seed)
+	return k.str("eng|l0=").d(int64(c.resolvedL0())).
+		str("|stmc=").d(int64(c.StMCSamples)).str(",").d(int64(c.StMCBins)).
+		str("|mc=").d(int64(c.MCSamples)).str("|hyb=").d(int64(nl)).str("x").d(int64(nb)).
+		str("|guard=").g(c.GuardSigmas).str("|seed=").d(c.Seed)
 }
 
 // Fingerprint returns a stable, canonical identity for the
@@ -267,14 +351,13 @@ func (c *Config) segEngines() string {
 // with a Design fingerprint, and StageFingerprints exposes the
 // per-stage keys underneath it.
 func (c *Config) Fingerprint() string {
-	return fp16(
-		c.segPower(),
-		c.segThermal(),
-		c.segCovariance(0, 0),
-		c.segPCA(0, 0),
-		c.segWeibull(),
-		c.segEngines(),
-	)
+	var buf [1024]byte
+	k := c.segPower(buf[:0]).end()
+	k = c.segThermal(k).end()
+	k = c.segCovariance(k, 0, 0).end()
+	k = c.segPCA(k, 0, 0).end()
+	k = c.segWeibull(k).end()
+	return c.segEngines(k).end().sum()
 }
 
 // Fingerprint returns a stable identity for the design: a hex digest
@@ -282,14 +365,16 @@ func (c *Config) Fingerprint() string {
 // count, class, and activity. Two designs with the same name but
 // different contents get different fingerprints.
 func (d *Design) Fingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "design|%s|%g|%g|%d\n", d.Name, d.W, d.H, len(d.Blocks))
+	var buf [4096]byte
+	k := keyText(buf[:0]).str("design|").str(d.Name).str("|").g(d.W).str("|").g(d.H).
+		str("|").d(int64(len(d.Blocks))).end()
 	for i := range d.Blocks {
 		b := &d.Blocks[i]
-		fmt.Fprintf(h, "blk|%s|%g|%g|%g|%g|%d|%d|%g\n",
-			b.Name, b.X, b.Y, b.W, b.H, b.Devices, int(b.Class), b.Activity)
+		k = k.str("blk|").str(b.Name).str("|").g(b.X).str("|").g(b.Y).
+			str("|").g(b.W).str("|").g(b.H).str("|").d(int64(b.Devices)).
+			str("|").d(int64(b.Class)).str("|").g(b.Activity).end()
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return k.sum()
 }
 
 // CacheKey returns the canonical cache identity of a (design, config)
@@ -317,12 +402,13 @@ func CacheKeyFromFingerprint(designFP string, cfg *Config) string {
 // and collapsing them would hide that from caches and audits; the
 // fingerprint therefore keeps order significant.
 func (tr Trace) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace|%d", len(tr))
+	var buf [512]byte
+	k := keyText(buf[:0]).str("trace|").d(int64(len(tr)))
 	for _, s := range tr {
-		fmt.Fprintf(&b, "|h=%g,v=%g,a=%g,t=%g", s.Hours, s.VDD, s.ActivityScale, s.TempC)
+		k = k.str("|h=").g(s.Hours).str(",v=").g(s.VDD).
+			str(",a=").g(s.ActivityScale).str(",t=").g(s.TempC)
 	}
-	return fp16(b.String())
+	return k.end().sum()
 }
 
 // TraceCacheKeyFrom returns the canonical cache identity of a

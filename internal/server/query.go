@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -275,9 +274,18 @@ func (s *Server) resolveTarget(req *apiRequest) (query, error) {
 
 // evalKey canonically names the question within its analyzer group:
 // batch items with equal (key, evalKey) share one evaluation.
+// It is appended byte for byte as fmt's "%s|m=%s|ppm=%g|t=%g|…" would
+// print it: strconv's shortest 'g' form is %g's.
 func (q *query) evalKey() string {
-	return fmt.Sprintf("%s|m=%s|ppm=%g|t=%g|target=%g|vlo=%g|vhi=%g|tolv=%g",
-		q.kind, q.m, q.ppm, q.t, q.target, q.vLo, q.vHi, q.tolV)
+	var buf [128]byte
+	b := append(append(append(buf[:0], q.kind...), "|m="...), q.m.String()...)
+	for _, f := range [...]struct {
+		label string
+		v     float64
+	}{{"|ppm=", q.ppm}, {"|t=", q.t}, {"|target=", q.target}, {"|vlo=", q.vLo}, {"|vhi=", q.vHi}, {"|tolv=", q.tolV}} {
+		b = strconv.AppendFloat(append(b, f.label...), f.v, 'g', -1, 64)
+	}
+	return string(b)
 }
 
 // analyzer fetches the query's analyzer from the registry: the

@@ -180,9 +180,18 @@ func NewTraceAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design
 	// The trace-specific Weibull parameters make the chip identity
 	// trace-dependent; composing the trace fingerprint in keeps the
 	// hybrid tables (keyed by chipKey) distinct per trace.
-	chipKey := fp16(StageChip, g.keys[StageBLOD],
-		fp16("trace-weibull", d.Fingerprint(), g.cfg.segPower(), g.cfg.segWeibull(), tr.Fingerprint()))
+	chipKey := traceChipKey(g.keys[StageBLOD], g.dfp, g.cfg, tr)
 	return g.analyzer(fd, model, chip, chipKey, w.info, field), nil
+}
+
+// traceChipKey names a trace analyzer's chip: the BLOD stage key and a
+// digest of the design, the power and Weibull segments and the trace.
+func traceChipKey(blodKey, dfp string, cfg *Config, tr Trace) string {
+	var buf [1024]byte
+	k := keyText(buf[:0]).line("trace-weibull").line(dfp)
+	k = cfg.segPower(k).end()
+	k = cfg.segWeibull(k).end()
+	return fp16(StageChip, blodKey, k.line(tr.Fingerprint()).sum())
 }
 
 // traceWeibull is the trace path's weibull stage: it resolves each
@@ -294,10 +303,7 @@ func (g *stageGraph) traceWeibull(ctx context.Context, fd *floorplan.Design, pm 
 // so repeating segments — across a trace or across a fleet of traces
 // on one design — solve once.
 func (g *stageGraph) traceSegThermal(ctx context.Context, fd *floorplan.Design, pm *power.Model, seg Segment) (*thermal.CoupledResult, error) {
-	key := fp16(StageThermal, g.keys[StageFloorplan],
-		fmt.Sprintf("traceseg|a=%g", seg.ActivityScale),
-		g.cfg.segPower(), g.cfg.segThermalAt(seg.VDD))
-	return stageGet(ctx, g.cache, StageThermal, key,
+	return stageGet(ctx, g.cache, StageThermal, traceSegThermalKey(g.keys[StageFloorplan], g.cfg, seg),
 		func(bctx context.Context) (*thermal.CoupledResult, error) {
 			// Activity scaling leaves the geometry alone, so every
 			// segment shares the design's operator.
@@ -318,6 +324,17 @@ func (g *stageGraph) traceSegThermal(ctx context.Context, fd *floorplan.Design, 
 				return pm.DesignPowers(&scaled, seg.VDD, temps)
 			}, 0, 0)
 		})
+}
+
+// traceSegThermalKey is the thermal-stage key of a solved trace
+// segment: the floorplan key, the segment's activity scale, and the
+// power and thermal segments at the segment's VDD.
+func traceSegThermalKey(floorplanKey string, cfg *Config, seg Segment) string {
+	var buf [512]byte
+	k := keyText(buf[:0]).line(StageThermal).line(floorplanKey).
+		str("traceseg|a=").g(seg.ActivityScale).end()
+	k = cfg.segPower(k).end()
+	return cfg.segThermalAt(k, seg.VDD).end().sum()
 }
 
 func validateModes(modes []Mode) error {

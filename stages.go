@@ -83,15 +83,32 @@ func StageFingerprints(d *Design, cfg *Config) map[string]string {
 
 // stageKeys computes all stage cache keys from the design fingerprint
 // and die geometry — everything a stage consumes from the design half.
+// Each config segment is written once, newline-terminated, into segs;
+// every key then hashes its stage name, the design fingerprint where
+// the stage reads the floorplan, and the segments it depends on, which
+// sit in segs in the order the keys hash them.
 func stageKeys(dfp string, dieW, dieH float64, cfg *Config) map[string]string {
+	var segBuf, keyBuf [1024]byte
+	segs := cfg.segPower(segBuf[:0]).end()
+	endPower := len(segs)
+	segs = cfg.segThermal(segs).end()
+	endThermal := len(segs)
+	segs = cfg.segCovariance(segs, dieW, dieH).end()
+	endCov := len(segs)
+	segs = cfg.segPCA(segs, dieW, dieH).end()
+	endPCA := len(segs)
+	segs = cfg.segWeibull(segs).end()
+	power, powerThermal := segs[:endPower], segs[:endThermal]
+	cov, pca, weib := segs[endThermal:endCov], segs[endCov:endPCA], segs[endPCA:]
+	k := keyText(keyBuf[:0])
 	ks := map[string]string{
 		StageFloorplan:  fp16(StageFloorplan, dfp),
-		StagePowerMap:   fp16(StagePowerMap, cfg.segPower()),
-		StageThermal:    fp16(StageThermal, dfp, cfg.segPower(), cfg.segThermal()),
-		StageCovariance: fp16(StageCovariance, cfg.segCovariance(dieW, dieH)),
-		StagePCA:        fp16(StagePCA, cfg.segPCA(dieW, dieH)),
-		StageBLOD:       fp16(StageBLOD, dfp, cfg.segCovariance(dieW, dieH)),
-		StageWeibull:    fp16(StageWeibull, dfp, cfg.segPower(), cfg.segThermal(), cfg.segWeibull()),
+		StagePowerMap:   k.line(StagePowerMap).lines(power).sum(),
+		StageThermal:    k.line(StageThermal).line(dfp).lines(powerThermal).sum(),
+		StageCovariance: k.line(StageCovariance).lines(cov).sum(),
+		StagePCA:        k.line(StagePCA).lines(pca).sum(),
+		StageBLOD:       k.line(StageBLOD).line(dfp).lines(cov).sum(),
+		StageWeibull:    k.line(StageWeibull).line(dfp).lines(powerThermal).lines(weib).sum(),
 	}
 	ks[StageChip] = fp16(StageChip, ks[StageBLOD], ks[StageWeibull])
 	return ks
@@ -114,6 +131,7 @@ type weibullArtifact struct {
 type stageGraph struct {
 	cache *pipeline.Cache
 	d     *Design
+	dfp   string // d.Fingerprint()
 	cfg   *Config
 	tech  *obd.Tech
 	pm    *power.Model
@@ -316,14 +334,16 @@ func newStageGraph(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *C
 	if d == nil {
 		return nil, nil, nil, errNilDesign
 	}
+	dfp := d.Fingerprint()
 	g := &stageGraph{
 		cache: cache,
 		d:     d,
+		dfp:   dfp,
 		cfg:   cfg,
 		tech:  cfg.resolvedTech(),
 		pm:    cfg.resolvedPower(),
 		ts:    cfg.resolvedThermal(),
-		keys:  stageKeys(d.Fingerprint(), d.W, d.H, cfg),
+		keys:  stageKeys(dfp, d.W, d.H, cfg),
 	}
 	fd, err := g.floorplan(ctx)
 	if err != nil {

@@ -1,7 +1,5 @@
 package obdrel
 
-import "fmt"
-
 // hybridTables is the hybrid stage's artifact (Section IV-E): the
 // shared ln(t/α) and b axes and each block's row-major grid of ln D_j,
 // exactly as core.Hybrid.TableData returns them. The engine built from
@@ -35,6 +33,8 @@ func (h *hybridTables) SizeBytes() int64 {
 // not give.
 func hybridTableKey(chipKey string, cfg *Config) string {
 	nl, nb := cfg.resolvedHybridGrid()
-	return fp16(StageHybrid, chipKey,
-		fmt.Sprintf("nl=%d|nb=%d|l0=%d|fill=mgf|interp=log", nl, nb, cfg.resolvedL0()))
+	var buf [128]byte
+	return keyText(buf[:0]).line(StageHybrid).line(chipKey).
+		str("nl=").d(int64(nl)).str("|nb=").d(int64(nb)).str("|l0=").d(int64(cfg.resolvedL0())).
+		str("|fill=mgf|interp=log").end().sum()
 }
