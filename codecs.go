@@ -32,360 +32,184 @@ import (
 //     format version covers.
 //
 // A reflection-guarded test (codecs_test.go) pins that every stage in
-// StageNames(), StageHybrid and StageThermalOp has a codec, so a new
-// stage cannot silently become non-spillable.
+// StageNames(), StageHybrid and StageThermalOp has a codec, and that
+// FuzzStageDecode reaches it, so a new stage cannot silently become
+// non-spillable or unfuzzed.
+//
+// Each stage is one artifact.Register call on an enc/dec pair;
+// Register owns the type assertion, the Writer and Reader, and the
+// trailing-byte check. The decoders of artifacts that also travel
+// inside another (floorplan, grid model, blod) report failures through
+// the reader alone and register through readOnly.
 
 func init() {
-	artifact.Register(StageFloorplan, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			fd, ok := v.(*floorplan.Design)
-			if !ok {
-				return nil, errCodecType(StageFloorplan, v)
-			}
-			var w artifact.Writer
-			encFloorplan(&w, fd)
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			fd := decFloorplan(r)
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			return fd, nil
-		},
-	})
-	artifact.Register(StagePowerMap, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			pm, ok := v.(*power.Model)
-			if !ok {
-				return nil, errCodecType(StagePowerMap, v)
-			}
-			var w artifact.Writer
-			encPower(&w, pm)
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			pm := decPower(r)
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			return pm, nil
-		},
-	})
-	artifact.Register(StageThermal, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			cr, ok := v.(*thermal.CoupledResult)
-			if !ok {
-				return nil, errCodecType(StageThermal, v)
-			}
-			var w artifact.Writer
-			w.Bool(cr.Field != nil)
-			if cr.Field != nil {
-				w.Int(cr.Field.Nx)
-				w.Int(cr.Field.Ny)
-				w.F64(cr.Field.W)
-				w.F64(cr.Field.H)
-				w.F64s(cr.Field.Temps)
-				w.Int(cr.Field.Iterations)
-			}
-			w.F64s(cr.BlockMean)
-			w.F64s(cr.BlockMax)
-			w.F64s(cr.Powers)
-			w.Int(cr.Rounds)
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			cr := &thermal.CoupledResult{}
-			if r.Bool() {
-				cr.Field = &thermal.Field{
-					Nx: r.Int(), Ny: r.Int(),
-					W: r.F64(), H: r.F64(),
-					Temps: r.F64s(), Iterations: r.Int(),
-				}
-			}
-			cr.BlockMean = r.F64s()
-			cr.BlockMax = r.F64s()
-			cr.Powers = r.F64s()
-			cr.Rounds = r.Int()
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			// Shape checks, so a checksum-valid but malformed payload
-			// fails the load and rebuilds instead of reaching the
-			// weibull stage's per-block indexing.
-			if f := cr.Field; f != nil && (f.Nx <= 0 || f.Ny <= 0 || f.Nx > len(f.Temps) || f.Ny > len(f.Temps) || f.Nx*f.Ny != len(f.Temps)) {
-				return nil, fmt.Errorf("obdrel: thermal artifact: %dx%d field with %d cells", f.Nx, f.Ny, len(f.Temps))
-			}
-			if n := len(cr.BlockMean); len(cr.BlockMax) != n || len(cr.Powers) != n {
-				return nil, errors.New("obdrel: thermal artifact: per-block lengths differ")
-			}
-			return cr, nil
-		},
-	})
-	artifact.Register(StageThermalOp, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			op, ok := v.(*thermal.Operator)
-			if !ok {
-				return nil, errCodecType(StageThermalOp, v)
-			}
-			var w artifact.Writer
-			w.Int(op.Nx)
-			w.Int(op.Ny)
-			w.F64(op.W)
-			w.F64(op.H)
-			w.Int(op.B)
-			w.F64s(op.CellRise)
-			w.F64s(op.MeanRise)
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			op := &thermal.Operator{
-				Nx: r.Int(), Ny: r.Int(),
-				W: r.F64(), H: r.F64(),
-				B:        r.Int(),
-				CellRise: r.F64s(),
-				MeanRise: r.F64s(),
-			}
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			if err := op.Validate(); err != nil {
-				return nil, fmt.Errorf("obdrel: thermal operator artifact: %w", err)
-			}
-			return op, nil
-		},
-	})
-	artifact.Register(StageCovariance, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			m, ok := v.(*grid.Model)
-			if !ok {
-				return nil, errCodecType(StageCovariance, v)
-			}
-			var w artifact.Writer
-			encGridModel(&w, m)
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			m := decGridModel(r)
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			return m, nil
-		},
-	})
-	artifact.Register(StagePCA, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			pca, ok := v.(*grid.PCA)
-			if !ok {
-				return nil, errCodecType(StagePCA, v)
-			}
-			var w artifact.Writer
-			encPCA(&w, pca)
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			pca, err := decPCA(r)
-			if err != nil {
-				return nil, err
-			}
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			return pca, nil
-		},
-	})
-	artifact.Register(StageBLOD, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			ch, ok := v.(*blod.Characterization)
-			if !ok {
-				return nil, errCodecType(StageBLOD, v)
-			}
-			var w artifact.Writer
-			encBlod(&w, ch)
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			ch := decBlod(r)
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			return ch, nil
-		},
-	})
-	artifact.Register(StageWeibull, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			wa, ok := v.(*weibullArtifact)
-			if !ok {
-				return nil, errCodecType(StageWeibull, v)
-			}
-			var w artifact.Writer
-			encObdParams(&w, wa.params)
-			w.Bool(wa.ext != nil)
-			if wa.ext != nil {
-				w.Int(len(wa.ext))
-				for _, e := range wa.ext {
-					w.F64(e.AlphaE)
-					w.F64(e.BetaE)
-					w.F64(e.DefectFraction)
-				}
-			}
-			w.Int(len(wa.info))
-			for _, bi := range wa.info {
-				w.String(bi.Name)
-				w.F64(bi.MeanTempC)
-				w.F64(bi.MaxTempC)
-				w.F64(bi.PowerW)
-				w.F64(bi.Alpha)
-				w.F64(bi.B)
-				w.Int(bi.Devices)
-			}
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			wa := &weibullArtifact{params: decObdParams(r)}
-			if r.Bool() {
-				wa.ext = make([]obd.ExtrinsicParams, boundedLen(r, 24))
-				for i := range wa.ext {
-					wa.ext[i] = obd.ExtrinsicParams{
-						AlphaE: r.F64(), BetaE: r.F64(), DefectFraction: r.F64(),
-					}
-				}
-			}
-			n := boundedLen(r, 8)
-			wa.info = make([]BlockInfo, n)
-			for i := range wa.info {
-				wa.info[i] = BlockInfo{
-					Name:      r.String(),
-					MeanTempC: r.F64(),
-					MaxTempC:  r.F64(),
-					PowerW:    r.F64(),
-					Alpha:     r.F64(),
-					B:         r.F64(),
-					Devices:   r.Int(),
-				}
-			}
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			return wa, nil
-		},
-	})
-	artifact.Register(StageChip, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			chip, ok := v.(*core.Chip)
-			if !ok {
-				return nil, errCodecType(StageChip, v)
-			}
-			var w artifact.Writer
-			encFloorplan(&w, chip.Design)
-			encGridModel(&w, chip.Model)
-			encBlod(&w, chip.Char)
-			encObdParams(&w, chip.Params)
-			w.Bool(chip.Extrinsic != nil)
-			if chip.Extrinsic != nil {
-				w.Int(len(chip.Extrinsic))
-				for _, e := range chip.Extrinsic {
-					w.F64(e.AlphaE)
-					w.F64(e.BetaE)
-					w.F64(e.DefectFraction)
-				}
-			}
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			fd := decFloorplan(r)
-			m := decGridModel(r)
-			ch := decBlod(r)
-			params := decObdParams(r)
-			var ext []obd.ExtrinsicParams
-			if r.Bool() {
-				ext = make([]obd.ExtrinsicParams, boundedLen(r, 24))
-				for i := range ext {
-					ext[i] = obd.ExtrinsicParams{
-						AlphaE: r.F64(), BetaE: r.F64(), DefectFraction: r.F64(),
-					}
-				}
-			}
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			// Reassemble through the real constructor so a decoded chip
-			// passes the exact validation a built one does — a corrupt
-			// but checksum-valid payload cannot smuggle in an
-			// inconsistent chip.
-			chip, err := assembleChip(fd, m, ch, &weibullArtifact{params: params, ext: ext})
-			if err != nil {
-				return nil, err
-			}
-			return chip, nil
-		},
-	})
-	artifact.Register(StageHybrid, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			ht, ok := v.(*hybridTables)
-			if !ok {
-				return nil, errCodecType(StageHybrid, v)
-			}
-			var w artifact.Writer
-			w.F64s(ht.ls)
-			w.F64s(ht.bs)
-			w.Int(len(ht.blocks))
-			for _, b := range ht.blocks {
-				w.F64s(b)
-			}
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			ht := &hybridTables{ls: r.F64s(), bs: r.F64s()}
-			// 9 bytes is an empty F64s: presence flag plus length.
-			ht.blocks = make([][]float64, boundedLen(r, 9))
-			for i := range ht.blocks {
-				ht.blocks[i] = r.F64s()
-			}
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			// Validate the geometry a table needs (finite, increasing
-			// axes; nl·nb entries per block) here, so a checksum-valid
-			// but malformed payload fails the load and rebuilds. The
-			// block count is the chip's to check, at engine build.
-			if len(ht.blocks) == 0 {
-				return nil, errors.New("obdrel: hybrid artifact: no block tables")
-			}
-			for i, b := range ht.blocks {
-				if _, err := integrate.NewTable2DFromData(ht.ls, ht.bs, b); err != nil {
-					return nil, fmt.Errorf("obdrel: hybrid artifact: block %d: %w", i, err)
-				}
-			}
-			return ht, nil
-		},
-	})
+	artifact.Register(StageFloorplan, encFloorplan, readOnly(decFloorplan))
+	artifact.Register(StagePowerMap, encPower, readOnly(decPower))
+	artifact.Register(StageThermal, encThermal, decThermal)
+	artifact.Register(StageThermalOp, encThermalOp, decThermalOp)
+	artifact.Register(StageCovariance, encGridModel, readOnly(decGridModel))
+	artifact.Register(StagePCA, encPCA, decPCA)
+	artifact.Register(StageBLOD, encBlod, readOnly(decBlod))
+	artifact.Register(StageWeibull, encWeibull, decWeibull)
+	artifact.Register(StageChip, encChip, decChip)
+	artifact.Register(StageHybrid, encHybrid, decHybrid)
 }
 
-func errCodecType(stage string, v any) error {
-	return errors.New("obdrel: " + stage + " codec: unexpected artifact type")
+// readOnly adapts a decoder whose every failure poisons the reader to
+// the signature artifact.Register takes.
+func readOnly[T any](dec func(*artifact.Reader) T) func(*artifact.Reader) (T, error) {
+	return func(r *artifact.Reader) (T, error) { return dec(r), nil }
 }
 
-// boundedLen reads a count written by Writer.Int and bounds it by the
-// bytes actually remaining (elemSize is the minimum encoded size of
-// one element), so hostile counts fail instead of allocating.
-func boundedLen(r *artifact.Reader, elemSize int) int {
-	n := r.Int()
-	if n < 0 || n > len(r.Rest())/elemSize {
-		r.Fail("count %d exceeds remaining payload", n)
-		return 0
+func encThermal(w *artifact.Writer, cr *thermal.CoupledResult) {
+	w.Bool(cr.Field != nil)
+	if cr.Field != nil {
+		w.Int(cr.Field.Nx)
+		w.Int(cr.Field.Ny)
+		w.F64(cr.Field.W)
+		w.F64(cr.Field.H)
+		w.F64s(cr.Field.Temps)
+		w.Int(cr.Field.Iterations)
 	}
-	return n
+	w.F64s(cr.BlockMean)
+	w.F64s(cr.BlockMax)
+	w.F64s(cr.Powers)
+	w.Int(cr.Rounds)
+}
+
+func decThermal(r *artifact.Reader) (*thermal.CoupledResult, error) {
+	cr := &thermal.CoupledResult{}
+	if r.Bool() {
+		cr.Field = &thermal.Field{
+			Nx: r.Int(), Ny: r.Int(),
+			W: r.F64(), H: r.F64(),
+			Temps: r.F64s(), Iterations: r.Int(),
+		}
+	}
+	cr.BlockMean = r.F64s()
+	cr.BlockMax = r.F64s()
+	cr.Powers = r.F64s()
+	cr.Rounds = r.Int()
+	// Shape checks, so a checksum-valid but malformed payload fails the
+	// load and rebuilds instead of reaching the weibull stage's
+	// per-block indexing.
+	if f := cr.Field; f != nil && (f.Nx <= 0 || f.Ny <= 0 || f.Nx > len(f.Temps) || f.Ny > len(f.Temps) || f.Nx*f.Ny != len(f.Temps)) {
+		return nil, fmt.Errorf("obdrel: thermal artifact: %dx%d field with %d cells", f.Nx, f.Ny, len(f.Temps))
+	}
+	if n := len(cr.BlockMean); len(cr.BlockMax) != n || len(cr.Powers) != n {
+		return nil, errors.New("obdrel: thermal artifact: per-block lengths differ")
+	}
+	return cr, nil
+}
+
+func encThermalOp(w *artifact.Writer, op *thermal.Operator) {
+	w.Int(op.Nx)
+	w.Int(op.Ny)
+	w.F64(op.W)
+	w.F64(op.H)
+	w.Int(op.B)
+	w.F64s(op.CellRise)
+	w.F64s(op.MeanRise)
+}
+
+func decThermalOp(r *artifact.Reader) (*thermal.Operator, error) {
+	op := &thermal.Operator{
+		Nx: r.Int(), Ny: r.Int(),
+		W: r.F64(), H: r.F64(),
+		B:        r.Int(),
+		CellRise: r.F64s(),
+		MeanRise: r.F64s(),
+	}
+	if err := op.Validate(); err != nil {
+		return nil, fmt.Errorf("obdrel: thermal operator artifact: %w", err)
+	}
+	return op, nil
+}
+
+func encWeibull(w *artifact.Writer, wa *weibullArtifact) {
+	encObdParams(w, wa.params)
+	encExtrinsic(w, wa.ext)
+	w.Int(len(wa.info))
+	for _, bi := range wa.info {
+		w.String(bi.Name)
+		w.F64(bi.MeanTempC)
+		w.F64(bi.MaxTempC)
+		w.F64(bi.PowerW)
+		w.F64(bi.Alpha)
+		w.F64(bi.B)
+		w.Int(bi.Devices)
+	}
+}
+
+func decWeibull(r *artifact.Reader) (*weibullArtifact, error) {
+	wa := &weibullArtifact{params: decObdParams(r), ext: decExtrinsic(r)}
+	wa.info = make([]BlockInfo, r.Len(8))
+	for i := range wa.info {
+		wa.info[i] = BlockInfo{
+			Name:      r.String(),
+			MeanTempC: r.F64(),
+			MaxTempC:  r.F64(),
+			PowerW:    r.F64(),
+			Alpha:     r.F64(),
+			B:         r.F64(),
+			Devices:   r.Int(),
+		}
+	}
+	// The chip assembles from params, while /v1/blocks lists info and
+	// BurnIn indexes params by it, so every per-block slice has one
+	// entry per block.
+	if n := len(wa.params); len(wa.info) != n || (wa.ext != nil && len(wa.ext) != n) {
+		return nil, fmt.Errorf("obdrel: weibull artifact: %d parameter sets, %d block infos, %d extrinsic sets",
+			n, len(wa.info), len(wa.ext))
+	}
+	return wa, nil
+}
+
+func encChip(w *artifact.Writer, chip *core.Chip) {
+	encFloorplan(w, chip.Design)
+	encGridModel(w, chip.Model)
+	encBlod(w, chip.Char)
+	encObdParams(w, chip.Params)
+	encExtrinsic(w, chip.Extrinsic)
+}
+
+// decChip reassembles through the real constructor, so a decoded chip
+// passes the exact validation a built one does: a corrupt but
+// checksum-valid payload cannot smuggle in an inconsistent chip.
+func decChip(r *artifact.Reader) (*core.Chip, error) {
+	fd, m, ch := decFloorplan(r), decGridModel(r), decBlod(r)
+	return assembleChip(fd, m, ch, &weibullArtifact{params: decObdParams(r), ext: decExtrinsic(r)})
+}
+
+func encHybrid(w *artifact.Writer, ht *hybridTables) {
+	w.F64s(ht.ls)
+	w.F64s(ht.bs)
+	w.Int(len(ht.blocks))
+	for _, b := range ht.blocks {
+		w.F64s(b)
+	}
+}
+
+func decHybrid(r *artifact.Reader) (*hybridTables, error) {
+	ht := &hybridTables{ls: r.F64s(), bs: r.F64s()}
+	// 9 bytes is an empty F64s: presence flag plus length.
+	ht.blocks = make([][]float64, r.Len(9))
+	for i := range ht.blocks {
+		ht.blocks[i] = r.F64s()
+	}
+	// Validate the geometry a table needs (finite, increasing axes;
+	// nl·nb entries per block) here, so a checksum-valid but malformed
+	// payload fails the load and rebuilds. The block count is the
+	// chip's to check, at engine build.
+	if len(ht.blocks) == 0 {
+		return nil, errors.New("obdrel: hybrid artifact: no block tables")
+	}
+	for i, b := range ht.blocks {
+		if _, err := integrate.NewTable2DFromData(ht.ls, ht.bs, b); err != nil {
+			return nil, fmt.Errorf("obdrel: hybrid artifact: block %d: %w", i, err)
+		}
+	}
+	return ht, nil
 }
 
 func encFloorplan(w *artifact.Writer, fd *floorplan.Design) {
@@ -419,7 +243,7 @@ func decFloorplan(r *artifact.Reader) *floorplan.Design {
 		W:    r.F64(),
 		H:    r.F64(),
 	}
-	n := boundedLen(r, 8)
+	n := r.Len(8)
 	fd.Blocks = make([]floorplan.Block, n)
 	for i := range fd.Blocks {
 		fd.Blocks[i] = floorplan.Block{
@@ -476,7 +300,7 @@ func decPower(r *artifact.Reader) *power.Model {
 		TRef:         r.F64(),
 	}
 	hasMap := r.Bool()
-	n := boundedLen(r, 16)
+	n := r.Len(16)
 	if !hasMap {
 		if n != 0 {
 			r.Fail("powermap without a class map lists %d classes", n)
@@ -581,11 +405,7 @@ func decPCA(r *artifact.Reader) (*grid.PCA, error) {
 		blocks[i].Eigenvalues = r.F64s()
 		blocks[i].Loadings = r.F64s()
 	}
-	total, captured := r.F64(), r.F64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	p, err := grid.NewPCA(nx, ny, blocks, total, captured)
+	p, err := grid.NewPCA(nx, ny, blocks, r.F64(), r.F64())
 	if err != nil {
 		return nil, fmt.Errorf("obdrel: pca artifact: %w", err)
 	}
@@ -623,7 +443,7 @@ func decBlod(r *artifact.Reader) *blod.Characterization {
 		return nil
 	}
 	ch := &blod.Characterization{}
-	n := boundedLen(r, 8)
+	n := r.Len(8)
 	ch.Blocks = make([]blod.BlockChar, n)
 	for i := range ch.Blocks {
 		ch.Blocks[i] = blod.BlockChar{
@@ -641,6 +461,30 @@ func decBlod(r *artifact.Reader) *blod.Characterization {
 	return ch
 }
 
+func encExtrinsic(w *artifact.Writer, ext []obd.ExtrinsicParams) {
+	w.Bool(ext != nil)
+	if ext == nil {
+		return
+	}
+	w.Int(len(ext))
+	for _, e := range ext {
+		w.F64(e.AlphaE)
+		w.F64(e.BetaE)
+		w.F64(e.DefectFraction)
+	}
+}
+
+func decExtrinsic(r *artifact.Reader) []obd.ExtrinsicParams {
+	if !r.Bool() {
+		return nil
+	}
+	ext := make([]obd.ExtrinsicParams, r.Len(24))
+	for i := range ext {
+		ext[i] = obd.ExtrinsicParams{AlphaE: r.F64(), BetaE: r.F64(), DefectFraction: r.F64()}
+	}
+	return ext
+}
+
 func encObdParams(w *artifact.Writer, ps []obd.Params) {
 	w.Bool(ps != nil)
 	w.Int(len(ps))
@@ -652,7 +496,7 @@ func encObdParams(w *artifact.Writer, ps []obd.Params) {
 
 func decObdParams(r *artifact.Reader) []obd.Params {
 	present := r.Bool()
-	n := boundedLen(r, 16)
+	n := r.Len(16)
 	if !present {
 		if n != 0 {
 			r.Fail("absent device parameters list %d entries", n)

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"obdrel/internal/artifact"
 	"obdrel/internal/blod"
@@ -15,6 +21,7 @@ import (
 	"obdrel/internal/integrate"
 	"obdrel/internal/obd"
 	"obdrel/internal/pipeline"
+	"obdrel/internal/power"
 	"obdrel/internal/thermal"
 )
 
@@ -26,11 +33,15 @@ import (
 // construction stages — the fingerprint-sensitivity test already pins
 // that roster against the stage graph — and StageHybrid, which engines
 // resolve lazily, and StageThermalOp, which thermal builds resolve
-// lazily, are named explicitly.
+// lazily, are named explicitly. Every codec must also be one
+// FuzzStageDecode reaches.
 func TestEveryStageHasCodec(t *testing.T) {
 	for _, stage := range append(StageNames(), StageHybrid, StageThermalOp) {
 		if _, ok := artifact.Lookup(stage); !ok {
 			t.Errorf("stage %q has no artifact codec: register one in codecs.go", stage)
+		}
+		if !slices.Contains(fuzzStages, stage) {
+			t.Errorf("stage %q is not in fuzzStages: append it, with seeds", stage)
 		}
 	}
 }
@@ -168,199 +179,238 @@ func TestAnalyzerFromDecodedArtifactsBitIdentical(t *testing.T) {
 	}
 }
 
-// FuzzHybridTablesDecode feeds the hybrid codec the payloads a disk
-// file or a peer could hand it. Decode must never panic, must reject
-// malformed input with an error and no artifact, and must accept only
-// payloads that make valid tables, in canonical form: re-encoding an
-// accepted artifact gives the same bytes, so the sealed checksum stays
-// a content address.
-func FuzzHybridTablesDecode(f *testing.F) {
-	codec, ok := artifact.Lookup(StageHybrid)
-	if !ok {
-		f.Fatal("no hybrid codec")
-	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		v, err := codec.Decode(payload)
-		if err != nil {
-			if v != nil {
-				t.Fatalf("rejected payload (%v) returned an artifact", err)
-			}
-			return
-		}
-		ht := v.(*hybridTables)
-		for k, blk := range ht.blocks {
-			if _, err := integrate.NewTable2DFromData(ht.ls, ht.bs, blk); err != nil {
-				t.Fatalf("accepted payload's block %d is not a table: %v", k, err)
-			}
-		}
-		again, err := codec.Encode(v)
-		if err != nil {
-			t.Fatalf("accepted artifact does not re-encode: %v", err)
-		}
-		if !bytes.Equal(again, payload) {
-			t.Fatalf("re-encoding an accepted payload gave %d different bytes from %d", len(again), len(payload))
-		}
+// fuzzStages are the codecs FuzzStageDecode reaches, indexed by its
+// stage argument modulo their count. A new codec is appended, so every
+// seed keeps selecting the codec it was written for.
+var fuzzStages = []string{
+	StageFloorplan, StagePowerMap, StageCovariance, StageBLOD, StageWeibull, StageChip,
+	StagePCA, StageThermal, StageThermalOp, StageHybrid,
+}
+
+// FuzzStageDecode feeds arbitrary payloads to every stage codec (stage
+// selects one of fuzzStages, modulo their count). Each artifact arrives
+// from disk or a peer, so decode must never panic, a rejection returns
+// an error and no artifact, an accepted payload re-encodes to the same
+// bytes (the sealed checksum stays a content address), and an accepted
+// artifact holds checkStageArtifact's invariants. The seed corpus under
+// testdata/fuzz/FuzzStageDecode holds a valid artifact of each stage
+// (a 4×4 grid, a 3×3 four-block and a quad-tree PCA, a 3×2 thermal
+// solver grid), the hostile payloads of
+// TestStageCodecsRejectNonCanonicalPayloads, and hostile variants of
+// the valid ones.
+func FuzzStageDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stage uint8, payload []byte) {
+		decodeStage(t, fuzzStages[int(stage)%len(fuzzStages)], payload)
 	})
 }
 
-// FuzzPCADecode feeds arbitrary payloads to the pca codec. A PCA
-// artifact arrives from disk or a peer and feeds st_MC and MC sampling
-// directly, so decode must never panic, a rejection returns no
-// artifact, and an accepted payload re-encodes to the same bytes and
-// holds only finite, non-negative eigenvalues and variances and finite
-// loadings. The seed corpus under testdata/fuzz/FuzzPCADecode holds a
-// valid 3×3 four-block PCA, a valid quad-tree PCA, and hostile
-// variants of them.
+// FuzzPCADecode, FuzzThermalDecode (thermal, or thermalop when operator
+// is set) and FuzzHybridTablesDecode run FuzzStageDecode's body on the
+// codecs with the largest payloads alone, seeded with FuzzStageDecode's
+// seeds for them, so a -fuzz run spends its whole budget mutating one
+// layout rather than a tenth of it.
 func FuzzPCADecode(f *testing.F) {
-	codec, ok := artifact.Lookup(StagePCA)
+	forStageSeeds(f, func(_, _ string, payload []byte) { f.Add(payload) }, StagePCA)
+	f.Fuzz(func(t *testing.T, payload []byte) { decodeStage(t, StagePCA, payload) })
+}
+
+func FuzzThermalDecode(f *testing.F) {
+	forStageSeeds(f, func(_, name string, payload []byte) { f.Add(name == StageThermalOp, payload) },
+		StageThermal, StageThermalOp)
+	f.Fuzz(func(t *testing.T, operator bool, payload []byte) {
+		name := StageThermal
+		if operator {
+			name = StageThermalOp
+		}
+		decodeStage(t, name, payload)
+	})
+}
+
+func FuzzHybridTablesDecode(f *testing.F) {
+	forStageSeeds(f, func(_, _ string, payload []byte) { f.Add(payload) }, StageHybrid)
+	f.Fuzz(func(t *testing.T, payload []byte) { decodeStage(t, StageHybrid, payload) })
+}
+
+// decodeStage is the body of the stage fuzz targets: the name codec
+// must not panic on payload, must return no artifact with its error,
+// and must hold checkStageArtifact's invariants on what it accepts.
+func decodeStage(t *testing.T, name string, payload []byte) {
+	codec, ok := artifact.Lookup(name)
 	if !ok {
-		f.Fatal("no pca codec")
+		t.Fatalf("no %s codec", name)
 	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		v, err := codec.Decode(payload)
-		if err != nil {
-			if v != nil {
-				t.Fatalf("rejected payload (%v) returned an artifact", err)
-			}
-			return
+	v, err := codec.Decode(payload)
+	if err != nil {
+		if v != nil {
+			t.Fatalf("%s: rejected payload (%v) returned an artifact", name, err)
 		}
-		p := v.(*grid.PCA)
-		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-		if !finite(p.TotalVariance) || p.TotalVariance < 0 || !finite(p.CapturedVariance) || p.CapturedVariance < 0 {
-			t.Fatalf("accepted payload's variances are total=%v captured=%v", p.TotalVariance, p.CapturedVariance)
+		return
+	}
+	checkStageArtifact(t, name, codec, v, payload)
+}
+
+// checkStageArtifact fails t unless v, the artifact the name codec
+// accepted from payload, re-encodes to payload and holds the invariant
+// its consumers index by:
+//   - a grid model, alone or inside a blod characterization or a chip,
+//     and a design, alone or inside a chip, pass Validate;
+//   - a weibull artifact has one block info, and one extrinsic set if
+//     any, per parameter set;
+//   - a PCA has finite, non-negative eigenvalues and variances and
+//     finite loadings;
+//   - a thermal field has Nx·Ny cells and equal per-block lengths, and
+//     a thermal operator passes Validate;
+//   - every hybrid block makes a valid table.
+func checkStageArtifact(t *testing.T, name string, codec artifact.Codec, v any, payload []byte) {
+	t.Helper()
+	var m *grid.Model
+	var fd *floorplan.Design
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch a := v.(type) {
+	case *floorplan.Design:
+		fd = a
+	case *power.Model:
+	case *grid.Model:
+		m = a
+	case *blod.Characterization:
+		if a != nil {
+			m = a.Model
 		}
-		for b, blk := range p.Blocks {
+	case *weibullArtifact:
+		if n := len(a.params); len(a.info) != n || (a.ext != nil && len(a.ext) != n) {
+			t.Fatalf("%s: accepted lengths params=%d info=%d ext=%d", name, n, len(a.info), len(a.ext))
+		}
+	case *core.Chip:
+		fd, m = a.Design, a.Model
+	case *grid.PCA:
+		if !finite(a.TotalVariance) || a.TotalVariance < 0 || !finite(a.CapturedVariance) || a.CapturedVariance < 0 {
+			t.Fatalf("%s: accepted variances are total=%v captured=%v", name, a.TotalVariance, a.CapturedVariance)
+		}
+		for b, blk := range a.Blocks {
 			for c, x := range blk.Eigenvalues {
 				if !finite(x) || x < 0 {
-					t.Fatalf("accepted payload's block %d eigenvalue %d is %v", b, c, x)
+					t.Fatalf("%s: accepted block %d eigenvalue %d is %v", name, b, c, x)
 				}
 			}
 			for i, x := range blk.Loadings {
 				if !finite(x) {
-					t.Fatalf("accepted payload's block %d loading %d is %v", b, i, x)
+					t.Fatalf("%s: accepted block %d loading %d is %v", name, b, i, x)
 				}
 			}
 		}
-		again, err := codec.Encode(v)
-		if err != nil {
-			t.Fatalf("accepted artifact does not re-encode: %v", err)
+	case *thermal.CoupledResult:
+		if f := a.Field; f != nil && f.Nx*f.Ny != len(f.Temps) {
+			t.Fatalf("%s: accepted field is %dx%d with %d cells", name, f.Nx, f.Ny, len(f.Temps))
 		}
-		if !bytes.Equal(again, payload) {
-			t.Fatalf("re-encoding an accepted payload gave %d different bytes from %d", len(again), len(payload))
+		if n := len(a.BlockMean); len(a.BlockMax) != n || len(a.Powers) != n {
+			t.Fatalf("%s: accepted per-block lengths %d/%d/%d", name, n, len(a.BlockMax), len(a.Powers))
 		}
-	})
+	case *thermal.Operator:
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%s: accepted operator does not validate: %v", name, err)
+		}
+	case *hybridTables:
+		for k, blk := range a.blocks {
+			if _, err := integrate.NewTable2DFromData(a.ls, a.bs, blk); err != nil {
+				t.Fatalf("%s: accepted block %d is not a table: %v", name, k, err)
+			}
+		}
+	default:
+		t.Fatalf("%s: decoded %T", name, v)
+	}
+	if m != nil {
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: accepted grid model does not validate: %v", name, err)
+		}
+	}
+	if fd != nil {
+		if err := fd.Validate(); err != nil {
+			t.Fatalf("%s: accepted design does not validate: %v", name, err)
+		}
+	}
+	again, err := codec.Encode(v)
+	if err != nil {
+		t.Fatalf("%s: accepted artifact does not re-encode: %v", name, err)
+	}
+	if !bytes.Equal(again, payload) {
+		t.Fatalf("%s: re-encoding an accepted payload gave %d different bytes from %d", name, len(again), len(payload))
+	}
 }
 
-// FuzzThermalDecode feeds arbitrary payloads to the thermal codec
-// (operator false) and the thermal operator codec (operator true).
-// Both artifacts arrive from disk or a peer and feed the weibull stage
-// and the coupled solve directly, so decode must never panic, a
-// rejection returns an error and no artifact, and an accepted payload
-// re-encodes to the same bytes with a consistent shape: a field of
-// Nx·Ny cells and equal per-block lengths, or an operator that passes
-// Validate. The seed corpus under testdata/fuzz/FuzzThermalDecode
-// holds a valid artifact of each kind at a 3×2 solver grid and hostile
-// variants of them.
-func FuzzThermalDecode(f *testing.F) {
-	stages := map[bool]string{false: StageThermal, true: StageThermalOp}
-	f.Fuzz(func(t *testing.T, operator bool, payload []byte) {
-		codec, ok := artifact.Lookup(stages[operator])
-		if !ok {
-			t.Fatalf("no %s codec", stages[operator])
-		}
-		v, err := codec.Decode(payload)
-		if err != nil {
-			if v != nil {
-				t.Fatalf("rejected payload (%v) returned an artifact", err)
-			}
+// TestValidStageSeedsAccepted pins the payload layouts: every seed of
+// FuzzStageDecode named valid (a "valid" segment of its
+// underscore-separated name) must decode and re-encode byte for byte.
+// In the fuzz body a layout change would only turn such a seed into a
+// rejection, which passes.
+func TestValidStageSeedsAccepted(t *testing.T) {
+	seen := map[string]bool{}
+	forStageSeeds(t, func(file, name string, payload []byte) {
+		if !slices.Contains(strings.Split(file, "_"), "valid") {
 			return
 		}
-		switch a := v.(type) {
-		case *thermal.CoupledResult:
-			if f := a.Field; f != nil && f.Nx*f.Ny != len(f.Temps) {
-				t.Fatalf("accepted field is %dx%d with %d cells", f.Nx, f.Ny, len(f.Temps))
+		seen[name] = true
+		t.Run(file, func(t *testing.T) {
+			codec, _ := artifact.Lookup(name)
+			v, err := codec.Decode(payload)
+			if err != nil {
+				t.Fatalf("%s: valid seed rejected: %v", name, err)
 			}
-			if n := len(a.BlockMean); len(a.BlockMax) != n || len(a.Powers) != n {
-				t.Fatalf("accepted per-block lengths %d/%d/%d", n, len(a.BlockMax), len(a.Powers))
-			}
-		case *thermal.Operator:
-			if err := a.Validate(); err != nil {
-				t.Fatalf("accepted operator does not validate: %v", err)
-			}
-		default:
-			t.Fatalf("decoded %T", v)
+			checkStageArtifact(t, name, codec, v, payload)
+		})
+	}, fuzzStages...)
+	for _, name := range fuzzStages {
+		if !seen[name] {
+			t.Errorf("no valid FuzzStageDecode seed for stage %s", name)
 		}
-		again, err := codec.Encode(v)
-		if err != nil {
-			t.Fatalf("accepted artifact does not re-encode: %v", err)
-		}
-		if !bytes.Equal(again, payload) {
-			t.Fatalf("re-encoding an accepted payload gave %d different bytes from %d", len(again), len(payload))
-		}
-	})
+	}
 }
 
-// fuzzStages are the codecs FuzzStageDecode reaches, indexed by its
-// stage argument modulo their count.
-var fuzzStages = []string{StageFloorplan, StagePowerMap, StageCovariance, StageBLOD, StageWeibull, StageChip}
+// forStageSeeds calls fn with the file name, codec name and payload of
+// every seed under testdata/fuzz/FuzzStageDecode whose stage selects
+// one of the names codecs.
+func forStageSeeds(tb testing.TB, fn func(file, name string, payload []byte), names ...string) {
+	tb.Helper()
+	dir := filepath.Join("testdata", "fuzz", "FuzzStageDecode")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range ents {
+		stage, payload := readStageSeed(tb, filepath.Join(dir, e.Name()))
+		if name := fuzzStages[int(stage)%len(fuzzStages)]; slices.Contains(names, name) {
+			fn(e.Name(), name, payload)
+		}
+	}
+}
 
-// FuzzStageDecode feeds arbitrary payloads to the floorplan, powermap,
-// covariance, blod, weibull and chip codecs (stage selects one, modulo
-// six). Each artifact arrives from disk or a peer, so decode must never
-// panic, a rejection returns an error and no artifact, an accepted
-// payload re-encodes to the same bytes (the sealed checksum stays a
-// content address), an accepted grid model, alone or inside a blod
-// characterization or a chip, passes Validate, and so does an accepted
-// design, alone (floorplan) or inside a chip. The seed corpus under
-// testdata/fuzz/FuzzStageDecode holds a valid artifact of each stage at
-// a 4×4 grid and the hostile payloads of
-// TestStageCodecsRejectNonCanonicalPayloads.
-func FuzzStageDecode(f *testing.F) {
-	f.Fuzz(func(t *testing.T, stage uint8, payload []byte) {
-		name := fuzzStages[int(stage)%len(fuzzStages)]
-		codec, ok := artifact.Lookup(name)
-		if !ok {
-			t.Fatalf("no %s codec", name)
+// readStageSeed parses a FuzzStageDecode corpus file: the version
+// line, then a byte and a []byte Go literal.
+func readStageSeed(t testing.TB, path string) (byte, []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 3 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a two-value corpus file", path)
+	}
+	lit := func(line, prefix string) string {
+		q, ok := strings.CutPrefix(line, prefix+"(")
+		if !ok || !strings.HasSuffix(q, ")") {
+			t.Fatalf("%s: %q is not a %s literal", path, line, prefix)
 		}
-		v, err := codec.Decode(payload)
+		s, err := strconv.Unquote(strings.TrimSuffix(q, ")"))
 		if err != nil {
-			if v != nil {
-				t.Fatalf("%s: rejected payload (%v) returned an artifact", name, err)
-			}
-			return
+			t.Fatalf("%s: %q: %v", path, line, err)
 		}
-		var m *grid.Model
-		var fd *floorplan.Design
-		switch a := v.(type) {
-		case *floorplan.Design:
-			fd = a
-		case *grid.Model:
-			m = a
-		case *blod.Characterization:
-			if a != nil {
-				m = a.Model
-			}
-		case *core.Chip:
-			fd, m = a.Design, a.Model
-		}
-		if m != nil {
-			if err := m.Validate(); err != nil {
-				t.Fatalf("%s: accepted grid model does not validate: %v", name, err)
-			}
-		}
-		if fd != nil {
-			if err := fd.Validate(); err != nil {
-				t.Fatalf("%s: accepted design does not validate: %v", name, err)
-			}
-		}
-		again, err := codec.Encode(v)
-		if err != nil {
-			t.Fatalf("%s: accepted artifact does not re-encode: %v", name, err)
-		}
-		if !bytes.Equal(again, payload) {
-			t.Fatalf("%s: re-encoding an accepted payload gave %d different bytes from %d", name, len(again), len(payload))
-		}
-	})
+		return s
+	}
+	r, _ := utf8.DecodeRuneInString(lit(lines[1], "byte"))
+	if r > 0xff {
+		t.Fatalf("%s: stage %q is not a byte", path, r)
+	}
+	return byte(r), []byte(lit(lines[2], "[]byte"))
 }
 
 // hostilePayloads are checksum-valid payloads no encoder produces: a
@@ -369,7 +419,10 @@ func FuzzStageDecode(f *testing.F) {
 // floorplan with a NaN block width and a negative device count (the
 // powermap, thermal and chip stages place blocks by it), and powermap
 // and weibull payloads that would decode to a model whose encoding
-// differs from the payload.
+// differs from the payload, and weibull payloads whose block infos or
+// extrinsic sets do not match the device parameters one for one (the
+// chip assembles from the parameters while /v1/blocks and BurnIn walk
+// the infos).
 func hostilePayloads(t testing.TB) map[string]struct {
 	stage   string
 	payload []byte
@@ -418,6 +471,24 @@ func hostilePayloads(t testing.TB) map[string]struct {
 		wb.F64(x)
 	}
 	wb.Int(10)
+	weibull := func(params, infos, ext int) []byte {
+		wa := &weibullArtifact{params: make([]obd.Params, params), info: make([]BlockInfo, infos)}
+		for i := range wa.params {
+			wa.params[i] = obd.Params{Alpha: 1e9, B: 0.5}
+		}
+		for i := range wa.info {
+			wa.info[i] = BlockInfo{Name: "b", MeanTempC: 60, MaxTempC: 70, PowerW: 1, Alpha: 1e9, B: 0.5, Devices: 10}
+		}
+		if ext > 0 {
+			wa.ext = make([]obd.ExtrinsicParams, ext)
+			for i := range wa.ext {
+				wa.ext[i] = obd.ExtrinsicParams{AlphaE: 1e6, BetaE: 0.8, DefectFraction: 0.01}
+			}
+		}
+		var w artifact.Writer
+		encWeibull(&w, wa)
+		return w.Bytes()
+	}
 	return map[string]struct {
 		stage   string
 		payload []byte
@@ -431,6 +502,9 @@ func hostilePayloads(t testing.TB) map[string]struct {
 		"powermap_unsorted":       {StagePowerMap, power(true, 2, 1)},
 		"powermap_entries_no_map": {StagePowerMap, power(false, 1)},
 		"weibull_absent_params":   {StageWeibull, wb.Bytes()},
+		"weibull_extra_info":      {StageWeibull, weibull(1, 2, 0)},
+		"weibull_missing_info":    {StageWeibull, weibull(2, 1, 0)},
+		"weibull_short_extrinsic": {StageWeibull, weibull(2, 2, 1)},
 	}
 }
 

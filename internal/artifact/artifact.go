@@ -83,6 +83,11 @@ var (
 	// ErrBadName: Seal was handed a stage or key that does not fit
 	// the fixed header fields.
 	ErrBadName = errors.New("artifact: invalid stage or key")
+	// ErrHeader: the header holds a stage field or reserved bytes
+	// Seal never writes (an empty stage, a NUL inside it, non-zero
+	// reserved bytes), so the container is not the one sealed form of
+	// its artifact.
+	ErrHeader = errors.New("artifact: malformed header")
 )
 
 // Seal wraps payload in an OBDA v1 container addressed by
@@ -144,6 +149,9 @@ func open(data []byte) (stage, key string, payload []byte, err error) {
 	}
 	stage = strings.TrimRight(string(data[offStage:offStage+stageSize]), "\x00")
 	key = string(data[offKey : offKey+KeySize])
+	if stage == "" || strings.IndexByte(stage, 0) >= 0 || binary.LittleEndian.Uint64(data[offReserved:]) != 0 {
+		return "", "", nil, fmt.Errorf("%w: stage field %q, reserved %x", ErrHeader, data[offStage:offStage+stageSize], data[offReserved:headerSize])
+	}
 	n := binary.LittleEndian.Uint64(data[offLen:])
 	if n == 0 {
 		return "", "", nil, fmt.Errorf("%w: stage %s key %s", ErrEmpty, stage, key)

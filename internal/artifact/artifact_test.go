@@ -1,12 +1,14 @@
 package artifact
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -34,21 +36,27 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenHostility covers every rejection class the satellite task
-// names: truncated payload, flipped checksum byte, wrong stage kind,
-// future version, zero-length payload. Each must fail with its typed
-// error and must not panic.
-func TestOpenHostility(t *testing.T) {
-	base := sealOrDie(t, "pca", testKey, []byte("0123456789abcdef0123456789"))
-	cp := func() []byte { return append([]byte(nil), base...) }
+// openCase is one hostile container: Open(data, stage, key) must fail
+// with errors.Is(err, wantIs).
+type openCase struct {
+	name   string
+	data   []byte
+	stage  string
+	key    string
+	wantIs error
+}
 
-	cases := []struct {
-		name   string
-		data   []byte
-		stage  string
-		key    string
-		wantIs error
-	}{
+// openHostilityCases covers every rejection class: truncated payload,
+// flipped checksum byte, wrong stage kind, future version, zero-length
+// payload, and header fields Seal never writes. base is the valid
+// container they are cut from.
+func openHostilityCases(t testing.TB) (base []byte, cases []openCase) {
+	base, err := Seal("pca", testKey, []byte("0123456789abcdef0123456789"))
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	cp := func() []byte { return append([]byte(nil), base...) }
+	return base, []openCase{
 		{"empty input", nil, "pca", testKey, ErrTruncated},
 		{"header only half", base[:headerSize/2], "pca", testKey, ErrTruncated},
 		{"truncated payload", base[:len(base)-5], "pca", testKey, ErrTruncated},
@@ -78,7 +86,16 @@ func TestOpenHostility(t *testing.T) {
 			binary.LittleEndian.PutUint64(d[offLen:], 0)
 			return d
 		}(), "pca", testKey, ErrEmpty},
+		{"nonzero reserved byte", func() []byte { d := cp(); d[offReserved+7] = '0'; return d }(), "pca", testKey, ErrHeader},
+		{"NUL inside stage", func() []byte { d := cp(); d[offStage+4] = 'x'; return d }(), "pca\x00x", testKey, ErrHeader},
+		{"empty stage", func() []byte { d := cp(); copy(d[offStage:], "\x00\x00\x00"); return d }(), "", testKey, ErrHeader},
 	}
+}
+
+// TestOpenHostility: each hostile container must fail with its typed
+// error and must not panic.
+func TestOpenHostility(t *testing.T) {
+	_, cases := openHostilityCases(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Open(tc.data, tc.stage, tc.key)
@@ -90,6 +107,40 @@ func TestOpenHostility(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzOpen feeds Open the containers and expected (stage, key) pairs a
+// disk file or a peer could hand it, seeded with a valid container and
+// every TestOpenHostility case. Open must never panic, a rejection
+// must be one of the typed sentinels callers branch on, and an
+// accepted container must be exactly what Seal writes for its stage,
+// key and payload, so one artifact has one sealed form.
+func FuzzOpen(f *testing.F) {
+	base, cases := openHostilityCases(f)
+	f.Add(base, "pca", testKey)
+	for _, tc := range cases {
+		f.Add(tc.data, tc.stage, tc.key)
+	}
+	sentinels := []error{ErrTruncated, ErrMagic, ErrVersion, ErrHeader, ErrChecksum, ErrStage, ErrKey, ErrEmpty}
+	f.Fuzz(func(t *testing.T, data []byte, stage, key string) {
+		payload, err := Open(data, stage, key)
+		if err != nil {
+			if payload != nil {
+				t.Fatalf("rejected container (%v) returned a payload", err)
+			}
+			if !slices.ContainsFunc(sentinels, func(s error) bool { return errors.Is(err, s) }) {
+				t.Fatalf("rejection %v is none of the typed sentinels", err)
+			}
+			return
+		}
+		again, err := Seal(stage, key, payload)
+		if err != nil {
+			t.Fatalf("accepted container does not re-seal: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("re-sealing an accepted container gave different bytes:\n%q\n%q", again, data)
+		}
+	})
 }
 
 func TestSealRejectsBadInputs(t *testing.T) {
@@ -256,22 +307,17 @@ func TestReaderHostility(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	Register("test-reg-stage", Codec{
-		Encode: func(v any) ([]byte, error) {
-			var w Writer
-			w.Int(v.(int))
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := NewReader(p)
-			v := r.Int()
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			return v, nil
-		},
+	// The decoder rejects negative values, so a well-formed payload can
+	// still fail decode.
+	Register("test-reg-stage", func(w *Writer, v *int) { w.Int(*v) }, func(r *Reader) (*int, error) {
+		v := r.Int()
+		if v < 0 {
+			return &v, errors.New("negative")
+		}
+		return &v, nil
 	})
-	sealed, err := Encode("test-reg-stage", testKey, 99)
+	in := 99
+	sealed, err := Encode("test-reg-stage", testKey, &in)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -279,8 +325,26 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if v.(int) != 99 {
+	if *v.(*int) != 99 {
 		t.Fatalf("round trip = %v", v)
+	}
+	if _, err := Encode("test-reg-stage", testKey, 99); err == nil {
+		t.Fatal("Encode of the wrong artifact type succeeded")
+	}
+	// Every rejection returns an untyped nil artifact: the decoder's own
+	// error, a failed read and trailing bytes alike.
+	codec, _ := Lookup("test-reg-stage")
+	var neg, short Writer
+	neg.Int(-1)
+	short.Bool(true)
+	for name, p := range map[string][]byte{
+		"decoder error": neg.Bytes(),
+		"failed read":   short.Bytes(),
+		"trailing byte": append(sealed[headerSize:], 0),
+	} {
+		if v, err := codec.Decode(p); err == nil || v != nil {
+			t.Errorf("%s: decode = (%#v, %v), want an error and an untyped nil", name, v, err)
+		}
 	}
 	if _, err := Encode("no-such-stage", testKey, 1); err == nil {
 		t.Fatal("Encode without codec succeeded")
@@ -296,8 +360,5 @@ func TestRegistry(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register("test-reg-stage", Codec{
-		Encode: func(any) ([]byte, error) { return nil, nil },
-		Decode: func([]byte) (any, error) { return nil, nil },
-	})
+	Register("test-reg-stage", func(*Writer, int) {}, func(*Reader) (int, error) { return 0, nil })
 }

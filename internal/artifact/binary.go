@@ -79,10 +79,6 @@ func NewReader(data []byte) *Reader { return &Reader{data: data} }
 // Err returns the first decode error, if any.
 func (r *Reader) Err() error { return r.err }
 
-// Rest returns the unconsumed remainder of the payload — decoders use
-// its length to bound element counts before allocating.
-func (r *Reader) Rest() []byte { return r.data[r.off:] }
-
 // Fail poisons the reader with a decoder-supplied error (first error
 // wins, matching the sticky-error contract).
 func (r *Reader) Fail(format string, args ...any) { r.fail(format, args...) }
@@ -149,12 +145,7 @@ func (r *Reader) Bool() bool {
 }
 
 func (r *Reader) String() string {
-	n := r.sliceLen(1)
-	if n < 0 {
-		return ""
-	}
-	b := r.take(n)
-	return string(b)
+	return string(r.take(r.Len(1)))
 }
 
 func (r *Reader) F64s() []float64 {
@@ -184,24 +175,26 @@ func (r *Reader) Ints() []int {
 // header reads a sliceHeader; -1 means nil slice (or poisoned reader).
 func (r *Reader) header(elemSize int) int {
 	present := r.Bool()
-	n := r.sliceLen(elemSize)
+	n := r.Len(elemSize)
 	if r.err != nil || !present {
 		return -1
 	}
 	return n
 }
 
-// sliceLen reads a length prefix and bounds it against the remaining
-// payload, so a corrupt length can neither allocate gigabytes nor
-// overflow an int.
-func (r *Reader) sliceLen(elemSize int) int {
+// Len reads a count written by Writer.Int (or a length prefix) and
+// bounds it against the remaining payload, elemSize being the fewest
+// bytes one element encodes to, so a corrupt count can neither
+// allocate gigabytes nor overflow an int: it poisons the reader and
+// reads as 0.
+func (r *Reader) Len(elemSize int) int {
 	n := r.U64()
 	if r.err != nil {
-		return -1
+		return 0
 	}
 	if limit := uint64(len(r.data)-r.off) / uint64(elemSize); n > limit {
 		r.fail("%w: length %d exceeds remaining payload", ErrTruncated, n)
-		return -1
+		return 0
 	}
 	return int(n)
 }

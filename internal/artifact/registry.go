@@ -21,13 +21,41 @@ var (
 	registry = map[string]Codec{}
 )
 
-// Register installs the codec for a stage. Stages register from the
-// package that owns the artifact type (the root obdrel package, at
-// init), which is what lets unexported artifact types participate.
+// Register installs the codec of a stage whose artifact type is T.
+// Stages register from the package that owns the artifact type (the
+// root obdrel package, at init), which is what lets unexported
+// artifact types participate. enc writes T's fields; dec reads them
+// back and may reject what it read. Register owns the rest: the type
+// assertion on encode, the Writer and the Reader, and the Close that
+// rejects trailing bytes. A decode that fails anywhere returns an
+// untyped nil artifact, and the reader's error (a failed read or
+// trailing bytes) wins over dec's own.
 // Double registration is a programming error and panics.
-func Register(stage string, c Codec) {
-	if c.Encode == nil || c.Decode == nil {
+func Register[T any](stage string, enc func(*Writer, T), dec func(*Reader) (T, error)) {
+	if enc == nil || dec == nil {
 		panic("artifact: Register " + stage + ": nil codec func")
+	}
+	c := Codec{
+		Encode: func(v any) ([]byte, error) {
+			t, ok := v.(T)
+			if !ok {
+				return nil, fmt.Errorf("artifact: %s codec: artifact is %T", stage, v)
+			}
+			var w Writer
+			enc(&w, t)
+			return w.Bytes(), nil
+		},
+		Decode: func(p []byte) (any, error) {
+			r := NewReader(p)
+			v, err := dec(r)
+			if cerr := r.Close(); cerr != nil {
+				return nil, cerr
+			}
+			if err != nil {
+				return nil, err
+			}
+			return v, nil
+		},
 	}
 	regMu.Lock()
 	defer regMu.Unlock()

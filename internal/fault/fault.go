@@ -161,7 +161,7 @@ func parseRule(seg string) (Rule, error) {
 			return fmt.Errorf("fault: too many arguments in %q", seg)
 		}
 		p, err := strconv.ParseFloat(args[0], 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN fails too
 			return fmt.Errorf("fault: bad probability %q in %q", args[0], seg)
 		}
 		r.Prob = p

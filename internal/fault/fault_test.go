@@ -252,3 +252,43 @@ func TestRetryDelay(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseSpec feeds the fault-profile grammar arbitrary text (the
+// -fault flag and the chaos endpoints take it from operators). ParseSpec
+// must never panic, and every accepted rule is within the grammar's
+// documented bounds: a non-empty point, a known kind, a probability in
+// [0, 1], a non-negative latency only on latency rules, and a String
+// form that parses back to the same rule. The seed corpus is under
+// testdata/fuzz/FuzzParseSpec.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSpec(spec)
+		if err != nil {
+			if s != nil {
+				t.Fatalf("rejected spec (%v) returned a profile", err)
+			}
+			return
+		}
+		if !s.Seeded && s.Seed != 0 {
+			t.Fatalf("unseeded spec has seed %d", s.Seed)
+		}
+		for _, r := range s.Rules {
+			if r.Point == "" || strings.ContainsAny(r.Point, "(,:") {
+				t.Fatalf("accepted point %q", r.Point)
+			}
+			if !(r.Prob >= 0 && r.Prob <= 1) {
+				t.Fatalf("accepted probability %v", r.Prob)
+			}
+			if r.Latency < 0 || (r.Latency != 0 && r.Kind != KindLatency) {
+				t.Fatalf("accepted latency %v on a %v rule", r.Latency, r.Kind)
+			}
+			if r.Kind != KindError && r.Kind != KindLatency && r.Kind != KindPanic {
+				t.Fatalf("accepted kind %d", r.Kind)
+			}
+			again, err := ParseSpec(r.String())
+			if err != nil || len(again.Rules) != 1 || again.Rules[0] != r {
+				t.Fatalf("rule %+v prints as %q, which parses to %+v (%v)", r, r.String(), again, err)
+			}
+		}
+	})
+}

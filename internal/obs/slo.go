@@ -87,7 +87,7 @@ func ParseSLOSpec(spec string) ([]Objective, error) {
 			return nil, fmt.Errorf("slo %q: unknown kind %q (availability|latency)", entry, parts[1])
 		}
 		t, err := strconv.ParseFloat(targetStr, 64)
-		if err != nil || t <= 0 || t >= 100 {
+		if err != nil || !(t > 0 && t < 100) { // NaN fails too
 			return nil, fmt.Errorf("slo %q: target must be a percent in (0, 100)", entry)
 		}
 		o.Target = t

@@ -146,3 +146,41 @@ func TestSLONilEngine(t *testing.T) {
 		t.Fatal("empty objective set should build a nil engine")
 	}
 }
+
+// FuzzParseSLOSpec feeds the -slo grammar arbitrary text. ParseSLOSpec
+// must never panic, and every accepted objective is within the
+// grammar's documented bounds: a route of "*" or starting with '/', a
+// known kind, a positive threshold on latency objectives only, and a
+// target percent in (0, 100). The seed corpus is under
+// testdata/fuzz/FuzzParseSLOSpec.
+func FuzzParseSLOSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseSLOSpec(spec)
+		if err != nil {
+			if objs != nil {
+				t.Fatalf("rejected spec (%v) returned objectives", err)
+			}
+			return
+		}
+		for _, o := range objs {
+			if o.Route != "*" && !strings.HasPrefix(o.Route, "/") || strings.ContainsAny(o.Route, ",:") {
+				t.Fatalf("accepted route %q", o.Route)
+			}
+			switch o.Kind {
+			case KindAvailability:
+				if o.Threshold != 0 {
+					t.Fatalf("availability objective with threshold %v", o.Threshold)
+				}
+			case KindLatency:
+				if o.Threshold <= 0 {
+					t.Fatalf("latency objective with threshold %v", o.Threshold)
+				}
+			default:
+				t.Fatalf("accepted kind %q", o.Kind)
+			}
+			if !(o.Target > 0 && o.Target < 100) {
+				t.Fatalf("accepted target %v", o.Target)
+			}
+		}
+	})
+}

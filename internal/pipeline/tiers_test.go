@@ -15,21 +15,8 @@ import (
 const tierStage = "tierstage"
 
 func init() {
-	artifact.Register(tierStage, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			var w artifact.Writer
-			w.U64(uint64(v.(int64)))
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			v := r.I64()
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			return v, nil
-		},
-	})
+	artifact.Register(tierStage, func(w *artifact.Writer, v int64) { w.U64(uint64(v)) },
+		func(r *artifact.Reader) (int64, error) { return r.I64(), nil })
 }
 
 func tierKey(b byte) string {

@@ -24,21 +24,8 @@ import (
 const clStage = "clusterstage"
 
 func init() {
-	artifact.Register(clStage, artifact.Codec{
-		Encode: func(v any) ([]byte, error) {
-			var w artifact.Writer
-			w.U64(uint64(v.(int64)))
-			return w.Bytes(), nil
-		},
-		Decode: func(p []byte) (any, error) {
-			r := artifact.NewReader(p)
-			v := r.I64()
-			if err := r.Close(); err != nil {
-				return nil, err
-			}
-			return v, nil
-		},
-	})
+	artifact.Register(clStage, func(w *artifact.Writer, v int64) { w.U64(uint64(v)) },
+		func(r *artifact.Reader) (int64, error) { return r.I64(), nil })
 }
 
 func key32(b byte) string { return strings.Repeat(string(b), artifact.KeySize) }
