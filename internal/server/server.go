@@ -901,9 +901,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, ob *obse
 		// Replica receive: a peer pushes the sealed container it just
 		// built (or streams one during rebalance). Install re-verifies
 		// the checksum, so a garbled push rejects without side effects.
-		pushed, err := io.ReadAll(io.LimitReader(r.Body, 32<<20))
+		pushed, err := readBody(r.Body, r.ContentLength, maxArtifactBody)
+		if errors.Is(err, errBodyTooLarge) {
+			return http.StatusRequestEntityTooLarge, map[string]any{"error": err.Error()}
+		}
 		if err != nil {
-			return http.StatusBadRequest, map[string]any{"error": "short body"}
+			return http.StatusBadRequest, map[string]any{"error": "short body: " + err.Error()}
 		}
 		if err := s.stages.Install(stage, key, pushed); err != nil {
 			if s.cluster != nil {
