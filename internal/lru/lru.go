@@ -88,6 +88,17 @@ func (c *Cache[V]) Remove(key string) bool {
 	return true
 }
 
+// Oldest calls f on the entries from least to most recently used,
+// without changing their order, until f returns false.
+func (c *Cache[V]) Oldest(f func(key string, val V) bool) {
+	for el := c.order.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*entry[V])
+		if !f(e.key, e.val) {
+			return
+		}
+	}
+}
+
 // Len returns the number of cached entries.
 func (c *Cache[V]) Len() int { return c.order.Len() }
 

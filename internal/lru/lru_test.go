@@ -80,3 +80,22 @@ func TestRemoveOldest(t *testing.T) {
 		t.Fatalf("b still present or Len = %d", c.Len())
 	}
 }
+
+func TestOldest(t *testing.T) {
+	c := New[int](3)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.Put("c", 3)
+	c.Get("a")
+	var seen []string
+	c.Oldest(func(k string, _ int) bool {
+		seen = append(seen, k)
+		return k != "c"
+	})
+	if !reflect.DeepEqual(seen, []string{"b", "c"}) {
+		t.Fatalf("Oldest visited %v, want [b c]", seen)
+	}
+	if got := c.Keys(); !reflect.DeepEqual(got, []string{"a", "c", "b"}) {
+		t.Fatalf("Oldest changed the order: %v", got)
+	}
+}
