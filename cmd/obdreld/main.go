@@ -43,13 +43,12 @@
 // status, dur_us, cache provenance, stage walk, trace id) to stderr
 // unless -quiet.
 //
-// Resilience (see DESIGN.md §11): transient build failures retry with
-// jittered exponential backoff (-retries, -retry-base); repeatedly
-// failing (design, config) keys trip a per-fingerprint circuit breaker
-// (-breaker-threshold, -breaker-open); failed rebuilds younger than
-// -max-stale serve the last-good analyzer with Warning/X-Staleness
-// headers; saturated requests wait in a deadline-aware admission queue
-// (-queue) instead of an instant 429. Chaos testing arms deterministic
+// Resilience (see DESIGN.md §11): saturated requests wait in a
+// deadline-aware admission queue (-queue) instead of an instant 429,
+// shutdown drains in-flight requests (-drain, -drain-notice), and a
+// failed build answers with its fault class and stage provenance. A
+// build is a pure function of its key, so a failing key costs one build
+// per request and is never cached. Chaos testing arms deterministic
 // fault injection process-wide (-fault, -fault-seed) or per request
 // (-fault-header + X-Fault) — test and staging builds only.
 package main
@@ -96,11 +95,6 @@ func main() {
 		batchMaxItems = flag.Int("batch-max-items", 0, "max items admitted per /v1/batch stream; excess items fail the trailer (0 = 10000)")
 		batchTimeout  = flag.Duration("batch-timeout", 0, "whole-stream deadline for /v1/batch (0 = 5m; -timeout does not apply to batch streams)")
 
-		retries     = flag.Int("retries", 3, "analyzer-build attempts on transient failures (1 disables retry)")
-		retryBase   = flag.Duration("retry-base", 25*time.Millisecond, "first retry backoff delay (doubles per attempt, jittered)")
-		breakerN    = flag.Int("breaker-threshold", 5, "consecutive build failures that open a per-design circuit (negative disables)")
-		breakerOpen = flag.Duration("breaker-open", 5*time.Second, "open-circuit TTL before a half-open probe")
-		maxStale    = flag.Duration("max-stale", 15*time.Minute, "serve-stale window: failed rebuilds answer from a last-good analyzer this old or younger (negative disables)")
 		queueDepth  = flag.Int("queue", -1, "admission queue depth for saturated requests (-1 = 2×max-concurrent, 0 = legacy instant 429)")
 		drainNotice = flag.Duration("drain-notice", 0, "pause between flipping /readyz unready and closing the listener, so load balancers stop routing first")
 		faultSpec   = flag.String("fault", "", "process-wide fault-injection profile, e.g. 'pipeline.build:error:0.1,thermal.solve:latency:50ms:0.05' (test/staging only)")
@@ -197,13 +191,8 @@ func main() {
 		BatchMaxItems: *batchMaxItems,
 		BatchTimeout:  *batchTimeout,
 
-		RetryAttempts:    *retries,
-		RetryBase:        *retryBase,
-		BreakerThreshold: *breakerN,
-		BreakerOpenFor:   *breakerOpen,
-		MaxStale:         *maxStale,
-		QueueDepth:       *queueDepth,
-		FaultHeader:      *faultHeader,
+		QueueDepth:  *queueDepth,
+		FaultHeader: *faultHeader,
 
 		ArtifactDir: *artifactDir,
 		Peers:       peerList,
@@ -284,8 +273,8 @@ func main() {
 		m.Builds.Load(), float64(m.BuildNanos.Load())/1e9,
 		m.Throttled.Load(), m.TimedOut.Load(), svc.Tracer().Total())
 	fmt.Fprintf(os.Stderr,
-		"obdreld: resilience served_stale=%d admission_rejected=%d queue_timeouts=%d drain_rejected=%d faults_injected=%d\n",
-		m.ServeStale.Load(), m.AdmissionRejected.Load(),
+		"obdreld: resilience admission_rejected=%d queue_timeouts=%d drain_rejected=%d faults_injected=%d\n",
+		m.AdmissionRejected.Load(),
 		m.QueueTimeouts.Load(), m.DrainRejected.Load(), fault.InjectedTotal())
 	fmt.Fprintf(os.Stderr,
 		"obdreld: batch streams=%d items ok=%d error=%d groups=%d reused=%d shared_evals=%d stream_bytes=%d\n",
@@ -315,8 +304,8 @@ func main() {
 	}
 	for _, st := range obdrel.Stages().Snapshot() {
 		fmt.Fprintf(os.Stderr,
-			"obdreld: stage %-10s hits=%d misses=%d builds=%d cancelled=%d retries=%d breaker_opens=%d build_s=%.3f entries=%d disk_hits=%d spills=%d peer_hits=%d\n",
-			st.Stage, st.Hits, st.Misses, st.Builds, st.Cancels, st.Retries, st.BreakerOpens, st.BuildSeconds, st.Entries,
+			"obdreld: stage %-10s hits=%d misses=%d builds=%d cancelled=%d build_s=%.3f entries=%d disk_hits=%d spills=%d peer_hits=%d\n",
+			st.Stage, st.Hits, st.Misses, st.Builds, st.Cancels, st.BuildSeconds, st.Entries,
 			st.DiskHits, st.Spills, st.PeerHits)
 	}
 }

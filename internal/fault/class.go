@@ -1,10 +1,12 @@
 // Package fault is the reliability toolkit the serving stack uses on
-// itself: a typed error taxonomy, a deterministic seedable
-// fault-injection framework, bounded retry policies, and a keyed
-// circuit breaker. The paper quantifies oxide-breakdown randomness and
-// manages it at the chip level (Eq. 4, 17–18); this package applies the
-// same discipline to the software — classify failures, bound their
-// blast radius, and keep serving.
+// itself: a typed error taxonomy that maps each failure to how a
+// caller should react, stage provenance for build failures, and a
+// deterministic seedable fault-injection framework whose disarmed
+// injection points cost one atomic load and no allocations. Every stage
+// build is a pure function of its key, so a real build failure is
+// Permanent: it fails the same way on every attempt. Transient is the
+// class of an injected error rule, which exercises the paths a
+// retryable failure would take; the server maps it to 503.
 package fault
 
 import (
@@ -17,18 +19,17 @@ import (
 type Class int
 
 const (
-	// Permanent failures are deterministic for their inputs: retrying
-	// the same build yields the same error. The default classification.
+	// Permanent failures are deterministic for their inputs: the same
+	// build yields the same error every time. The default
+	// classification, and the class of every real build failure.
 	Permanent Class = iota
-	// Transient failures are expected to heal on retry (injected
-	// faults, resource blips). Retry policies act only on this class.
+	// Transient failures may heal if the client asks again. Only an
+	// injected error rule ("point:error") produces one; the server
+	// answers it 503 with Retry-After.
 	Transient
-	// Cancelled failures are the caller's own context dying; they are
-	// neither retried nor counted against a fingerprint's health.
+	// Cancelled failures are the caller's own context dying; a build
+	// that dies of one is never cached or handed to another waiter.
 	Cancelled
-	// Overload failures are load-shedding decisions (open breakers,
-	// admission rejects); callers should back off and retry later.
-	Overload
 )
 
 func (c Class) String() string {
@@ -37,8 +38,6 @@ func (c Class) String() string {
 		return "transient"
 	case Cancelled:
 		return "cancelled"
-	case Overload:
-		return "overload"
 	default:
 		return "permanent"
 	}
@@ -48,8 +47,8 @@ func (c Class) String() string {
 type classer interface{ FaultClass() Class }
 
 // ClassOf classifies an error: context errors are Cancelled, errors
-// declaring a class (injected faults, breaker opens, Class.Wrap) keep
-// it, everything else — including nil — is Permanent.
+// declaring a class (injected faults, Class.Wrap) keep it, everything
+// else — including nil — is Permanent.
 func ClassOf(err error) Class {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return Cancelled
@@ -81,8 +80,8 @@ func (c Class) Wrap(err error) error {
 
 // StageError records where in the pipeline a failure happened: the
 // stage name and the artifact fingerprint whose build failed. It
-// classifies as its cause does, so retry/breaker decisions see through
-// the provenance wrapper.
+// classifies as its cause does, so the server's error mapping sees
+// through the provenance wrapper.
 type StageError struct {
 	Stage       string
 	Fingerprint string

@@ -208,9 +208,7 @@ func TestClassOf(t *testing.T) {
 		{context.Canceled, Cancelled},
 		{context.DeadlineExceeded, Cancelled},
 		{Transient.Wrap(boom), Transient},
-		{Overload.Wrap(boom), Overload},
 		{&InjectedError{Point: "p", Class: Transient}, Transient},
-		{&OpenError{Key: "k"}, Overload},
 		{&StageError{Stage: "thermal", Fingerprint: "abc", Err: Transient.Wrap(boom)}, Transient},
 		{&StageError{Stage: "thermal", Fingerprint: "abc", Err: boom}, Permanent},
 		{&StageError{Stage: "thermal", Fingerprint: "abc", Err: context.Canceled}, Cancelled},
@@ -227,29 +225,6 @@ func TestClassOf(t *testing.T) {
 	}
 	if !strings.Contains(se.Error(), "pca") || !strings.Contains(se.Error(), "ff") {
 		t.Fatalf("StageError message lacks provenance: %s", se)
-	}
-}
-
-func TestRetryDelay(t *testing.T) {
-	r := Retry{Attempts: 4, Base: 10 * time.Millisecond, Max: 40 * time.Millisecond}
-	if !r.Enabled() {
-		t.Fatal("policy should be enabled")
-	}
-	if (Retry{Attempts: 1, Base: time.Millisecond}).Enabled() {
-		t.Fatal("single attempt should disable retry")
-	}
-	for attempt := 1; attempt <= 5; attempt++ {
-		want := r.Base << (attempt - 1)
-		if want > r.Max {
-			want = r.Max
-		}
-		d := r.Delay(attempt, 99)
-		if d < want/2 || d > want {
-			t.Errorf("attempt %d: delay %v outside [%v, %v]", attempt, d, want/2, want)
-		}
-		if d2 := r.Delay(attempt, 99); d2 != d {
-			t.Errorf("attempt %d: jitter not deterministic: %v vs %v", attempt, d, d2)
-		}
 	}
 }
 

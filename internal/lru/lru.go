@@ -77,17 +77,6 @@ func (c *Cache[V]) RemoveOldest() (key string, val V, ok bool) {
 	return e.key, e.val, true
 }
 
-// Remove deletes key, reporting whether it was present.
-func (c *Cache[V]) Remove(key string) bool {
-	el, ok := c.index[key]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.index, key)
-	return true
-}
-
 // Oldest calls f on the entries from least to most recently used,
 // without changing their order, until f returns false.
 func (c *Cache[V]) Oldest(f func(key string, val V) bool) {

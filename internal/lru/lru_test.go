@@ -49,14 +49,6 @@ func TestPutUpdatesInPlace(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := New[int](2)
-	c.Put("a", 1)
-	if !c.Remove("a") || c.Remove("a") || c.Len() != 0 {
-		t.Fatal("remove semantics broken")
-	}
-}
-
 func TestCapacityFloor(t *testing.T) {
 	c := New[int](0)
 	c.Put("a", 1)

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 func TestReqStatsRecording(t *testing.T) {
@@ -27,13 +26,6 @@ func TestReqStatsRecording(t *testing.T) {
 	}
 	if visits[3].Stage != "analyzer" || visits[3].Source != "built" || visits[3].BuildMs != 7 {
 		t.Fatalf("visit[3] = %+v", visits[3])
-	}
-	if _, stale := rs.Stale(); stale {
-		t.Fatal("fresh collector reports stale")
-	}
-	rs.RecordStale(90 * time.Second)
-	if age, stale := rs.Stale(); !stale || age != 90*time.Second {
-		t.Fatalf("Stale() = %v, %v after RecordStale(90s)", age, stale)
 	}
 }
 
@@ -62,7 +54,6 @@ func TestReqStatsDisabledZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ReqStatsFrom(ctx).RecordStage("thermal", "built", 12345)
-		ReqStatsFrom(ctx).RecordStale(time.Minute)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled ReqStats path allocates %.1f/op, want 0", allocs)
@@ -71,7 +62,7 @@ func TestReqStatsDisabledZeroAlloc(t *testing.T) {
 	if v, d := rs.Visits(); v != nil || d != 0 {
 		t.Fatal("nil Visits should be empty")
 	}
-	if _, stale := rs.Stale(); stale {
-		t.Fatal("nil collector reports stale")
+	if b, m, d, p, ns := rs.Counts(); b != 0 || m != 0 || d != 0 || p != 0 || ns != 0 {
+		t.Fatal("nil Counts should be zero")
 	}
 }

@@ -24,20 +24,15 @@
 //     else's context error ("cancelled partial results are not
 //     handed to coalesced waiters").
 //
-// Failure handling (PR5): a build failure is wrapped with stage +
-// fingerprint provenance (fault.StageError) and classified by
-// internal/fault's taxonomy. Transient failures are retried inside the
-// flight — bounded attempts, exponential backoff with deterministic
-// jitter, each retry visible as a span — while the flight's waiters
-// keep waiting on the one build. Cancelled contexts never retry: a
-// backoff interrupted by the last waiter leaving surfaces as a
-// cancellation (not a failure), so it neither trips the breaker nor
-// poisons late joiners. An optional per-(stage,key) circuit breaker
-// fast-fails builds for fingerprints that keep failing, with half-open
-// probing and the last error served as a negative-result cache. Builds
-// that panic are contained into Permanent errors instead of killing
-// the process. Both retry and breaker default OFF on a fresh Cache —
-// opt in via SetRetry/SetBreaker.
+// Failure handling: a build failure is wrapped with stage +
+// fingerprint provenance (fault.StageError), classified by
+// internal/fault's taxonomy, delivered to every waiter of its flight
+// and never cached. A build is a pure function of its key, so a
+// failing key fails the same way on every attempt: the next Get runs
+// one fresh build, which costs no more than the failing stage itself
+// because the stages under it stay cached. Builds that panic are
+// contained into Permanent errors instead of killing the process, and
+// every build passes the pipeline.build fault-injection point.
 //
 // The zero-cost escape hatch: Get with a nil *Cache runs the build
 // inline with the caller's context — no cache, no coalescing — which
@@ -48,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,8 +61,6 @@ type Cache struct {
 	defaultCap int
 	stages     map[string]*stageState
 	flights    map[flightKey]*flight
-	retry      fault.Retry
-	breaker    *fault.Breaker
 	tiers      Tiers
 }
 
@@ -159,9 +151,6 @@ func (st *stageState) get(key string) (any, bool) {
 type stats struct {
 	hits, misses, builds, cancels atomic.Int64
 	buildNanos                    atomic.Int64
-	retries                       atomic.Int64
-	breakerOpens                  atomic.Int64
-	breakerFastFails              atomic.Int64
 	// Artifact-tier counters (tiers.go): disk loads served/rejected,
 	// sealed artifacts spilled (and spill failures), peer cache-fills
 	// served/failed.
@@ -180,7 +169,6 @@ type flight struct {
 	err      error
 	canceled bool   // build died because every waiter left
 	durNs    int64  // build wall time, written before done closes
-	attempts int    // build attempts made, written before done closes
 	source   string // tier that satisfied the flight (disk|peer|built)
 }
 
@@ -206,24 +194,6 @@ func (c *Cache) SetDefaultCapacity(capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.defaultCap = capacity
-}
-
-// SetRetry installs a retry policy for Transient build failures. Only
-// failures classified Transient by internal/fault retry; cancelled
-// contexts and Permanent errors never do. The zero policy disables
-// retry (the default).
-func (c *Cache) SetRetry(r fault.Retry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.retry = r
-}
-
-// SetBreaker installs a per-(stage, key) circuit breaker consulted
-// before every new flight. Nil disables (the default).
-func (c *Cache) SetBreaker(b *fault.Breaker) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.breaker = b
 }
 
 // state returns (creating if needed) the stage's LRU+stats. Caller
@@ -264,9 +234,6 @@ type Result struct {
 	// buildNs is the completed flight's build wall time, carried out
 	// of wait so the per-round span can report it.
 	buildNs int64
-	// attempts is how many build attempts the completed flight made
-	// (>1 means transient failures were retried).
-	attempts int
 }
 
 // errFlightCanceled is the internal signal that a joined flight died
@@ -299,12 +266,9 @@ func Get[O any](ctx context.Context, c *Cache, stage, key string, build func(con
 		res.Coalesced = res.Coalesced || r.Coalesced
 		res.Source = r.Source
 		if sp != nil {
-			var open *fault.OpenError
 			switch {
 			case errors.Is(err, errFlightCanceled):
 				sp.SetAttr("cache", "cancelled")
-			case errors.As(err, &open):
-				sp.SetAttr("cache", "breaker_open")
 			case r.Hit:
 				sp.SetAttr("cache", "hit")
 			case r.Coalesced:
@@ -319,9 +283,6 @@ func Get[O any](ctx context.Context, c *Cache, stage, key string, build func(con
 			}
 			if r.buildNs > 0 {
 				sp.SetAttr("build_ms", float64(r.buildNs)/1e6)
-			}
-			if r.attempts > 1 {
-				sp.SetAttr("attempts", r.attempts)
 			}
 			if err != nil && !errors.Is(err, errFlightCanceled) {
 				sp.SetAttr("error", err.Error())
@@ -355,7 +316,6 @@ func Get[O any](ctx context.Context, c *Cache, stage, key string, build func(con
 // getOnce performs one lookup-or-flight round.
 func (c *Cache) getOnce(ctx context.Context, stage, key string, build func(context.Context) (any, error)) (any, Result, error) {
 	fk := flightKey{stage, key}
-	bk := stage + "/" + key
 	c.mu.Lock()
 	st := c.state(stage)
 	if v, ok := st.get(key); ok {
@@ -369,18 +329,7 @@ func (c *Cache) getOnce(ctx context.Context, stage, key string, build func(conte
 		c.mu.Unlock()
 		return c.wait(ctx, f, Result{Coalesced: true})
 	}
-	// Only a NEW flight consults the breaker: joining an in-progress
-	// build is always allowed (it was admitted, possibly as the
-	// half-open probe). An open circuit fast-fails with the last
-	// observed error — the negative-result cache.
-	breaker, retry, tiers := c.breaker, c.retry, c.tiers
-	if breaker != nil {
-		if oe := breaker.Allow(bk); oe != nil {
-			st.stats.breakerFastFails.Add(1)
-			c.mu.Unlock()
-			return nil, Result{}, oe
-		}
-	}
+	tiers := c.tiers
 	// The flight's context is detached from the initiator's deadline
 	// (the last-waiter-cancels contract governs its lifetime) but
 	// keeps the initiator's span — so build-internal spans land in the
@@ -400,7 +349,7 @@ func (c *Cache) getOnce(ctx context.Context, stage, key string, build func(conte
 
 	go func() {
 		start := time.Now()
-		v, source, err, attempts := c.resolveFlight(bctx, stage, key, build, retry, st, tiers)
+		v, source, err := c.resolveFlight(bctx, stage, key, build, st, tiers)
 		durNs := time.Since(start).Nanoseconds()
 		canceled := bctx.Err() != nil &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
@@ -419,73 +368,18 @@ func (c *Cache) getOnce(ctx context.Context, stage, key string, build func(conte
 				st.stats.builds.Add(1)
 				st.stats.buildNanos.Add(durNs)
 			}
-			if breaker != nil {
-				breaker.Success(bk)
-			}
 		case canceled || fault.ClassOf(err) == fault.Cancelled:
 			st.stats.cancels.Add(1)
-			if breaker != nil {
-				// A caller giving up says nothing about the key's
-				// health: free a probe slot, count nothing.
-				breaker.Release(bk)
-			}
-		default:
-			if breaker != nil && breaker.Failure(bk, err) {
-				st.stats.breakerOpens.Add(1)
-			}
 		}
 		c.mu.Unlock()
-		f.val, f.err, f.canceled, f.durNs, f.attempts, f.source = v, err, canceled, durNs, attempts, source
+		f.val, f.err, f.canceled, f.durNs, f.source = v, err, canceled, durNs, source
 		close(f.done)
 		cancel()
 	}()
 	return c.wait(ctx, f, Result{})
 }
 
-// runBuild executes the build with panic containment, the
-// pipeline.build injection point, and bounded retry of Transient
-// failures. Cancellation wins over retry at every step: once bctx is
-// dead (the last waiter left), the transient failure is discarded and
-// the context error surfaces, so the flight dies as cancelled — it is
-// not counted against the key and late joiners start fresh.
-func (c *Cache) runBuild(bctx context.Context, stage, key string, build func(context.Context) (any, error), pol fault.Retry, st *stageState) (any, error, int) {
-	attempt := 1
-	for {
-		v, err := buildProtected(bctx, stage, key, build)
-		if err == nil {
-			return v, nil, attempt
-		}
-		if bctx.Err() != nil || !pol.Enabled() || attempt >= pol.Attempts ||
-			fault.ClassOf(err) != fault.Transient {
-			return v, err, attempt
-		}
-		st.stats.retries.Add(1)
-		delay := pol.Delay(attempt, retryToken(stage, key))
-		_, sp := obs.StartSpanJoin(bctx, "retry:", stage)
-		if sp != nil {
-			sp.SetAttr("attempt", attempt)
-			sp.SetAttr("backoff_ms", float64(delay)/1e6)
-			sp.SetAttr("cause", err.Error())
-		}
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-			if sp != nil {
-				sp.End()
-			}
-		case <-bctx.Done():
-			t.Stop()
-			if sp != nil {
-				sp.SetAttr("cancelled", true)
-				sp.End()
-			}
-			return nil, bctx.Err(), attempt
-		}
-		attempt++
-	}
-}
-
-// buildProtected runs one build attempt, converting panics into
+// buildProtected runs the build, converting panics into
 // Permanent errors (an injected — or real — panic in a stage build
 // must not take the process down) and giving armed fault rules their
 // pipeline.build evaluation, labelled "stage key" so rules can match
@@ -502,15 +396,6 @@ func buildProtected(bctx context.Context, stage, key string, build func(context.
 	return build(bctx)
 }
 
-// retryToken derives the deterministic jitter seed for a (stage, key).
-func retryToken(stage, key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(stage))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	return h.Sum64()
-}
-
 // wait blocks until the flight completes or the waiter's own context
 // expires; the last waiter to leave cancels the build.
 func (c *Cache) wait(ctx context.Context, f *flight, res Result) (any, Result, error) {
@@ -523,7 +408,6 @@ func (c *Cache) wait(ctx context.Context, f *flight, res Result) (any, Result, e
 			res.buildNs = f.durNs
 			res.Source = f.source
 		}
-		res.attempts = f.attempts
 		return f.val, res, f.err
 	case <-ctx.Done():
 		c.mu.Lock()
@@ -543,10 +427,6 @@ type StageStat struct {
 	// Hits and Misses count LRU lookups; Builds successful artifact
 	// constructions; Cancels builds abandoned by every waiter.
 	Hits, Misses, Builds, Cancels int64
-	// Retries counts transient build failures that were re-attempted;
-	// BreakerOpens circuit-open transitions attributed to this stage;
-	// BreakerFastFails lookups shed by an open circuit.
-	Retries, BreakerOpens, BreakerFastFails int64
 	// DiskHits and DiskRejects count disk-tier loads served and
 	// corrupt files rejected (and deleted for rebuild); Spills and
 	// SpillFails sealed artifacts written to the disk tier and write
@@ -578,23 +458,20 @@ func (c *Cache) Snapshot() []StageStat {
 // LRU length; the counters themselves are atomics).
 func statOf(name string, st *stageState) StageStat {
 	return StageStat{
-		Stage:            name,
-		Hits:             st.stats.hits.Load(),
-		Misses:           st.stats.misses.Load(),
-		Builds:           st.stats.builds.Load(),
-		Cancels:          st.stats.cancels.Load(),
-		Retries:          st.stats.retries.Load(),
-		BreakerOpens:     st.stats.breakerOpens.Load(),
-		BreakerFastFails: st.stats.breakerFastFails.Load(),
-		DiskHits:         st.stats.diskHits.Load(),
-		DiskRejects:      st.stats.diskRejects.Load(),
-		Spills:           st.stats.spills.Load(),
-		SpillFails:       st.stats.spillFails.Load(),
-		PeerHits:         st.stats.peerHits.Load(),
-		PeerErrors:       st.stats.peerErrors.Load(),
-		BuildSeconds:     float64(st.stats.buildNanos.Load()) / 1e9,
-		Entries:          st.lru.Len(),
-		Bytes:            st.bytes,
+		Stage:        name,
+		Hits:         st.stats.hits.Load(),
+		Misses:       st.stats.misses.Load(),
+		Builds:       st.stats.builds.Load(),
+		Cancels:      st.stats.cancels.Load(),
+		DiskHits:     st.stats.diskHits.Load(),
+		DiskRejects:  st.stats.diskRejects.Load(),
+		Spills:       st.stats.spills.Load(),
+		SpillFails:   st.stats.spillFails.Load(),
+		PeerHits:     st.stats.peerHits.Load(),
+		PeerErrors:   st.stats.peerErrors.Load(),
+		BuildSeconds: float64(st.stats.buildNanos.Load()) / 1e9,
+		Entries:      st.lru.Len(),
+		Bytes:        st.bytes,
 	}
 }
 

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"obdrel/internal/fault"
 )
 
 // TestInlineWhenNil pins the escape hatch: a nil cache runs the build
@@ -175,6 +178,79 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 	if st := c.Stat("s"); st.Builds != 1 || st.Cancels != 0 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestPermanentFailureNotRetried: a failing build runs once per Get —
+// nothing re-runs it — and its error reaches the caller wrapped with
+// stage + fingerprint provenance, still matching its cause.
+func TestPermanentFailureNotRetried(t *testing.T) {
+	c := NewCache(4)
+	var calls atomic.Int32
+	boom := errors.New("deterministic bug")
+	_, _, err := Get(context.Background(), c, "s", "fp1", func(context.Context) (int, error) {
+		calls.Add(1)
+		return 0, boom
+	})
+	if calls.Load() != 1 {
+		t.Fatalf("calls = %d, want 1", calls.Load())
+	}
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want cause %v", err, boom)
+	}
+	var se *fault.StageError
+	if !errors.As(err, &se) || se.Stage != "s" || se.Fingerprint != "fp1" {
+		t.Fatalf("missing provenance: %v", err)
+	}
+	if fault.ClassOf(err) != fault.Permanent {
+		t.Fatalf("class = %v", fault.ClassOf(err))
+	}
+}
+
+// TestBuildPanicContained: a panicking build becomes a Permanent error
+// instead of crashing the process, is never cached, and a later Get
+// rebuilds.
+func TestBuildPanicContained(t *testing.T) {
+	c := NewCache(4)
+	var calls atomic.Int32
+	build := func(context.Context) (int, error) {
+		if calls.Add(1) == 1 {
+			panic("stage exploded")
+		}
+		return 5, nil
+	}
+	_, _, err := Get(context.Background(), c, "s", "k", build)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v", err)
+	}
+	if fault.ClassOf(err) != fault.Permanent {
+		t.Fatalf("class = %v", fault.ClassOf(err))
+	}
+	v, _, err := Get(context.Background(), c, "s", "k", build)
+	if err != nil || v != 5 {
+		t.Fatalf("rebuild: %v, %v", v, err)
+	}
+}
+
+// TestInjectionPointPipelineBuild: an armed pipeline.build rule with a
+// stage match fires inside the flight and surfaces with provenance.
+func TestInjectionPointPipelineBuild(t *testing.T) {
+	spec, err := fault.ParseSpec("pipeline.build(thermal):perm:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(spec.Injector(1))
+	defer fault.Disarm()
+	c := NewCache(4)
+	_, _, err = Get(context.Background(), c, "thermal", "k", func(context.Context) (int, error) { return 1, nil })
+	var ie *fault.InjectedError
+	if !errors.As(err, &ie) {
+		t.Fatalf("err = %v, want injected", err)
+	}
+	// The match keeps other stages clean.
+	v, _, err := Get(context.Background(), c, "pca", "k", func(context.Context) (int, error) { return 2, nil })
+	if err != nil || v != 2 {
+		t.Fatalf("pca: %v, %v", v, err)
 	}
 }
 

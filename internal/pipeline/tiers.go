@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"obdrel/internal/artifact"
-	"obdrel/internal/fault"
 	"obdrel/internal/obs"
 )
 
@@ -57,21 +56,21 @@ func (c *Cache) Tiers() Tiers {
 
 // resolveFlight satisfies a flight from the cheapest tier that has
 // the artifact: disk, then peer, then the stage build. It returns the
-// artifact, its provenance, and (for builds) the attempt count.
-func (c *Cache) resolveFlight(bctx context.Context, stage, key string, build func(context.Context) (any, error), pol fault.Retry, st *stageState, t Tiers) (any, string, error, int) {
+// artifact and its provenance.
+func (c *Cache) resolveFlight(bctx context.Context, stage, key string, build func(context.Context) (any, error), st *stageState, t Tiers) (any, string, error) {
 	if _, serializable := artifact.Lookup(stage); serializable {
 		if t.Dir != "" {
 			if v, ok := c.diskLoad(bctx, stage, key, t.Dir, st); ok {
-				return v, SourceDisk, nil, 0
+				return v, SourceDisk, nil
 			}
 		}
 		if t.Fetch != nil && bctx.Err() == nil {
 			if v, ok := c.peerFill(bctx, stage, key, t, st); ok {
-				return v, SourcePeer, nil, 0
+				return v, SourcePeer, nil
 			}
 		}
 	}
-	v, err, attempts := c.runBuild(bctx, stage, key, build, pol, st)
+	v, err := buildProtected(bctx, stage, key, build)
 	if err == nil {
 		if _, serializable := artifact.Lookup(stage); serializable && (t.Dir != "" || t.Replicate != nil) {
 			// One Encode feeds both the disk spill and the replication
@@ -89,7 +88,7 @@ func (c *Cache) resolveFlight(bctx context.Context, stage, key string, build fun
 			}
 		}
 	}
-	return v, SourceBuilt, err, attempts
+	return v, SourceBuilt, err
 }
 
 // diskLoad reads and decodes one artifact from the spill directory.

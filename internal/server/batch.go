@@ -58,10 +58,10 @@ type batchTrailer struct {
 }
 
 // batchPrepared is a group's shared state: the analyzer serving every
-// item in the group, with its registry provenance.
+// item in the group, and whether the registry held it.
 type batchPrepared struct {
 	an  *obdrel.Analyzer
-	src GetResult
+	hit bool
 }
 
 const (
@@ -215,7 +215,7 @@ func (s *Server) resolveBatchWork(index int, it *batchItem) batch.Work {
 		// every probe through the stage cache): its bisection fetches a
 		// probe analyzer per voltage.
 		Prepare: func(ctx context.Context) (any, error) {
-			an, src, err := s.analyzer(ctx, &q)
+			an, hit, err := s.analyzer(ctx, &q)
 			if err != nil {
 				return nil, err
 			}
@@ -224,11 +224,11 @@ func (s *Server) resolveBatchWork(index int, it *batchItem) batch.Work {
 					return nil, queryErr(err)
 				}
 			}
-			return &batchPrepared{an: an, src: src}, nil
+			return &batchPrepared{an: an, hit: hit}, nil
 		},
 		Eval: func(ctx context.Context, prepared any) (any, error) {
 			p := prepared.(*batchPrepared)
-			return s.answer(ctx, &q, p.an, p.src)
+			return s.answer(ctx, &q, p.an, p.hit)
 		},
 	}
 }

@@ -33,11 +33,6 @@ type Metrics struct {
 	// Throttled counts requests rejected 429 by the concurrency
 	// limiter; TimedOut counts 504s from the per-request deadline.
 	Throttled, TimedOut atomic.Int64
-	// ServeStale counts failed rebuilds answered from the last-good
-	// analyzer store; staleAgeNanos is the age of the most recently
-	// served stale analyzer (gauge).
-	ServeStale    atomic.Int64
-	staleAgeNanos atomic.Int64
 	// AdmissionRejected counts deadline-aware 503 rejections (predicted
 	// queue wait exceeding the request deadline, plus queue-wait
 	// expiries, counted separately in QueueTimeouts). DrainRejected
@@ -54,8 +49,8 @@ type Metrics struct {
 	BatchGroups, BatchReused, BatchStreamBytes atomic.Int64
 	BatchSharedEvals                           atomic.Int64
 	// batchErrClass counts per-item batch errors by fault class
-	// (indexed by fault.Class).
-	batchErrClass [4]atomic.Int64
+	// (indexed by fault.Class, whose last class is Cancelled).
+	batchErrClass [fault.Cancelled + 1]atomic.Int64
 
 	// queueDepth reports requests currently waiting for an execution
 	// slot; draining reports the shutdown gate (both gauges, wired by
@@ -288,7 +283,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	counter("obdreld_throttled_requests_total", "Requests rejected 429 by the concurrency limiter.", m.Throttled.Load())
 	counter("obdreld_timedout_requests_total", "Requests that hit the per-request deadline.", m.TimedOut.Load())
 	counter("obdreld_engine_builds_total", "Analyzer (engine substrate) constructions.", m.Builds.Load())
-	counter("obdreld_serve_stale_total", "Failed rebuilds answered from the last-good analyzer store.", m.ServeStale.Load())
 	counter("obdreld_admission_rejected_total", "Requests rejected 503 by the deadline-aware admission controller.", m.AdmissionRejected.Load())
 	counter("obdreld_queue_timeouts_total", "Admitted queue waits that expired before a slot freed.", m.QueueTimeouts.Load())
 	counter("obdreld_drain_rejected_total", "Requests rejected 503 during graceful shutdown.", m.DrainRejected.Load())
@@ -319,7 +313,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	gauge("obdreld_in_flight_requests", "Requests currently being served.", float64(m.InFlight.Load()))
 	gauge("obdreld_analyzers_cached", "Analyzers resident in the registry.", float64(m.analyzersCached()))
 	gauge("obdreld_uptime_seconds", "Seconds since the server started.", m.Uptime().Seconds())
-	gauge("obdreld_stale_age_seconds", "Age of the most recently served stale analyzer.", float64(m.staleAgeNanos.Load())/1e9)
 	gauge("obdreld_queue_depth", "Requests waiting for an execution slot.", float64(m.queueDepth()))
 	drainGauge := 0.0
 	if m.draining() {
@@ -362,12 +355,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Entries) })
 	labeled("obdreld_stage_bytes", "Retained bytes of sized artifacts per stage LRU (bounded by the per-stage byte budget).", "gauge",
 		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Bytes) })
-	labeled("obdreld_stage_retries_total", "Transient stage-build failures that were retried, by stage.", "counter",
-		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Retries) })
-	labeled("obdreld_stage_breaker_opens_total", "Circuit-breaker open transitions, by stage.", "counter",
-		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.BreakerOpens) })
-	labeled("obdreld_stage_breaker_fastfails_total", "Lookups shed by an open circuit, by stage.", "counter",
-		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.BreakerFastFails) })
 
 	// Artifact tiers: per-stage disk/peer counters, then the
 	// node-level cluster fetch / peer serve / warm-sweep counters.

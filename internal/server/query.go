@@ -288,9 +288,10 @@ func (q *query) evalKey() string {
 	return string(b)
 }
 
-// analyzer fetches the query's analyzer from the registry: the
-// telemetry-replay analyzer for a trace query, the plain one otherwise.
-func (s *Server) analyzer(ctx context.Context, q *query) (*obdrel.Analyzer, GetResult, error) {
+// analyzer fetches the query's analyzer from the registry, and whether
+// the registry held it: the telemetry-replay analyzer for a trace
+// query, the plain one otherwise.
+func (s *Server) analyzer(ctx context.Context, q *query) (*obdrel.Analyzer, bool, error) {
 	if q.kind == kindTrace {
 		return s.reg.GetTrace(ctx, s.stages, q.key, q.d, q.cfg, q.tr)
 	}
@@ -302,13 +303,14 @@ func (s *Server) analyzer(ctx context.Context, q *query) (*obdrel.Analyzer, GetR
 // per voltage through the registry) and renders the result map both
 // faces send. Fields per kind:
 //
-//	lifetime     design method ppm lifetime_hours cache [staleness_s] query_us
-//	failureprob  design method t_hours failure_prob reliability cache [staleness_s] query_us
+//	lifetime     design method ppm lifetime_hours cache query_us
+//	failureprob  design method t_hours failure_prob reliability cache query_us
 //	maxvdd       design method ppm target_hours vdd_bracket max_vdd probes query_us
-//	trace        design method trace_hours (t_hours failure_prob | ppm lifetime_hours) cache [staleness_s] query_us
+//	trace        design method trace_hours (t_hours failure_prob | ppm lifetime_hours) cache query_us
 //
+// cache is "hit" when the registry held an (hit), "miss" otherwise;
 // query_us is the fractional microseconds spent here.
-func (s *Server) answer(ctx context.Context, q *query, an *obdrel.Analyzer, src GetResult) (map[string]any, error) {
+func (s *Server) answer(ctx context.Context, q *query, an *obdrel.Analyzer, hit bool) (map[string]any, error) {
 	start := time.Now()
 	out := make(map[string]any, 8)
 	out["design"], out["method"] = q.d.Name, q.m.String()
@@ -359,20 +361,10 @@ func (s *Server) answer(ctx context.Context, q *query, an *obdrel.Analyzer, src 
 		if q.kind == kindTrace {
 			out["trace_hours"] = q.tr.TotalHours()
 		}
-		out["cache"] = src.Label()
-		addStaleness(out, src)
+		out["cache"] = cacheLabel(hit)
 	}
 	out["query_us"] = float64(time.Since(start).Nanoseconds()) / 1e3
 	return out, nil
-}
-
-// addStaleness surfaces serve-stale provenance in the payload: the
-// unary headers carry it too, but a batch line has only its body, and
-// the body keeps scripted clients honest.
-func addStaleness(out map[string]any, src GetResult) {
-	if src.Stale {
-		out["staleness_s"] = int64(src.StaleAge.Seconds())
-	}
 }
 
 // engineQuery runs one engine evaluation: P_fail(t) when fp, else the
@@ -398,15 +390,15 @@ func (s *Server) queryRoute(kind string) handlerFunc {
 			return nil, err
 		}
 		var an *obdrel.Analyzer
-		var src GetResult
+		var hit bool
 		if kind != kindMaxVDD {
-			if an, src, err = s.analyzer(ctx, &q); err != nil {
+			if an, hit, err = s.analyzer(ctx, &q); err != nil {
 				return nil, err
 			}
 		}
 		qctx, sp := obs.StartSpan(ctx, spanName)
 		annotateQuery(sp, q.m, q.cfg)
-		out, err := s.answer(qctx, &q, an, src)
+		out, err := s.answer(qctx, &q, an, hit)
 		sp.End()
 		if err != nil {
 			return nil, err

@@ -26,14 +26,13 @@ type Record struct {
 	QueueWaitUs int64 `json:"queue_wait_us"`
 
 	// Cache is the answer's provenance label (mem/disk/peer/built/
-	// stale/none); Stages is the pipeline tier walk that produced it.
+	// none); Stages is the pipeline tier walk that produced it.
 	Cache         string           `json:"cache,omitempty"`
 	Stages        []obs.StageVisit `json:"stages,omitempty"`
 	StagesDropped int              `json:"stages_dropped,omitempty"`
 	StageBuilds   int              `json:"stage_builds"`
 	BuildMs       float64          `json:"build_ms,omitempty"`
 	PeerFills     int              `json:"peer_fills"`
-	StalenessS    int64            `json:"staleness_s,omitempty"`
 
 	// ProcCPUUs is the process CPU time spent while the request ran.
 	// It is honest about its scope: on a busy server concurrent
@@ -76,7 +75,6 @@ func (s *Server) observe(route string, r *http.Request, status int, ob *observed
 	}
 	visits, dropped := ob.stats.Visits()
 	builds, _, _, peer, buildNs := ob.stats.Counts()
-	age, _ := ob.stats.Stale()
 	enc, err := json.Marshal(&Record{
 		TS:            ob.start.UTC().Format(time.RFC3339Nano),
 		Route:         route,
@@ -93,7 +91,6 @@ func (s *Server) observe(route string, r *http.Request, status int, ob *observed
 		StageBuilds:   builds,
 		BuildMs:       float64(buildNs) / 1e6,
 		PeerFills:     peer,
-		StalenessS:    int64(age.Seconds()),
 		ProcCPUUs:     processCPUUs() - ob.cpuUs,
 	})
 	if err != nil {
@@ -106,16 +103,12 @@ func (s *Server) observe(route string, r *http.Request, status int, ob *observed
 }
 
 // cacheProvenance condenses a request's tier walk into the single
-// label its record carries: where the answer really came from. Stale
-// wins (the registry answered from the last-good store); a memory-hit
-// analyzer is "mem"; an analyzer rebuilt this request reports the
-// deepest tier that fed the rebuild — peer beats disk beats
-// built-from-scratch. Requests that never touched the pipeline report
-// "none".
+// label its record carries: where the answer really came from. A
+// memory-hit analyzer is "mem"; an analyzer rebuilt this request
+// reports the deepest tier that fed the rebuild — peer beats disk
+// beats built-from-scratch. Requests that never touched the pipeline
+// report "none".
 func cacheProvenance(rs *obs.ReqStats) string {
-	if _, stale := rs.Stale(); stale {
-		return "stale"
-	}
 	builds, mem, disk, peer, _ := rs.Counts()
 	switch {
 	case builds == 0 && mem == 0 && disk == 0 && peer == 0:

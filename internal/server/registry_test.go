@@ -84,11 +84,11 @@ func TestRegistryHitAndEviction(t *testing.T) {
 	ctx := context.Background()
 	d := obdrel.C1()
 
-	if _, src, err := regGet(reg, ctx, d, testConfig(1)); err != nil || src.Hit {
-		t.Fatalf("first get: hit=%t err=%v", src.Hit, err)
+	if _, hit, err := regGet(reg, ctx, d, testConfig(1)); err != nil || hit {
+		t.Fatalf("first get: hit=%t err=%v", hit, err)
 	}
-	if _, src, err := regGet(reg, ctx, d, testConfig(1)); err != nil || !src.Hit {
-		t.Fatalf("second get should hit: hit=%t err=%v", src.Hit, err)
+	if _, hit, err := regGet(reg, ctx, d, testConfig(1)); err != nil || !hit {
+		t.Fatalf("second get should hit: hit=%t err=%v", hit, err)
 	}
 	if m.CacheHits.Load() != 1 || m.CacheMisses.Load() != 1 {
 		t.Fatalf("hit/miss counters %d/%d, want 1/1", m.CacheHits.Load(), m.CacheMisses.Load())
@@ -103,7 +103,7 @@ func TestRegistryHitAndEviction(t *testing.T) {
 		t.Fatalf("registry holds %d analyzers, want 2", reg.Len())
 	}
 	before := builds.Load()
-	if _, src, _ := regGet(reg, ctx, d, testConfig(1)); src.Hit {
+	if _, hit, _ := regGet(reg, ctx, d, testConfig(1)); hit {
 		t.Fatal("evicted entry reported as cached")
 	}
 	if builds.Load() != before+1 {
@@ -171,8 +171,8 @@ func TestRegistryContextTimeout(t *testing.T) {
 
 	// A fresh request is not poisoned by the cancelled flight: it
 	// rebuilds from scratch and succeeds.
-	if _, src, err := regGet(reg, context.Background(), obdrel.C1(), testConfig(1)); err != nil || src.Hit {
-		t.Fatalf("rebuild after cancellation: hit=%t err=%v", src.Hit, err)
+	if _, hit, err := regGet(reg, context.Background(), obdrel.C1(), testConfig(1)); err != nil || hit {
+		t.Fatalf("rebuild after cancellation: hit=%t err=%v", hit, err)
 	}
 	if builds.Load() != 2 {
 		t.Fatalf("builds = %d, want 2 (cancelled + fresh)", builds.Load())
@@ -245,6 +245,6 @@ func TestRegistrySurvivorRetries(t *testing.T) {
 }
 
 // regGet looks (d, cfg) up under its canonical key, as the server does.
-func regGet(reg *Registry, ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, GetResult, error) {
+func regGet(reg *Registry, ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, bool, error) {
 	return reg.Get(ctx, obdrel.CacheKey(d, cfg), d, cfg)
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -39,116 +38,113 @@ func getResp(t *testing.T, url string, hdr map[string]string) (*http.Response, m
 	return resp, out
 }
 
-// TestServeStaleOnFailedRebuild evicts an analyzer from the primary
-// LRU, poisons the builder, and verifies the next request for the
-// evicted key is served from the last-good store with full staleness
-// provenance: cache="stale" + staleness_s in the payload, the Warning
-// and X-Staleness headers, and the serve_stale counter; a batch item
-// for the key carries the same body provenance.
-func TestServeStaleOnFailedRebuild(t *testing.T) {
-	var fail atomic.Bool
-	var logBuf syncBuffer
+// failingKey is a configuration whose thermal stage runs away: C1 at
+// 1.5 V on the 8×8 grid does not converge, inside /v1/maxvdd's default
+// [0.9, 1.5] V bracket.
+const failingKey = "design=C1&method=st_fast&ppm=10&vdd=1.5&grid=8&mc_samples=600&stmc_samples=3000"
+
+// TestFailingKeyCostsOneBuildPerRequest pins what a deterministic build
+// failure costs, given that nothing retries it or caches it: concurrent
+// requests for the key coalesce into one thermal build, each later
+// request rebuilds only the thermal stage (the stages it reads stay
+// cached), every answer is a 500 with the failing stage's provenance,
+// and a bisection that probes the key answers the same every time. The
+// analyzer resolves thermal before covariance, PCA and BLOD, so a
+// failing thermal stage never reaches those three.
+func TestFailingKeyCostsOneBuildPerRequest(t *testing.T) {
+	stages := pipeline.NewCache(64)
+	gate := make(chan struct{})
+	var builds atomic.Int64
 	s := mustNew(Options{
-		AccessLog:    &logBuf,
-		MaxAnalyzers: 1,
-		MaxStale:     time.Hour,
+		Stages:         stages,
+		DisableTracing: true,
 		Build: func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
-			if fail.Load() {
-				return nil, errors.New("substrate characterization backend down")
-			}
-			return obdrel.NewAnalyzerCtx(ctx, d, cfg)
+			builds.Add(1)
+			<-gate
+			return obdrel.NewAnalyzerCtxIn(ctx, stages, d, cfg)
 		},
 	})
-	// The last-good store ages on a clock only the test moves, so the
-	// stale answers below are exactly 90 s old however long the builds
-	// in between take.
-	var skew atomic.Int64
-	base := time.Now()
-	s.reg.now = func() time.Time { return base.Add(time.Duration(skew.Load())) }
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-
-	urlA := srv.URL + "/v1/lifetime?design=C1&ppm=100&" + cheap
-	urlB := srv.URL + "/v1/lifetime?design=C1&ppm=100&seed=2&" + cheap
-
-	if resp, out := getResp(t, urlA, nil); resp.StatusCode != http.StatusOK || out["cache"] != "miss" {
-		t.Fatalf("first build: status=%d cache=%v", resp.StatusCode, out["cache"])
-	}
-	// Evict A from the capacity-1 primary LRU.
-	if resp, _ := getResp(t, urlB, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("evicting build failed: %d", resp.StatusCode)
-	}
-
-	skew.Store(int64(90 * time.Second))
-	fail.Store(true)
-	resp, out := getResp(t, urlA, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stale serve: status=%d body=%v", resp.StatusCode, out)
-	}
-	if out["cache"] != "stale" {
-		t.Fatalf("cache label = %v, want stale", out["cache"])
-	}
-	if _, ok := out["staleness_s"]; !ok {
-		t.Fatalf("payload missing staleness_s: %v", out)
-	}
-	if w := resp.Header.Get("Warning"); !strings.Contains(w, "Response is Stale") {
-		t.Fatalf("Warning header = %q", w)
-	}
-	if got := resp.Header.Get("X-Staleness"); got != "90" {
-		t.Fatalf("X-Staleness = %q, want 90", got)
-	}
-	if got := s.Metrics().ServeStale.Load(); got != 1 {
-		t.Fatalf("ServeStale = %d, want 1", got)
-	}
-	// The same key as a batch item: its line has only a body to carry
-	// the provenance.
-	_, lines, _ := postBatch(t, srv.URL+"/v1/batch", batchBody(`{"design":"C1","ppm":100,"config":`+cheapCfg+`}`))
-	if res, _ := lines[0]["result"].(map[string]any); res["cache"] != "stale" || res["staleness_s"] == nil {
-		t.Fatalf("stale batch item = %v, want cache=stale with staleness_s", lines[0])
-	}
-	// Both stale answers' records say so, with their age: the unary
-	// request and the batch stream are the third and fourth records.
-	recs := readRecords(t, logBuf.String())
-	if len(recs) != 4 {
-		t.Fatalf("%d records, want one per request (4)", len(recs))
-	}
-	for i, route := range []string{"/v1/lifetime", "/v1/batch"} {
-		if rec := recs[2+i]; rec.Route != route || rec.Cache != "stale" || rec.StalenessS != 90 {
-			t.Errorf("stale %s record = %+v, want cache=stale staleness_s=90", route, rec)
+	url := srv.URL + "/v1/lifetime?" + failingKey
+	check := func(resp *http.Response, out map[string]any) {
+		t.Helper()
+		msg, _ := out["error"].(string)
+		if resp.StatusCode != http.StatusInternalServerError || out["class"] != "permanent" || !strings.Contains(msg, "stage thermal [") {
+			t.Fatalf("failing key: status=%d body=%v, want 500 permanent from stage thermal", resp.StatusCode, out)
 		}
 	}
 
-	// With a healthy builder again the same key rebuilds fresh.
-	fail.Store(false)
-	if resp, out := getResp(t, urlA, nil); resp.StatusCode != http.StatusOK || out["cache"] != "miss" {
-		t.Fatalf("recovery rebuild: status=%d cache=%v", resp.StatusCode, out["cache"])
+	// N concurrent requests join one flight, held open until all N
+	// have missed the registry.
+	const n = 8
+	type answer struct {
+		resp *http.Response
+		out  map[string]any
 	}
-}
+	answers := make(chan answer, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, out := getResp(t, url, nil)
+			answers <- answer{resp, out}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.reg.Stats().Misses < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests reached the registry", s.reg.Stats().Misses, n)
+		}
+	}
+	close(gate)
+	for i := 0; i < n; i++ {
+		a := <-answers
+		check(a.resp, a.out)
+	}
+	if b, th := builds.Load(), stages.Stat("thermal").Misses; b != 1 || th != 1 {
+		t.Fatalf("%d concurrent requests ran %d analyzer builds and %d thermal builds, want 1 and 1", n, b, th)
+	}
 
-// TestServeStaleDisabled verifies a negative MaxStale turns the
-// degradation off: the failed rebuild surfaces as an error.
-func TestServeStaleDisabled(t *testing.T) {
-	var fail atomic.Bool
-	s := mustNew(Options{
-		MaxAnalyzers:     1,
-		MaxStale:         -1,
-		BreakerThreshold: -1,
-		Build: func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
-			if fail.Load() {
-				return nil, errors.New("backend down")
-			}
-			return obdrel.NewAnalyzerCtx(ctx, d, cfg)
-		},
-	})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	for _, stage := range []string{"floorplan", "powermap", "thermalop"} {
+		if got := stages.Stat(stage).Builds; got != 1 {
+			t.Errorf("stage %s built %d times, want 1", stage, got)
+		}
+	}
 
-	urlA := srv.URL + "/v1/lifetime?design=C1&ppm=100&" + cheap
-	getResp(t, urlA, nil)
-	getResp(t, srv.URL+"/v1/lifetime?design=C1&ppm=100&seed=2&"+cheap, nil)
-	fail.Store(true)
-	if resp, _ := getResp(t, urlA, nil); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("disabled serve-stale: status=%d, want 500", resp.StatusCode)
+	// Each later request rebuilds the thermal stage alone: no other
+	// stage misses again.
+	before := map[string]int64{}
+	for _, st := range stages.Snapshot() {
+		before[st.Stage] = st.Misses
+	}
+	const later = 5
+	for i := 0; i < later; i++ {
+		check(getResp(t, url, nil))
+	}
+	if b := builds.Load(); b != 1+later {
+		t.Fatalf("after %d more requests: %d analyzer builds, want %d", later, b, 1+later)
+	}
+	for _, st := range stages.Snapshot() {
+		want := before[st.Stage]
+		if st.Stage == "thermal" {
+			want += later
+		}
+		if st.Misses != want {
+			t.Errorf("stage %s: %d misses after %d more requests, want %d", st.Stage, st.Misses, later, want)
+		}
+	}
+	if got := stages.Stat("thermal").Builds; got != 0 {
+		t.Errorf("the runaway thermal stage recorded %d successful builds", got)
+	}
+
+	// A bisection whose top probe is the failing key answers the same
+	// on every run, well past any count of consecutive failures.
+	mv := srv.URL + "/v1/maxvdd?design=C1&method=st_fast&ppm=10&target_hours=1e5&vlo=0.9&vhi=1.5&grid=8&mc_samples=600&stmc_samples=3000"
+	first := getJSON(t, mv, http.StatusOK)
+	for i := 1; i < 7; i++ {
+		out := getJSON(t, mv, http.StatusOK)
+		if out["max_vdd"] != first["max_vdd"] || out["probes"] != first["probes"] {
+			t.Fatalf("maxvdd run %d: max_vdd=%v probes=%v, run 0: max_vdd=%v probes=%v",
+				i, out["max_vdd"], out["probes"], first["max_vdd"], first["probes"])
+		}
 	}
 }
 
@@ -200,36 +196,6 @@ func TestXFaultHeaderIgnoredByDefault(t *testing.T) {
 	resp, _ := getResp(t, srv.URL+"/v1/designs", map[string]string{"X-Fault": "server.handler:error:1"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("X-Fault honoured without FaultHeader: %d", resp.StatusCode)
-	}
-}
-
-// TestBreakerOpenMapsTo503 drives a key past the breaker threshold and
-// verifies the fast-fail surfaces as 503 with a Retry-After horizon.
-func TestBreakerOpenMapsTo503(t *testing.T) {
-	s := mustNew(Options{
-		MaxStale:         -1,
-		BreakerThreshold: 1,
-		BreakerOpenFor:   time.Hour,
-		Build: func(ctx context.Context, d *obdrel.Design, cfg *obdrel.Config) (*obdrel.Analyzer, error) {
-			return nil, errors.New("poisoned design")
-		},
-	})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	url := srv.URL + "/v1/lifetime?design=C1&ppm=100&" + cheap
-	if resp, _ := getResp(t, url, nil); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("first failure: status=%d, want 500", resp.StatusCode)
-	}
-	resp, out := getResp(t, url, nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("breaker fast-fail: status=%d body=%v", resp.StatusCode, out)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("breaker 503 missing Retry-After")
-	}
-	if out["class"] != "overload" {
-		t.Fatalf("class = %v, want overload", out["class"])
 	}
 }
 
@@ -436,12 +402,10 @@ func TestResilienceMetricsExposition(t *testing.T) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	for _, want := range []string{
-		"obdreld_serve_stale_total",
 		"obdreld_admission_rejected_total",
 		"obdreld_queue_timeouts_total",
 		"obdreld_drain_rejected_total",
 		"obdreld_fault_injected_total",
-		"obdreld_stale_age_seconds",
 		"obdreld_queue_depth",
 		"obdreld_draining",
 	} {
@@ -456,19 +420,19 @@ func TestResilienceMetricsExposition(t *testing.T) {
 //
 //   - churn: every request misses the registry (a fresh seed knob) and
 //     carries its own seeded 10% registry.build error rule, so the
-//     injected failures are the same on every run; retries absorb them;
-//   - scope: a poisoned design's circuit opens (503) while a healthy
-//     design keeps answering 200;
-//   - recovery: once the faults stop and the short open window
-//     expires, the half-open probe closes the circuit;
+//     injected failures are the same on every run; each one reaches its
+//     client as a 503 the client may retry, and every other request
+//     answers 200;
+//   - scope: a poisoned design fails while a healthy design keeps
+//     answering 200;
+//   - recovery: the first clean request after the faults stop answers
+//     200, since a failed build is never cached;
 //   - leakage: clean traffic moves no injected-fault counter.
 func TestChaosOverHTTP(t *testing.T) {
 	s := mustNew(Options{
-		Stages:           pipeline.NewCache(64),
-		DisableTracing:   true,
-		FaultHeader:      true,
-		BreakerThreshold: 3,
-		BreakerOpenFor:   500 * time.Millisecond,
+		Stages:         pipeline.NewCache(64),
+		DisableTracing: true,
+		FaultHeader:    true,
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -486,49 +450,39 @@ func TestChaosOverHTTP(t *testing.T) {
 
 	const churn = 100
 	injected0 := fault.InjectedTotal()
-	errs := 0
+	codes := map[int]int{}
 	for i := 0; i < churn; i++ {
-		if status(lifetime("C1", 1000+i), fmt.Sprintf("seed=%d,registry.build:error:0.1", i+1)) != http.StatusOK {
-			errs++
+		resp, out := getResp(t, lifetime("C1", 1000+i), map[string]string{"X-Fault": fmt.Sprintf("seed=%d,registry.build:error:0.1", i+1)})
+		codes[resp.StatusCode]++
+		if resp.StatusCode == http.StatusServiceUnavailable && (out["class"] != "transient" || resp.Header.Get("Retry-After") == "") {
+			t.Errorf("churn: injected fault answered class=%v Retry-After=%q, want transient with Retry-After", out["class"], resp.Header.Get("Retry-After"))
 		}
 	}
-	injected := fault.InjectedTotal() - injected0
-	retries := s.reg.Stats().Retries
-	if errs != 0 {
-		t.Errorf("churn: %d/%d client errors, want exactly 0 for these seeds", errs, churn)
+	// The seeded decision streams fire exactly 13 faults, one build
+	// each, and each one reaches its client.
+	const faults = 13
+	if injected := fault.InjectedTotal() - injected0; injected != faults {
+		t.Errorf("churn: %d faults injected, want %d", injected, faults)
 	}
-	// The seeded decision streams fire exactly 15 faults, each absorbed
-	// by one retry.
-	if injected != 15 || retries != injected {
-		t.Errorf("churn: %d faults injected, %d retries — want 15 and 15", injected, retries)
+	if codes[http.StatusServiceUnavailable] != faults || codes[http.StatusOK] != churn-faults || len(codes) != 2 {
+		t.Errorf("churn: status counts %v, want %d×503 and %d×200", codes, faults, churn-faults)
 	}
 
 	healthy, poisoned := lifetime("C1", 1), lifetime("C2", 999001)
 	if code := status(healthy, ""); code != http.StatusOK {
 		t.Fatalf("healthy warmup: status %d", code)
 	}
-	opened := false
-	for i := 0; i < 10 && !opened; i++ {
-		opened = status(poisoned, "registry.build(C2):perm:1") == http.StatusServiceUnavailable
-	}
-	if !opened {
-		t.Fatal("scope: the poisoned design's circuit never opened")
-	}
 	for i := 0; i < 10; i++ {
+		if code := status(poisoned, "registry.build(C2):perm:1"); code != http.StatusInternalServerError {
+			t.Fatalf("scope: poisoned design answered %d, want 500", code)
+		}
 		if code := status(healthy, ""); code != http.StatusOK {
-			t.Fatalf("scope: healthy design answered %d while C2's circuit was open", code)
+			t.Fatalf("scope: healthy design answered %d beside the poisoned one", code)
 		}
 	}
 
-	recovered := false
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline) && !recovered; {
-		recovered = status(poisoned, "") == http.StatusOK
-		if !recovered {
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	if !recovered {
-		t.Fatal("recovery: the half-open probe never closed the circuit")
+	if code := status(poisoned, ""); code != http.StatusOK {
+		t.Fatalf("recovery: first clean request for the poisoned design answered %d", code)
 	}
 
 	injected0 = fault.InjectedTotal()

@@ -80,21 +80,6 @@ type Options struct {
 	// JSON line.
 	TraceJSONL io.Writer
 
-	// RetryAttempts bounds analyzer-build attempts on Transient
-	// failures (default 3; 1 disables retry). RetryBase is the first
-	// backoff delay (default 25ms).
-	RetryAttempts int
-	RetryBase     time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// per-fingerprint circuit (default 5; negative disables the
-	// breaker). BreakerOpenFor is the open TTL before a half-open
-	// probe (default 5s).
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
-	// MaxStale is the serve-stale window: a failed rebuild with a
-	// last-good analyzer younger than this serves it with a staleness
-	// annotation instead of erroring (default 15m; negative disables).
-	MaxStale time.Duration
 	// QueueDepth enables the deadline-aware admission controller: up
 	// to QueueDepth saturated requests wait for a slot instead of
 	// getting an instant 429, but a request whose predicted wait
@@ -195,21 +180,6 @@ func (o *Options) withDefaults() Options {
 	if out.DisableTracing {
 		out.Tracer = nil
 	}
-	if out.RetryAttempts == 0 {
-		out.RetryAttempts = 3
-	}
-	if out.RetryBase <= 0 {
-		out.RetryBase = 25 * time.Millisecond
-	}
-	if out.BreakerThreshold == 0 {
-		out.BreakerThreshold = 5
-	}
-	if out.BreakerOpenFor <= 0 {
-		out.BreakerOpenFor = 5 * time.Second
-	}
-	if out.MaxStale == 0 {
-		out.MaxStale = 15 * time.Minute
-	}
 	if out.BatchWindow <= 0 {
 		out.BatchWindow = 256
 	}
@@ -301,15 +271,6 @@ func NewE(opts Options) (*Server, error) {
 	m.draining = s.draining.Load
 	m.artifact = s.artifactStats
 	m.slo = s.slo.Report
-	if o.RetryAttempts > 1 {
-		s.reg.Cache().SetRetry(fault.Retry{Attempts: o.RetryAttempts, Base: o.RetryBase})
-	}
-	if o.BreakerThreshold > 0 {
-		s.reg.Cache().SetBreaker(fault.NewBreaker(o.BreakerThreshold, o.BreakerOpenFor))
-	}
-	if o.MaxStale > 0 {
-		s.reg.SetMaxStale(o.MaxStale)
-	}
 	// The catalog is immutable, so each design is hashed once here,
 	// along with its whole registry key under the base config. A base
 	// config that fails validation fails every request that would use
@@ -608,9 +569,8 @@ func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, 
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		// Per-request cost and provenance: the pipeline records its tier
-		// walk (stage, provenance, build time) and the registry a
-		// serve-stale answer into the collector; the stale headers and
-		// the record read it back at completion.
+		// walk (stage, provenance, build time) into the collector, and
+		// the record reads it back at completion.
 		ctx, ob.stats = obs.WithReqStats(ctx)
 
 		// Per-request fault rules (test/staging): an X-Fault header arms
@@ -679,37 +639,22 @@ func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, 
 			status = http.StatusGatewayTimeout
 			payload = map[string]any{"error": "request deadline exceeded"}
 		default:
+			cls := fault.ClassOf(err)
 			var ae *apiError
-			var oe *fault.OpenError
 			switch {
 			case errors.As(err, &ae):
 				status = ae.code
-			case errors.As(err, &oe):
-				// Breaker fast-fail: shed load with an honest estimate of
-				// when the half-open probe will be admitted.
+			case cls == fault.Transient:
+				// An injected transient fault: worth the client asking
+				// again.
 				status = http.StatusServiceUnavailable
-				w.Header().Set("Retry-After", retryAfterSeconds(time.Until(oe.Until)))
+				w.Header().Set("Retry-After", "1")
+			case cls == fault.Cancelled:
+				status = http.StatusGatewayTimeout
 			default:
-				switch fault.ClassOf(err) {
-				case fault.Overload, fault.Transient:
-					// Transient failures that survived the retry budget are
-					// still worth the client retrying later.
-					status = http.StatusServiceUnavailable
-					w.Header().Set("Retry-After", "1")
-				case fault.Cancelled:
-					status = http.StatusGatewayTimeout
-				default:
-					status = http.StatusInternalServerError
-				}
+				status = http.StatusInternalServerError
 			}
-			payload = map[string]any{"error": err.Error(), "class": fault.ClassOf(err).String()}
-		}
-
-		// Serve-stale annotation: the registry answered from the
-		// last-good store because the fresh build failed.
-		if age, stale := ob.stats.Stale(); stale {
-			w.Header().Set("Warning", `110 obdreld "Response is Stale"`)
-			w.Header().Set("X-Staleness", strconv.FormatInt(int64(age.Seconds()), 10))
+			payload = map[string]any{"error": err.Error(), "class": cls.String()}
 		}
 
 		// End the trace before writing: the finalized tree is what
@@ -1018,7 +963,7 @@ func (s *Server) handleBlocks(ctx context.Context, _ http.ResponseWriter, r *htt
 	if err != nil {
 		return nil, err
 	}
-	an, src, err := s.analyzer(ctx, &q)
+	an, hit, err := s.analyzer(ctx, &q)
 	if err != nil {
 		return nil, err
 	}
@@ -1042,10 +987,9 @@ func (s *Server) handleBlocks(ctx context.Context, _ http.ResponseWriter, r *htt
 	tmin, tmean, tmax := an.TempSpread()
 	payload := map[string]any{
 		"design": q.d.Name,
-		"cache":  src.Label(),
+		"cache":  cacheLabel(hit),
 		"blocks": out,
 		"temp_c": map[string]float64{"min": tmin, "mean": tmean, "max": tmax},
 	}
-	addStaleness(payload, src)
 	return payload, nil
 }

@@ -55,12 +55,10 @@
 // The same entry points carry internal/fault injection points
 // (pipeline.build, thermal.solve, maxvdd.probe) and a typed failure
 // taxonomy: build errors surface wrapped with stage + fingerprint
-// provenance and classified Transient, Permanent, Cancelled or
-// Overload. The stage cache can retry Transient failures with bounded
-// exponential backoff and shed deterministically failing fingerprints
-// through a per-key circuit breaker (pipeline.Cache.SetRetry /
-// SetBreaker — both off by default for library use). With nothing
-// armed, every injection point is a single atomic load and zero
+// provenance and classified Permanent, Transient or Cancelled. Every
+// stage build is a pure function of its key, so a real failure is
+// Permanent and the stage cache neither retries nor caches it; only an
+// injected error rule is Transient. With nothing armed, every injection point is a single atomic load and zero
 // allocations, so the fault framework is free in production. See
 // DESIGN.md §11 and TestChaosOverHTTP in internal/server.
 package obdrel
