@@ -109,9 +109,8 @@ func main() {
 		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "deadline for one peer artifact fetch")
 		warmLimit   = flag.Int("warm-limit", 1024, "max artifacts the startup anti-entropy sweep loads from -artifact-dir (negative disables; /readyz reports progress)")
 
-		join     = flag.String("join", "", "comma-separated seed URLs of an existing cluster; the ring is discovered by gossip and tracks live members (requires -self; a first node seeds with its own -self URL)")
-		lease    = flag.Duration("lease", 10*time.Second, "membership lease: a node silent for lease/2 is suspect, for the full lease dead")
-		replicas = flag.Int("replicas", 1, "artifact replica factor in cluster mode (k distinct ring owners per key; default 1, owner only — a -join fleet that must survive a kill -9 wants 2)")
+		join  = flag.String("join", "", "comma-separated seed URLs of an existing cluster; the ring is discovered by gossip and tracks live members (requires -self; a first node seeds with its own -self URL)")
+		lease = flag.Duration("lease", 10*time.Second, "membership lease: a node silent for lease/2 is suspect, for the full lease dead")
 	)
 	flag.Parse()
 
@@ -168,8 +167,8 @@ func main() {
 		joinList = strings.Split(*join, ",")
 	}
 	if peerList != nil || joinList != nil {
-		log.Printf("cluster mode: self=%s peers=%s join=%s lease=%v replicas=%d",
-			*self, *peers, *join, *lease, *replicas)
+		log.Printf("cluster mode: self=%s peers=%s join=%s lease=%v",
+			*self, *peers, *join, *lease)
 	}
 	if *artifactDir != "" {
 		if err := os.MkdirAll(*artifactDir, 0o755); err != nil {
@@ -201,7 +200,6 @@ func main() {
 		WarmLimit:   *warmLimit,
 		JoinPeers:   joinList,
 		Lease:       *lease,
-		Replicas:    *replicas,
 
 		SLOs: sloObjs,
 	})
@@ -264,7 +262,7 @@ func main() {
 	if debugSrv != nil {
 		debugSrv.Shutdown(shutdownCtx)
 	}
-	svc.Close() // stop membership/replication loops (no-op outside cluster mode)
+	svc.Close() // stop the membership loop (no-op outside cluster mode)
 	m := svc.Metrics()
 	fmt.Fprintf(os.Stderr,
 		"obdreld: served %v; cache hits=%d misses=%d coalesced=%d; builds=%d (%.2fs); throttled=%d timed_out=%d; traces=%d\n",
@@ -294,18 +292,16 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"obdreld: artifacts fetch_attempts=%d fetch_fills=%d fetch_errors=%d hedged=%d hedge_wins=%d peer_serves=%d warm_loaded=%d\n",
 			as.FetchAttempts, as.FetchFills, as.FetchErrors, as.FetchHedged, as.FetchHedgeWins, as.PeerServes, as.WarmLoaded)
-		if as.Replicas > 0 {
+		if as.Epoch > 0 {
 			fmt.Fprintf(os.Stderr,
-				"obdreld: membership epoch=%d members active=%d suspect=%d dead=%d replica_pushes=%d push_errors=%d dropped=%d receives=%d rebalance_sweeps=%d rebalance_fetched=%d heartbeat_errors=%d\n",
-				as.Epoch, as.MembersActive, as.MembersSuspect, as.MembersDead,
-				as.ReplicaPushes, as.ReplicaPushErrors, as.ReplicaDropped, as.ReplicaReceives,
-				as.RebalanceSweeps, as.RebalanceFetched, as.HeartbeatErrors)
+				"obdreld: membership epoch=%d members active=%d suspect=%d dead=%d heartbeat_errors=%d\n",
+				as.Epoch, as.MembersActive, as.MembersSuspect, as.MembersDead, as.HeartbeatErrors)
 		}
 	}
 	for _, st := range obdrel.Stages().Snapshot() {
 		fmt.Fprintf(os.Stderr,
-			"obdreld: stage %-10s hits=%d misses=%d builds=%d cancelled=%d build_s=%.3f entries=%d disk_hits=%d spills=%d peer_hits=%d\n",
-			st.Stage, st.Hits, st.Misses, st.Builds, st.Cancels, st.BuildSeconds, st.Entries,
+			"obdreld: stage %-10s hits=%d misses=%d builds=%d failed=%d cancelled=%d build_s=%.3f entries=%d disk_hits=%d spills=%d peer_hits=%d\n",
+			st.Stage, st.Hits, st.Misses, st.Builds, st.Failures, st.Cancels, st.BuildSeconds, st.Entries,
 			st.DiskHits, st.Spills, st.PeerHits)
 	}
 }

@@ -90,12 +90,3 @@ func (c *Cache[V]) Oldest(f func(key string, val V) bool) {
 
 // Len returns the number of cached entries.
 func (c *Cache[V]) Len() int { return c.order.Len() }
-
-// Keys returns the keys from most to least recently used.
-func (c *Cache[V]) Keys() []string {
-	out := make([]string, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry[V]).key)
-	}
-	return out
-}

@@ -149,8 +149,8 @@ func (st *stageState) get(key string) (any, bool) {
 }
 
 type stats struct {
-	hits, misses, builds, cancels atomic.Int64
-	buildNanos                    atomic.Int64
+	hits, misses, builds, cancels, failures atomic.Int64
+	buildNanos                              atomic.Int64
 	// Artifact-tier counters (tiers.go): disk loads served/rejected,
 	// sealed artifacts spilled (and spill failures), peer cache-fills
 	// served/failed.
@@ -370,6 +370,8 @@ func (c *Cache) getOnce(ctx context.Context, stage, key string, build func(conte
 			}
 		case canceled || fault.ClassOf(err) == fault.Cancelled:
 			st.stats.cancels.Add(1)
+		default:
+			st.stats.failures.Add(1)
 		}
 		c.mu.Unlock()
 		f.val, f.err, f.canceled, f.durNs, f.source = v, err, canceled, durNs, source
@@ -425,8 +427,9 @@ func (c *Cache) wait(ctx context.Context, f *flight, res Result) (any, Result, e
 type StageStat struct {
 	Stage string
 	// Hits and Misses count LRU lookups; Builds successful artifact
-	// constructions; Cancels builds abandoned by every waiter.
-	Hits, Misses, Builds, Cancels int64
+	// constructions; Cancels builds abandoned by every waiter; Failures
+	// flights that ended in any other error, which are never cached.
+	Hits, Misses, Builds, Cancels, Failures int64
 	// DiskHits and DiskRejects count disk-tier loads served and
 	// corrupt files rejected (and deleted for rebuild); Spills and
 	// SpillFails sealed artifacts written to the disk tier and write
@@ -463,6 +466,7 @@ func statOf(name string, st *stageState) StageStat {
 		Misses:       st.stats.misses.Load(),
 		Builds:       st.stats.builds.Load(),
 		Cancels:      st.stats.cancels.Load(),
+		Failures:     st.stats.failures.Load(),
 		DiskHits:     st.stats.diskHits.Load(),
 		DiskRejects:  st.stats.diskRejects.Load(),
 		Spills:       st.stats.spills.Load(),

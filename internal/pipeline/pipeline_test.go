@@ -156,8 +156,9 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestErrorsNotCached: a failed build is not memoized and its error
-// reaches every waiter of that flight; the next get retries.
+// TestErrorsNotCached: a failed build is not memoized, is counted as a
+// failure, and its error reaches every waiter of that flight; the next
+// get retries.
 func TestErrorsNotCached(t *testing.T) {
 	c := NewCache(4)
 	boom := errors.New("boom")
@@ -176,7 +177,7 @@ func TestErrorsNotCached(t *testing.T) {
 	if err != nil || v != 5 || calls != 2 {
 		t.Fatalf("v=%d calls=%d err=%v", v, calls, err)
 	}
-	if st := c.Stat("s"); st.Builds != 1 || st.Cancels != 0 {
+	if st := c.Stat("s"); st.Builds != 1 || st.Failures != 1 || st.Cancels != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -317,7 +318,7 @@ func TestLastWaiterCancels(t *testing.T) {
 	for c.Stat("s").Cancels == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if st := c.Stat("s"); st.Cancels != 1 || st.Entries != 0 || st.Builds != 0 {
+	if st := c.Stat("s"); st.Cancels != 1 || st.Failures != 0 || st.Entries != 0 || st.Builds != 0 {
 		t.Fatalf("stats after cancellation %+v", st)
 	}
 }

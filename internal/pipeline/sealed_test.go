@@ -75,8 +75,8 @@ func encodeOf(t *testing.T, c *Cache, key string) []byte {
 // TestSealedEncodesOnce: repeated serves of one resident artifact
 // encode it once and return the same bytes, which equal
 // artifact.Encode of the entry; the kept container is charged to the
-// stage's bytes, and Install, a re-put and an eviction each drop it
-// with its charge.
+// stage's bytes, and a re-put, an eviction and a rebuild of another
+// value each drop it with its charge.
 func TestSealedEncodesOnce(t *testing.T) {
 	c := NewCache(2)
 	key := tierKey('s')
@@ -99,21 +99,8 @@ func TestSealedEncodesOnce(t *testing.T) {
 	kept := countedSize + int64(len(first))
 	wantBytes(t, c, kept, "served")
 
-	// Install replaces the entry: its container and charge go with it.
-	other, err := artifact.Encode(countStage, key, counted(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Install(countStage, key, other); err != nil {
-		t.Fatal(err)
-	}
-	wantBytes(t, c, countedSize, "after Install")
-	if got := sealedOf(t, c, key); !bytes.Equal(got, other) || bytes.Equal(got, first) {
-		t.Fatal("Sealed after Install served the replaced value's container")
-	}
-	wantBytes(t, c, kept, "served after Install")
-
-	// A re-put (a flight's completion, WarmFromDisk) drops it too.
+	// A re-put (a flight's completion, WarmFromDisk) replaces the entry:
+	// its container and charge go with it.
 	c.mu.Lock()
 	c.state(countStage).put(key, counted(5))
 	c.mu.Unlock()
@@ -121,6 +108,7 @@ func TestSealedEncodesOnce(t *testing.T) {
 	if got := sealedOf(t, c, key); !bytes.Equal(got, first) {
 		t.Fatal("Sealed after a re-put does not encode the new entry")
 	}
+	wantBytes(t, c, kept, "served after re-put")
 
 	// Eviction by capacity drops the entry and its container.
 	getCounted(t, c, tierKey('t'), 1)
@@ -129,6 +117,17 @@ func TestSealedEncodesOnce(t *testing.T) {
 	if _, ok := c.Sealed(countStage, key); ok {
 		t.Fatal("Sealed served an evicted key with no disk tier")
 	}
+
+	// A rebuild of another value serves that value's container.
+	getCounted(t, c, key, 6)
+	other, err := artifact.Encode(countStage, key, counted(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sealedOf(t, c, key); !bytes.Equal(got, other) || bytes.Equal(got, first) {
+		t.Fatal("Sealed after a rebuild served the replaced value's container")
+	}
+	wantBytes(t, c, 2*countedSize+int64(len(other)), "served after rebuild")
 }
 
 // TestSealedAfterEvictionFallsToDisk: with a disk tier, an evicted
@@ -249,14 +248,16 @@ func TestSealedByteBudgetCountsContainers(t *testing.T) {
 	}
 }
 
-// TestSealedInstallRace runs Sealed against Install on one key. One
-// writer installs 1, 2, 3, … and after each Install the container
-// Sealed serves must hold that value; readers serving concurrently
-// must see values that never go backwards. A container kept for a
-// replaced value would break both. Run it under -race.
+// TestSealedInstallRace runs Sealed against the replacement of one
+// key's entry. One writer evicts the key and rebuilds it as 1, 2, 3, …
+// and after each rebuild the container Sealed serves must hold that
+// value; readers serving concurrently must see values that never go
+// backwards. A container kept for a replaced value would break both.
+// Run it under -race.
 func TestSealedInstallRace(t *testing.T) {
-	c := NewCache(4)
-	key := tierKey('r')
+	// Capacity 1: building the filler evicts the key.
+	c := NewCache(1)
+	key, filler := tierKey('r'), tierKey('q')
 	decode := func(sealed []byte) counted {
 		v, err := artifact.Decode(countStage, key, sealed)
 		if err != nil {
@@ -266,16 +267,7 @@ func TestSealedInstallRace(t *testing.T) {
 		return v.(counted)
 	}
 	const n = 300
-	pushes := make([][]byte, n+1)
-	for i := 1; i <= n; i++ {
-		var err error
-		if pushes[i], err = artifact.Encode(countStage, key, counted(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Install(countStage, key, pushes[1]); err != nil {
-		t.Fatal(err)
-	}
+	getCounted(t, c, key, 1)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -286,8 +278,7 @@ func TestSealedInstallRace(t *testing.T) {
 			for !stop.Load() {
 				sealed, ok := c.Sealed(countStage, key)
 				if !ok {
-					t.Error("Sealed missed a resident key")
-					return
+					continue // evicted: the filler is resident
 				}
 				v := decode(sealed)
 				if v < last {
@@ -299,17 +290,17 @@ func TestSealedInstallRace(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= n; i++ {
-		if err := c.Install(countStage, key, pushes[i]); err != nil {
-			t.Fatal(err)
-		}
+		getCounted(t, c, filler, 0)
+		getCounted(t, c, key, counted(i))
 		if got := decode(sealedOf(t, c, key)); got != counted(i) {
-			t.Fatalf("after Install(%d) Sealed served %d", i, got)
+			t.Fatalf("after rebuild %d Sealed served %d", i, got)
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
-	if got := sealedOf(t, c, key); !bytes.Equal(got, encodeOf(t, c, key)) {
+	final := sealedOf(t, c, key)
+	if !bytes.Equal(final, encodeOf(t, c, key)) {
 		t.Fatal("final kept container differs from artifact.Encode of its entry")
 	}
-	wantBytes(t, c, countedSize+int64(len(pushes[n])), "final")
+	wantBytes(t, c, countedSize+int64(len(final)), "final")
 }

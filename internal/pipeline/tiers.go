@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"obdrel/internal/artifact"
 	"obdrel/internal/obs"
@@ -32,11 +31,6 @@ type Tiers struct {
 	// to a local build — they are counted, never surfaced to the
 	// caller. Nil disables the peer tier.
 	Fetch func(ctx context.Context, stage, key string) (sealed []byte, ok bool, err error)
-	// Replicate, when non-nil, receives the sealed bytes of every
-	// successfully built serializable artifact, after the local spill.
-	// It must not block: the server side enqueues an async k-way
-	// replication push and drops (counted) when the queue is full.
-	Replicate func(stage, key string, sealed []byte)
 }
 
 // SetTiers installs the disk and peer tiers. Flights in progress keep
@@ -55,10 +49,12 @@ func (c *Cache) Tiers() Tiers {
 }
 
 // resolveFlight satisfies a flight from the cheapest tier that has
-// the artifact: disk, then peer, then the stage build. It returns the
-// artifact and its provenance.
+// the artifact: disk, then peer, then the stage build, whose artifact
+// it spills to the disk tier. It returns the artifact and its
+// provenance.
 func (c *Cache) resolveFlight(bctx context.Context, stage, key string, build func(context.Context) (any, error), st *stageState, t Tiers) (any, string, error) {
-	if _, serializable := artifact.Lookup(stage); serializable {
+	_, serializable := artifact.Lookup(stage)
+	if serializable {
 		if t.Dir != "" {
 			if v, ok := c.diskLoad(bctx, stage, key, t.Dir, st); ok {
 				return v, SourceDisk, nil
@@ -71,21 +67,11 @@ func (c *Cache) resolveFlight(bctx context.Context, stage, key string, build fun
 		}
 	}
 	v, err := buildProtected(bctx, stage, key, build)
-	if err == nil {
-		if _, serializable := artifact.Lookup(stage); serializable && (t.Dir != "" || t.Replicate != nil) {
-			// One Encode feeds both the disk spill and the replication
-			// push, so replicas carry byte-identical containers.
-			sealed, encErr := artifact.Encode(stage, key, v)
-			if encErr != nil {
-				st.stats.spillFails.Add(1)
-			} else {
-				if t.Dir != "" {
-					c.spillSealed(stage, key, sealed, t.Dir, st)
-				}
-				if t.Replicate != nil {
-					t.Replicate(stage, key, sealed)
-				}
-			}
+	if err == nil && serializable && t.Dir != "" {
+		if sealed, encErr := artifact.Encode(stage, key, v); encErr != nil {
+			st.stats.spillFails.Add(1)
+		} else {
+			c.spillSealed(stage, key, sealed, t.Dir, st)
 		}
 	}
 	return v, SourceBuilt, err
@@ -226,100 +212,6 @@ func (c *Cache) Sealed(stage, key string) ([]byte, bool) {
 		return nil, false
 	}
 	return data, true
-}
-
-// Install decodes a sealed container pushed by a peer (replication
-// write or rebalance stream) and installs it into the memory LRU and
-// the disk tier. The decode re-verifies the checksum, so a corrupt or
-// mismatched container is rejected with an error and touches nothing.
-// Install never triggers a build and never overwrites a live entry
-// with different bytes silently — last write wins, which is safe
-// because containers for one (stage, key) are deterministic.
-func (c *Cache) Install(stage, key string, sealed []byte) error {
-	if _, ok := artifact.Lookup(stage); !ok {
-		return errors.New("pipeline: stage has no artifact codec")
-	}
-	v, err := artifact.Decode(stage, key, sealed)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	st := c.state(stage)
-	st.put(key, v)
-	dir := c.tiers.Dir
-	c.mu.Unlock()
-	if dir != "" {
-		c.spillSealed(stage, key, sealed, dir, st)
-	}
-	return nil
-}
-
-// Held reports whether (stage, key) is already resident in memory or
-// present in the disk tier — the cheap "do I need to stream this?"
-// check the rebalance sweep uses. It does not validate the disk file;
-// a corrupt file will be rejected (and refetched) on first use.
-func (c *Cache) Held(stage, key string) bool {
-	if _, ok := c.Peek(stage, key); ok {
-		return true
-	}
-	dir := c.Tiers().Dir
-	if dir == "" {
-		return false
-	}
-	_, err := os.Stat(filepath.Join(dir, artifact.FileName(stage, key)))
-	return err == nil
-}
-
-// StageKey names one artifact held by a node.
-type StageKey struct {
-	Stage string `json:"stage"`
-	Key   string `json:"key"`
-}
-
-// Inventory lists every serializable artifact this node holds, from
-// the memory LRU and the disk tier, deduplicated and sorted. Peers
-// use it to compute which keys they gained after a ring change.
-func (c *Cache) Inventory() []StageKey {
-	seen := make(map[StageKey]struct{})
-	c.mu.Lock()
-	for stage, st := range c.stages {
-		if _, ok := artifact.Lookup(stage); !ok {
-			continue
-		}
-		for _, key := range st.lru.Keys() {
-			seen[StageKey{stage, key}] = struct{}{}
-		}
-	}
-	dir := c.tiers.Dir
-	c.mu.Unlock()
-	if dir != "" {
-		if ents, err := os.ReadDir(dir); err == nil {
-			for _, e := range ents {
-				if e.IsDir() {
-					continue
-				}
-				stage, key, ok := artifact.ParseFileName(e.Name())
-				if !ok {
-					continue
-				}
-				if _, ok := artifact.Lookup(stage); !ok {
-					continue
-				}
-				seen[StageKey{stage, key}] = struct{}{}
-			}
-		}
-	}
-	out := make([]StageKey, 0, len(seen))
-	for sk := range seen {
-		out = append(out, sk)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stage != out[j].Stage {
-			return out[i].Stage < out[j].Stage
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
 }
 
 // WarmStats reports one anti-entropy sweep.

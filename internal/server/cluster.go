@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"obdrel/internal/member"
-	"obdrel/internal/pipeline"
 )
 
 // cluster is obdreld's sharding layer, and every cluster node runs it
@@ -36,25 +35,22 @@ import (
 // mode short of "nobody has it and the local build fails" degrades to
 // a local build, never to a client-visible error.
 //
-// Ownership is k-way: the first `replicas` distinct nodes clockwise
-// from a key's point form its replica set, and owns() (which filters
-// the warm sweep and the rebalance stream) means "self is in the
-// replica set". With k > 1 every build pushes the sealed artifact to
-// the other members of that set, so a kill −9 of the primary leaves
-// warm replicas and zero cold rebuilds.
+// Nothing moves an artifact ahead of demand. Every artifact is a pure
+// function of its key, so after a kill a survivor fills each lost key
+// from a peer that holds it, or rebuilds it once, on its first
+// request. After a join, the joiner's first fetch candidate for every
+// key it gains is that key's previous owner, so it fills on demand
+// from the node that held the key.
 //
-// Its background work — the heartbeat loop, the rebalance loop, the
-// replication workers and a draining node's leave — starts in start
-// and stops in close.
+// Its background work — the heartbeat loop and a draining node's
+// leave — starts in start and stops in close.
 type cluster struct {
-	self     string
-	pinned   []string // normalized -peers list, self included; nil for -join
-	seeds    []string // -peers or -join URLs, normalized, self excluded
-	stages   *pipeline.Cache
-	dir      *member.Directory
-	client   *http.Client
-	timeout  time.Duration
-	replicas int // k-way placement factor; 1 = owner-only
+	self    string
+	pinned  []string // normalized -peers list, self included; nil for -join
+	seeds   []string // -peers or -join URLs, normalized, self excluded
+	dir     *member.Directory
+	client  *http.Client
+	timeout time.Duration
 
 	mu    sync.RWMutex
 	peers []string // normalized, sorted ring members: pinned, or alive ∪ self
@@ -66,12 +62,6 @@ type cluster struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	// rebalKick queues one rebalance sweep; replTasks holds builds
-	// waiting to be pushed to their replica set. Its 256 slots absorb a
-	// burst of builds; beyond them a push is dropped (counted) and the
-	// rebalance sweep re-converges it.
-	rebalKick chan struct{}
-	replTasks chan repTask
 
 	// fetchAttempts counts cluster fetches started; fetchFills those
 	// satisfied by some peer; fetchErrors per-peer request failures
@@ -85,26 +75,7 @@ type cluster struct {
 	// the winning fill.
 	fetchHedged    atomic.Int64
 	fetchHedgeWins atomic.Int64
-	// Replication counters: pushes attempted, push failures (transport
-	// or rejection), pushes dropped on a full queue, and pushes this
-	// node received and installed or rejected.
-	replicaPushes   atomic.Int64
-	replicaPushErrs atomic.Int64
-	replicaDropped  atomic.Int64
-	replReceives    atomic.Int64
-	replRejects     atomic.Int64
-	// Rebalance progress, surfaced by /readyz: a sweep never gates
-	// serving, it only reports.
-	rebalancing  atomic.Bool
-	rebalDone    atomic.Int64
-	rebalTotal   atomic.Int64
-	rebalFetched atomic.Int64
-	rebalSweeps  atomic.Int64
-	// keysLost counts artifacts held locally that the current ring no
-	// longer assigns to this node (kept — they still serve fetches —
-	// but reported so an operator can watch placement drift).
-	keysLost      atomic.Int64
-	heartbeatErrs atomic.Int64
+	heartbeatErrs  atomic.Int64
 }
 
 // maxFetchCandidates bounds how many peers one fetch consults (owner
@@ -141,33 +112,23 @@ func newCluster(o *Options) (*cluster, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cl := &cluster{
-		self:      self,
-		pinned:    pins,
-		seeds:     slices.DeleteFunc(slices.Concat(pins, join), func(p string) bool { return p == self }),
-		stages:    o.Stages,
-		dir:       member.New(self, o.Lease, nil),
-		client:    &http.Client{Timeout: o.PeerTimeout},
-		timeout:   o.PeerTimeout,
-		replicas:  o.Replicas,
-		ctx:       ctx,
-		cancel:    cancel,
-		rebalKick: make(chan struct{}, 1),
-		replTasks: make(chan repTask, 256),
+		self:    self,
+		pinned:  pins,
+		seeds:   slices.DeleteFunc(slices.Concat(pins, join), func(p string) bool { return p == self }),
+		dir:     member.New(self, o.Lease, nil),
+		client:  &http.Client{Timeout: o.PeerTimeout},
+		timeout: o.PeerTimeout,
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 	cl.dir.SetOnChange(cl.onChange)
 	cl.setMembers(nil, 1)
 	return cl, nil
 }
 
-// start launches the heartbeat and rebalance loops and, above k = 1,
-// two replication workers, so one slow push does not stall the queue.
+// start launches the heartbeat loop.
 func (cl *cluster) start() {
 	cl.background(cl.heartbeatLoop)
-	cl.background(cl.rebalanceLoop)
-	if cl.replicas > 1 {
-		cl.background(cl.pushLoop)
-		cl.background(cl.pushLoop)
-	}
 }
 
 // background runs f in a goroutine that close waits for.
@@ -219,9 +180,9 @@ func isBaseURL(p string) bool {
 
 // setMembers installs the directory's alive set at the given epoch.
 // The ring becomes the pinned list when there is one, whatever the
-// members' states, and alive ∪ self otherwise. It reports whether the
-// ring actually changed, so on a -peers node it never does.
-func (cl *cluster) setMembers(alive []string, epoch uint64) bool {
+// members' states, and alive ∪ self otherwise, so a -peers node's ring
+// never changes.
+func (cl *cluster) setMembers(alive []string, epoch uint64) {
 	norm := slices.Clone(cl.pinned)
 	if len(norm) == 0 {
 		norm = append([]string{cl.self}, alive...)
@@ -232,11 +193,10 @@ func (cl *cluster) setMembers(alive []string, epoch uint64) bool {
 	defer cl.mu.Unlock()
 	cl.epoch = epoch
 	if slices.Equal(norm, cl.peers) {
-		return false
+		return
 	}
 	cl.peers = norm
 	cl.ring = newHashRing(norm, 64)
-	return true
 }
 
 // ringView returns the current ring; peersView its members.
@@ -264,35 +224,24 @@ func normalizePeer(p string) string {
 	return strings.TrimRight(strings.TrimSpace(p), "/")
 }
 
-// owns reports whether this node is a canonical holder of a key — the
-// anti-entropy sweep and the rebalance stream warm exactly these: sole
-// ownership at k = 1, membership in the key's replica set above it.
+// owns reports whether this node is the key's owner on the current
+// ring — the filter of the startup warm sweep.
 func (cl *cluster) owns(stage, key string) bool {
-	return slices.Contains(cl.replicaSet(stage, key), cl.self)
-}
-
-// replicaSet lists the key's canonical holders on the current ring:
-// the first k distinct nodes clockwise, owner first. With fewer than
-// k members the whole membership is the set.
-func (cl *cluster) replicaSet(stage, key string) []string {
-	return cl.ringView().replicaSet(stage+"/"+key, cl.replicas)
+	return cl.ringView().owner(stage+"/"+key) == cl.self
 }
 
 // candidates lists the peers a fetch should try, in preference order:
 // the key's owner first, then its ring successors, self excluded,
-// capped at maxFetchCandidates (or the replica factor plus one slack
-// candidate, whichever is larger — a fetch must be able to walk past
-// one dead replica holder).
+// capped at maxFetchCandidates.
 func (cl *cluster) candidates(stage, key string) []string {
-	limit := max(maxFetchCandidates, cl.replicas+1)
 	seq := cl.ringView().successors(stage + "/" + key)
-	out := make([]string, 0, limit)
+	out := make([]string, 0, maxFetchCandidates)
 	for _, p := range seq {
 		if p == cl.self {
 			continue
 		}
 		out = append(out, p)
-		if len(out) == limit {
+		if len(out) == maxFetchCandidates {
 			break
 		}
 	}
@@ -434,19 +383,10 @@ func (r *hashRing) successors(key string) []string {
 	return out
 }
 
-// replicaSet returns the first k distinct nodes clockwise from the
-// key's point — the key's canonical holders under k-way placement.
-// With fewer than k distinct nodes the whole membership is returned,
-// so the set always contains min(k, n) distinct nodes.
-func (r *hashRing) replicaSet(key string, k int) []string {
-	if k < 1 {
-		k = 1
-	}
-	seq := r.successors(key)
-	if len(seq) > k {
-		seq = seq[:k]
-	}
-	return seq
+// owner returns the node the ring designates for key: the first of its
+// successors.
+func (r *hashRing) owner(key string) string {
+	return r.points[r.at(key)].node
 }
 
 // shares reports each node's exact share of the key space: the total

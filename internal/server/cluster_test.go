@@ -297,7 +297,11 @@ func TestWarmSweepReadyz(t *testing.T) {
 // ring must move. Exactness first — on a removal, only keys owned by
 // the removed node change owner; on an addition, a key either keeps
 // its owner or moves to the new node — then the churn bound: the
-// moved fraction stays within vnode variance of the ideal K/n.
+// moved fraction stays within vnode variance of the ideal K/n. On an
+// addition, the new node's first fetch candidate for every key it
+// gains (its first successor other than itself) is the key's previous
+// owner, so a joiner fills what it gains on demand from the node that
+// held it.
 func TestRingRebalanceMinimalChurn(t *testing.T) {
 	const K = 1000
 	keys := make([]string, K)
@@ -345,46 +349,15 @@ func TestRingRebalanceMinimalChurn(t *testing.T) {
 					t.Fatalf("n=%d: key %s moved %s->%s instead of to the new node",
 						n, k, before, after)
 				}
+				if next := grown.successors(k)[1]; next != before {
+					t.Fatalf("n=%d: key %s moved to the new node, whose next successor is %s, not its previous owner %s",
+						n, k, next, before)
+				}
 				moved++
 			}
 		}
 		if bound := 2 * K / (n + 1); moved > bound {
 			t.Errorf("n=%d: addition moved %d keys, bound %d", n, moved, bound)
-		}
-	}
-}
-
-// TestReplicaSetDistinct: replica sets always contain min(k, n)
-// distinct nodes, owner first, for every k including k > n.
-func TestReplicaSetDistinct(t *testing.T) {
-	for n := 1; n <= 4; n++ {
-		nodes := make([]string, n)
-		for i := range nodes {
-			nodes[i] = fmt.Sprintf("http://node-%c", 'a'+i)
-		}
-		r := newHashRing(nodes, 64)
-		for k := 1; k <= 5; k++ {
-			for i := 0; i < 100; i++ {
-				key := fmt.Sprintf("stage/%032x", i)
-				set := r.replicaSet(key, k)
-				want := k
-				if n < k {
-					want = n
-				}
-				if len(set) != want {
-					t.Fatalf("n=%d k=%d: replicaSet has %d nodes, want %d", n, k, len(set), want)
-				}
-				if set[0] != r.owner(key) {
-					t.Fatalf("n=%d k=%d: replicaSet[0] = %s, owner = %s", n, k, set[0], r.owner(key))
-				}
-				seen := map[string]bool{}
-				for _, node := range set {
-					if seen[node] {
-						t.Fatalf("n=%d k=%d: duplicate node %s in replica set", n, k, node)
-					}
-					seen[node] = true
-				}
-			}
 		}
 	}
 }
@@ -503,10 +476,4 @@ func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
 			t.Errorf("%s: A %v, B %v, restarted %v — want bit-identical", p, want[i], gotB[i], gotC[i])
 		}
 	}
-}
-
-// owner returns the node the ring designates for key: the first of its
-// successors.
-func (r *hashRing) owner(key string) string {
-	return r.points[r.at(key)].node
 }

@@ -48,13 +48,10 @@ type nodeStats struct {
 	Tiers           tierCounters          `json:"tiers"`
 	Routes          map[string]routeStats `json:"routes"`
 
-	// Membership view (omitted outside cluster mode): this
-	// node's epoch, replica factor, rebalance state, and its own
-	// member directory with per-member states.
-	Epoch       uint64        `json:"epoch,omitempty"`
-	Replicas    int           `json:"replicas,omitempty"`
-	Rebalancing bool          `json:"rebalancing,omitempty"`
-	Members     []member.Info `json:"members,omitempty"`
+	// Membership view (omitted outside cluster mode): this node's
+	// epoch and its own member directory with per-member states.
+	Epoch   uint64        `json:"epoch,omitempty"`
+	Members []member.Info `json:"members,omitempty"`
 }
 
 // localNodeStats snapshots this node.
@@ -88,8 +85,6 @@ func (s *Server) localNodeStats() nodeStats {
 	}
 	if cl := s.cluster; cl != nil {
 		ns.Epoch = cl.epochView()
-		ns.Replicas = cl.replicas
-		ns.Rebalancing = cl.rebalancing.Load()
 		ns.Members = cl.dir.Members()
 	}
 	return ns
@@ -148,14 +143,13 @@ type clusterStatusOut struct {
 	// cluster mode), evaluated on THIS node's current ring — the
 	// shares are per-epoch, stamped with RingEpoch.
 	Ring map[string]float64 `json:"ring,omitempty"`
-	// Membership fleet view: RingEpoch/Replicas are this
-	// node's; Membership its directory with per-member states;
-	// MixedEpochs is true when healthy nodes report different epochs —
-	// the fleet is mid-convergence, so cross-node aggregates should be
-	// read per-node rather than as one consistent ring. Mixed epochs
-	// degrade reporting, never error.
+	// Membership fleet view: RingEpoch is this node's; Membership its
+	// directory with per-member states; MixedEpochs is true when
+	// healthy nodes report different epochs — the fleet is
+	// mid-convergence, so cross-node aggregates should be read per-node
+	// rather than as one consistent ring. Mixed epochs degrade
+	// reporting, never error.
 	RingEpoch   uint64        `json:"ring_epoch,omitempty"`
-	Replicas    int           `json:"replicas,omitempty"`
 	Membership  []member.Info `json:"membership,omitempty"`
 	MixedEpochs bool          `json:"mixed_epochs,omitempty"`
 }
@@ -173,7 +167,6 @@ func (s *Server) clusterStatus(ctx context.Context) clusterStatusOut {
 		out.Self = cl.self
 		out.Ring = cl.ringView().shares()
 		out.RingEpoch = cl.epochView()
-		out.Replicas = cl.replicas
 		out.Membership = cl.dir.Members()
 		// The fan-out targets the CURRENT ring: a dead -join member
 		// has left it and is reported in Membership (with state

@@ -11,7 +11,7 @@ import (
 
 // TestMain runs the package's tests and then fails the package if
 // goroutines running the module's code outlive them: every test stops
-// what it starts (servers, cluster loops, replication workers). Such
+// what it starts (servers and cluster loops). Such
 // goroutines also allocate inside later tests' measurement windows,
 // which is what the allocation ceilings read.
 func TestMain(m *testing.M) {

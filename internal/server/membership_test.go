@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -40,7 +43,6 @@ func startDynNode(t *testing.T, seeds []string, lease time.Duration) *dynNode {
 		JoinPeers:      join,
 		Lease:          lease,
 		PeerTimeout:    500 * time.Millisecond,
-		Replicas:       2,
 		ArtifactDir:    t.TempDir(),
 		DisableTracing: true,
 	})
@@ -80,21 +82,16 @@ func TestDynamicJoinConvergence(t *testing.T) {
 	b := startDynNode(t, []string{a.ts.URL}, 600*time.Millisecond)
 	c := startDynNode(t, []string{a.ts.URL}, 600*time.Millisecond)
 
-	for _, n := range []*dynNode{a, b, c} {
-		n := n
-		waitFor(t, "3-node convergence", 5*time.Second, func() bool {
-			return len(n.s.cluster.peersView()) == 3
-		})
-	}
+	converge(t, a, b, c)
 
 	// The ring is identical everywhere once the alive sets agree.
-	key := key32('a')
-	owner := a.s.cluster.replicaSet(clStage, key)[0]
-	if got := b.s.cluster.replicaSet(clStage, key)[0]; got != owner {
+	key := clStage + "/" + key32('a')
+	owner := a.s.cluster.ringView().owner(key)
+	if got := b.s.cluster.ringView().owner(key); got != owner {
 		t.Fatalf("ring diverged: a says %s, b says %s", owner, got)
 	}
 
-	// Status surface: membership with states, epoch, replica factor.
+	// Status surface: membership with states and epoch.
 	resp, err := http.Get(a.ts.URL + "/v1/cluster/status")
 	if err != nil {
 		t.Fatal(err)
@@ -107,110 +104,82 @@ func TestDynamicJoinConvergence(t *testing.T) {
 	if len(out.Membership) != 3 {
 		t.Fatalf("membership has %d entries, want 3: %+v", len(out.Membership), out.Membership)
 	}
-	if out.RingEpoch == 0 || out.Replicas != 2 {
-		t.Fatalf("ring_epoch=%d replicas=%d, want nonzero epoch and 2 replicas", out.RingEpoch, out.Replicas)
+	if out.RingEpoch == 0 {
+		t.Fatalf("ring_epoch=%d, want nonzero", out.RingEpoch)
 	}
 	for _, m := range out.Membership {
 		if m.State.String() != "active" {
 			t.Fatalf("member %s state %v, want active", m.Node, m.State)
 		}
 	}
-}
 
-// TestReplicationPushOnBuild: with k=2 over two nodes every key's
-// replica set is both nodes, so a build on A must asynchronously
-// appear on B without B ever building.
-func TestReplicationPushOnBuild(t *testing.T) {
-	a := startDynNode(t, nil, 600*time.Millisecond)
-	b := startDynNode(t, []string{a.ts.URL}, 600*time.Millisecond)
-	for _, n := range []*dynNode{a, b} {
-		n := n
-		waitFor(t, "2-node convergence", 5*time.Second, func() bool {
-			return len(n.s.cluster.peersView()) == 2
-		})
-	}
-
-	key := key32('b')
-	built := 0
-	_, _, err := pipeline.Get(context.Background(), a.s.stages, clStage, key, func(context.Context) (int64, error) {
-		built++
-		return 42, nil
-	})
+	// The cluster-mode /metrics families are on: a cluster node's epoch
+	// is at least 1.
+	mresp, err := http.Get(a.ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built != 1 {
-		t.Fatalf("build ran %d times, want 1", built)
-	}
-
-	// The PUT handler counts the receive only after Install makes the
-	// replica visible, so wait for both before asserting on either.
-	waitFor(t, "replica to land on B", 5*time.Second, func() bool {
-		return b.s.stages.Held(clStage, key) && b.s.cluster.replReceives.Load() >= 1
-	})
-	if v, ok := b.s.stages.Peek(clStage, key); !ok || v.(int64) != 42 {
-		t.Fatalf("replica on B = %v (ok=%v), want 42 in memory", v, ok)
-	}
-	if got := a.s.cluster.replicaPushes.Load(); got < 1 {
-		t.Fatalf("replicaPushes = %d, want ≥ 1", got)
-	}
-	if got := b.s.cluster.replReceives.Load(); got < 1 {
-		t.Fatalf("replReceives on B = %d, want ≥ 1", got)
+	metrics, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	for _, want := range []string{"\nobdreld_cluster_epoch ", "\nobdreld_cluster_members{state=\"active\"} 3\n"} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }
 
-// TestReplicaServesAfterKill is the tentpole scenario in miniature:
-// three nodes, k=2, artifacts built on A and replicated; kill −9 A;
-// B answers every key with ZERO builds — memory, disk, or a peer
-// fetch from C, never a rebuild.
-func TestReplicaServesAfterKill(t *testing.T) {
-	a := startDynNode(t, nil, 500*time.Millisecond)
-	b := startDynNode(t, []string{a.ts.URL}, 500*time.Millisecond)
-	c := startDynNode(t, []string{a.ts.URL}, 500*time.Millisecond)
-	for _, n := range []*dynNode{a, b, c} {
-		n := n
-		waitFor(t, "3-node convergence", 5*time.Second, func() bool {
-			return len(n.s.cluster.peersView()) == 3
+// converge waits until every node's ring holds all of them.
+func converge(t *testing.T, nodes ...*dynNode) {
+	t.Helper()
+	for _, n := range nodes {
+		waitFor(t, fmt.Sprintf("%d-node convergence", len(nodes)), 5*time.Second, func() bool {
+			return len(n.s.cluster.peersView()) == len(nodes)
 		})
 	}
+}
 
-	// Build a spread of keys on A. Every replica set is 2 of 3 nodes,
-	// so each key must end up held by at least one of B, C.
-	keys := []string{}
-	for _, ch := range "0123456789abcdef" {
-		keys = append(keys, key32(byte(ch)))
-	}
+// buildOn resolves every key on n, valued by its index in keys.
+func buildOn(t *testing.T, n *dynNode, keys []string) {
+	t.Helper()
 	for i, key := range keys {
 		val := int64(i)
-		if _, _, err := pipeline.Get(context.Background(), a.s.stages, clStage, key, func(context.Context) (int64, error) {
+		if _, _, err := pipeline.Get(context.Background(), n.s.stages, clStage, key, func(context.Context) (int64, error) {
 			return val, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "replication to settle on B∪C", 10*time.Second, func() bool {
-		for _, key := range keys {
-			if !b.s.stages.Held(clStage, key) && !c.s.stages.Held(clStage, key) {
-				return false
-			}
-		}
-		return true
-	})
-	// Replication ran clean: no push errors, queue drops, or rejects.
-	for _, n := range []*dynNode{a, b, c} {
-		if e, d, r := n.s.cluster.replicaPushErrs.Load(), n.s.cluster.replicaDropped.Load(), n.s.cluster.replRejects.Load(); e+d+r != 0 {
-			t.Fatalf("node %s: replica push errors=%d dropped=%d rejects=%d, want 0", n.ts.URL, e, d, r)
-		}
+}
+
+func keysOf(chars string) []string {
+	var keys []string
+	for _, ch := range chars {
+		keys = append(keys, key32(byte(ch)))
 	}
+	return keys
+}
+
+// TestKillRebuildsLostKeysOnce: three nodes, artifacts built on A;
+// kill −9 A. Nothing moved the artifacts ahead of demand, so B
+// resolves every key without an error — by a fill from a peer that
+// holds it, or by one rebuild — and gets the value A built.
+func TestKillRebuildsLostKeysOnce(t *testing.T) {
+	a := startDynNode(t, nil, 500*time.Millisecond)
+	b := startDynNode(t, []string{a.ts.URL}, 500*time.Millisecond)
+	c := startDynNode(t, []string{a.ts.URL}, 500*time.Millisecond)
+	converge(t, a, b, c)
+	keys := keysOf("0123456789abcdef")
+	buildOn(t, a, keys)
 
 	a.kill()
 
-	// B resolves every key with zero builds: local tiers or a peer
-	// fetch from C (walking past the dead A, hedged).
+	// Every artifact is a pure function of its key: B's build returns
+	// what A's did.
+	builds := map[string]int{}
 	for i, key := range keys {
-		key := key
 		v, _, err := pipeline.Get(context.Background(), b.s.stages, clStage, key, func(context.Context) (int64, error) {
-			return -1, fmt.Errorf("rebuild of replicated key %s", key)
+			builds[key]++
+			return int64(i), nil
 		})
 		if err != nil {
 			t.Fatalf("key %s: %v", key, err)
@@ -218,6 +187,12 @@ func TestReplicaServesAfterKill(t *testing.T) {
 		if v != int64(i) {
 			t.Fatalf("key %s = %d, want %d", key, v, i)
 		}
+		if builds[key] > 1 {
+			t.Fatalf("key %s built %d times, want at most 1", key, builds[key])
+		}
+	}
+	if st := b.s.stages.Stat(clStage); st.Builds > int64(len(keys)) || st.Failures != 0 {
+		t.Fatalf("B: %d builds and %d failures for %d keys, want at most one build each and none failed", st.Builds, st.Failures, len(keys))
 	}
 
 	// The fleet notices the death: B's directory marks A suspect then
@@ -231,52 +206,31 @@ func TestReplicaServesAfterKill(t *testing.T) {
 	}
 }
 
-// TestRebalanceStreamsOnJoin: a node joining a fleet with existing
-// artifacts streams its newly-owned keys via the rebalance sweep —
+// TestJoinFillsFromPeers: D joins a fleet of A and B after A built a
+// spread of keys, and answers every one of them by a peer fill,
 // without building anything.
-func TestRebalanceStreamsOnJoin(t *testing.T) {
+func TestJoinFillsFromPeers(t *testing.T) {
 	a := startDynNode(t, nil, 500*time.Millisecond)
-	keys := []string{}
-	for _, ch := range "02468ace" {
-		keys = append(keys, key32(byte(ch)))
-	}
-	for i, key := range keys {
-		val := int64(100 + i)
-		if _, _, err := pipeline.Get(context.Background(), a.s.stages, clStage, key, func(context.Context) (int64, error) {
-			return val, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	b := startDynNode(t, []string{a.ts.URL}, 500*time.Millisecond)
-	waitFor(t, "join convergence", 5*time.Second, func() bool {
-		return len(b.s.cluster.peersView()) == 2 && len(a.s.cluster.peersView()) == 2
-	})
+	converge(t, a, b)
+	keys := keysOf("02468ace")
+	buildOn(t, a, keys)
 
-	// k=2 over two nodes: B is in every replica set, so the sweep must
-	// eventually stream every key.
-	waitFor(t, "rebalance stream to B", 10*time.Second, func() bool {
-		for _, key := range keys {
-			if !b.s.stages.Held(clStage, key) {
-				return false
-			}
-		}
-		return true
-	})
-	if got := b.s.cluster.rebalFetched.Load(); got < 1 {
-		t.Fatalf("rebalFetched = %d, want ≥ 1", got)
-	}
+	d := startDynNode(t, []string{b.ts.URL}, 500*time.Millisecond)
+	converge(t, a, b, d)
 	for i, key := range keys {
-		if v, ok := b.s.stages.Peek(clStage, key); !ok || v.(int64) != int64(100+i) {
-			t.Fatalf("streamed key %s = %v (ok=%v), want %d", key, v, ok, 100+i)
+		v, res, err := pipeline.Get(context.Background(), d.s.stages, clStage, key, func(context.Context) (int64, error) {
+			return -1, fmt.Errorf("joiner rebuilt key %s", key)
+		})
+		if err != nil {
+			t.Fatalf("key %s: %v", key, err)
+		}
+		if v != int64(i) || res.Source != pipeline.SourcePeer {
+			t.Fatalf("key %s = %d via %q, want %d via peer", key, v, res.Source, i)
 		}
 	}
-	// Builds on B stayed at zero: everything was streamed or pushed.
-	for _, st := range b.s.stages.Snapshot() {
-		if st.Stage == clStage && st.Builds != 0 {
-			t.Fatalf("joining node built %d artifacts, want 0", st.Builds)
-		}
+	if st := d.s.stages.Stat(clStage); st.Builds != 0 || st.PeerHits != int64(len(keys)) {
+		t.Fatalf("joiner: builds=%d peerHits=%d, want 0 and %d", st.Builds, st.PeerHits, len(keys))
 	}
 }
 
@@ -344,12 +298,7 @@ func TestHedgedFetch(t *testing.T) {
 func TestGracefulLeaveGossipsObituary(t *testing.T) {
 	a := startDynNode(t, nil, 5*time.Second) // long lease: expiry won't rescue us
 	b := startDynNode(t, []string{a.ts.URL}, 5*time.Second)
-	for _, n := range []*dynNode{a, b} {
-		n := n
-		waitFor(t, "2-node convergence", 5*time.Second, func() bool {
-			return len(n.s.cluster.peersView()) == 2
-		})
-	}
+	converge(t, a, b)
 
 	b.s.BeginDrain()
 	waitFor(t, "obituary on A", 3*time.Second, func() bool {
@@ -361,45 +310,33 @@ func TestGracefulLeaveGossipsObituary(t *testing.T) {
 	}
 }
 
-// TestArtifactPutHostility: the replica-receive surface validates as
-// hard as the GET side — garbage, wrong-key, and unregistered-stage
-// pushes all reject without installing anything.
+// TestArtifactPutHostility: /v1/artifact is read-only. A PUT of a
+// valid sealed container answers 405 with Allow: GET, and installs
+// nothing in memory or on disk.
 func TestArtifactPutHostility(t *testing.T) {
 	a := startDynNode(t, nil, time.Second)
-	good := key32('d')
-	sealed, err := artifact.Encode(clStage, good, int64(9))
+	key := key32('d')
+	sealed, err := artifact.Encode(clStage, key, int64(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	put := func(path string, body []byte) int {
-		req, err := http.NewRequest(http.MethodPut, a.ts.URL+path, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+	req, err := http.NewRequest(http.MethodPut, a.ts.URL+artifactPath(clStage, key), bytes.NewReader(sealed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := put("/v1/artifact/"+clStage+"/"+good, []byte("garbage")); code != http.StatusBadRequest {
-		t.Fatalf("garbage container: status %d, want 400", code)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := put("/v1/artifact/"+clStage+"/"+key32('e'), sealed); code != http.StatusBadRequest {
-		t.Fatalf("wrong-key container: status %d, want 400", code)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET" {
+		t.Fatalf("PUT: status %d, Allow %q; want 405 and GET", resp.StatusCode, resp.Header.Get("Allow"))
 	}
-	if code := put("/v1/artifact/nosuchstage/"+good, sealed); code != http.StatusBadRequest {
-		t.Fatalf("unregistered stage: status %d, want 400", code)
+	if _, ok := a.s.stages.Peek(clStage, key); ok {
+		t.Fatal("a PUT installed an artifact in memory")
 	}
-	if a.s.stages.Held(clStage, good) || a.s.stages.Held(clStage, key32('e')) {
-		t.Fatal("a rejected push installed an artifact")
-	}
-	if code := put("/v1/artifact/"+clStage+"/"+good, sealed); code != http.StatusNoContent {
-		t.Fatalf("valid push: status %d, want 204", code)
-	}
-	if !a.s.stages.Held(clStage, good) {
-		t.Fatal("valid push did not install")
+	if _, err := os.Stat(filepath.Join(a.s.opts.ArtifactDir, artifact.FileName(clStage, key))); !os.IsNotExist(err) {
+		t.Fatalf("a PUT left an artifact on disk: %v", err)
 	}
 }
 
@@ -445,8 +382,7 @@ func TestClusterJoinDropsMalformedMembers(t *testing.T) {
 
 // TestPinnedMemberStaysInRing is the -peers contract: a pinned member
 // whose lease expires is reported dead by the directory but stays in
-// the ring, no rebalance sweep fires, and a fresh key still builds
-// locally on the survivor.
+// the ring, and a fresh key still builds locally on the survivor.
 func TestPinnedMemberStaysInRing(t *testing.T) {
 	lA, lB := &lateHandler{}, &lateHandler{}
 	tsA, tsB := httptest.NewServer(lA), httptest.NewServer(lB)
@@ -500,9 +436,6 @@ func TestPinnedMemberStaysInRing(t *testing.T) {
 	if _, ok := out.Ring[tsB.URL]; !ok || len(out.Ring) != 2 {
 		t.Fatalf("ring = %v, want both pinned nodes", out.Ring)
 	}
-	if got := sA.cluster.rebalSweeps.Load(); got != 0 {
-		t.Fatalf("rebalance sweeps = %d, want 0 on a pinned ring", got)
-	}
 	v, res, err := pipeline.Get(context.Background(), sA.stages, clStage, key32('f'), func(context.Context) (int64, error) {
 		return 5, nil
 	})
@@ -514,9 +447,8 @@ func TestPinnedMemberStaysInRing(t *testing.T) {
 // FuzzClusterJoin feeds /v1/cluster/join the bodies an unauthenticated
 // client could send a -peers node. The handler must never panic, must
 // answer 400 to anything that is not one JSON document, and whatever
-// it merges, the ring must stay exactly the pinned list, the
-// directory must hold no other name, and no rebalance sweep may be
-// kicked. The node's loops are stopped first, so no name a body
+// it merges, the ring must stay exactly the pinned list and the
+// directory must hold no other name. The node's loops are stopped first, so no name a body
 // introduces is ever dialled.
 func FuzzClusterJoin(f *testing.F) {
 	self, other := "http://127.0.0.1:1", "http://127.0.0.1:2"
@@ -552,9 +484,6 @@ func FuzzClusterJoin(f *testing.F) {
 			if mi.Node != self && mi.Node != other {
 				t.Fatalf("directory admitted %q, which is not pinned", mi.Node)
 			}
-		}
-		if len(s.cluster.rebalKick) != 0 {
-			t.Fatal("a join body kicked a rebalance sweep on a pinned ring")
 		}
 	})
 }

@@ -39,9 +39,8 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"/v1/blocks", http.MethodDelete, "GET, POST"},
 		{"/v1/batch", http.MethodGet, "POST"},
 		{"/v1/batch", http.MethodDelete, "POST"},
-		{artifactPath, http.MethodPost, "GET, PUT"},
-		{artifactPath, http.MethodDelete, "GET, PUT"},
-		{"/v1/cluster/keys", http.MethodPost, "GET"},
+		{artifactPath, http.MethodPost, "GET"},
+		{artifactPath, http.MethodDelete, "GET"},
 		{"/v1/cluster/stats", http.MethodPost, "GET"},
 		{"/v1/cluster/status", http.MethodDelete, "GET"},
 		{"/v1/cluster/join", http.MethodGet, "POST"},

@@ -141,25 +141,13 @@ type ArtifactStats struct {
 	// request delivered the winning fill.
 	FetchHedged, FetchHedgeWins int64
 
-	// Replication counters (cluster mode): pushes attempted to replica
-	// peers, push failures, enqueue drops under pressure, containers
-	// received (installed) from peer pushes, receives rejected by
-	// checksum/schema validation.
-	ReplicaPushes, ReplicaPushErrors, ReplicaDropped int64
-	ReplicaReceives, ReplicaRejects                  int64
-
-	// Membership and rebalance state (cluster mode). Epoch is this
-	// node's membership view version; Replicas the k-way placement
-	// factor, zero outside cluster mode; Members* the directory's
-	// per-state counts including self. RebalanceFetched counts
-	// artifacts streamed in by sweeps; KeysLost artifacts held but no
-	// longer owned on the current ring.
-	Epoch                                       uint64
-	Replicas                                    int
-	MembersActive, MembersSuspect, MembersDead  int
-	Rebalancing                                 bool
-	RebalanceSweeps, RebalanceFetched, KeysLost int64
-	HeartbeatErrors                             int64
+	// Membership state (cluster mode). Epoch is this node's membership
+	// view version, zero outside cluster mode and at least 1 in it;
+	// Members* the directory's per-state counts including self;
+	// HeartbeatErrors failed gossip exchanges.
+	Epoch                                      uint64
+	MembersActive, MembersSuspect, MembersDead int
+	HeartbeatErrors                            int64
 }
 
 // RegisterRoute admits a route as a metrics label value. Call once per
@@ -347,6 +335,8 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Misses) })
 	labeled("obdreld_stage_builds_total", "Successful stage-artifact constructions, by stage.", "counter",
 		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Builds) })
+	labeled("obdreld_stage_build_failures_total", "Stage builds that ended in an error other than cancellation, by stage; a failed build is never cached.", "counter",
+		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Failures) })
 	labeled("obdreld_stage_cancelled_builds_total", "Stage builds cancelled because every waiter abandoned them, by stage.", "counter",
 		func(s pipeline.StageStat) string { return fmt.Sprintf("%d", s.Cancels) })
 	labeled("obdreld_stage_build_seconds_total", "Wall time of successful stage builds, by stage.", "counter",
@@ -384,25 +374,11 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	}
 	gauge("obdreld_artifact_warming", "1 while the startup anti-entropy sweep is still running.", warmGauge)
 
-	// Membership families: emitted only in cluster mode (Replicas ≥ 1
+	// Membership families: emitted only in cluster mode (Epoch ≥ 1
 	// there) so the exposition stays byte-stable for single nodes.
-	if a.Replicas > 0 {
-		counter("obdreld_artifact_replica_pushes_total", "Replication pushes attempted to replica-set peers.", a.ReplicaPushes)
-		counter("obdreld_artifact_replica_push_errors_total", "Replication pushes that failed (transport or peer rejection).", a.ReplicaPushErrors)
-		counter("obdreld_artifact_replica_dropped_total", "Replication enqueues dropped on a full queue.", a.ReplicaDropped)
-		counter("obdreld_artifact_replica_receives_total", "Sealed containers received and installed from peer pushes.", a.ReplicaReceives)
-		counter("obdreld_artifact_replica_rejects_total", "Peer pushes rejected by container validation.", a.ReplicaRejects)
-		counter("obdreld_artifact_rebalance_fetched_total", "Artifacts streamed in by rebalance sweeps.", a.RebalanceFetched)
-		counter("obdreld_cluster_rebalance_sweeps_total", "Rebalance sweeps run after membership epoch changes.", a.RebalanceSweeps)
+	if a.Epoch > 0 {
 		counter("obdreld_cluster_heartbeat_errors_total", "Failed gossip exchanges with peers.", a.HeartbeatErrors)
 		gauge("obdreld_cluster_epoch", "This node's membership view epoch.", float64(a.Epoch))
-		gauge("obdreld_cluster_replicas", "Configured k-way replica placement factor.", float64(a.Replicas))
-		rebalGauge := 0.0
-		if a.Rebalancing {
-			rebalGauge = 1
-		}
-		gauge("obdreld_cluster_rebalancing", "1 while a rebalance sweep is streaming newly-owned artifacts.", rebalGauge)
-		gauge("obdreld_cluster_keys_lost", "Artifacts held locally that the current ring no longer assigns here.", float64(a.KeysLost))
 		fmt.Fprintf(cw, "# HELP obdreld_cluster_members Membership directory size by state, self included.\n")
 		fmt.Fprintf(cw, "# TYPE obdreld_cluster_members gauge\n")
 		fmt.Fprintf(cw, "obdreld_cluster_members{state=\"active\"} %d\n", a.MembersActive)

@@ -20,9 +20,9 @@ import (
 )
 
 // The peer protocol. Every node-to-node request goes through call
-// (artifact fetch and replica push, gossip exchange, inventory and
-// stats reads), every "ask each peer and wait" through fanOut, and
-// every peer-facing route through ops.
+// (artifact fetch, gossip exchange and stats reads), every "ask each
+// peer and wait" through fanOut, and every peer-facing route through
+// ops.
 
 // peerRequest is one node-to-node request.
 type peerRequest struct {
@@ -88,10 +88,9 @@ var errBodyTooLarge = errors.New("body exceeds its limit")
 // have arrived.
 const bodyChunk = 1 << 20
 
-// readBody reads a peer body of declared length n (-1 when unknown)
-// and at most limit bytes, on both sides of the protocol: call's
-// answers and the replica receive. A declared length over the limit is
-// refused before any byte is read. A known length is read into a
+// readBody reads a peer's answer of declared length n (-1 when
+// unknown) and at most limit bytes. A declared length over the limit
+// is refused before any byte is read. A known length is read into a
 // buffer of exactly n bytes when n is at most bodyChunk; a longer one
 // is read into a buffer that doubles as bytes arrive, so a peer that
 // declares a large body and sends none pins bodyChunk, not n. Either
@@ -164,8 +163,8 @@ func (cl *cluster) fanOut(nodes []string, f func(i int, peer string)) {
 	wg.Wait()
 }
 
-// maxArtifactBody bounds a sealed artifact on the wire, fetched or
-// pushed: header + payload, which 32 MiB comfortably bounds for every
+// maxArtifactBody bounds a fetched sealed artifact on the wire:
+// header + payload, which 32 MiB comfortably bounds for every
 // stage at the server's resource caps.
 const maxArtifactBody = 32 << 20
 
@@ -238,20 +237,6 @@ func saneSpan(s *obs.SpanOut) bool {
 		}
 	}
 	return true
-}
-
-// pushReplica writes one sealed artifact to a peer's replica-receive
-// surface (PUT /v1/artifact/{stage}/{key}). The receiver re-verifies
-// the container checksum before installing, so a garbled push can
-// reject but never corrupt.
-func (cl *cluster) pushReplica(ctx context.Context, peer string, t repTask) error {
-	_, err := cl.call(ctx, peer, peerRequest{
-		method: http.MethodPut, path: artifactPath(t.stage, t.key),
-		header: http.Header{"Content-Type": {"application/octet-stream"}},
-		body:   t.sealed,
-		accept: []int{http.StatusNoContent, http.StatusOK},
-	})
-	return err
 }
 
 // exchange POSTs our snapshot to one peer's /v1/cluster/join and

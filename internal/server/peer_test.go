@@ -1,23 +1,16 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
-
-	"obdrel/internal/artifact"
-	"obdrel/internal/pipeline"
 )
 
 // TestPeerCallBodyLimit drives call's body read against an httptest
@@ -105,84 +98,28 @@ func TestReadBodyPastOneChunk(t *testing.T) {
 	}
 }
 
-// TestReplicaReceiveBodyLimit drives the replica receive (PUT
-// /v1/artifact) with raw requests: a declared length over the wire
-// limit is refused (413) before the body is sent, a body cut short of
-// its declared length is a 400 (and one that declares the limit and
-// sends nothing allocates far less than the limit), and neither
-// installs anything; a sealed container of known or unknown length
-// installs.
-func TestReplicaReceiveBodyLimit(t *testing.T) {
-	cache := pipeline.NewCache(4)
-	s := mustNew(Options{Stages: cache, DisableTracing: true})
-	ts := httptest.NewServer(s.Handler())
+// TestPeerCallDeclaredBodyAllocatesWhatArrives drives call against an
+// httptest peer that declares a body of the whole wire limit and sends
+// none of it: the fetch fails, and readBody's growing buffer costs what
+// arrived, not what was declared.
+func TestPeerCallDeclaredBodyAllocatesWhatArrives(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(maxArtifactBody))
+		w.WriteHeader(http.StatusOK)
+	}))
 	defer ts.Close()
-	addr := strings.TrimPrefix(ts.URL, "http://")
-	key := key32('f')
-	path := artifactPath(clStage, key)
-	sealed, err := artifact.Encode(clStage, key, int64(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// raw sends a request head declaring n body bytes, then send, then
-	// closes its write side, and returns the status answered.
-	raw := func(n int, send []byte) int {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		fmt.Fprintf(conn, "PUT %s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n", path, addr, n)
-		conn.Write(send)
-		conn.(*net.TCPConn).CloseWrite()
-		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-		if err != nil {
-			t.Fatalf("declared %d, sent %d: %v", n, len(send), err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if got := raw(maxArtifactBody+1, nil); got != http.StatusRequestEntityTooLarge {
-		t.Errorf("declared %d bytes over the limit: status %d, want 413", maxArtifactBody+1, got)
-	}
-	// A head declaring the whole limit with no body behind it costs the
-	// server what arrived, not what was declared.
+	cl := &cluster{client: &http.Client{}, timeout: 5 * time.Second}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got := raw(maxArtifactBody, nil)
+	rep, err := cl.call(context.Background(), ts.URL, peerRequest{
+		method: http.MethodGet, path: artifactPath(clStage, key32('f')),
+		accept: []int{http.StatusOK}, limit: maxArtifactBody,
+	})
 	runtime.ReadMemStats(&after)
-	if got != http.StatusBadRequest {
-		t.Errorf("declared %d bytes, sent none: status %d, want 400", maxArtifactBody, got)
+	if err == nil {
+		t.Fatalf("declared %d bytes, sent none: read %d bytes without error", maxArtifactBody, len(rep.body))
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= maxArtifactBody/4 {
-		t.Errorf("declared %d bytes, sent none: the server allocated %d bytes", maxArtifactBody, alloc)
-	}
-	if got := raw(len(sealed)+8, sealed); got != http.StatusBadRequest {
-		t.Errorf("body short of its Content-Length: status %d, want 400", got)
-	}
-	if cache.Held(clStage, key) {
-		t.Fatal("a refused push installed the artifact")
-	}
-
-	// io.MultiReader hides the length, so the client sends it chunked.
-	for _, body := range []io.Reader{bytes.NewReader(sealed), io.MultiReader(bytes.NewReader(sealed))} {
-		req, err := http.NewRequest(http.MethodPut, ts.URL+path, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Errorf("push with Content-Length %d: status %d, want 204", req.ContentLength, resp.StatusCode)
-		}
-	}
-	if v, ok := cache.Peek(clStage, key); !ok || v.(int64) != 11 {
-		t.Fatalf("valid push not installed: %v %v", v, ok)
+		t.Errorf("declared %d bytes, sent none: the fetch allocated %d bytes", maxArtifactBody, alloc)
 	}
 }

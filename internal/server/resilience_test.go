@@ -99,8 +99,8 @@ func TestFailingKeyCostsOneBuildPerRequest(t *testing.T) {
 		a := <-answers
 		check(a.resp, a.out)
 	}
-	if b, th := builds.Load(), stages.Stat("thermal").Misses; b != 1 || th != 1 {
-		t.Fatalf("%d concurrent requests ran %d analyzer builds and %d thermal builds, want 1 and 1", n, b, th)
+	if b, th := builds.Load(), stages.Stat("thermal").Failures; b != 1 || th != 1 {
+		t.Fatalf("%d concurrent requests ran %d analyzer builds and %d failed thermal builds, want 1 and 1", n, b, th)
 	}
 
 	for _, stage := range []string{"floorplan", "powermap", "thermalop"} {
@@ -131,8 +131,17 @@ func TestFailingKeyCostsOneBuildPerRequest(t *testing.T) {
 			t.Errorf("stage %s: %d misses after %d more requests, want %d", st.Stage, st.Misses, later, want)
 		}
 	}
-	if got := stages.Stat("thermal").Builds; got != 0 {
-		t.Errorf("the runaway thermal stage recorded %d successful builds", got)
+	if st := stages.Stat("thermal"); st.Builds != 0 || st.Failures != 1+later {
+		t.Errorf("the runaway thermal stage recorded %d successful and %d failed builds, want 0 and %d", st.Builds, st.Failures, 1+later)
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("obdreld_stage_build_failures_total{stage=%q} %d\n", "thermal", 1+later); !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 
 	// A bisection whose top probe is the failing key answers the same
@@ -412,6 +421,9 @@ func TestResilienceMetricsExposition(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
+	}
+	if strings.Contains(string(body), "obdreld_cluster_") {
+		t.Error("cluster-mode families on a node outside cluster mode")
 	}
 }
 

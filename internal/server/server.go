@@ -128,11 +128,6 @@ type Options struct {
 	// suspect, for all of it dead (default 10s). A dead -join member
 	// leaves the ring; a dead pinned member stays in it.
 	Lease time.Duration
-	// Replicas is the k-way placement factor: every artifact's replica
-	// set is the first k distinct ring successors, and owns() (the
-	// warm/rebalance filter) means replica-set membership. Above 1,
-	// builds push to the other members asynchronously (default 1).
-	Replicas int
 	// WarmLimit bounds the anti-entropy startup sweep that loads this
 	// node's owned artifacts from ArtifactDir into memory (default
 	// 1024; negative disables the sweep). /readyz answers 503
@@ -194,9 +189,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Lease <= 0 {
 		out.Lease = 10 * time.Second
-	}
-	if out.Replicas <= 0 {
-		out.Replicas = 1
 	}
 	if out.WarmLimit == 0 {
 		out.WarmLimit = 1024
@@ -300,9 +292,6 @@ func NewE(opts Options) (*Server, error) {
 		t := pipeline.Tiers{Dir: o.ArtifactDir}
 		if s.cluster != nil {
 			t.Fetch = s.cluster.fetch
-			if o.Replicas > 1 {
-				t.Replicate = s.cluster.replicate
-			}
 		}
 		s.stages.SetTiers(t)
 	}
@@ -313,11 +302,10 @@ func NewE(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the cluster's background work (heartbeats, replication
-// pushes, rebalance sweeps) WITHOUT a graceful leave — the in-process
-// equivalent of kill −9 plus goroutine hygiene — and returns once it
-// has stopped. A graceful exit calls BeginDrain first, which gossips
-// the obituary. Close is a no-op outside cluster mode and safe to call
+// Close stops the cluster's background work WITHOUT a graceful leave
+// — the in-process equivalent of kill −9 plus goroutine hygiene — and
+// returns once it has stopped. A graceful exit calls BeginDrain first,
+// which gossips the obituary. Close is a no-op outside cluster mode and safe to call
 // twice.
 func (s *Server) Close() {
 	if s.cluster != nil {
@@ -377,10 +365,9 @@ func (s *Server) Handler() http.Handler {
 	// A batch is one admission slot doing thousands of queries, so its
 	// stream gets its own deadline.
 	mux.Handle("/v1/batch", s.instrument("/v1/batch", s.opts.BatchTimeout, s.handleBatch, post))
-	mux.Handle("/v1/artifact/", s.ops("/v1/artifact", s.handleArtifact, get, http.MethodPut))
+	mux.Handle("/v1/artifact/", s.ops("/v1/artifact", s.handleArtifact, get))
 	mux.Handle("/v1/cluster/stats", s.ops("/v1/cluster/stats", s.handleClusterStats, get))
 	mux.Handle("/v1/cluster/status", s.ops("/v1/cluster/status", s.handleClusterStatus, get))
-	mux.Handle("/v1/cluster/keys", s.ops("/v1/cluster/keys", s.handleClusterKeys, get))
 	if s.cluster != nil {
 		mux.Handle("/v1/cluster/join", s.ops("/v1/cluster/join", s.handleClusterJoin, post))
 	}
@@ -388,7 +375,7 @@ func (s *Server) Handler() http.Handler {
 		"/healthz", "/readyz", "/metrics", "/v1/designs", "/v1/lifetime",
 		"/v1/failureprob", "/v1/maxvdd", "/v1/blocks", "/v1/batch",
 		"/v1/artifact", "/v1/cluster/stats", "/v1/cluster/status",
-		"/v1/cluster/keys", "/v1/cluster/join",
+		"/v1/cluster/join",
 	} {
 		s.metrics.RegisterRoute(route)
 	}
@@ -775,18 +762,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"warming": false,
 		"warmed":  s.warmDone.Load(),
 	}
-	// Cluster mode: report the view epoch and rebalance progress.
-	// Rebalancing never gates readiness — the node serves throughout,
-	// fetching per-query until the stream catches up.
+	// Cluster mode: report the view epoch and the alive members.
 	if cl := s.cluster; cl != nil {
 		out["epoch"] = cl.epochView()
 		out["members"] = len(cl.dir.Alive())
-		if cl.rebalancing.Load() {
-			out["status"] = "rebalancing"
-			out["rebalancing"] = true
-			out["rebalance_done"] = cl.rebalDone.Load()
-			out["rebalance_total"] = cl.rebalTotal.Load()
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -825,7 +804,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, ob *obse
 			// answer is chosen and before ops writes it.
 			defer func() {
 				root.SetAttr("status", status)
-				root.SetAttr("held", status == http.StatusOK || status == http.StatusNoContent)
+				root.SetAttr("held", status == http.StatusOK)
 				if out := root.EndTrace(); out != nil {
 					if enc, err := json.Marshal(out.Root); err == nil {
 						w.Header().Set(spanSubtreeHeader, string(enc))
@@ -841,28 +820,6 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, ob *obse
 	root.SetAttr("stage", stage)
 	if _, registered := artifact.Lookup(stage); !registered || !obdrel.ValidFingerprint(key) {
 		return http.StatusBadRequest, map[string]any{"error": "unknown stage or malformed key"}
-	}
-	if r.Method == http.MethodPut {
-		// Replica receive: a peer pushes the sealed container it just
-		// built (or streams one during rebalance). Install re-verifies
-		// the checksum, so a garbled push rejects without side effects.
-		pushed, err := readBody(r.Body, r.ContentLength, maxArtifactBody)
-		if errors.Is(err, errBodyTooLarge) {
-			return http.StatusRequestEntityTooLarge, map[string]any{"error": err.Error()}
-		}
-		if err != nil {
-			return http.StatusBadRequest, map[string]any{"error": "short body: " + err.Error()}
-		}
-		if err := s.stages.Install(stage, key, pushed); err != nil {
-			if s.cluster != nil {
-				s.cluster.replRejects.Add(1)
-			}
-			return http.StatusBadRequest, map[string]any{"error": "invalid container: " + err.Error()}
-		}
-		if s.cluster != nil {
-			s.cluster.replReceives.Add(1)
-		}
-		return http.StatusNoContent, nil
 	}
 	sealed, held := s.stages.Sealed(stage, key)
 	if !held {
@@ -891,17 +848,7 @@ func (s *Server) artifactStats() ArtifactStats {
 		st.FetchErrors = cl.fetchErrors.Load()
 		st.FetchHedged = cl.fetchHedged.Load()
 		st.FetchHedgeWins = cl.fetchHedgeWins.Load()
-		st.ReplicaPushes = cl.replicaPushes.Load()
-		st.ReplicaPushErrors = cl.replicaPushErrs.Load()
-		st.ReplicaDropped = cl.replicaDropped.Load()
 		st.Epoch = cl.epochView()
-		st.Replicas = cl.replicas
-		st.ReplicaReceives = cl.replReceives.Load()
-		st.ReplicaRejects = cl.replRejects.Load()
-		st.Rebalancing = cl.rebalancing.Load()
-		st.RebalanceSweeps = cl.rebalSweeps.Load()
-		st.RebalanceFetched = cl.rebalFetched.Load()
-		st.KeysLost = cl.keysLost.Load()
 		st.HeartbeatErrors = cl.heartbeatErrs.Load()
 		st.MembersActive, st.MembersSuspect, st.MembersDead = cl.dir.Counts()
 	}

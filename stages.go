@@ -33,9 +33,9 @@ import (
 // operator — the die's field per watt in each block, which every
 // voltage, activity and leakage model shares — is resolved only from
 // inside a thermal build, so a node that loads or peer-fills its
-// thermal artifacts never builds one. Both are cached, spilled,
-// peer-filled and replicated like the rest, since the tiers find
-// codecs through artifact.Lookup.
+// thermal artifacts never builds one. Both are cached, spilled and
+// peer-filled like the rest, since the tiers find codecs through
+// artifact.Lookup.
 const (
 	StageFloorplan  = "floorplan"
 	StagePowerMap   = "powermap"
