@@ -78,11 +78,13 @@ type BlockInfo struct {
 
 // Analyzer is a fully characterized chip ready for reliability
 // queries. It is a thin facade over the stage graph (see stages.go):
-// construction resolves the floorplan, power-map, thermal,
-// covariance/PCA, BLOD, Weibull-parameter and chip stages — each
-// served from the process-wide stage cache when a prior construction
-// already built the identical artifact; engines are then built lazily
-// per method and cached per analyzer.
+// construction resolves the floorplan and power-map stages, then the
+// thermal, covariance, PCA, Weibull-parameter and chip stages side by
+// side — each served from the stage cache, or a disk or peer tier,
+// when it already holds the identical artifact. A stage that must be
+// built pulls its own inputs, so BLOD resolves only when the chip
+// builds. Engines are then built lazily per method and cached per
+// analyzer.
 type Analyzer struct {
 	cfg    *Config
 	design *floorplan.Design

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -104,6 +105,80 @@ func TestStageCodecsRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSealedBitErrorsRejected: artifact.Open rejects a sealed
+// container of each stage after every single-bit flip anywhere in it,
+// and after a burst at every bit offset: a seeded random length from 2
+// to 32 bits, flipping its first and last bit and a random choice of
+// the bits between. Header flips fail the header checks; payload flips
+// fail the CRC-32C, which detects every burst of up to 32 bits. The
+// config shrinks the grids so the containers stay a few KiB and the
+// sweep is quick.
+func TestSealedBitErrorsRejected(t *testing.T) {
+	d := C1()
+	cfg := quickConfig()
+	cfg.GridNx, cfg.GridNy = 6, 6
+	cfg.Thermal = thermal.DefaultSolver()
+	cfg.Thermal.Nx, cfg.Thermal.Ny = 8, 8
+	cfg.HybridNL, cfg.HybridNB = 8, 8
+	cache := pipeline.NewCache(8)
+	an, err := NewAnalyzerCtxIn(context.Background(), cache, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := an.Prepare(MethodHybrid); err != nil {
+		t.Fatal(err)
+	}
+	keys := stageKeys(d.Fingerprint(), d.W, d.H, cfg)
+	keys[StageHybrid] = hybridTableKey(keys[StageChip], cfg)
+	keys[StageThermalOp] = thermalOpKey(keys[StageFloorplan], cfg)
+	rnd := rand.New(rand.NewPCG(32, 0x1EDC6F41))
+	for _, stage := range append(StageNames(), StageHybrid, StageThermalOp) {
+		key := keys[stage]
+		v, ok := cache.Peek(stage, key)
+		if !ok {
+			t.Fatalf("stage %s: no cached artifact under %s", stage, key)
+		}
+		sealed, err := artifact.Encode(stage, key, v)
+		if err != nil {
+			t.Fatalf("stage %s: encode: %v", stage, err)
+		}
+		// flipped applies burst, opens the container, and undoes it.
+		flipped := func(burst []int) error {
+			for _, b := range burst {
+				sealed[b/8] ^= 1 << (b % 8)
+			}
+			_, err := artifact.Open(sealed, stage, key)
+			for _, b := range burst {
+				sealed[b/8] ^= 1 << (b % 8)
+			}
+			return err
+		}
+		bits := 8 * len(sealed)
+		for at := 0; at < bits; at++ {
+			if flipped([]int{at}) == nil {
+				t.Fatalf("stage %s: Open accepted a flip of bit %d", stage, at)
+			}
+			n := 2 + rnd.IntN(31)
+			if at+n > bits {
+				continue
+			}
+			burst := []int{at}
+			for b := at + 1; b < at+n-1; b++ {
+				if rnd.IntN(2) == 1 {
+					burst = append(burst, b)
+				}
+			}
+			burst = append(burst, at+n-1)
+			if flipped(burst) == nil {
+				t.Fatalf("stage %s: Open accepted a %d-bit burst flipping bits %v", stage, n, burst)
+			}
+		}
+		if _, err := artifact.Open(sealed, stage, key); err != nil {
+			t.Fatalf("stage %s: the restored container is rejected: %v", stage, err)
+		}
+	}
+}
+
 // TestAnalyzerFromDecodedArtifactsBitIdentical is the end-to-end
 // bit-identity gate behind peer cache-fill: an analyzer assembled
 // entirely from decoded artifacts (the follower's view) must answer
@@ -138,14 +213,23 @@ func TestAnalyzerFromDecodedArtifactsBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Follower: every stage resolves from the disk tier; the build
-	// closures must never run.
+	// Follower: every stage it resolves comes from the disk tier; the
+	// build closures must never run. BLOD is an input of the chip
+	// build alone, so a follower that loads the chip never looks BLOD
+	// up.
 	a2, err := NewAnalyzerCtxIn(ctx, cacheB, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, stage := range StageNames() {
-		if st := cacheB.Stat(stage); st.Builds != 0 || st.DiskHits != 1 {
+		st := cacheB.Stat(stage)
+		if stage == StageBLOD {
+			if st.Builds != 0 || st.Hits+st.Misses != 0 {
+				t.Errorf("follower resolved blod: builds=%d lookups=%d, want none", st.Builds, st.Hits+st.Misses)
+			}
+			continue
+		}
+		if st.Builds != 0 || st.DiskHits != 1 {
 			t.Errorf("stage %s: builds=%d diskHits=%d, want 0/1", stage, st.Builds, st.DiskHits)
 		}
 	}

@@ -3,33 +3,40 @@
 // stage artifacts, plus the per-stage codec registry that turns live
 // Go structs into payload bytes and back bit-identically.
 //
-// The container is a fixed little-endian header, an FNV-64a payload
+// The container is a fixed little-endian header, a CRC-32C payload
 // checksum, and validation before any payload byte is interpreted, so
 // the disk spill tier and the peer cache-fill protocol share one
 // self-describing format:
 //
 //	offset size  field
 //	0      4     magic "OBDA"
-//	4      4     format version (u32, currently 1)
+//	4      4     format version (u32, currently 2)
 //	8      8     payload length (u64)
-//	16     8     FNV-64a checksum of the payload (u64)
+//	16     8     CRC-32C (Castagnoli) of the payload in the low 32
+//	             bits; the high 32 bits must be zero
 //	24     16    stage kind, NUL-padded ASCII
 //	40     32    canonical fingerprint key (fp16 hex)
 //	72     8     reserved, must be zero
 //	80     —     payload (stage-specific, see the codec registry)
 //
+// CRC-32C detects every error burst of up to 32 bits, any single-bit
+// flip included, and runs in hardware on amd64 and arm64. Version 1
+// containers carried an FNV-64a checksum in the same field and are
+// otherwise identical.
+//
 // Every rejection path has a typed sentinel error so callers can
 // distinguish "truncated" from "corrupt" from "wrong artifact" — a
-// corrupt disk file is deleted and rebuilt, while a version from the
-// future means a newer node wrote the directory and the file must be
-// left alone.
+// corrupt disk file is deleted and rebuilt, and so is one an older
+// format version wrote (ErrOldVersion), while a version from the
+// future (ErrVersion) means a newer node wrote the directory and the
+// file must be left alone.
 package artifact
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,7 +46,7 @@ const (
 	// Magic identifies a sealed artifact file ("OBD Artifact").
 	Magic = "OBDA"
 	// Version is the current container format version.
-	Version = 1
+	Version = 2
 
 	headerSize = 80
 	stageSize  = 16
@@ -67,7 +74,11 @@ var (
 	// ErrVersion: the container was written by a future format
 	// version this build cannot interpret.
 	ErrVersion = errors.New("artifact: unsupported version")
-	// ErrChecksum: the payload does not match its recorded FNV-64a
+	// ErrOldVersion: the container was written by an older format
+	// version, whose checksum this build does not verify; it is
+	// rebuilt like a corrupt one.
+	ErrOldVersion = errors.New("artifact: old version")
+	// ErrChecksum: the payload does not match its recorded CRC-32C
 	// checksum.
 	ErrChecksum = errors.New("artifact: checksum mismatch")
 	// ErrStage: the container holds a different stage kind than the
@@ -83,14 +94,14 @@ var (
 	// ErrBadName: Seal was handed a stage or key that does not fit
 	// the fixed header fields.
 	ErrBadName = errors.New("artifact: invalid stage or key")
-	// ErrHeader: the header holds a stage field or reserved bytes
-	// Seal never writes (an empty stage, a NUL inside it, non-zero
-	// reserved bytes), so the container is not the one sealed form of
-	// its artifact.
+	// ErrHeader: the header holds a stage field, checksum bits or
+	// reserved bytes Seal never writes (an empty stage, a NUL inside
+	// it, non-zero high checksum bits or reserved bytes), so the
+	// container is not the one sealed form of its artifact.
 	ErrHeader = errors.New("artifact: malformed header")
 )
 
-// Seal wraps payload in an OBDA v1 container addressed by
+// Seal wraps payload in an OBDA v2 container addressed by
 // (stage, key). The stage must be 1–16 ASCII bytes, the key exactly
 // KeySize bytes (the canonical fp16 hex fingerprint), and the payload
 // non-empty.
@@ -108,7 +119,7 @@ func Seal(stage, key string, payload []byte) ([]byte, error) {
 	copy(out[offMagic:], Magic)
 	binary.LittleEndian.PutUint32(out[offVersion:], Version)
 	binary.LittleEndian.PutUint64(out[offLen:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(out[offChecksum:], checksum(payload))
+	binary.LittleEndian.PutUint64(out[offChecksum:], uint64(checksum(payload)))
 	copy(out[offStage:], stage)
 	copy(out[offKey:], key)
 	copy(out[headerSize:], payload)
@@ -144,13 +155,17 @@ func open(data []byte) (stage, key string, payload []byte, err error) {
 	if string(data[offMagic:offMagic+4]) != Magic {
 		return "", "", nil, fmt.Errorf("%w: %q", ErrMagic, data[offMagic:offMagic+4])
 	}
-	if v := binary.LittleEndian.Uint32(data[offVersion:]); v != Version {
+	switch v := binary.LittleEndian.Uint32(data[offVersion:]); {
+	case v > Version:
 		return "", "", nil, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, v, Version)
+	case v < Version:
+		return "", "", nil, fmt.Errorf("%w: version %d, this build reads %d", ErrOldVersion, v, Version)
 	}
 	stage = strings.TrimRight(string(data[offStage:offStage+stageSize]), "\x00")
 	key = string(data[offKey : offKey+KeySize])
-	if stage == "" || strings.IndexByte(stage, 0) >= 0 || binary.LittleEndian.Uint64(data[offReserved:]) != 0 {
-		return "", "", nil, fmt.Errorf("%w: stage field %q, reserved %x", ErrHeader, data[offStage:offStage+stageSize], data[offReserved:headerSize])
+	sum := binary.LittleEndian.Uint64(data[offChecksum:])
+	if stage == "" || strings.IndexByte(stage, 0) >= 0 || sum>>32 != 0 || binary.LittleEndian.Uint64(data[offReserved:]) != 0 {
+		return "", "", nil, fmt.Errorf("%w: stage field %q, checksum %016x, reserved %x", ErrHeader, data[offStage:offStage+stageSize], sum, data[offReserved:headerSize])
 	}
 	n := binary.LittleEndian.Uint64(data[offLen:])
 	if n == 0 {
@@ -160,20 +175,23 @@ func open(data []byte) (stage, key string, payload []byte, err error) {
 		return "", "", nil, fmt.Errorf("%w: header declares %d payload bytes, have %d", ErrTruncated, n, len(data)-headerSize)
 	}
 	payload = data[headerSize:]
-	if got, want := checksum(payload), binary.LittleEndian.Uint64(data[offChecksum:]); got != want {
-		return "", "", nil, fmt.Errorf("%w: computed %016x, recorded %016x", ErrChecksum, got, want)
+	if got := checksum(payload); uint64(got) != sum {
+		return "", "", nil, fmt.Errorf("%w: computed %08x, recorded %08x", ErrChecksum, got, sum)
 	}
 	return stage, key, payload, nil
 }
 
-// checksum is FNV-64a over the payload: fast, dependency-free, and
-// strong enough to catch torn writes and bit rot (crypto integrity is
-// not the threat model — peers are trusted; the fingerprint key is the
+// castagnoli is the CRC-32C table; crc32 uses the CPU's CRC32
+// instructions for it where they exist.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is CRC-32C over the payload: hardware-fast, in the standard
+// library, and guaranteed to catch every burst of up to 32 flipped
+// bits, which covers torn writes and bit rot (crypto integrity is not
+// the threat model — peers are trusted; the fingerprint key is the
 // content address).
-func checksum(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
+func checksum(p []byte) uint32 {
+	return crc32.Checksum(p, castagnoli)
 }
 
 // FileName returns the canonical disk-tier file name for an artifact.

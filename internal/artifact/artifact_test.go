@@ -47,8 +47,8 @@ type openCase struct {
 }
 
 // openHostilityCases covers every rejection class: truncated payload,
-// flipped checksum byte, wrong stage kind, future version, zero-length
-// payload, and header fields Seal never writes. base is the valid
+// flipped checksum byte, wrong stage kind, future and older versions,
+// zero-length payload, and header fields Seal never writes. base is the valid
 // container they are cut from.
 func openHostilityCases(t testing.TB) (base []byte, cases []openCase) {
 	base, err := Seal("pca", testKey, []byte("0123456789abcdef0123456789"))
@@ -67,6 +67,12 @@ func openHostilityCases(t testing.TB) (base []byte, cases []openCase) {
 			binary.LittleEndian.PutUint32(d[offVersion:], Version+7)
 			return d
 		}(), "pca", testKey, ErrVersion},
+		{"older version", func() []byte {
+			d := cp()
+			binary.LittleEndian.PutUint32(d[offVersion:], Version-1)
+			return d
+		}(), "pca", testKey, ErrOldVersion},
+		{"nonzero checksum high bits", func() []byte { d := cp(); d[offChecksum+6] = 1; return d }(), "pca", testKey, ErrHeader},
 		{"flipped checksum byte", func() []byte {
 			d := cp()
 			d[offChecksum+3] ^= 0x40
@@ -121,7 +127,7 @@ func FuzzOpen(f *testing.F) {
 	for _, tc := range cases {
 		f.Add(tc.data, tc.stage, tc.key)
 	}
-	sentinels := []error{ErrTruncated, ErrMagic, ErrVersion, ErrHeader, ErrChecksum, ErrStage, ErrKey, ErrEmpty}
+	sentinels := []error{ErrTruncated, ErrMagic, ErrVersion, ErrOldVersion, ErrHeader, ErrChecksum, ErrStage, ErrKey, ErrEmpty}
 	f.Fuzz(func(t *testing.T, data []byte, stage, key string) {
 		payload, err := Open(data, stage, key)
 		if err != nil {

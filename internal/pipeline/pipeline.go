@@ -27,7 +27,11 @@
 // Failure handling: a build failure is wrapped with stage +
 // fingerprint provenance (fault.StageError), classified by
 // internal/fault's taxonomy, delivered to every waiter of its flight
-// and never cached. A build is a pure function of its key, so a
+// and never cached. A build that resolves its inputs through the
+// cache and fails on one returns that input's StageError: it passes
+// through the consumer's flight unwrapped, so the error names the
+// stage whose own build failed, and only that stage counts a failure.
+// A build is a pure function of its key, so a
 // failing key fails the same way on every attempt: the next Get runs
 // one fresh build, which costs no more than the failing stage itself
 // because the stages under it stay cached. Builds that panic are
@@ -353,7 +357,14 @@ func (c *Cache) getOnce(ctx context.Context, stage, key string, build func(conte
 		durNs := time.Since(start).Nanoseconds()
 		canceled := bctx.Err() != nil &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-		if err != nil && !canceled && fault.ClassOf(err) != fault.Cancelled {
+		// A build that failed on an input it pulled returns that
+		// input's StageError: it passes through unwrapped, and only
+		// the input's own flight counts the failure.
+		var pulled *fault.StageError
+		failed := err != nil && !canceled && fault.ClassOf(err) != fault.Cancelled
+		if failed && errors.As(err, &pulled) {
+			failed = false
+		} else if failed {
 			err = &fault.StageError{Stage: stage, Fingerprint: key, Err: err}
 		}
 		c.mu.Lock()
@@ -368,10 +379,10 @@ func (c *Cache) getOnce(ctx context.Context, stage, key string, build func(conte
 				st.stats.builds.Add(1)
 				st.stats.buildNanos.Add(durNs)
 			}
+		case failed:
+			st.stats.failures.Add(1)
 		case canceled || fault.ClassOf(err) == fault.Cancelled:
 			st.stats.cancels.Add(1)
-		default:
-			st.stats.failures.Add(1)
 		}
 		c.mu.Unlock()
 		f.val, f.err, f.canceled, f.durNs, f.source = v, err, canceled, durNs, source

@@ -182,6 +182,26 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestPulledFailurePassesThrough: a build that fails on an input it
+// resolved through the cache returns the input's StageError, which its
+// own flight passes through unwrapped and does not count as its
+// failure; the input's flight counts it.
+func TestPulledFailurePassesThrough(t *testing.T) {
+	c := NewCache(4)
+	boom := errors.New("boom")
+	_, _, err := Get(context.Background(), c, "outer", "ko", func(bctx context.Context) (int, error) {
+		v, _, err := Get(bctx, c, "inner", "ki", func(context.Context) (int, error) { return 0, boom })
+		return v, err
+	})
+	var se *fault.StageError
+	if !errors.Is(err, boom) || !errors.As(err, &se) || se.Stage != "inner" || se.Fingerprint != "ki" {
+		t.Fatalf("err = %v, want inner's StageError unwrapped", err)
+	}
+	if in, out := c.Stat("inner"), c.Stat("outer"); in.Failures != 1 || out.Failures != 0 || out.Cancels != 0 {
+		t.Fatalf("failures: inner %d, outer %d (cancels %d); want 1, 0, 0", in.Failures, out.Failures, out.Cancels)
+	}
+}
+
 // TestPermanentFailureNotRetried: a failing build runs once per Get —
 // nothing re-runs it — and its error reaches the caller wrapped with
 // stage + fingerprint provenance, still matching its cause.

@@ -21,9 +21,10 @@ import (
 type Tiers struct {
 	// Dir is the disk spill directory; "" disables the disk tier.
 	// Artifacts are written with the temp+rename discipline and
-	// checksum-verified on load — a corrupt file is rejected, deleted
-	// and rebuilt (files from a future format version are rejected
-	// but left in place for the newer node that wrote them).
+	// checksum-verified on load — a corrupt file, or one an older
+	// format version wrote, is rejected, deleted and rebuilt (files
+	// from a future format version are rejected but left in place for
+	// the newer node that wrote them).
 	Dir string
 	// Fetch asks the cluster for a sealed artifact: (sealed, true, nil)
 	// on success, (nil, false, nil) when no peer has it, and an error

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -128,6 +130,49 @@ func TestDiskTierFutureVersionKept(t *testing.T) {
 	// by the load path; the local rebuild then atomically replaces it.
 	if st := c.Stat(tierStage); st.DiskRejects != 1 {
 		t.Fatalf("disk rejects = %d", st.DiskRejects)
+	}
+}
+
+// TestDiskTierOldVersionRebuilt: a container an older format version
+// wrote is corrupt to this build. Serving a peer rejects and removes
+// it, and a Get rebuilds the artifact and spills it in the current
+// version.
+func TestDiskTierOldVersionRebuilt(t *testing.T) {
+	dir := t.TempDir()
+	key := tierKey('o')
+	sealed, err := artifact.Encode(tierStage, key, int64(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(sealed[4:], artifact.Version-1)
+	path := filepath.Join(dir, artifact.FileName(tierStage, key))
+	c := NewCache(4)
+	c.SetTiers(Tiers{Dir: dir})
+	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Sealed(tierStage, key); ok {
+		t.Fatal("Sealed served an old-version container")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("old-version file kept: %v", err)
+	}
+	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	if v, res := getTier(t, c, key, &builds, 7); v != 7 || builds != 1 || res.Source != SourceBuilt {
+		t.Fatalf("get = %d builds=%d source=%q, want a rebuild of 7", v, builds, res.Source)
+	}
+	if st := c.Stat(tierStage); st.DiskRejects != 2 || st.Spills != 1 {
+		t.Fatalf("disk rejects = %d, spills = %d; want 2 and 1", st.DiskRejects, st.Spills)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("rebuilt spill missing: %v", err)
+	}
+	if v, err := artifact.Decode(tierStage, key, data); err != nil || v != int64(7) {
+		t.Fatalf("rebuilt spill = %v, %v", v, err)
 	}
 }
 

@@ -45,12 +45,15 @@ import (
 // Its background work — the heartbeat loop and a draining node's
 // leave — starts in start and stops in close.
 type cluster struct {
-	self    string
-	pinned  []string // normalized -peers list, self included; nil for -join
-	seeds   []string // -peers or -join URLs, normalized, self excluded
-	dir     *member.Directory
-	client  *http.Client
-	timeout time.Duration
+	self   string
+	pinned []string // normalized -peers list, self included; nil for -join
+	seeds  []string // -peers or -join URLs, normalized, self excluded
+	dir    *member.Directory
+	client *http.Client
+	// transport is client's pooled connections to the peers; close
+	// drops its idle ones.
+	transport *http.Transport
+	timeout   time.Duration
 
 	mu    sync.RWMutex
 	peers []string // normalized, sorted ring members: pinned, or alive ∪ self
@@ -83,6 +86,14 @@ type cluster struct {
 // small cluster without turning one miss into a full-cluster scan.
 const maxFetchCandidates = 3
 
+// peerIdleConns is how many idle connections the peer transport keeps
+// to each peer. An analyzer construction fetches up to five stages
+// side by side, each fetch may hedge to a second candidate, and a
+// node builds several analyzers at once; http.DefaultTransport keeps
+// two, so the third concurrent fetch would dial a new connection on
+// every request.
+const peerIdleConns = 32
+
 // newCluster validates the cluster options and builds the cluster
 // over them: the ring seeded with the pinned list (or just self, for
 // -join), and the member directory. Self must appear in a non-empty
@@ -111,15 +122,18 @@ func newCluster(o *Options) (*cluster, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = peerIdleConns
 	cl := &cluster{
-		self:    self,
-		pinned:  pins,
-		seeds:   slices.DeleteFunc(slices.Concat(pins, join), func(p string) bool { return p == self }),
-		dir:     member.New(self, o.Lease, nil),
-		client:  &http.Client{Timeout: o.PeerTimeout},
-		timeout: o.PeerTimeout,
-		ctx:     ctx,
-		cancel:  cancel,
+		self:      self,
+		pinned:    pins,
+		seeds:     slices.DeleteFunc(slices.Concat(pins, join), func(p string) bool { return p == self }),
+		dir:       member.New(self, o.Lease, nil),
+		client:    &http.Client{Timeout: o.PeerTimeout, Transport: tr},
+		transport: tr,
+		timeout:   o.PeerTimeout,
+		ctx:       ctx,
+		cancel:    cancel,
 	}
 	cl.dir.SetOnChange(cl.onChange)
 	cl.setMembers(nil, 1)
@@ -140,11 +154,12 @@ func (cl *cluster) background(f func()) {
 	}()
 }
 
-// close stops the background work and waits for it. Safe to call
-// twice.
+// close stops the background work, waits for it, and closes the
+// transport's idle peer connections. Safe to call twice.
 func (cl *cluster) close() {
 	cl.cancel()
 	cl.wg.Wait()
+	cl.transport.CloseIdleConnections()
 }
 
 // peerList normalizes a -peers or -join list: blanks and duplicates
@@ -344,6 +359,7 @@ func (cl *cluster) hedgeDelay() time.Duration {
 // that makes a rolling redeploy of the fleet cheap.
 type hashRing struct {
 	points []ringPoint
+	nodes  int // distinct nodes on the ring
 }
 
 type ringPoint struct {
@@ -352,7 +368,7 @@ type ringPoint struct {
 }
 
 func newHashRing(nodes []string, vnodes int) *hashRing {
-	r := &hashRing{points: make([]ringPoint, 0, len(nodes)*vnodes)}
+	r := &hashRing{points: make([]ringPoint, 0, len(nodes)*vnodes), nodes: len(nodes)}
 	for _, n := range nodes {
 		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, ringPoint{h: hash64(fmt.Sprintf("%s#%d", n, i)), node: n})
@@ -369,14 +385,13 @@ func newHashRing(nodes []string, vnodes int) *hashRing {
 
 // successors lists distinct nodes clockwise from the key's point —
 // the owner first, then the nodes that would inherit the key if the
-// owner left the ring.
+// owner left the ring. The walk stops at maxFetchCandidates+1 nodes,
+// enough for candidates even when self is among them.
 func (r *hashRing) successors(key string) []string {
-	out := make([]string, 0, 4)
-	seen := map[string]bool{}
-	for i, n := r.at(key), 0; n < len(r.points); n++ {
-		p := r.points[(i+n)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
+	want := min(r.nodes, maxFetchCandidates+1)
+	out := make([]string, 0, want)
+	for i, n := r.at(key), 0; n < len(r.points) && len(out) < want; n++ {
+		if p := r.points[(i+n)%len(r.points)]; !slices.Contains(out, p.node) {
 			out = append(out, p.node)
 		}
 	}

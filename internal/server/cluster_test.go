@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -41,6 +43,33 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.Error(w, "not ready", http.StatusServiceUnavailable)
+}
+
+// TestRingSuccessorsPrefixOfFullWalk: over random rings and keys,
+// successors is the first min(ring nodes, maxFetchCandidates+1)
+// distinct nodes of a full clockwise walk from the key's point.
+func TestRingSuccessorsPrefixOfFullWalk(t *testing.T) {
+	rnd := rand.New(rand.NewPCG(7, 39))
+	for trial := 0; trial < 300; trial++ {
+		nodes := make([]string, 1+rnd.IntN(8))
+		for i := range nodes {
+			nodes[i] = fmt.Sprintf("http://n%d-%d", i, rnd.IntN(1000))
+		}
+		r := newHashRing(nodes, 1+rnd.IntN(64))
+		for k := 0; k < 40; k++ {
+			key := fmt.Sprintf("chip/%016x%016x", rnd.Uint64(), rnd.Uint64())
+			var walk []string
+			for i, n := r.at(key), 0; n < len(r.points); n++ {
+				if p := r.points[(i+n)%len(r.points)]; !slices.Contains(walk, p.node) {
+					walk = append(walk, p.node)
+				}
+			}
+			want := walk[:min(len(walk), maxFetchCandidates+1)]
+			if got := r.successors(key); !slices.Equal(got, want) {
+				t.Fatalf("ring %v key %s: successors %v, want %v", nodes, key, got, want)
+			}
+		}
+	}
 }
 
 func TestHashRingOwnershipAndSuccessors(t *testing.T) {
@@ -366,7 +395,9 @@ func TestRingRebalanceMinimalChurn(t *testing.T) {
 // the real stage codecs instead of the synthetic int64 stage. Node A
 // answers a lifetime sweep cold and spills every stage to its disk
 // tier. Node B, on a static two-node ring, answers the same sweep
-// with zero builds on every stage, all by peer fill. A node started
+// with zero builds on every stage: it fills chip, weibull and thermal
+// (and the substrate it keeps) from A, and never looks BLOD up, since
+// only a chip build reads it. A node started
 // later on A's artifact directory, with a fresh cache and no peers,
 // answers it from the disk tier alone. All three agree bit for bit.
 func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
@@ -422,6 +453,12 @@ func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
 	gotB := sweep(tsB.URL)
 	for _, stage := range obdrel.StageNames() {
 		st := cacheB.Stat(stage)
+		if stage == obdrel.StageBLOD {
+			if st.Builds != 0 || st.PeerHits != 0 || st.Hits+st.Misses != 0 {
+				t.Errorf("node B looked blod up: builds=%d peerHits=%d lookups=%d, want none", st.Builds, st.PeerHits, st.Hits+st.Misses)
+			}
+			continue
+		}
 		if st.Builds != 0 || st.PeerHits == 0 {
 			t.Errorf("node B stage %s: builds=%d peerHits=%d, want 0 and > 0", stage, st.Builds, st.PeerHits)
 		}

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 
+	"obdrel/internal/blod"
 	"obdrel/internal/floorplan"
+	"obdrel/internal/grid"
 	"obdrel/internal/obd"
 	"obdrel/internal/pipeline"
 	"obdrel/internal/power"
@@ -161,19 +163,30 @@ func NewTraceAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	g, fd, pm, err := newStageGraph(ctx, cache, d, cfg)
+	g, err := newStageGraph(ctx, cache, d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	w, field, err := g.traceWeibull(ctx, fd, pm, tr)
-	if err != nil {
+	defer g.endPulls()
+	var (
+		w     *weibullArtifact
+		field *thermal.Field
+		model *grid.Model
+		pca   *grid.PCA
+		char  *blod.Characterization
+	)
+	// The trace's Weibull parameters resolve beside the substrate, in
+	// the list NewAnalyzerCtxIn uses; BLOD is on it because the trace's
+	// chip is assembled here rather than pulled from the cache.
+	traceWeibull := resolution{run: func(ctx context.Context) (err error) {
+		w, field, err = g.traceWeibull(ctx, tr)
+		return err
+	}}
+	if err := g.resolve(ctx, traceWeibull, into(g, StageCovariance, &model, g.covariance),
+		into(g, StagePCA, &pca, g.pca), into(g, StageBLOD, &char, g.blod)); err != nil {
 		return nil, err
 	}
-	model, char, err := g.substrate(ctx, fd)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := assembleChip(fd, model, char, w)
+	chip, err := assembleChip(g.fd, model, char, w)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +194,7 @@ func NewTraceAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design
 	// trace-dependent; composing the trace fingerprint in keeps the
 	// hybrid tables (keyed by chipKey) distinct per trace.
 	chipKey := traceChipKey(g.keys[StageBLOD], g.dfp, g.cfg, tr)
-	return g.analyzer(fd, model, chip, chipKey, w.info, field), nil
+	return g.analyzer(model, chip, chipKey, w.info, field), nil
 }
 
 // traceChipKey names a trace analyzer's chip: the BLOD stage key and a
@@ -198,8 +211,8 @@ func traceChipKey(blodKey, dfp string, cfg *Config, tr Trace) string {
 // segment's operating point, from the sensor or the solver, and
 // combines the per-segment device Weibull parameters by Miner's rule.
 // It also returns the field the analyzer reports.
-func (g *stageGraph) traceWeibull(ctx context.Context, fd *floorplan.Design, pm *power.Model, tr Trace) (*weibullArtifact, *thermal.Field, error) {
-	cfg := g.cfg
+func (g *stageGraph) traceWeibull(ctx context.Context, tr Trace) (*weibullArtifact, *thermal.Field, error) {
+	cfg, fd := g.cfg, g.fd
 	n := len(fd.Blocks)
 	info := make([]BlockInfo, n)
 	for i := range info {
@@ -228,7 +241,7 @@ func (g *stageGraph) traceWeibull(ctx context.Context, fd *floorplan.Design, pm 
 				maxMeasured = seg.TempC
 			}
 		} else {
-			coupled, err := g.traceSegThermal(ctx, fd, pm, seg)
+			coupled, err := g.traceSegThermal(ctx, seg)
 			if err != nil {
 				return nil, nil, fmt.Errorf("obdrel: trace segment %d thermal analysis: %w", si, err)
 			}
@@ -302,17 +315,17 @@ func (g *stageGraph) traceWeibull(ctx context.Context, fd *floorplan.Design, pm 
 // thermal-stage identity evaluated at the segment's (VDD, activity),
 // so repeating segments — across a trace or across a fleet of traces
 // on one design — solve once.
-func (g *stageGraph) traceSegThermal(ctx context.Context, fd *floorplan.Design, pm *power.Model, seg Segment) (*thermal.CoupledResult, error) {
-	return stageGet(ctx, g.cache, StageThermal, traceSegThermalKey(g.keys[StageFloorplan], g.cfg, seg),
+func (g *stageGraph) traceSegThermal(ctx context.Context, seg Segment) (*thermal.CoupledResult, error) {
+	return stageGet(ctx, g, StageThermal, traceSegThermalKey(g.keys[StageFloorplan], g.cfg, seg),
 		func(bctx context.Context) (*thermal.CoupledResult, error) {
 			// Activity scaling leaves the geometry alone, so every
 			// segment shares the design's operator.
-			op, err := g.thermalOp(bctx, fd)
+			op, err := g.thermalOp(bctx)
 			if err != nil {
 				return nil, err
 			}
-			scaled := *fd
-			scaled.Blocks = append([]floorplan.Block(nil), fd.Blocks...)
+			scaled := *g.fd
+			scaled.Blocks = append([]floorplan.Block(nil), g.fd.Blocks...)
 			for i := range scaled.Blocks {
 				a := scaled.Blocks[i].Activity * seg.ActivityScale
 				if a > 1 {
@@ -321,7 +334,7 @@ func (g *stageGraph) traceSegThermal(ctx context.Context, fd *floorplan.Design, 
 				scaled.Blocks[i].Activity = a
 			}
 			return g.ts.SolveCoupledCtx(bctx, op, &scaled, func(temps []float64) ([]float64, error) {
-				return pm.DesignPowers(&scaled, seg.VDD, temps)
+				return g.powerMap.DesignPowers(&scaled, seg.VDD, temps)
 			}, 0, 0)
 		})
 }

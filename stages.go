@@ -3,9 +3,11 @@ package obdrel
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"obdrel/internal/blod"
 	"obdrel/internal/core"
+	"obdrel/internal/fault"
 	"obdrel/internal/floorplan"
 	"obdrel/internal/grid"
 	"obdrel/internal/obd"
@@ -26,6 +28,13 @@ import (
 //	  ┆         └─► covariance ─┬─► blod ──────────────┘
 //	  ┆                         └─► pca   (sampling engines only)
 //	  └┄┄► thermalop ┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┘   (lazy, per die and solver grid)
+//
+// Each stage's build pulls its own inputs through the cache when it
+// runs: chip pulls blod and weibull, weibull pulls
+// thermal, and blod and pca pull covariance. So an artifact a disk or
+// peer tier supplies never resolves the stages under it, and an
+// analyzer construction asks only for what it keeps (see
+// NewAnalyzerCtxIn).
 //
 // StageHybrid hangs off chip and StageThermalOp off floorplan, but
 // neither is a construction stage, so StageNames() leaves both out.
@@ -125,37 +134,140 @@ type weibullArtifact struct {
 }
 
 // stageGraph resolves one analyzer construction through the stage
-// cache. It carries the resolved config components and the
-// precomputed stage keys; artifacts flow through return values so a
-// build never reaches around the cache.
+// cache. It carries the resolved config components, the precomputed
+// stage keys, and the floorplan and power map the prologue resolved,
+// which every build reads. Every other artifact flows through return
+// values: each stage's build resolves its own inputs through the cache
+// when it runs, so a build never reaches around the cache, and an
+// artifact that arrives from a tier never pulls its inputs at all.
 type stageGraph struct {
-	cache *pipeline.Cache
-	d     *Design
-	dfp   string // d.Fingerprint()
-	cfg   *Config
-	tech  *obd.Tech
-	pm    *power.Model
-	ts    *thermal.Solver
-	keys  map[string]string
+	cache    *pipeline.Cache
+	d        *Design
+	dfp      string // d.Fingerprint()
+	cfg      *Config
+	tech     *obd.Tech
+	pm       *power.Model
+	ts       *thermal.Solver
+	keys     map[string]string
+	fd       *floorplan.Design // the floorplan stage's artifact
+	powerMap *power.Model      // the powermap stage's artifact
+
+	mu sync.Mutex
+	// pulls shares each stage's resolution across the construction
+	// (see stageGet); nil once the construction has returned.
+	pulls map[pullKey]*pulled
 }
 
-// stageGet adapts pipeline.Get to the graph's needs: typed artifact
-// out, cache-result bookkeeping dropped (the cache keeps its own
-// stats).
-func stageGet[O any](ctx context.Context, c *pipeline.Cache, stage, key string, build func(context.Context) (O, error)) (O, error) {
-	v, _, err := pipeline.Get(ctx, c, stage, key, build)
+type pullKey struct{ stage, key string }
+
+// pulled is one stage resolution shared across a construction. Its
+// fields are guarded by stageGraph.mu; done is made by the first
+// caller that has to wait, and closed once the outcome is in.
+type pulled struct {
+	finished bool
+	done     chan struct{}
+	v        any
+	err      error
+}
+
+// stageGet resolves a stage through the cache, typed, for the
+// construction g is running. The first caller for a (stage, key)
+// resolves it, and every other caller in the construction — the
+// constructor's own list and the builds that pull it as an input —
+// shares that outcome, failure included. So a failing input costs
+// the construction one build, not one per consumer, and with no cache
+// each input builds once. A cancelled resolution is not shared: the
+// next caller resolves again under its own context. Once the
+// construction has returned, every call goes to the cache, so the
+// analyzer's resolvers never pin an artifact.
+func stageGet[O any](ctx context.Context, g *stageGraph, stage, key string, build func(context.Context) (O, error)) (O, error) {
+	k := pullKey{stage, key}
+	for {
+		g.mu.Lock()
+		if g.pulls == nil {
+			g.mu.Unlock()
+			return cacheGet(ctx, g, stage, key, build)
+		}
+		p, shared := g.pulls[k]
+		if !shared {
+			p = &pulled{}
+			g.pulls[k] = p
+			g.mu.Unlock()
+			// A build shares its artifact the moment it has one, so a
+			// consumer waiting on it starts without waiting for this
+			// caller to wake.
+			v, _, err := pipeline.Get(ctx, g.cache, stage, key, func(bctx context.Context) (O, error) {
+				v, err := build(bctx)
+				if err == nil {
+					g.finish(k, p, v, nil)
+				}
+				return v, err
+			})
+			g.finish(k, p, v, err)
+			return v, err
+		}
+		if p.finished {
+			g.mu.Unlock()
+			return p.v.(O), p.err
+		}
+		if p.done == nil {
+			p.done = make(chan struct{})
+		}
+		done := p.done
+		g.mu.Unlock()
+		select {
+		case <-done:
+			// A cancelled outcome was deleted: the next round resolves
+			// again; any other is now finished.
+		case <-ctx.Done():
+			var zero O
+			return zero, ctx.Err()
+		}
+	}
+}
+
+// cacheGet resolves a stage straight through the cache, typed. The
+// stages only one caller resolves per construction — the prologue's,
+// the thermal operator, the hybrid tables — skip stageGet's sharing.
+func cacheGet[O any](ctx context.Context, g *stageGraph, stage, key string, build func(context.Context) (O, error)) (O, error) {
+	v, _, err := pipeline.Get(ctx, g.cache, stage, key, build)
 	return v, err
 }
 
+// finish records a shared resolution's outcome unless one is already
+// recorded, and wakes the callers waiting on it. A cancelled outcome
+// is dropped instead, so the next caller resolves again.
+func (g *stageGraph) finish(k pullKey, p *pulled, v any, err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if p.finished {
+		return
+	}
+	p.finished, p.v, p.err = true, v, err
+	if fault.ClassOf(err) == fault.Cancelled && g.pulls != nil {
+		delete(g.pulls, k)
+	}
+	if p.done != nil {
+		close(p.done)
+	}
+}
+
+// endPulls ends the construction's sharing of resolutions.
+func (g *stageGraph) endPulls() {
+	g.mu.Lock()
+	g.pulls = nil
+	g.mu.Unlock()
+}
+
 func (g *stageGraph) floorplan(ctx context.Context) (*floorplan.Design, error) {
-	return stageGet(ctx, g.cache, StageFloorplan, g.keys[StageFloorplan],
+	return cacheGet(ctx, g, StageFloorplan, g.keys[StageFloorplan],
 		func(context.Context) (*floorplan.Design, error) {
 			return g.d.internal()
 		})
 }
 
 func (g *stageGraph) powermap(ctx context.Context) (*power.Model, error) {
-	return stageGet(ctx, g.cache, StagePowerMap, g.keys[StagePowerMap],
+	return cacheGet(ctx, g, StagePowerMap, g.keys[StagePowerMap],
 		func(context.Context) (*power.Model, error) {
 			if err := g.pm.Validate(); err != nil {
 				return nil, err
@@ -164,16 +276,16 @@ func (g *stageGraph) powermap(ctx context.Context) (*power.Model, error) {
 		})
 }
 
-func (g *stageGraph) thermal(ctx context.Context, fd *floorplan.Design, pm *power.Model) (*thermal.CoupledResult, error) {
-	return stageGet(ctx, g.cache, StageThermal, g.keys[StageThermal],
+func (g *stageGraph) thermal(ctx context.Context) (*thermal.CoupledResult, error) {
+	return stageGet(ctx, g, StageThermal, g.keys[StageThermal],
 		func(bctx context.Context) (*thermal.CoupledResult, error) {
-			op, err := g.thermalOp(bctx, fd)
+			op, err := g.thermalOp(bctx)
 			if err != nil {
 				return nil, fmt.Errorf("obdrel: thermal analysis: %w", err)
 			}
-			veff := g.cfg.thermalVDD()
+			fd, veff := g.fd, g.cfg.thermalVDD()
 			coupled, err := g.ts.SolveCoupledCtx(bctx, op, fd, func(temps []float64) ([]float64, error) {
-				return pm.DesignPowers(fd, veff, temps)
+				return g.powerMap.DesignPowers(fd, veff, temps)
 			}, 0, 0)
 			if err != nil {
 				return nil, fmt.Errorf("obdrel: thermal analysis: %w", err)
@@ -185,23 +297,30 @@ func (g *stageGraph) thermal(ctx context.Context, fd *floorplan.Design, pm *powe
 // thermalOp resolves the die's thermal operator, keyed by the
 // floorplan and the solver's grid and conductances only. Only the
 // thermal build closures call it.
-func (g *stageGraph) thermalOp(ctx context.Context, fd *floorplan.Design) (*thermal.Operator, error) {
-	return stageGet(ctx, g.cache, StageThermalOp, thermalOpKey(g.keys[StageFloorplan], g.cfg),
+func (g *stageGraph) thermalOp(ctx context.Context) (*thermal.Operator, error) {
+	return cacheGet(ctx, g, StageThermalOp, thermalOpKey(g.keys[StageFloorplan], g.cfg),
 		func(context.Context) (*thermal.Operator, error) {
-			return g.ts.NewOperator(fd, g.cfg.Workers)
+			return g.ts.NewOperator(g.fd, g.cfg.Workers)
 		})
 }
 
 func (g *stageGraph) covariance(ctx context.Context) (*grid.Model, error) {
-	return stageGet(ctx, g.cache, StageCovariance, g.keys[StageCovariance],
+	return stageGet(ctx, g, StageCovariance, g.keys[StageCovariance],
 		func(context.Context) (*grid.Model, error) {
 			return g.cfg.variationModel(g.d.W, g.d.H)
 		})
 }
 
-func (g *stageGraph) pca(ctx context.Context, model *grid.Model) (*grid.PCA, error) {
-	return stageGet(ctx, g.cache, StagePCA, g.keys[StagePCA],
+// pca resolves the PCA of the covariance model. The analyzer keeps
+// this method as its handle on the stage: each call resolves it
+// through the cache again instead of pinning the artifact.
+func (g *stageGraph) pca(ctx context.Context) (*grid.PCA, error) {
+	return stageGet(ctx, g, StagePCA, g.keys[StagePCA],
 		func(bctx context.Context) (*grid.PCA, error) {
+			model, err := g.covariance(bctx)
+			if err != nil {
+				return nil, err
+			}
 			keep := g.cfg.resolvedKeep()
 			// Build-only annotations: this closure runs once per cache
 			// miss, so boxing the values is off the hot path.
@@ -210,22 +329,13 @@ func (g *stageGraph) pca(ctx context.Context, model *grid.Model) (*grid.PCA, err
 		})
 }
 
-// pcaResolver returns the analyzer's handle on the pca stage: each
-// call resolves it through the cache again instead of pinning the
-// artifact.
-func (g *stageGraph) pcaResolver(model *grid.Model) func(context.Context) (*grid.PCA, error) {
-	return func(ctx context.Context) (*grid.PCA, error) {
-		return g.pca(ctx, model)
-	}
-}
-
 // hybridResolver returns the analyzer's handle on the hybrid stage:
 // the per-block ln D_j tables of chip, keyed by chipKey and the table
-// geometry. Like pcaResolver it resolves through the cache on each
-// call; the engine calls it once, when it is built.
+// geometry. Like pca it resolves through the cache on each call; the
+// engine calls it once, when it is built.
 func (g *stageGraph) hybridResolver(chip *core.Chip, chipKey string) func(context.Context) (*hybridTables, error) {
 	return func(ctx context.Context) (*hybridTables, error) {
-		return stageGet(ctx, g.cache, StageHybrid, hybridTableKey(chipKey, g.cfg),
+		return cacheGet(ctx, g, StageHybrid, hybridTableKey(chipKey, g.cfg),
 			func(context.Context) (*hybridTables, error) {
 				e, err := core.NewHybrid(chip, core.HybridOptions{
 					NL: g.cfg.HybridNL, NB: g.cfg.HybridNB, L0: g.cfg.L0,
@@ -240,17 +350,26 @@ func (g *stageGraph) hybridResolver(chip *core.Chip, chipKey string) func(contex
 	}
 }
 
-func (g *stageGraph) blod(ctx context.Context, fd *floorplan.Design, model *grid.Model) (*blod.Characterization, error) {
-	return stageGet(ctx, g.cache, StageBLOD, g.keys[StageBLOD],
+func (g *stageGraph) blod(ctx context.Context) (*blod.Characterization, error) {
+	return stageGet(ctx, g, StageBLOD, g.keys[StageBLOD],
 		func(bctx context.Context) (*blod.Characterization, error) {
-			obs.Annotate(bctx, "blocks", len(fd.Blocks))
-			return blod.CharacterizeCtx(bctx, fd, model)
+			model, err := g.covariance(bctx)
+			if err != nil {
+				return nil, err
+			}
+			obs.Annotate(bctx, "blocks", len(g.fd.Blocks))
+			return blod.CharacterizeCtx(bctx, g.fd, model)
 		})
 }
 
-func (g *stageGraph) weibull(ctx context.Context, fd *floorplan.Design, coupled *thermal.CoupledResult) (*weibullArtifact, error) {
-	return stageGet(ctx, g.cache, StageWeibull, g.keys[StageWeibull],
+func (g *stageGraph) weibull(ctx context.Context) (*weibullArtifact, error) {
+	return stageGet(ctx, g, StageWeibull, g.keys[StageWeibull],
 		func(bctx context.Context) (*weibullArtifact, error) {
+			coupled, err := g.thermal(bctx)
+			if err != nil {
+				return nil, err
+			}
+			fd := g.fd
 			obs.Annotate(bctx, "blocks", len(fd.Blocks))
 			obs.Annotate(bctx, "vdd_v", g.cfg.VDD)
 			blockTemp := func(i int) float64 {
@@ -296,10 +415,21 @@ func (g *stageGraph) weibull(ctx context.Context, fd *floorplan.Design, coupled 
 		})
 }
 
-func (g *stageGraph) chip(ctx context.Context, fd *floorplan.Design, model *grid.Model, char *blod.Characterization, w *weibullArtifact) (*core.Chip, error) {
-	return stageGet(ctx, g.cache, StageChip, g.keys[StageChip],
-		func(context.Context) (*core.Chip, error) {
-			return assembleChip(fd, model, char, w)
+// chip pulls BLOD first, so that on a cold node its build starts
+// beside the thermal solve the Weibull stage waits on. The grid model
+// comes with the BLOD characterization, which was built from it.
+func (g *stageGraph) chip(ctx context.Context) (*core.Chip, error) {
+	return stageGet(ctx, g, StageChip, g.keys[StageChip],
+		func(bctx context.Context) (*core.Chip, error) {
+			char, err := g.blod(bctx)
+			if err != nil {
+				return nil, err
+			}
+			w, err := g.weibull(bctx)
+			if err != nil {
+				return nil, err
+			}
+			return assembleChip(g.fd, char.Model, char, w)
 		})
 }
 
@@ -324,15 +454,15 @@ func assembleChip(fd *floorplan.Design, model *grid.Model, char *blod.Characteri
 // validates cfg (nil selects DefaultConfig) and d, then resolves the
 // floorplan and power-map stages with the technology validated between
 // them.
-func newStageGraph(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*stageGraph, *floorplan.Design, *power.Model, error) {
+func newStageGraph(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*stageGraph, error) {
 	if cfg == nil {
 		cfg = DefaultConfig()
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if d == nil {
-		return nil, nil, nil, errNilDesign
+		return nil, errNilDesign
 	}
 	dfp := d.Fingerprint()
 	g := &stageGraph{
@@ -344,67 +474,105 @@ func newStageGraph(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *C
 		pm:    cfg.resolvedPower(),
 		ts:    cfg.resolvedThermal(),
 		keys:  stageKeys(dfp, d.W, d.H, cfg),
+		pulls: map[pullKey]*pulled{},
 	}
-	fd, err := g.floorplan(ctx)
-	if err != nil {
-		return nil, nil, nil, err
+	var err error
+	if g.fd, err = g.floorplan(ctx); err != nil {
+		return nil, err
 	}
 	if err := g.tech.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	pm, err := g.powermap(ctx)
-	if err != nil {
-		return nil, nil, nil, err
+	if g.powerMap, err = g.powermap(ctx); err != nil {
+		return nil, err
 	}
-	return g, fd, pm, nil
+	return g, nil
 }
 
-// substrate resolves the voltage-independent tail every constructor
-// shares: covariance, then PCA and BLOD side by side. BLOD reads only
-// the covariance model, so the two builds are independent; they run
-// as one par.ForCtx pair over cfg.Workers, and with Workers resolving
-// to 1 the PCA resolves first and BLOD second, inline. A PCA error
-// cancels BLOD and wins over BLOD's error, as the serial order would
-// have it; both resolutions have returned when substrate does. The
-// PCA is resolved eagerly so its errors surface here and its build is
-// attributed to this construction, but not retained.
-func (g *stageGraph) substrate(ctx context.Context, fd *floorplan.Design) (*grid.Model, *blod.Characterization, error) {
-	model, err := g.covariance(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var char *blod.Characterization
-	var pcaErr, blodErr error
-	err = par.ForCtx(pctx, g.cfg.Workers, 2, func(i int) {
-		if i == 0 {
-			if _, pcaErr = g.pca(pctx, model); pcaErr != nil {
-				cancel()
+// resolution is one entry of a constructor's list: the stage artifact
+// it resolves ("" when it resolves several) and the call that does.
+type resolution struct {
+	stage, key string
+	run        func(context.Context) error
+}
+
+// into makes the list entry that resolves stage through get and stores
+// the artifact in *dst.
+func into[O any](g *stageGraph, stage string, dst *O, get func(context.Context) (O, error)) resolution {
+	return resolution{stage: stage, key: g.keys[stage], run: func(ctx context.Context) (err error) {
+		*dst, err = get(ctx)
+		return err
+	}}
+}
+
+// resolve runs a constructor's resolutions, listed in dependency
+// order, and returns the error of the earliest one that failed. With
+// cfg.Workers resolving to 1 they run one after another, in order,
+// and stop at the first error. Otherwise they all start together and
+// resolve returns when every one has: the resolutions wait on flights
+// and peers, which is not the CPU work Workers bounds, so it does not
+// cap them. An entry whose artifact is already in memory cannot wait,
+// so it runs on the calling goroutine, as does the last entry that may
+// wait; only the others get goroutines of their own. Each stage's
+// build pulls its own inputs; the construction shares each pull (see
+// stageGet) and the cache's singleflight coalesces it with other
+// constructions, so every stage still builds at most once however the
+// resolutions overlap.
+func (g *stageGraph) resolve(ctx context.Context, list ...resolution) error {
+	if par.Resolve(g.cfg.Workers, len(list)) == 1 {
+		for _, r := range list {
+			if err := r.run(ctx); err != nil {
+				return err
 			}
-			return
 		}
-		char, blodErr = g.blod(pctx, fd, model)
-	})
-	switch {
-	case pcaErr != nil:
-		return nil, nil, pcaErr
-	case blodErr != nil:
-		return nil, nil, blodErr
-	case err != nil:
-		return nil, nil, err
+		return nil
 	}
-	return model, char, nil
+	errs := make([]error, len(list))
+	var wg sync.WaitGroup
+	last := -1 // the last entry that may wait, run inline below
+	for i, r := range list {
+		if r.stage != "" && g.resident(r.stage, r.key) {
+			errs[i] = r.run(ctx)
+			continue
+		}
+		if j := last; j >= 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[j] = list[j].run(ctx)
+			}()
+		}
+		last = i
+	}
+	if last >= 0 {
+		errs[last] = list[last].run(ctx)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// resident reports whether the cache holds stage's artifact in memory.
+func (g *stageGraph) resident(stage, key string) bool {
+	if g.cache == nil {
+		return false
+	}
+	_, ok := g.cache.Peek(stage, key)
+	return ok
 }
 
 // analyzer wraps a resolved chip in the query facade; chipKey names
 // the chip's hybrid tables in the stage cache.
-func (g *stageGraph) analyzer(fd *floorplan.Design, model *grid.Model, chip *core.Chip, chipKey string, info []BlockInfo, field *thermal.Field) *Analyzer {
+func (g *stageGraph) analyzer(model *grid.Model, chip *core.Chip, chipKey string, info []BlockInfo, field *thermal.Field) *Analyzer {
 	return &Analyzer{
 		cfg:       g.cfg,
-		design:    fd,
+		design:    g.fd,
 		model:     model,
-		pca:       g.pcaResolver(model),
+		pca:       g.pca,
 		hybrid:    g.hybridResolver(chip, chipKey),
 		chip:      chip,
 		tech:      g.tech,
@@ -420,32 +588,33 @@ func (g *stageGraph) analyzer(fd *floorplan.Design, model *grid.Model, chip *cor
 // is also what lets a multi-node cluster run inside one test process
 // without the nodes sharing artifacts through sharedStages. A nil
 // cache disables caching entirely: every stage builds under ctx, with
-// no flights. Stages resolve in dependency order, with the same
-// validation sequence and error wrapping as the pre-stage-graph
-// monolithic constructor, except that the PCA and BLOD resolve side
-// by side (see substrate). With cfg.Workers resolving to 1 they
-// resolve PCA first, so the order is that constructor's exactly; at
-// any worker count a PCA error wins over a BLOD error.
+// no flights, once per construction.
+//
+// After the prologue (floorplan, technology, power map) it resolves
+// what the analyzer keeps side by side (see resolve): thermal for the
+// field, covariance for the model, weibull for the block info, and
+// chip. The PCA resolves with them so its errors surface here, but is
+// not retained. BLOD is not on the list: only a chip build pulls it,
+// so a node that fills its chip from a tier never resolves BLOD. When
+// several resolutions fail, the earliest in StageNames order wins, at
+// any worker count.
 func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*Analyzer, error) {
-	g, fd, pm, err := newStageGraph(ctx, cache, d, cfg)
+	g, err := newStageGraph(ctx, cache, d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	coupled, err := g.thermal(ctx, fd, pm)
-	if err != nil {
+	defer g.endPulls()
+	var (
+		coupled *thermal.CoupledResult
+		model   *grid.Model
+		pca     *grid.PCA
+		w       *weibullArtifact
+		chip    *core.Chip
+	)
+	if err := g.resolve(ctx, into(g, StageThermal, &coupled, g.thermal),
+		into(g, StageCovariance, &model, g.covariance), into(g, StagePCA, &pca, g.pca),
+		into(g, StageWeibull, &w, g.weibull), into(g, StageChip, &chip, g.chip)); err != nil {
 		return nil, err
 	}
-	model, char, err := g.substrate(ctx, fd)
-	if err != nil {
-		return nil, err
-	}
-	w, err := g.weibull(ctx, fd, coupled)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := g.chip(ctx, fd, model, char, w)
-	if err != nil {
-		return nil, err
-	}
-	return g.analyzer(fd, model, chip, g.keys[StageChip], w.info, coupled.Field), nil
+	return g.analyzer(model, chip, g.keys[StageChip], w.info, coupled.Field), nil
 }

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -378,14 +381,12 @@ func TestSubstrateOverlapBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSubstrateOverlapsPCAAndBLOD: with two workers, BLOD builds while
-// the PCA is still building. An injected delay holds the PCA build
-// open; resolved one after the other, BLOD could not start until it
-// ended.
+// TestSubstrateOverlapsPCAAndBLOD: with two workers, BLOD (pulled by
+// the chip build) builds while the PCA is still building, at any
+// GOMAXPROCS, since Workers does not cap the constructor's list. An
+// injected delay holds the PCA build open; resolved one after the
+// other, BLOD could not start until it ended.
 func TestSubstrateOverlapsPCAAndBLOD(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("GOMAXPROCS 1: Workers resolves to 1, so the pair resolves one after the other")
-	}
 	spec, err := fault.ParseSpec("pipeline.build(pca):latency:300ms")
 	if err != nil {
 		t.Fatal(err)
@@ -480,8 +481,10 @@ func TestSubstrateCancelMidPCA(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		// The covariance resolves just before the PCA and BLOD start.
-		for cache.Stat(StageCovariance).Builds == 0 && ctx.Err() == nil {
+		// Cancel once the PCA's flight exists: its miss is counted
+		// just before the flight starts, and its build pulls the
+		// covariance, so it runs on past the cancel unless stopped.
+		for cache.Stat(StagePCA).Misses == 0 && ctx.Err() == nil {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
@@ -502,6 +505,103 @@ func TestSubstrateCancelMidPCA(t *testing.T) {
 	}
 	if st := cache.Stat(StagePCA); st.Cancels != 1 || st.Builds != 0 {
 		t.Fatalf("pca stage after the cancel: %d cancels, %d builds; want the flight cancelled, not built", st.Cancels, st.Builds)
+	}
+}
+
+// TestPeerFillFetchesConcurrently: a node that holds a design's
+// substrate but not the voltage-dependent tail fetches thermal,
+// weibull and chip side by side. The fake peer tier answers no fetch
+// until all three are in flight, so resolving them one after another
+// would stall until its timeout.
+func TestPeerFillFetchesConcurrently(t *testing.T) {
+	ctx := context.Background()
+	d := C1()
+	cfg := quickConfig()
+	cfg.Workers = 2
+	leader := pipeline.NewCache(16)
+	if _, err := NewAnalyzerCtxIn(ctx, leader, d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// The follower builds the substrate at another voltage, so only
+	// the thermal, weibull and chip keys are missing.
+	follower := pipeline.NewCache(16)
+	other := quickConfig()
+	other.VDD += 0.05
+	if _, err := NewAnalyzerCtxIn(ctx, follower, d, other); err != nil {
+		t.Fatal(err)
+	}
+	const want = 3
+	var (
+		mu      sync.Mutex
+		fetched []string
+		all     = make(chan struct{})
+		stalled atomic.Bool
+	)
+	follower.SetTiers(pipeline.Tiers{Fetch: func(fctx context.Context, stage, key string) ([]byte, bool, error) {
+		mu.Lock()
+		fetched = append(fetched, stage)
+		if len(fetched) == want {
+			close(all)
+		}
+		mu.Unlock()
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+			stalled.Store(true)
+		case <-fctx.Done():
+			return nil, false, fctx.Err()
+		}
+		sealed, ok := leader.Sealed(stage, key)
+		return sealed, ok, nil
+	}})
+	if _, err := NewAnalyzerCtxIn(ctx, follower, d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if stalled.Load() {
+		t.Fatalf("fetches %v: a fetch waited 5 s for %d to be in flight at once", fetched, want)
+	}
+	slices.Sort(fetched)
+	if w := []string{StageChip, StageThermal, StageWeibull}; !slices.Equal(fetched, w) {
+		t.Errorf("fetched %v, want %v", fetched, w)
+	}
+	for _, stage := range fetched {
+		if n := follower.Stat(stage).PeerHits; n != 1 {
+			t.Errorf("stage %s: %d peer hits, want 1", stage, n)
+		}
+	}
+}
+
+// TestPulledFailureKeepsProvenance: a stage that fails as the input of
+// another stage's build surfaces as itself, at every worker count.
+// The consumers' flights pass its StageError through unwrapped, and
+// only the failing stage counts a failure.
+func TestPulledFailureKeepsProvenance(t *testing.T) {
+	for _, failing := range []string{StageThermal, StageBLOD} {
+		for _, workers := range []int{1, 2} {
+			spec, err := fault.ParseSpec("pipeline.build(" + failing + "):perm:1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault.Arm(spec.Injector(1))
+			cfg := quickConfig()
+			cfg.Workers = workers
+			cache := pipeline.NewCache(16)
+			_, err = NewAnalyzerCtxIn(context.Background(), cache, C1(), cfg)
+			fault.Disarm()
+			var se *fault.StageError
+			if !errors.As(err, &se) || se.Stage != failing || !strings.HasPrefix(err.Error(), "stage "+failing+" [") {
+				t.Errorf("%s workers=%d: err = %v, want it to name stage %s first", failing, workers, err, failing)
+			}
+			for _, st := range cache.Snapshot() {
+				want := int64(0)
+				if st.Stage == failing {
+					want = 1
+				}
+				if st.Failures != want {
+					t.Errorf("%s workers=%d: stage %s counted %d failures, want %d", failing, workers, st.Stage, st.Failures, want)
+				}
+			}
+		}
 	}
 }
 
