@@ -79,16 +79,17 @@ type BlockInfo struct {
 // Analyzer is a fully characterized chip ready for reliability
 // queries. It is a thin facade over the stage graph (see stages.go):
 // construction resolves the floorplan and power-map stages, then the
-// thermal, covariance, PCA, Weibull-parameter and chip stages side by
-// side — each served from the stage cache, or a disk or peer tier,
-// when it already holds the identical artifact. A stage that must be
-// built pulls its own inputs, so BLOD resolves only when the chip
-// builds. Engines are then built lazily per method and cached per
-// analyzer.
+// PCA and chip stages side by side — each served from the stage cache,
+// or a disk or peer tier, when it already holds the identical
+// artifact. A stage that must be built pulls its own inputs, so BLOD,
+// the Weibull parameters and the thermal solve resolve only when the
+// chip builds. The block info and the temperature field, which only
+// the reports read, resolve through the cache on first read when the
+// construction did not pull them. Engines are built lazily per method
+// and cached per analyzer.
 type Analyzer struct {
 	cfg    *Config
 	design *floorplan.Design
-	model  *grid.Model
 	// pca resolves the PCA through the stage cache (a hit, or a
 	// deterministic rebuild if it was evicted). The analyzer holds no
 	// PCA itself, so the cache's byte budget alone bounds PCA memory
@@ -101,6 +102,11 @@ type Analyzer struct {
 	chip   *core.Chip
 	tech   *obd.Tech
 
+	// opMu guards the operating point: the weibull stage's block info
+	// and the thermal stage's field. Until both are held, side
+	// resolves them through the stage cache; it is nil from then on.
+	opMu      sync.Mutex
+	side      func(context.Context) ([]BlockInfo, *thermal.Field, error)
 	blockInfo []BlockInfo
 	field     *thermal.Field
 
@@ -305,14 +311,14 @@ func (a *Analyzer) FailureContributions(t float64) ([]BlockContribution, error) 
 		return nil, err
 	}
 	fast := e.(*core.StFast)
-	out := make([]BlockContribution, len(a.blockInfo))
+	out := make([]BlockContribution, len(a.design.Blocks))
 	total := 0.0
 	for j := range out {
 		d, err := fast.BlockFailureProb(j, t)
 		if err != nil {
 			return nil, err
 		}
-		out[j] = BlockContribution{Name: a.blockInfo[j].Name, FailureProb: d}
+		out[j] = BlockContribution{Name: a.design.Blocks[j].Name, FailureProb: d}
 		total += d
 	}
 	if total > 0 {
@@ -364,7 +370,7 @@ func (a *Analyzer) BurnIn(stressV, stressTC, hours float64) (*BurnInResult, erro
 	if err != nil {
 		return nil, err
 	}
-	n := len(a.blockInfo)
+	n := a.chip.NumBlocks()
 	intShift := make([]float64, n)
 	for j := 0; j < n; j++ {
 		intShift[j] = hours * a.chip.Params[j].Alpha / stress.Alpha
@@ -411,22 +417,65 @@ func FitWeibull(times []float64) (scale, shape, r2 float64, err error) {
 	return w.Scale, w.Shape, r2, nil
 }
 
+// ResolveOperatingPoint resolves what Blocks, TemperatureField and
+// TempSpread report: each block's operating point (the weibull stage)
+// and the die's temperature field (the thermal stage). An analyzer
+// whose construction built the chip already holds both; one whose chip
+// came from the cache or a tier resolves them here, side by side
+// through the stage cache, the first time it is called or one of those
+// three reads them. Concurrent callers share one resolution. It returns
+// the resolution's error: a stage's *fault.StageError, or ctx's error.
+// A failed resolution is not kept, so the next call tries again.
+func (a *Analyzer) ResolveOperatingPoint(ctx context.Context) error {
+	_, _, err := a.operatingPoint(ctx)
+	return err
+}
+
+// operatingPoint returns the block info and field, resolving them on
+// the first call that succeeds.
+func (a *Analyzer) operatingPoint(ctx context.Context) ([]BlockInfo, *thermal.Field, error) {
+	a.opMu.Lock()
+	defer a.opMu.Unlock()
+	if a.side != nil {
+		info, field, err := a.side(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		a.blockInfo, a.field, a.side = info, field, nil
+	}
+	return a.blockInfo, a.field, nil
+}
+
 // Blocks reports every block's operating point and reliability
-// parameters.
+// parameters. The first read may resolve them (see
+// ResolveOperatingPoint); Blocks returns nil if that fails.
 func (a *Analyzer) Blocks() []BlockInfo {
-	return append([]BlockInfo(nil), a.blockInfo...)
+	info, _, _ := a.operatingPoint(context.Background())
+	return append([]BlockInfo(nil), info...)
 }
 
 // TemperatureField returns the solved die temperature map: cell
-// temperatures in °C, row-major on an nx×ny grid.
+// temperatures in °C, row-major on an nx×ny grid. The first read may
+// resolve it (see ResolveOperatingPoint); it returns 0, 0, nil if that
+// fails.
 func (a *Analyzer) TemperatureField() (nx, ny int, temps []float64) {
-	return a.field.Nx, a.field.Ny, append([]float64(nil), a.field.Temps...)
+	_, field, err := a.operatingPoint(context.Background())
+	if err != nil {
+		return 0, 0, nil
+	}
+	return field.Nx, field.Ny, append([]float64(nil), field.Temps...)
 }
 
-// TempSpread returns the min, mean and max die temperature (°C).
+// TempSpread returns the min, mean and max die temperature (°C). The
+// first read may resolve the field (see ResolveOperatingPoint); it
+// returns three NaNs if that fails.
 func (a *Analyzer) TempSpread() (min, mean, max float64) {
-	min, max = a.field.MinMax()
-	return min, a.field.Mean(), max
+	_, field, err := a.operatingPoint(context.Background())
+	if err != nil {
+		return math.NaN(), math.NaN(), math.NaN()
+	}
+	min, max = field.MinMax()
+	return min, field.Mean(), max
 }
 
 // Comparison is one row of a method-comparison table.

@@ -214,25 +214,35 @@ func TestAnalyzerFromDecodedArtifactsBitIdentical(t *testing.T) {
 	}
 
 	// Follower: every stage it resolves comes from the disk tier; the
-	// build closures must never run. BLOD is an input of the chip
-	// build alone, so a follower that loads the chip never looks BLOD
-	// up.
+	// build closures must never run. Construction loads the chip and the
+	// PCA. BLOD is an input of the chip build alone and covariance of
+	// the PCA and BLOD builds, so a follower that loads both never looks
+	// either up. Thermal and weibull load once a report reads them.
 	a2, err := NewAnalyzerCtxIn(ctx, cacheB, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stage := range StageNames() {
-		st := cacheB.Stat(stage)
-		if stage == StageBLOD {
-			if st.Builds != 0 || st.Hits+st.Misses != 0 {
-				t.Errorf("follower resolved blod: builds=%d lookups=%d, want none", st.Builds, st.Hits+st.Misses)
+	loads := func(when string, read bool) {
+		t.Helper()
+		for _, stage := range StageNames() {
+			st := cacheB.Stat(stage)
+			unread := (stage == StageThermal || stage == StageWeibull) && !read
+			if stage == StageBLOD || stage == StageCovariance || unread {
+				if st.Builds != 0 || st.Hits+st.Misses != 0 {
+					t.Errorf("%s: follower resolved %s: builds=%d lookups=%d, want none", when, stage, st.Builds, st.Hits+st.Misses)
+				}
+				continue
 			}
-			continue
-		}
-		if st.Builds != 0 || st.DiskHits != 1 {
-			t.Errorf("stage %s: builds=%d diskHits=%d, want 0/1", stage, st.Builds, st.DiskHits)
+			if st.Builds != 0 || st.DiskHits != 1 {
+				t.Errorf("%s: stage %s: builds=%d diskHits=%d, want 0/1", when, stage, st.Builds, st.DiskHits)
+			}
 		}
 	}
+	loads("construction", false)
+	if got, want := a2.Blocks(), a1.Blocks(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Blocks: leader %v, follower %v", want, got)
+	}
+	loads("Blocks", true)
 	if st := cacheB.Stat(StageThermalOp); st.Builds != 0 || st.Hits+st.Misses != 0 {
 		t.Errorf("follower resolved the thermal operator: builds=%d lookups=%d, want none", st.Builds, st.Hits+st.Misses)
 	}

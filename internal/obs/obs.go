@@ -81,7 +81,8 @@ type trace struct {
 	head      atomic.Pointer[Span]
 	nStarted  atomic.Int64
 	finalized atomic.Bool
-	out       *TraceOut // set by finalize; read only by EndTrace
+	read      atomic.Bool // see Span.MarkRead
+	out       *TraceOut   // set by finalize; read only by EndTrace
 }
 
 // spanKey carries the active *Span through a context.
@@ -162,6 +163,24 @@ func (sp *Span) TraceID() string {
 		return ""
 	}
 	return sp.tr.id
+}
+
+// MarkRead records that the span's trace will be read when it ends —
+// an ?explain=1 answer embeds it — so work only a reader needs, such
+// as asking a peer for its span subtree, is done for it. No-op on nil
+// spans.
+func (sp *Span) MarkRead() {
+	if sp != nil {
+		sp.tr.read.Store(true)
+	}
+}
+
+// Read reports whether the span's trace will be read when it ends:
+// it was marked read, or the tracer exports every trace as JSONL. The
+// ring behind Recent does not count: nobody may ever ask it. False on
+// nil spans.
+func (sp *Span) Read() bool {
+	return sp != nil && (sp.tr.read.Load() || sp.tr.tracer.opts.JSONL != nil)
 }
 
 // SetAttr records a key/value attribute. Later writes of the same key

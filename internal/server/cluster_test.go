@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -395,11 +396,14 @@ func TestRingRebalanceMinimalChurn(t *testing.T) {
 // the real stage codecs instead of the synthetic int64 stage. Node A
 // answers a lifetime sweep cold and spills every stage to its disk
 // tier. Node B, on a static two-node ring, answers the same sweep
-// with zero builds on every stage: it fills chip, weibull and thermal
-// (and the substrate it keeps) from A, and never looks BLOD up, since
-// only a chip build reads it. A node started
-// later on A's artifact directory, with a fresh cache and no peers,
-// answers it from the disk tier alone. All three agree bit for bit.
+// with zero builds on every stage: it fills the chip and the PCA (and
+// the floorplan and power map) from A. It never looks BLOD up, since
+// only a chip build reads it, nor covariance, which only the PCA and
+// BLOD builds read, nor thermal and weibull, which only the reports
+// read; a /v1/blocks on B then fills those two from A, still with zero
+// builds. A node started later on A's artifact directory, with a
+// fresh cache and no peers, answers the sweep from the disk tier
+// alone. All three agree bit for bit.
 func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
 	var paths []string
 	for _, d := range []string{"C1", "C2"} {
@@ -451,18 +455,35 @@ func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
 	}
 
 	gotB := sweep(tsB.URL)
-	for _, stage := range obdrel.StageNames() {
-		st := cacheB.Stat(stage)
-		if stage == obdrel.StageBLOD {
-			if st.Builds != 0 || st.PeerHits != 0 || st.Hits+st.Misses != 0 {
-				t.Errorf("node B looked blod up: builds=%d peerHits=%d lookups=%d, want none", st.Builds, st.PeerHits, st.Hits+st.Misses)
+	unread := map[string]bool{obdrel.StageBLOD: true, obdrel.StageCovariance: true,
+		obdrel.StageThermal: true, obdrel.StageWeibull: true}
+	fills := func(when string) {
+		t.Helper()
+		for _, stage := range obdrel.StageNames() {
+			st := cacheB.Stat(stage)
+			if unread[stage] {
+				if st.Builds != 0 || st.PeerHits != 0 || st.Hits+st.Misses != 0 {
+					t.Errorf("%s: node B looked %s up: builds=%d peerHits=%d lookups=%d, want none", when, stage, st.Builds, st.PeerHits, st.Hits+st.Misses)
+				}
+				continue
 			}
-			continue
-		}
-		if st.Builds != 0 || st.PeerHits == 0 {
-			t.Errorf("node B stage %s: builds=%d peerHits=%d, want 0 and > 0", stage, st.Builds, st.PeerHits)
+			if st.Builds != 0 || st.PeerHits == 0 {
+				t.Errorf("%s: node B stage %s: builds=%d peerHits=%d, want 0 and > 0", when, stage, st.Builds, st.PeerHits)
+			}
 		}
 	}
+	fills("lifetime sweep")
+	blocks := "/v1/blocks?design=C1&grid=8&mc_samples=100&stmc_samples=1000"
+	wantBlocks := getJSON(t, tsA.URL+blocks, http.StatusOK)
+	gotBlocks := getJSON(t, tsB.URL+blocks, http.StatusOK)
+	delete(wantBlocks, "cache")
+	delete(gotBlocks, "cache")
+	if !reflect.DeepEqual(gotBlocks, wantBlocks) {
+		t.Errorf("/v1/blocks: A %v, B %v", wantBlocks, gotBlocks)
+	}
+	delete(unread, obdrel.StageThermal)
+	delete(unread, obdrel.StageWeibull)
+	fills("/v1/blocks")
 	// The operator is resolved only inside a thermal build, so a node
 	// serving peer-filled thermal artifacts never builds, fetches or
 	// even looks one up.
@@ -512,5 +533,56 @@ func TestClusterRealStagesPeerFillAndRestart(t *testing.T) {
 		if gotB[i] != want[i] || gotC[i] != want[i] {
 			t.Errorf("%s: A %v, B %v, restarted %v — want bit-identical", p, want[i], gotB[i], gotC[i])
 		}
+	}
+}
+
+// TestBlocksSideFillFailureIsStageError: a peer-filled node resolves
+// /v1/blocks' operating point under the request. With the owner down
+// and an injected weibull build fault on the request, the fill fails,
+// and the answer is weibull's stage error, as any stage failure is.
+// The failure is not kept: the next /v1/blocks builds the two stages
+// locally and answers what the owner answered.
+func TestBlocksSideFillFailureIsStageError(t *testing.T) {
+	const q = "design=C1&method=st_fast&ppm=10&grid=8&mc_samples=100&stmc_samples=1000"
+	lA, lB := &lateHandler{}, &lateHandler{}
+	tsA, tsB := httptest.NewServer(lA), httptest.NewServer(lB)
+	defer tsA.Close()
+	defer tsB.Close()
+	peers := []string{tsA.URL, tsB.URL}
+	node := func(self string) (*Server, *pipeline.Cache) {
+		cache := pipeline.NewCache(64)
+		s, err := NewE(Options{
+			Stages: cache, Peers: peers, Self: self, WarmLimit: -1, Workers: 2,
+			FaultHeader: true, DisableTracing: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s, cache
+	}
+	sA, _ := node(tsA.URL)
+	sB, cacheB := node(tsB.URL)
+	lA.h.Store(sA.Handler())
+	lB.h.Store(sB.Handler())
+
+	getJSON(t, tsA.URL+"/v1/lifetime?"+q, http.StatusOK)
+	want := getJSON(t, tsA.URL+"/v1/blocks?"+q, http.StatusOK)
+	getJSON(t, tsB.URL+"/v1/lifetime?"+q, http.StatusOK)
+	tsA.Close()
+
+	resp, out := getResp(t, tsB.URL+"/v1/blocks?"+q, map[string]string{"X-Fault": "pipeline.build(weibull):perm:1"})
+	if msg, _ := out["error"].(string); resp.StatusCode != http.StatusInternalServerError ||
+		out["class"] != "permanent" || !strings.HasPrefix(msg, "stage weibull [") {
+		t.Fatalf("/v1/blocks with the fill failing = %d %v, want 500 naming stage weibull", resp.StatusCode, out)
+	}
+	got := getJSON(t, tsB.URL+"/v1/blocks?"+q, http.StatusOK)
+	delete(want, "cache")
+	delete(got, "cache")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/v1/blocks after the failure: owner %v, B %v", want, got)
+	}
+	if st := cacheB.Stat(obdrel.StageWeibull); st.Failures != 1 || st.Builds != 1 {
+		t.Errorf("B's weibull stage: failures=%d builds=%d, want 1/1", st.Failures, st.Builds)
 	}
 }

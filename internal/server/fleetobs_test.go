@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,11 +53,13 @@ func TestCrossNodeTraceSingleTree(t *testing.T) {
 	}
 
 	// Node B resolves the same key under a live trace, the way
-	// instrument roots one for a /v1 request.
+	// instrument roots one for a /v1 request, marked read as an
+	// ?explain=1 request's is.
 	tctx, root := sB.tracer.StartTrace(ctx, "/v1/test", "", "")
 	if root == nil {
 		t.Fatal("tracing unexpectedly disabled")
 	}
+	root.MarkRead()
 	v, res, err := pipeline.Get(tctx, cacheB, clStage, key, func(context.Context) (int64, error) {
 		return 0, errors.New("follower must not build")
 	})
@@ -141,6 +145,7 @@ func TestPeerSpanSubtreeNullChild(t *testing.T) {
 	t.Cleanup(s.Close)
 
 	ctx, root := s.tracer.StartTrace(context.Background(), "/v1/test", "", "")
+	root.MarkRead() // only a trace that will be read decodes the header
 	v, res, err := pipeline.Get(ctx, cache, clStage, key, func(context.Context) (int64, error) {
 		return 0, errors.New("follower must not build")
 	})
@@ -160,6 +165,99 @@ func TestPeerSpanSubtreeNullChild(t *testing.T) {
 	})
 	if !fetched {
 		t.Fatal("no artifact.fetch span in the trace")
+	}
+}
+
+// TestPeerSpanSubtreeOnlyWhenRead: a fetch asks the owner for its
+// span subtree only when the fetching trace will be read — marked read
+// by ?explain=1, or exported by a JSONL tracer — and grafts it only
+// then, even when the owner sends one unasked. The owner builds the
+// header only when asked, and adopts the trace into its ring either
+// way.
+func TestPeerSpanSubtreeOnlyWhenRead(t *testing.T) {
+	key := key32('e')
+	sealed, err := artifact.Encode(clStage, key, int64(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asked atomic.Int32
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(spanSubtreeHeader) != "" {
+			asked.Add(1)
+		}
+		w.Header().Set(spanSubtreeHeader, `{"name":"peer.serve"}`)
+		w.Write(sealed)
+	}))
+	defer peer.Close()
+	const self = "http://127.0.0.1:1"
+	for _, tc := range []struct {
+		name        string
+		jsonl, mark bool
+		want        bool
+	}{
+		{"unread", false, false, false},
+		{"explained", false, true, true},
+		{"exported", true, false, true},
+	} {
+		opts := Options{Stages: pipeline.NewCache(4), Peers: []string{self, peer.URL}, Self: self, WarmLimit: -1}
+		if tc.jsonl {
+			opts.TraceJSONL = io.Discard
+		}
+		s, err := NewE(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		asked.Store(0)
+		ctx, root := s.tracer.StartTrace(context.Background(), "/v1/test", "", "")
+		if tc.mark {
+			root.MarkRead()
+		}
+		if _, _, err := pipeline.Get(ctx, opts.Stages, clStage, key, func(context.Context) (int64, error) {
+			return 0, errors.New("follower must not build")
+		}); err != nil {
+			t.Fatal(err)
+		}
+		grafted := false
+		root.EndTrace().Root.Walk(func(sp *obs.SpanOut) {
+			grafted = grafted || sp.Name == "peer.serve"
+		})
+		if got := asked.Load() == 1; got != tc.want || grafted != tc.want {
+			t.Errorf("%s: asked=%v grafted=%v, want both %v", tc.name, got, grafted, tc.want)
+		}
+	}
+
+	// The owner: a traced serve sends its subtree only when asked, and
+	// its ring holds peer.serve under the caller's trace id either way.
+	cache := pipeline.NewCache(4)
+	if _, _, err := pipeline.Get(context.Background(), cache, clStage, key, func(context.Context) (int64, error) { return 5, nil }); err != nil {
+		t.Fatal(err)
+	}
+	owner := mustNew(Options{Stages: cache})
+	srv := httptest.NewServer(owner.Handler())
+	defer srv.Close()
+	for _, ask := range []bool{false, true} {
+		tid := obs.NewTraceID()
+		req, _ := http.NewRequest(http.MethodGet, srv.URL+artifactPath(clStage, key), nil)
+		req.Header.Set("traceparent", obs.Traceparent(tid, obs.NewSpanID()))
+		if ask {
+			req.Header.Set(spanSubtreeHeader, "1")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if sent := resp.Header.Get(spanSubtreeHeader) != ""; resp.StatusCode != http.StatusOK || sent != ask {
+			t.Errorf("ask=%v: status %d, subtree sent=%v", ask, resp.StatusCode, sent)
+		}
+		adopted := false
+		for _, tr := range owner.tracer.Recent(0) {
+			adopted = adopted || tr.TraceID == tid && tr.Name == "peer.serve"
+		}
+		if !adopted {
+			t.Errorf("ask=%v: the owner's ring holds no peer.serve for trace %s", ask, tid)
+		}
 	}
 }
 

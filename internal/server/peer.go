@@ -175,22 +175,29 @@ func artifactPath(stage, key string) string {
 // spanSubtreeHeader carries the owner's finished `peer.serve` span
 // subtree back to the fetcher (JSON-encoded obs.SpanOut), where it is
 // grafted under the fetcher's artifact.fetch span — the mechanism that
-// makes one ?explain=1 tree span both nodes.
+// makes one ?explain=1 tree span both nodes. The fetcher asks for it
+// by sending the same header, valued "1", only when its trace will be
+// read (obs.Span.Read); the owner builds it only when asked.
 const spanSubtreeHeader = "X-Obdrel-Span"
 
 // fetchFrom performs one peer request. (nil, nil) is a clean 404.
 // Fetches that run inside a traced request mint an `artifact.fetch`
-// child span, propagate the trace to the peer as a W3C traceparent,
-// and graft the peer's returned span subtree under their own span.
+// child span and propagate the trace to the peer as a W3C
+// traceparent; when the trace will be read, they also ask for the
+// peer's span subtree and graft it under their own span.
 func (cl *cluster) fetchFrom(ctx context.Context, peer, stage, key string) ([]byte, error) {
 	rq := peerRequest{method: http.MethodGet, path: artifactPath(stage, key),
 		accept: []int{http.StatusOK, http.StatusNotFound}, limit: maxArtifactBody}
 	ctx, sp := obs.StartSpan(ctx, "artifact.fetch")
+	graft := sp.Read()
 	if sp != nil {
 		sp.SetAttr("peer", peer)
 		sp.SetAttr("stage", stage)
 		defer sp.End()
 		rq.header = http.Header{"Traceparent": {obs.Traceparent(sp.TraceID(), sp.ID())}}
+		if graft {
+			rq.header[spanSubtreeHeader] = []string{"1"}
+		}
 	}
 	rep, err := cl.call(ctx, peer, rq)
 	if rep.status == 0 {
@@ -198,7 +205,7 @@ func (cl *cluster) fetchFrom(ctx context.Context, peer, stage, key string) ([]by
 		return nil, err
 	}
 	sp.SetAttr("status", rep.status)
-	if sp != nil {
+	if graft {
 		sp.AttachRemote(peerSpanSubtree(rep.header.Get(spanSubtreeHeader)))
 	}
 	if err != nil || rep.status == http.StatusNotFound {

@@ -49,10 +49,11 @@ const failingKey = "design=C1&method=st_fast&ppm=10&vdd=1.5&grid=8&mc_samples=60
 // request rebuilds only the thermal stage (the stages it reads stay
 // cached), every answer is a 500 with the failing stage's provenance,
 // and a bisection that probes the key answers the same every time. The
-// analyzer resolves thermal side by side with covariance, PCA and the
-// chip (whose build pulls BLOD), so those may build once beside the
-// failing thermal; weibull and chip fail on their thermal input, which
-// is not a failure of their own.
+// analyzer resolves the PCA side by side with the chip, whose build
+// pulls BLOD and weibull, and weibull pulls thermal; so covariance,
+// PCA and BLOD may build once beside the failing thermal, and weibull
+// and chip fail on their thermal input, which is not a failure of
+// their own.
 func TestFailingKeyCostsOneBuildPerRequest(t *testing.T) {
 	stages := pipeline.NewCache(64)
 	gate := make(chan struct{})

@@ -583,8 +583,12 @@ func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, 
 		// /debug/traces.
 		parentTID, parentSID, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
 		ctx, root := s.tracer.StartTrace(ctx, route, parentTID, parentSID)
+		explain := root != nil && explainRequested(r)
 		if root != nil {
 			ob.traceID = root.TraceID()
+			if explain {
+				root.MarkRead()
+			}
 			w.Header().Set("traceparent", obs.Traceparent(root.TraceID(), root.ID()))
 			root.SetAttr("http_method", r.Method)
 			if q := r.URL.RawQuery; q != "" {
@@ -649,7 +653,7 @@ func (s *Server) instrument(route string, timeout time.Duration, h handlerFunc, 
 		if root != nil {
 			root.SetAttr("status", status)
 			out := root.EndTrace()
-			if out != nil && explainRequested(r) {
+			if out != nil && explain {
 				if mp, ok := payload.(map[string]any); ok {
 					mp["trace"] = out
 				}
@@ -788,7 +792,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // `peer.serve` span under the caller's trace identity, so both nodes'
 // /debug/traces rings show the same trace id — and the finished span
 // subtree is returned in the X-Obdrel-Span header for the fetcher to
-// graft into its own tree.
+// graft into its own tree, when the fetcher asks for it with the same
+// header.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, ob *observed) (status int, body any) {
 	var root *obs.Span
 	if tid, sid, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
@@ -799,13 +804,14 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, ob *obse
 				// Per-node provenance: which node served this subtree.
 				root.SetAttr("node", s.cluster.self)
 			}
-			// Seal the serve span and hand its subtree to the caller in
-			// a header: deferred, so it runs on every exit, after the
-			// answer is chosen and before ops writes it.
+			// Seal the serve span and, when the caller asked, hand its
+			// subtree back in a header: deferred, so it runs on every
+			// exit, after the answer is chosen and before ops writes it.
+			graft := r.Header.Get(spanSubtreeHeader) != ""
 			defer func() {
 				root.SetAttr("status", status)
 				root.SetAttr("held", status == http.StatusOK)
-				if out := root.EndTrace(); out != nil {
+				if out := root.EndTrace(); out != nil && graft {
 					if enc, err := json.Marshal(out.Root); err == nil {
 						w.Header().Set(spanSubtreeHeader, string(enc))
 					}
@@ -912,6 +918,12 @@ func (s *Server) handleBlocks(ctx context.Context, _ http.ResponseWriter, r *htt
 	}
 	an, hit, err := s.analyzer(ctx, &q)
 	if err != nil {
+		return nil, err
+	}
+	// An analyzer whose chip came from a tier resolves the operating
+	// point on first read: under this request, so a failed or
+	// cancelled fill answers like any stage error.
+	if err := an.ResolveOperatingPoint(ctx); err != nil {
 		return nil, err
 	}
 	type blockOut struct {

@@ -171,22 +171,21 @@ func NewTraceAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design
 	var (
 		w     *weibullArtifact
 		field *thermal.Field
-		model *grid.Model
 		pca   *grid.PCA
 		char  *blod.Characterization
 	)
-	// The trace's Weibull parameters resolve beside the substrate, in
-	// the list NewAnalyzerCtxIn uses; BLOD is on it because the trace's
-	// chip is assembled here rather than pulled from the cache.
+	// The trace's Weibull parameters resolve beside the PCA, as the
+	// chip does in NewAnalyzerCtxIn; BLOD is on the list because the
+	// trace's chip is assembled here rather than pulled from the cache.
 	traceWeibull := resolution{run: func(ctx context.Context) (err error) {
 		w, field, err = g.traceWeibull(ctx, tr)
 		return err
 	}}
-	if err := g.resolve(ctx, traceWeibull, into(g, StageCovariance, &model, g.covariance),
-		into(g, StagePCA, &pca, g.pca), into(g, StageBLOD, &char, g.blod)); err != nil {
+	if err := g.resolve(ctx, traceWeibull, into(g, StagePCA, &pca, g.pca),
+		into(g, StageBLOD, &char, g.blod)); err != nil {
 		return nil, err
 	}
-	chip, err := assembleChip(g.fd, model, char, w)
+	chip, err := assembleChip(g.fd, char.Model, char, w)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +193,7 @@ func NewTraceAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design
 	// trace-dependent; composing the trace fingerprint in keeps the
 	// hybrid tables (keyed by chipKey) distinct per trace.
 	chipKey := traceChipKey(g.keys[StageBLOD], g.dfp, g.cfg, tr)
-	return g.analyzer(model, chip, chipKey, w.info, field), nil
+	return g.analyzer(chip, chipKey, w.info, field), nil
 }
 
 // traceChipKey names a trace analyzer's chip: the BLOD stage key and a

@@ -78,7 +78,11 @@ func TestSamplingEnginesMatchDenseOracle(t *testing.T) {
 		}
 		dieKey := fmt.Sprintf("%gx%g", d.W, d.H)
 		if oracles[dieKey] == nil {
-			oracles[dieKey] = densePCA(t, an.model)
+			model, err := DefaultConfig().variationModel(d.W, d.H)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracles[dieKey] = densePCA(t, model)
 		}
 		dense := oracles[dieKey]
 		cfg := an.cfg

@@ -33,7 +33,7 @@ import (
 // runs: chip pulls blod and weibull, weibull pulls
 // thermal, and blod and pca pull covariance. So an artifact a disk or
 // peer tier supplies never resolves the stages under it, and an
-// analyzer construction asks only for what it keeps (see
+// analyzer construction asks only for what every answer reads (see
 // NewAnalyzerCtxIn).
 //
 // StageHybrid hangs off chip and StageThermalOp off floorplan, but
@@ -415,18 +415,19 @@ func (g *stageGraph) weibull(ctx context.Context) (*weibullArtifact, error) {
 		})
 }
 
-// chip pulls BLOD first, so that on a cold node its build starts
-// beside the thermal solve the Weibull stage waits on. The grid model
-// comes with the BLOD characterization, which was built from it.
+// chip pulls BLOD and the Weibull parameters side by side (see
+// resolve), so that on a cold node the BLOD build runs beside the
+// thermal solve the Weibull stage waits on. The grid model comes with
+// the BLOD characterization, which was built from it.
 func (g *stageGraph) chip(ctx context.Context) (*core.Chip, error) {
 	return stageGet(ctx, g, StageChip, g.keys[StageChip],
 		func(bctx context.Context) (*core.Chip, error) {
-			char, err := g.blod(bctx)
-			if err != nil {
-				return nil, err
-			}
-			w, err := g.weibull(bctx)
-			if err != nil {
+			var (
+				char *blod.Characterization
+				w    *weibullArtifact
+			)
+			if err := g.resolve(bctx, into(g, StageBLOD, &char, g.blod),
+				into(g, StageWeibull, &w, g.weibull)); err != nil {
 				return nil, err
 			}
 			return assembleChip(g.fd, char.Model, char, w)
@@ -565,13 +566,43 @@ func (g *stageGraph) resident(stage, key string) bool {
 	return ok
 }
 
+// pulledArtifact returns the artifact this construction resolved for
+// stage, when it resolved one without error.
+func pulledArtifact[O any](g *stageGraph, stage string) (O, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var zero O
+	p := g.pulls[pullKey{stage, g.keys[stage]}]
+	if p == nil || !p.finished || p.err != nil {
+		return zero, false
+	}
+	v, ok := p.v.(O)
+	return v, ok
+}
+
+// operatingPoint is the analyzer's handle on the stages only its
+// reports read: weibull for the block info and thermal for the field.
+// It resolves both side by side through the cache on each call.
+func (g *stageGraph) operatingPoint(ctx context.Context) ([]BlockInfo, *thermal.Field, error) {
+	var (
+		coupled *thermal.CoupledResult
+		w       *weibullArtifact
+	)
+	if err := g.resolve(ctx, into(g, StageThermal, &coupled, g.thermal),
+		into(g, StageWeibull, &w, g.weibull)); err != nil {
+		return nil, nil, err
+	}
+	return w.info, coupled.Field, nil
+}
+
 // analyzer wraps a resolved chip in the query facade; chipKey names
-// the chip's hybrid tables in the stage cache.
-func (g *stageGraph) analyzer(model *grid.Model, chip *core.Chip, chipKey string, info []BlockInfo, field *thermal.Field) *Analyzer {
-	return &Analyzer{
+// the chip's hybrid tables in the stage cache. Unless the caller holds
+// both the block info and the field, the analyzer resolves them on
+// first read.
+func (g *stageGraph) analyzer(chip *core.Chip, chipKey string, info []BlockInfo, field *thermal.Field) *Analyzer {
+	a := &Analyzer{
 		cfg:       g.cfg,
 		design:    g.fd,
-		model:     model,
 		pca:       g.pca,
 		hybrid:    g.hybridResolver(chip, chipKey),
 		chip:      chip,
@@ -580,6 +611,10 @@ func (g *stageGraph) analyzer(model *grid.Model, chip *core.Chip, chipKey string
 		field:     field,
 		engines:   make(map[Method]core.Engine),
 	}
+	if info == nil || field == nil {
+		a.side = g.operatingPoint
+	}
+	return a
 }
 
 // NewAnalyzerCtxIn is NewAnalyzerCtx against an explicit stage cache
@@ -591,13 +626,15 @@ func (g *stageGraph) analyzer(model *grid.Model, chip *core.Chip, chipKey string
 // no flights, once per construction.
 //
 // After the prologue (floorplan, technology, power map) it resolves
-// what the analyzer keeps side by side (see resolve): thermal for the
-// field, covariance for the model, weibull for the block info, and
-// chip. The PCA resolves with them so its errors surface here, but is
-// not retained. BLOD is not on the list: only a chip build pulls it,
-// so a node that fills its chip from a tier never resolves BLOD. When
-// several resolutions fail, the earliest in StageNames order wins, at
-// any worker count.
+// what every answer reads, side by side (see resolve): the PCA, so
+// its errors surface here, though the analyzer does not retain it,
+// and the chip. Only a chip build pulls BLOD and the Weibull
+// parameters, and only a Weibull build pulls the thermal solve. So a
+// node that fills its chip from a tier moves one artifact, and its
+// analyzer resolves weibull and thermal the first time a report reads
+// them (see Analyzer.ResolveOperatingPoint). A chip built here keeps
+// the block info and field its build pulled. When both resolutions
+// fail, the PCA's error wins, at any worker count.
 func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg *Config) (*Analyzer, error) {
 	g, err := newStageGraph(ctx, cache, d, cfg)
 	if err != nil {
@@ -605,16 +642,21 @@ func NewAnalyzerCtxIn(ctx context.Context, cache *pipeline.Cache, d *Design, cfg
 	}
 	defer g.endPulls()
 	var (
-		coupled *thermal.CoupledResult
-		model   *grid.Model
-		pca     *grid.PCA
-		w       *weibullArtifact
-		chip    *core.Chip
+		pca  *grid.PCA
+		chip *core.Chip
 	)
-	if err := g.resolve(ctx, into(g, StageThermal, &coupled, g.thermal),
-		into(g, StageCovariance, &model, g.covariance), into(g, StagePCA, &pca, g.pca),
-		into(g, StageWeibull, &w, g.weibull), into(g, StageChip, &chip, g.chip)); err != nil {
+	if err := g.resolve(ctx, into(g, StagePCA, &pca, g.pca), into(g, StageChip, &chip, g.chip)); err != nil {
 		return nil, err
 	}
-	return g.analyzer(model, chip, g.keys[StageChip], w.info, coupled.Field), nil
+	var (
+		info  []BlockInfo
+		field *thermal.Field
+	)
+	if w, ok := pulledArtifact[*weibullArtifact](g, StageWeibull); ok {
+		info = w.info
+	}
+	if coupled, ok := pulledArtifact[*thermal.CoupledResult](g, StageThermal); ok {
+		field = coupled.Field
+	}
+	return g.analyzer(chip, g.keys[StageChip], info, field), nil
 }

@@ -509,9 +509,10 @@ func TestSubstrateCancelMidPCA(t *testing.T) {
 }
 
 // TestPeerFillFetchesConcurrently: a node that holds a design's
-// substrate but not the voltage-dependent tail fetches thermal,
-// weibull and chip side by side. The fake peer tier answers no fetch
-// until all three are in flight, so resolving them one after another
+// floorplan and power map but neither its PCA nor its chip fetches
+// both side by side, and nothing else: the fetched chip leaves
+// thermal, weibull and BLOD unresolved. The fake peer tier answers no
+// fetch until both are in flight, so resolving them one after another
 // would stall until its timeout.
 func TestPeerFillFetchesConcurrently(t *testing.T) {
 	ctx := context.Background()
@@ -522,15 +523,17 @@ func TestPeerFillFetchesConcurrently(t *testing.T) {
 	if _, err := NewAnalyzerCtxIn(ctx, leader, d, cfg); err != nil {
 		t.Fatal(err)
 	}
-	// The follower builds the substrate at another voltage, so only
-	// the thermal, weibull and chip keys are missing.
+	// The follower builds the design at another voltage and another
+	// correlation distance, so it shares only the floorplan and power
+	// map keys.
 	follower := pipeline.NewCache(16)
 	other := quickConfig()
 	other.VDD += 0.05
+	other.RhoDist *= 1.5
 	if _, err := NewAnalyzerCtxIn(ctx, follower, d, other); err != nil {
 		t.Fatal(err)
 	}
-	const want = 3
+	const want = 2
 	var (
 		mu      sync.Mutex
 		fetched []string
@@ -561,12 +564,223 @@ func TestPeerFillFetchesConcurrently(t *testing.T) {
 		t.Fatalf("fetches %v: a fetch waited 5 s for %d to be in flight at once", fetched, want)
 	}
 	slices.Sort(fetched)
-	if w := []string{StageChip, StageThermal, StageWeibull}; !slices.Equal(fetched, w) {
+	if w := []string{StageChip, StagePCA}; !slices.Equal(fetched, w) {
 		t.Errorf("fetched %v, want %v", fetched, w)
 	}
 	for _, stage := range fetched {
 		if n := follower.Stat(stage).PeerHits; n != 1 {
 			t.Errorf("stage %s: %d peer hits, want 1", stage, n)
+		}
+	}
+}
+
+// peerFilled builds d under cfg cold into an owner's cache, then
+// constructs it on a follower whose only source is a fetch tier over
+// the owner's sealed artifacts. Every fetch of a stage in slow first
+// sleeps for that long, so concurrent readers overlap.
+func peerFilled(t *testing.T, d *Design, cfg *Config, slow map[string]time.Duration) (owner, follower *Analyzer, fc *pipeline.Cache) {
+	t.Helper()
+	ctx := context.Background()
+	oc := pipeline.NewCache(16)
+	owner, err := NewAnalyzerCtxIn(ctx, oc, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc = pipeline.NewCache(16)
+	fc.SetTiers(pipeline.Tiers{Fetch: func(fctx context.Context, stage, key string) ([]byte, bool, error) {
+		time.Sleep(slow[stage])
+		sealed, ok := oc.Sealed(stage, key)
+		return sealed, ok, nil
+	}})
+	if follower, err = NewAnalyzerCtxIn(ctx, fc, d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return owner, follower, fc
+}
+
+// lookups counts a stage's cache lookups.
+func lookups(c *pipeline.Cache, stage string) int64 {
+	st := c.Stat(stage)
+	return st.Hits + st.Misses
+}
+
+// TestPeerFilledAnalyzerReportsBitIdentical: a follower whose chip came
+// from a tier resolves weibull and thermal only when Blocks,
+// TemperatureField or TempSpread first reads them, and then answers
+// every report bit-identically to the owner. FailureContributions and
+// BurnIn read the chip and the design alone, so they resolve neither.
+func TestPeerFilledAnalyzerReportsBitIdentical(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Extrinsic = obd.DefaultExtrinsic()
+	owner, follower, fc := peerFilled(t, C1(), cfg, nil)
+	unresolved := func(when string) {
+		t.Helper()
+		for _, stage := range []string{StageThermal, StageWeibull} {
+			if n := lookups(fc, stage); n != 0 {
+				t.Errorf("%s: follower looked %s up %d times, want 0", when, stage, n)
+			}
+		}
+	}
+	unresolved("construction")
+
+	bits := func(xs ...float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, tt := range []float64{1e4, 1e5} {
+		want, err := owner.FailureContributions(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := follower.FailureContributions(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("FailureContributions(%v): owner %v, follower %v", tt, want, got)
+		}
+	}
+	wantB, err := owner.BurnIn(1.6, 125, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, err := follower.BurnIn(1.6, 125, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(bits(gotB.Fallout), bits(wantB.Fallout)) ||
+		!slices.Equal(bits(gotB.IntrinsicEqHours...), bits(wantB.IntrinsicEqHours...)) ||
+		!slices.Equal(bits(gotB.ExtrinsicEqHours...), bits(wantB.ExtrinsicEqHours...)) {
+		t.Errorf("BurnIn: owner %+v, follower %+v", wantB, gotB)
+	}
+	lw, err := wantB.LifetimePPM(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := gotB.LifetimePPM(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(lg) != math.Float64bits(lw) {
+		t.Errorf("post-screen lifetime: owner %v, follower %v", lw, lg)
+	}
+	unresolved("FailureContributions and BurnIn")
+
+	nx, ny, temps := follower.TemperatureField()
+	wx, wy, wtemps := owner.TemperatureField()
+	if nx != wx || ny != wy || !slices.Equal(bits(temps...), bits(wtemps...)) {
+		t.Errorf("TemperatureField: owner %dx%d, follower %dx%d, or the cells differ", wx, wy, nx, ny)
+	}
+	lo, mean, hi := follower.TempSpread()
+	wlo, wmean, whi := owner.TempSpread()
+	if !slices.Equal(bits(lo, mean, hi), bits(wlo, wmean, whi)) {
+		t.Errorf("TempSpread: owner %v %v %v, follower %v %v %v", wlo, wmean, whi, lo, mean, hi)
+	}
+	if got, want := follower.Blocks(), owner.Blocks(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Blocks: owner %v, follower %v", want, got)
+	}
+	for _, stage := range []string{StageThermal, StageWeibull} {
+		if st := fc.Stat(stage); st.PeerHits != 1 || st.Builds != 0 {
+			t.Errorf("stage %s: peerHits=%d builds=%d, want 1/0", stage, st.PeerHits, st.Builds)
+		}
+	}
+}
+
+// TestConcurrentFirstReadsResolveOnce: concurrent first readers of a
+// peer-filled analyzer's operating point share one resolution, so each
+// side stage is looked up and fetched exactly once.
+func TestConcurrentFirstReadsResolveOnce(t *testing.T) {
+	slow := map[string]time.Duration{StageThermal: 20 * time.Millisecond, StageWeibull: 20 * time.Millisecond}
+	_, an, fc := peerFilled(t, C1(), quickConfig(), slow)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch i % 4 {
+			case 0:
+				an.Blocks()
+			case 1:
+				an.TempSpread()
+			case 2:
+				an.TemperatureField()
+			default:
+				if err := an.ResolveOperatingPoint(context.Background()); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, stage := range []string{StageThermal, StageWeibull} {
+		if st := fc.Stat(stage); st.Hits+st.Misses != 1 || st.PeerHits != 1 || st.Builds != 0 {
+			t.Errorf("stage %s: lookups=%d peerHits=%d builds=%d, want 1/1/0", stage, st.Hits+st.Misses, st.PeerHits, st.Builds)
+		}
+	}
+	if len(an.Blocks()) != len(C1().Blocks) {
+		t.Error("Blocks lost the resolved operating point")
+	}
+}
+
+// TestOperatingPointFailureRetried: a failed or cancelled resolution of
+// the operating point surfaces as its error, is not kept, and the next
+// read resolves it.
+func TestOperatingPointFailureRetried(t *testing.T) {
+	_, an, fc := peerFilled(t, C1(), quickConfig(), nil)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := an.ResolveOperatingPoint(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled resolution: err = %v, want context.Canceled", err)
+	}
+	spec, err := fault.ParseSpec("pipeline.build(weibull):perm:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fetch tier has lost weibull, so the fill falls back to a
+	// build, which the armed rule fails.
+	fc.SetTiers(pipeline.Tiers{})
+	fault.Arm(spec.Injector(1))
+	err = an.ResolveOperatingPoint(context.Background())
+	blocks := an.Blocks()
+	lo, _, _ := an.TempSpread()
+	fault.Disarm()
+	var se *fault.StageError
+	if !errors.As(err, &se) || se.Stage != StageWeibull {
+		t.Fatalf("failed resolution: err = %v, want weibull's StageError", err)
+	}
+	if blocks != nil || !math.IsNaN(lo) {
+		t.Errorf("a failed read returned blocks %v, min temperature %v; want nil and NaN", blocks, lo)
+	}
+	if err := an.ResolveOperatingPoint(context.Background()); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if len(an.Blocks()) != len(C1().Blocks) {
+		t.Error("retry: Blocks empty")
+	}
+}
+
+// BenchmarkConstructFreshVDD times one analyzer construction of C1 at
+// a supply voltage no earlier iteration used, over a warm substrate in
+// a private cache: the PCA is resident, and the chip builds with its
+// voltage-dependent inputs (weibull, thermal) while BLOD and the
+// thermal operator are hits. This is the path a batch stream's fresh
+// VDDs take.
+func BenchmarkConstructFreshVDD(b *testing.B) {
+	ctx, d := context.Background(), C1()
+	cache := pipeline.NewCache(64)
+	if _, err := NewAnalyzerCtxIn(ctx, cache, d, DefaultConfig()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := DefaultConfig()
+		cfg.VDD += 1e-7 * float64(i+1)
+		if _, err := NewAnalyzerCtxIn(ctx, cache, d, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
