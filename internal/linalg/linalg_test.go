@@ -184,7 +184,8 @@ func expDecayKernel(nx, ny int, rho float64) *Matrix {
 
 // TestEigenSymBitIdenticalToReference pins the transposed-layout
 // solver to the row-major reference it replaced: every eigenvalue and
-// every eigenvector entry must match bit for bit. The sizes include
+// every eigenvector entry must match bit for bit, on the Go loops and
+// on the AVX2 kernels. The sizes include
 // every solve of the 25×25 PCA (66, 78, 91, 144, 156 and 169 rows) and
 // odd and even ones, so QL sweeps of both parities pin tql2's fused
 // rotation pair and its unpaired last rotation.
@@ -216,27 +217,29 @@ func TestEigenSymBitIdenticalToReference(t *testing.T) {
 	}
 	cases = append(cases, tc{"near-symmetric/n=40", near})
 	cases = append(cases, tc{"exp-decay/13x13", expDecayKernel(13, 13, 4)})
-	for _, c := range cases {
-		wantVals, wantVecs, err := eigenSymReference(c.a)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", c.name, err)
-		}
-		vals, vecs, err := EigenSymCtx(context.Background(), c.a)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		for k := range wantVals {
-			if math.Float64bits(vals[k]) != math.Float64bits(wantVals[k]) {
-				t.Fatalf("%s: eigenvalue %d = %v, reference %v", c.name, k, vals[k], wantVals[k])
+	forEachPath(t, func(t *testing.T) {
+		for _, c := range cases {
+			wantVals, wantVecs, err := eigenSymReference(c.a)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", c.name, err)
+			}
+			vals, vecs, err := EigenSymCtx(context.Background(), c.a)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			for k := range wantVals {
+				if math.Float64bits(vals[k]) != math.Float64bits(wantVals[k]) {
+					t.Fatalf("%s: eigenvalue %d = %v, reference %v", c.name, k, vals[k], wantVals[k])
+				}
+			}
+			for i := range wantVecs.Data {
+				if math.Float64bits(vecs.Data[i]) != math.Float64bits(wantVecs.Data[i]) {
+					t.Fatalf("%s: eigenvector entry (%d,%d) = %v, reference %v",
+						c.name, i/c.a.Cols, i%c.a.Cols, vecs.Data[i], wantVecs.Data[i])
+				}
 			}
 		}
-		for i := range wantVecs.Data {
-			if math.Float64bits(vecs.Data[i]) != math.Float64bits(wantVecs.Data[i]) {
-				t.Fatalf("%s: eigenvector entry (%d,%d) = %v, reference %v",
-					c.name, i/c.a.Cols, i%c.a.Cols, vecs.Data[i], wantVecs.Data[i])
-			}
-		}
-	}
+	})
 }
 
 // checkpointCtx counts the solver's cancellation checkpoints (Err
@@ -327,6 +330,33 @@ func TestEigenSymDiagonal(t *testing.T) {
 		}
 	}
 	checkEigen(t, a, vals, vecs, 1e-12)
+}
+
+// TestEigenSymRejectsNonFinite: a NaN or infinite entry is an error.
+// IsSymmetric alone lets a NaN pair through, and the solver would then
+// panic (NaN) or return a wrong spectrum with no error (±Inf).
+func TestEigenSymRejectsNonFinite(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := matrixFrom(3, 3, []float64{1, x, 0, x, 1, 0, 0, 0, 1})
+		if vals, vecs, err := EigenSymCtx(context.Background(), a); err == nil || vals != nil || vecs != nil {
+			t.Errorf("off-diagonal %v: got (%v, %v), want an error and nil outputs", x, vals, err)
+		}
+	}
+}
+
+// TestEigenSymOverflowIsError: finite entries whose sums overflow
+// turn into NaN inside the solve. That must come back as an error, not
+// run the QL scan past the end of the tridiagonal.
+func TestEigenSymOverflowIsError(t *testing.T) {
+	for _, n := range []int{3, 5} {
+		a := NewMatrix(n, n)
+		for i := range a.Data {
+			a.Data[i] = math.MaxFloat64
+		}
+		if vals, vecs, err := EigenSymCtx(context.Background(), a); err == nil || vals != nil || vecs != nil {
+			t.Errorf("n=%d of MaxFloat64: got (%v, %v), want an error and nil outputs", n, vals, err)
+		}
+	}
 }
 
 func TestEigenSymRejectsAsymmetric(t *testing.T) {
@@ -636,8 +666,23 @@ func BenchmarkEigenSym100(b *testing.B) {
 	}
 }
 
+// BenchmarkEigenSym156 solves a matrix the size of the largest solve
+// of the 25×25 PCA on a square die: the EO block, on the PCA's
+// critical path.
+func BenchmarkEigenSym156(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := randomSPD(156, rng)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := EigenSymCtx(context.Background(), a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEigenSym169 solves a matrix the size of the largest
-// reflection block of the 25×25 grid.
+// reflection block of the 25×25 grid on a rectangular die (EE, which
+// a square die splits into swap halves).
 func BenchmarkEigenSym169(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomSPD(169, rng)

@@ -9,10 +9,12 @@
 // and on square grids splits two of those again by the x↔y swap and
 // derives a third from the fourth, so the largest solve at the
 // paper's 25×25 grid has 156 rows (169 on a rectangular die). Each is
-// solved with EigenSymCtx, so a straightforward dense implementation
-// is both sufficient and easy to verify. The eigensolver stores its working
-// matrix transposed (vᵀ), so its O(n³) loops walk contiguous rows, and
-// it is bit-identical to the row-major JAMA/EISPACK code it ports.
+// solved with EigenSymCtx, a dense solver that is bit-identical to the
+// row-major JAMA/EISPACK code it ports, so that code is its test
+// oracle. It stores its working matrix transposed (vᵀ), so its O(n³)
+// loops walk contiguous rows; on amd64 CPUs with AVX2 the element-wise
+// ones run on assembly kernels that keep every operation's order
+// (kernels_amd64.s), and elsewhere on the same loops in Go.
 package linalg
 
 import (
